@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import sys
 import time
 
@@ -76,10 +77,24 @@ def _parse_params(text):
         if not sep:
             raise UsageError(f"--params entries must look like name=value, got {chunk!r}")
         try:
-            out[key.strip()] = float(value)
+            number = float(value)
         except ValueError:
             raise UsageError(f"parameter {key.strip()!r} has non-numeric value {value!r}") from None
+        if not math.isfinite(number):
+            raise UsageError(f"parameter {key.strip()!r} must be finite, got {value!r}")
+        out[key.strip()] = number
     return out
+
+
+def _positive_float(text):
+    """argparse type for tolerances: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _parse_grid(text):
@@ -384,8 +399,6 @@ def _report_csv(report):
 def cmd_verify(args):
     case = _resolve_case(args)
     nx, nt = _parse_grid(args.grid)
-    if args.tol_residual <= 0.0:
-        raise UsageError("--tol-residual must be positive")
     config = conditions.VerifyConfig(
         nx=nx, nt=nt, n_samples=args.x_count, tol_4a=args.tol_residual
     )
@@ -401,8 +414,6 @@ def cmd_verify(args):
 
 def cmd_apply(args):
     case = _resolve_case(args)
-    if args.tol_identity <= 0.0:
-        raise UsageError("--tol-identity must be positive")
     if args.x is not None:
         if args.x <= 0.0:
             raise UsageError(f"--x must be positive, got {args.x!r}")
@@ -452,8 +463,6 @@ def cmd_apply(args):
 
 def cmd_solve(args):
     params = _parse_params(args.params)
-    if args.tol_solver <= 0.0:
-        raise UsageError("--tol-solver must be positive")
     if args.custom:
         problem, reference = _problem_from_config(args.custom, params, args)
         label = args.custom
@@ -545,7 +554,7 @@ def build_parser():
     ver.add_argument("--x-min", type=float)
     ver.add_argument("--x-max", type=float)
     ver.add_argument("--x-count", type=int, default=20)
-    ver.add_argument("--tol-residual", type=float, default=1e-8)
+    ver.add_argument("--tol-residual", type=_positive_float, default=1e-8)
     ver.add_argument("--unsafe-range", action="store_true")
     _add_output_flags(ver)
     ver.set_defaults(func=cmd_verify)
@@ -557,7 +566,7 @@ def build_parser():
     app.add_argument("--x-max", type=float)
     app.add_argument("--x-count", type=int, default=20)
     app.add_argument("--quad-order", type=int, default=64)
-    app.add_argument("--tol-identity", type=float, default=1e-8)
+    app.add_argument("--tol-identity", type=_positive_float, default=1e-8)
     app.add_argument("--unsafe-range", action="store_true")
     _add_output_flags(app)
     app.set_defaults(func=cmd_apply)
@@ -566,7 +575,7 @@ def build_parser():
     _add_case_flags(sol)
     sol.add_argument("--solver-X", type=float, help="triangle size X")
     sol.add_argument("--solver-h", type=float, help="lattice step")
-    sol.add_argument("--tol-solver", type=float, default=1e-3)
+    sol.add_argument("--tol-solver", type=_positive_float, default=1e-3)
     _add_output_flags(sol)
     sol.set_defaults(func=cmd_solve)
     return top

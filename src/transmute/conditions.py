@@ -47,6 +47,9 @@ __all__ = [
 CONDITION_IDS = ("4a", "4b1", "4b2", "4c", "4d", "eigenA", "eigenB")
 
 
+_TOLERANCE_FIELDS = ("tol_4a", "tol_4b1", "tol_eigen", "transport_drop", "decay_drop", "tiny")
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     """Grids, limit sequences, and tolerances for one verification run."""
@@ -68,6 +71,10 @@ class VerifyConfig:
     tiny: float = 1e-12
 
     def __post_init__(self):
+        for name in _TOLERANCE_FIELDS:
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise UsageError(f"{name} must be a positive finite number, got {value!r}")
         if self.nx < 1 or self.nt < 1:
             raise UsageError("hyperbolic grid must have at least one point per axis")
         if self.n_samples < 2:

@@ -180,7 +180,10 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "number":
             self.advance()
-            return Num(float(text))
+            value = float(text)
+            if math.isinf(value):
+                raise ParseError(f"number {text!r} overflows a double", pos)
+            return Num(value)
         if kind == "ident":
             self.advance()
             if self.peek()[0] == "(":
@@ -295,7 +298,8 @@ def free_symbols(node: Expr) -> set[str]:
 
 
 def _as_int_exponent(v: float) -> int | None:
-    if v == math.floor(v) and abs(v) <= 1024:
+    # the range test comes first: math.floor raises on inf and NaN
+    if abs(v) <= 1024 and v == math.floor(v):
         return int(v)
     return None
 
@@ -344,6 +348,8 @@ def evaluate(node: Expr, bindings: Mapping[str, float]) -> float:
                 raise DomainError(f"zero base with negative exponent in {to_string(node)}")
             r = _int_pow(u, abs(n))
             return 1.0 / r if n < 0 else r
+        if not math.isfinite(v):
+            raise DomainError(f"non-finite exponent in {to_string(node)}")
         if u < 0.0:
             raise DomainError(
                 f"negative base with non-integer exponent in {to_string(node)}"
@@ -453,6 +459,8 @@ def _jet_pow(node: Expr, u: Jet2, v: Jet2) -> Jet2:
             raise DomainError(f"zero base with negative exponent in {to_string(node)}")
         r = _int_pow(u, abs(n))
         return Jet2.constant(1.0) / r if n < 0 else r
+    if not math.isfinite(v.value):
+        raise DomainError(f"non-finite exponent in {to_string(node)}")
     if u.value <= 0.0:
         raise DomainError(
             f"non-integer power needs a positive base in {to_string(node)}"

@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, UsageError
+import numpy as np
+
+from .errors import UsageError
 from .expr import evaluate
 
 __all__ = [
@@ -39,83 +41,56 @@ class JacobiRule:
     weights: tuple
 
 
-def _jacobi_value(n, alpha, beta, x):
-    """P_n^(alpha,beta)(x) by the three-term recurrence."""
-    if n == 0:
-        return 1.0
-    apb = alpha + beta
-    pm1 = 1.0
-    p = 0.5 * ((alpha - beta) + (apb + 2.0) * x)
-    for k in range(2, n + 1):
-        a1 = 2.0 * k * (k + apb) * (2.0 * k + apb - 2.0)
-        a2 = (2.0 * k + apb - 1.0) * (alpha * alpha - beta * beta)
-        a3 = (2.0 * k + apb - 2.0) * (2.0 * k + apb - 1.0) * (2.0 * k + apb)
-        a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + apb)
-        p, pm1 = ((a2 + a3 * x) * p - a4 * pm1) / a1, p
-    return p
-
-
-def _jacobi_deriv(n, alpha, beta, x):
-    return 0.5 * (alpha + beta + n + 1.0) * _jacobi_value(
-        n - 1, alpha + 1.0, beta + 1.0, x
-    )
-
+# Largest rule order jacobi_rule builds: the n x n Jacobi matrix is dense,
+# so the check runs before it is allocated.
+MAX_RULE_ORDER = 1024
 
 _RULE_CACHE = {}
 
 
 def jacobi_rule(n, alpha, beta):
-    """Gauss-Jacobi rule: Newton on the recurrence with root suppression."""
-    if int(n) != n or n < 1:
+    """Gauss-Jacobi rule by Golub-Welsch.
+
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix of the three-term recurrence, in ascending order; the weights
+    are mu0 v0^2, with v0 the first component of each unit eigenvector
+    and mu0 = integral of the weight over [-1, 1].
+    """
+    if n > MAX_RULE_ORDER:
+        raise UsageError(f"rule order {n!r} exceeds the maximum {MAX_RULE_ORDER}")
+    if not n >= 1 or int(n) != n:
         raise UsageError(f"rule order must be a positive integer, got {n!r}")
     n = int(n)
-    if alpha <= -1.0 or beta <= -1.0:
+    if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
         raise UsageError(
-            f"Jacobi exponents must exceed -1, got ({alpha!r}, {beta!r})"
+            f"Jacobi exponents must be finite and exceed -1, got ({alpha!r}, {beta!r})"
         )
     key = (n, float(alpha), float(beta))
     cached = _RULE_CACHE.get(key)
     if cached is not None:
         return cached
 
-    nodes = []
-    for k in range(n):
-        r = -math.cos(math.pi * (2.0 * k + 1.0) / (2.0 * n))
-        if k > 0:
-            r = 0.5 * (r + nodes[k - 1])
-        for _ in range(100):
-            f = _jacobi_value(n, alpha, beta, r)
-            fp = _jacobi_deriv(n, alpha, beta, r)
-            suppress = math.fsum(1.0 / (r - xj) for xj in nodes)
-            denom = fp - f * suppress
-            if denom == 0.0:
-                raise ConvergenceError(
-                    f"Newton stalled on Jacobi({alpha}, {beta}) root {k} of {n}"
-                )
-            delta = f / denom
-            r -= delta
-            if abs(delta) <= 1e-15 * (1.0 + abs(r)):
-                break
-        else:
-            raise ConvergenceError(
-                f"Jacobi({alpha}, {beta}) root {k} of {n} did not converge"
-            )
-        nodes.append(r)
-
-    log_coef = (
-        (alpha + beta + 1.0) * math.log(2.0)
-        + math.lgamma(n + alpha + 1.0)
-        + math.lgamma(n + beta + 1.0)
-        - math.lgamma(n + alpha + beta + 1.0)
-        - math.lgamma(n + 1.0)
+    apb = alpha + beta
+    k = np.arange(1.0, n)
+    s = 2.0 * k + apb
+    diag = np.append(
+        (beta - alpha) / (apb + 2.0), (beta * beta - alpha * alpha) / (s * (s + 2.0))
     )
-    coef = math.exp(log_coef)
-    weights = []
-    for r in nodes:
-        dp = _jacobi_deriv(n, alpha, beta, r)
-        weights.append(coef / ((1.0 - r * r) * dp * dp))
-
-    rule = JacobiRule(n, float(alpha), float(beta), tuple(nodes), tuple(weights))
+    off_sq = 4.0 * k * (k + alpha) * (k + beta) / (s * s * (s + 1.0))
+    # (k + alpha + beta) / (s - 1) is 1 at k = 1, so alpha + beta = -1 is no 0/0
+    off_sq[1:] *= (k[1:] + apb) / (s[1:] - 1.0)
+    off = np.sqrt(off_sq)
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = math.exp(
+        (apb + 1.0) * math.log(2.0)
+        + math.lgamma(alpha + 1.0)
+        + math.lgamma(beta + 1.0)
+        - math.lgamma(apb + 2.0)
+    )
+    weights = mu0 * vectors[0] ** 2
+    rule = JacobiRule(
+        n, float(alpha), float(beta), tuple(nodes.tolist()), tuple(weights.tolist())
+    )
     _RULE_CACHE[key] = rule
     return rule
 

@@ -169,10 +169,10 @@ def _bessel_series(nu: float, z: float, sign: float, name: str) -> SpecFunResult
     means ~1e-12 absolute for z <= 10 but only ~1e-8 near z = 20 where
     the alternating terms reach 4e7.
     """
-    if nu < -1.0:
-        raise RangeError(f"{name}: order {nu} below -1")
-    if z < 0.0 or z > 20.0:
-        raise RangeError(f"{name}: argument {z} outside [0, 20]")
+    if not (nu >= -1.0 and 0.0 <= z <= 20.0):
+        if nu != nu or z != z:
+            raise DomainError(f"{name}: NaN argument (nu={nu}, z={z})")
+        raise RangeError(f"{name}: (nu={nu}, z={z}) outside nu >= -1, 0 <= z <= 20")
     if nu == -1.0:
         inner = _bessel_series(1.0, z, sign, name)
         return SpecFunResult(sign * inner.value, inner.est_abs_error)
@@ -223,10 +223,10 @@ def bessel_clifford_result(nu: float, w: float) -> SpecFunResult:
     J_nu(z) = (z/2)^nu C_nu(-z^2/4) and I_nu(z) = (z/2)^nu C_nu(z^2/4),
     which lets kernels divide out the z^nu factor without a 0/0.
     """
-    if nu < -1.0:
-        raise RangeError(f"bessel_clifford: order {nu} below -1")
-    if abs(w) > 100.0:
-        raise RangeError(f"bessel_clifford: argument {w} outside [-100, 100]")
+    if not (nu >= -1.0 and abs(w) <= 100.0):
+        if nu != nu or w != w:
+            raise DomainError(f"bessel_clifford: NaN argument (nu={nu}, w={w})")
+        raise RangeError(f"bessel_clifford: (nu={nu}, w={w}) outside nu >= -1, |w| <= 100")
     if nu == -1.0:
         inner = bessel_clifford_result(1.0, w)
         return SpecFunResult(w * inner.value, abs(w) * inner.est_abs_error)

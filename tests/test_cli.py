@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from transmute import quadrature
 from transmute.cli import main
 
 CASE_FILE = """\
@@ -152,12 +153,30 @@ def test_verify_csv_format(capsys):
         ("apply", "--case", "vekua_telegraph", "--x", "0"),
         ("apply", "--case", "vekua_telegraph", "--quad-order", "4"),
         ("solve",),
+        ("verify", "--case", "sonin", "--params", "mu=nan"),
+        ("verify", "--case", "sonin", "--params", "mu=inf"),
+        ("apply", "--case", "sonin", "--params", "mu=-inf"),
+        ("solve", "--case", "vekua_telegraph", "--params", "mu=NaN"),
+        ("verify", "--case", "sonin", "--tol-residual", "nan"),
+        ("verify", "--case", "sonin", "--tol-residual", "0"),
+        ("apply", "--case", "sonin", "--tol-identity", "inf"),
+        ("apply", "--case", "sonin", "--tol-identity", "abc"),
+        ("solve", "--case", "vekua_telegraph", "--tol-solver", "nan"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err
+
+
+def test_quad_order_above_the_cap_exits_2(capsys, monkeypatch):
+    # without numpy an attempt to build the rule fails with a traceback
+    monkeypatch.setattr(quadrature, "np", None)
+    code, _, err = run(capsys, "apply", "--case", "poisson_bessel",
+                       "--quad-order", "100000")
+    assert code == 2
+    assert "exceeds the maximum" in err and "Traceback" not in err
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -45,6 +46,12 @@ def test_sample_points_honor_the_case_range():
         (dict(n_samples=1), "two sample points"),
         (dict(eps_seq=(0.1, 0.2)), "decreasing"),
         (dict(delta_rel=()), "delta_rel"),
+        (dict(tol_4a=math.nan), "tol_4a"),
+        (dict(tol_4b1=0.0), "tol_4b1"),
+        (dict(tol_eigen=-1e-8), "tol_eigen"),
+        (dict(transport_drop=math.inf), "transport_drop"),
+        (dict(decay_drop=-math.inf), "decay_drop"),
+        (dict(tiny=0.0), "tiny"),
     ],
 )
 def test_config_validation(kwargs, needle):

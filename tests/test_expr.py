@@ -116,11 +116,39 @@ def test_unbound_symbol():
         ("log(x)", {"x": -1.0}),
         ("x^0.5", {"x": -1.0}),
         ("x^(-2)", {"x": 0.0}),
+        ("x^y", {"x": 2.0, "y": math.inf}),
+        ("x^y", {"x": 0.5, "y": -math.inf}),
+        ("x^y", {"x": 0.0, "y": math.inf}),
+        ("x^y", {"x": -2.0, "y": math.nan}),
+        ("besselj(0, y)", {"y": math.nan}),
+        ("besselj(y, 1)", {"y": math.nan}),
+        ("besseli(0, y)", {"y": math.nan}),
+        ("bessel_clifford(0, y)", {"y": math.nan}),
     ],
 )
 def test_domain_errors(text, bindings):
     with pytest.raises(DomainError):
         evaluate(parse(text), bindings)
+
+
+@pytest.mark.parametrize(
+    "text,params",
+    [
+        ("x^y", {"y": math.inf}),
+        ("t^(x*y)", {"y": -math.inf}),
+        ("x^y", {"y": math.nan}),
+        ("besselj(0, y)", {"y": math.nan}),
+        ("besselj(y, x)", {"y": math.nan}),
+    ],
+)
+def test_jet_domain_errors(text, params):
+    with pytest.raises(DomainError):
+        evaluate_jet(parse(text), 2.0, 0.5, params)
+
+
+def test_overflowing_literal_is_a_parse_error():
+    with pytest.raises(ParseError, match="overflows"):
+        parse("2^1e999")
 
 
 def test_zero_to_the_zero_is_one():

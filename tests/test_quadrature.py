@@ -4,15 +4,82 @@ import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
-from transmute.errors import UsageError
+from transmute import quadrature
+from transmute.errors import ConvergenceError, UsageError
 from transmute.expr import Num, parse
 from transmute.kernels import get_case, list_cases
 from transmute.quadrature import (
+    MAX_RULE_ORDER,
     apply_transmutation,
     identity_error,
     jacobi_rule,
     transform,
 )
+
+EPS = 2.220446049250313e-16
+
+
+def _jacobi_value(n, alpha, beta, x):
+    """P_n^(alpha,beta)(x) by the three-term recurrence."""
+    if n == 0:
+        return 1.0
+    apb = alpha + beta
+    pm1 = 1.0
+    p = 0.5 * ((alpha - beta) + (apb + 2.0) * x)
+    for k in range(2, n + 1):
+        a1 = 2.0 * k * (k + apb) * (2.0 * k + apb - 2.0)
+        a2 = (2.0 * k + apb - 1.0) * (alpha * alpha - beta * beta)
+        a3 = (2.0 * k + apb - 2.0) * (2.0 * k + apb - 1.0) * (2.0 * k + apb)
+        a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + apb)
+        p, pm1 = ((a2 + a3 * x) * p - a4 * pm1) / a1, p
+    return p
+
+
+def _jacobi_deriv(n, alpha, beta, x):
+    return 0.5 * (alpha + beta + n + 1.0) * _jacobi_value(
+        n - 1, alpha + 1.0, beta + 1.0, x
+    )
+
+
+def newton_rule(n, alpha, beta):
+    """Oracle: Newton on the recurrence with root suppression.
+
+    This was the library's rule before Golub-Welsch. It is O(n^2)
+    recurrence evaluations and, for strongly asymmetric weights such as
+    (5, -0.7), finds the roots out of order, so the pairs are sorted.
+    """
+    nodes = []
+    for k in range(n):
+        r = -math.cos(math.pi * (2.0 * k + 1.0) / (2.0 * n))
+        if k > 0:
+            r = 0.5 * (r + nodes[k - 1])
+        for _ in range(100):
+            f = _jacobi_value(n, alpha, beta, r)
+            fp = _jacobi_deriv(n, alpha, beta, r)
+            suppress = math.fsum(1.0 / (r - xj) for xj in nodes)
+            denom = fp - f * suppress
+            if denom == 0.0:
+                raise ConvergenceError(f"Newton stalled on root {k} of {n}")
+            delta = f / denom
+            r -= delta
+            if abs(delta) <= 1e-15 * (1.0 + abs(r)):
+                break
+        else:
+            raise ConvergenceError(f"root {k} of {n} did not converge")
+        nodes.append(r)
+
+    coef = math.exp(
+        (alpha + beta + 1.0) * math.log(2.0)
+        + math.lgamma(n + alpha + 1.0)
+        + math.lgamma(n + beta + 1.0)
+        - math.lgamma(n + alpha + beta + 1.0)
+        - math.lgamma(n + 1.0)
+    )
+    pairs = sorted(
+        (r, coef / ((1.0 - r * r) * _jacobi_deriv(n, alpha, beta, r) ** 2))
+        for r in nodes
+    )
+    return [r for r, _ in pairs], [w for _, w in pairs]
 
 
 def _weighted_moment(alpha, beta):
@@ -89,6 +156,57 @@ def test_rule_shape_invariants():
     assert all(b > a for a, b in zip(rule.nodes, rule.nodes[1:]))
 
 
+# (alpha, beta): Legendre, Chebyshev (alpha + beta = -1), both endpoints
+# near their limits, and two keys drawn by the catalog_sweep benchmark
+ORACLE_KEYS = [
+    (0.0, 0.0),
+    (-0.5, -0.5),
+    (-0.99, 0.3),
+    (5.0, -0.7),
+    (0.025650292598459412, 6.948699414803081),
+    (0.25462766793377656, 2.4590499654054936),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 128])
+@pytest.mark.parametrize("ab", ORACLE_KEYS)
+def test_golub_welsch_matches_newton_oracle(n, ab):
+    rule = jacobi_rule(n, *ab)
+    ref_nodes, ref_weights = newton_rule(n, *ab)
+    assert list(rule.nodes) == sorted(rule.nodes)
+    for got, want in zip(rule.nodes, ref_nodes):
+        assert got == pytest.approx(want, abs=1e-14)
+    # Weights agree to 1e-12 relative up to n = 64. Three rounding effects
+    # widen that, each measured against a 40-digit reference:
+    # - both rules lose digits about linearly in n; at n = 128 each is up
+    #   to 1.1e-12 off;
+    # - the oracle's (1 - s^2) factor carries the node's rounding, relative
+    #   eps/(1 - |s|); near s = 1 at (-0.99, 0.3), n = 128 it is 3.9e-11 off;
+    # - mu0 v0^2 is exact to a few eps of the largest weight, so the
+    #   smallest weights (7e-17 at (5, -0.7), n = 128) are not relatively
+    #   exact.
+    rel = 1e-12 * max(1.0, n / 64.0)
+    floor = 1e-15 * max(ref_weights)
+    for s, got, want in zip(ref_nodes, rule.weights, ref_weights):
+        tol = want * (rel + EPS / (1.0 - abs(s))) + floor
+        assert abs(got - want) <= tol
+
+
+def test_rule_order_is_capped_before_allocation(monkeypatch):
+    # without numpy any attempt to build the matrix fails loudly
+    monkeypatch.setattr(quadrature, "np", None)
+    with pytest.raises(UsageError, match="exceeds the maximum"):
+        jacobi_rule(MAX_RULE_ORDER + 1, 0.0, 0.0)
+    with pytest.raises(UsageError, match="exceeds the maximum"):
+        jacobi_rule(math.inf, 0.0, 0.0)
+
+
+def test_rule_order_cap_admits_the_largest_order():
+    assert MAX_RULE_ORDER >= 1024
+    rule = jacobi_rule(MAX_RULE_ORDER, 0.0, 0.0)
+    assert math.fsum(rule.weights) == pytest.approx(2.0, rel=1e-12)
+
+
 def test_rules_are_cached():
     assert jacobi_rule(16, -0.5, 0.0) is jacobi_rule(16, -0.5, 0.0)
 
@@ -100,6 +218,9 @@ def test_rules_are_cached():
         ((1.5, 0.0, 0.0), "positive integer"),
         ((4, -1.0, 0.0), "exceed -1"),
         ((4, 0.0, -2.0), "exceed -1"),
+        ((4, math.nan, 0.0), "exceed -1"),
+        ((4, 0.0, math.inf), "finite"),
+        ((math.nan, 0.0, 0.0), "positive integer"),
     ],
 )
 def test_rule_validation(args, needle):

@@ -219,3 +219,17 @@ def test_hyp1f2_pole_parameter():
 def test_hyp1f2_overflow_raises():
     with pytest.raises(ConvergenceError):
         specfun.hyp1f2(1.0, 0.5, 2.0, 1e9)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [specfun.bessel_j, specfun.bessel_i, specfun.bessel_clifford],
+)
+def test_bessel_nan_raises_domain_error(fn):
+    with pytest.raises(DomainError, match="NaN"):
+        fn(0.0, math.nan)
+    with pytest.raises(DomainError, match="NaN"):
+        fn(math.nan, 1.0)
+    # out of range but not NaN stays a RangeError
+    with pytest.raises(RangeError):
+        fn(0.0, math.inf)
