@@ -177,9 +177,12 @@ def _cfg_float(section, key, path, default=None):
         return default
     raw, lineno = section[key]
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise UsageError(f"{path}:{lineno}: {key!r} must be a number, got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise UsageError(f"{path}:{lineno}: {key!r} must be a finite number, got {raw!r}")
+    return value
 
 
 def _cfg_word(section, key, default):
@@ -217,15 +220,12 @@ def _case_from_config(path, params):
         name=name_raw or "custom",
         params=dict(params),
         kernel=kernel,
-        kernel_structural=kernel,
-        norm_const=Num(1.0),
         f0=f0,
         f1=_cfg_expr(case_sec, "f1", path),
         opA=_operator_from_config(sections, "A", path, "divergence", "t"),
         opB=_operator_from_config(sections, "B", path, "nondivergence", "x"),
         lam=_cfg_float(case_sec, "lambda", path, default=0.0),
         eigen_shift=None,
-        rho=0.0,
         p_diag=_cfg_float(case_sec, "p_diag", path, default=0.0),
         p_zero=kernel_t + f0_t,
         kernel_t_exponent=kernel_t,

@@ -18,6 +18,13 @@ Expression nodes are frozen dataclasses: parsing never aliases mutable
 state into the tree, and evaluation never mutates it, so one parsed
 expression can be shared between threads and across parameter sweeps.
 
+Evaluation is one tree walk over values that are floats or second-order
+jets (:class:`Jet2`).  ``evaluate`` binds plain numbers; ``evaluate_jet``
+binds x and t to jet seeds, and jets spread only from those seeds, so a
+subtree that depends on parameters alone stays a float and calls the
+plain value of each function.  A jet's value is therefore exactly the
+float result.  Only the last argument of a function may depend on x or t.
+
 Powers with a literal integer exponent are evaluated by repeated
 multiplication (valid for negative bases, exact for jets); any other
 exponent goes through exp(v*log(u)) and requires a positive base.
@@ -30,7 +37,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from . import specfun
 from .errors import DomainError, ParseError, UnboundSymbolError
@@ -292,8 +299,108 @@ def free_symbols(node: Expr) -> set[str]:
     return set()
 
 
+
+
 # ---------------------------------------------------------------------------
-# plain evaluation
+# second-order jets
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Jet2:
+    """Value and partial derivatives through second order in (x, t).
+
+    A plain float on either side of an operator acts as a constant.  The
+    value of a quotient is the float quotient of the values, so a jet's
+    value is bit for bit what float evaluation gives.
+    """
+
+    value: float
+    dx: float = 0.0
+    dt: float = 0.0
+    dxx: float = 0.0
+    dxt: float = 0.0
+    dtt: float = 0.0
+
+    def __neg__(self) -> "Jet2":
+        return Jet2(-self.value, -self.dx, -self.dt, -self.dxx, -self.dxt, -self.dtt)
+
+    def __add__(self, other) -> "Jet2":
+        if type(other) is not Jet2:
+            return Jet2(self.value + other, self.dx, self.dt, self.dxx, self.dxt, self.dtt)
+        return Jet2(
+            self.value + other.value,
+            self.dx + other.dx,
+            self.dt + other.dt,
+            self.dxx + other.dxx,
+            self.dxt + other.dxt,
+            self.dtt + other.dtt,
+        )
+
+    __radd__ = __add__
+
+    # u - v is u + (-v) exactly in IEEE arithmetic
+    def __sub__(self, other) -> "Jet2":
+        return self + (-other)
+
+    def __rsub__(self, other) -> "Jet2":
+        return -self + other
+
+    def __mul__(self, other) -> "Jet2":
+        a = self
+        if type(other) is not Jet2:
+            c = other
+            return Jet2(a.value * c, a.dx * c, a.dt * c, a.dxx * c, a.dxt * c, a.dtt * c)
+        b = other
+        return Jet2(
+            a.value * b.value,
+            a.dx * b.value + a.value * b.dx,
+            a.dt * b.value + a.value * b.dt,
+            a.dxx * b.value + 2.0 * a.dx * b.dx + a.value * b.dxx,
+            a.dxt * b.value + a.dx * b.dt + a.dt * b.dx + a.value * b.dxt,
+            a.dtt * b.value + 2.0 * a.dt * b.dt + a.value * b.dtt,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Jet2":
+        """Quotient rule; a zero divisor raises ZeroDivisionError, as for floats."""
+        u = self
+        if type(other) is not Jet2:
+            c = other
+            return Jet2(u.value / c, u.dx / c, u.dt / c, u.dxx / c, u.dxt / c, u.dtt / c)
+        w = other
+        v = w.value
+        q = u.value / v
+        qx = (u.dx - q * w.dx) / v
+        qt = (u.dt - q * w.dt) / v
+        return Jet2(
+            q,
+            qx,
+            qt,
+            (u.dxx - 2.0 * qx * w.dx - q * w.dxx) / v,
+            (u.dxt - qx * w.dt - qt * w.dx - q * w.dxt) / v,
+            (u.dtt - 2.0 * qt * w.dt - q * w.dtt) / v,
+        )
+
+    def __rtruediv__(self, other) -> "Jet2":
+        return Jet2(other) / self
+
+    def chain(self, f: float, d1: float, d2: float) -> "Jet2":
+        """Compose an outer scalar function given f(u), f'(u), f''(u)."""
+        u = self
+        return Jet2(
+            f,
+            d1 * u.dx,
+            d1 * u.dt,
+            d2 * u.dx * u.dx + d1 * u.dxx,
+            d2 * u.dx * u.dt + d1 * u.dxt,
+            d2 * u.dt * u.dt + d1 * u.dtt,
+        )
+
+
+# ---------------------------------------------------------------------------
+# evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -316,207 +423,105 @@ def _int_pow(u, n: int):
     return acc
 
 
-def evaluate(node: Expr, bindings: Mapping[str, float]) -> float:
-    """Evaluate to a float.  Raises DomainError instead of returning NaN/inf."""
+def _walk(node: Expr, env: Mapping[str, object]):
+    """The one tree walk behind ``evaluate`` and ``evaluate_jet``.
+
+    ``env`` maps names to numbers or to Jet2 seeds.  Jets spread only
+    from the seeds, so a subtree that reads neither x nor t stays a float
+    and calls the plain value of each function.
+    """
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Name):
         try:
-            return float(bindings[node.ident])
+            v = env[node.ident]
         except KeyError:
             raise UnboundSymbolError(node.ident) from None
+        return v if type(v) is Jet2 else float(v)
     if isinstance(node, Neg):
-        return -evaluate(node.arg, bindings)
+        return -_walk(node.arg, env)
     if isinstance(node, BinOp):
-        u = evaluate(node.left, bindings)
-        v = evaluate(node.right, bindings)
-        if node.op == "+":
-            return u + v
-        if node.op == "-":
-            return u - v
-        if node.op == "*":
-            return u * v
-        if node.op == "/":
-            if v == 0.0:
-                raise DomainError(f"division by zero in {to_string(node)}")
-            return u / v
-        n = _as_int_exponent(v)
-        if n is not None:
-            if n == 0:
-                return 1.0
-            if u == 0.0 and n < 0:
-                raise DomainError(f"zero base with negative exponent in {to_string(node)}")
-            r = _int_pow(u, abs(n))
-            return 1.0 / r if n < 0 else r
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite exponent in {to_string(node)}")
-        if u < 0.0:
-            raise DomainError(
-                f"negative base with non-integer exponent in {to_string(node)}"
-            )
-        if u == 0.0:
-            if v > 0.0:
-                return 0.0
-            raise DomainError(f"zero base with non-positive exponent in {to_string(node)}")
+        u = _walk(node.left, env)
+        v = _walk(node.right, env)
+        op = node.op
         try:
-            return math.exp(v * math.log(u))
+            if op == "+":
+                return u + v
+            if op == "-":
+                return u - v
+            if op == "*":
+                return u * v
+            if op == "/":
+                return u / v
+            u0 = u.value if type(u) is Jet2 else u
+            if type(v) is Jet2:
+                v0, n = v.value, None
+            else:
+                v0, n = v, _as_int_exponent(v)
+            if n is not None:
+                if n == 0:
+                    return 1.0
+                if u0 == 0.0 and n < 0:
+                    raise DomainError(
+                        f"zero base with negative exponent in {to_string(node)}"
+                    )
+                r = _int_pow(u, abs(n))
+                return 1.0 / r if n < 0 else r
+            if not math.isfinite(v0):
+                raise DomainError(f"non-finite exponent in {to_string(node)}")
+            if u0 <= 0.0:
+                # a constant zero base stays zero under a positive power
+                if u0 == 0.0 and v0 > 0.0 and type(u) is not Jet2:
+                    return 0.0
+                raise DomainError(
+                    f"non-integer power needs a positive base in {to_string(node)}"
+                )
+            if type(v) is Jet2:
+                log_u = math.log(u0)
+                if type(u) is Jet2:
+                    log_u = u.chain(log_u, 1.0 / u0, -1.0 / (u0 * u0))
+                w = v * log_u
+                e = math.exp(w.value)
+                return w.chain(e, e, e)
+            f = math.exp(v0 * math.log(u0))
+            if type(u) is Jet2:
+                return u.chain(f, v0 * f / u0, v0 * (v0 - 1.0) * f / (u0 * u0))
+            return f
+        except ZeroDivisionError:
+            raise DomainError(f"division by zero in {to_string(node)}") from None
         except OverflowError:
             raise DomainError(f"overflow in {to_string(node)}") from None
     if isinstance(node, Call):
-        args = [evaluate(a, bindings) for a in node.args]
+        args = [_walk(a, env) for a in node.args]
+        z = args.pop()
+        for a in args:
+            if type(a) is Jet2:
+                raise DomainError(
+                    f"only the last argument of {node.name} may depend on x or t:"
+                    f" {to_string(node)}"
+                )
         spec = FUNCTIONS[node.name]
         try:
-            return spec.value(*args)
-        except (ValueError, OverflowError) as exc:
+            if type(z) is Jet2:
+                return z.chain(*spec.jet(*args, z.value))
+            return spec.value(*args, z)
+        except (ValueError, ArithmeticError, DomainError) as exc:
             raise DomainError(f"{exc} in {to_string(node)}") from None
     raise TypeError(f"not an expression node: {node!r}")
 
 
-# ---------------------------------------------------------------------------
-# second-order jets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Jet2:
-    """Value and partial derivatives through second order in (x, t)."""
-
-    value: float
-    dx: float = 0.0
-    dt: float = 0.0
-    dxx: float = 0.0
-    dxt: float = 0.0
-    dtt: float = 0.0
-
-    @property
-    def is_constant(self) -> bool:
-        return (
-            self.dx == 0.0
-            and self.dt == 0.0
-            and self.dxx == 0.0
-            and self.dxt == 0.0
-            and self.dtt == 0.0
-        )
-
-    def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.dx, -self.dt, -self.dxx, -self.dxt, -self.dtt)
-
-    def __add__(self, other: "Jet2") -> "Jet2":
-        return Jet2(
-            self.value + other.value,
-            self.dx + other.dx,
-            self.dt + other.dt,
-            self.dxx + other.dxx,
-            self.dxt + other.dxt,
-            self.dtt + other.dtt,
-        )
-
-    def __sub__(self, other: "Jet2") -> "Jet2":
-        return self + (-other)
-
-    def __mul__(self, other: "Jet2") -> "Jet2":
-        a, b = self, other
-        return Jet2(
-            a.value * b.value,
-            a.dx * b.value + a.value * b.dx,
-            a.dt * b.value + a.value * b.dt,
-            a.dxx * b.value + 2.0 * a.dx * b.dx + a.value * b.dxx,
-            a.dxt * b.value + a.dx * b.dt + a.dt * b.dx + a.value * b.dxt,
-            a.dtt * b.value + 2.0 * a.dt * b.dt + a.value * b.dtt,
-        )
-
-    def __truediv__(self, other: "Jet2") -> "Jet2":
-        v = other.value
-        if v == 0.0:
-            raise DomainError("division by zero in jet")
-        return self * other.chain(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
-
-    def chain(self, f: float, d1: float, d2: float) -> "Jet2":
-        """Compose an outer scalar function given f(u), f'(u), f''(u)."""
-        u = self
-        return Jet2(
-            f,
-            d1 * u.dx,
-            d1 * u.dt,
-            d2 * u.dx * u.dx + d1 * u.dxx,
-            d2 * u.dx * u.dt + d1 * u.dxt,
-            d2 * u.dt * u.dt + d1 * u.dtt,
-        )
-
-    @staticmethod
-    def constant(v: float) -> "Jet2":
-        return Jet2(float(v))
-
-
-def _jet_pow(node: Expr, u: Jet2, v: Jet2) -> Jet2:
-    n = None
-    if v.is_constant:
-        n = _as_int_exponent(v.value)
-    if n is not None:
-        if n == 0:
-            return Jet2.constant(1.0)
-        if u.value == 0.0 and n < 0:
-            raise DomainError(f"zero base with negative exponent in {to_string(node)}")
-        r = _int_pow(u, abs(n))
-        return Jet2.constant(1.0) / r if n < 0 else r
-    if not math.isfinite(v.value):
-        raise DomainError(f"non-finite exponent in {to_string(node)}")
-    if u.value <= 0.0:
-        raise DomainError(
-            f"non-integer power needs a positive base in {to_string(node)}"
-        )
-    if v.is_constant:
-        p = v.value
-        f = math.exp(p * math.log(u.value))
-        return u.chain(f, p * f / u.value, p * (p - 1.0) * f / (u.value * u.value))
-    lg = u.chain(math.log(u.value), 1.0 / u.value, -1.0 / (u.value * u.value))
-    w = v * lg
-    e = math.exp(w.value)
-    return w.chain(e, e, e)
+def evaluate(node: Expr, bindings: Mapping[str, float]) -> float:
+    """Evaluate to a float.  Raises DomainError instead of returning NaN/inf."""
+    return _walk(node, bindings)
 
 
 def evaluate_jet(node: Expr, x: float, t: float, params: Mapping[str, float]) -> Jet2:
     """Evaluate with first and second partials in x and t carried along."""
-    seed_x = Jet2(float(x), dx=1.0)
-    seed_t = Jet2(float(t), dt=1.0)
-
-    def go(n: Expr) -> Jet2:
-        if isinstance(n, Num):
-            return Jet2.constant(n.value)
-        if isinstance(n, Name):
-            if n.ident == "x":
-                return seed_x
-            if n.ident == "t":
-                return seed_t
-            try:
-                return Jet2.constant(params[n.ident])
-            except KeyError:
-                raise UnboundSymbolError(n.ident) from None
-        if isinstance(n, Neg):
-            return -go(n.arg)
-        if isinstance(n, BinOp):
-            if n.op == "^":
-                return _jet_pow(n, go(n.left), go(n.right))
-            u = go(n.left)
-            v = go(n.right)
-            if n.op == "+":
-                return u + v
-            if n.op == "-":
-                return u - v
-            if n.op == "*":
-                return u * v
-            if v.value == 0.0:
-                raise DomainError(f"division by zero in {to_string(n)}")
-            return u / v
-        if isinstance(n, Call):
-            args = [go(a) for a in n.args]
-            try:
-                return FUNCTIONS[n.name].jet(n, args)
-            except (ValueError, OverflowError) as exc:
-                raise DomainError(f"{exc} in {to_string(n)}") from None
-        raise TypeError(f"not an expression node: {n!r}")
-
-    return go(node)
+    env = dict(params)
+    env["x"] = Jet2(float(x), dx=1.0)
+    env["t"] = Jet2(float(t), dt=1.0)
+    out = _walk(node, env)
+    return out if type(out) is Jet2 else Jet2(out)
 
 
 # ---------------------------------------------------------------------------
@@ -528,138 +533,77 @@ def evaluate_jet(node: Expr, x: float, t: float, params: Mapping[str, float]) ->
 class _Fn:
     arity: int
     value: Callable[..., float]
-    jet: Callable[[Expr, Sequence[Jet2]], Jet2]
+    # (f, f', f'') with respect to the last argument; the others are floats
+    jet: Callable[..., tuple[float, float, float]]
 
 
-def _chain1(fn_triple):
-    """Single-argument function given u -> (f, f', f'')."""
-
-    def rule(node: Expr, args: Sequence[Jet2]) -> Jet2:
-        (u,) = args
-        f, d1, d2 = fn_triple(node, u.value)
-        return u.chain(f, d1, d2)
-
-    return rule
-
-
-def _require_constant(node: Expr, jets: Sequence[Jet2], count: int) -> None:
-    for j in jets[:count]:
-        if not j.is_constant:
-            raise DomainError(
-                f"the first {count} argument(s) of {node.name} must not depend "
-                f"on x or t: {to_string(node)}"
-            )
-
-
-def _sin_triple(node, u):
-    return math.sin(u), math.cos(u), -math.sin(u)
-
-
-def _cos_triple(node, u):
-    return math.cos(u), -math.sin(u), -math.cos(u)
-
-
-def _sinh_triple(node, u):
-    s, c = math.sinh(u), math.cosh(u)
-    return s, c, s
-
-
-def _cosh_triple(node, u):
-    s, c = math.sinh(u), math.cosh(u)
-    return c, s, c
-
-
-def _exp_triple(node, u):
-    e = math.exp(u)
-    return e, e, e
-
-
-def _log_triple(node, u):
-    if u <= 0.0:
-        raise DomainError(f"log of non-positive value in {to_string(node)}")
-    return math.log(u), 1.0 / u, -1.0 / (u * u)
-
-
-def _sqrt_triple(node, u):
-    if u < 0.0:
-        raise DomainError(f"sqrt of negative value in {to_string(node)}")
-    if u == 0.0:
-        raise DomainError(f"sqrt jet singular at 0 in {to_string(node)}")
-    r = math.sqrt(u)
-    return r, 0.5 / r, -0.25 / (u * r)
-
-
-def _abs_triple(node, u):
-    if u == 0.0:
-        raise DomainError(f"derivative of abs at 0 in {to_string(node)}")
-    s = 1.0 if u > 0.0 else -1.0
-    return abs(u), s, 0.0
-
-
-def _gamma_triple(node, u):
-    return specfun.gamma_jets(u)
-
-
-def _value_log(u):
+def _log(u):
     if u <= 0.0:
         raise DomainError(f"log of non-positive value {u}")
     return math.log(u)
 
 
-def _value_sqrt(u):
+def _sqrt(u):
     if u < 0.0:
         raise DomainError(f"sqrt of negative value {u}")
     return math.sqrt(u)
 
 
-def _besselj_jet(node: Expr, args: Sequence[Jet2]) -> Jet2:
-    _require_constant(node, args, 1)
-    nu, z = args[0].value, args[1]
-    f, d1, d2 = specfun.bessel_j_jets(nu, z.value)
-    return z.chain(f, d1, d2)
+def _sin_jet(u):
+    s = math.sin(u)
+    return s, math.cos(u), -s
 
 
-def _besseli_jet(node: Expr, args: Sequence[Jet2]) -> Jet2:
-    _require_constant(node, args, 1)
-    nu, z = args[0].value, args[1]
-    f, d1, d2 = specfun.bessel_i_jets(nu, z.value)
-    return z.chain(f, d1, d2)
+def _cos_jet(u):
+    c = math.cos(u)
+    return c, -math.sin(u), -c
 
 
-def _bessel_clifford_jet(node: Expr, args: Sequence[Jet2]) -> Jet2:
-    _require_constant(node, args, 1)
-    nu, w = args[0].value, args[1]
-    f, d1, d2 = specfun.bessel_clifford_jets(nu, w.value)
-    return w.chain(f, d1, d2)
+def _sinh_jet(u):
+    s = math.sinh(u)
+    return s, math.cosh(u), s
 
 
-def _gegenbauer_jet(node: Expr, args: Sequence[Jet2]) -> Jet2:
-    _require_constant(node, args, 2)
-    m, alpha, z = args[0].value, args[1].value, args[2]
-    f, d1, d2 = specfun.gegenbauer_jets(m, alpha, z.value)
-    return z.chain(f, d1, d2)
+def _cosh_jet(u):
+    c = math.cosh(u)
+    return c, math.sinh(u), c
 
 
-def _hyp1f2_jet(node: Expr, args: Sequence[Jet2]) -> Jet2:
-    _require_constant(node, args, 3)
-    a, b1, b2, z = args[0].value, args[1].value, args[2].value, args[3]
-    f, d1, d2 = specfun.hyp1f2_jets(a, b1, b2, z.value)
-    return z.chain(f, d1, d2)
+def _exp_jet(u):
+    e = math.exp(u)
+    return e, e, e
+
+
+def _log_jet(u):
+    return _log(u), 1.0 / u, -1.0 / (u * u)
+
+
+def _sqrt_jet(u):
+    r = _sqrt(u)
+    if r == 0.0:
+        raise DomainError("sqrt jet singular at 0")
+    return r, 0.5 / r, -0.25 / (u * r)
+
+
+def _abs_jet(u):
+    if u == 0.0:
+        raise DomainError("derivative of abs at 0")
+    return abs(u), (1.0 if u > 0.0 else -1.0), 0.0
 
 
 FUNCTIONS: dict[str, _Fn] = {
-    "sin": _Fn(1, math.sin, _chain1(_sin_triple)),
-    "cos": _Fn(1, math.cos, _chain1(_cos_triple)),
-    "sinh": _Fn(1, math.sinh, _chain1(_sinh_triple)),
-    "cosh": _Fn(1, math.cosh, _chain1(_cosh_triple)),
-    "exp": _Fn(1, math.exp, _chain1(_exp_triple)),
-    "log": _Fn(1, _value_log, _chain1(_log_triple)),
-    "sqrt": _Fn(1, _value_sqrt, _chain1(_sqrt_triple)),
-    "abs": _Fn(1, abs, _chain1(_abs_triple)),
-    "gamma": _Fn(1, specfun.gamma, _chain1(_gamma_triple)),
-    "besselj": _Fn(2, specfun.bessel_j, _besselj_jet),
-    "besseli": _Fn(2, specfun.bessel_i, _besseli_jet),
-    "bessel_clifford": _Fn(2, specfun.bessel_clifford, _bessel_clifford_jet),
-    "gegenbauer": _Fn(3, specfun.gegenbauer, _gegenbauer_jet),
-    "hyp1f2": _Fn(4, specfun.hyp1f2, _hyp1f2_jet),
+    "sin": _Fn(1, math.sin, _sin_jet),
+    "cos": _Fn(1, math.cos, _cos_jet),
+    "sinh": _Fn(1, math.sinh, _sinh_jet),
+    "cosh": _Fn(1, math.cosh, _cosh_jet),
+    "exp": _Fn(1, math.exp, _exp_jet),
+    "log": _Fn(1, _log, _log_jet),
+    "sqrt": _Fn(1, _sqrt, _sqrt_jet),
+    "abs": _Fn(1, abs, _abs_jet),
+    "gamma": _Fn(1, specfun.gamma, specfun.gamma_jets),
+    "besselj": _Fn(2, specfun.bessel_j, specfun.bessel_j_jets),
+    "besseli": _Fn(2, specfun.bessel_i, specfun.bessel_i_jets),
+    "bessel_clifford": _Fn(2, specfun.bessel_clifford, specfun.bessel_clifford_jets),
+    "gegenbauer": _Fn(3, specfun.gegenbauer, specfun.gegenbauer_jets),
+    "hyp1f2": _Fn(4, specfun.hyp1f2, specfun.hyp1f2_jets),
 }

@@ -36,7 +36,7 @@ __all__ = [
     "potential_from_diagonal",
 ]
 
-_BOUNDARIES = ("auto", "neumann", "robin", "even")
+_BOUNDARIES = ("auto", "neumann", "robin")
 
 
 @dataclass(frozen=True)
@@ -324,14 +324,6 @@ def _resolve_boundary(problem):
             "Robin closure needs b0 regular at t = 0; this b0 is singular,"
             " so only the Neumann variant is available"
         )
-    if flavor == "even":
-        probe = [problem.h / 2.0 * m for m in range(1, 6)]
-        if b0_zero not in (0.0,) or any(
-            _eval_t(problem, problem.b0, s) != 0.0 for s in probe
-        ):
-            raise UsageError("even-extension marching requires b0 = 0")
-        if problem.h0 != 0.0:
-            raise UsageError("even-extension marching requires h0 = 0")
     return flavor, b0_zero
 
 
@@ -360,29 +352,24 @@ def solve(problem):
     top = 2 * n_steps
     flavor, b0_zero = _resolve_boundary(problem)
     tables = _coefficient_tables(problem, top)
-    b0t, c0t = tables["b0"], tables["c0"]
-    b1x, c1x = tables["b1"], tables["c1"]
-    if flavor in ("neumann", "even") and b0_zero is not None:
+    if flavor == "neumann" and b0_zero is not None:
         # the t = 0 ghost cell reads the endpoint coefficients
-        if math.isnan(c0t[0]):
+        if math.isnan(tables["c0"][0]):
             raise UsageError("Neumann ghost cell needs c0 regular at t = 0")
     diag = diagonal_values(problem, [d * problem.h / 2.0 for d in range(top + 1)])
-    sigma, h = problem.sigma, problem.h
 
     # the per-level isfinite gate reports divergence; keep numpy from
     # announcing the overflow separately on stderr first
     with np.errstate(over="ignore", invalid="ignore"):
-        if flavor == "even":
-            return _solve_even(problem, diag, b0t, c0t, b1x, c1x)
-        levels = [np.array([diag[0]])]
-        return _march(problem, levels, diag, flavor, b0_zero, tables)
+        return _march(problem, diag, flavor, b0_zero, tables)
 
 
-def _march(problem, levels, diag, flavor, b0_zero, tables):
+def _march(problem, diag, flavor, b0_zero, tables):
     b0t, c0t = tables["b0"], tables["c0"]
     b1x, c1x = tables["b1"], tables["c1"]
     sigma, h = problem.sigma, problem.h
     top = 2 * problem.steps
+    levels = [np.array([diag[0]])]
     for d in range(1, top + 1):
         lvl = np.empty(d // 2 + 1)
         lvl[0] = diag[d]
@@ -438,41 +425,6 @@ def _march(problem, levels, diag, flavor, b0_zero, tables):
             raise NumericalError(f"non-finite lattice value at level {d}")
         levels.append(lvl)
     return TriangleGrid(h=h, X=problem.X, levels=tuple(levels))
-
-
-def _solve_even(problem, diag, b0t, c0t, b1x, c1x):
-    """Full-square march with t replaced by |t|; needs b0 = 0.
-
-    Used to cross-check the Neumann ghost closure: for even data the
-    two must agree to the last bit.
-    """
-    sigma, h = problem.sigma, problem.h
-    top = 2 * problem.steps
-    full = [np.array([diag[0]])]
-    for d in range(1, top + 1):
-        lvl = np.empty(d + 1)
-        lvl[0] = diag[d]
-        lvl[d] = diag[d]
-        if d >= 2:
-            js = np.arange(1, d)
-            prev = full[d - 1]
-            prev2 = full[d - 2]
-            lvl[1:d] = _cell_update(
-                sigma,
-                h,
-                prev[js],
-                prev[js - 1],
-                prev2[js - 1],
-                b0t[np.abs(d - 2 * js)],
-                b1x[d - 1],
-                c0t[np.abs(d - 2 * js)],
-                c1x[d - 1],
-            )
-        if not np.all(np.isfinite(lvl)):
-            raise NumericalError(f"non-finite lattice value at level {d}")
-        full.append(lvl)
-    levels = tuple(lvl[: d // 2 + 1].copy() for d, lvl in enumerate(full))
-    return TriangleGrid(h=h, X=problem.X, levels=levels)
 
 
 def compare(grid, reference, params=None):

@@ -7,7 +7,7 @@ Each entry packages everything needed to check that
 maps f0 onto f1 while intertwining a divergence-form operator A (acting
 in t) with a non-divergence operator B (acting in x):
 
-* the kernel K(x,t), split as norm_const * structural part,
+* the kernel K(x,t),
 * the input/output pair (f0, f1) and the eigenvalue convention,
 * the operator pair (opA, opB) with any corrected coefficients,
 * endpoint exponents and smooth factors consumed by the quadrature
@@ -61,15 +61,12 @@ class TransmutationCase:
     name: str
     params: Mapping[str, float]
     kernel: Expr
-    kernel_structural: Expr
-    norm_const: Expr
     f0: Expr
     f1: Expr
     opA: DifferentialOperator
     opB: DifferentialOperator
     lam: float
     eigen_shift: Optional[EigenShift]
-    rho: float
     p_diag: float
     p_zero: float
     kernel_t_exponent: float
@@ -81,8 +78,6 @@ class TransmutationCase:
     notes: str
 
     def __post_init__(self):
-        if self.rho != 0.0:
-            raise AdmissibilityError("rho = 0", f"got rho={self.rho}")
         if not self.p_diag > -1.0:
             raise AdmissibilityError("p_diag > -1", f"got {self.p_diag}")
         if not self.p_zero > -1.0:
@@ -119,14 +114,11 @@ def _poisson_bessel(params):
     p = _merge({"nu": 1.0}, params, "poisson_bessel")
     nu = p["nu"]
     _require(nu > -0.5, "Re nu > -1/2", nu=nu)
-    norm = parse("2^(1-nu)/(gamma(0.5)*gamma(nu+0.5))")
-    structural = parse("(x^2-t^2)^(nu-0.5)/x^(nu-0.5)")
+    kernel = parse("2^(1-nu)/(gamma(0.5)*gamma(nu+0.5))*((x^2-t^2)^(nu-0.5)/x^(nu-0.5))")
     return TransmutationCase(
         name="poisson_bessel",
         params=p,
-        kernel=BinOp("*", norm, structural),
-        kernel_structural=structural,
-        norm_const=norm,
+        kernel=kernel,
         f0=parse("cos(t)"),
         f1=parse("sqrt(x)*besselj(nu, x)"),
         opA=_div_t("1", "0", "1"),
@@ -138,7 +130,6 @@ def _poisson_bessel(params):
             lam_a=1.0,
             lam_b=1.0,
         ),
-        rho=0.0,
         p_diag=nu - 0.5,
         p_zero=0.0,
         kernel_t_exponent=0.0,
@@ -150,8 +141,9 @@ def _poisson_bessel(params):
         x_range=(0.2, 3.0),
         refs=("5.1.3", "5.1.4", "5.1.5"),
         notes=(
-            "norm_const carries gamma(0.5) = sqrt(pi), which some renderings"
-            " of tag 5.1.3 drop; without it T[cos] misses f1 by sqrt(pi)."
+            "The normalising factor 2^(1-nu)/(gamma(0.5)*gamma(nu+0.5))"
+            " carries gamma(0.5) = sqrt(pi), which some renderings of tag"
+            " 5.1.3 drop; without it T[cos] misses f1 by sqrt(pi)."
             " At nu = 1/2 the kernel collapses to the constant sqrt(2/pi)"
             " and T becomes the plain Fourier cosine-to-sine map."
         ),
@@ -163,14 +155,11 @@ def _sonin(params):
     mu, nu = p["mu"], p["nu"]
     _require(mu > -1.0, "Re mu > -1", mu=mu)
     _require(nu > -1.0, "Re nu > -1", nu=nu)
-    norm = parse("1/(2^nu*gamma(nu+1))")
-    structural = parse("(x^2-t^2)^nu/x^nu")
+    kernel = parse("1/(2^nu*gamma(nu+1))*((x^2-t^2)^nu/x^nu)")
     return TransmutationCase(
         name="sonin",
         params=p,
-        kernel=BinOp("*", norm, structural),
-        kernel_structural=structural,
-        norm_const=norm,
+        kernel=kernel,
         f0=parse("t^(mu+1)*besselj(mu, t)"),
         f1=parse("x^(mu+1)*besselj(mu+nu+1, x)"),
         opA=_div_t("1", "-(2*mu+1)/t", "1"),
@@ -182,7 +171,6 @@ def _sonin(params):
             lam_a=1.0,
             lam_b=1.0,
         ),
-        rho=0.0,
         p_diag=nu,
         p_zero=2.0 * mu + 1.0,
         kernel_t_exponent=0.0,
@@ -210,8 +198,6 @@ def _sine_to_bessel(params):
         name="sine_to_bessel",
         params=p,
         kernel=kernel,
-        kernel_structural=kernel,
-        norm_const=Num(1.0),
         f0=parse("sin(omega*t)"),
         f1=parse(
             "0.5*sqrt(pi)*gamma(beta)*(2/omega)^(beta-0.5)"
@@ -226,7 +212,6 @@ def _sine_to_bessel(params):
             lam_a=-(omega ** 2),
             lam_b=-(omega ** 2),
         ),
-        rho=0.0,
         p_diag=beta - 1.0,
         p_zero=2.0,
         kernel_t_exponent=1.0,
@@ -253,8 +238,6 @@ def _sinh_cosh(params):
         name="sinh_cosh",
         params=p,
         kernel=kernel,
-        kernel_structural=kernel,
-        norm_const=Num(1.0),
         f0=parse("cosh(beta*t)"),
         f1=parse("0.5*pi*mu*x*besseli(1, sqrt(beta^2+mu^2)*x)/sqrt(beta^2+mu^2)"),
         opA=_div_t("1", "0", "-beta^2"),
@@ -266,7 +249,6 @@ def _sinh_cosh(params):
             lam_a=beta ** 2,
             lam_b=beta ** 2,
         ),
-        rho=0.0,
         p_diag=0.5,
         p_zero=0.0,
         kernel_t_exponent=0.0,
@@ -306,8 +288,6 @@ def _gegenbauer(params):
         name="gegenbauer",
         params=p,
         kernel=kernel,
-        kernel_structural=kernel,
-        norm_const=Num(1.0),
         f0=parse("t^(2*(lambda-beta)+p-1)*gegenbauer(p, lambda, t)"),
         f1=parse(
             "0.5*gamma(lambda-beta)*gamma(beta)/gamma(lambda)"
@@ -332,7 +312,6 @@ def _gegenbauer(params):
         ),
         lam=0.0,
         eigen_shift=None,
-        rho=0.0,
         p_diag=beta - 1.0,
         p_zero=2.0 * (lam_p - beta) + degree,
         kernel_t_exponent=0.0,
@@ -366,8 +345,6 @@ def _lowndes(params):
         name="lowndes",
         params=p,
         kernel=kernel,
-        kernel_structural=kernel,
-        norm_const=Num(1.0),
         f0=parse("t^(nu+1)*besselj(nu, omega*t)"),
         f1=parse(
             "beta^mu*omega^nu*x^(mu+nu+1)"
@@ -383,7 +360,6 @@ def _lowndes(params):
             lam_a=omega ** 2,
             lam_b=beta ** 2 + omega ** 2,
         ),
-        rho=0.0,
         p_diag=mu,
         p_zero=2.0 * nu + 1.0,
         kernel_t_exponent=0.0,
@@ -413,8 +389,6 @@ def _epd_bessel(params):
         name="epd_bessel",
         params=p,
         kernel=kernel,
-        kernel_structural=kernel,
-        norm_const=Num(1.0),
         f0=parse("cos(omega*t)"),
         f1=parse(
             "sqrt(0.5*pi)*mu^nu*x^(nu+0.5)"
@@ -430,7 +404,6 @@ def _epd_bessel(params):
             lam_a=-(omega ** 2),
             lam_b=-(omega ** 2 + mu ** 2),
         ),
-        rho=0.0,
         p_diag=nu,
         p_zero=0.0,
         kernel_t_exponent=0.0,
@@ -460,8 +433,6 @@ def _vekua_telegraph(params):
         name="vekua_telegraph",
         params=p,
         kernel=kernel,
-        kernel_structural=kernel,
-        norm_const=Num(1.0),
         f0=parse("cos(omega*t)"),
         f1=parse("sin(sqrt(omega^2+mu^2)*x)/sqrt(omega^2+mu^2)"),
         opA=_div_t("1", "0", "omega^2"),
@@ -473,7 +444,6 @@ def _vekua_telegraph(params):
             lam_a=-(omega ** 2),
             lam_b=-(omega ** 2 + mu ** 2),
         ),
-        rho=0.0,
         p_diag=0.0,
         p_zero=0.0,
         kernel_t_exponent=0.0,
@@ -500,8 +470,6 @@ def _cosh_1f2(params):
         name="cosh_1f2",
         params=p,
         kernel=kernel,
-        kernel_structural=kernel,
-        norm_const=Num(1.0),
         f0=parse("cosh(mu*t)"),
         f1=parse(
             "0.5*x^(2*beta-1)*gamma(0.5)*gamma(beta)/gamma(beta+0.5)"
@@ -516,7 +484,6 @@ def _cosh_1f2(params):
             lam_a=p["mu"] ** 2,
             lam_b=p["mu"] ** 2,
         ),
-        rho=0.0,
         p_diag=beta - 1.0,
         p_zero=0.0,
         kernel_t_exponent=0.0,

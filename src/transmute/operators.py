@@ -25,7 +25,6 @@ __all__ = [
     "DifferentialOperator",
     "apply",
     "eigen_residual",
-    "boundary_functional",
 ]
 
 _FORMS = ("divergence", "nondivergence")
@@ -126,22 +125,3 @@ def eigen_residual(
         "count": len(residuals),
     }
 
-
-def boundary_functional(
-    op: DifferentialOperator,
-    value: float,
-    deriv: float,
-    eps: float,
-    params: Mapping[str, float],
-) -> float:
-    """a(eps) * deriv - h * a(eps) * value.
-
-    The caller supplies the function data (typically a kernel slice and
-    its t derivative) and subtracts its own b-term; keeping the b term
-    out of this helper is what lets singular b coefficients be handled
-    at the call site.
-    """
-    bindings = dict(params)
-    bindings[op.var] = eps
-    a = evaluate(op.a, bindings)
-    return a * deriv - op.h * a * value

@@ -2,43 +2,27 @@
 
 Everything here is plain double precision.  Accuracy targets are stated
 per function; where cancellation makes a published target unreachable in
-doubles the docstring says what is actually delivered and the
-``*_result`` variants report an honest error estimate.
+doubles the docstring says what is actually delivered.  A NaN argument
+raises DomainError instead of coming back as NaN.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, PoleError, RangeError
 
 __all__ = [
-    "SpecFunResult",
     "gamma",
     "digamma",
     "trigamma",
     "beta",
     "bessel_j",
-    "bessel_j_result",
     "bessel_i",
-    "bessel_i_result",
     "bessel_clifford",
-    "bessel_clifford_result",
     "gegenbauer",
     "hyp1f2",
-    "hyp1f2_result",
 ]
-
-_EPS = 2.220446049250313e-16
-
-
-@dataclass(frozen=True)
-class SpecFunResult:
-    """A value together with an estimated absolute error bound (>= 0)."""
-
-    value: float
-    est_abs_error: float
 
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
@@ -64,6 +48,8 @@ def _is_nonpositive_int(x: float) -> bool:
 
 def gamma(x: float) -> float:
     """Gamma function via Lanczos; pole error at 0, -1, -2, ..."""
+    if x != x:
+        raise DomainError("gamma: NaN argument")
     if _is_nonpositive_int(x):
         raise PoleError(f"gamma pole at {x}")
     if x < 0.5:
@@ -159,64 +145,58 @@ def beta(a: float, b: float) -> float:
 _SERIES_CAP = 60
 
 
-def _bessel_series(nu: float, z: float, sign: float, name: str) -> SpecFunResult:
-    """Ascending series for J (sign=-1) and I (sign=+1).
+def _clifford_series(nu: float, w: float) -> float:
+    """sum_k w^k / (k! gamma(nu+k+1)) for nu > -1.
 
-    Supported box: nu >= -1, 0 <= z <= 20.  The series is summed with
-    math.fsum after collecting at most 60 multiplicatively-updated terms,
-    so the only real error source is the float rounding of each term;
-    the estimate reflects that plus the first neglected term.  For J this
-    means ~1e-12 absolute for z <= 10 but only ~1e-8 near z = 20 where
-    the alternating terms reach 4e7.
+    At most 60 multiplicatively-updated terms, summed with math.fsum, so
+    the only real error source is the float rounding of each term.
+    """
+    term = _rgamma(nu + 1.0)
+    terms = [term]
+    running = term
+    for k in range(_SERIES_CAP):
+        term *= w / ((k + 1.0) * (nu + k + 1.0))
+        terms.append(term)
+        running += term
+        if abs(term) <= 1e-18 * abs(running):
+            break
+    return math.fsum(terms)
+
+
+def _bessel_series(nu: float, z: float, sign: float, name: str) -> float:
+    """J (sign=-1) and I (sign=+1) as (z/2)^nu C_nu(sign z^2/4).
+
+    Supported box: nu >= -1, 0 <= z <= 20.  For J the alternating terms
+    cancel: ~1e-12 absolute for z <= 10 but only ~1e-8 near z = 20,
+    where they reach 4e7.
     """
     if not (nu >= -1.0 and 0.0 <= z <= 20.0):
         if nu != nu or z != z:
             raise DomainError(f"{name}: NaN argument (nu={nu}, z={z})")
         raise RangeError(f"{name}: (nu={nu}, z={z}) outside nu >= -1, 0 <= z <= 20")
     if nu == -1.0:
-        inner = _bessel_series(1.0, z, sign, name)
-        return SpecFunResult(sign * inner.value, inner.est_abs_error)
+        return sign * _bessel_series(1.0, z, sign, name)
     if z == 0.0:
         if nu == 0.0:
-            return SpecFunResult(1.0, 0.0)
+            return 1.0
         if nu > 0.0:
-            return SpecFunResult(0.0, 0.0)
+            return 0.0
         raise DomainError(f"{name}: z=0 with negative order {nu}")
     half = 0.5 * z
-    q = sign * half * half
-    term = half**nu * _rgamma(nu + 1.0)
-    terms = [term]
-    running = term
-    for k in range(_SERIES_CAP):
-        term *= q / ((k + 1.0) * (nu + k + 1.0))
-        terms.append(term)
-        running += term
-        if abs(term) <= 1e-18 * abs(running):
-            break
-    value = math.fsum(terms)
-    est = abs(terms[-1]) + _EPS * math.fsum(abs(u) for u in terms)
-    return SpecFunResult(value, est)
-
-
-def bessel_j_result(nu: float, z: float) -> SpecFunResult:
-    return _bessel_series(nu, z, -1.0, "bessel_j")
+    return half**nu * _clifford_series(nu, sign * half * half)
 
 
 def bessel_j(nu: float, z: float) -> float:
     """Bessel function of the first kind on the box nu >= -1, 0 <= z <= 20."""
-    return bessel_j_result(nu, z).value
-
-
-def bessel_i_result(nu: float, z: float) -> SpecFunResult:
-    return _bessel_series(nu, z, 1.0, "bessel_i")
+    return _bessel_series(nu, z, -1.0, "bessel_j")
 
 
 def bessel_i(nu: float, z: float) -> float:
     """Modified Bessel function of the first kind, same box as bessel_j."""
-    return bessel_i_result(nu, z).value
+    return _bessel_series(nu, z, 1.0, "bessel_i")
 
 
-def bessel_clifford_result(nu: float, w: float) -> SpecFunResult:
+def bessel_clifford(nu: float, w: float) -> float:
     """C_nu(w) = sum_k w^k / (k! gamma(nu+k+1)); entire in w.
 
     This is the smooth core shared by J and I:
@@ -228,24 +208,8 @@ def bessel_clifford_result(nu: float, w: float) -> SpecFunResult:
             raise DomainError(f"bessel_clifford: NaN argument (nu={nu}, w={w})")
         raise RangeError(f"bessel_clifford: (nu={nu}, w={w}) outside nu >= -1, |w| <= 100")
     if nu == -1.0:
-        inner = bessel_clifford_result(1.0, w)
-        return SpecFunResult(w * inner.value, abs(w) * inner.est_abs_error)
-    term = _rgamma(nu + 1.0)
-    terms = [term]
-    running = term
-    for k in range(_SERIES_CAP):
-        term *= w / ((k + 1.0) * (nu + k + 1.0))
-        terms.append(term)
-        running += term
-        if abs(term) <= 1e-18 * abs(running):
-            break
-    value = math.fsum(terms)
-    est = abs(terms[-1]) + _EPS * math.fsum(abs(u) for u in terms)
-    return SpecFunResult(value, est)
-
-
-def bessel_clifford(nu: float, w: float) -> float:
-    return bessel_clifford_result(nu, w).value
+        return w * _clifford_series(1.0, w)
+    return _clifford_series(nu, w)
 
 
 def gegenbauer(m: int, alpha: float, z: float) -> float:
@@ -256,6 +220,8 @@ def gegenbauer(m: int, alpha: float, z: float) -> float:
     with C_0 = 1, C_1 = 2 alpha z.  The recurrence convention gives
     C_m^0 = 0 for m >= 1.
     """
+    if m != m or alpha != alpha or z != z:
+        raise DomainError(f"gegenbauer: NaN argument (m={m}, alpha={alpha}, z={z})")
     mi = round(m)
     if abs(m - mi) > 1e-9 or mi < 0:
         raise DomainError(f"gegenbauer degree must be a non-negative integer, got {m}")
@@ -268,7 +234,7 @@ def gegenbauer(m: int, alpha: float, z: float) -> float:
     return cur
 
 
-def hyp1f2_result(a: float, b1: float, b2: float, z: float) -> SpecFunResult:
+def hyp1f2(a: float, b1: float, b2: float, z: float) -> float:
     """Generalized hypergeometric 1F2 by direct series.
 
     Stops when the running term drops below 1e-16 of the partial sum;
@@ -279,27 +245,21 @@ def hyp1f2_result(a: float, b1: float, b2: float, z: float) -> SpecFunResult:
             raise PoleError(f"hyp1f2 lower parameter {b} is a non-positive integer")
     term = 1.0
     total = 1.0
-    absum = 1.0
     for k in range(500):
         ratio = (a + k) / ((b1 + k) * (b2 + k)) * z / (k + 1.0)
         term *= ratio
         total += term
-        absum += abs(term)
         if not math.isfinite(total):
             raise ConvergenceError(
                 f"hyp1f2({a},{b1},{b2},{z}) overflowed after {k + 1} terms"
             )
         if abs(term) <= 1e-16 * abs(total):
-            return SpecFunResult(total, abs(term) + _EPS * absum)
+            return total
     if abs(term) >= abs(total) * 1e-16:
         raise ConvergenceError(
             f"hyp1f2({a},{b1},{b2},{z}) did not converge within 500 terms"
         )
-    return SpecFunResult(total, abs(term) + _EPS * absum)
-
-
-def hyp1f2(a: float, b1: float, b2: float, z: float) -> float:
-    return hyp1f2_result(a, b1, b2, z).value
+    return total
 
 
 # ---------------------------------------------------------------------------

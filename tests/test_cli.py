@@ -40,6 +40,13 @@ reference = "besselj(0, mu*sqrt(x^2-t^2))"
 """
 
 
+# config files for test_usage_errors_exit_2, written under tmp_path
+BAD_CONFIGS = {
+    "kappa_nan.cfg": SOLVER_FILE.replace("h = 0.03125", "h = 0.03125\nkappa = nan"),
+    "x_max_inf.cfg": CASE_FILE.replace("x_max = 2.0", "x_max = inf"),
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -162,9 +169,14 @@ def test_verify_csv_format(capsys):
         ("apply", "--case", "sonin", "--tol-identity", "inf"),
         ("apply", "--case", "sonin", "--tol-identity", "abc"),
         ("solve", "--case", "vekua_telegraph", "--tol-solver", "nan"),
+        ("solve", "--custom", "kappa_nan.cfg", "--params", "mu=1"),
+        ("verify", "--custom", "x_max_inf.cfg", "--params", "mu=1,omega=1"),
     ],
 )
-def test_usage_errors_exit_2(capsys, argv):
+def test_usage_errors_exit_2(capsys, tmp_path, argv):
+    for name, text in BAD_CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in BAD_CONFIGS else a for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from transmute.conditions import triangle_grid
 from transmute.errors import DomainError, ParseError, UnboundSymbolError
 from transmute.expr import (
     BinOp,
@@ -15,6 +16,7 @@ from transmute.expr import (
     parse,
     to_string,
 )
+from transmute.kernels import get_case, list_cases
 
 
 @pytest.mark.parametrize(
@@ -124,6 +126,9 @@ def test_unbound_symbol():
         ("besselj(y, 1)", {"y": math.nan}),
         ("besseli(0, y)", {"y": math.nan}),
         ("bessel_clifford(0, y)", {"y": math.nan}),
+        ("gamma(y)", {"y": math.nan}),
+        ("gegenbauer(2, y, 0.5)", {"y": math.nan}),
+        ("gegenbauer(2, 1, y)", {"y": math.nan}),
     ],
 )
 def test_domain_errors(text, bindings):
@@ -139,6 +144,9 @@ def test_domain_errors(text, bindings):
         ("x^y", {"y": math.nan}),
         ("besselj(0, y)", {"y": math.nan}),
         ("besselj(y, x)", {"y": math.nan}),
+        # "constant" is structural: 0*x is still a jet
+        ("besselj(0*x, t)", {}),
+        ("gegenbauer(2, x, 0.5)", {}),
     ],
 )
 def test_jet_domain_errors(text, params):
@@ -204,6 +212,23 @@ def test_jet_exact_polynomial():
 def test_jet_singularity_reported():
     with pytest.raises(DomainError):
         evaluate_jet(parse("sqrt(x)"), 0.0, 0.0, {})
+
+
+def test_parameter_only_subtree_stays_a_float():
+    # sqrt(p) never sees x or t, so it takes the plain value at p = 0 and
+    # only the product with x becomes a jet
+    assert evaluate_jet(parse("sqrt(p)*x"), 1.0, 0.5, {"p": 0.0}) == Jet2(0.0)
+
+
+@pytest.mark.parametrize("name", list_cases())
+def test_jet_value_is_the_float_value_on_the_catalog(name):
+    case = get_case(name)
+    exprs = [case.kernel, case.f0, case.f1, case.kernel_smooth, case.f0_smooth]
+    exprs += [getattr(op, slot) for op in (case.opA, case.opB) for slot in "abc"]
+    for x, t in triangle_grid():
+        bindings = {**case.params, "x": x, "t": t}
+        for e in exprs:
+            assert evaluate_jet(e, x, t, case.params).value == evaluate(e, bindings)
 
 
 @given(

@@ -7,7 +7,6 @@ from transmute.expr import parse
 from transmute.operators import (
     DifferentialOperator,
     apply,
-    boundary_functional,
     eigen_residual,
 )
 
@@ -94,15 +93,3 @@ def test_eigen_residual_annotates_failing_point():
     with pytest.raises(DomainError, match=r"at x=0\.0"):
         eigen_residual(op, parse("x"), 0.0, [1.0, 0.0], {})
 
-
-def test_boundary_functional_combines_value_and_slope():
-    op = _div("1", "0", "0", h=0.5)
-    # a(eps)*f' - h*a(eps)*f = 3 - 0.5*2
-    assert boundary_functional(op, 2.0, 3.0, 0.1, {}) == pytest.approx(2.0)
-
-
-def test_boundary_functional_uses_a_at_eps():
-    op = _div("t^2", "0", "0", h=1.0)
-    eps = 0.25
-    want = eps * eps * (3.0 - 2.0)
-    assert boundary_functional(op, 2.0, 3.0, eps, {}) == pytest.approx(want)

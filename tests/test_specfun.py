@@ -113,11 +113,10 @@ def test_bessel_negative_order_at_origin_rejected():
 
 @pytest.mark.parametrize("nu", [0.0, 1.0, 1.5])
 def test_bessel_j_upper_box_is_honest(nu):
-    # the ascending series loses digits near the z = 20 corner; the result
-    # object owns up to that instead of promising machine precision
+    # the ascending series loses digits near the z = 20 corner, down to
+    # the 1e-8 absolute that the docstring promises there
     for z in (14.0, 20.0):
-        res = specfun.bessel_j_result(nu, z)
-        assert abs(res.value - sp.jv(nu, z)) <= max(res.est_abs_error, 1e-8)
+        assert abs(specfun.bessel_j(nu, z) - sp.jv(nu, z)) <= 1e-8
 
 
 @pytest.mark.parametrize("nu", [-0.5, 0.0, 1.0, 2.5])
@@ -158,13 +157,6 @@ def test_clifford_at_zero_argument():
     assert specfun.bessel_clifford(0.5, 0.0) == pytest.approx(
         1.0 / math.gamma(1.5), rel=1e-14
     )
-
-
-def test_error_estimates_are_bounds():
-    for nu, z in [(0.0, 1.0), (1.5, 6.0), (0.5, 12.0), (2.0, 18.0)]:
-        res = specfun.bessel_j_result(nu, z)
-        assert res.est_abs_error >= 0.0
-        assert abs(res.value - sp.jv(nu, z)) <= 10.0 * res.est_abs_error + 1e-15
 
 
 # --- Gegenbauer -------------------------------------------------------------
