@@ -490,7 +490,9 @@ def cmd_solve(args):
         "problem": label,
         "X": problem.X,
         "h": problem.h,
-        "boundary": problem.boundary,
+        "boundary": grid.boundary,
+        "sigma": problem.sigma,
+        "rho": problem.rho,
         "levels": len(grid.levels),
         "max_error": None if stats is None else stats["max"],
         "l2_error": None if stats is None else stats["l2"],
@@ -500,7 +502,10 @@ def cmd_solve(args):
     if args.format == "json":
         _emit(args, _json_dump(_stamp(args, payload)) + "\n")
     else:
-        lines = [f"problem {label}: X={problem.X:g} h={problem.h:g}"]
+        lines = [
+            f"problem {label}: X={problem.X:g} h={problem.h:g}"
+            f" boundary={grid.boundary} sigma={problem.sigma:g} rho={problem.rho:g}"
+        ]
         if stats is not None:
             lines.append(
                 f"max |K - reference| = {stats['max']:.6e},"

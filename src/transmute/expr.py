@@ -18,29 +18,38 @@ Expression nodes are frozen dataclasses: parsing never aliases mutable
 state into the tree, and evaluation never mutates it, so one parsed
 expression can be shared between threads and across parameter sweeps.
 
-Evaluation is one tree walk over values that are floats or second-order
-jets (:class:`Jet2`).  ``evaluate`` binds plain numbers; ``evaluate_jet``
-binds x and t to jet seeds, and jets spread only from those seeds, so a
-subtree that depends on parameters alone stays a float and calls the
+Evaluation is one tree walk over values that are floats, second-order
+jets (:class:`Jet2`) or numpy arrays.  ``evaluate`` binds plain numbers,
+or arrays to some names (x and t, say); ``evaluate_jet`` binds x and t to
+jet seeds.  Jets and arrays spread only from the names bound to them, so
+a subtree that depends on parameters alone stays a float and calls the
 plain value of each function.  A jet's value is therefore exactly the
-float result.  Only the last argument of a function may depend on x or t.
+float result.  Only the last argument of a function may depend on x or t
+in a jet.  On arrays, arithmetic is numpy's (bit for bit the float
+result), elementary functions are numpy ufuncs (within a few ulp of
+``math``), and special functions run their scalar series per entry.
 
 Powers with a literal integer exponent are evaluated by repeated
 multiplication (valid for negative bases, exact for jets); any other
 exponent goes through exp(v*log(u)) and requires a positive base.
 Domain violations raise :class:`~transmute.errors.DomainError` naming
-the offending subexpression instead of letting NaN propagate.
+the offending subexpression (and, for arrays, the first failing point)
+instead of letting NaN propagate; a non-finite bound value or result is
+a DomainError too.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from itertools import repeat
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import numpy as np
+
 from . import specfun
-from .errors import DomainError, ParseError, UnboundSymbolError
+from .errors import DomainError, ParseError, SpecFunError, UnboundSymbolError
 
 __all__ = [
     "Expr",
@@ -412,7 +421,7 @@ def _as_int_exponent(v: float) -> int | None:
 
 
 def _int_pow(u, n: int):
-    """Binary exponentiation of a positive power; floats and jets alike."""
+    """Binary exponentiation of a positive power; floats, jets and arrays alike."""
     acc = None
     base = u
     while n:
@@ -423,34 +432,145 @@ def _int_pow(u, n: int):
     return acc
 
 
+# a module global: a name lookup instead of an attribute lookup per node
+_ndarray = np.ndarray
+
+
+def _where(env, bad) -> str:
+    """' at x=..., t=...': the first point where the mask ``bad`` holds,
+    given by the value of every array bound in ``env``."""
+    names = [k for k, v in env.items() if type(v) is _ndarray]
+    shape = np.broadcast_shapes(*(env[k].shape for k in names))
+    k = int(np.argmax(np.broadcast_to(bad, shape)))
+    at = ", ".join(f"{n}={float(np.broadcast_to(env[n], shape).flat[k])!r}" for n in names)
+    return f" at {at}"
+
+
+def _require(node, env, bad, what):
+    """Raise DomainError naming ``node`` and the first point where ``bad`` holds."""
+    if np.any(bad):
+        raise DomainError(f"{what} in {to_string(node)}{_where(env, bad)}")
+
+
+def _entrywise(env, f, args):
+    """The scalar rule ``f`` over the broadcast entries of ``args``.
+
+    Entries go in as Python floats, so each value is the one the scalar
+    walk gives; an error gains the point where it happened.
+    """
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    cols = [
+        np.broadcast_to(a, shape).ravel().tolist() if type(a) is _ndarray else repeat(a)
+        for a in args
+    ]
+    out = []
+    for k, point in enumerate(zip(*cols)):
+        try:
+            out.append(f(*point))
+        except (DomainError, SpecFunError) as exc:
+            bad = np.zeros(shape, bool)
+            bad.flat[k] = True
+            raise type(exc)(f"{exc}{_where(env, bad)}") from None
+    return np.array(out, dtype=float).reshape(shape)
+
+
+_CALL_ERRORS = (ValueError, ArithmeticError, DomainError, SpecFunError)
+
+
+def _in_call(node, exc):
+    """The error to raise for ``exc`` from the function of ``node``: a
+    special-function error keeps its type, anything else is a DomainError."""
+    kind = type(exc) if isinstance(exc, SpecFunError) else DomainError
+    return kind(f"{exc} in {to_string(node)}")
+
+
+def _array_power(node, env, u, v):
+    """u^v with u or v an array, by the rules of the scalar walk."""
+    if type(v) is _ndarray:
+        # an exponent that varies: the scalar walk of this node, point by point
+        names = [k for k, a in env.items() if type(a) is _ndarray]
+        return _entrywise(
+            env,
+            lambda *p: _walk(node, {**env, **dict(zip(names, p))}),
+            [env[k] for k in names],
+        )
+    n = _as_int_exponent(v)
+    if n is not None:
+        if n == 0:
+            return 1.0
+        r = _int_pow(u, abs(n))
+        if n > 0:
+            return r
+        _require(node, env, u == 0.0, "zero base with negative exponent")
+        _require(node, env, r == 0.0, "division by zero")
+        return 1.0 / r
+    if not math.isfinite(v):
+        raise DomainError(f"non-finite exponent in {to_string(node)}")
+    # a zero base stays zero under a positive power: exp(v * -inf) = 0
+    _require(node, env, (u < 0.0) | ((u == 0.0) & (v <= 0.0)),
+             "non-integer power needs a positive base")
+    f = np.exp(v * np.log(u))
+    _require(node, env, np.isinf(f), "overflow")
+    return f
+
+
+def _array_call(node, env, spec, args, z):
+    """A function applied with some argument an array; ``z`` is the last."""
+    if spec.ufunc is None:
+        # special functions keep their one scalar series, run per entry
+        def one(*a):
+            try:
+                return spec.value(*a)
+            except _CALL_ERRORS as exc:
+                raise _in_call(node, exc) from None
+
+        return _entrywise(env, one, (*args, z))
+    out = spec.ufunc(z)
+    _require(node, env, np.isfinite(z) & ~np.isfinite(out), "no finite value")
+    return out
+
+
 def _walk(node: Expr, env: Mapping[str, object]):
     """The one tree walk behind ``evaluate`` and ``evaluate_jet``.
 
-    ``env`` maps names to numbers or to Jet2 seeds.  Jets spread only
-    from the seeds, so a subtree that reads neither x nor t stays a float
-    and calls the plain value of each function.
+    ``env`` maps names to numbers, to Jet2 seeds or to numpy arrays.
+    Jets and arrays spread only from the names bound to them, so a
+    subtree that reads neither stays a float and calls the plain value of
+    each function.
     """
-    if isinstance(node, Num):
+    kind = type(node)
+    if kind is Num:
         return node.value
-    if isinstance(node, Name):
+    if kind is Name:
         try:
             v = env[node.ident]
         except KeyError:
             raise UnboundSymbolError(node.ident) from None
-        return v if type(v) is Jet2 else float(v)
-    if isinstance(node, Neg):
+        if type(v) is not float:
+            if type(v) is Jet2 or type(v) is _ndarray:
+                return v
+            v = float(v)
+        if v - v != 0.0:
+            raise DomainError(f"non-finite value {v} bound to {node.ident}")
+        return v
+    if kind is Neg:
         return -_walk(node.arg, env)
-    if isinstance(node, BinOp):
+    if kind is BinOp:
         u = _walk(node.left, env)
         v = _walk(node.right, env)
         op = node.op
+        if op == "+":
+            return u + v
+        if op == "-":
+            return u - v
+        if op == "*":
+            return u * v
+        if type(u) is _ndarray or type(v) is _ndarray:
+            if op == "/":
+                _require(node, env, v == 0.0, "division by zero")
+                return u / v
+            return _array_power(node, env, u, v)
         try:
-            if op == "+":
-                return u + v
-            if op == "-":
-                return u - v
-            if op == "*":
-                return u * v
             if op == "/":
                 return u / v
             u0 = u.value if type(u) is Jet2 else u
@@ -491,37 +611,76 @@ def _walk(node: Expr, env: Mapping[str, object]):
             raise DomainError(f"division by zero in {to_string(node)}") from None
         except OverflowError:
             raise DomainError(f"overflow in {to_string(node)}") from None
-    if isinstance(node, Call):
+    if kind is Call:
         args = [_walk(a, env) for a in node.args]
         z = args.pop()
+        spec = FUNCTIONS[node.name]
+        if type(z) is _ndarray:
+            return _array_call(node, env, spec, args, z)
         for a in args:
             if type(a) is Jet2:
                 raise DomainError(
                     f"only the last argument of {node.name} may depend on x or t:"
                     f" {to_string(node)}"
                 )
-        spec = FUNCTIONS[node.name]
+            if type(a) is _ndarray:
+                return _array_call(node, env, spec, args, z)
         try:
             if type(z) is Jet2:
                 return z.chain(*spec.jet(*args, z.value))
             return spec.value(*args, z)
-        except (ValueError, ArithmeticError, DomainError) as exc:
-            raise DomainError(f"{exc} in {to_string(node)}") from None
+        except _CALL_ERRORS as exc:
+            raise _in_call(node, exc) from None
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def evaluate(node: Expr, bindings: Mapping[str, float]) -> float:
-    """Evaluate to a float.  Raises DomainError instead of returning NaN/inf."""
-    return _walk(node, bindings)
+def evaluate(node: Expr, bindings: Mapping[str, object]):
+    """Evaluate to a float, or to an array when x or t is bound to one.
+
+    Arrays bound to x and t broadcast together and the result has their
+    shape.  Raises DomainError instead of returning NaN or inf; for arrays
+    the message names the first failing point.
+    """
+    if type(bindings.get("x")) is _ndarray or type(bindings.get("t")) is _ndarray:
+        return _evaluate_array(node, bindings)
+    out = _walk(node, bindings)
+    if out - out != 0.0:
+        raise DomainError(f"non-finite result {out} in {to_string(node)}")
+    return out
+
+
+def _evaluate_array(node, bindings):
+    env = dict(bindings)
+    names = [k for k in ("x", "t") if type(env.get(k)) is _ndarray]
+    for k in names:
+        env[k] = np.asarray(env[k], dtype=float)
+    for k in names:
+        bad = ~np.isfinite(env[k])
+        if bad.any():
+            raise DomainError(f"non-finite value bound to {k}{_where(env, bad)}")
+    shape = np.broadcast_shapes(*(v.shape for v in env.values() if type(v) is _ndarray))
+    # every failure is raised by name below; keep numpy from warning first
+    with np.errstate(all="ignore"):
+        out = np.array(np.broadcast_to(_walk(node, env), shape), dtype=float)
+    _require(node, env, ~np.isfinite(out), "non-finite result")
+    return out
 
 
 def evaluate_jet(node: Expr, x: float, t: float, params: Mapping[str, float]) -> Jet2:
     """Evaluate with first and second partials in x and t carried along."""
+    x, t = float(x), float(t)
+    if x - x != 0.0 or t - t != 0.0:
+        name, v = ("x", x) if x - x != 0.0 else ("t", t)
+        raise DomainError(f"non-finite value {v} bound to {name}")
     env = dict(params)
-    env["x"] = Jet2(float(x), dx=1.0)
-    env["t"] = Jet2(float(t), dt=1.0)
+    env["x"] = Jet2(x, dx=1.0)
+    env["t"] = Jet2(t, dt=1.0)
     out = _walk(node, env)
-    return out if type(out) is Jet2 else Jet2(out)
+    if type(out) is not Jet2:
+        out = Jet2(out)
+    if out.value - out.value != 0.0:
+        raise DomainError(f"non-finite result {out.value} in {to_string(node)}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +694,8 @@ class _Fn:
     value: Callable[..., float]
     # (f, f', f'') with respect to the last argument; the others are floats
     jet: Callable[..., tuple[float, float, float]]
+    # the numpy ufunc for array arguments; None runs ``value`` per entry
+    ufunc: Callable | None = None
 
 
 def _log(u):
@@ -592,14 +753,14 @@ def _abs_jet(u):
 
 
 FUNCTIONS: dict[str, _Fn] = {
-    "sin": _Fn(1, math.sin, _sin_jet),
-    "cos": _Fn(1, math.cos, _cos_jet),
-    "sinh": _Fn(1, math.sinh, _sinh_jet),
-    "cosh": _Fn(1, math.cosh, _cosh_jet),
-    "exp": _Fn(1, math.exp, _exp_jet),
-    "log": _Fn(1, _log, _log_jet),
-    "sqrt": _Fn(1, _sqrt, _sqrt_jet),
-    "abs": _Fn(1, abs, _abs_jet),
+    "sin": _Fn(1, math.sin, _sin_jet, np.sin),
+    "cos": _Fn(1, math.cos, _cos_jet, np.cos),
+    "sinh": _Fn(1, math.sinh, _sinh_jet, np.sinh),
+    "cosh": _Fn(1, math.cosh, _cosh_jet, np.cosh),
+    "exp": _Fn(1, math.exp, _exp_jet, np.exp),
+    "log": _Fn(1, _log, _log_jet, np.log),
+    "sqrt": _Fn(1, _sqrt, _sqrt_jet, np.sqrt),
+    "abs": _Fn(1, abs, _abs_jet, np.abs),
     "gamma": _Fn(1, specfun.gamma, specfun.gamma_jets),
     "besselj": _Fn(2, specfun.bessel_j, specfun.bessel_j_jets),
     "besseli": _Fn(2, specfun.bessel_i, specfun.bessel_i_jets),

@@ -11,7 +11,14 @@ line of constant x = d h/2. j = 0 is the diagonal t = x, carrying the
 closed-form transport data; j = i is the t = 0 edge, closed by a
 Neumann or Robin condition. Marching is second order: each cell uses
 the integral identity K(u,v) = K(u-h,v) + K(u,v-h) - K(u-h,v-h)
-+ h^2 F(midpoint) with exactly two predictor-corrector sweeps.
++ h^2 F(midpoint) with exactly two predictor-corrector sweeps. F takes
+K_u, K_v and K at the cell midpoint from centred differences of the new
+value p and its three neighbours, so h^2 F is affine in p, a p + g, and
+the two sweeps fuse into p1 = base + a base + g, p2 = base + a p1 + g,
+applied to a whole level at once.
+
+Coefficient tables, the diagonal transport integral and ``compare`` each
+evaluate their expression once over arrays of points, not point by point.
 """
 
 from __future__ import annotations
@@ -23,10 +30,11 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericalError, TransmuteError, UsageError
-from .expr import Expr, Jet2, evaluate, free_symbols, parse
+from .expr import BinOp, Expr, Jet2, evaluate, free_symbols, parse
 from .quadrature import jacobi_rule
 
 __all__ = [
+    "MAX_STEPS",
     "GoursatProblem",
     "TriangleGrid",
     "problem_from_case",
@@ -37,6 +45,11 @@ __all__ = [
 ]
 
 _BOUNDARIES = ("auto", "neumann", "robin")
+
+# The grid keeps every level, and level d holds d // 2 + 1 doubles, so N
+# steps hold about N^2 doubles: 8 N^2 bytes, 134 MB at 4096 steps, four
+# times the 34 MB of the finest rung the benchmark ladder solves (2048).
+MAX_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -73,6 +86,11 @@ class GoursatProblem:
         if not (self.X > 0.0 and self.h > 0.0):
             raise UsageError("need X > 0 and h > 0")
         n = self.X / self.h
+        if not n <= MAX_STEPS + 0.5:
+            raise UsageError(
+                f"X/h = {n:g} steps is beyond the lattice budget of"
+                f" {MAX_STEPS} steps ({8 * MAX_STEPS**2 / 1e6:.0f} MB of values)"
+            )
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise UsageError(f"X/h must be a positive integer, got {n!r}")
         if self.boundary not in _BOUNDARIES:
@@ -98,86 +116,73 @@ class GoursatProblem:
         return int(round(self.X / self.h))
 
 
-def _eval_t(problem, expr, t):
-    return evaluate(expr, {**problem.params, "t": t})
-
-
-def _eval_x(problem, expr, x):
-    return evaluate(expr, {**problem.params, "x": x})
-
-
-def _b0_at_zero(problem):
-    """b0(0), or None when the coefficient is singular there."""
-    try:
-        value = _eval_t(problem, problem.b0, 0.0)
-    except TransmuteError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _diag_smooth(problem, s):
-    """(b1 - b0)(s) minus the declared rho/s pole."""
-    value = _eval_x(problem, problem.b1, s) - _eval_t(problem, problem.b0, s)
-    if problem.rho != 0.0:
-        value -= problem.rho / s
-    return value
-
-
 def diagonal_values(problem, xs):
     """Transport data K(x,x) at the requested abscissae.
 
     Solves 2 sigma K0' + (b1-b0) K0 = 0 in closed form:
     K0(x) = kappa * x^(-rho/(2 sigma)) * exp(-(1/(2 sigma)) S(x)) with
-    S the running integral of the smooth part, accumulated panel by
-    panel with 32-point Gauss-Legendre.
+    S the running integral of the smooth part of b1 - b0 (less the
+    declared rho/s pole). From each abscissa (in increasing order) to the
+    next, S advances in panels of h/2, the last cut short; the smooth
+    part is evaluated once over the 32 Gauss-Legendre nodes of every
+    panel, and a cumulative sum of the panel integrals gives S.
     """
-    xs = list(xs)
-    if any(x < 0.0 for x in xs):
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    if not np.all(xs >= 0.0):
         raise UsageError("diagonal abscissae must be nonnegative")
     exponent = -problem.rho / (2.0 * problem.sigma)
-    if exponent < 0.0 and problem.kappa != 0.0 and any(x == 0.0 for x in xs):
+    if exponent < 0.0 and problem.kappa != 0.0 and np.any(xs == 0.0):
         raise UsageError(
             "diagonal data blows up at x = 0 (rho/(2 sigma) > 0);"
             " set kappa = 0 or keep x > 0"
         )
-    if problem.kappa == 0.0:
-        return [0.0 for _ in xs]
-
-    gl = jacobi_rule(32, 0.0, 0.0)
+    if problem.kappa == 0.0 or xs.size == 0:
+        return [0.0] * xs.size
     panel = problem.h / 2.0
-    order = sorted(range(len(xs)), key=lambda k: xs[k])
-    out = [0.0] * len(xs)
-    integral = 0.0
-    reached = 0.0
-    for idx in order:
-        x = xs[idx]
-        while reached < x - 1e-15 * max(1.0, x):
-            top = min(reached + panel, x)
-            half = 0.5 * (top - reached)
-            mid = 0.5 * (top + reached)
-            integral += half * math.fsum(
-                w * _diag_smooth(problem, mid + half * s)
-                for s, w in zip(gl.nodes, gl.weights)
-            )
-            reached = top
-        if x == 0.0:
-            out[idx] = problem.kappa if exponent == 0.0 else 0.0
-        else:
-            out[idx] = (
-                problem.kappa
-                * x ** exponent
-                * math.exp(-integral / (2.0 * problem.sigma))
-            )
-    return out
+    if xs.max() > MAX_STEPS * problem.h:
+        raise UsageError(
+            f"diagonal abscissa {xs.max():g} is beyond the lattice budget"
+            f" of {MAX_STEPS} steps of h = {problem.h:g}"
+        )
+
+    order = np.argsort(xs, kind="stable")
+    ends = xs[order]
+    starts = np.concatenate(([0.0], ends[:-1]))
+    # panels start where the previous abscissa ended and stop once within
+    # 1e-15 (relative) of the next
+    tol = 1e-15 * np.maximum(1.0, ends)
+    counts = np.maximum(np.ceil((ends - tol - starts) / panel), 0.0).astype(int)
+    done = np.cumsum(counts)
+    gap = np.repeat(np.arange(ends.size), counts)  # the abscissa a panel leads to
+    k = np.arange(done[-1]) - np.repeat(done - counts, counts)  # its place in the gap
+    lo = starts[gap] + k * panel
+    hi = np.minimum(lo + panel, ends[gap])
+    half = 0.5 * (hi - lo)
+    gl = jacobi_rule(32, 0.0, 0.0)
+    s = (0.5 * (hi + lo))[:, None] + half[:, None] * gl.nodes
+    # b1 reads x and b0 reads t, so one tree takes both at the nodes
+    smooth = evaluate(BinOp("-", problem.b1, problem.b0), {**problem.params, "x": s, "t": s})
+    if problem.rho != 0.0:
+        smooth -= problem.rho / s
+    integral = np.concatenate(([0.0], np.cumsum(half * (smooth @ gl.weights))))[done]
+    with np.errstate(over="ignore"):
+        k0 = problem.kappa * ends**exponent * np.exp(-integral / (2.0 * problem.sigma))
+    if not np.all(np.isfinite(k0)):
+        raise NumericalError("diagonal data overflows")
+    out = np.empty(xs.size)
+    out[order] = k0
+    return out.tolist()
 
 
 @dataclass(frozen=True, eq=False)
 class TriangleGrid:
-    """Solved values, one numpy row per level d = i + j (constant x)."""
+    """Solved values, one numpy row per level d = i + j (constant x), and
+    the t = 0 closure the march used ("neumann" or "robin")."""
 
     h: float
     X: float
     levels: tuple
+    boundary: str
 
     @property
     def steps(self):
@@ -283,91 +288,79 @@ def _coefficient_tables(problem, count):
     singular there; the marching never reads it unless the boundary
     closure legitimately needs a regular value.
     """
-    half = problem.h / 2.0
+    s = np.arange(1, count + 1) * (problem.h / 2.0)
     tables = {}
-    for name, expr, kind in (
-        ("b0", problem.b0, "t"),
-        ("c0", problem.c0, "t"),
-        ("b1", problem.b1, "x"),
-        ("c1", problem.c1, "x"),
-    ):
+    for name, var in (("b0", "t"), ("c0", "t"), ("b1", "x"), ("c1", "x")):
+        expr = getattr(problem, name)
         arr = np.empty(count + 1)
-        for m in range(count + 1):
-            s = m * half
-            try:
-                arr[m] = (
-                    _eval_t(problem, expr, s)
-                    if kind == "t"
-                    else _eval_x(problem, expr, s)
-                )
-            except TransmuteError:
-                if m == 0:
-                    arr[m] = math.nan
-                else:
-                    raise
+        try:
+            arr[0] = evaluate(expr, {**problem.params, var: 0.0})
+        except TransmuteError:
+            arr[0] = math.nan
+        arr[1:] = evaluate(expr, {**problem.params, var: s})
         tables[name] = arr
     return tables
 
 
-def _resolve_boundary(problem):
-    b0_zero = _b0_at_zero(problem)
+def _resolve_boundary(problem, b0_zero):
+    """The t = 0 closure, given b0(0) (NaN when b0 is singular there)."""
     flavor = problem.boundary
     if flavor == "auto":
-        if b0_zero is None:
+        if math.isnan(b0_zero):
             flavor = "neumann"
         elif abs(b0_zero + problem.h0 * problem.sigma) <= 1e-13:
             flavor = "neumann"
         else:
             flavor = "robin"
-    if flavor == "robin" and b0_zero is None:
+    if flavor == "robin" and math.isnan(b0_zero):
         raise UsageError(
             "Robin closure needs b0 regular at t = 0; this b0 is singular,"
             " so only the Neumann variant is available"
         )
-    return flavor, b0_zero
+    return flavor
 
 
 def _cell_update(sigma, h, S, Q, base_corner, b0v, b1s, c0v, c1s):
-    """Two corrector sweeps of the characteristic cell rule.
+    """Two corrector sweeps of the characteristic cell rule, fused.
 
     S = K(u-h, v), Q = K(u, v-h), base_corner = K(u-h, v-h); the
-    returned value is K(u, v). Works elementwise on numpy arrays.
+    returned value is K(u, v). A sweep sets p = base + h^2 F(p), where
+    4 sigma F = -(b1 (p - C) + b0 (Q - S)) / h - (c1 - c0)(p + S + Q + C) / 4
+    is affine in p: h^2 F(p) = a p + g. Works elementwise on numpy arrays.
     """
-    base = S + Q - base_corner
-    p = base
-    for _ in range(2):
-        ku = (p + Q - S - base_corner) / (2.0 * h)
-        kv = (p + S - Q - base_corner) / (2.0 * h)
-        km = (p + S + Q + base_corner) / 4.0
-        f = -((b0v + b1s) * ku + (b1s - b0v) * kv + (c1s - c0v) * km) / (
-            4.0 * sigma
-        )
-        p = base + h * h * f
-    return p
+    C = base_corner
+    q = -h / (4.0 * sigma)
+    e = (c1s - c0v) * (-h * h / (16.0 * sigma))
+    a = q * b1s + e
+    sq = S + Q
+    base = sq - C
+    g = q * (b0v * (Q - S) - b1s * C) + e * (sq + C)
+    p = base + a * base + g
+    return base + a * p + g
 
 
 def solve(problem):
     """March the triangle and return the solved TriangleGrid."""
-    n_steps = problem.steps
-    top = 2 * n_steps
-    flavor, b0_zero = _resolve_boundary(problem)
+    top = 2 * problem.steps
     tables = _coefficient_tables(problem, top)
-    if flavor == "neumann" and b0_zero is not None:
+    flavor = _resolve_boundary(problem, tables["b0"][0])
+    if flavor == "neumann" and not math.isnan(tables["b0"][0]):
         # the t = 0 ghost cell reads the endpoint coefficients
         if math.isnan(tables["c0"][0]):
             raise UsageError("Neumann ghost cell needs c0 regular at t = 0")
-    diag = diagonal_values(problem, [d * problem.h / 2.0 for d in range(top + 1)])
+    diag = diagonal_values(problem, np.arange(top + 1) * problem.h / 2.0)
 
     # the per-level isfinite gate reports divergence; keep numpy from
     # announcing the overflow separately on stderr first
     with np.errstate(over="ignore", invalid="ignore"):
-        return _march(problem, diag, flavor, b0_zero, tables)
+        return _march(problem, diag, flavor, tables)
 
 
-def _march(problem, diag, flavor, b0_zero, tables):
+def _march(problem, diag, flavor, tables):
     b0t, c0t = tables["b0"], tables["c0"]
     b1x, c1x = tables["b1"], tables["c1"]
     sigma, h = problem.sigma, problem.h
+    ghost_cell = flavor == "neumann" and not math.isnan(b0t[0])
     top = 2 * problem.steps
     levels = [np.array([diag[0]])]
     for d in range(1, top + 1):
@@ -376,22 +369,21 @@ def _march(problem, diag, flavor, b0_zero, tables):
         prev = levels[d - 1]
         j_hi = (d - 1) // 2
         if j_hi >= 1:
-            js = np.arange(1, j_hi + 1)
-            prev2 = levels[d - 2]
+            # cell j reads b0 and c0 at t = (d - 2j) h/2: reversed strided views
             lvl[1 : j_hi + 1] = _cell_update(
                 sigma,
                 h,
-                prev[js],
-                prev[js - 1],
-                prev2[js - 1],
-                b0t[d - 2 * js],
+                prev[1 : j_hi + 1],
+                prev[:j_hi],
+                levels[d - 2][:j_hi],
+                b0t[d - 2 :: -2][:j_hi],
                 b1x[d - 1],
-                c0t[d - 2 * js],
+                c0t[d - 2 :: -2][:j_hi],
                 c1x[d - 1],
             )
         if d % 2 == 0:
             j0 = d // 2
-            if flavor == "neumann" and b0_zero is not None:
+            if ghost_cell:
                 ghost = prev[j0 - 1]
                 lvl[j0] = _cell_update(
                     sigma,
@@ -412,7 +404,7 @@ def _march(problem, diag, flavor, b0_zero, tables):
                 else:
                     lvl[j0] = lvl[j0 - 1]
             else:  # robin
-                theta = b0_zero + problem.h0 * sigma
+                theta = b0t[0] + problem.h0 * sigma
                 if j0 >= 2:
                     lvl[j0] = (
                         sigma
@@ -421,10 +413,15 @@ def _march(problem, diag, flavor, b0_zero, tables):
                     )
                 else:
                     lvl[j0] = sigma * lvl[j0 - 1] / (sigma + h * theta)
-        if not np.all(np.isfinite(lvl)):
+        if not np.isfinite(lvl).all():
             raise NumericalError(f"non-finite lattice value at level {d}")
         levels.append(lvl)
-    return TriangleGrid(h=h, X=problem.X, levels=tuple(levels))
+    return TriangleGrid(h=h, X=problem.X, levels=tuple(levels), boundary=flavor)
+
+
+# points per array evaluation in ``compare``: its temporaries (and the
+# per-entry lists of a special function) stay near 100 kB at any size
+_COMPARE_POINTS = 4096
 
 
 def compare(grid, reference, params=None):
@@ -432,15 +429,21 @@ def compare(grid, reference, params=None):
     if isinstance(reference, str):
         reference = parse(reference)
     params = params or {}
-    worst = 0.0
-    total = 0.0
+    h = grid.h
+    worst = total = 0.0
     count = 0
-    for _, _, x, t, k in grid.points():
-        ref = evaluate(reference, {**params, "x": x, "t": t})
-        gap = abs(k - ref)
-        worst = max(worst, gap)
-        total += gap * gap
-        count += 1
+    # the last level is the longest
+    per_block = max(1, _COMPARE_POINTS // len(grid.levels[-1]))
+    for first in range(0, len(grid.levels), per_block):
+        block = grid.levels[first : first + per_block]
+        sizes = [len(lvl) for lvl in block]
+        d = np.repeat(np.arange(first, first + len(block)), sizes)
+        j = np.concatenate([np.arange(n) for n in sizes])
+        ref = evaluate(reference, {**params, "x": d * h / 2.0, "t": (d - 2 * j) * h / 2.0})
+        gap = np.abs(np.concatenate(block) - ref)
+        worst = max(worst, float(gap.max()))
+        total += float(gap @ gap)
+        count += gap.size
     return {"max": worst, "l2": math.sqrt(total / count), "count": count}
 
 

@@ -171,6 +171,7 @@ def test_verify_csv_format(capsys):
         ("solve", "--case", "vekua_telegraph", "--tol-solver", "nan"),
         ("solve", "--custom", "kappa_nan.cfg", "--params", "mu=1"),
         ("verify", "--custom", "x_max_inf.cfg", "--params", "mu=1,omega=1"),
+        ("solve", "--case", "vekua_telegraph", "--solver-h", "1e-7"),  # lattice budget
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
@@ -282,6 +283,24 @@ def test_solve_json_stats(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["overall_pass"] is True
     assert payload["max_error"] <= 1e-3
+    # the closure the march used, not the "auto" that was asked for
+    assert (payload["boundary"], payload["sigma"], payload["rho"]) == ("neumann", 1.0, 0.0)
+
+
+def test_solve_json_reports_resolved_robin_closure(tmp_path, capsys):
+    # b0 = 0 and h0 = 1/2 leave theta = 1/2 at t = 0, so "auto" resolves to Robin
+    cfg = tmp_path / "robin.cfg"
+    cfg.write_text(
+        "[operatorA]\nc = \"0\"\nh = 0.5\n\n[operatorB]\nb = \"-1\"\nc = \"0.25\"\n\n"
+        "[solver]\nsigma = 1\nx = 2\nh = 0.015625\nreference = \"exp(t/2)\"\n"
+    )
+    code, out, _ = run(capsys, "solve", "--custom", str(cfg), "--format", "json",
+                       "--no-timestamp")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["boundary"], payload["sigma"], payload["rho"]) == ("robin", 1.0, 0.0)
+    code, out, _ = run(capsys, "solve", "--custom", str(cfg))
+    assert "boundary=robin sigma=1 rho=0" in out
 
 
 def test_malformed_expression_reports_position(tmp_path, capsys):

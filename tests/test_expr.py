@@ -1,13 +1,22 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from transmute.conditions import triangle_grid
-from transmute.errors import DomainError, ParseError, UnboundSymbolError
+from transmute.errors import (
+    AdmissibilityError,
+    DomainError,
+    ParseError,
+    TransmuteError,
+    UnboundSymbolError,
+)
 from transmute.expr import (
     BinOp,
+    Call,
     Jet2,
+    Neg,
     Name,
     Num,
     evaluate,
@@ -129,6 +138,10 @@ def test_unbound_symbol():
         ("gamma(y)", {"y": math.nan}),
         ("gegenbauer(2, y, 0.5)", {"y": math.nan}),
         ("gegenbauer(2, 1, y)", {"y": math.nan}),
+        ("x^2", {"x": 1e200}),
+        ("1e308+1e308", {}),
+        ("sin(y)", {"y": math.nan}),
+        ("sqrt(y)+1", {"y": math.nan}),
     ],
 )
 def test_domain_errors(text, bindings):
@@ -147,6 +160,10 @@ def test_domain_errors(text, bindings):
         # "constant" is structural: 0*x is still a jet
         ("besselj(0*x, t)", {}),
         ("gegenbauer(2, x, 0.5)", {}),
+        ("(y*x)^2", {"y": 5e199}),  # x^2 at x = 1e200
+        ("1e308+1e308", {}),
+        ("sin(y)", {"y": math.nan}),
+        ("sqrt(y)+1", {"y": math.nan}),
     ],
 )
 def test_jet_domain_errors(text, params):
@@ -254,3 +271,115 @@ def test_jet_arithmetic_product_rule(a, b):
     assert prod.dt == pytest.approx(a)
     assert prod.dxt == pytest.approx(1.0)
     assert prod.dxx == 0.0 and prod.dtt == 0.0
+
+
+def test_non_finite_binding_names_the_parameter():
+    with pytest.raises(DomainError, match="bound to y"):
+        evaluate(parse("sin(y)"), {"y": math.inf})
+    with pytest.raises(DomainError, match="bound to t"):
+        evaluate_jet(parse("x+t"), 1.0, math.nan, {})
+    with pytest.raises(DomainError, match=r"bound to x at x=nan"):
+        evaluate(parse("x+1"), {"x": np.array([1.0, math.nan])})
+
+
+# (expression, x entries, t entries, the first point that fails)
+ARRAY_FAILURES = [
+    ("1/(x-t)", [1.0, 2.0, 3.0], [0.5, 2.0, 3.0], "x=2.0, t=2.0"),
+    ("log(x-t)", [1.0, 2.0], [0.5, 2.5], "x=2.0, t=2.5"),
+    ("(x-t)^0.5", [1.0, 2.0], [0.5, 2.5], "x=2.0, t=2.5"),
+    ("(x-t)^(-2)", [1.0, 2.0], [0.5, 2.0], "x=2.0, t=2.0"),
+    ("x^t", [1.0, -1.0], [0.5, 0.5], "x=-1.0, t=0.5"),
+    ("exp(x*t)", [1.0, 30.0], [0.5, 30.0], "x=30.0, t=30.0"),
+    ("(x*t)^2", [1.0, 1e200], [0.5, 1.0], "x=1e+200, t=1.0"),
+    ("gamma(x-t)", [1.0, 2.0], [0.5, 2.0], "x=2.0, t=2.0"),
+    ("besselj(0, x*t)", [1.0, 30.0], [0.5, 1.0], "x=30.0, t=1.0"),
+    ("gegenbauer(2, 1, x/t)", [1.0, 2.0], [0.5, math.inf], "bound to t"),
+]
+
+
+@pytest.mark.parametrize("text,xs,ts,where", ARRAY_FAILURES)
+def test_array_errors_name_the_first_failing_point(text, xs, ts, where):
+    bindings = {"x": np.array(xs), "t": np.array(ts)}
+    # the scalar walk fails at that point too, with the same error type
+    k = len(xs) - 1
+    with pytest.raises(TransmuteError) as scalar:
+        evaluate(parse(text), {"x": xs[k], "t": ts[k]})
+    with pytest.raises(type(scalar.value), match=where.replace("+", r"\+")) as array:
+        evaluate(parse(text), bindings)
+    if "bound" not in where:
+        assert to_string(parse(text)) in str(array.value)
+
+
+def test_array_evaluation_broadcasts():
+    x = np.array([[1.0], [2.0]])
+    t = np.array([0.25, 0.5, 0.75])
+    got = evaluate(parse("x^2-t^2"), {"x": x, "t": t})
+    assert got.shape == (2, 3)
+    assert np.array_equal(got, x * x - t * t)
+    # a tree that reads neither array still gives their shape
+    assert np.array_equal(evaluate(parse("mu^2"), {"mu": 3.0, "x": x, "t": t}),
+                          np.full((2, 3), 9.0))
+    # the result is a fresh array, never the bound one
+    assert evaluate(parse("x"), {"x": t}) is not t
+
+
+def _arithmetic_only(node):
+    """No function calls and only literal integer exponents: the walk then
+    runs numpy's + - * /, which are IEEE operations like Python's."""
+    if isinstance(node, Call):
+        return False
+    if isinstance(node, Neg):
+        return _arithmetic_only(node.arg)
+    if isinstance(node, BinOp):
+        if node.op == "^":
+            e = node.right.arg if isinstance(node.right, Neg) else node.right
+            if not (isinstance(e, Num) and e.value == math.floor(e.value)):
+                return False
+        return _arithmetic_only(node.left) and _arithmetic_only(node.right)
+    return True
+
+
+_PINNED = {"gegenbauer": ("lambda", "p"), "cosh_1f2": ("alpha",)}
+_TRIANGLE = list(triangle_grid())
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(list_cases()), data=st.data())
+def test_array_evaluate_is_scalar_evaluate_per_entry(name, data):
+    # Elementary functions go through numpy's ufuncs, which like libm are
+    # within 1-2 ulp of the exact value; each tree applies at most a few of
+    # them (sin, cosh, exp(v log u) for a power) to arguments that agree
+    # bit for bit, and products and quotients do not amplify relative
+    # error. 8 ulp of the value covers the worst seen (2 ulp) with margin.
+    # Special functions run their scalar series on identical arguments.
+    params = dict(get_case(name).params)
+    for p in params:
+        if p not in _PINNED.get(name, ()):
+            params[p] *= data.draw(st.floats(0.75, 1.25), label=p)
+    try:
+        case = get_case(name, params)
+    except AdmissibilityError:
+        assume(False)
+    xs = np.array([x for x, _ in _TRIANGLE])
+    ts = np.array([t for _, t in _TRIANGLE])
+    exprs = [case.kernel, case.f0, case.f1, case.kernel_smooth, case.f0_smooth]
+    exprs += [getattr(op, slot) for op in (case.opA, case.opB) for slot in "abc"]
+    for e in exprs:
+        scalar = []
+        for x, t in _TRIANGLE:
+            try:
+                scalar.append(evaluate(e, {**case.params, "x": x, "t": t}))
+            except TransmuteError as exc:
+                scalar.append(exc)
+        failed = [v for v in scalar if isinstance(v, TransmuteError)]
+        if failed:
+            with pytest.raises(type(failed[0])):
+                evaluate(e, {**case.params, "x": xs, "t": ts})
+            continue
+        got = evaluate(e, {**case.params, "x": xs, "t": ts})
+        want = np.array(scalar)
+        if _arithmetic_only(e):
+            assert np.array_equal(got, want), to_string(e)
+        else:
+            ulp = np.spacing(np.abs(want))
+            assert np.all(np.abs(got - want) <= 8 * ulp), to_string(e)

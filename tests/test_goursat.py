@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from transmute.errors import NumericalError, UsageError
-from transmute.expr import evaluate_jet, parse
+from transmute.expr import evaluate, evaluate_jet, parse
 from transmute.goursat import (
+    MAX_STEPS,
     GoursatProblem,
     TriangleGrid,
     _cell_update,
@@ -25,6 +26,7 @@ from transmute.goursat import (
     solve,
 )
 from transmute.kernels import get_case
+from transmute.quadrature import jacobi_rule
 
 
 def _telegraph(h, sign="", X=2.0):
@@ -66,15 +68,18 @@ def test_sign_flipped_telegraph_gives_i0():
     assert stats["max"] <= 5e-6
 
 
-def test_robin_boundary_reproduces_exponential():
+def _robin(h):
     # K = exp(t/2) satisfies the pair and the Robin relation with h0 = 1/2
+    return GoursatProblem(
+        sigma=1.0, b0="0", b1="-1", c0="0", c1="0.25",
+        h0=0.5, X=2.0, h=h, boundary="robin",
+    )
+
+
+def test_robin_boundary_reproduces_exponential():
     errs = []
     for h in (1.0 / 64.0, 1.0 / 128.0):
-        problem = GoursatProblem(
-            sigma=1.0, b0="0", b1="-1", c0="0", c1="0.25",
-            h0=0.5, X=2.0, h=h, boundary="robin",
-        )
-        errs.append(compare(solve(problem), "exp(t/2)")["max"])
+        errs.append(compare(solve(_robin(h)), "exp(t/2)")["max"])
     assert errs[0] <= 2e-4 and errs[1] <= 5e-5
     assert 3.0 <= errs[0] / errs[1] <= 5.0  # second order at the wall too
 
@@ -105,7 +110,184 @@ def solve_even(problem):
                                     b0t[m], b1x[d - 1], c0t[m], c1x[d - 1])
         full.append(lvl)
     levels = tuple(lvl[: d // 2 + 1] for d, lvl in enumerate(full))
-    return TriangleGrid(h=h, X=problem.X, levels=levels)
+    return TriangleGrid(h=h, X=problem.X, levels=levels, boundary="neumann")
+
+
+def diagonal_panel_loop(problem, xs):
+    """Transport data panel by panel, one scalar evaluation per node: an
+    oracle for the array version in ``diagonal_values``."""
+    exponent = -problem.rho / (2.0 * problem.sigma)
+    if problem.kappa == 0.0:
+        return [0.0 for _ in xs]
+
+    def smooth(s):
+        value = (evaluate(problem.b1, {**problem.params, "x": s})
+                 - evaluate(problem.b0, {**problem.params, "t": s}))
+        return value - problem.rho / s if problem.rho != 0.0 else value
+
+    gl = jacobi_rule(32, 0.0, 0.0)
+    panel = problem.h / 2.0
+    out = [0.0] * len(xs)
+    integral = 0.0
+    reached = 0.0
+    for idx in sorted(range(len(xs)), key=lambda k: xs[k]):
+        x = xs[idx]
+        while reached < x - 1e-15 * max(1.0, x):
+            top = min(reached + panel, x)
+            half = 0.5 * (top - reached)
+            mid = 0.5 * (top + reached)
+            integral += half * math.fsum(
+                w * smooth(mid + half * s) for s, w in zip(gl.nodes, gl.weights)
+            )
+            reached = top
+        if x == 0.0:
+            out[idx] = problem.kappa if exponent == 0.0 else 0.0
+        else:
+            out[idx] = (problem.kappa * x ** exponent
+                        * math.exp(-integral / (2.0 * problem.sigma)))
+    return out
+
+
+def cell_two_sweep(sigma, h, S, Q, base_corner, b0v, b1s, c0v, c1s):
+    """The cell rule as two full predictor-corrector sweeps, each taking
+    K_u, K_v and K at the midpoint afresh: an oracle for the fused
+    ``_cell_update``."""
+    base = S + Q - base_corner
+    p = base
+    for _ in range(2):
+        ku = (p + Q - S - base_corner) / (2.0 * h)
+        kv = (p + S - Q - base_corner) / (2.0 * h)
+        km = (p + S + Q + base_corner) / 4.0
+        f = -((b0v + b1s) * ku + (b1s - b0v) * kv + (c1s - c0v) * km) / (
+            4.0 * sigma
+        )
+        p = base + h * h * f
+    return p
+
+
+def march_two_sweep(problem):
+    """The march with scalar coefficient tables, the panel-loop diagonal,
+    index gathers and the two-sweep cell: an oracle for ``solve``.
+
+    Only the closures the agreement tests use: the Robin wall when the
+    problem asks for it, else the Neumann ghost cell (b0 regular at 0).
+    """
+    sigma, h = problem.sigma, problem.h
+    top = 2 * problem.steps
+    tab = {}
+    for name, var in (("b0", "t"), ("c0", "t"), ("b1", "x"), ("c1", "x")):
+        expr = getattr(problem, name)
+        tab[name] = np.array([evaluate(expr, {**problem.params, var: m * (h / 2.0)})
+                              for m in range(top + 1)])
+    b0t, c0t, b1x, c1x = (tab[k] for k in ("b0", "c0", "b1", "c1"))
+    diag = diagonal_panel_loop(problem, [d * h / 2.0 for d in range(top + 1)])
+    levels = [np.array([diag[0]])]
+    for d in range(1, top + 1):
+        lvl = np.empty(d // 2 + 1)
+        lvl[0] = diag[d]
+        prev, prev2 = levels[d - 1], levels[d - 2] if d >= 2 else None
+        j_hi = (d - 1) // 2
+        if j_hi >= 1:
+            js = np.arange(1, j_hi + 1)
+            lvl[1:j_hi + 1] = cell_two_sweep(
+                sigma, h, prev[js], prev[js - 1], prev2[js - 1],
+                b0t[d - 2 * js], b1x[d - 1], c0t[d - 2 * js], c1x[d - 1])
+        if d % 2 == 0:
+            j0 = d // 2
+            if problem.boundary == "robin":
+                theta = b0t[0] + problem.h0 * sigma
+                if j0 >= 2:
+                    lvl[j0] = (sigma * (4.0 * lvl[j0 - 1] - lvl[j0 - 2])
+                               / (3.0 * sigma + 2.0 * h * theta))
+                else:
+                    lvl[j0] = sigma * lvl[j0 - 1] / (sigma + h * theta)
+            else:
+                ghost = prev[j0 - 1]
+                lvl[j0] = cell_two_sweep(sigma, h, ghost, ghost, prev2[j0 - 1],
+                                         b0t[0], b1x[d - 1], c0t[0], c1x[d - 1])
+        levels.append(lvl)
+    return levels
+
+
+@pytest.mark.parametrize("problem", [
+    _telegraph(1.0 / 64.0),
+    _robin(1.0 / 64.0),
+    # every coefficient nonzero, so each term of the fused cell is exercised
+    GoursatProblem(sigma=1.0, b0="t", b1="0.5*x", c0="0.3*t", c1="1+x",
+                   X=1.0, h=1.0 / 64.0),
+    GoursatProblem(sigma=-1.0, b0="1+t", b1="0.5*x", c0="0.3*t", c1="1+x",
+                   h0=0.5, X=1.0, h=1.0 / 64.0, boundary="robin"),
+], ids=["telegraph", "robin", "ghost_all_terms", "robin_all_terms"])
+def test_fused_march_matches_two_sweep_oracle(problem):
+    grid = solve(problem)
+    assert grid.boundary == ("robin" if problem.boundary == "robin" else "neumann")
+    oracle = march_two_sweep(problem)
+    assert len(grid.levels) == len(oracle)
+    for got, want in zip(grid.levels, oracle):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _lattice_xs(problem):
+    return [d * problem.h / 2.0 for d in range(2 * problem.steps + 1)]
+
+
+# every GoursatProblem this file builds, by the name of its test
+DIAGONAL_PROBLEMS = {
+    "trivial": dict(sigma=1.0, b0="0", b1="0", c0="0", c1="0", X=1.0, h=1.0 / 16.0),
+    "telegraph": dict(sigma=1.0, b0="0", b1="0", c0="0", c1="mu^2",
+                      X=2.0, h=1.0 / 32.0, params={"mu": 1.0}),
+    "robin": dict(sigma=1.0, b0="0", b1="-1", c0="0", c1="0.25", h0=0.5,
+                  X=2.0, h=1.0 / 64.0, boundary="robin"),
+    "even_b0": dict(sigma=1.0, b0="t", b1="0", c0="0", c1="0", X=1.0, h=1.0 / 8.0),
+    "power_law": dict(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0", rho=1.0,
+                      X=2.0, h=1.0 / 16.0),
+    "gaussian": dict(sigma=1.0, b0="0", b1="2*x", c0="0", c1="0", X=2.0, h=1.0 / 16.0),
+    "kappa_zero": dict(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0", rho=1.0,
+                       kappa=0.0, X=2.0, h=1.0 / 16.0),
+    "c0_singular": dict(sigma=1.0, b0="0", b1="0", c0="1/t", c1="0", X=1.0,
+                        h=1.0 / 8.0, boundary="neumann"),
+    "b0_singular": dict(sigma=1.0, b0="-1/t", b1="0", c0="0", c1="0", X=1.0,
+                        h=1.0 / 8.0, boundary="robin"),
+    "divergent": dict(sigma=-1.0, b0="0", b1="0", c0="0", c1="1e8", X=2.0, h=1.0 / 16.0),
+    "geometry": dict(sigma=1.0, b0="0", b1="0", c0="0", c1="0", X=1.0, h=0.25),
+    "sigma_minus_b": dict(sigma=-1.0, b0="t^2", b1="sin(x)", c0="0", c1="0",
+                          rho=0.5, X=1.5, h=1.0 / 32.0),
+}
+
+
+@pytest.mark.parametrize("problem", [
+    *(GoursatProblem(**kw) for kw in DIAGONAL_PROBLEMS.values()),
+    *(problem_from_case(get_case(name), X=2.0, h=1.0 / 32.0)
+      for name in ("vekua_telegraph", "lowndes", "sonin")),
+], ids=[*DIAGONAL_PROBLEMS, "vekua_telegraph", "lowndes", "sonin"])
+def test_diagonal_matches_panel_loop_oracle(problem):
+    X = problem.X
+    # unsorted and repeated, off the lattice and on it
+    xs = [0.7 * X, 0.25 * X, 0.25 * X, X, 0.5 * X + 1e-3, 1e-3 * X, 0.25 * X, 0.0, 0.3 * X]
+    for sample in (xs, _lattice_xs(problem)):
+        if problem.rho / problem.sigma > 0.0:  # K(x,x) blows up at x = 0
+            sample = [x for x in sample if x > 0.0]
+        got = diagonal_values(problem, sample)
+        assert isinstance(got, list)
+        want = diagonal_panel_loop(problem, sample)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_lattice_budget_is_checked_before_solving():
+    h = 1.0 / 512.0
+    base = dict(sigma=1.0, b0="0", b1="0", c0="0", c1="0", h=h)
+    assert MAX_STEPS >= 2048  # the benchmark ladder's finest rung
+    assert GoursatProblem(X=MAX_STEPS * h, **base).steps == MAX_STEPS
+    with pytest.raises(UsageError, match="budget"):
+        GoursatProblem(X=(MAX_STEPS + 1) * h, **base)
+    with pytest.raises(UsageError, match="budget"):
+        GoursatProblem(X=2.0, **{**base, "h": 1e-7})
+
+
+def test_diagonal_abscissa_beyond_the_budget_is_refused():
+    problem = _telegraph(1.0 / 64.0)
+    with pytest.raises(UsageError, match="budget"):
+        diagonal_values(problem, [1.0, 1e9])
 
 
 def test_even_extension_equals_neumann_ghost():
