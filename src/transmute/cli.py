@@ -25,6 +25,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, conditions, goursat, kernels, quadrature
 from .errors import (
     AdmissibilityError,
@@ -422,14 +424,12 @@ def cmd_apply(args):
         xs = [args.x]
     else:
         xs = conditions.sample_points(case, args.x_count)
-    rows = []
-    worst = 0.0
-    for x in xs:
-        lhs = quadrature.apply_transmutation(case, x, args.quad_order)
-        f1 = evaluate(case.f1, {**case.params, "x": x})
-        rel = abs(lhs - f1) / (1.0 + abs(f1))
-        worst = max(worst, rel)
-        rows.append((x, lhs, f1, rel))
+    xs = np.array(xs, dtype=float)
+    lhs = quadrature.apply_transmutation(case, xs, args.quad_order)
+    f1 = evaluate(case.f1, {**case.params, "x": xs})
+    rel = np.abs(lhs - f1) / (1.0 + np.abs(f1))
+    rows = list(zip(xs.tolist(), lhs.tolist(), f1.tolist(), rel.tolist()))
+    worst = max(rel.tolist(), default=0.0)
     passed = worst <= args.tol_identity
     if args.format == "json":
         payload = {

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import NumericalError, TransmuteError, UsageError
 from .expr import evaluate, evaluate_jet
 from .operators import eigen_residual
@@ -148,17 +150,17 @@ def sample_points(case, n=20):
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
-def hyperbolic_terms(case, kernel_jets, x, t):
-    """The six terms of the hyperbolic identity at one point.
+def hyperbolic_terms(case, x, t):
+    """The six terms of the hyperbolic identity at the points (x, t).
 
-    Returns (lhs, rhs, terms) where
+    x and t are floats or arrays that broadcast together.  Returns
+    (lhs, rhs, terms) where
       lhs = d/dt(a0 dK/dt) - b0 dK/dt + c0 K   (divergence side, in t)
       rhs = a1 d2K/dx2 + b1 dK/dx + c1 K       (non-divergence side, in x)
     and terms collects the six magnitudes used for relative scaling.
-    ``kernel_jets(x, t)`` must return a second-order jet of K.
     """
     params = case.params
-    jk = kernel_jets(x, t)
+    jk = evaluate_jet(case.kernel, x, t, params)
     ja0 = evaluate_jet(case.opA.a, 0.0, t, params)
     b0, c0 = case.opA.coefficient_values(t, params)[1:]
     a1, b1, c1 = case.opB.coefficient_values(x, params)
@@ -176,49 +178,58 @@ def hyperbolic_terms(case, kernel_jets, x, t):
     return lhs, rhs, terms
 
 
-def check_hyperbolic(case, grid=None, tol=1e-8, kernel_jets=None):
+def _hyperbolic_residuals(case, x, t):
+    """(|lhs - rhs|, |lhs - rhs| / (1 + max|term|)) at the points (x, t)."""
+    with np.errstate(all="ignore"):  # a non-finite residual is a failure
+        lhs, rhs, terms = hyperbolic_terms(case, x, t)
+        diff = np.abs(lhs - rhs)
+        return diff, diff / (1.0 + np.max(np.abs(terms), axis=0))
+
+
+def check_hyperbolic(case, grid=None, tol=1e-8):
     """Residual of the hyperbolic identity over a triangle grid.
 
-    Per-point residual is |lhs - rhs| / (1 + max|term|); domain errors
-    at individual points are collected, and only an all-points failure
-    raises.
+    Per-point residual is |lhs - rhs| / (1 + max|term|), evaluated over
+    the whole grid at once.  Points where it fails (a domain error or a
+    non-finite residual) are listed in ``failures`` with the reason, and
+    only an all-points failure raises.
     """
     if grid is None:
         grid = triangle_grid()
-    grid = list(grid)
-    if not grid:
+    pts = np.array(list(grid), dtype=float).reshape(-1, 2)
+    if not len(pts):
         raise UsageError("hyperbolic check needs a non-empty grid")
-    if kernel_jets is None:
-        kernel_jets = lambda x, t: evaluate_jet(case.kernel, x, t, case.params)
-    residuals = []
-    raw = []
-    failures = []
-    for x, t in grid:
-        if not 0.0 < t < x:
-            raise UsageError(f"grid point ({x!r}, {t!r}) outside 0 < t < x")
-        try:
-            lhs, rhs, terms = hyperbolic_terms(case, kernel_jets, x, t)
-        except TransmuteError as exc:
-            failures.append((x, t, str(exc)))
-            continue
-        diff = abs(lhs - rhs)
-        scale = 1.0 + max(abs(v) for v in terms)
-        if not math.isfinite(diff / scale):
-            failures.append((x, t, "non-finite residual"))
-            continue
-        raw.append(diff)
-        residuals.append(diff / scale)
-    if not residuals:
-        first = failures[0] if failures else ("?", "?", "empty grid")
+    x, t = pts.T
+    outside = ~((0.0 < t) & (t < x))
+    if outside.any():
+        bad = tuple(pts[np.argmax(outside)].tolist())
+        raise UsageError(f"grid point {bad!r} outside 0 < t < x")
+    errors = {}
+    try:
+        raw, res = _hyperbolic_residuals(case, x, t)
+    except TransmuteError:
+        # the array walk stops at the first failing point: walk each
+        # point on its own to list them all
+        raw, res = np.full((2, len(pts)), np.nan)
+        for k, (xk, tk) in enumerate(pts.tolist()):
+            try:
+                raw[k], res[k] = _hyperbolic_residuals(case, xk, tk)
+            except TransmuteError as exc:
+                errors[k] = str(exc)
+    ok = np.isfinite(res)
+    failures = [(xk, tk, errors.get(k, "non-finite residual"))
+                for k, (xk, tk) in enumerate(pts.tolist()) if not ok[k]]
+    if not ok.any():
+        first = failures[0]
         raise NumericalError(
             f"hyperbolic residual failed at every grid point;"
             f" first error at ({first[0]!r}, {first[1]!r}): {first[2]}"
         )
     return {
-        "max": max(residuals),
-        "mean": math.fsum(residuals) / len(residuals),
-        "max_raw": max(raw),
-        "count": len(residuals),
+        "max": float(res[ok].max()),
+        "mean": math.fsum(res[ok].tolist()) / int(ok.sum()),
+        "max_raw": float(raw[ok].max()),
+        "count": int(ok.sum()),
         "failures": failures,
     }
 
@@ -268,11 +279,12 @@ def _decay_verdict(seq_vals, values, *, tiny, min_slope, drop):
 
 
 def transport_residual(case, x, delta):
-    """(raw, scaled) diagonal transport residual at one (x, delta).
+    """(raw, scaled) diagonal transport residual at (x, delta).
 
     raw = |2 a(x) dK(x, x-delta)/dx + (b1(x) - b0(x)) K(x, x-delta)|
     with dK/dx taken along the diagonal direction (d/dx + d/dt) and b0
-    evaluated at t = x; scaled divides by (1 + |K|).
+    evaluated at t = x; scaled divides by (1 + |K|).  x and delta are
+    floats or arrays that broadcast together.
     """
     params = case.params
     jk = evaluate_jet(case.kernel, x, x - delta, params)
@@ -293,12 +305,11 @@ def check_diagonal(case, xs=None, config=None):
     if not xs:
         raise UsageError("diagonal check needs sample points")
     params = case.params
+    s = np.array(xs, dtype=float)
 
-    coeff_gaps = []
-    for s in xs:
-        a0 = evaluate(case.opA.a, {**params, "t": s})
-        a1 = evaluate(case.opB.a, {**params, "x": s})
-        coeff_gaps.append(abs(a0 - a1))
+    a0 = evaluate(case.opA.a, {**params, "t": s})
+    a1 = evaluate(case.opB.a, {**params, "x": s})
+    coeff_gaps = np.abs(a0 - a1).tolist()
     rec_4b1 = ConditionRecord(
         id="4b1",
         grid=f"{len(xs)} shared samples in [{xs[0]:g}, {xs[-1]:g}]",
@@ -308,13 +319,11 @@ def check_diagonal(case, xs=None, config=None):
         passed=max(coeff_gaps) <= cfg.tol_4b1,
     )
 
-    # 4b2: scan t = x - delta for a shrinking sequence of relative deltas
-    per_delta = []
-    raw_per_delta = []
-    for rel in cfg.delta_rel:
-        pointwise = [transport_residual(case, x, rel * x) for x in xs]
-        per_delta.append(max(scaled for _, scaled in pointwise))
-        raw_per_delta.append(max(raw for raw, _ in pointwise))
+    # 4b2: scan t = x - delta for a shrinking sequence of relative deltas,
+    # one row of the grid per delta
+    raw, scaled = transport_residual(case, s, np.array(cfg.delta_rel)[:, None] * s)
+    per_delta = scaled.max(axis=1).tolist()
+    raw_per_delta = raw.max(axis=1).tolist()
     passed, slope, why = _decay_verdict(
         list(cfg.delta_rel),
         per_delta,
@@ -350,17 +359,14 @@ def check_boundary_t0(case, xs=None, eps_seq=None, config=None):
     if not xs or not eps_seq:
         raise UsageError("boundary check needs sample points and an eps sequence")
     params = case.params
-    values = []
-    for eps in eps_seq:
-        f0 = evaluate(case.f0, {**params, "t": eps})
-        a = evaluate(case.opA.a, {**params, "t": eps})
-        b0 = evaluate(case.opA.b, {**params, "t": eps})
-        worst = 0.0
-        for x in xs:
-            jk = evaluate_jet(case.kernel, x, eps, params)
-            bracket = a * jk.dt - b0 * jk.value - case.opA.h * a * jk.value
-            worst = max(worst, abs(bracket * f0))
-        values.append(worst)
+    # one row of the grid per eps, one column per abscissa
+    eps = np.array(eps_seq, dtype=float)[:, None]
+    f0 = evaluate(case.f0, {**params, "t": eps})
+    a = evaluate(case.opA.a, {**params, "t": eps})
+    b0 = evaluate(case.opA.b, {**params, "t": eps})
+    jk = evaluate_jet(case.kernel, np.array(xs, dtype=float), eps, params)
+    bracket = a * jk.dt - b0 * jk.value - case.opA.h * a * jk.value
+    values = np.abs(bracket * f0).max(axis=1).tolist()
     passed, slope, why = _decay_verdict(
         eps_seq,
         values,
@@ -392,14 +398,14 @@ def check_vertex(case, pairs=None, config=None):
     pairs = list(pairs)
     if not pairs:
         raise UsageError("vertex check needs (eps, delta) pairs")
-    params = case.params
-    values = []
     for eps, delta in pairs:
         if not 0.0 < delta < eps:
             raise UsageError(f"vertex pair needs 0 < delta < eps, got ({eps}, {delta})")
-        k = evaluate(case.kernel, {**params, "x": eps, "t": eps - delta})
-        f0 = evaluate(case.f0, {**params, "t": eps})
-        values.append(abs(k * f0))
+    params = case.params
+    e, d = np.array(pairs, dtype=float).T
+    k = evaluate(case.kernel, {**params, "x": e, "t": e - d})
+    f0 = evaluate(case.f0, {**params, "t": e})
+    values = np.abs(k * f0).tolist()
     eps_vals = [eps for eps, _ in pairs]
     passed, slope, why = _decay_verdict(
         eps_vals,
@@ -511,7 +517,8 @@ def verify_all(case, config=None):
         tolerance=cfg.tol_4a,
         passed=hyp["max"] <= cfg.tol_4a and not hyp["failures"],
         detail=(
-            f"{len(hyp['failures'])} points failed to evaluate"
+            f"{len(hyp['failures'])} points failed to evaluate;"
+            " first at ({!r}, {!r}): {}".format(*hyp["failures"][0])
             if hyp["failures"]
             else ""
         ),

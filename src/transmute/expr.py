@@ -19,19 +19,23 @@ state into the tree, and evaluation never mutates it, so one parsed
 expression can be shared between threads and across parameter sweeps.
 
 Evaluation is one tree walk over values that are floats, second-order
-jets (:class:`Jet2`) or numpy arrays.  ``evaluate`` binds plain numbers,
-or arrays to some names (x and t, say); ``evaluate_jet`` binds x and t to
-jet seeds.  Jets and arrays spread only from the names bound to them, so
-a subtree that depends on parameters alone stays a float and calls the
-plain value of each function.  A jet's value is therefore exactly the
-float result.  Only the last argument of a function may depend on x or t
-in a jet.  On arrays, arithmetic is numpy's (bit for bit the float
-result), elementary functions are numpy ufuncs (within a few ulp of
-``math``), and special functions run their scalar series per entry.
+jets (:class:`Jet2`, of floats or of arrays) or numpy arrays.
+``evaluate`` binds plain numbers, or arrays to some names (x and t,
+say); ``evaluate_jet`` binds x and t to jet seeds, floats or arrays.
+Jets and arrays spread only from the names bound to them, so a subtree
+that depends on parameters alone stays a float and calls the plain value
+of each function.  A jet's value is therefore exactly the float result.
+Only the last argument of a function may depend on x or t in a jet.  On
+arrays, arithmetic is numpy's (bit for bit the float result), elementary
+functions and their jets are numpy ufuncs (within a few ulp of
+``math``), the Bessel functions, gegenbauer and hyp1f2 sum their series
+over the whole array (each entry exactly the float value), and gamma
+runs per entry.
 
 Powers with a literal integer exponent are evaluated by repeated
 multiplication (valid for negative bases, exact for jets); any other
-exponent goes through exp(v*log(u)) and requires a positive base.
+exponent goes through exp(v*log(u)) and requires a positive base (a
+constant zero base stays zero under a positive power).
 Domain violations raise :class:`~transmute.errors.DomainError` naming
 the offending subexpression (and, for arrays, the first failing point)
 instead of letting NaN propagate; a non-finite bound value or result is
@@ -319,9 +323,10 @@ def free_symbols(node: Expr) -> set[str]:
 class Jet2:
     """Value and partial derivatives through second order in (x, t).
 
-    A plain float on either side of an operator acts as a constant.  The
-    value of a quotient is the float quotient of the values, so a jet's
-    value is bit for bit what float evaluation gives.
+    The components are floats, or numpy arrays of one shape for a jet at
+    many points.  A plain float on either side of an operator acts as a
+    constant.  The value of a quotient is the float quotient of the
+    values, so a jet's value is bit for bit what float evaluation gives.
     """
 
     value: float
@@ -330,6 +335,9 @@ class Jet2:
     dxx: float = 0.0
     dxt: float = 0.0
     dtt: float = 0.0
+
+    # numpy operands defer to Jet2's operators instead of building object arrays
+    __array_ufunc__ = None
 
     def __neg__(self) -> "Jet2":
         return Jet2(-self.value, -self.dx, -self.dt, -self.dxx, -self.dxt, -self.dtt)
@@ -438,17 +446,19 @@ _ndarray = np.ndarray
 
 def _where(env, bad) -> str:
     """' at x=..., t=...': the first point where the mask ``bad`` holds,
-    given by the value of every array bound in ``env``."""
-    names = [k for k, v in env.items() if type(v) is _ndarray]
-    shape = np.broadcast_shapes(*(env[k].shape for k in names))
+    given by the value of every array (or jet of arrays) bound in ``env``."""
+    arrays = {k: a for k, v in env.items() if type(a := getattr(v, "value", v)) is _ndarray}
+    if not arrays:
+        return ""
+    shape = np.broadcast_shapes(*(v.shape for v in arrays.values()))
     k = int(np.argmax(np.broadcast_to(bad, shape)))
-    at = ", ".join(f"{n}={float(np.broadcast_to(env[n], shape).flat[k])!r}" for n in names)
+    at = ", ".join(f"{n}={float(np.broadcast_to(v, shape).flat[k])!r}" for n, v in arrays.items())
     return f" at {at}"
 
 
 def _require(node, env, bad, what):
     """Raise DomainError naming ``node`` and the first point where ``bad`` holds."""
-    if np.any(bad):
+    if bad if type(bad) is bool else bad.any():
         raise DomainError(f"{what} in {to_string(node)}{_where(env, bad)}")
 
 
@@ -456,7 +466,8 @@ def _entrywise(env, f, args):
     """The scalar rule ``f`` over the broadcast entries of ``args``.
 
     Entries go in as Python floats, so each value is the one the scalar
-    walk gives; an error gains the point where it happened.
+    walk gives; an error gains the point where it happened.  A rule that
+    returns a (f, f', f'') triple gives an array with a last axis of 3.
     """
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     cols = [
@@ -471,7 +482,8 @@ def _entrywise(env, f, args):
             bad = np.zeros(shape, bool)
             bad.flat[k] = True
             raise type(exc)(f"{exc}{_where(env, bad)}") from None
-    return np.array(out, dtype=float).reshape(shape)
+    out = np.array(out, dtype=float)
+    return out.reshape(shape + out.shape[1:])
 
 
 _CALL_ERRORS = (ValueError, ArithmeticError, DomainError, SpecFunError)
@@ -484,59 +496,88 @@ def _in_call(node, exc):
     return kind(f"{exc} in {to_string(node)}")
 
 
-def _array_power(node, env, u, v):
-    """u^v with u or v an array, by the rules of the scalar walk."""
+def _power(node, env, u, v):
+    """u^v for floats, jets and arrays alike, by the rules in the module docstring."""
     if type(v) is _ndarray:
-        # an exponent that varies: the scalar walk of this node, point by point
+        # an exponent that varies: the float walk of this node, point by point
         names = [k for k, a in env.items() if type(a) is _ndarray]
         return _entrywise(
             env,
             lambda *p: _walk(node, {**env, **dict(zip(names, p))}),
             [env[k] for k in names],
         )
-    n = _as_int_exponent(v)
+    u0 = u.value if type(u) is Jet2 else u
+    v0 = v.value if type(v) is Jet2 else v
+    n = None if type(v) is Jet2 else _as_int_exponent(v)
     if n is not None:
         if n == 0:
             return 1.0
         r = _int_pow(u, abs(n))
         if n > 0:
             return r
-        _require(node, env, u == 0.0, "zero base with negative exponent")
-        _require(node, env, r == 0.0, "division by zero")
+        _require(node, env, u0 == 0.0, "zero base with negative exponent")
+        _require(node, env, (r.value if type(r) is Jet2 else r) == 0.0, "division by zero")
         return 1.0 / r
-    if not math.isfinite(v):
+    if type(v0) is not _ndarray and not math.isfinite(v0):
         raise DomainError(f"non-finite exponent in {to_string(node)}")
-    # a zero base stays zero under a positive power: exp(v * -inf) = 0
-    _require(node, env, (u < 0.0) | ((u == 0.0) & (v <= 0.0)),
+    _require(node, env, (u0 < 0.0) | ((u0 == 0.0) & ((v0 <= 0.0) | (type(u) is Jet2))),
              "non-integer power needs a positive base")
-    f = np.exp(v * np.log(u))
-    _require(node, env, np.isinf(f), "overflow")
+    if type(u) is float and u == 0.0:
+        return 0.0
+    # math raises OverflowError for floats; arrays are checked below
+    m = np if type(u0) is _ndarray or type(v0) is _ndarray else math
+    if type(v) is Jet2:
+        log_u = m.log(u0)
+        if type(u) is Jet2:
+            log_u = u.chain(log_u, 1.0 / u0, -1.0 / (u0 * u0))
+        w = v * log_u
+        f = m.exp(w.value)
+    else:
+        # exp(v * -inf) = 0 at a zero base of an array
+        f = m.exp(v * m.log(u0))
+    _require(node, env, f == math.inf, "overflow")
+    if type(v) is Jet2:
+        return w.chain(f, f, f)
+    if type(u) is Jet2:
+        return u.chain(f, v * f / u0, v * (v - 1.0) * f / (u0 * u0))
     return f
 
 
 def _array_call(node, env, spec, args, z):
-    """A function applied with some argument an array; ``z`` is the last."""
-    if spec.ufunc is None:
-        # special functions keep their one scalar series, run per entry
-        def one(*a):
-            try:
-                return spec.value(*a)
-            except _CALL_ERRORS as exc:
-                raise _in_call(node, exc) from None
+    """A function with an array, or a jet of arrays, among its arguments;
+    ``z`` is the last one."""
+    jet = type(z) is Jet2
+    u = z.value if jet else z
+    rule = spec.jet if jet else spec.value
 
-        return _entrywise(env, one, (*args, z))
-    out = spec.ufunc(z)
-    _require(node, env, np.isfinite(z) & ~np.isfinite(out), "no finite value")
-    return out
+    def one(*a):
+        try:
+            return rule(*a)
+        except _CALL_ERRORS as exc:
+            raise _in_call(node, exc) from None
+
+    if spec.array is None or any(type(a) is _ndarray for a in args):
+        # no array rule, or an array parameter: the scalar rule per entry
+        out = _entrywise(env, one, (*args, u))
+        out = np.moveaxis(out, -1, 0) if jet else out
+    else:
+        try:
+            out = (rule if jet else spec.array)(*args, u)
+        except _CALL_ERRORS as exc:
+            _entrywise(env, one, (*args, u))  # names the first failing point
+            raise _in_call(node, exc) from None
+    finite = np.isfinite(np.broadcast_arrays(*out)).all(axis=0) if jet else np.isfinite(out)
+    _require(node, env, np.isfinite(u) & ~finite, "no finite value")
+    return z.chain(*out) if jet else out
 
 
 def _walk(node: Expr, env: Mapping[str, object]):
     """The one tree walk behind ``evaluate`` and ``evaluate_jet``.
 
-    ``env`` maps names to numbers, to Jet2 seeds or to numpy arrays.
-    Jets and arrays spread only from the names bound to them, so a
-    subtree that reads neither stays a float and calls the plain value of
-    each function.
+    ``env`` maps names to numbers, to Jet2 seeds (of floats or of arrays)
+    or to numpy arrays.  Jets and arrays spread only from the names bound
+    to them, so a subtree that reads neither stays a float and calls the
+    plain value of each function.
     """
     kind = type(node)
     if kind is Num:
@@ -565,69 +606,32 @@ def _walk(node: Expr, env: Mapping[str, object]):
             return u - v
         if op == "*":
             return u * v
-        if type(u) is _ndarray or type(v) is _ndarray:
-            if op == "/":
-                _require(node, env, v == 0.0, "division by zero")
-                return u / v
-            return _array_power(node, env, u, v)
         try:
             if op == "/":
+                _require(node, env, (v.value if type(v) is Jet2 else v) == 0.0,
+                         "division by zero")
                 return u / v
-            u0 = u.value if type(u) is Jet2 else u
-            if type(v) is Jet2:
-                v0, n = v.value, None
-            else:
-                v0, n = v, _as_int_exponent(v)
-            if n is not None:
-                if n == 0:
-                    return 1.0
-                if u0 == 0.0 and n < 0:
-                    raise DomainError(
-                        f"zero base with negative exponent in {to_string(node)}"
-                    )
-                r = _int_pow(u, abs(n))
-                return 1.0 / r if n < 0 else r
-            if not math.isfinite(v0):
-                raise DomainError(f"non-finite exponent in {to_string(node)}")
-            if u0 <= 0.0:
-                # a constant zero base stays zero under a positive power
-                if u0 == 0.0 and v0 > 0.0 and type(u) is not Jet2:
-                    return 0.0
-                raise DomainError(
-                    f"non-integer power needs a positive base in {to_string(node)}"
-                )
-            if type(v) is Jet2:
-                log_u = math.log(u0)
-                if type(u) is Jet2:
-                    log_u = u.chain(log_u, 1.0 / u0, -1.0 / (u0 * u0))
-                w = v * log_u
-                e = math.exp(w.value)
-                return w.chain(e, e, e)
-            f = math.exp(v0 * math.log(u0))
-            if type(u) is Jet2:
-                return u.chain(f, v0 * f / u0, v0 * (v0 - 1.0) * f / (u0 * u0))
-            return f
-        except ZeroDivisionError:
-            raise DomainError(f"division by zero in {to_string(node)}") from None
+            return _power(node, env, u, v)
         except OverflowError:
             raise DomainError(f"overflow in {to_string(node)}") from None
     if kind is Call:
         args = [_walk(a, env) for a in node.args]
         z = args.pop()
         spec = FUNCTIONS[node.name]
-        if type(z) is _ndarray:
-            return _array_call(node, env, spec, args, z)
+        z0 = z.value if type(z) is Jet2 else z
+        array = type(z0) is _ndarray
         for a in args:
             if type(a) is Jet2:
                 raise DomainError(
                     f"only the last argument of {node.name} may depend on x or t:"
                     f" {to_string(node)}"
                 )
-            if type(a) is _ndarray:
-                return _array_call(node, env, spec, args, z)
+            array = array or type(a) is _ndarray
+        if array:
+            return _array_call(node, env, spec, args, z)
         try:
             if type(z) is Jet2:
-                return z.chain(*spec.jet(*args, z.value))
+                return z.chain(*spec.jet(*args, z0))
             return spec.value(*args, z)
         except _CALL_ERRORS as exc:
             raise _in_call(node, exc) from None
@@ -649,7 +653,9 @@ def evaluate(node: Expr, bindings: Mapping[str, object]):
     return out
 
 
-def _evaluate_array(node, bindings):
+def _evaluate_array(node, bindings, jet=False):
+    """``evaluate`` over the arrays bound to x and t; with ``jet`` they
+    are seeded as jets and the result is a Jet2 of arrays."""
     env = dict(bindings)
     names = [k for k in ("x", "t") if type(env.get(k)) is _ndarray]
     for k in names:
@@ -659,15 +665,32 @@ def _evaluate_array(node, bindings):
         if bad.any():
             raise DomainError(f"non-finite value bound to {k}{_where(env, bad)}")
     shape = np.broadcast_shapes(*(v.shape for v in env.values() if type(v) is _ndarray))
+    if jet:
+        env["x"] = Jet2(env["x"], dx=1.0)
+        env["t"] = Jet2(env["t"], dt=1.0)
     # every failure is raised by name below; keep numpy from warning first
     with np.errstate(all="ignore"):
-        out = np.array(np.broadcast_to(_walk(node, env), shape), dtype=float)
-    _require(node, env, ~np.isfinite(out), "non-finite result")
+        out = _walk(node, env)
+    if jet:
+        out = out if type(out) is Jet2 else Jet2(out)
+        out = Jet2(*(np.array(np.broadcast_to(c, shape), dtype=float) for c in vars(out).values()))
+        value = out.value
+    else:
+        out = value = np.array(np.broadcast_to(out, shape), dtype=float)
+    _require(node, env, ~np.isfinite(value), "non-finite result")
     return out
 
 
-def evaluate_jet(node: Expr, x: float, t: float, params: Mapping[str, float]) -> Jet2:
-    """Evaluate with first and second partials in x and t carried along."""
+def evaluate_jet(node: Expr, x, t, params: Mapping[str, float]) -> Jet2:
+    """Evaluate with first and second partials in x and t carried along.
+
+    With numpy arrays for x or t (broadcast together) every component of
+    the jet is an array of their shape, one jet per point.
+    """
+    if type(x) is _ndarray or type(t) is _ndarray:
+        return _evaluate_array(
+            node, {**params, "x": np.asarray(x, dtype=float), "t": np.asarray(t, dtype=float)}, jet=True
+        )
     x, t = float(x), float(t)
     if x - x != 0.0 or t - t != 0.0:
         name, v = ("x", x) if x - x != 0.0 else ("t", t)
@@ -692,10 +715,18 @@ def evaluate_jet(node: Expr, x: float, t: float, params: Mapping[str, float]) ->
 class _Fn:
     arity: int
     value: Callable[..., float]
-    # (f, f', f'') with respect to the last argument; the others are floats
+    # (f, f', f'') with respect to the last argument; the others are floats.
+    # Every rule but gamma's also takes an array last argument.
     jet: Callable[..., tuple[float, float, float]]
-    # the numpy ufunc for array arguments; None runs ``value`` per entry
-    ufunc: Callable | None = None
+    # the value for an array last argument: a numpy ufunc, or the special
+    # function itself, which sums its series over arrays; None runs
+    # ``value`` (and ``jet``) per entry
+    array: Callable | None = None
+
+
+def _lib(u):
+    """numpy for an array, math for a float: one jet rule serves both."""
+    return np if type(u) is _ndarray else math
 
 
 def _log(u):
@@ -711,45 +742,47 @@ def _sqrt(u):
 
 
 def _sin_jet(u):
-    s = math.sin(u)
-    return s, math.cos(u), -s
+    m = _lib(u)
+    s = m.sin(u)
+    return s, m.cos(u), -s
 
 
 def _cos_jet(u):
-    c = math.cos(u)
-    return c, -math.sin(u), -c
+    m = _lib(u)
+    c = m.cos(u)
+    return c, -m.sin(u), -c
 
 
 def _sinh_jet(u):
-    s = math.sinh(u)
-    return s, math.cosh(u), s
+    m = _lib(u)
+    s = m.sinh(u)
+    return s, m.cosh(u), s
 
 
 def _cosh_jet(u):
-    c = math.cosh(u)
-    return c, math.sinh(u), c
+    m = _lib(u)
+    c = m.cosh(u)
+    return c, m.sinh(u), c
 
 
 def _exp_jet(u):
-    e = math.exp(u)
+    e = _lib(u).exp(u)
     return e, e, e
 
 
+# A singular derivative is a ZeroDivisionError for floats and a non-finite
+# entry for arrays; both end as a DomainError naming the call.
 def _log_jet(u):
-    return _log(u), 1.0 / u, -1.0 / (u * u)
+    return (np.log if type(u) is _ndarray else _log)(u), 1.0 / u, -1.0 / (u * u)
 
 
 def _sqrt_jet(u):
-    r = _sqrt(u)
-    if r == 0.0:
-        raise DomainError("sqrt jet singular at 0")
+    r = (np.sqrt if type(u) is _ndarray else _sqrt)(u)
     return r, 0.5 / r, -0.25 / (u * r)
 
 
 def _abs_jet(u):
-    if u == 0.0:
-        raise DomainError("derivative of abs at 0")
-    return abs(u), (1.0 if u > 0.0 else -1.0), 0.0
+    return abs(u), u / abs(u), 0.0
 
 
 FUNCTIONS: dict[str, _Fn] = {
@@ -762,9 +795,11 @@ FUNCTIONS: dict[str, _Fn] = {
     "sqrt": _Fn(1, _sqrt, _sqrt_jet, np.sqrt),
     "abs": _Fn(1, abs, _abs_jet, np.abs),
     "gamma": _Fn(1, specfun.gamma, specfun.gamma_jets),
-    "besselj": _Fn(2, specfun.bessel_j, specfun.bessel_j_jets),
-    "besseli": _Fn(2, specfun.bessel_i, specfun.bessel_i_jets),
-    "bessel_clifford": _Fn(2, specfun.bessel_clifford, specfun.bessel_clifford_jets),
-    "gegenbauer": _Fn(3, specfun.gegenbauer, specfun.gegenbauer_jets),
-    "hyp1f2": _Fn(4, specfun.hyp1f2, specfun.hyp1f2_jets),
+    "besselj": _Fn(2, specfun.bessel_j, specfun.bessel_j_jets, specfun.bessel_j),
+    "besseli": _Fn(2, specfun.bessel_i, specfun.bessel_i_jets, specfun.bessel_i),
+    "bessel_clifford": _Fn(
+        2, specfun.bessel_clifford, specfun.bessel_clifford_jets, specfun.bessel_clifford
+    ),
+    "gegenbauer": _Fn(3, specfun.gegenbauer, specfun.gegenbauer_jets, specfun.gegenbauer),
+    "hyp1f2": _Fn(4, specfun.hyp1f2, specfun.hyp1f2_jets, specfun.hyp1f2),
 }

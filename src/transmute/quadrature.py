@@ -100,31 +100,32 @@ def transform(case, f_smooth, t_exponent, x, n=64):
 
     ``f_smooth`` is an expression in t (plus case parameters); its
     declared power of t folds into the Jacobi weight together with the
-    kernel's own endpoint exponents.
+    kernel's own endpoint exponents.  ``x`` is a float or an array of
+    abscissae; each abscissa's n weighted terms are summed with math.fsum.
     """
-    if not (isinstance(x, (int, float)) and x > 0.0 and math.isfinite(x)):
-        raise UsageError(f"transform needs x > 0, got {x!r}")
     alpha_w = case.p_diag
     beta_w = case.kernel_t_exponent + t_exponent
     if alpha_w <= -1.0 or beta_w <= -1.0:
         raise UsageError(
             f"non-integrable endpoint exponents ({alpha_w!r}, {beta_w!r})"
         )
+    # first, so that an order above the cap is refused before any array work
     rule = jacobi_rule(n, alpha_w, beta_w)
-    params = case.params
-    terms = []
-    for s, w in zip(rule.nodes, rule.weights):
-        t = x * (1.0 + s) / 2.0
-        bindings = {**params, "x": x, "t": t}
-        smooth = evaluate(case.kernel_smooth, bindings) * evaluate(
-            f_smooth, bindings
-        )
-        terms.append(w * smooth)
-    return (x / 2.0) ** (alpha_w + beta_w + 1.0) * math.fsum(terms)
+    xs = np.array(x, dtype=float, ndmin=1) if isinstance(x, (int, float, np.ndarray)) else 0.0
+    if not np.all((xs > 0.0) & (xs < math.inf)):
+        raise UsageError(f"transform needs x > 0, got {x!r}")
+    # one row per node, one column per abscissa
+    t = xs * (1.0 + np.array(rule.nodes)[:, None]) / 2.0
+    bindings = {**case.params, "x": xs, "t": t}
+    smooth = evaluate(case.kernel_smooth, bindings) * evaluate(f_smooth, bindings)
+    terms = np.array(rule.weights)[:, None] * smooth
+    p = alpha_w + beta_w + 1.0
+    out = [(xk / 2.0) ** p * math.fsum(col.tolist()) for xk, col in zip(xs.tolist(), terms.T)]
+    return np.array(out).reshape(np.shape(x)) if type(x) is np.ndarray else out[0]
 
 
 def apply_transmutation(case, x, n=64):
-    """T f0 at one abscissa, using the case's declared smooth factors."""
+    """T f0 at one abscissa or an array of them, by the case's smooth factors."""
     if n < 8:
         raise UsageError(f"quadrature order must be at least 8, got {n!r}")
     return transform(case, case.f0_smooth, case.f0_t_exponent, x, n)
@@ -136,12 +137,9 @@ def identity_error(case, xs=None, n=64):
         from .conditions import sample_points
 
         xs = sample_points(case, 20)
-    xs = list(xs)
-    if not xs:
+    xs = np.array(list(xs), dtype=float)
+    if not xs.size:
         raise UsageError("identity check needs at least one abscissa")
-    worst = 0.0
-    for x in xs:
-        lhs = apply_transmutation(case, x, n)
-        f1 = evaluate(case.f1, {**case.params, "x": x})
-        worst = max(worst, abs(lhs - f1) / (1.0 + abs(f1)))
-    return worst
+    lhs = apply_transmutation(case, xs, n)
+    f1 = evaluate(case.f1, {**case.params, "x": xs})
+    return float(np.max(np.abs(lhs - f1) / (1.0 + np.abs(f1))))

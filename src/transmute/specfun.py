@@ -1,14 +1,21 @@
-"""Scalar special functions built from scratch on float arithmetic.
+"""Special functions built from scratch on float arithmetic.
 
 Everything here is plain double precision.  Accuracy targets are stated
 per function; where cancellation makes a published target unreachable in
 doubles the docstring says what is actually delivered.  A NaN argument
 raises DomainError instead of coming back as NaN.
+
+The Bessel functions (J, I and the Clifford core C), ``gegenbauer`` and
+``hyp1f2`` and their ``*_jets`` also take a numpy array as last argument
+and sum over it at once; each entry gets exactly the value a float gets,
+and an error names the first failing entry.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, RangeError
 
@@ -143,76 +150,112 @@ def beta(a: float, b: float) -> float:
 
 
 _SERIES_CAP = 60
+_SERIES_BLOCK = 256
 
 
-def _clifford_series(nu: float, w: float) -> float:
-    """sum_k w^k / (k! gamma(nu+k+1)) for nu > -1.
+def _first(bad, z) -> float:
+    """The first entry of ``z`` where the mask ``bad`` holds."""
+    return float(np.ravel(z)[np.argmax(np.ravel(bad))])
 
-    At most 60 multiplicatively-updated terms, summed with math.fsum, so
-    the only real error source is the float rounding of each term.
+
+def _check_box(name, ok, nu, var, z, box):
+    """Raise for the first entry of ``z`` (a float or an array) where ``ok``
+    is False: DomainError if an argument there is NaN, else RangeError."""
+    if not (ok if type(ok) is bool else ok.all()):
+        zk = z if type(ok) is bool else _first(~ok, z)
+        if nu != nu or zk != zk:
+            raise DomainError(f"{name}: NaN argument (nu={nu}, {var}={zk})")
+        raise RangeError(f"{name}: (nu={nu}, {var}={zk}) outside {box}")
+
+
+def _clifford_series(nu: float, w):
+    """sum_k w^k / (k! gamma(nu+k+1)) for nu > -1, at a float w or at each
+    entry of a 1-D array w.
+
+    Each entry keeps its terms up to the first one below 1e-18 of its
+    partial sum (at most 61) and sums them with math.fsum, so the only
+    real error source is the float rounding of each term.  A float takes
+    its terms one at a time: an array costs tens of numpy calls.
     """
-    term = _rgamma(nu + 1.0)
-    terms = [term]
-    running = term
-    for k in range(_SERIES_CAP):
-        term *= w / ((k + 1.0) * (nu + k + 1.0))
-        terms.append(term)
-        running += term
-        if abs(term) <= 1e-18 * abs(running):
-            break
-    return math.fsum(terms)
+    if type(w) is not np.ndarray:
+        term = _rgamma(nu + 1.0)
+        terms = [term]
+        running = term
+        for k in range(_SERIES_CAP):
+            term *= w / ((k + 1.0) * (nu + k + 1.0))
+            terms.append(term)
+            running += term
+            if abs(term) <= 1e-18 * abs(running):
+                break
+        return math.fsum(terms)
+    k = np.arange(_SERIES_CAP, dtype=float)
+    den = (k + 1.0) * (nu + k + 1.0)
+    out = []
+    # blocks of entries keep the term matrix near 125 kB
+    for block in np.split(w, range(_SERIES_BLOCK, w.size, _SERIES_BLOCK)):
+        terms = np.empty((block.size, _SERIES_CAP + 1))
+        terms[:, 0] = _rgamma(nu + 1.0)
+        terms[:, 1:] = block[:, None] / den
+        np.multiply.accumulate(terms, axis=1, out=terms)
+        done = np.abs(terms[:, 1:]) <= 1e-18 * np.abs(np.add.accumulate(terms, axis=1)[:, 1:])
+        stop = np.where(done.any(axis=1), done.argmax(axis=1) + 2, _SERIES_CAP + 1)
+        # one short list per entry, never the whole term matrix as Python floats
+        out += [math.fsum(row[:s].tolist()) for row, s in zip(terms, stop.tolist())]
+    return np.array(out)
 
 
-def _bessel_series(nu: float, z: float, sign: float, name: str) -> float:
+def _bessel_series(nu: float, z, sign: float, name: str):
     """J (sign=-1) and I (sign=+1) as (z/2)^nu C_nu(sign z^2/4).
 
     Supported box: nu >= -1, 0 <= z <= 20.  For J the alternating terms
     cancel: ~1e-12 absolute for z <= 10 but only ~1e-8 near z = 20,
     where they reach 4e7.
     """
-    if not (nu >= -1.0 and 0.0 <= z <= 20.0):
-        if nu != nu or z != z:
-            raise DomainError(f"{name}: NaN argument (nu={nu}, z={z})")
-        raise RangeError(f"{name}: (nu={nu}, z={z}) outside nu >= -1, 0 <= z <= 20")
+    zs = z.ravel() if type(z) is np.ndarray else z
+    _check_box(name, (nu >= -1.0) & (0.0 <= zs) & (zs <= 20.0), nu, "z", zs,
+               "nu >= -1, 0 <= z <= 20")
     if nu == -1.0:
         return sign * _bessel_series(1.0, z, sign, name)
-    if z == 0.0:
-        if nu == 0.0:
-            return 1.0
-        if nu > 0.0:
-            return 0.0
+    zero = zs == 0.0
+    if nu < 0.0 and np.any(zero):
         raise DomainError(f"{name}: z=0 with negative order {nu}")
-    half = 0.5 * z
-    return half**nu * _clifford_series(nu, sign * half * half)
+    if zero is True:
+        return 1.0 if nu == 0.0 else 0.0
+    half = 0.5 * zs
+    if type(z) is not np.ndarray:
+        return half**nu * _clifford_series(nu, sign * half * half)
+    # Python's pow per entry: numpy's power need not round like libm's
+    out = np.array([h**nu for h in half.tolist()]) * _clifford_series(nu, sign * half * half)
+    out[zero] = 1.0 if nu == 0.0 else 0.0
+    return out.reshape(z.shape)
 
 
-def bessel_j(nu: float, z: float) -> float:
+def bessel_j(nu: float, z):
     """Bessel function of the first kind on the box nu >= -1, 0 <= z <= 20."""
     return _bessel_series(nu, z, -1.0, "bessel_j")
 
 
-def bessel_i(nu: float, z: float) -> float:
+def bessel_i(nu: float, z):
     """Modified Bessel function of the first kind, same box as bessel_j."""
     return _bessel_series(nu, z, 1.0, "bessel_i")
 
 
-def bessel_clifford(nu: float, w: float) -> float:
+def bessel_clifford(nu: float, w):
     """C_nu(w) = sum_k w^k / (k! gamma(nu+k+1)); entire in w.
 
     This is the smooth core shared by J and I:
     J_nu(z) = (z/2)^nu C_nu(-z^2/4) and I_nu(z) = (z/2)^nu C_nu(z^2/4),
     which lets kernels divide out the z^nu factor without a 0/0.
     """
-    if not (nu >= -1.0 and abs(w) <= 100.0):
-        if nu != nu or w != w:
-            raise DomainError(f"bessel_clifford: NaN argument (nu={nu}, w={w})")
-        raise RangeError(f"bessel_clifford: (nu={nu}, w={w}) outside nu >= -1, |w| <= 100")
-    if nu == -1.0:
-        return w * _clifford_series(1.0, w)
-    return _clifford_series(nu, w)
+    ws = w.ravel() if type(w) is np.ndarray else w
+    _check_box("bessel_clifford", (nu >= -1.0) & (abs(ws) <= 100.0), nu, "w", ws,
+               "nu >= -1, |w| <= 100")
+    out = ws * _clifford_series(1.0, ws) if nu == -1.0 else _clifford_series(nu, ws)
+    return out.reshape(w.shape) if type(w) is np.ndarray else out
 
 
-def gegenbauer(m: int, alpha: float, z: float) -> float:
+@np.errstate(all="ignore")  # a huge z overflows to inf, as in float arithmetic
+def gegenbauer(m: int, alpha: float, z):
     """Gegenbauer polynomial C_m^alpha(z) by the three-term recurrence
 
         m C_m = 2 z (m + alpha - 1) C_{m-1} - (m + 2 alpha - 2) C_{m-2}
@@ -220,13 +263,14 @@ def gegenbauer(m: int, alpha: float, z: float) -> float:
     with C_0 = 1, C_1 = 2 alpha z.  The recurrence convention gives
     C_m^0 = 0 for m >= 1.
     """
-    if m != m or alpha != alpha or z != z:
-        raise DomainError(f"gegenbauer: NaN argument (m={m}, alpha={alpha}, z={z})")
+    nan = np.isnan(z)
+    if m != m or alpha != alpha or nan.any():
+        raise DomainError(f"gegenbauer: NaN argument (m={m}, alpha={alpha}, z={_first(nan, z)})")
     mi = round(m)
     if abs(m - mi) > 1e-9 or mi < 0:
         raise DomainError(f"gegenbauer degree must be a non-negative integer, got {m}")
     if mi == 0:
-        return 1.0
+        return np.ones(z.shape) if type(z) is np.ndarray else 1.0
     prev = 1.0
     cur = 2.0 * alpha * z
     for k in range(2, mi + 1):
@@ -234,32 +278,39 @@ def gegenbauer(m: int, alpha: float, z: float) -> float:
     return cur
 
 
-def hyp1f2(a: float, b1: float, b2: float, z: float) -> float:
+@np.errstate(all="ignore")  # an overflow is raised as ConvergenceError
+def hyp1f2(a: float, b1: float, b2: float, z):
     """Generalized hypergeometric 1F2 by direct series.
 
-    Stops when the running term drops below 1e-16 of the partial sum;
-    a 500-term cap with a still-growing term raises ConvergenceError.
+    Each entry of z stops when its running term drops below 1e-16 of its
+    partial sum, accumulated term by term; an overflow, or a 500-term cap
+    with a still-growing term, raises ConvergenceError.
     """
     for b in (b1, b2):
         if _is_nonpositive_int(b):
             raise PoleError(f"hyp1f2 lower parameter {b} is a non-positive integer")
-    term = 1.0
-    total = 1.0
+    zs = np.asarray(z, dtype=float).ravel()
+    out = np.empty(zs.size)
+    live, zl = np.arange(zs.size), zs
+    term = total = np.ones(zs.size)
+    failed = {}
     for k in range(500):
-        ratio = (a + k) / ((b1 + k) * (b2 + k)) * z / (k + 1.0)
-        term *= ratio
-        total += term
-        if not math.isfinite(total):
-            raise ConvergenceError(
-                f"hyp1f2({a},{b1},{b2},{z}) overflowed after {k + 1} terms"
-            )
-        if abs(term) <= 1e-16 * abs(total):
-            return total
-    if abs(term) >= abs(total) * 1e-16:
-        raise ConvergenceError(
-            f"hyp1f2({a},{b1},{b2},{z}) did not converge within 500 terms"
-        )
-    return total
+        if not live.size:
+            break
+        term = term * ((a + k) / ((b1 + k) * (b2 + k)) * zl / (k + 1.0))
+        total = total + term
+        # converged, or overflowed: any comparison with inf or NaN is False
+        done = ~(np.abs(term) > 1e-16 * np.abs(total))
+        if done.any():
+            over = live[done & ~np.isfinite(total)].tolist()
+            failed.update(dict.fromkeys(over, f"overflowed after {k + 1} terms"))
+            out[live[done]] = total[done]
+            live, zl, term, total = live[~done], zl[~done], term[~done], total[~done]
+    failed.update(dict.fromkeys(live.tolist(), "did not converge within 500 terms"))
+    if failed:
+        i = min(failed)
+        raise ConvergenceError(f"hyp1f2({a},{b1},{b2},{float(zs[i])}) {failed[i]}")
+    return out.reshape(z.shape) if type(z) is np.ndarray else out.item()
 
 
 # ---------------------------------------------------------------------------
@@ -273,51 +324,42 @@ def gamma_jets(x: float) -> tuple[float, float, float]:
     return g, g * psi, g * (psi * psi + trigamma(x))
 
 
-def bessel_j_jets(nu: float, z: float) -> tuple[float, float, float]:
-    """(J_nu, J_nu', J_nu'') via neighbour orders.
+@np.errstate(all="ignore")  # tiny z overflows to inf, as in float arithmetic
+def _bessel_jets(nu: float, z, sign: float, name: str):
+    """(f, f', f'') of J (sign=-1) or I (sign=+1) via neighbour orders.
 
-    J' = (J_{nu-1} - J_{nu+1})/2 and J'' = (J_{nu-2} - 2 J_nu + J_{nu+2})/4.
-    Orders below the series floor of -1 are reached by the downward
-    recurrence J_{m-1} = (2m/z) J_m - J_{m+1} (needs z > 0) or, at
-    integer order, by the reflection J_{-n} = (-1)^n J_n.
+    J' = (J_{nu-1} - J_{nu+1})/2 and J'' = (J_{nu-2} - 2 J_nu + J_{nu+2})/4,
+    with + signs for I.  Orders below the series floor of -1 are reached
+    by the downward recurrence J_{m-1} = (2m/z) J_m - J_{m+1} (needs
+    z > 0) or, at integer order, by the reflection J_{-n} = (-1)^n J_n
+    (I_{-n} = I_n).
     """
-    if z <= 0.0:
-        raise DomainError("bessel_j jets need z > 0")
-    j0 = bessel_j(nu, z)
-    jp1 = bessel_j(nu + 1.0, z)
-    jp2 = bessel_j(nu + 2.0, z)
+    bad = np.asarray(z) <= 0.0
+    if bad.any():
+        raise DomainError(f"{name} jets need z > 0, got z={_first(bad, z)}")
+    c0, p1, p2 = (_bessel_series(nu + k, z, sign, name) for k in (0.0, 1.0, 2.0))
     if nu >= 0.0:
-        jm1 = bessel_j(nu - 1.0, z)
+        m1 = _bessel_series(nu - 1.0, z, sign, name)
     else:
-        jm1 = (2.0 * nu / z) * j0 - jp1
+        m1 = (2.0 * nu / z) * c0 + sign * p1
     if nu >= 1.0:
-        jm2 = bessel_j(nu - 2.0, z)
+        m2 = _bessel_series(nu - 2.0, z, sign, name)
     elif nu == round(nu):
         n = round(nu - 2.0)
-        jm2 = bessel_j(float(-n), z) * (-1.0 if n % 2 else 1.0)
+        m2 = _bessel_series(float(-n), z, sign, name) * sign**n
     else:
-        jm2 = (2.0 * (nu - 1.0) / z) * jm1 - j0
-    return j0, 0.5 * (jm1 - jp1), 0.25 * (jm2 - 2.0 * j0 + jp2)
+        m2 = (2.0 * (nu - 1.0) / z) * m1 + sign * c0
+    return c0, 0.5 * (m1 + sign * p1), 0.25 * (m2 + sign * 2.0 * c0 + p2)
 
 
-def bessel_i_jets(nu: float, z: float) -> tuple[float, float, float]:
-    """(I_nu, I_nu', I_nu''); same strategy as bessel_j_jets with + signs."""
-    if z <= 0.0:
-        raise DomainError("bessel_i jets need z > 0")
-    i0 = bessel_i(nu, z)
-    ip1 = bessel_i(nu + 1.0, z)
-    ip2 = bessel_i(nu + 2.0, z)
-    if nu >= 0.0:
-        im1 = bessel_i(nu - 1.0, z)
-    else:
-        im1 = (2.0 * nu / z) * i0 + ip1
-    if nu >= 1.0:
-        im2 = bessel_i(nu - 2.0, z)
-    elif nu == round(nu):
-        im2 = bessel_i(abs(nu - 2.0), z)
-    else:
-        im2 = (2.0 * (nu - 1.0) / z) * im1 + i0
-    return i0, 0.5 * (im1 + ip1), 0.25 * (im2 + 2.0 * i0 + ip2)
+def bessel_j_jets(nu: float, z):
+    """(J_nu, J_nu', J_nu'')."""
+    return _bessel_jets(nu, z, -1.0, "bessel_j")
+
+
+def bessel_i_jets(nu: float, z):
+    """(I_nu, I_nu', I_nu'')."""
+    return _bessel_jets(nu, z, 1.0, "bessel_i")
 
 
 def bessel_clifford_jets(nu: float, w: float) -> tuple[float, float, float]:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from transmute.conditions import (
@@ -19,7 +20,7 @@ from transmute.conditions import (
     verify_all,
 )
 from transmute.errors import NumericalError, UsageError
-from transmute.expr import BinOp, Num, evaluate_jet
+from transmute.expr import BinOp, Num, parse
 from transmute.kernels import COEFFICIENT_NAMES, corrupt_case, get_case
 
 
@@ -78,9 +79,8 @@ def test_hyperbolic_residual_small_on_catalog_case():
 
 def test_hyperbolic_terms_balance():
     case = get_case("sonin")
-    x, t = 1.4, 0.6
-    jets = lambda xx, tt: evaluate_jet(case.kernel, xx, tt, case.params)
-    lhs, rhs, terms = hyperbolic_terms(case, jets, x, t)
+    x, t = np.array([1.4, 1.9]), np.array([0.6, 0.3])
+    lhs, rhs, terms = hyperbolic_terms(case, x, t)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
     assert len(terms) == 6
 
@@ -117,9 +117,9 @@ def test_diagonal_detects_mismatched_principal_parts():
 
 def test_transport_residual_scaling():
     case = get_case("poisson_bessel")
-    raw, scaled = transport_residual(case, 1.3, 1e-4)
-    assert scaled <= raw  # scaled divides by 1 + |K|
-    assert raw <= 1e-5
+    raw, scaled = transport_residual(case, np.array([1.3, 2.1]), np.array([1e-4, 2e-4]))
+    assert np.all(scaled <= raw)  # scaled divides by 1 + |K|
+    assert np.all(raw <= 1e-5)
 
 
 def test_boundary_record_slope():
@@ -193,3 +193,23 @@ def test_custom_grid_and_tolerance_flow_through():
     report = verify_all(case, config)
     assert report.overall_pass
     assert "5x4" in report.record("4a").grid
+
+
+def test_hyperbolic_lists_the_points_that_fail():
+    # K/(x-1) divides by zero on the x = 1 column of the 20x20 triangle
+    # only: the array walk stops there, and the point walk lists each one
+    case = get_case("poisson_bessel")
+    bent = dataclasses.replace(case, kernel=BinOp("/", case.kernel, parse("x-1")))
+    grid = triangle_grid()
+    out = check_hyperbolic(bent, grid)
+    bad = [(x, t) for x, t in grid if x == 1.0]
+    assert len(bad) == 20
+    assert [(x, t) for x, t, _ in out["failures"]] == bad
+    assert all("division by zero" in why for _, _, why in out["failures"])
+    assert out["count"] + len(out["failures"]) == 400
+    rec = verify_all(bent).record("4a")
+    assert not rec.passed
+    first = out["failures"][0]
+    assert rec.detail == (
+        f"20 points failed to evaluate; first at ({first[0]!r}, {first[1]!r}): {first[2]}"
+    )

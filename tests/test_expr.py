@@ -383,3 +383,73 @@ def test_array_evaluate_is_scalar_evaluate_per_entry(name, data):
         else:
             ulp = np.spacing(np.abs(want))
             assert np.all(np.abs(got - want) <= 8 * ulp), to_string(e)
+
+
+_JET_PARTS = ("value", "dx", "dt", "dxx", "dxt", "dtt")
+# ulp of the jet's largest part allowed per derivative part (see below)
+_JET_ULPS = {"dx": 8, "dt": 8, "dxx": 32, "dxt": 32, "dtt": 32}
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(list_cases()), data=st.data())
+def test_array_jet_is_scalar_jet_per_entry(name, data):
+    # Trees of + - * / and literal integer powers run the same IEEE
+    # operations on arrays as on floats, so every part matches bit for
+    # bit. Elsewhere the elementary functions are numpy's, 1-2 ulp from
+    # math's: the value then keeps the 8 ulp of the evaluate test above.
+    # A derivative part sums products of f, f' or f'' with inner
+    # derivatives; where they cancel the part is far smaller than its
+    # terms, so its gap is taken in ulp of the jet's largest part at that
+    # point. Each further factor adds its own few ulp: over 120 random
+    # draws of every case the worst seen was 4 ulp for first and 12 for
+    # second derivatives, so 8 and 32 leave margin.
+    params = dict(get_case(name).params)
+    for p in params:
+        if p not in _PINNED.get(name, ()):
+            params[p] *= data.draw(st.floats(0.75, 1.25), label=p)
+    try:
+        case = get_case(name, params)
+    except AdmissibilityError:
+        assume(False)
+    xs = np.array([x for x, _ in _TRIANGLE])
+    ts = np.array([t for _, t in _TRIANGLE])
+    exprs = [case.kernel, case.f0, case.f1, case.kernel_smooth, case.f0_smooth]
+    exprs += [getattr(op, slot) for op in (case.opA, case.opB) for slot in "abc"]
+    for e in exprs:
+        scalar = []
+        for x, t in _TRIANGLE:
+            try:
+                scalar.append(evaluate_jet(e, x, t, case.params))
+            except TransmuteError as exc:
+                scalar.append(exc)
+        failed = [v for v in scalar if isinstance(v, TransmuteError)]
+        if failed:
+            with pytest.raises(type(failed[0])):
+                evaluate_jet(e, xs, ts, case.params)
+            continue
+        got = evaluate_jet(e, xs, ts, case.params)
+        want = {p: np.array([getattr(j, p) for j in scalar]) for p in _JET_PARTS}
+        scale = np.max([np.abs(want[p]) for p in _JET_PARTS], axis=0)
+        for p in _JET_PARTS:
+            assert getattr(got, p).shape == xs.shape
+            err = np.abs(getattr(got, p) - want[p])
+            if _arithmetic_only(e):
+                assert np.array_equal(getattr(got, p), want[p]), (to_string(e), p)
+            elif p == "value":
+                assert np.all(err <= 8 * np.spacing(np.abs(want[p]))), to_string(e)
+            else:
+                assert np.all(err <= _JET_ULPS[p] * np.spacing(scale)), (to_string(e), p)
+
+
+def test_array_jet_errors_name_the_first_failing_point():
+    xs, ts = np.array([1.0, 2.0, 3.0]), np.array([0.5, 2.0, 3.0])
+    with pytest.raises(DomainError, match=r"division by zero in 1/\(x-t\) at x=2\.0, t=2\.0"):
+        evaluate_jet(parse("1/(x-t)"), xs, ts, {})
+    with pytest.raises(DomainError, match=r"in sqrt\(x-t\) at x=2\.0, t=2\.0"):
+        evaluate_jet(parse("sqrt(x-t)"), xs, ts, {})
+    with pytest.raises(DomainError, match=r"positive base in \(x-t\)\^0\.5 at x=2\.0, t=2\.0"):
+        evaluate_jet(parse("(x-t)^0.5"), xs, ts, {})
+    with pytest.raises(DomainError, match=r"bessel_j jets need z > 0.* at x=2\.0, t=2\.0"):
+        evaluate_jet(parse("besselj(1, x-t)"), xs, ts, {})
+    with pytest.raises(DomainError, match=r"only the last argument"):
+        evaluate_jet(parse("besselj(x, t)"), xs, ts, {})

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as st
@@ -287,3 +288,14 @@ def test_half_integer_poisson_reduces_to_sine(x):
     case = get_case("poisson_bessel", {"nu": 0.5})
     want = math.sqrt(2.0 / math.pi) * math.sin(x)
     assert apply_transmutation(case, x) == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
+def test_transform_of_an_array_is_the_transform_at_each_abscissa():
+    case = get_case("lowndes")
+    xs = np.array([0.3, 1.1, 2.9])
+    got = apply_transmutation(case, xs)
+    assert got.shape == xs.shape
+    for x, g in zip(xs.tolist(), got.tolist()):
+        assert g == pytest.approx(apply_transmutation(case, x), rel=1e-15, abs=1e-300)
+    with pytest.raises(UsageError, match="x > 0"):
+        apply_transmutation(case, np.array([1.0, -1.0]))

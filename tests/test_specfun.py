@@ -5,9 +5,10 @@ scipy is a test-only dependency here; the library itself never imports it.
 
 import math
 
+import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from transmute.errors import ConvergenceError, DomainError, PoleError, RangeError
 import transmute.specfun as specfun
@@ -225,3 +226,94 @@ def test_bessel_nan_raises_domain_error(fn):
     # out of range but not NaN stays a RangeError
     with pytest.raises(RangeError):
         fn(0.0, math.inf)
+
+
+# --- arrays: every entry is the float value -----------------------------------
+
+def hyp1f2_oracle(a, b1, b2, z):
+    """1F2 of a float, term by term: the oracle for the array series."""
+    term = 1.0
+    total = 1.0
+    for k in range(500):
+        term *= (a + k) / ((b1 + k) * (b2 + k)) * z / (k + 1.0)
+        total += term
+        if not math.isfinite(total):
+            raise ConvergenceError(f"overflowed after {k + 1} terms")
+        if abs(term) <= 1e-16 * abs(total):
+            return total
+    raise ConvergenceError("did not converge within 500 terms")
+
+
+def gegenbauer_oracle(m, alpha, z):
+    """The three-term recurrence on one float: the oracle for arrays."""
+    if m == 0:
+        return 1.0
+    prev, cur = 1.0, 2.0 * alpha * z
+    for k in range(2, m + 1):
+        prev, cur = cur, (2.0 * z * (k + alpha - 1.0) * cur - (k + 2.0 * alpha - 2.0) * prev) / k
+    return cur
+
+
+def _array_of(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=40).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nu=st.floats(-1.0, 6.0), z=_array_of(0.0, 20.0), w=_array_of(-100.0, 100.0))
+def test_array_bessel_series_is_the_float_series(nu, z, w):
+    # a float runs the series one term at a time: it is the oracle here
+    z[z < 1e-300] = 0.0  # a subnormal z/2 underflows to 0, below
+    if nu < 0.0 and nu != -1.0:
+        z = np.maximum(z, 0.01)  # J and I of negative order are infinite at 0
+    for fn in (specfun.bessel_j, specfun.bessel_i):
+        assert np.array_equal(fn(nu, z), [fn(nu, v) for v in z.tolist()])
+    got = specfun.bessel_clifford(nu, w)
+    assert np.array_equal(got, [specfun.bessel_clifford(nu, v) for v in w.tolist()])
+    z = z[z > 0.0]
+    for fn in (specfun.bessel_j_jets, specfun.bessel_i_jets):
+        got = fn(nu, z)
+        want = [fn(nu, v) for v in z.tolist()]
+        for k in range(3):
+            # near z = 0 the recurrence may overflow to inf - inf, the same NaN
+            assert np.array_equal(got[k], [j[k] for j in want], equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(0.1, 3.0), b1=st.floats(0.1, 3.0), b2=st.floats(0.1, 3.0),
+    z=_array_of(-60.0, 60.0), m=st.integers(0, 9), alpha=st.floats(-2.0, 4.0),
+    g=_array_of(-1.5, 1.5),
+)
+def test_array_hyp1f2_and_gegenbauer_are_the_float_oracles(a, b1, b2, z, m, alpha, g):
+    assert np.array_equal(specfun.hyp1f2(a, b1, b2, z),
+                          [hyp1f2_oracle(a, b1, b2, v) for v in z.tolist()])
+    assert specfun.hyp1f2(a, b1, b2, float(z[0])) == hyp1f2_oracle(a, b1, b2, float(z[0]))
+    assert np.array_equal(specfun.gegenbauer(m, alpha, g),
+                          [gegenbauer_oracle(m, alpha, v) for v in g.tolist()])
+    assert specfun.gegenbauer(m, alpha, float(g[0])) == gegenbauer_oracle(m, alpha, float(g[0]))
+
+
+def test_array_errors_name_the_first_failing_entry():
+    with pytest.raises(RangeError, match=r"z=25\.0\) outside"):
+        specfun.bessel_j(0.0, np.array([1.0, 25.0, 30.0]))
+    with pytest.raises(DomainError, match=r"z=nan"):
+        specfun.bessel_i(1.0, np.array([1.0, math.nan]))
+    with pytest.raises(DomainError, match=r"z=0 with negative order"):
+        specfun.bessel_j(-0.5, np.array([1.0, 0.0]))
+    with pytest.raises(RangeError, match=r"w=-150\.0\)"):
+        specfun.bessel_clifford(0.0, np.array([[1.0, -150.0], [200.0, 0.0]]))
+    with pytest.raises(ConvergenceError, match=r"1000000000\.0\) overflowed"):
+        specfun.hyp1f2(1.0, 0.5, 2.0, np.array([0.5, 1e9, 2e9]))
+    with pytest.raises(DomainError, match=r"z=nan"):
+        specfun.gegenbauer(2, 1.0, np.array([0.5, math.nan]))
+    with pytest.raises(DomainError, match=r"jets need z > 0, got z=0\.0"):
+        specfun.bessel_j_jets(1.0, np.array([1.0, 0.0]))
+
+
+def test_array_results_keep_the_shape():
+    z = np.array([[0.5, 1.0], [2.0, 0.0]])
+    assert specfun.bessel_j(1.0, z).shape == (2, 2)
+    assert specfun.bessel_j(1.0, z)[1, 1] == 0.0
+    assert specfun.hyp1f2(1.0, 0.5, 2.0, z).shape == (2, 2)
+    assert specfun.gegenbauer(0, 1.0, z).shape == (2, 2)
+    assert type(specfun.hyp1f2(1.0, 0.5, 2.0, 0.25)) is float
