@@ -34,6 +34,7 @@ __all__ = [
     "ConditionRecord",
     "VerificationReport",
     "CONDITION_IDS",
+    "MAX_POINTS",
     "triangle_grid",
     "sample_points",
     "hyperbolic_terms",
@@ -47,6 +48,9 @@ __all__ = [
 ]
 
 CONDITION_IDS = ("4a", "4b1", "4b2", "4c", "4d", "eigenA", "eigenB")
+# Points one check or transform evaluates at once: at about 0.4 kB of jets
+# per grid point and 3 kB per sample, a verification stays below 0.25 GB.
+MAX_POINTS = 65536
 
 
 _TOLERANCE_FIELDS = ("tol_4a", "tol_4b1", "tol_eigen", "transport_drop", "decay_drop", "tiny")
@@ -81,6 +85,8 @@ class VerifyConfig:
             raise UsageError("hyperbolic grid must have at least one point per axis")
         if self.n_samples < 2:
             raise UsageError("need at least two sample points")
+        if max(self.nx * self.nt, self.n_samples) > MAX_POINTS:
+            raise UsageError(f"{self.nx}x{self.nt} grid or {self.n_samples} samples: maximum {MAX_POINTS}")
         if len(self.delta_rel) < 2 or any(
             b >= a for a, b in zip(self.delta_rel, self.delta_rel[1:])
         ):
@@ -144,6 +150,8 @@ def triangle_grid(nx=20, nt=20, x_max=2.0):
 
 def sample_points(case, n=20):
     """Evenly spaced abscissae across the case's working interval."""
+    if n > MAX_POINTS:
+        raise UsageError(f"{n} sample points exceed the maximum of {MAX_POINTS}")
     lo, hi = case.x_range
     if n == 1:
         return [0.5 * (lo + hi)]

@@ -28,8 +28,8 @@ of each function.  A jet's value is therefore exactly the float result.
 Only the last argument of a function may depend on x or t in a jet.  On
 arrays, arithmetic is numpy's (bit for bit the float result), elementary
 functions and their jets are numpy ufuncs (within a few ulp of
-``math``), the Bessel functions, gegenbauer and hyp1f2 sum their series
-over the whole array (each entry exactly the float value), and gamma
+``math``), the Bessel functions, gegenbauer and hyp1f2 run their one
+body over the whole array (each entry exactly the float value), and gamma
 runs per entry.
 
 Powers with a literal integer exponent are evaluated by repeated
@@ -719,7 +719,7 @@ class _Fn:
     # Every rule but gamma's also takes an array last argument.
     jet: Callable[..., tuple[float, float, float]]
     # the value for an array last argument: a numpy ufunc, or the special
-    # function itself, which sums its series over arrays; None runs
+    # function itself, which runs over whole arrays; None runs
     # ``value`` (and ``jet``) per entry
     array: Callable | None = None
 

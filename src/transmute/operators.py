@@ -77,22 +77,18 @@ def apply(op: DifferentialOperator, f: Expr, pt, params: Mapping[str, float]):
     _check_single_variable(op, f)
     x = pt if op.var == "x" else 0.0
     t = pt if op.var == "t" else 0.0
-    jf = evaluate_jet(f, x, t, params)
-    if op.var == "x":
-        f0, f1, f2 = jf.value, jf.dx, jf.dxx
-    else:
-        f0, f1, f2 = jf.value, jf.dt, jf.dtt
+
+    def along(e):  # (e, e', e'') in the operator's variable
+        j = evaluate_jet(e, x, t, params)
+        return (j.value, j.dx, j.dxx) if op.var == "x" else (j.value, j.dt, j.dtt)
+    f0, f1, f2 = along(f)
     if op.form == "nondivergence":
         a, b, c = op.coefficient_values(pt, params)
         return a * f2 + b * f1 + c * f0
-    ja = evaluate_jet(op.a, x, t, params)
-    jb = evaluate_jet(op.b, x, t, params)
-    jc_val = op.coefficient_values(pt, params)[2]
-    if op.var == "x":
-        a, ap, b, bp = ja.value, ja.dx, jb.value, jb.dx
-    else:
-        a, ap, b, bp = ja.value, ja.dt, jb.value, jb.dt
-    return a * f2 + (ap + b) * f1 + (bp + jc_val) * f0
+    a, ap, _ = along(op.a)
+    b, bp, _ = along(op.b)
+    c = evaluate(op.c, {**params, op.var: pt})
+    return a * f2 + (ap + b) * f1 + (bp + c) * f0
 
 
 def eigen_residual(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conditions import MAX_POINTS, sample_points
 from .errors import UsageError
 from .expr import evaluate
 
@@ -114,6 +115,8 @@ def transform(case, f_smooth, t_exponent, x, n=64):
     xs = np.array(x, dtype=float, ndmin=1) if isinstance(x, (int, float, np.ndarray)) else 0.0
     if not np.all((xs > 0.0) & (xs < math.inf)):
         raise UsageError(f"transform needs x > 0, got {x!r}")
+    if xs.size * n > MAX_POINTS:
+        raise UsageError(f"{xs.size} abscissae x {n} nodes exceed the maximum of {MAX_POINTS}")
     # one row per node, one column per abscissa
     t = xs * (1.0 + np.array(rule.nodes)[:, None]) / 2.0
     bindings = {**case.params, "x": xs, "t": t}
@@ -134,8 +137,6 @@ def apply_transmutation(case, x, n=64):
 def identity_error(case, xs=None, n=64):
     """max over xs of |T f0(x) - f1(x)| / (1 + |f1(x)|)."""
     if xs is None:
-        from .conditions import sample_points
-
         xs = sample_points(case, 20)
     xs = np.array(list(xs), dtype=float)
     if not xs.size:

@@ -6,14 +6,16 @@ doubles the docstring says what is actually delivered.  A NaN argument
 raises DomainError instead of coming back as NaN.
 
 The Bessel functions (J, I and the Clifford core C), ``gegenbauer`` and
-``hyp1f2`` and their ``*_jets`` also take a numpy array as last argument
-and sum over it at once; each entry gets exactly the value a float gets,
-and an error names the first failing entry.
+``hyp1f2`` and their ``*_jets`` also take a numpy array as last argument.
+Each algorithm is one body of plain arithmetic that runs unchanged on a
+float and on an array, so each entry gets exactly the value a float gets;
+an error names the first failing entry.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -71,13 +73,6 @@ def gamma(x: float) -> float:
         return math.sqrt(2.0 * math.pi) * w ** (z + 0.5) * math.exp(-w) * acc
     except OverflowError:
         raise RangeError(f"gamma overflow at x={x}") from None
-
-
-def _rgamma(x: float) -> float:
-    """1/gamma(x); exactly 0.0 at the poles."""
-    if _is_nonpositive_int(x):
-        return 0.0
-    return 1.0 / gamma(x)
 
 
 # Asymptotic tail coefficients B_{2n}/(2n): psi(x) ~ ln x - 1/(2x) - sum c_n x^{-2n}
@@ -149,8 +144,14 @@ def beta(a: float, b: float) -> float:
     return gamma(a) * gamma(b) / gamma(a + b)
 
 
-_SERIES_CAP = 60
-_SERIES_BLOCK = 256
+# The Bessel layer computes the triple (C_nu, C_nu+1, C_nu+2) of the Clifford
+# core C_a(w) = sum_k w^k/(k! gamma(a+k+1)) by the branch each entry's w picks:
+# Miller's recurrence below -_SPLIT, where the series cancels, else the Taylor
+# series, _SHORT terms up to _SPLIT and _LONG up to 100.  Each is plain arithmetic.
+_SPLIT = 4.0
+_SHORT, _LONG = 18, 36
+_START = 54  # Miller's start above floor(nu), enough for w >= -100
+_NU_MAX = 100.0  # keeps gamma(nu+2) and the scaled Miller sweep far from overflow
 
 
 def _first(bad, z) -> float:
@@ -159,99 +160,123 @@ def _first(bad, z) -> float:
 
 
 def _check_box(name, ok, nu, var, z, box):
-    """Raise for the first entry of ``z`` (a float or an array) where ``ok``
-    is False: DomainError if an argument there is NaN, else RangeError."""
+    """Raise for the first entry of ``z`` (a float or an array) where ``ok`` is False,
+    or if nu leaves [-1, _NU_MAX]: DomainError for a NaN argument, else RangeError."""
+    ok = ok & (-1.0 <= nu <= _NU_MAX)
     if not (ok if type(ok) is bool else ok.all()):
         zk = z if type(ok) is bool else _first(~ok, z)
         if nu != nu or zk != zk:
             raise DomainError(f"{name}: NaN argument (nu={nu}, {var}={zk})")
-        raise RangeError(f"{name}: (nu={nu}, {var}={zk}) outside {box}")
+        raise RangeError(f"{name}: (nu={nu}, {var}={zk}) outside -1 <= nu <= {_NU_MAX:g}, {box}")
 
 
-def _clifford_series(nu: float, w):
-    """sum_k w^k / (k! gamma(nu+k+1)) for nu > -1, at a float w or at each
-    entry of a 1-D array w.
+@lru_cache(maxsize=256)
+def _taylor(nu: float, terms: int) -> tuple:
+    """Pairs of Taylor coefficients 1/(k! gamma(a+k+1)) of C_a for
+    a = nu+1 and nu+2, k < terms, highest k first."""
+    p = [1.0 / gamma(nu + 2.0)]
+    for k in range(1, terms):
+        p.append(p[-1] / (k * (nu + 1.0 + k)))
+    return tuple((c, c / (nu + 2.0 + k)) for k, c in reversed(tuple(enumerate(p))))
 
-    Each entry keeps its terms up to the first one below 1e-18 of its
-    partial sum (at most 61) and sums them with math.fsum, so the only
-    real error source is the float rounding of each term.  A float takes
-    its terms one at a time: an array costs tens of numpy calls.
-    """
+
+def _series(nu: float, w, terms: int):
+    """Horner's rule for C_nu+1 and C_nu+2, then C_{a-1} = a C_a + w C_{a+1}."""
+    c1 = c2 = 0.0
+    for p, q in _taylor(nu, terms):
+        c1, c2 = c1 * w + p, c2 * w + q
+    return (nu + 1.0) * c1 + w * c2, c1, c2
+
+
+@lru_cache(maxsize=256)
+def _neumann(f: float, k_max: int) -> tuple:
+    """gamma(f+1) b_k, k <= k_max, with b_0 = 1, b_k = (f+2k) (f+1)_{k-1}/k!:
+    then 1 = gamma(f+1) sum_k b_k (-w)^k C_{f+2k}(w), which is DLMF 10.23's
+    (z/2)^f = sum_k (f+2k) gamma(f+k)/k! J_{f+2k}(z) over (z/2)^f/gamma(f+1)."""
+    b = [p := gamma(f + 1.0)]
+    for k in range(1, k_max + 1):
+        b.append((f + 2.0 * k) * p)
+        p *= (f + k) / (k + 1.0)
+    return tuple(b)
+
+
+def _miller(nu: float, w):
+    """Miller's backward recurrence C_{a-1} = a C_a + w C_{a+1} from order
+    floor(nu) + _START, normalized by ``_neumann`` (Gautschi, SIAM Rev. 9,
+    1967; Olver & Sookne, Math. Comp. 26, 1972)."""
+    f = nu - (n0 := math.floor(nu))
+    weights = _neumann(f, (n0 + _START) // 2)
+    hi, c, s = 0.0, 1e-250, 0.0  # unnormalized C_f+m+1, C_f+m and sum
+    keep = []
+    for m in range(2 * len(weights) - 2, min(n0, 0) - 1, -1):
+        if m % 2 == 0:
+            s = s * -w + weights[m // 2] * c
+        if n0 <= m <= n0 + 2:
+            keep.append(c)
+        hi, c = c, (f + m) * c + w * hi
+    return keep[2] / s, keep[1] / s, keep[0] / s
+
+
+_BRANCHES = (_miller, partial(_series, terms=_SHORT), partial(_series, terms=_LONG))
+
+
+def _clifford(nu: float, w):
+    """(C_nu, C_nu+1, C_nu+2) at a float w or at each entry of an array."""
+    pick = 1 * (w >= -_SPLIT) + (w > _SPLIT)  # 0, 1 or 2, numpy bools too
     if type(w) is not np.ndarray:
-        term = _rgamma(nu + 1.0)
-        terms = [term]
-        running = term
-        for k in range(_SERIES_CAP):
-            term *= w / ((k + 1.0) * (nu + k + 1.0))
-            terms.append(term)
-            running += term
-            if abs(term) <= 1e-18 * abs(running):
-                break
-        return math.fsum(terms)
-    k = np.arange(_SERIES_CAP, dtype=float)
-    den = (k + 1.0) * (nu + k + 1.0)
-    out = []
-    # blocks of entries keep the term matrix near 125 kB
-    for block in np.split(w, range(_SERIES_BLOCK, w.size, _SERIES_BLOCK)):
-        terms = np.empty((block.size, _SERIES_CAP + 1))
-        terms[:, 0] = _rgamma(nu + 1.0)
-        terms[:, 1:] = block[:, None] / den
-        np.multiply.accumulate(terms, axis=1, out=terms)
-        done = np.abs(terms[:, 1:]) <= 1e-18 * np.abs(np.add.accumulate(terms, axis=1)[:, 1:])
-        stop = np.where(done.any(axis=1), done.argmax(axis=1) + 2, _SERIES_CAP + 1)
-        # one short list per entry, never the whole term matrix as Python floats
-        out += [math.fsum(row[:s].tolist()) for row, s in zip(terms, stop.tolist())]
-    return np.array(out)
+        return _BRANCHES[pick](nu, w)
+    out = np.empty((3,) + w.shape)
+    for k, branch in enumerate(_BRANCHES):
+        if (mask := pick == k).any():
+            out[:, mask] = branch(nu, w[mask])
+    return out
 
 
-def _bessel_series(nu: float, z, sign: float, name: str):
-    """J (sign=-1) and I (sign=+1) as (z/2)^nu C_nu(sign z^2/4).
-
-    Supported box: nu >= -1, 0 <= z <= 20.  For J the alternating terms
-    cancel: ~1e-12 absolute for z <= 10 but only ~1e-8 near z = 20,
-    where they reach 4e7.
-    """
-    zs = z.ravel() if type(z) is np.ndarray else z
-    _check_box(name, (nu >= -1.0) & (0.0 <= zs) & (zs <= 20.0), nu, "z", zs,
-               "nu >= -1, 0 <= z <= 20")
-    if nu == -1.0:
-        return sign * _bessel_series(1.0, z, sign, name)
-    zero = zs == 0.0
-    if nu < 0.0 and np.any(zero):
-        raise DomainError(f"{name}: z=0 with negative order {nu}")
-    if zero is True:
-        return 1.0 if nu == 0.0 else 0.0
-    half = 0.5 * zs
-    if type(z) is not np.ndarray:
-        return half**nu * _clifford_series(nu, sign * half * half)
-    # Python's pow per entry: numpy's power need not round like libm's
-    out = np.array([h**nu for h in half.tolist()]) * _clifford_series(nu, sign * half * half)
-    out[zero] = 1.0 if nu == 0.0 else 0.0
-    return out.reshape(z.shape)
+@np.errstate(all="ignore")  # jets near z = 0 overflow to inf, as in float arithmetic
+def _bessel(nu: float, z, sign: float, name: str, jets: bool = False):
+    """J (sign=-1) or I (sign=+1) as f = (z/2)^nu C_nu(sign z^2/4); with
+    ``jets`` (f, f', f'') from f_k = (z/2)^(nu+k) C_nu+k, k = 1, 2:
+    f' = nu/z f + sign f_1, f'' = nu (nu-1)/z^2 f + sign (2 nu+1)/z f_1 + f_2."""
+    if jets and (bad := 0.5 * np.asarray(z) <= 0.0).any():
+        zk = _first(bad, z)
+        raise (RangeError if zk > 0 else DomainError)(
+            f"{name} jets need z > 0, got z={zk}" + " whose half underflows" * (zk > 0))
+    _check_box(name, (0.0 <= z) & (z <= 20.0), nu, "z", z, "0 <= z <= 20")
+    if nu == -1.0:  # J_-1 = -J_1 and I_-1 = I_1 stay finite at z = 0
+        out = _bessel(1.0, z, sign, name, jets)
+        return tuple(sign * v for v in out) if jets else sign * out
+    h = 0.5 * z
+    c0, c1, c2 = _clifford(nu, sign * h * h)
+    try:  # Python's pow per entry: numpy's power need not round alike
+        p = h**nu if type(h) is not np.ndarray else np.reshape([v**nu for v in h.ravel().tolist()], h.shape)
+    except ArithmeticError:  # a zero or underflowed z/2 under a negative order
+        zk = _first(~np.isfinite(np.power(h, nu)), z)
+        raise (RangeError if zk else DomainError)(
+            f"{name}: z={zk:g} with negative order {nu}: (z/2)^nu is not finite") from None
+    f = p * c0
+    if not jets:
+        return f
+    f1, f2 = p * h * c1, p * h * h * c2
+    return f, nu / z * f + sign * f1, nu * (nu - 1.0) / z * f / z + sign * (2.0 * nu + 1.0) / z * f1 + f2
 
 
 def bessel_j(nu: float, z):
-    """Bessel function of the first kind on the box nu >= -1, 0 <= z <= 20."""
-    return _bessel_series(nu, z, -1.0, "bessel_j")
+    """Bessel function of the first kind on the box -1 <= nu <= 100,
+    0 <= z <= 20; within 3e-15 max(1, |J|) of mpmath for nu <= 6."""
+    return _bessel(nu, z, -1.0, "bessel_j")
 
 
 def bessel_i(nu: float, z):
-    """Modified Bessel function of the first kind, same box as bessel_j."""
-    return _bessel_series(nu, z, 1.0, "bessel_i")
+    """Modified Bessel function of the first kind, same box; 6e-15 relative."""
+    return _bessel(nu, z, 1.0, "bessel_i")
 
 
 def bessel_clifford(nu: float, w):
-    """C_nu(w) = sum_k w^k / (k! gamma(nu+k+1)); entire in w.
-
-    This is the smooth core shared by J and I:
+    """C_nu(w) = sum_k w^k / (k! gamma(nu+k+1)), entire in w, on the box
+    -1 <= nu <= 100, |w| <= 100.  The smooth core shared by J and I, as
     J_nu(z) = (z/2)^nu C_nu(-z^2/4) and I_nu(z) = (z/2)^nu C_nu(z^2/4),
-    which lets kernels divide out the z^nu factor without a 0/0.
-    """
-    ws = w.ravel() if type(w) is np.ndarray else w
-    _check_box("bessel_clifford", (nu >= -1.0) & (abs(ws) <= 100.0), nu, "w", ws,
-               "nu >= -1, |w| <= 100")
-    out = ws * _clifford_series(1.0, ws) if nu == -1.0 else _clifford_series(nu, ws)
-    return out.reshape(w.shape) if type(w) is np.ndarray else out
+    lets kernels divide out the z^nu factor without a 0/0."""
+    return bessel_clifford_jets(nu, w)[0]
 
 
 @np.errstate(all="ignore")  # a huge z overflows to inf, as in float arithmetic
@@ -324,51 +349,20 @@ def gamma_jets(x: float) -> tuple[float, float, float]:
     return g, g * psi, g * (psi * psi + trigamma(x))
 
 
-@np.errstate(all="ignore")  # tiny z overflows to inf, as in float arithmetic
-def _bessel_jets(nu: float, z, sign: float, name: str):
-    """(f, f', f'') of J (sign=-1) or I (sign=+1) via neighbour orders.
-
-    J' = (J_{nu-1} - J_{nu+1})/2 and J'' = (J_{nu-2} - 2 J_nu + J_{nu+2})/4,
-    with + signs for I.  Orders below the series floor of -1 are reached
-    by the downward recurrence J_{m-1} = (2m/z) J_m - J_{m+1} (needs
-    z > 0) or, at integer order, by the reflection J_{-n} = (-1)^n J_n
-    (I_{-n} = I_n).
-    """
-    bad = np.asarray(z) <= 0.0
-    if bad.any():
-        raise DomainError(f"{name} jets need z > 0, got z={_first(bad, z)}")
-    c0, p1, p2 = (_bessel_series(nu + k, z, sign, name) for k in (0.0, 1.0, 2.0))
-    if nu >= 0.0:
-        m1 = _bessel_series(nu - 1.0, z, sign, name)
-    else:
-        m1 = (2.0 * nu / z) * c0 + sign * p1
-    if nu >= 1.0:
-        m2 = _bessel_series(nu - 2.0, z, sign, name)
-    elif nu == round(nu):
-        n = round(nu - 2.0)
-        m2 = _bessel_series(float(-n), z, sign, name) * sign**n
-    else:
-        m2 = (2.0 * (nu - 1.0) / z) * m1 + sign * c0
-    return c0, 0.5 * (m1 + sign * p1), 0.25 * (m2 + sign * 2.0 * c0 + p2)
-
-
 def bessel_j_jets(nu: float, z):
     """(J_nu, J_nu', J_nu'')."""
-    return _bessel_jets(nu, z, -1.0, "bessel_j")
+    return _bessel(nu, z, -1.0, "bessel_j", jets=True)
 
 
 def bessel_i_jets(nu: float, z):
     """(I_nu, I_nu', I_nu'')."""
-    return _bessel_jets(nu, z, 1.0, "bessel_i")
+    return _bessel(nu, z, 1.0, "bessel_i", jets=True)
 
 
-def bessel_clifford_jets(nu: float, w: float) -> tuple[float, float, float]:
-    """d/dw C_nu = C_{nu+1}; no special cases anywhere in the plane."""
-    return (
-        bessel_clifford(nu, w),
-        bessel_clifford(nu + 1.0, w),
-        bessel_clifford(nu + 2.0, w),
-    )
+def bessel_clifford_jets(nu: float, w):
+    """d/dw C_nu = C_{nu+1}: all three orders come from one evaluation."""
+    _check_box("bessel_clifford", abs(w) <= 100.0, nu, "w", w, "|w| <= 100")
+    return tuple(_clifford(nu, w))
 
 
 def gegenbauer_jets(m: int, alpha: float, z: float) -> tuple[float, float, float]:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from transmute import quadrature
+from transmute import conditions, quadrature
 from transmute.cli import main
 
 CASE_FILE = """\
@@ -190,6 +190,27 @@ def test_quad_order_above_the_cap_exits_2(capsys, monkeypatch):
                        "--quad-order", "100000")
     assert code == 2
     assert "exceeds the maximum" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--case", "lowndes", "--grid", "2000x2000"),
+        ("verify", "--case", "lowndes", "--x-count", "100000"),
+        ("apply", "--case", "lowndes", "--x-count", "1000000000"),
+        ("apply", "--case", "lowndes", "--x-count", "2000"),
+    ],
+)
+def test_point_budget_exits_2_before_any_work(capsys, monkeypatch, argv):
+    # refused up front: evaluating anything at all fails the test
+    def no_work(*args, **kwargs):
+        raise AssertionError("evaluated before the size check")
+
+    monkeypatch.setattr(conditions, "evaluate_jet", no_work)
+    monkeypatch.setattr(quadrature, "evaluate", no_work)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "maximum" in err and "Traceback" not in err
 
 
 def test_unknown_flag_exits_2(capsys):

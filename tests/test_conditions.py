@@ -6,6 +6,7 @@ import pytest
 
 from transmute.conditions import (
     CONDITION_IDS,
+    MAX_POINTS,
     ConditionRecord,
     VerifyConfig,
     check_boundary_t0,
@@ -53,11 +54,21 @@ def test_sample_points_honor_the_case_range():
         (dict(transport_drop=math.inf), "transport_drop"),
         (dict(decay_drop=-math.inf), "decay_drop"),
         (dict(tiny=0.0), "tiny"),
+        (dict(nx=2000, nt=2000), "2000x2000 grid"),
+        (dict(nx=MAX_POINTS + 1, nt=1), "grid"),
+        (dict(n_samples=MAX_POINTS + 1), "samples"),
     ],
 )
 def test_config_validation(kwargs, needle):
     with pytest.raises(UsageError, match=needle):
         VerifyConfig(**kwargs)
+
+
+def test_point_budget_admits_its_own_bound():
+    VerifyConfig(nx=256, nt=MAX_POINTS // 256, n_samples=MAX_POINTS)
+    assert len(sample_points(get_case("sonin"), MAX_POINTS)) == MAX_POINTS
+    with pytest.raises(UsageError, match="sample points exceed"):
+        sample_points(get_case("sonin"), MAX_POINTS + 1)
 
 
 def test_record_validation():

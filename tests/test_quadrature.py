@@ -257,6 +257,9 @@ def test_transform_validation():
         transform(case, Num(1.0), 0.0, 0.0)
     with pytest.raises(UsageError, match="at least 8"):
         apply_transmutation(case, 1.0, 4)
+    # abscissae x nodes above the point budget are refused before evaluation
+    with pytest.raises(UsageError, match="1025 abscissae x 64 nodes exceed"):
+        transform(case, Num(1.0), 0.0, np.linspace(0.1, 2.0, 1025), 64)
 
 
 @pytest.mark.parametrize("name", list_cases())

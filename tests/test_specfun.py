@@ -1,16 +1,21 @@
 """Scalar special functions against closed forms and scipy/mpmath oracles.
 
-scipy is a test-only dependency here; the library itself never imports it.
+scipy and mpmath are test-only dependencies here; the library itself
+never imports them.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
-from transmute.errors import ConvergenceError, DomainError, PoleError, RangeError
+from transmute.errors import (
+    ConvergenceError, DomainError, PoleError, RangeError, TransmuteError,
+)
+from transmute.expr import evaluate, parse
 import transmute.specfun as specfun
 
 
@@ -114,10 +119,11 @@ def test_bessel_negative_order_at_origin_rejected():
 
 @pytest.mark.parametrize("nu", [0.0, 1.0, 1.5])
 def test_bessel_j_upper_box_is_honest(nu):
-    # the ascending series loses digits near the z = 20 corner, down to
-    # the 1e-8 absolute that the docstring promises there
+    # Miller's recurrence keeps J accurate up to the z = 20 corner, where
+    # the ascending series lost all but 8 digits (scipy's jv is itself
+    # only good to about 1e-14 there, so mpmath is the oracle)
     for z in (14.0, 20.0):
-        assert abs(specfun.bessel_j(nu, z) - sp.jv(nu, z)) <= 1e-8
+        assert abs(specfun.bessel_j(nu, z) - float(mp.besselj(nu, z))) <= 1e-14
 
 
 @pytest.mark.parametrize("nu", [-0.5, 0.0, 1.0, 2.5])
@@ -139,6 +145,10 @@ def test_bessel_range_errors():
         specfun.bessel_j(1.0, 20.5)
     with pytest.raises(RangeError):
         specfun.bessel_clifford(0.0, 101.0)
+    with pytest.raises(RangeError):
+        specfun.bessel_j(100.5, 1.0)
+    with pytest.raises(RangeError):
+        specfun.bessel_clifford_jets(101.0, 1.0)
 
 
 @given(st.floats(0.0, 3.0), st.floats(0.05, 10.0))
@@ -151,6 +161,126 @@ def test_clifford_reproduces_j(nu, z):
 def test_clifford_reproduces_i(nu, z):
     want = specfun.bessel_clifford(nu, z * z / 4.0) * (z / 2.0) ** nu
     assert specfun.bessel_i(nu, z) == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+# --- Bessel accuracy against mpmath ----------------------------------------
+
+NU_BOX = [-1.0, -0.7, -0.5, -0.2, 0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.3, 3.7, 5.0, 5.5, 6.0]
+Z_BOX = [1e-3, 0.05, 0.5, 1.0, 2.0, 3.0, 3.99, 4.0, 4.01, 5.0, 7.3, 10.0, 12.6, 15.0, 18.1,
+         19.99, 20.0]
+
+
+def mp_clifford(nu, w):
+    """C_nu(w) = 0F1(; nu+1; w)/gamma(nu+1), and w C_1(w) at nu = -1."""
+    if nu == -1.0:
+        return w * mp_clifford(1.0, w)
+    return mp.hyp0f1(nu + 1, w) * mp.rgamma(nu + 1)
+
+
+def mp_bessel(kind, nu, z, k):
+    # mpmath's besseli drops the derivative at negative integer order;
+    # I_-n = I_n there
+    if kind == "i" and nu < 0.0 and nu == round(nu):
+        nu = -nu
+    fn = mp.besselj if kind == "j" else mp.besseli
+    return float(fn(nu, z, derivative=k))
+
+
+def assert_close(got, want, tol=1e-14):
+    assert abs(got - want) <= tol * max(1.0, abs(want)), (got, want)
+
+
+@pytest.mark.parametrize("nu", NU_BOX)
+def test_bessel_values_match_mpmath(nu):
+    for z in Z_BOX:
+        assert_close(specfun.bessel_j(nu, z), mp_bessel("j", nu, z, 0))
+        assert_close(specfun.bessel_i(nu, z), mp_bessel("i", nu, z, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(-1.0, 6.0), st.floats(1e-3, 20.0))
+def test_bessel_values_match_mpmath_anywhere_in_the_box(nu, z):
+    assert_close(specfun.bessel_j(nu, z), mp_bessel("j", nu, z, 0))
+    assert_close(specfun.bessel_i(nu, z), mp_bessel("i", nu, z, 0))
+
+
+# nu < 1, integer nu <= 1 and negative non-integer nu took special
+# branches when the jets were built from five separate series
+@pytest.mark.parametrize("nu", [-1.0, -0.7, -0.5, 0.0, 0.25, 0.5, 0.999, 1.0, 2.3, 6.0])
+@pytest.mark.parametrize("kind", ["j", "i"])
+def test_bessel_jets_match_mpmath(kind, nu):
+    jets = specfun.bessel_j_jets if kind == "j" else specfun.bessel_i_jets
+    for z in Z_BOX:
+        got = jets(nu, z)
+        for k in range(3):
+            assert_close(got[k], mp_bessel(kind, nu, z, k))
+
+
+@pytest.mark.parametrize("nu", NU_BOX)
+def test_bessel_clifford_matches_mpmath(nu):
+    for w in np.linspace(-100.0, 100.0, 41).tolist() + [-4.0001, -4.0, 4.0, 4.0001, 0.0]:
+        got = specfun.bessel_clifford_jets(nu, w)
+        assert got[0] == specfun.bessel_clifford(nu, w)
+        for k in range(3):
+            # d/dw C_nu = C_nu+1
+            assert_close(got[k], float(mp_clifford(nu + k, w)))
+
+
+def clifford_series_oracle(nu, w):
+    """sum_k w^k / (k! gamma(nu+k+1)) term by term, summed by math.fsum.
+
+    This was the library's float path before Miller's recurrence: exact
+    up to the rounding of each term, so good to about 1e-16 of the sum of
+    |terms|, which is C_nu(|w|), and poor where the terms cancel.
+    """
+    if nu == -1.0:
+        return w * clifford_series_oracle(1.0, w)
+    term = 1.0 / math.gamma(nu + 1.0)
+    terms = [term]
+    for k in range(200):
+        term *= w / ((k + 1.0) * (nu + k + 1.0))
+        terms.append(term)
+        if abs(term) <= 1e-18 * abs(math.fsum(terms)):
+            break
+    return math.fsum(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(-1.0, 6.0), st.floats(-100.0, 100.0))
+def test_bessel_clifford_is_the_old_series(nu, w):
+    scale = max(1.0, clifford_series_oracle(nu, abs(w)))
+    assert abs(specfun.bessel_clifford(nu, w) - clifford_series_oracle(nu, w)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize(
+    "fn", [specfun.bessel_j, specfun.bessel_i, specfun.bessel_j_jets, specfun.bessel_i_jets],
+)
+@pytest.mark.parametrize("nu, z", [(-0.5, 5e-324), (-0.99, 5e-324), (-0.99, 1e-320)])
+def test_bessel_at_underflowing_z_raises_a_library_error(fn, nu, z):
+    # z/2 underflows to 0, or (z/2)^nu overflows, under a negative order
+    with pytest.raises(RangeError):
+        fn(nu, z)
+    with pytest.raises(RangeError, match=r"z=(5e-324|4\.94066e-324|9\.9998)"):
+        fn(nu, np.array([1.0, z, 0.5]))
+
+
+@pytest.mark.parametrize("nu", [-1.0, -0.5, 0.0, 0.3, 2.0])
+def test_bessel_at_underflowing_z_never_escapes_as_an_arithmetic_error(nu):
+    for fn in (specfun.bessel_j, specfun.bessel_i, specfun.bessel_j_jets,
+               specfun.bessel_i_jets, specfun.bessel_clifford):
+        try:
+            out = fn(nu, 5e-324)
+        except TransmuteError:
+            continue
+        assert np.all(np.isfinite(out)), (fn, nu, out)
+    # C_nu is entire: a subnormal w is an ordinary argument
+    assert specfun.bessel_clifford(nu, 5e-324) == pytest.approx(1.0 / math.gamma(nu + 1.0)
+                                                               if nu > -1.0 else 0.0)
+
+
+def test_bessel_at_underflowing_z_raises_through_the_dsl():
+    with pytest.raises(TransmuteError):
+        evaluate(parse("besselj(-0.5, x)"), {"x": 5e-324})
 
 
 def test_clifford_at_zero_argument():
