@@ -229,7 +229,6 @@ def _case_from_config(path, params):
         lam=_cfg_float(case_sec, "lambda", path, default=0.0),
         eigen_shift=None,
         p_diag=_cfg_float(case_sec, "p_diag", path, default=0.0),
-        p_zero=kernel_t + f0_t,
         kernel_t_exponent=kernel_t,
         f0_t_exponent=f0_t,
         kernel_smooth=_cfg_expr(case_sec, "kernel_smooth", path, default=kernel),
@@ -272,7 +271,7 @@ def _problem_from_config(path, params, args):
     return problem, reference
 
 
-def _resolve_case(args, need_params=True):
+def _resolve_case(args):
     params = _parse_params(getattr(args, "params", None))
     if getattr(args, "custom", None):
         case = _case_from_config(args.custom, params)

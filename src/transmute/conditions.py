@@ -20,8 +20,8 @@ the 4a residual floor is rounding noise and tolerances can stay tight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -53,48 +53,42 @@ CONDITION_IDS = ("4a", "4b1", "4b2", "4c", "4d", "eigenA", "eigenB")
 MAX_POINTS = 65536
 
 
-_TOLERANCE_FIELDS = ("tol_4a", "tol_4b1", "tol_eigen", "transport_drop", "decay_drop", "tiny")
+# Tolerances, limit sequences and verdict constants of the checks that no
+# VerifyConfig field sets.
+TOL_4B1 = 1e-12
+TOL_EIGEN = 1e-8
+DELTA_REL = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)  # relative diagonal offsets, largest first
+EPS_SEQ = tuple(0.1 * 2.0 ** (-k) for k in range(13))  # t = eps, largest first
+MIN_SLOPE = 0.1  # a vanishing limit's log-log slope exceeds this
+TRANSPORT_DROP = 0.1  # 4b2's final residual is at most this times its first
+DECAY_DROP = 1e-3  # the same bound for 4c and 4d
+TINY = 1e-12  # rounding floor of a limit residual
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Grids, limit sequences, and tolerances for one verification run."""
+    """Grids and the 4a tolerance for one verification run.
+
+    The hyperbolic check uses an nx x nt triangle grid up to x_max and
+    the tolerance tol_4a; the other checks use n_samples abscissae.  The
+    limit sequences, drops and other tolerances are module constants.
+    """
 
     nx: int = 20
     nt: int = 20
     n_samples: int = 20
     x_max: float = 2.0
     tol_4a: float = 1e-8
-    tol_4b1: float = 1e-12
-    tol_eigen: float = 1e-8
-    # relative diagonal offsets, largest first
-    delta_rel: Sequence[float] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    # t = eps sequence, largest first
-    eps_seq: Sequence[float] = tuple(0.1 * 2.0 ** (-k) for k in range(13))
-    min_slope: float = 0.1
-    transport_drop: float = 0.1
-    decay_drop: float = 1e-3
-    tiny: float = 1e-12
 
     def __post_init__(self):
-        for name in _TOLERANCE_FIELDS:
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise UsageError(f"{name} must be a positive finite number, got {value!r}")
+        if not 0.0 < self.tol_4a < math.inf:
+            raise UsageError(f"tol_4a must be a positive finite number, got {self.tol_4a!r}")
         if self.nx < 1 or self.nt < 1:
             raise UsageError("hyperbolic grid must have at least one point per axis")
         if self.n_samples < 2:
             raise UsageError("need at least two sample points")
         if max(self.nx * self.nt, self.n_samples) > MAX_POINTS:
             raise UsageError(f"{self.nx}x{self.nt} grid or {self.n_samples} samples: maximum {MAX_POINTS}")
-        if len(self.delta_rel) < 2 or any(
-            b >= a for a, b in zip(self.delta_rel, self.delta_rel[1:])
-        ):
-            raise UsageError("delta_rel must be a decreasing sequence")
-        if len(self.eps_seq) < 2 or any(
-            b >= a for a, b in zip(self.eps_seq, self.eps_seq[1:])
-        ):
-            raise UsageError("eps_seq must be a decreasing sequence")
 
 
 @dataclass(frozen=True)
@@ -170,7 +164,8 @@ def hyperbolic_terms(case, x, t):
     params = case.params
     jk = evaluate_jet(case.kernel, x, t, params)
     ja0 = evaluate_jet(case.opA.a, 0.0, t, params)
-    b0, c0 = case.opA.coefficient_values(t, params)[1:]
+    b0 = evaluate(case.opA.b, {**params, "t": t})
+    c0 = evaluate(case.opA.c, {**params, "t": t})
     a1, b1, c1 = case.opB.coefficient_values(x, params)
     div_term = ja0.dt * jk.dt + ja0.value * jk.dtt
     terms = (
@@ -258,32 +253,34 @@ def _loglog_slope(xs, ys, last_n=6):
     return math.fsum((u - mx) * (v - my) for u, v in zip(lx, ly)) / den
 
 
-def _decay_verdict(seq_vals, values, *, tiny, min_slope, drop):
-    """Shared decreasing-sequence verdict for limit checks.
+def _limit_record(cond_id, grid, seq, values, drop):
+    """The record of a limit check: ``values``, taken along the decreasing
+    ``seq``, must vanish.
 
-    Pass if everything already sits at the rounding floor, or if the
-    tail decreases with a positive log-log slope down to ``drop`` times
-    the initial scale.
+    Passes if everything already sits at the rounding floor, or if the
+    tail decreases with a log-log slope above MIN_SLOPE down to ``drop``
+    times the initial value; ``detail`` gives the failed tests' reasons.
     """
-    slope = _loglog_slope(seq_vals, values)
-    if all(v <= tiny for v in values):
-        return True, slope, "at rounding floor"
+    slope = _loglog_slope(seq, values)
     tail = values[-6:]
-    decreasing = all(b <= a * (1.0 + 1e-9) + tiny for a, b in zip(tail, tail[1:]))
-    small_enough = values[-1] <= max(drop * values[0], tiny)
-    sloped = slope is not None and slope > min_slope
-    if decreasing and small_enough and sloped:
-        return True, slope, ""
     reasons = []
-    if not decreasing:
+    if not all(b <= a * (1.0 + 1e-9) + TINY for a, b in zip(tail, tail[1:])):
         reasons.append("tail not decreasing")
-    if not small_enough:
-        reasons.append(
-            f"final {values[-1]:.3e} above {drop:g} x initial {values[0]:.3e}"
-        )
-    if not sloped:
-        reasons.append(f"slope {slope!r} <= {min_slope:g}")
-    return False, slope, "; ".join(reasons)
+    if not values[-1] <= max(drop * values[0], TINY):
+        reasons.append(f"final {values[-1]:.3e} above {drop:g} x initial {values[0]:.3e}")
+    if not (slope is not None and slope > MIN_SLOPE):
+        reasons.append(f"slope {slope!r} <= {MIN_SLOPE:g}")
+    floor = all(v <= TINY for v in values)
+    return ConditionRecord(
+        id=cond_id,
+        grid=grid,
+        max_residual=values[-1],
+        mean_residual=math.fsum(values) / len(values),
+        tolerance=drop,
+        passed=floor or not reasons,
+        decay_slope=slope,
+        detail="at rounding floor" if floor else "; ".join(reasons),
+    )
 
 
 def transport_residual(case, x, delta):
@@ -323,47 +320,28 @@ def check_diagonal(case, xs=None, config=None):
         grid=f"{len(xs)} shared samples in [{xs[0]:g}, {xs[-1]:g}]",
         max_residual=max(coeff_gaps),
         mean_residual=math.fsum(coeff_gaps) / len(coeff_gaps),
-        tolerance=cfg.tol_4b1,
-        passed=max(coeff_gaps) <= cfg.tol_4b1,
+        tolerance=TOL_4B1,
+        passed=max(coeff_gaps) <= TOL_4B1,
     )
 
     # 4b2: scan t = x - delta for a shrinking sequence of relative deltas,
     # one row of the grid per delta
-    raw, scaled = transport_residual(case, s, np.array(cfg.delta_rel)[:, None] * s)
-    per_delta = scaled.max(axis=1).tolist()
-    raw_per_delta = raw.max(axis=1).tolist()
-    passed, slope, why = _decay_verdict(
-        list(cfg.delta_rel),
-        per_delta,
-        tiny=cfg.tiny,
-        min_slope=cfg.min_slope,
-        drop=cfg.transport_drop,
+    raw, scaled = transport_residual(case, s, np.array(DELTA_REL)[:, None] * s)
+    grid = (
+        f"{len(xs)} abscissae, delta/x in [{DELTA_REL[-1]:g}, {DELTA_REL[0]:g}];"
+        f" raw final {raw.max(axis=1)[-1]:.3e}"
     )
-    rec_4b2 = ConditionRecord(
-        id="4b2",
-        grid=(
-            f"{len(xs)} abscissae, delta/x in"
-            f" [{cfg.delta_rel[-1]:g}, {cfg.delta_rel[0]:g}];"
-            f" raw final {raw_per_delta[-1]:.3e}"
-        ),
-        max_residual=per_delta[-1],
-        mean_residual=math.fsum(per_delta) / len(per_delta),
-        tolerance=cfg.transport_drop,
-        passed=passed,
-        decay_slope=slope,
-        detail=why,
-    )
-    return rec_4b1, rec_4b2
+    return rec_4b1, _limit_record("4b2", grid, DELTA_REL, scaled.max(axis=1).tolist(), TRANSPORT_DROP)
 
 
 def check_boundary_t0(case, xs=None, eps_seq=None, config=None):
-    """Condition 4c: the t = 0 bracket times f0 must vanish as eps -> 0."""
+    """Condition 4c: the t = 0 bracket times f0 must vanish as eps -> 0
+    along ``eps_seq`` (default EPS_SEQ)."""
     cfg = config or VerifyConfig()
     if xs is None:
         xs = sample_points(case, cfg.n_samples)
     xs = list(xs)
-    if eps_seq is None:
-        eps_seq = list(cfg.eps_seq)
+    eps_seq = list(EPS_SEQ if eps_seq is None else eps_seq)
     if not xs or not eps_seq:
         raise UsageError("boundary check needs sample points and an eps sequence")
     params = case.params
@@ -375,34 +353,19 @@ def check_boundary_t0(case, xs=None, eps_seq=None, config=None):
     jk = evaluate_jet(case.kernel, np.array(xs, dtype=float), eps, params)
     bracket = a * jk.dt - b0 * jk.value - case.opA.h * a * jk.value
     values = np.abs(bracket * f0).max(axis=1).tolist()
-    passed, slope, why = _decay_verdict(
-        eps_seq,
-        values,
-        tiny=cfg.tiny,
-        min_slope=cfg.min_slope,
-        drop=cfg.decay_drop,
-    )
-    return ConditionRecord(
-        id="4c",
-        grid=f"{len(xs)} abscissae, eps in [{eps_seq[-1]:.3e}, {eps_seq[0]:.3e}]",
-        max_residual=values[-1],
-        mean_residual=math.fsum(values) / len(values),
-        tolerance=cfg.decay_drop,
-        passed=passed,
-        decay_slope=slope,
-        detail=why,
-    )
+    grid = f"{len(xs)} abscissae, eps in [{eps_seq[-1]:.3e}, {eps_seq[0]:.3e}]"
+    return _limit_record("4c", grid, eps_seq, values, DECAY_DROP)
 
 
 def check_vertex(case, pairs=None, config=None):
-    """Condition 4d: K(eps, eps-delta) f0(eps) along delta = eps^2.
+    """Condition 4d: K(eps, eps-delta) f0(eps) along the (eps, delta)
+    ``pairs``, by default delta = eps^2 over EPS_SEQ; ``config`` is unread.
 
     A finite nonzero limit does not fail the check; the record is
     marked informational and carries the limit.
     """
-    cfg = config or VerifyConfig()
     if pairs is None:
-        pairs = [(eps, eps * eps) for eps in cfg.eps_seq]
+        pairs = [(eps, eps * eps) for eps in EPS_SEQ]
     pairs = list(pairs)
     if not pairs:
         raise UsageError("vertex check needs (eps, delta) pairs")
@@ -415,52 +378,21 @@ def check_vertex(case, pairs=None, config=None):
     f0 = evaluate(case.f0, {**params, "t": e})
     values = np.abs(k * f0).tolist()
     eps_vals = [eps for eps, _ in pairs]
-    passed, slope, why = _decay_verdict(
-        eps_vals,
-        values,
-        tiny=cfg.tiny,
-        min_slope=cfg.min_slope,
-        drop=cfg.decay_drop,
-    )
     grid = f"{len(pairs)} pairs, delta = eps^2, eps down to {eps_vals[-1]:.3e}"
-    if passed:
-        return ConditionRecord(
-            id="4d",
-            grid=grid,
-            max_residual=values[-1],
-            mean_residual=math.fsum(values) / len(values),
-            tolerance=cfg.decay_drop,
-            passed=True,
-            decay_slope=slope,
-            detail=why,
-        )
-    # no decay: accept a converged finite limit, but say so
+    rec = _limit_record("4d", grid, eps_vals, values, DECAY_DROP)
     tail = values[-3:]
     settled = len(tail) == 3 and all(
         abs(a - b) <= 1e-6 * (1.0 + abs(tail[-1])) for a, b in zip(tail, tail[1:])
     )
-    if settled and tail[-1] > cfg.tiny:
-        return ConditionRecord(
-            id="4d",
-            grid=grid,
-            max_residual=values[-1],
-            mean_residual=math.fsum(values) / len(values),
-            tolerance=cfg.decay_drop,
-            passed=True,
-            decay_slope=slope,
-            informational=True,
-            limit=tail[-1],
-            detail=f"vertex product tends to {tail[-1]!r}, not 0",
-        )
-    return ConditionRecord(
-        id="4d",
-        grid=grid,
-        max_residual=values[-1],
-        mean_residual=math.fsum(values) / len(values),
-        tolerance=cfg.decay_drop,
-        passed=False,
-        decay_slope=slope,
-        detail=why,
+    if rec.passed or not (settled and tail[-1] > TINY):
+        return rec
+    # no decay: accept a converged finite limit, but say so
+    return replace(
+        rec,
+        passed=True,
+        informational=True,
+        limit=tail[-1],
+        detail=f"vertex product tends to {tail[-1]!r}, not 0",
     )
 
 
@@ -470,32 +402,20 @@ def check_eigen(case, xs=None, config=None):
     if xs is None:
         xs = sample_points(case, cfg.n_samples)
     xs = list(xs)
+    shift = case.eigen_shift
     records = []
-    for cond_id, op, f, lam, shift_op, shift_lam in (
-        (
-            "eigenA",
-            case.opA,
-            case.f0,
-            case.lam,
-            case.eigen_shift.opA if case.eigen_shift else None,
-            case.eigen_shift.lam_a if case.eigen_shift else None,
-        ),
-        (
-            "eigenB",
-            case.opB,
-            case.f1,
-            case.lam,
-            case.eigen_shift.opB if case.eigen_shift else None,
-            case.eigen_shift.lam_b if case.eigen_shift else None,
-        ),
+    for cond_id, op, f, shifted in (
+        ("eigenA", case.opA, case.f0, (shift.opA, shift.lam_a) if shift else None),
+        ("eigenB", case.opB, case.f1, (shift.opB, shift.lam_b) if shift else None),
     ):
-        stats = eigen_residual(op, f, lam, xs, case.params)
+        stats = eigen_residual(op, f, case.lam, xs, case.params)
         worst, mean = stats["max"], stats["mean"]
-        desc = f"lambda={lam:g}"
-        if shift_op is not None:
-            shifted = eigen_residual(shift_op, f, shift_lam, xs, case.params)
-            worst = max(worst, shifted["max"])
-            mean = 0.5 * (mean + shifted["mean"])
+        desc = f"lambda={case.lam:g}"
+        if shifted is not None:
+            shift_op, shift_lam = shifted
+            stats = eigen_residual(shift_op, f, shift_lam, xs, case.params)
+            worst = max(worst, stats["max"])
+            mean = 0.5 * (mean + stats["mean"])
             desc += f", shifted lambda={shift_lam:g}"
         records.append(
             ConditionRecord(
@@ -503,8 +423,8 @@ def check_eigen(case, xs=None, config=None):
                 grid=f"{len(xs)} points in [{xs[0]:g}, {xs[-1]:g}]; {desc}",
                 max_residual=worst,
                 mean_residual=mean,
-                tolerance=cfg.tol_eigen,
-                passed=worst <= cfg.tol_eigen,
+                tolerance=TOL_EIGEN,
+                passed=worst <= TOL_EIGEN,
             )
         )
     return tuple(records)

@@ -180,13 +180,8 @@ class TriangleGrid:
     the t = 0 closure the march used ("neumann" or "robin")."""
 
     h: float
-    X: float
     levels: tuple
     boundary: str
-
-    @property
-    def steps(self):
-        return len(self.levels) // 2
 
     def value(self, i, j):
         return float(self.levels[i + j][j])
@@ -416,7 +411,7 @@ def _march(problem, diag, flavor, tables):
         if not np.isfinite(lvl).all():
             raise NumericalError(f"non-finite lattice value at level {d}")
         levels.append(lvl)
-    return TriangleGrid(h=h, X=problem.X, levels=tuple(levels), boundary=flavor)
+    return TriangleGrid(h=h, levels=tuple(levels), boundary=flavor)
 
 
 # points per array evaluation in ``compare``: its temporaries (and the
@@ -462,23 +457,13 @@ def potential_from_diagonal(source, spacing=None):
             raise UsageError("potential_from_diagonal needs a positive spacing")
     if len(vals) < 3:
         raise UsageError("need at least 3 diagonal samples")
-    q = []
-    last = len(vals) - 1
-    for m, _ in enumerate(vals):
-        if m == 0:
-            d = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * spacing)
-        elif m == last:
-            d = (3.0 * vals[last] - 4.0 * vals[last - 1] + vals[last - 2]) / (
-                2.0 * spacing
-            )
-        else:
-            d = (vals[m + 1] - vals[m - 1]) / (2.0 * spacing)
-        q.append(2.0 * d)
-    return q
+    # central differences inside, second-order one-sided ones at the ends
+    return (2.0 * np.gradient(np.asarray(vals, dtype=float), spacing, edge_order=2)).tolist()
 
 
-def problem_from_case(case, X, h, kappa=1.0, boundary="auto"):
-    """Adapt a catalog case to the solver's constant-sigma form.
+def problem_from_case(case, X, h):
+    """Adapt a catalog case to the solver's constant-sigma form, with
+    kappa = 1 and the boundary closure picked by ``solve``.
 
     The leading coefficients must be the same constant +-1 (variable
     a(x), e.g. the x^2 (x^2-1) family, is out of the solver's scope).
@@ -517,10 +502,8 @@ def problem_from_case(case, X, h, kappa=1.0, boundary="auto"):
         c0=case.opA.c,
         c1=case.opB.c,
         h0=case.opA.h,
-        kappa=kappa,
         X=X,
         h=h,
         rho=rho,
         params=dict(case.params),
-        boundary=boundary,
     )

@@ -68,7 +68,6 @@ class TransmutationCase:
     lam: float
     eigen_shift: Optional[EigenShift]
     p_diag: float
-    p_zero: float
     kernel_t_exponent: float
     f0_t_exponent: float
     kernel_smooth: Expr
@@ -76,6 +75,11 @@ class TransmutationCase:
     x_range: tuple
     refs: tuple
     notes: str
+
+    @property
+    def p_zero(self):
+        """The exponent of K*f0 ~ t^p_zero as t -> 0."""
+        return self.kernel_t_exponent + self.f0_t_exponent
 
     def __post_init__(self):
         if not self.p_diag > -1.0:
@@ -131,7 +135,6 @@ def _poisson_bessel(params):
             lam_b=1.0,
         ),
         p_diag=nu - 0.5,
-        p_zero=0.0,
         kernel_t_exponent=0.0,
         f0_t_exponent=0.0,
         kernel_smooth=parse(
@@ -172,7 +175,6 @@ def _sonin(params):
             lam_b=1.0,
         ),
         p_diag=nu,
-        p_zero=2.0 * mu + 1.0,
         kernel_t_exponent=0.0,
         f0_t_exponent=2.0 * mu + 1.0,
         kernel_smooth=parse("(x+t)^nu/(x^nu*2^nu*gamma(nu+1))"),
@@ -213,7 +215,6 @@ def _sine_to_bessel(params):
             lam_b=-(omega ** 2),
         ),
         p_diag=beta - 1.0,
-        p_zero=2.0,
         kernel_t_exponent=1.0,
         f0_t_exponent=1.0,
         kernel_smooth=parse("(x+t)^(beta-1)"),
@@ -250,7 +251,6 @@ def _sinh_cosh(params):
             lam_b=beta ** 2,
         ),
         p_diag=0.5,
-        p_zero=0.0,
         kernel_t_exponent=0.0,
         f0_t_exponent=0.0,
         kernel_smooth=parse(
@@ -313,7 +313,6 @@ def _gegenbauer(params):
         lam=0.0,
         eigen_shift=None,
         p_diag=beta - 1.0,
-        p_zero=2.0 * (lam_p - beta) + degree,
         kernel_t_exponent=0.0,
         f0_t_exponent=2.0 * (lam_p - beta) + degree,
         kernel_smooth=parse("(x+t)^(beta-1)"),
@@ -361,7 +360,6 @@ def _lowndes(params):
             lam_b=beta ** 2 + omega ** 2,
         ),
         p_diag=mu,
-        p_zero=2.0 * nu + 1.0,
         kernel_t_exponent=0.0,
         f0_t_exponent=2.0 * nu + 1.0,
         kernel_smooth=parse(
@@ -405,7 +403,6 @@ def _epd_bessel(params):
             lam_b=-(omega ** 2 + mu ** 2),
         ),
         p_diag=nu,
-        p_zero=0.0,
         kernel_t_exponent=0.0,
         f0_t_exponent=0.0,
         kernel_smooth=parse(
@@ -445,7 +442,6 @@ def _vekua_telegraph(params):
             lam_b=-(omega ** 2 + mu ** 2),
         ),
         p_diag=0.0,
-        p_zero=0.0,
         kernel_t_exponent=0.0,
         f0_t_exponent=0.0,
         kernel_smooth=parse("bessel_clifford(0, -mu^2*(x^2-t^2)/4)"),
@@ -485,7 +481,6 @@ def _cosh_1f2(params):
             lam_b=p["mu"] ** 2,
         ),
         p_diag=beta - 1.0,
-        p_zero=0.0,
         kernel_t_exponent=0.0,
         f0_t_exponent=0.0,
         kernel_smooth=parse("(x+t)^(beta-1)"),

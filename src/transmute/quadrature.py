@@ -101,8 +101,9 @@ def transform(case, f_smooth, t_exponent, x, n=64):
 
     ``f_smooth`` is an expression in t (plus case parameters); its
     declared power of t folds into the Jacobi weight together with the
-    kernel's own endpoint exponents.  ``x`` is a float or an array of
-    abscissae; each abscissa's n weighted terms are summed with math.fsum.
+    kernel's own endpoint exponents.  ``x`` is a number (the result is a
+    float) or an array or sequence of abscissae (the result is an array of
+    its shape); each abscissa's n weighted terms are summed with math.fsum.
     """
     alpha_w = case.p_diag
     beta_w = case.kernel_t_exponent + t_exponent
@@ -112,7 +113,10 @@ def transform(case, f_smooth, t_exponent, x, n=64):
         )
     # first, so that an order above the cap is refused before any array work
     rule = jacobi_rule(n, alpha_w, beta_w)
-    xs = np.array(x, dtype=float, ndmin=1) if isinstance(x, (int, float, np.ndarray)) else 0.0
+    try:
+        xs = np.array(x, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise UsageError(f"transform needs numbers for x, got {x!r}") from None
     if not np.all((xs > 0.0) & (xs < math.inf)):
         raise UsageError(f"transform needs x > 0, got {x!r}")
     if xs.size * n > MAX_POINTS:
@@ -124,7 +128,7 @@ def transform(case, f_smooth, t_exponent, x, n=64):
     terms = np.array(rule.weights)[:, None] * smooth
     p = alpha_w + beta_w + 1.0
     out = [(xk / 2.0) ** p * math.fsum(col.tolist()) for xk, col in zip(xs.tolist(), terms.T)]
-    return np.array(out).reshape(np.shape(x)) if type(x) is np.ndarray else out[0]
+    return out[0] if np.ndim(x) == 0 else np.reshape(out, np.shape(x))
 
 
 def apply_transmutation(case, x, n=64):

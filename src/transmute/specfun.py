@@ -25,7 +25,6 @@ __all__ = [
     "gamma",
     "digamma",
     "trigamma",
-    "beta",
     "bessel_j",
     "bessel_i",
     "bessel_clifford",
@@ -139,11 +138,6 @@ def trigamma(x: float) -> float:
     return acc + inv + 0.5 * inv2 + tail
 
 
-def beta(a: float, b: float) -> float:
-    """Euler beta as a gamma quotient; target 1e-11 relative on (0, 30]."""
-    return gamma(a) * gamma(b) / gamma(a + b)
-
-
 # The Bessel layer computes the triple (C_nu, C_nu+1, C_nu+2) of the Clifford
 # core C_a(w) = sum_k w^k/(k! gamma(a+k+1)) by the branch each entry's w picks:
 # Miller's recurrence below -_SPLIT, where the series cancels, else the Taylor
@@ -232,11 +226,12 @@ def _clifford(nu: float, w):
     return out
 
 
-@np.errstate(all="ignore")  # jets near z = 0 overflow to inf, as in float arithmetic
+@np.errstate(all="ignore")  # jets near z = 0 overflow: raised as RangeError
 def _bessel(nu: float, z, sign: float, name: str, jets: bool = False):
     """J (sign=-1) or I (sign=+1) as f = (z/2)^nu C_nu(sign z^2/4); with
     ``jets`` (f, f', f'') from f_k = (z/2)^(nu+k) C_nu+k, k = 1, 2:
-    f' = nu/z f + sign f_1, f'' = nu (nu-1)/z^2 f + sign (2 nu+1)/z f_1 + f_2."""
+    f' = nu/z f + sign f_1, f'' = nu (nu-1)/z^2 f + sign (2 nu+1)/z f_1 + f_2.
+    A jet that is not finite, as at a tiny z where nu/z overflows, raises."""
     if jets and (bad := 0.5 * np.asarray(z) <= 0.0).any():
         zk = _first(bad, z)
         raise (RangeError if zk > 0 else DomainError)(
@@ -257,7 +252,10 @@ def _bessel(nu: float, z, sign: float, name: str, jets: bool = False):
     if not jets:
         return f
     f1, f2 = p * h * c1, p * h * h * c2
-    return f, nu / z * f + sign * f1, nu * (nu - 1.0) / z * f / z + sign * (2.0 * nu + 1.0) / z * f1 + f2
+    jet = f, nu / z * f + sign * f1, nu * (nu - 1.0) / z * f / z + sign * (2.0 * nu + 1.0) / z * f1 + f2
+    if not (ok := np.isfinite(jet).all(axis=0)).all():
+        raise RangeError(f"{name} jets: no finite value at nu={nu}, z={_first(~ok, z)!r}")
+    return jet
 
 
 def bessel_j(nu: float, z):

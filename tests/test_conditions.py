@@ -46,14 +46,14 @@ def test_sample_points_honor_the_case_range():
     [
         (dict(nx=0), "at least one point"),
         (dict(n_samples=1), "two sample points"),
-        (dict(eps_seq=(0.1, 0.2)), "decreasing"),
-        (dict(delta_rel=()), "delta_rel"),
+        (dict(nt=0), "at least one point"),
+        (dict(tol_4a=0.0), "tol_4a"),
         (dict(tol_4a=math.nan), "tol_4a"),
-        (dict(tol_4b1=0.0), "tol_4b1"),
-        (dict(tol_eigen=-1e-8), "tol_eigen"),
-        (dict(transport_drop=math.inf), "transport_drop"),
-        (dict(decay_drop=-math.inf), "decay_drop"),
-        (dict(tiny=0.0), "tiny"),
+        (dict(tol_4a=-1e-8), "tol_4a"),
+        (dict(tol_4a=math.inf), "tol_4a"),
+        (dict(tol_4a=-math.inf), "tol_4a"),
+        (dict(n_samples=0), "two sample points"),
+        (dict(nx=1, nt=MAX_POINTS + 1), "grid"),
         (dict(nx=2000, nt=2000), "2000x2000 grid"),
         (dict(nx=MAX_POINTS + 1, nt=1), "grid"),
         (dict(n_samples=MAX_POINTS + 1), "samples"),
@@ -147,6 +147,51 @@ def test_vertex_decay_and_informational_branch():
     info = check_vertex(get_case("vekua_telegraph"))
     assert info.passed and info.informational
     assert info.limit == pytest.approx(1.0, abs=1e-6)
+
+
+def _limit_records(name, params=None, **fields):
+    case = dataclasses.replace(get_case(name, params), **fields)
+    rec_4b2 = check_diagonal(case)[1]
+    return rec_4b2, check_boundary_t0(case), check_vertex(case)
+
+
+def test_limit_records_at_the_rounding_floor():
+    # at nu = 1/2 the transport and boundary residuals vanish exactly
+    for rec in _limit_records("poisson_bessel", {"nu": 0.5})[:2]:
+        assert rec.passed and not rec.informational
+        assert rec.max_residual == rec.mean_residual == 0.0
+        assert rec.decay_slope is None
+        assert rec.detail == "at rounding floor"
+
+
+def test_limit_records_decaying_pass_and_fixed_drop_failure():
+    rec_4b2, _, rec_4d = _limit_records("poisson_bessel", {"nu": 0.5317})
+    assert rec_4b2.passed and rec_4b2.detail == ""
+    assert rec_4b2.tolerance == 0.1
+    assert rec_4b2.decay_slope == pytest.approx(1.0206, abs=1e-4)
+    # the vertex product decays like eps^(2 nu - 1): too slowly for the fixed drop
+    assert not rec_4d.passed and not rec_4d.informational
+    assert rec_4d.tolerance == 1e-3 and rec_4d.limit is None
+    assert rec_4d.detail == (
+        "final 4.141e-01 above 0.001 x initial 6.970e-01;"
+        f" slope {rec_4d.decay_slope!r} <= 0.1"
+    )
+    assert rec_4d.decay_slope == pytest.approx(2 * 0.5317 - 1.0, abs=1e-4)
+
+
+def test_limit_record_growing_tail():
+    rec_4d = _limit_records("vekua_telegraph", kernel=parse("1/x"))[2]
+    assert not rec_4d.passed and not rec_4d.informational
+    assert rec_4d.detail.startswith("tail not decreasing; final 4.096e+04 above 0.001 x initial")
+    assert rec_4d.detail.endswith(f"; slope {rec_4d.decay_slope!r} <= 0.1")
+
+
+def test_limit_record_informational_vertex():
+    rec_4d = _limit_records("vekua_telegraph")[2]
+    assert rec_4d.passed and rec_4d.informational
+    assert rec_4d.limit == rec_4d.max_residual
+    assert rec_4d.detail == f"vertex product tends to {rec_4d.limit!r}, not 0"
+    assert rec_4d.tolerance == 1e-3
 
 
 def test_eigen_records_fold_shifted_pairs():

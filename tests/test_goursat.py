@@ -110,7 +110,7 @@ def solve_even(problem):
                                     b0t[m], b1x[d - 1], c0t[m], c1x[d - 1])
         full.append(lvl)
     levels = tuple(lvl[: d // 2 + 1] for d, lvl in enumerate(full))
-    return TriangleGrid(h=h, X=problem.X, levels=levels, boundary="neumann")
+    return TriangleGrid(h=h, levels=levels, boundary="neumann")
 
 
 def diagonal_panel_loop(problem, xs):

@@ -302,3 +302,18 @@ def test_transform_of_an_array_is_the_transform_at_each_abscissa():
         assert g == pytest.approx(apply_transmutation(case, x), rel=1e-15, abs=1e-300)
     with pytest.raises(UsageError, match="x > 0"):
         apply_transmutation(case, np.array([1.0, -1.0]))
+
+
+def test_transform_takes_a_sequence_of_abscissae():
+    case = get_case("lowndes")
+    got = apply_transmutation(case, [0.3, 1.1, 2.9])
+    assert type(got) is np.ndarray
+    assert got.tolist() == apply_transmutation(case, np.array([0.3, 1.1, 2.9])).tolist()
+    grid = apply_transmutation(case, [[0.3, 1.1], [2.9, 1.7]])
+    assert grid.shape == (2, 2)
+    assert grid.ravel().tolist() == apply_transmutation(case, [0.3, 1.1, 2.9, 1.7]).tolist()
+    assert type(apply_transmutation(case, np.array(1.1))) is float
+    with pytest.raises(UsageError, match=r"x > 0, got \[1.0, 0.0\]"):
+        apply_transmutation(case, [1.0, 0.0])
+    with pytest.raises(UsageError, match="numbers for x"):
+        apply_transmutation(case, [1.0, "a"])

@@ -82,12 +82,6 @@ def test_digamma_trigamma_poles():
             specfun.trigamma(x)
 
 
-@given(st.floats(0.1, 8.0), st.floats(0.1, 8.0))
-def test_beta_from_gammas(a, b):
-    want = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-    assert specfun.beta(a, b) == pytest.approx(want, rel=1e-11)
-
-
 # --- Bessel J / I and the Clifford core -------------------------------------
 
 def test_bessel_j_frozen_value():
@@ -264,6 +258,16 @@ def test_bessel_at_underflowing_z_raises_a_library_error(fn, nu, z):
         fn(nu, np.array([1.0, z, 0.5]))
 
 
+@pytest.mark.parametrize("fn, nu", [(specfun.bessel_j_jets, 0.3), (specfun.bessel_i_jets, 2.0)])
+def test_bessel_jets_at_subnormal_z_raise_a_library_error(fn, nu):
+    # z/2 does not underflow, but nu/z overflows while (z/2)^nu underflows:
+    # the jet would be inf and NaN
+    with pytest.raises(RangeError, match=r"z=1e-310$"):
+        fn(nu, 1e-310)
+    with pytest.raises(RangeError, match=r"z=1e-310$"):
+        fn(nu, np.array([1.0, 1e-310, 0.5]))
+
+
 @pytest.mark.parametrize("nu", [-1.0, -0.5, 0.0, 0.3, 2.0])
 def test_bessel_at_underflowing_z_never_escapes_as_an_arithmetic_error(nu):
     for fn in (specfun.bessel_j, specfun.bessel_i, specfun.bessel_j_jets,
@@ -401,11 +405,17 @@ def test_array_bessel_series_is_the_float_series(nu, z, w):
     assert np.array_equal(got, [specfun.bessel_clifford(nu, v) for v in w.tolist()])
     z = z[z > 0.0]
     for fn in (specfun.bessel_j_jets, specfun.bessel_i_jets):
-        got = fn(nu, z)
-        want = [fn(nu, v) for v in z.tolist()]
+        want = {}
+        for v in z.tolist():
+            try:
+                want[v] = fn(nu, v)
+            except RangeError:  # near z = 0 the jet is not finite
+                with pytest.raises(RangeError):
+                    fn(nu, z)
+        ok = np.array([v in want for v in z.tolist()], dtype=bool)
+        got = fn(nu, z[ok])
         for k in range(3):
-            # near z = 0 the recurrence may overflow to inf - inf, the same NaN
-            assert np.array_equal(got[k], [j[k] for j in want], equal_nan=True)
+            assert np.array_equal(got[k], [want[v][k] for v in z[ok].tolist()])
 
 
 @settings(max_examples=60, deadline=None)
