@@ -492,7 +492,7 @@ def cmd_solve(args):
         "boundary": grid.boundary,
         "sigma": problem.sigma,
         "rho": problem.rho,
-        "levels": len(grid.levels),
+        "levels": grid.top + 1,
         "max_error": None if stats is None else stats["max"],
         "l2_error": None if stats is None else stats["l2"],
         "tolerance": args.tol_solver,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -46,9 +47,9 @@ __all__ = [
 
 _BOUNDARIES = ("auto", "neumann", "robin")
 
-# The grid keeps every level, and level d holds d // 2 + 1 doubles, so N
-# steps hold about N^2 doubles: 8 N^2 bytes, 134 MB at 4096 steps, four
-# times the 34 MB of the finest rung the benchmark ladder solves (2048).
+# The grid keeps every level in one array of exactly (N+1)^2 doubles for N
+# steps: 134 MB at 4096 steps, four times the 34 MB of the finest rung the
+# benchmark ladder solves (2048).
 MAX_STEPS = 4096
 
 
@@ -89,7 +90,7 @@ class GoursatProblem:
         if not n <= MAX_STEPS + 0.5:
             raise UsageError(
                 f"X/h = {n:g} steps is beyond the lattice budget of"
-                f" {MAX_STEPS} steps ({8 * MAX_STEPS**2 / 1e6:.0f} MB of values)"
+                f" {MAX_STEPS} steps ({8 * (MAX_STEPS + 1) ** 2 / 1e6:.0f} MB of values)"
             )
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise UsageError(f"X/h must be a positive integer, got {n!r}")
@@ -174,33 +175,58 @@ def diagonal_values(problem, xs):
     return out.tolist()
 
 
+def _offset(d):
+    """Where level d starts in the flat lattice array (d an int or an int
+    array): level d = i + j holds K at j = 0..d // 2, the diagonal first,
+    and the levels d = 0..2N lie back to back."""
+    return d + (d // 2) * ((d - 1) // 2)
+
+
+# the cubic Lagrange basis on the nodes 0..3, row k holding the power-series
+# coefficients of L_k: the inverse of the nodes' Vandermonde matrix
+_LAGRANGE = np.array([[6, -11, 6, -1], [0, 18, -15, 3], [0, -9, 12, -3], [0, 2, -3, 1]]) / 6.0
+
+
+def _cubic_basis(xi, h):
+    """The basis at xi (row 0), then its first and second derivatives per step h."""
+    powers = [[1, xi, xi * xi, xi**3], [0, 1, 2 * xi, 3 * xi * xi], [0, 0, 2, 6 * xi]]
+    return powers @ _LAGRANGE.T / np.array([[1.0], [h], [h * h]])
+
+
 @dataclass(frozen=True, eq=False)
 class TriangleGrid:
-    """Solved values, one numpy row per level d = i + j (constant x), and
-    the t = 0 closure the march used ("neumann" or "robin")."""
+    """Solved values, one flat array of the levels laid out by ``_offset``
+    ((N+1)^2 doubles for N = X/h steps), and the t = 0 closure the march
+    used ("neumann" or "robin")."""
 
     h: float
-    levels: tuple
+    values: np.ndarray
     boundary: str
 
+    @property
+    def top(self):
+        """The last level, 2N."""
+        return 2 * (math.isqrt(self.values.size) - 1)
+
+    @property
+    def levels(self):
+        """One view of ``values`` per level."""
+        return tuple(self.values[_offset(d) : _offset(d + 1)] for d in range(self.top + 1))
+
     def value(self, i, j):
-        return float(self.levels[i + j][j])
+        return float(self.values[_offset(i + j) + j])
 
     def points(self):
         """Yield (i, j, x, t, K) row-major by i then j."""
-        top = len(self.levels) - 1
+        top = self.top
         for i in range(top + 1):
             for j in range(min(i, top - i) + 1):
-                d = i + j
-                yield i, j, d * self.h / 2.0, (d - 2 * j) * self.h / 2.0, float(
-                    self.levels[d][j]
-                )
+                yield i, j, (i + j) * self.h / 2.0, (i - j) * self.h / 2.0, self.value(i, j)
 
     def diagonal(self):
         """(x, K(x,x)) samples along t = x, spacing h/2."""
-        xs = [d * self.h / 2.0 for d in range(len(self.levels))]
-        vals = [float(lvl[0]) for lvl in self.levels]
-        return xs, vals
+        d = np.arange(self.top + 1)
+        return (d * self.h / 2.0).tolist(), self.values[_offset(d)].tolist()
 
     def export_csv(self, stream):
         stream.write("x,t,K\n")
@@ -211,61 +237,20 @@ class TriangleGrid:
         """Second-order jet at an off-lattice point via a 4x4 tensor-cubic
         fit in characteristic coordinates."""
         h = self.h
-        top = len(self.levels) - 1
         uu = (x + t) / h
         vv = (x - t) / h
-        j0 = int(math.floor(vv)) - 1
-        i0 = int(math.floor(uu)) - 1
-        j0 = max(j0, 0)
-        i0 = max(i0, j0 + 3)
-        if i0 + 3 + j0 + 3 > top or vv < 0.0:
+        j0 = max(int(math.floor(vv)) - 1, 0)
+        i0 = max(int(math.floor(uu)) - 1, j0 + 3)
+        if i0 + 3 + j0 + 3 > self.top or vv < 0.0:
             raise UsageError(
                 f"point ({x!r}, {t!r}) too close to the triangle edge for a"
                 " 4x4 interpolation stencil"
             )
-        xi_u = uu - i0
-        xi_v = vv - j0
-
-        def basis(xi):
-            vals, d1, d2 = [], [], []
-            for k in range(4):
-                others = [m for m in range(4) if m != k]
-                den = 1.0
-                for m in others:
-                    den *= k - m
-                vals.append(
-                    (xi - others[0]) * (xi - others[1]) * (xi - others[2]) / den
-                )
-                d1.append(
-                    (
-                        (xi - others[1]) * (xi - others[2])
-                        + (xi - others[0]) * (xi - others[2])
-                        + (xi - others[0]) * (xi - others[1])
-                    )
-                    / den
-                )
-                d2.append(
-                    2.0 * ((xi - others[0]) + (xi - others[1]) + (xi - others[2])) / den
-                )
-            return vals, d1, d2
-
-        lu, du, ddu = basis(xi_u)
-        lv, dv, ddv = basis(xi_v)
-        val = ku = kv = kuu = kuv = kvv = 0.0
-        for a in range(4):
-            for b in range(4):
-                kval = float(self.levels[i0 + a + j0 + b][j0 + b])
-                val += lu[a] * lv[b] * kval
-                ku += du[a] * lv[b] * kval
-                kv += lu[a] * dv[b] * kval
-                kuu += ddu[a] * lv[b] * kval
-                kuv += du[a] * dv[b] * kval
-                kvv += lu[a] * ddv[b] * kval
-        ku /= h
-        kv /= h
-        kuu /= h * h
-        kuv /= h * h
-        kvv /= h * h
+        a, b = np.ogrid[0:4, 0:4]
+        stencil = self.values[_offset(i0 + j0 + a + b) + j0 + b]
+        # row r, column s: the fit's r-th u- and s-th v-derivative
+        k = _cubic_basis(uu - i0, h) @ stencil @ _cubic_basis(vv - j0, h).T
+        (val, kv, kvv), (ku, kuv, _), (kuu, _, _) = k.tolist()
         return Jet2(
             value=val,
             dx=ku + kv,
@@ -345,8 +330,8 @@ def solve(problem):
             raise UsageError("Neumann ghost cell needs c0 regular at t = 0")
     diag = diagonal_values(problem, np.arange(top + 1) * problem.h / 2.0)
 
-    # the per-level isfinite gate reports divergence; keep numpy from
-    # announcing the overflow separately on stderr first
+    # the finiteness gate after the march reports divergence; keep numpy
+    # from announcing the overflow separately on stderr first
     with np.errstate(over="ignore", invalid="ignore"):
         return _march(problem, diag, flavor, tables)
 
@@ -356,62 +341,45 @@ def _march(problem, diag, flavor, tables):
     b1x, c1x = tables["b1"], tables["c1"]
     sigma, h = problem.sigma, problem.h
     ghost_cell = flavor == "neumann" and not math.isnan(b0t[0])
+    # without the ghost cell the wall takes K_t = slope K at t = 0 one-sided:
+    # Robin's sigma K_t = theta K with theta = b0(0) + h0 sigma, and slope = 0
+    # (K_t = 0) for a singular b0, never touching the coefficients at 0
+    slope = sigma * (b0t[0] + problem.h0 * sigma) if flavor == "robin" else 0.0
     top = 2 * problem.steps
-    levels = [np.array([diag[0]])]
-    for d in range(1, top + 1):
-        lvl = np.empty(d // 2 + 1)
-        lvl[0] = diag[d]
-        prev = levels[d - 1]
+    values = np.empty(_offset(top + 1))
+    values[_offset(np.arange(top + 1))] = diag
+    for d in range(2, top + 1):
+        prev2, prev, lvl = (values[_offset(k) : _offset(k + 1)] for k in (d - 2, d - 1, d))
+        # cells j = 1..j_hi read b0 and c0 at t = (d - 2j) h/2: reversed strided views
         j_hi = (d - 1) // 2
-        if j_hi >= 1:
-            # cell j reads b0 and c0 at t = (d - 2j) h/2: reversed strided views
-            lvl[1 : j_hi + 1] = _cell_update(
-                sigma,
-                h,
-                prev[1 : j_hi + 1],
-                prev[:j_hi],
-                levels[d - 2][:j_hi],
-                b0t[d - 2 :: -2][:j_hi],
-                b1x[d - 1],
-                c0t[d - 2 :: -2][:j_hi],
-                c1x[d - 1],
-            )
+        lvl[1 : j_hi + 1] = _cell_update(
+            sigma,
+            h,
+            prev[1 : j_hi + 1],
+            prev[:j_hi],
+            prev2[:j_hi],
+            b0t[d - 2 :: -2][:j_hi],
+            b1x[d - 1],
+            c0t[d - 2 :: -2][:j_hi],
+            c1x[d - 1],
+        )
         if d % 2 == 0:
             j0 = d // 2
             if ghost_cell:
                 ghost = prev[j0 - 1]
                 lvl[j0] = _cell_update(
-                    sigma,
-                    h,
-                    ghost,
-                    ghost,
-                    levels[d - 2][j0 - 1],
-                    b0t[0],
-                    b1x[d - 1],
-                    c0t[0],
-                    c1x[d - 1],
+                    sigma, h, ghost, ghost, prev2[j0 - 1], b0t[0], b1x[d - 1], c0t[0], c1x[d - 1]
                 )
-            elif flavor == "neumann":
-                # singular b0: enforce K_t(x, 0) = 0 by one-sided
-                # extrapolation, never touching the coefficients at 0
-                if j0 >= 2:
-                    lvl[j0] = (4.0 * lvl[j0 - 1] - lvl[j0 - 2]) / 3.0
-                else:
-                    lvl[j0] = lvl[j0 - 1]
-            else:  # robin
-                theta = b0t[0] + problem.h0 * sigma
-                if j0 >= 2:
-                    lvl[j0] = (
-                        sigma
-                        * (4.0 * lvl[j0 - 1] - lvl[j0 - 2])
-                        / (3.0 * sigma + 2.0 * h * theta)
-                    )
-                else:
-                    lvl[j0] = sigma * lvl[j0 - 1] / (sigma + h * theta)
-        if not np.isfinite(lvl).all():
-            raise NumericalError(f"non-finite lattice value at level {d}")
-        levels.append(lvl)
-    return TriangleGrid(h=h, levels=tuple(levels), boundary=flavor)
+            elif j0 >= 2:
+                lvl[j0] = (4.0 * lvl[j0 - 1] - lvl[j0 - 2]) / (3.0 + 2.0 * h * slope)
+            else:
+                lvl[j0] = lvl[0] / (1.0 + h * slope)
+    grid = TriangleGrid(h=h, values=values, boundary=flavor)
+    # NaN carries through min and max: no full-size isfinite mask is needed
+    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        first = next(d for d, lvl in enumerate(grid.levels) if not np.isfinite(lvl).all())
+        raise NumericalError(f"non-finite lattice value at level {first}")
+    return grid
 
 
 # points per array evaluation in ``compare``: its temporaries (and the
@@ -420,26 +388,28 @@ _COMPARE_POINTS = 4096
 
 
 def compare(grid, reference, params=None):
-    """Max and RMS gap between the grid and a closed-form expression."""
+    """Max and RMS gap between the grid and a closed-form expression; the
+    squares are summed by ``math.fsum``, rounded once, so the RMS does not
+    depend on how the points are split into blocks."""
     if isinstance(reference, str):
         reference = parse(reference)
     params = params or {}
     h = grid.h
-    worst = total = 0.0
-    count = 0
-    # the last level is the longest
-    per_block = max(1, _COMPARE_POINTS // len(grid.levels[-1]))
-    for first in range(0, len(grid.levels), per_block):
-        block = grid.levels[first : first + per_block]
-        sizes = [len(lvl) for lvl in block]
-        d = np.repeat(np.arange(first, first + len(block)), sizes)
-        j = np.concatenate([np.arange(n) for n in sizes])
-        ref = evaluate(reference, {**params, "x": d * h / 2.0, "t": (d - 2 * j) * h / 2.0})
-        gap = np.abs(np.concatenate(block) - ref)
-        worst = max(worst, float(gap.max()))
-        total += float(gap @ gap)
-        count += gap.size
-    return {"max": worst, "l2": math.sqrt(total / count), "count": count}
+    count = grid.values.size
+    starts = _offset(np.arange(grid.top + 1))
+    maxima = []
+
+    def square_blocks():
+        for first in range(0, count, _COMPARE_POINTS):
+            k = np.arange(first, min(first + _COMPARE_POINTS, count))
+            d = np.searchsorted(starts, k, side="right") - 1
+            t = (d - 2 * (k - starts[d])) * h / 2.0
+            gap = np.abs(grid.values[k] - evaluate(reference, {**params, "x": d * h / 2.0, "t": t}))
+            maxima.append(gap.max())
+            yield (gap * gap).tolist()
+
+    total = math.fsum(chain.from_iterable(square_blocks()))
+    return {"max": float(max(maxima)), "l2": math.sqrt(total / count), "count": count}
 
 
 def potential_from_diagonal(source, spacing=None):

@@ -109,8 +109,8 @@ def solve_even(problem):
             lvl[1:d] = _cell_update(sigma, h, prev[js], prev[js - 1], prev2[js - 1],
                                     b0t[m], b1x[d - 1], c0t[m], c1x[d - 1])
         full.append(lvl)
-    levels = tuple(lvl[: d // 2 + 1] for d, lvl in enumerate(full))
-    return TriangleGrid(h=h, levels=levels, boundary="neumann")
+    values = np.concatenate([lvl[: d // 2 + 1] for d, lvl in enumerate(full)])
+    return TriangleGrid(h=h, values=values, boundary="neumann")
 
 
 def diagonal_panel_loop(problem, xs):
@@ -221,10 +221,9 @@ def march_two_sweep(problem):
 def test_fused_march_matches_two_sweep_oracle(problem):
     grid = solve(problem)
     assert grid.boundary == ("robin" if problem.boundary == "robin" else "neumann")
-    oracle = march_two_sweep(problem)
-    assert len(grid.levels) == len(oracle)
-    for got, want in zip(grid.levels, oracle):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    oracle = np.concatenate(march_two_sweep(problem))
+    assert grid.values.shape == oracle.shape
+    np.testing.assert_allclose(grid.values, oracle, rtol=1e-12, atol=0.0)
 
 
 def _lattice_xs(problem):
