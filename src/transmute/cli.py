@@ -287,6 +287,8 @@ def _resolve_case(args):
     if x_min is not None or x_max is not None:
         lo = x_min if x_min is not None else case.x_range[0]
         hi = x_max if x_max is not None else case.x_range[1]
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise UsageError(f"--x-min and --x-max must be finite, got {lo!r} and {hi!r}")
         if lo <= 0.0:
             raise UsageError(f"--x-min must be positive, got {lo!r}")
         if hi > 3.0 and not getattr(args, "unsafe_range", False):

@@ -146,6 +146,8 @@ def sample_points(case, n=20):
     """Evenly spaced abscissae across the case's working interval."""
     if n > MAX_POINTS:
         raise UsageError(f"{n} sample points exceed the maximum of {MAX_POINTS}")
+    if n < 0:
+        raise UsageError(f"the number of sample points must be nonnegative, got {n}")
     lo, hi = case.x_range
     if n == 1:
         return [0.5 * (lo + hi)]

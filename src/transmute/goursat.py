@@ -24,7 +24,7 @@ evaluate their expression once over arrays of points, not point by point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Mapping
 
@@ -404,7 +404,8 @@ def compare(grid, reference, params=None):
             k = np.arange(first, min(first + _COMPARE_POINTS, count))
             d = np.searchsorted(starts, k, side="right") - 1
             t = (d - 2 * (k - starts[d])) * h / 2.0
-            gap = np.abs(grid.values[k] - evaluate(reference, {**params, "x": d * h / 2.0, "t": t}))
+            ref = evaluate(reference, {**params, "x": d * h / 2.0, "t": t})
+            gap = np.abs(grid.values[first : first + _COMPARE_POINTS] - ref)
             maxima.append(gap.max())
             yield (gap * gap).tolist()
 
@@ -421,24 +422,29 @@ def potential_from_diagonal(source, spacing=None):
     if isinstance(source, TriangleGrid):
         _, vals = source.diagonal()
         spacing = source.h / 2.0
+    elif spacing is None or not 0.0 < spacing < math.inf:
+        raise UsageError("potential_from_diagonal needs a positive, finite spacing")
     else:
-        vals = list(source)
-        if spacing is None or spacing <= 0.0:
-            raise UsageError("potential_from_diagonal needs a positive spacing")
+        vals = source
+    vals = np.asarray(vals, dtype=float)
     if len(vals) < 3:
         raise UsageError("need at least 3 diagonal samples")
+    if not np.isfinite(vals).all():
+        raise UsageError("diagonal samples must be finite")
     # central differences inside, second-order one-sided ones at the ends
-    return (2.0 * np.gradient(np.asarray(vals, dtype=float), spacing, edge_order=2)).tolist()
+    return (2.0 * np.gradient(vals, spacing, edge_order=2)).tolist()
 
 
 def problem_from_case(case, X, h):
-    """Adapt a catalog case to the solver's constant-sigma form, with
-    kappa = 1 and the boundary closure picked by ``solve``.
+    """Adapt a catalog case to the solver's constant-sigma form, with the
+    boundary closure picked by ``solve``.
 
     The leading coefficients must be the same constant +-1 (variable
     a(x), e.g. the x^2 (x^2-1) family, is out of the solver's scope).
     The 1/x residue of b1 - b0 is probed numerically so the transport
-    data can be split exactly.
+    data can be split exactly, and kappa scales the transport data to
+    the case's own K(X, X). A case whose K(X, X) is 0 is refused: zero
+    transport data would make the march return K = 0.
     """
     probes = (0.3, 0.7, 1.1)
     a_vals = [evaluate(case.opA.a, {**case.params, "t": s}) for s in probes]
@@ -465,7 +471,7 @@ def problem_from_case(case, X, h):
             f"b1 - b0 of case {case.name!r} is not rho/x + smooth;"
             " the transport data cannot be split"
         )
-    return GoursatProblem(
+    problem = GoursatProblem(
         sigma=sigma,
         b0=case.opA.b,
         b1=case.opB.b,
@@ -477,3 +483,15 @@ def problem_from_case(case, X, h):
         rho=rho,
         params=dict(case.params),
     )
+    try:
+        k_diag = evaluate(case.kernel, {**case.params, "x": X, "t": X})
+    except TransmuteError as exc:
+        raise UsageError(
+            f"K(x,x) of case {case.name!r} does not evaluate at x = {X:g}: {exc}"
+        ) from exc
+    if k_diag == 0.0:
+        raise UsageError(
+            f"K(x,x) of case {case.name!r} vanishes at x = {X:g}: zero transport data"
+            " would make the march return K = 0"
+        )
+    return replace(problem, kappa=k_diag / diagonal_values(problem, [X])[0])

@@ -33,45 +33,24 @@ __all__ = [
 ]
 
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
-# rational part is ~1e-15 on the right half plane; after the power and
-# exponential the delivered relative error stays below 1e-12 on [0.1, 30].
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def _is_nonpositive_int(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
 def gamma(x: float) -> float:
-    """Gamma function via Lanczos; pole error at 0, -1, -2, ..."""
+    """Gamma function by ``math.gamma``, exact at the small positive
+    integers; pole error at 0, -1, -2, ... and at -inf."""
     if x != x:
         raise DomainError("gamma: NaN argument")
-    if _is_nonpositive_int(x):
+    if x == -math.inf or _is_nonpositive_int(x):
         raise PoleError(f"gamma pole at {x}")
-    if x < 0.5:
-        # reflection: gamma(x) gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    w = z + _LANCZOS_G + 0.5
     try:
-        return math.sqrt(2.0 * math.pi) * w ** (z + 0.5) * math.exp(-w) * acc
+        g = math.gamma(x)
     except OverflowError:
-        raise RangeError(f"gamma overflow at x={x}") from None
+        g = math.inf
+    if g == math.inf:
+        raise RangeError(f"gamma overflow at x={x}")
+    return g
 
 
 # Asymptotic tail coefficients B_{2n}/(2n): psi(x) ~ ln x - 1/(2x) - sum c_n x^{-2n}

@@ -172,6 +172,10 @@ def test_verify_csv_format(capsys):
         ("solve", "--custom", "kappa_nan.cfg", "--params", "mu=1"),
         ("verify", "--custom", "x_max_inf.cfg", "--params", "mu=1,omega=1"),
         ("solve", "--case", "vekua_telegraph", "--solver-h", "1e-7"),  # lattice budget
+        ("verify", "--case", "vekua_telegraph", "--x-min", "nan"),
+        ("verify", "--case", "vekua_telegraph", "--x-max", "nan"),
+        ("verify", "--case", "vekua_telegraph", "--x-max", "inf", "--unsafe-range"),
+        ("apply", "--case", "vekua_telegraph", "--x-count", "-3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
@@ -265,6 +269,17 @@ def test_solve_catalog_case(capsys):
                        "--solver-h", "0.015625")
     assert code == 0
     assert "PASS" in out
+
+
+def test_solve_catalog_case_fits_kappa(capsys):
+    # the transport data are scaled to the case's own K(x,x)
+    code, out, _ = run(capsys, "solve", "--case", "poisson_bessel", "--params", "nu=0.5",
+                       "--format", "json", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["max_error"] <= 1e-12
+    code, _, err = run(capsys, "solve", "--case", "sine_to_bessel")
+    assert code == 2
+    assert "K(x,x)" in err and "vanishes" in err
 
 
 def test_solve_custom_file(tmp_path, capsys):

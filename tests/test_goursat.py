@@ -254,11 +254,20 @@ DIAGONAL_PROBLEMS = {
 }
 
 
+# catalog cases, at parameters where K(x,x) does not vanish
+CATALOG_PROBLEMS = {
+    "vekua_telegraph": {},
+    "lowndes": {"mu": 0.0},  # b0 and b1 singular, the poles cancel
+    "sonin": {"nu": 0.0},
+    "sine_to_bessel": {"beta": 1.0},  # rho = -2
+}
+
+
 @pytest.mark.parametrize("problem", [
     *(GoursatProblem(**kw) for kw in DIAGONAL_PROBLEMS.values()),
-    *(problem_from_case(get_case(name), X=2.0, h=1.0 / 32.0)
-      for name in ("vekua_telegraph", "lowndes", "sonin")),
-], ids=[*DIAGONAL_PROBLEMS, "vekua_telegraph", "lowndes", "sonin"])
+    *(problem_from_case(get_case(name, params), X=2.0, h=1.0 / 32.0)
+      for name, params in CATALOG_PROBLEMS.items()),
+], ids=[*DIAGONAL_PROBLEMS, *CATALOG_PROBLEMS])
 def test_diagonal_matches_panel_loop_oracle(problem):
     X = problem.X
     # unsorted and repeated, off the lattice and on it
@@ -360,10 +369,24 @@ def test_potential_needs_enough_samples():
         potential_from_diagonal([1.0, 2.0], spacing=0.1)
 
 
+@pytest.mark.parametrize("samples,spacing", [
+    ([1.0, 2.0, 3.0], math.nan),
+    ([1.0, 2.0, 3.0], math.inf),
+    ([1.0, 2.0, 3.0], -0.1),
+    ([1.0, 2.0, 3.0], None),
+    ([1.0, math.inf, 3.0], 0.1),
+    ([1.0, 2.0, math.nan], 0.1),
+])
+def test_potential_refuses_non_finite_input(samples, spacing):
+    with pytest.raises(UsageError):
+        potential_from_diagonal(samples, spacing=spacing)
+
+
 def test_problem_from_case_probes_the_operators():
     problem = problem_from_case(get_case("vekua_telegraph"), X=2.0, h=1.0 / 32.0)
     assert problem.sigma == 1.0
     assert problem.rho == 0.0
+    assert problem.kappa == 1.0  # K(x,x) = J0(0) = 1, fitted exactly
     grid = solve(problem)
     stats = compare(grid, get_case("vekua_telegraph").kernel, {"mu": 1.0, "omega": 1.0})
     assert stats["max"] <= 1e-3
@@ -375,16 +398,17 @@ def test_problem_from_case_rejects_variable_leading_coefficient():
 
 
 def test_problem_from_case_diagonal_residue():
-    # lowndes: b1 - b0 = -2 mu / s on the diagonal, so the probe must report
-    # rho = -2 at mu = 1
-    problem = problem_from_case(get_case("lowndes"), X=2.0, h=1.0 / 32.0)
+    # sine_to_bessel: b1 - b0 = -2 beta / s on the diagonal, so the probe
+    # must report rho = -2 at beta = 1 (where K(x,x) = x does not vanish)
+    problem = problem_from_case(get_case("sine_to_bessel", {"beta": 1.0}), X=2.0, h=1.0 / 32.0)
     assert problem.rho == pytest.approx(-2.0, abs=1e-6)
 
 
 def test_problem_from_case_cancelling_poles():
     # sonin's b0 and b1 are each singular, but the 1/s parts cancel on the
-    # diagonal; the probe has to see through that and report zero
-    problem = problem_from_case(get_case("sonin"), X=2.0, h=1.0 / 32.0)
+    # diagonal; the probe has to see through that and report zero (at
+    # nu = 0, where K(x,x) = 1 does not vanish)
+    problem = problem_from_case(get_case("sonin", {"nu": 0.0}), X=2.0, h=1.0 / 32.0)
     assert problem.rho == 0.0
 
 

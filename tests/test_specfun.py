@@ -45,6 +45,21 @@ def test_gamma_poles(x):
         specfun.gamma(x)
 
 
+def test_gamma_is_exact_at_integers():
+    for n in range(1, 21):
+        assert specfun.gamma(float(n)) == math.factorial(n - 1)
+    assert specfun.bessel_j(0.0, 0.0) == specfun.bessel_i(0.0, 0.0) == 1.0
+    # far left of the axis the value underflows to a signed zero
+    assert specfun.gamma(-200.5) == 0.0
+    for x in (math.inf, 172.0, 1e-320):
+        with pytest.raises(RangeError):
+            specfun.gamma(x)
+    with pytest.raises(PoleError):
+        specfun.gamma(-math.inf)
+    with pytest.raises(DomainError):
+        specfun.gamma(math.nan)
+
+
 _EULER_GAMMA = 0.5772156649015328606
 
 
