@@ -38,7 +38,16 @@ from .expr import Num, evaluate, parse as parse_expr
 from .kernels import COEFFICIENT_NAMES
 from .operators import DifferentialOperator
 
-_SECTIONS = ("case", "operatora", "operatorb", "solver")
+# the keys each section of a config file takes, by lower-cased section name
+_KEYS = {
+    "case": (
+        "name", "kernel", "f0", "f1", "lambda", "p_diag", "kernel_t_exponent",
+        "f0_t_exponent", "kernel_smooth", "f0_smooth", "x_min", "x_max",
+    ),
+    "operatora": ("a", "b", "c", "h"),
+    "operatorb": ("a", "b", "c"),
+    "solver": ("x", "h", "kappa", "rho", "reference"),
+}
 
 
 def _json_dump(value, indent=0):
@@ -142,7 +151,7 @@ def _read_config(path):
             if not line.endswith("]"):
                 raise UsageError(f"{path}:{lineno}: unterminated section header")
             name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
+            if name not in _KEYS:
                 raise UsageError(f"{path}:{lineno}: unknown section [{name}]")
             current = sections.setdefault(name, {})
             continue
@@ -152,6 +161,11 @@ def _read_config(path):
         if not sep or not key.strip():
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key = key.strip().lower()
+        if key not in _KEYS[name]:
+            raise UsageError(
+                f"{path}:{lineno}: unknown key {key!r} in [{name}]"
+                f" (expected one of {', '.join(_KEYS[name])})"
+            )
         if key in current:
             raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
         current[key] = (value.strip(), lineno)
@@ -187,25 +201,16 @@ def _cfg_float(section, key, path, default=None):
     return value
 
 
-def _cfg_word(section, key, default):
-    if key not in section:
-        return default
-    return section[key][0].strip().strip('"').lower()
-
-
-def _operator_from_config(sections, which, path, default_form, var):
-    name = "operatora" if which == "A" else "operatorb"
-    sec = sections.get(name)
-    if sec is None:
-        raise UsageError(f"{path}: missing [{'operatorA' if which == 'A' else 'operatorB'}] section")
-    return DifferentialOperator(
-        form=_cfg_word(sec, "form", default_form),
-        var=var,
-        a=_cfg_expr(sec, "a", path, default=Num(1.0)),
-        b=_cfg_expr(sec, "b", path, default=Num(0.0)),
-        c=_cfg_expr(sec, "c", path, default=Num(0.0)),
-        h=_cfg_float(sec, "h", path, default=0.0),
-    )
+def _operators_from_config(sections, path):
+    """(A, B, h0): the operator pair and A's t = 0 constant ``h``."""
+    ops = []
+    for label, var in (("operatorA", "t"), ("operatorB", "x")):
+        sec = sections.get(label.lower())
+        if sec is None:
+            raise UsageError(f"{path}: missing [{label}] section")
+        a, b, c = (_cfg_expr(sec, k, path, default=Num(v)) for k, v in zip("abc", (1.0, 0.0, 0.0)))
+        ops.append(DifferentialOperator(var, a, b, c))
+    return (*ops, _cfg_float(sections["operatora"], "h", path, default=0.0))
 
 
 def _case_from_config(path, params):
@@ -218,14 +223,16 @@ def _case_from_config(path, params):
     kernel_t = _cfg_float(case_sec, "kernel_t_exponent", path, default=0.0)
     f0_t = _cfg_float(case_sec, "f0_t_exponent", path, default=0.0)
     name_raw = case_sec.get("name", ("custom", 0))[0].strip().strip('"')
+    f1 = _cfg_expr(case_sec, "f1", path)
+    op_a, op_b, h0 = _operators_from_config(sections, path)
     return kernels.TransmutationCase(
         name=name_raw or "custom",
         params=dict(params),
         kernel=kernel,
         f0=f0,
-        f1=_cfg_expr(case_sec, "f1", path),
-        opA=_operator_from_config(sections, "A", path, "divergence", "t"),
-        opB=_operator_from_config(sections, "B", path, "nondivergence", "x"),
+        f1=f1,
+        opA=op_a,
+        opB=op_b,
         lam=_cfg_float(case_sec, "lambda", path, default=0.0),
         eigen_shift=None,
         p_diag=_cfg_float(case_sec, "p_diag", path, default=0.0),
@@ -239,6 +246,7 @@ def _case_from_config(path, params):
         ),
         refs=(),
         notes="user-supplied case",
+        h0=h0,
     )
 
 
@@ -247,23 +255,18 @@ def _problem_from_config(path, params, args):
     solver = sections.get("solver")
     if solver is None:
         raise UsageError(f"{path}: missing [solver] section")
-    op_a = _operator_from_config(sections, "A", path, "divergence", "t")
-    op_b = _operator_from_config(sections, "B", path, "nondivergence", "x")
+    op_a, op_b, h0 = _operators_from_config(sections, path)
     big_x = args.solver_X if args.solver_X is not None else _cfg_float(solver, "x", path, default=1.0)
     h = args.solver_h if args.solver_h is not None else _cfg_float(solver, "h", path, default=1.0 / 64.0)
-    problem = goursat.GoursatProblem(
-        sigma=_cfg_float(solver, "sigma", path, default=1.0),
-        b0=op_a.b,
-        b1=op_b.b,
-        c0=op_a.c,
-        c1=op_b.c,
-        h0=op_a.h,
+    problem = goursat.problem_from_operators(
+        op_a,
+        op_b,
+        params,
+        h0=h0,
         kappa=_cfg_float(solver, "kappa", path, default=1.0),
         X=big_x,
         h=h,
         rho=_cfg_float(solver, "rho", path, default=0.0),
-        params=dict(params),
-        boundary=_cfg_word(solver, "boundary", "auto"),
     )
     reference = None
     if "reference" in solver:

@@ -353,7 +353,7 @@ def check_boundary_t0(case, xs=None, eps_seq=None, config=None):
     a = evaluate(case.opA.a, {**params, "t": eps})
     b0 = evaluate(case.opA.b, {**params, "t": eps})
     jk = evaluate_jet(case.kernel, np.array(xs, dtype=float), eps, params)
-    bracket = a * jk.dt - b0 * jk.value - case.opA.h * a * jk.value
+    bracket = a * jk.dt - b0 * jk.value - case.h0 * a * jk.value
     values = np.abs(bracket * f0).max(axis=1).tolist()
     grid = f"{len(xs)} abscissae, eps in [{eps_seq[-1]:.3e}, {eps_seq[0]:.3e}]"
     return _limit_record("4c", grid, eps_seq, values, DECAY_DROP)

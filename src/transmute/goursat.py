@@ -8,8 +8,9 @@ characteristic coordinates u = x+t, v = x-t,
 The lattice lives at u = i h, v = j h with 0 <= j <= i and i+j <= 2N
 (N = X/h); (x,t) = ((i+j) h/2, (i-j) h/2), so a level d = i+j is a
 line of constant x = d h/2. j = 0 is the diagonal t = x, carrying the
-closed-form transport data; j = i is the t = 0 edge, closed by a
-Neumann or Robin condition. Marching is second order: each cell uses
+closed-form transport data; j = i is the t = 0 edge, closed by the
+Robin relation sigma K_t = (b0(0) + h0 sigma) K, or by a Neumann ghost
+cell where that factor vanishes. Marching is second order: each cell uses
 the integral identity K(u,v) = K(u-h,v) + K(u,v-h) - K(u-h,v-h)
 + h^2 F(midpoint) with exactly two predictor-corrector sweeps. F takes
 K_u, K_v and K at the cell midpoint from centred differences of the new
@@ -38,14 +39,13 @@ __all__ = [
     "MAX_STEPS",
     "GoursatProblem",
     "TriangleGrid",
+    "problem_from_operators",
     "problem_from_case",
     "diagonal_values",
     "solve",
     "compare",
     "potential_from_diagonal",
 ]
-
-_BOUNDARIES = ("auto", "neumann", "robin")
 
 # The grid keeps every level in one array of exactly (N+1)^2 doubles for N
 # steps: 134 MB at 4096 steps, four times the 34 MB of the finest rung the
@@ -61,7 +61,8 @@ class GoursatProblem:
     each may be passed as an already-parsed tree or a grammar string.
     ``rho`` declares the 1/x residue of b1 - b0 on the diagonal, so the
     transport data can split off the x^(-rho/(2 sigma)) factor exactly.
-    ``kappa`` seeds K(0,0); the vertex value is otherwise free.
+    ``kappa`` seeds K(0,0); the vertex value is otherwise free. ``h0``
+    enters the t = 0 relation, and so picks the closure ``solve`` uses.
     """
 
     sigma: float
@@ -75,7 +76,6 @@ class GoursatProblem:
     h: float = 1.0 / 64.0
     rho: float = 0.0
     params: Mapping[str, float] = field(default_factory=dict)
-    boundary: str = "auto"
 
     def __post_init__(self):
         for name in ("b0", "c0", "b1", "c1"):
@@ -94,11 +94,6 @@ class GoursatProblem:
             )
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise UsageError(f"X/h must be a positive integer, got {n!r}")
-        if self.boundary not in _BOUNDARIES:
-            raise UsageError(
-                f"boundary must be one of {', '.join(_BOUNDARIES)},"
-                f" got {self.boundary!r}"
-            )
         for name, expr, var in (
             ("b0", self.b0, "t"),
             ("c0", self.c0, "t"),
@@ -282,24 +277,6 @@ def _coefficient_tables(problem, count):
     return tables
 
 
-def _resolve_boundary(problem, b0_zero):
-    """The t = 0 closure, given b0(0) (NaN when b0 is singular there)."""
-    flavor = problem.boundary
-    if flavor == "auto":
-        if math.isnan(b0_zero):
-            flavor = "neumann"
-        elif abs(b0_zero + problem.h0 * problem.sigma) <= 1e-13:
-            flavor = "neumann"
-        else:
-            flavor = "robin"
-    if flavor == "robin" and math.isnan(b0_zero):
-        raise UsageError(
-            "Robin closure needs b0 regular at t = 0; this b0 is singular,"
-            " so only the Neumann variant is available"
-        )
-    return flavor
-
-
 def _cell_update(sigma, h, S, Q, base_corner, b0v, b1s, c0v, c1s):
     """Two corrector sweeps of the characteristic cell rule, fused.
 
@@ -320,10 +297,15 @@ def _cell_update(sigma, h, S, Q, base_corner, b0v, b1s, c0v, c1s):
 
 
 def solve(problem):
-    """March the triangle and return the solved TriangleGrid."""
+    """March the triangle and return the solved TriangleGrid.
+
+    The t = 0 closure is Robin when theta = b0(0) + h0 sigma is nonzero,
+    else Neumann; a b0 singular at 0 (NaN in its table) takes Neumann.
+    """
     top = 2 * problem.steps
     tables = _coefficient_tables(problem, top)
-    flavor = _resolve_boundary(problem, tables["b0"][0])
+    theta = tables["b0"][0] + problem.h0 * problem.sigma
+    flavor = "robin" if abs(theta) > 1e-13 else "neumann"
     if flavor == "neumann" and not math.isnan(tables["b0"][0]):
         # the t = 0 ghost cell reads the endpoint coefficients
         if math.isnan(tables["c0"][0]):
@@ -435,27 +417,34 @@ def potential_from_diagonal(source, spacing=None):
     return (2.0 * np.gradient(vals, spacing, edge_order=2)).tolist()
 
 
-def problem_from_case(case, X, h):
-    """Adapt a catalog case to the solver's constant-sigma form, with the
-    boundary closure picked by ``solve``.
+def problem_from_operators(op_a, op_b, params, **fields):
+    """The problem of the pair A (in t) and B (in x): b0 and c0 come from
+    A, b1 and c1 from B, and sigma is their leading coefficient, which
+    must be one constant +-1 (variable a(x), e.g. the x^2 (x^2-1) family,
+    is out of the solver's scope). ``fields`` sets the other
+    GoursatProblem fields.
+    """
+    probes = (0.3, 0.7, 1.1)
+    a_vals = [evaluate(op.a, {**params, op.var: s}) for op in (op_a, op_b) for s in probes]
+    if any(v != a_vals[0] for v in a_vals) or a_vals[0] not in (1.0, -1.0):
+        raise UsageError(
+            "the leading coefficients of A and B are not one constant +-1;"
+            " the characteristic solver does not apply"
+        )
+    return GoursatProblem(
+        sigma=a_vals[0], b0=op_a.b, b1=op_b.b, c0=op_a.c, c1=op_b.c, params=dict(params), **fields
+    )
 
-    The leading coefficients must be the same constant +-1 (variable
-    a(x), e.g. the x^2 (x^2-1) family, is out of the solver's scope).
+
+def problem_from_case(case, X, h):
+    """Adapt a catalog case to the solver by ``problem_from_operators``.
+
     The 1/x residue of b1 - b0 is probed numerically so the transport
     data can be split exactly, and kappa scales the transport data to
     the case's own K(X, X). A case whose K(X, X) is 0 is refused: zero
-    transport data would make the march return K = 0.
+    transport data would make the march return K = 0. So is a kernel
+    that vanishes on t = 0: no closure of ``solve`` holds K = 0 there.
     """
-    probes = (0.3, 0.7, 1.1)
-    a_vals = [evaluate(case.opA.a, {**case.params, "t": s}) for s in probes]
-    a_vals += [evaluate(case.opB.a, {**case.params, "x": s}) for s in probes]
-    if any(v != a_vals[0] for v in a_vals) or a_vals[0] not in (1.0, -1.0):
-        raise UsageError(
-            f"case {case.name!r} does not have constant leading coefficient"
-            " +-1; the characteristic solver does not apply"
-        )
-    sigma = a_vals[0]
-
     def gap(s):
         return evaluate(case.opB.b, {**case.params, "x": s}) - evaluate(
             case.opA.b, {**case.params, "t": s}
@@ -471,18 +460,7 @@ def problem_from_case(case, X, h):
             f"b1 - b0 of case {case.name!r} is not rho/x + smooth;"
             " the transport data cannot be split"
         )
-    problem = GoursatProblem(
-        sigma=sigma,
-        b0=case.opA.b,
-        b1=case.opB.b,
-        c0=case.opA.c,
-        c1=case.opB.c,
-        h0=case.opA.h,
-        X=X,
-        h=h,
-        rho=rho,
-        params=dict(case.params),
-    )
+    problem = problem_from_operators(case.opA, case.opB, case.params, h0=case.h0, X=X, h=h, rho=rho)
     try:
         k_diag = evaluate(case.kernel, {**case.params, "x": X, "t": X})
     except TransmuteError as exc:
@@ -493,5 +471,11 @@ def problem_from_case(case, X, h):
         raise UsageError(
             f"K(x,x) of case {case.name!r} vanishes at x = {X:g}: zero transport data"
             " would make the march return K = 0"
+        )
+    if case.kernel_t_exponent != 0.0:
+        raise UsageError(
+            f"K of case {case.name!r} vanishes like t^{case.kernel_t_exponent:g} on the"
+            " t = 0 wall; solve closes that wall by a Neumann or Robin relation,"
+            " which cannot hold K = 0 there"
         )
     return replace(problem, kappa=k_diag / diagonal_values(problem, [X])[0])

@@ -10,6 +10,8 @@ in t) with a non-divergence operator B (acting in x):
 * the kernel K(x,t),
 * the input/output pair (f0, f1) and the eigenvalue convention,
 * the operator pair (opA, opB) with any corrected coefficients,
+* the constant h0 of the t = 0 bracket a K_t - b0 K - h0 a K that A's
+  side must annihilate (0 unless set; no catalog case sets it),
 * endpoint exponents and smooth factors consumed by the quadrature
   module (K ~ (x-t)^p_diag near the diagonal, K*f0 ~ t^p_zero at 0).
 
@@ -75,6 +77,7 @@ class TransmutationCase:
     x_range: tuple
     refs: tuple
     notes: str
+    h0: float = 0.0
 
     @property
     def p_zero(self):
@@ -106,12 +109,12 @@ def _require(condition, constraint, **values):
         raise AdmissibilityError(constraint, detail)
 
 
-def _div_t(a, b, c, h=0.0):
-    return DifferentialOperator("divergence", "t", parse(a), parse(b), parse(c), h)
+def _div_t(a, b, c):
+    return DifferentialOperator("t", parse(a), parse(b), parse(c))
 
 
-def _nondiv_x(a, b, c, h=0.0):
-    return DifferentialOperator("nondivergence", "x", parse(a), parse(b), parse(c), h)
+def _nondiv_x(a, b, c):
+    return DifferentialOperator("x", parse(a), parse(b), parse(c))
 
 
 def _poisson_bessel(params):
@@ -294,7 +297,6 @@ def _gegenbauer(params):
             "*x^(2*lambda-2+p)*gegenbauer(p, lambda-beta, x)"
         ),
         opA=DifferentialOperator(
-            "divergence",
             "t",
             parse("t^2*(t^2-1)"),
             parse("-t*((2*p-4*beta+2*lambda+1)*t^2+2*(2*(beta-lambda)-p))"),
@@ -304,7 +306,6 @@ def _gegenbauer(params):
             ),
         ),
         opB=DifferentialOperator(
-            "nondivergence",
             "x",
             parse("x^2*(x^2-1)"),
             parse("x*((5-2*(p+beta+lambda))*x^2+2*(p+2*(lambda-1)))"),
@@ -534,8 +535,6 @@ def _describe_operator(label, op):
     lines.append(f"    a = {op.a}")
     lines.append(f"    b = {op.b}")
     lines.append(f"    c = {op.c}")
-    if op.h:
-        lines.append(f"    h = {op.h!r}")
     return lines
 
 
@@ -549,6 +548,8 @@ def describe(case):
     lines.append(f"  f1(x)  = {case.f1}")
     lines.extend(_describe_operator("A", case.opA))
     lines.extend(_describe_operator("B", case.opB))
+    if case.h0:
+        lines.append(f"  h0 = {case.h0!r}")
     lines.append(f"  lambda = {case.lam!r}")
     if case.eigen_shift is not None:
         shift = case.eigen_shift

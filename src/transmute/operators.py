@@ -2,14 +2,15 @@
 
 Two coefficient conventions coexist and must never be conflated:
 
-* divergence form (used on the t side):
+* divergence form (in t, the A side of a pair):
       A f = d/dt(a f') + d/dt(b f) + c f
           = a f'' + (a' + b) f' + (b' + c) f
-* non-divergence form (used on the x side):
+* non-divergence form (in x, the B side):
       B f = a f'' + b f' + c f
 
-``apply`` expands whichever form the operator declares, using jets for
-the coefficient derivatives that the divergence form needs.
+The operator's variable fixes its form. ``apply`` expands that form,
+using jets for the coefficient derivatives that the divergence form
+needs.
 """
 
 from __future__ import annotations
@@ -29,29 +30,24 @@ __all__ = [
     "eigen_residual",
 ]
 
-_FORMS = ("divergence", "nondivergence")
-
 
 @dataclass(frozen=True)
 class DifferentialOperator:
-    """Coefficient triple (a, b, c) in a declared form and variable.
+    """Coefficient triple (a, b, c) in the variable ``var``, which fixes the
+    form: divergence in t, non-divergence in x."""
 
-    ``h`` is the boundary constant entering the t=0 functional
-    a(eps) f'(eps) - h a(eps) f(eps).
-    """
-
-    form: str
     var: str
     a: Expr
     b: Expr
     c: Expr
-    h: float = 0.0
 
     def __post_init__(self):
-        if self.form not in _FORMS:
-            raise TransmuteError(f"unknown operator form {self.form!r}")
         if self.var not in ("x", "t"):
             raise TransmuteError(f"operator variable must be 'x' or 't', got {self.var!r}")
+
+    @property
+    def form(self):
+        return "divergence" if self.var == "t" else "nondivergence"
 
     def coefficient_values(self, s: float, params: Mapping[str, float]):
         """(a, b, c) evaluated at s, without derivatives."""
@@ -82,7 +78,7 @@ def apply(op: DifferentialOperator, f: Expr, pt, params: Mapping[str, float]):
         j = evaluate_jet(e, x, t, params)
         return (j.value, j.dx, j.dxx) if op.var == "x" else (j.value, j.dt, j.dtt)
     f0, f1, f2 = along(f)
-    if op.form == "nondivergence":
+    if op.var == "x":
         a, b, c = op.coefficient_values(pt, params)
         return a * f2 + b * f1 + c * f0
     a, ap, _ = along(op.a)

@@ -34,7 +34,8 @@ __all__ = [
 
 
 def _is_nonpositive_int(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
+    """A pole of gamma: 0, -1, -2, ... or -inf."""
+    return x == -math.inf or (x <= 0.0 and x == math.floor(x))
 
 
 def gamma(x: float) -> float:
@@ -42,7 +43,7 @@ def gamma(x: float) -> float:
     integers; pole error at 0, -1, -2, ... and at -inf."""
     if x != x:
         raise DomainError("gamma: NaN argument")
-    if x == -math.inf or _is_nonpositive_int(x):
+    if _is_nonpositive_int(x):
         raise PoleError(f"gamma pole at {x}")
     try:
         g = math.gamma(x)
@@ -67,6 +68,10 @@ _DIGAMMA_TAIL = (
 
 def digamma(x: float) -> float:
     """Logarithmic derivative of gamma; recurrence into the asymptotic zone."""
+    if x != x:
+        raise DomainError("digamma: NaN argument")
+    if x == math.inf:
+        raise RangeError("digamma overflow at x=inf")
     if _is_nonpositive_int(x):
         raise PoleError(f"digamma pole at {x}")
     if x < 0.0:
@@ -98,6 +103,8 @@ _TRIGAMMA_TAIL = (
 
 def trigamma(x: float) -> float:
     """Second logarithmic derivative of gamma."""
+    if x != x:
+        raise DomainError("trigamma: NaN argument")
     if _is_nonpositive_int(x):
         raise PoleError(f"trigamma pole at {x}")
     if x < 0.0:
@@ -290,7 +297,7 @@ def hyp1f2(a: float, b1: float, b2: float, z):
     """
     for b in (b1, b2):
         if _is_nonpositive_int(b):
-            raise PoleError(f"hyp1f2 lower parameter {b} is a non-positive integer")
+            raise PoleError(f"hyp1f2 lower parameter {b} is a pole of gamma")
     zs = np.asarray(z, dtype=float).ravel()
     out = np.empty(zs.size)
     live, zl = np.arange(zs.size), zs

@@ -1,6 +1,8 @@
 """End-to-end runs of the command-line driver, in process via main(argv)."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -17,11 +19,9 @@ f1 = "sin(sqrt(omega^2+mu^2)*x)/sqrt(omega^2+mu^2)"
 x_max = 2.0
 
 [operatorA]
-form = divergence
 c = "omega^2"
 
 [operatorB]
-form = nondivergence
 c = "omega^2+mu^2"
 """
 
@@ -33,17 +33,20 @@ c = "0"
 c = "mu^2"
 
 [solver]
-sigma = 1
 x = 2
 h = 0.03125
 reference = "besselj(0, mu*sqrt(x^2-t^2))"
 """
 
 
+# a = -1 on both sides: the same pair with sigma = -1, whose kernel is I0
+I0_FILE = SOLVER_FILE.replace('c = "', 'a = "-1"\nc = "').replace("besselj", "besseli")
+
 # config files for test_usage_errors_exit_2, written under tmp_path
 BAD_CONFIGS = {
     "kappa_nan.cfg": SOLVER_FILE.replace("h = 0.03125", "h = 0.03125\nkappa = nan"),
     "x_max_inf.cfg": CASE_FILE.replace("x_max = 2.0", "x_max = inf"),
+    "leading_two.cfg": SOLVER_FILE.replace('c = "', 'a = "2"\nc = "'),
 }
 
 
@@ -176,6 +179,8 @@ def test_verify_csv_format(capsys):
         ("verify", "--case", "vekua_telegraph", "--x-max", "nan"),
         ("verify", "--case", "vekua_telegraph", "--x-max", "inf", "--unsafe-range"),
         ("apply", "--case", "vekua_telegraph", "--x-count", "-3"),
+        ("solve", "--custom", "leading_two.cfg", "--params", "mu=1"),  # sigma is not +-1
+        ("solve", "--case", "sine_to_bessel", "--params", "beta=1"),  # K = 0 on t = 0
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
@@ -290,11 +295,22 @@ def test_solve_custom_file(tmp_path, capsys):
     assert "max |K - reference|" in out
 
 
+def test_solve_takes_sigma_from_the_operators(tmp_path, capsys):
+    cfg = tmp_path / "i0.cfg"
+    cfg.write_text(I0_FILE)
+    code, out, _ = run(capsys, "solve", "--custom", str(cfg), "--params", "mu=1",
+                       "--format", "json", "--no-timestamp")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["sigma"] == -1.0
+    assert payload["max_error"] <= 1e-5
+
+
 def test_solve_trivial_config_is_exact(tmp_path, capsys):
     cfg = tmp_path / "trivial.cfg"
     cfg.write_text(
         "[operatorA]\nc = \"0\"\n\n[operatorB]\nc = \"0\"\n\n"
-        "[solver]\nsigma = 1\nx = 1\nh = 0.125\nreference = \"1\"\n"
+        "[solver]\nx = 1\nh = 0.125\nreference = \"1\"\n"
     )
     code, out, _ = run(capsys, "solve", "--custom", str(cfg))
     assert code == 0
@@ -319,16 +335,16 @@ def test_solve_json_stats(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["overall_pass"] is True
     assert payload["max_error"] <= 1e-3
-    # the closure the march used, not the "auto" that was asked for
+    # the closure, sigma and rho the march used
     assert (payload["boundary"], payload["sigma"], payload["rho"]) == ("neumann", 1.0, 0.0)
 
 
 def test_solve_json_reports_resolved_robin_closure(tmp_path, capsys):
-    # b0 = 0 and h0 = 1/2 leave theta = 1/2 at t = 0, so "auto" resolves to Robin
+    # b0 = 0 and h0 = 1/2 leave theta = 1/2 at t = 0, so the wall takes Robin
     cfg = tmp_path / "robin.cfg"
     cfg.write_text(
         "[operatorA]\nc = \"0\"\nh = 0.5\n\n[operatorB]\nb = \"-1\"\nc = \"0.25\"\n\n"
-        "[solver]\nsigma = 1\nx = 2\nh = 0.015625\nreference = \"exp(t/2)\"\n"
+        "[solver]\nx = 2\nh = 0.015625\nreference = \"exp(t/2)\"\n"
     )
     code, out, _ = run(capsys, "solve", "--custom", str(cfg), "--format", "json",
                        "--no-timestamp")
@@ -342,7 +358,7 @@ def test_solve_json_reports_resolved_robin_closure(tmp_path, capsys):
 def test_malformed_expression_reports_position(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("[operatorA]\nc = \"besselj(0,\"\n[operatorB]\nc = \"0\"\n"
-                   "[solver]\nsigma = 1\n")
+                   "[solver]\n")
     code, _, err = run(capsys, "solve", "--custom", str(cfg))
     assert code == 2
     assert "broken.cfg:2" in err
@@ -371,6 +387,12 @@ def test_custom_case_verify_and_apply(tmp_path, capsys):
         ("[weird]\nkernel = \"x\"\n", "unknown section"),
         ("[case]\nkernel\n", "key = value"),
         ("[case\nkernel = \"x\"\n", "unterminated"),
+        # keys the operator pair fixes, and a misspelt one
+        ("[operatorA]\nform = divergence\n", "bad.cfg:2: unknown key 'form' in [operatora]"),
+        ("[solver]\nsigma = 1\n", "bad.cfg:2: unknown key 'sigma' in [solver]"),
+        ("[solver]\nboundary = robin\n", "bad.cfg:2: unknown key 'boundary' in [solver]"),
+        ("[operatorB]\nh = 0.5\n", "bad.cfg:2: unknown key 'h' in [operatorb]"),
+        ("[case]\nname = x\nkernal = \"x\"\n", "bad.cfg:3: unknown key 'kernal' in [case]"),
     ],
 )
 def test_config_file_diagnostics(tmp_path, capsys, text, needle):
@@ -379,6 +401,16 @@ def test_config_file_diagnostics(tmp_path, capsys, text, needle):
     code, _, err = run(capsys, "verify", "--custom", str(cfg))
     assert code == 2
     assert needle in err
+
+
+def test_readme_example_runs(tmp_path, capsys):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    code, out, _ = run(capsys, "verify", "--custom", str(cfg), "--params", "mu=1,omega=1")
+    assert code == 0
+    assert "overall: PASS" in out
 
 
 def test_missing_file_exits_2(capsys):

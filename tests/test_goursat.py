@@ -5,6 +5,7 @@ zero has the exact solution J0(mu sqrt(x^2 - t^2)), and flipping the sign
 gives the I0 variant. Robin data is exercised with K = exp(t/2).
 """
 
+import dataclasses
 import io
 import math
 
@@ -72,7 +73,7 @@ def _robin(h):
     # K = exp(t/2) satisfies the pair and the Robin relation with h0 = 1/2
     return GoursatProblem(
         sigma=1.0, b0="0", b1="-1", c0="0", c1="0.25",
-        h0=0.5, X=2.0, h=h, boundary="robin",
+        h0=0.5, X=2.0, h=h,
     )
 
 
@@ -165,12 +166,17 @@ def cell_two_sweep(sigma, h, S, Q, base_corner, b0v, b1s, c0v, c1s):
     return p
 
 
+def _theta(problem):
+    """The Robin factor b0(0) + h0 sigma of the t = 0 wall."""
+    return evaluate(problem.b0, {**problem.params, "t": 0.0}) + problem.h0 * problem.sigma
+
+
 def march_two_sweep(problem):
     """The march with scalar coefficient tables, the panel-loop diagonal,
     index gathers and the two-sweep cell: an oracle for ``solve``.
 
-    Only the closures the agreement tests use: the Robin wall when the
-    problem asks for it, else the Neumann ghost cell (b0 regular at 0).
+    Only the closures the agreement tests use: the Robin wall when theta
+    is nonzero, else the Neumann ghost cell (b0 regular at 0).
     """
     sigma, h = problem.sigma, problem.h
     top = 2 * problem.steps
@@ -181,6 +187,7 @@ def march_two_sweep(problem):
                               for m in range(top + 1)])
     b0t, c0t, b1x, c1x = (tab[k] for k in ("b0", "c0", "b1", "c1"))
     diag = diagonal_panel_loop(problem, [d * h / 2.0 for d in range(top + 1)])
+    theta = _theta(problem)
     levels = [np.array([diag[0]])]
     for d in range(1, top + 1):
         lvl = np.empty(d // 2 + 1)
@@ -194,8 +201,7 @@ def march_two_sweep(problem):
                 b0t[d - 2 * js], b1x[d - 1], c0t[d - 2 * js], c1x[d - 1])
         if d % 2 == 0:
             j0 = d // 2
-            if problem.boundary == "robin":
-                theta = b0t[0] + problem.h0 * sigma
+            if abs(theta) > 1e-13:
                 if j0 >= 2:
                     lvl[j0] = (sigma * (4.0 * lvl[j0 - 1] - lvl[j0 - 2])
                                / (3.0 * sigma + 2.0 * h * theta))
@@ -216,11 +222,11 @@ def march_two_sweep(problem):
     GoursatProblem(sigma=1.0, b0="t", b1="0.5*x", c0="0.3*t", c1="1+x",
                    X=1.0, h=1.0 / 64.0),
     GoursatProblem(sigma=-1.0, b0="1+t", b1="0.5*x", c0="0.3*t", c1="1+x",
-                   h0=0.5, X=1.0, h=1.0 / 64.0, boundary="robin"),
+                   h0=0.5, X=1.0, h=1.0 / 64.0),
 ], ids=["telegraph", "robin", "ghost_all_terms", "robin_all_terms"])
 def test_fused_march_matches_two_sweep_oracle(problem):
     grid = solve(problem)
-    assert grid.boundary == ("robin" if problem.boundary == "robin" else "neumann")
+    assert grid.boundary == ("robin" if abs(_theta(problem)) > 1e-13 else "neumann")
     oracle = np.concatenate(march_two_sweep(problem))
     assert grid.values.shape == oracle.shape
     np.testing.assert_allclose(grid.values, oracle, rtol=1e-12, atol=0.0)
@@ -236,7 +242,7 @@ DIAGONAL_PROBLEMS = {
     "telegraph": dict(sigma=1.0, b0="0", b1="0", c0="0", c1="mu^2",
                       X=2.0, h=1.0 / 32.0, params={"mu": 1.0}),
     "robin": dict(sigma=1.0, b0="0", b1="-1", c0="0", c1="0.25", h0=0.5,
-                  X=2.0, h=1.0 / 64.0, boundary="robin"),
+                  X=2.0, h=1.0 / 64.0),
     "even_b0": dict(sigma=1.0, b0="t", b1="0", c0="0", c1="0", X=1.0, h=1.0 / 8.0),
     "power_law": dict(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0", rho=1.0,
                       X=2.0, h=1.0 / 16.0),
@@ -244,9 +250,9 @@ DIAGONAL_PROBLEMS = {
     "kappa_zero": dict(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0", rho=1.0,
                        kappa=0.0, X=2.0, h=1.0 / 16.0),
     "c0_singular": dict(sigma=1.0, b0="0", b1="0", c0="1/t", c1="0", X=1.0,
-                        h=1.0 / 8.0, boundary="neumann"),
+                        h=1.0 / 8.0),
     "b0_singular": dict(sigma=1.0, b0="-1/t", b1="0", c0="0", c1="0", X=1.0,
-                        h=1.0 / 8.0, boundary="robin"),
+                        h=1.0 / 8.0),
     "divergent": dict(sigma=-1.0, b0="0", b1="0", c0="0", c1="1e8", X=2.0, h=1.0 / 16.0),
     "geometry": dict(sigma=1.0, b0="0", b1="0", c0="0", c1="0", X=1.0, h=0.25),
     "sigma_minus_b": dict(sigma=-1.0, b0="t^2", b1="sin(x)", c0="0", c1="0",
@@ -263,9 +269,18 @@ CATALOG_PROBLEMS = {
 }
 
 
+def _off_the_wall(case):
+    """``case`` with the kernel x in place of one that vanishes on t = 0,
+    which ``problem_from_case`` refuses; the operators, and so rho, stay
+    (and for sine_to_bessel at beta = 1 so does K(x,x) = x)."""
+    if case.kernel_t_exponent == 0.0:
+        return case
+    return dataclasses.replace(case, kernel=parse("x"), kernel_t_exponent=0.0)
+
+
 @pytest.mark.parametrize("problem", [
     *(GoursatProblem(**kw) for kw in DIAGONAL_PROBLEMS.values()),
-    *(problem_from_case(get_case(name, params), X=2.0, h=1.0 / 32.0)
+    *(problem_from_case(_off_the_wall(get_case(name, params)), X=2.0, h=1.0 / 32.0)
       for name, params in CATALOG_PROBLEMS.items()),
 ], ids=[*DIAGONAL_PROBLEMS, *CATALOG_PROBLEMS])
 def test_diagonal_matches_panel_loop_oracle(problem):
@@ -400,8 +415,10 @@ def test_problem_from_case_rejects_variable_leading_coefficient():
 def test_problem_from_case_diagonal_residue():
     # sine_to_bessel: b1 - b0 = -2 beta / s on the diagonal, so the probe
     # must report rho = -2 at beta = 1 (where K(x,x) = x does not vanish)
-    problem = problem_from_case(get_case("sine_to_bessel", {"beta": 1.0}), X=2.0, h=1.0 / 32.0)
+    case = _off_the_wall(get_case("sine_to_bessel", {"beta": 1.0}))
+    problem = problem_from_case(case, X=2.0, h=1.0 / 32.0)
     assert problem.rho == pytest.approx(-2.0, abs=1e-6)
+    assert problem.kappa == 1.0
 
 
 def test_problem_from_case_cancelling_poles():
@@ -417,10 +434,10 @@ def test_problem_from_case_cancelling_poles():
     [
         (dict(sigma=2.0), "sigma"),
         (dict(X=1.0, h=0.3), "X/h"),
-        (dict(boundary="mirror"), "boundary"),
+        (dict(c1="t"), "may only depend on 'x'"),
         (dict(b0="x"), "may only depend on 't'"),
         (dict(h=-0.1), "h > 0"),
-        (dict(boundary="even"), "boundary"),
+        (dict(X=-1.0), "X > 0"),
     ],
 )
 def test_problem_validation(kwargs, needle):
@@ -433,10 +450,7 @@ def test_problem_validation(kwargs, needle):
 def test_boundary_flavor_guards():
     with pytest.raises(UsageError, match="c0 regular"):
         solve(GoursatProblem(sigma=1.0, b0="0", b1="0", c0="1/t", c1="0",
-                             X=1.0, h=1.0 / 8.0, boundary="neumann"))
-    with pytest.raises(UsageError, match="b0 regular"):
-        solve(GoursatProblem(sigma=1.0, b0="-1/t", b1="0", c0="0", c1="0",
-                             X=1.0, h=1.0 / 8.0, boundary="robin"))
+                             X=1.0, h=1.0 / 8.0))
 
 
 def test_divergent_march_raises_numerical_error():

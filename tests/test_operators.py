@@ -11,12 +11,12 @@ from transmute.operators import (
 )
 
 
-def _nondiv(a, b, c, var="x", h=0.0):
-    return DifferentialOperator("nondivergence", var, parse(a), parse(b), parse(c), h)
+def _nondiv(a, b, c):
+    return DifferentialOperator("x", parse(a), parse(b), parse(c))
 
 
-def _div(a, b, c, var="t", h=0.0):
-    return DifferentialOperator("divergence", var, parse(a), parse(b), parse(c), h)
+def _div(a, b, c):
+    return DifferentialOperator("t", parse(a), parse(b), parse(c))
 
 
 def test_nondivergence_expansion():
@@ -46,10 +46,8 @@ def test_parameters_flow_into_coefficients():
 
 
 def test_operator_form_validation():
-    with pytest.raises(TransmuteError, match="unknown operator form"):
-        DifferentialOperator("sideways", "t", parse("1"), parse("0"), parse("0"))
     with pytest.raises(TransmuteError, match="must be 'x' or 't'"):
-        DifferentialOperator("divergence", "z", parse("1"), parse("0"), parse("0"))
+        DifferentialOperator("z", parse("1"), parse("0"), parse("0"))
 
 
 def test_function_must_live_in_operator_variable():

@@ -97,6 +97,20 @@ def test_digamma_trigamma_poles():
             specfun.trigamma(x)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: specfun.digamma(-math.inf), PoleError),
+    (lambda: specfun.trigamma(-math.inf), PoleError),
+    (lambda: specfun.hyp1f2(1.0, -math.inf, 1.0, 0.5), PoleError),
+    (lambda: specfun.digamma(math.nan), DomainError),
+    (lambda: specfun.trigamma(math.nan), DomainError),
+    (lambda: specfun.digamma(math.inf), RangeError),
+], ids=["digamma-inf", "trigamma-inf", "hyp1f2-inf", "digamma-nan", "trigamma-nan",
+        "digamma+inf"])
+def test_infinite_and_nan_arguments_raise_library_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
 # --- Bessel J / I and the Clifford core -------------------------------------
 
 def test_bessel_j_frozen_value():
