@@ -258,15 +258,15 @@ def _problem_from_config(path, params, args):
     op_a, op_b, h0 = _operators_from_config(sections, path)
     big_x = args.solver_X if args.solver_X is not None else _cfg_float(solver, "x", path, default=1.0)
     h = args.solver_h if args.solver_h is not None else _cfg_float(solver, "h", path, default=1.0 / 64.0)
-    problem = goursat.problem_from_operators(
+    problem = goursat.GoursatProblem(
         op_a,
         op_b,
-        params,
         h0=h0,
         kappa=_cfg_float(solver, "kappa", path, default=1.0),
         X=big_x,
         h=h,
         rho=_cfg_float(solver, "rho", path, default=0.0),
+        params=params,
     )
     reference = None
     if "reference" in solver:
@@ -285,23 +285,22 @@ def _resolve_case(args):
     if getattr(args, "corrupt", None):
         coef, delta = _parse_corrupt(args.corrupt)
         case = kernels.corrupt_case(case, coef, delta)
+    # the range rule holds whether a flag, a config file or the catalog set it
     x_min = getattr(args, "x_min", None)
     x_max = getattr(args, "x_max", None)
-    if x_min is not None or x_max is not None:
-        lo = x_min if x_min is not None else case.x_range[0]
-        hi = x_max if x_max is not None else case.x_range[1]
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise UsageError(f"--x-min and --x-max must be finite, got {lo!r} and {hi!r}")
-        if lo <= 0.0:
-            raise UsageError(f"--x-min must be positive, got {lo!r}")
-        if hi > 3.0 and not getattr(args, "unsafe_range", False):
-            raise UsageError(
-                f"--x-max {hi!r} exceeds the validated range 3; pass --unsafe-range to override"
-            )
-        if hi <= lo:
-            raise UsageError("--x-max must exceed --x-min")
-        case = dataclasses.replace(case, x_range=(lo, hi))
-    return case
+    lo = x_min if x_min is not None else case.x_range[0]
+    hi = x_max if x_max is not None else case.x_range[1]
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"x_min and x_max must be finite, got {lo!r} and {hi!r}")
+    if lo <= 0.0:
+        raise UsageError(f"x_min must be positive, got {lo!r}")
+    if hi > 3.0 and not getattr(args, "unsafe_range", False):
+        raise UsageError(
+            f"x_max {hi!r} exceeds the validated range 3; pass --unsafe-range to override"
+        )
+    if hi <= lo:
+        raise UsageError(f"x_max must exceed x_min, got {lo!r} and {hi!r}")
+    return dataclasses.replace(case, x_range=(lo, hi))
 
 
 def _emit(args, text):

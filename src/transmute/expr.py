@@ -298,18 +298,21 @@ def to_string(node: Expr) -> str:
 
 def free_symbols(node: Expr) -> set[str]:
     """All identifiers the expression will look up in the binding map."""
-    if isinstance(node, Name):
-        return {node.ident}
-    if isinstance(node, Neg):
-        return free_symbols(node.arg)
-    if isinstance(node, BinOp):
-        return free_symbols(node.left) | free_symbols(node.right)
-    if isinstance(node, Call):
-        out: set[str] = set()
-        for a in node.args:
-            out |= free_symbols(a)
-        return out
-    return set()
+    # one set and a stack, not a set per node: cases and problems check every expression
+    out: set[str] = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Name:
+            out.add(node.ident)
+        elif kind is Neg:
+            stack.append(node.arg)
+        elif kind is BinOp:
+            stack += (node.left, node.right)
+        elif kind is Call:
+            stack += node.args
+    return out
 
 
 

@@ -32,14 +32,14 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericalError, TransmuteError, UsageError
-from .expr import BinOp, Expr, Jet2, evaluate, free_symbols, parse
+from .expr import BinOp, Jet2, evaluate, free_symbols, parse
+from .operators import DifferentialOperator, check_pair_symbols
 from .quadrature import jacobi_rule
 
 __all__ = [
     "MAX_STEPS",
     "GoursatProblem",
     "TriangleGrid",
-    "problem_from_operators",
     "problem_from_case",
     "diagonal_values",
     "solve",
@@ -55,35 +55,43 @@ MAX_STEPS = 4096
 
 @dataclass(frozen=True)
 class GoursatProblem:
-    """Coefficients and lattice geometry for one solve.
+    """The operator pair and lattice geometry for one solve.
 
-    b0, c0 are functions of t; b1, c1 of x (plus entries of ``params``);
-    each may be passed as an already-parsed tree or a grammar string.
+    ``op_a`` acts in t and gives b0, c0 (its b, c); ``op_b`` acts in x and
+    gives b1, c1. Each coefficient may read its own variable and entries
+    of ``params``. ``sigma`` is derived, not set: the pair's leading
+    coefficient, which must be one constant +1 or -1 on both sides.
     ``rho`` declares the 1/x residue of b1 - b0 on the diagonal, so the
     transport data can split off the x^(-rho/(2 sigma)) factor exactly.
     ``kappa`` seeds K(0,0); the vertex value is otherwise free. ``h0``
     enters the t = 0 relation, and so picks the closure ``solve`` uses.
     """
 
-    sigma: float
-    b0: Expr
-    b1: Expr
-    c0: Expr
-    c1: Expr
+    op_a: DifferentialOperator
+    op_b: DifferentialOperator
     h0: float = 0.0
     kappa: float = 1.0
     X: float = 1.0
     h: float = 1.0 / 64.0
     rho: float = 0.0
     params: Mapping[str, float] = field(default_factory=dict)
+    sigma: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("b0", "c0", "b1", "c1"):
-            value = getattr(self, name)
-            if isinstance(value, str):
-                object.__setattr__(self, name, parse(value))
-        if self.sigma not in (1.0, -1.0):
-            raise UsageError(f"sigma must be +1 or -1, got {self.sigma!r}")
+        if (self.op_a.var, self.op_b.var) != ("t", "x"):
+            raise UsageError("the solver needs A acting in 't' and B in 'x'")
+        check_pair_symbols(self.op_a, self.op_b, self.params)
+        # an a that reads its own variable is not constant, whatever it evaluates to
+        leading = [
+            math.nan if op.var in free_symbols(op.a) else evaluate(op.a, self.params)
+            for op in (self.op_a, self.op_b)
+        ]
+        if leading[0] != leading[1] or leading[0] not in (1.0, -1.0):
+            raise UsageError(
+                "the leading coefficients of A and B are not one constant +-1;"
+                " the characteristic solver does not apply"
+            )
+        object.__setattr__(self, "sigma", leading[0])
         if not (self.X > 0.0 and self.h > 0.0):
             raise UsageError("need X > 0 and h > 0")
         n = self.X / self.h
@@ -94,18 +102,6 @@ class GoursatProblem:
             )
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise UsageError(f"X/h must be a positive integer, got {n!r}")
-        for name, expr, var in (
-            ("b0", self.b0, "t"),
-            ("c0", self.c0, "t"),
-            ("b1", self.b1, "x"),
-            ("c1", self.c1, "x"),
-        ):
-            extra = free_symbols(expr) - set(self.params) - {var}
-            if extra:
-                raise UsageError(
-                    f"coefficient {name} may only depend on {var!r} and the"
-                    f" declared parameters; found {sorted(extra)}"
-                )
 
     @property
     def steps(self):
@@ -157,7 +153,9 @@ def diagonal_values(problem, xs):
     gl = jacobi_rule(32, 0.0, 0.0)
     s = (0.5 * (hi + lo))[:, None] + half[:, None] * gl.nodes
     # b1 reads x and b0 reads t, so one tree takes both at the nodes
-    smooth = evaluate(BinOp("-", problem.b1, problem.b0), {**problem.params, "x": s, "t": s})
+    smooth = evaluate(
+        BinOp("-", problem.op_b.b, problem.op_a.b), {**problem.params, "x": s, "t": s}
+    )
     if problem.rho != 0.0:
         smooth -= problem.rho / s
     integral = np.concatenate(([0.0], np.cumsum(half * (smooth @ gl.weights))))[done]
@@ -257,23 +255,23 @@ class TriangleGrid:
 
 
 def _coefficient_tables(problem, count):
-    """Coefficients sampled on the half-grid m -> m*h/2, m = 0..count.
+    """b0, c0, b1 and c1 sampled on the half-grid m -> m*h/2, m = 0..count.
 
     Index 0 (the t = 0 or x = 0 endpoint) is NaN when the expression is
     singular there; the marching never reads it unless the boundary
     closure legitimately needs a regular value.
     """
     s = np.arange(1, count + 1) * (problem.h / 2.0)
-    tables = {}
-    for name, var in (("b0", "t"), ("c0", "t"), ("b1", "x"), ("c1", "x")):
-        expr = getattr(problem, name)
-        arr = np.empty(count + 1)
-        try:
-            arr[0] = evaluate(expr, {**problem.params, var: 0.0})
-        except TransmuteError:
-            arr[0] = math.nan
-        arr[1:] = evaluate(expr, {**problem.params, var: s})
-        tables[name] = arr
+    tables = []
+    for op in (problem.op_a, problem.op_b):
+        for expr in (op.b, op.c):
+            arr = np.empty(count + 1)
+            try:
+                arr[0] = evaluate(expr, {**problem.params, op.var: 0.0})
+            except TransmuteError:
+                arr[0] = math.nan
+            arr[1:] = evaluate(expr, {**problem.params, op.var: s})
+            tables.append(arr)
     return tables
 
 
@@ -302,65 +300,55 @@ def solve(problem):
     The t = 0 closure is Robin when theta = b0(0) + h0 sigma is nonzero,
     else Neumann; a b0 singular at 0 (NaN in its table) takes Neumann.
     """
+    sigma, h = problem.sigma, problem.h
     top = 2 * problem.steps
-    tables = _coefficient_tables(problem, top)
-    theta = tables["b0"][0] + problem.h0 * problem.sigma
+    b0t, c0t, b1x, c1x = _coefficient_tables(problem, top)
+    theta = b0t[0] + problem.h0 * sigma
     flavor = "robin" if abs(theta) > 1e-13 else "neumann"
-    if flavor == "neumann" and not math.isnan(tables["b0"][0]):
-        # the t = 0 ghost cell reads the endpoint coefficients
-        if math.isnan(tables["c0"][0]):
-            raise UsageError("Neumann ghost cell needs c0 regular at t = 0")
-    diag = diagonal_values(problem, np.arange(top + 1) * problem.h / 2.0)
+    # Neumann's ghost cell reads the coefficients at t = 0; otherwise the wall
+    # takes K_t = slope K one-sided: Robin's sigma K_t = theta K, or K_t = 0
+    # for a b0 singular at 0, never touching the coefficients there
+    ghost_cell = flavor == "neumann" and not math.isnan(b0t[0])
+    if ghost_cell and math.isnan(c0t[0]):
+        raise UsageError("Neumann ghost cell needs c0 regular at t = 0")
+    slope = sigma * theta if flavor == "robin" else 0.0
+    values = np.empty(_offset(top + 1))
+    values[_offset(np.arange(top + 1))] = diagonal_values(problem, np.arange(top + 1) * h / 2.0)
 
     # the finiteness gate after the march reports divergence; keep numpy
     # from announcing the overflow separately on stderr first
     with np.errstate(over="ignore", invalid="ignore"):
-        return _march(problem, diag, flavor, tables)
-
-
-def _march(problem, diag, flavor, tables):
-    b0t, c0t = tables["b0"], tables["c0"]
-    b1x, c1x = tables["b1"], tables["c1"]
-    sigma, h = problem.sigma, problem.h
-    ghost_cell = flavor == "neumann" and not math.isnan(b0t[0])
-    # without the ghost cell the wall takes K_t = slope K at t = 0 one-sided:
-    # Robin's sigma K_t = theta K with theta = b0(0) + h0 sigma, and slope = 0
-    # (K_t = 0) for a singular b0, never touching the coefficients at 0
-    slope = sigma * (b0t[0] + problem.h0 * sigma) if flavor == "robin" else 0.0
-    top = 2 * problem.steps
-    values = np.empty(_offset(top + 1))
-    values[_offset(np.arange(top + 1))] = diag
-    for d in range(2, top + 1):
-        prev2, prev, lvl = (values[_offset(k) : _offset(k + 1)] for k in (d - 2, d - 1, d))
-        # cells j = 1..j_hi read b0 and c0 at t = (d - 2j) h/2: reversed strided views
-        j_hi = (d - 1) // 2
-        lvl[1 : j_hi + 1] = _cell_update(
-            sigma,
-            h,
-            prev[1 : j_hi + 1],
-            prev[:j_hi],
-            prev2[:j_hi],
-            b0t[d - 2 :: -2][:j_hi],
-            b1x[d - 1],
-            c0t[d - 2 :: -2][:j_hi],
-            c1x[d - 1],
-        )
-        if d % 2 == 0:
-            j0 = d // 2
-            if ghost_cell:
-                ghost = prev[j0 - 1]
-                lvl[j0] = _cell_update(
-                    sigma, h, ghost, ghost, prev2[j0 - 1], b0t[0], b1x[d - 1], c0t[0], c1x[d - 1]
-                )
-            elif j0 >= 2:
-                lvl[j0] = (4.0 * lvl[j0 - 1] - lvl[j0 - 2]) / (3.0 + 2.0 * h * slope)
-            else:
-                lvl[j0] = lvl[0] / (1.0 + h * slope)
-    grid = TriangleGrid(h=h, values=values, boundary=flavor)
-    # NaN carries through min and max: no full-size isfinite mask is needed
-    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
-        first = next(d for d, lvl in enumerate(grid.levels) if not np.isfinite(lvl).all())
-        raise NumericalError(f"non-finite lattice value at level {first}")
+        for d in range(2, top + 1):
+            prev2, prev, lvl = (values[_offset(k) : _offset(k + 1)] for k in (d - 2, d - 1, d))
+            # cells j = 1..j_hi read b0 and c0 at t = (d - 2j) h/2: reversed strided views
+            j_hi = (d - 1) // 2
+            lvl[1 : j_hi + 1] = _cell_update(
+                sigma,
+                h,
+                prev[1 : j_hi + 1],
+                prev[:j_hi],
+                prev2[:j_hi],
+                b0t[d - 2 :: -2][:j_hi],
+                b1x[d - 1],
+                c0t[d - 2 :: -2][:j_hi],
+                c1x[d - 1],
+            )
+            if d % 2 == 0:
+                j0 = d // 2
+                if ghost_cell:
+                    ghost = prev[j0 - 1]
+                    lvl[j0] = _cell_update(
+                        sigma, h, ghost, ghost, prev2[j0 - 1], b0t[0], b1x[d - 1], c0t[0], c1x[d - 1]
+                    )
+                elif j0 >= 2:
+                    lvl[j0] = (4.0 * lvl[j0 - 1] - lvl[j0 - 2]) / (3.0 + 2.0 * h * slope)
+                else:
+                    lvl[j0] = lvl[0] / (1.0 + h * slope)
+        grid = TriangleGrid(h=h, values=values, boundary=flavor)
+        # NaN carries through min and max: no full-size isfinite mask is needed
+        if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+            first = next(d for d, lvl in enumerate(grid.levels) if not np.isfinite(lvl).all())
+            raise NumericalError(f"non-finite lattice value at level {first}")
     return grid
 
 
@@ -417,27 +405,8 @@ def potential_from_diagonal(source, spacing=None):
     return (2.0 * np.gradient(vals, spacing, edge_order=2)).tolist()
 
 
-def problem_from_operators(op_a, op_b, params, **fields):
-    """The problem of the pair A (in t) and B (in x): b0 and c0 come from
-    A, b1 and c1 from B, and sigma is their leading coefficient, which
-    must be one constant +-1 (variable a(x), e.g. the x^2 (x^2-1) family,
-    is out of the solver's scope). ``fields`` sets the other
-    GoursatProblem fields.
-    """
-    probes = (0.3, 0.7, 1.1)
-    a_vals = [evaluate(op.a, {**params, op.var: s}) for op in (op_a, op_b) for s in probes]
-    if any(v != a_vals[0] for v in a_vals) or a_vals[0] not in (1.0, -1.0):
-        raise UsageError(
-            "the leading coefficients of A and B are not one constant +-1;"
-            " the characteristic solver does not apply"
-        )
-    return GoursatProblem(
-        sigma=a_vals[0], b0=op_a.b, b1=op_b.b, c0=op_a.c, c1=op_b.c, params=dict(params), **fields
-    )
-
-
 def problem_from_case(case, X, h):
-    """Adapt a catalog case to the solver by ``problem_from_operators``.
+    """The solver problem of a catalog case's operator pair.
 
     The 1/x residue of b1 - b0 is probed numerically so the transport
     data can be split exactly, and kappa scales the transport data to
@@ -460,7 +429,9 @@ def problem_from_case(case, X, h):
             f"b1 - b0 of case {case.name!r} is not rho/x + smooth;"
             " the transport data cannot be split"
         )
-    problem = problem_from_operators(case.opA, case.opB, case.params, h0=case.h0, X=X, h=h, rho=rho)
+    problem = GoursatProblem(
+        case.opA, case.opB, h0=case.h0, X=X, h=h, rho=rho, params=dict(case.params)
+    )
     try:
         k_diag = evaluate(case.kernel, {**case.params, "x": X, "t": X})
     except TransmuteError as exc:

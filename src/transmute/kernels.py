@@ -28,7 +28,7 @@ from typing import Mapping, Optional
 
 from .errors import AdmissibilityError, UsageError
 from .expr import Expr, Num, BinOp, parse
-from .operators import DifferentialOperator
+from .operators import DifferentialOperator, check_pair_symbols, check_symbols
 
 __all__ = [
     "TransmutationCase",
@@ -89,6 +89,13 @@ class TransmutationCase:
             raise AdmissibilityError("p_diag > -1", f"got {self.p_diag}")
         if not self.p_zero > -1.0:
             raise AdmissibilityError("p_zero > -1", f"got {self.p_zero}")
+        for name, variables in (
+            ("kernel", "xt"), ("kernel_smooth", "xt"), ("f0", "t"), ("f0_smooth", "t"), ("f1", "x")
+        ):
+            check_symbols(name, getattr(self, name), variables, self.params)
+        check_pair_symbols(self.opA, self.opB, self.params)
+        if (shift := self.eigen_shift) is not None:
+            check_pair_symbols(shift.opA, shift.opB, self.params, "eigen-shift coefficient")
 
 
 def _merge(defaults, params, case_name):

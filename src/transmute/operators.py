@@ -21,13 +21,15 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, TransmuteError
+from .errors import DomainError, TransmuteError, UsageError
 from .expr import Expr, evaluate, evaluate_jet, free_symbols
 
 __all__ = [
     "DifferentialOperator",
     "apply",
     "eigen_residual",
+    "check_symbols",
+    "check_pair_symbols",
 ]
 
 
@@ -58,6 +60,26 @@ class DifferentialOperator:
             evaluate(self.b, bindings),
             evaluate(self.c, bindings),
         )
+
+
+def check_symbols(what, expr, variables, params):
+    """Refuse ``expr`` if it names anything but ``variables`` (a string of
+    them) and the keys of ``params``: a config error, found before any evaluation."""
+    extra = free_symbols(expr) - set(variables) - set(params)
+    if extra:
+        names = ", ".join(map(repr, variables))
+        raise UsageError(
+            f"{what} may only depend on {names} and the declared parameters;"
+            f" found {sorted(extra)}"
+        )
+
+
+def check_pair_symbols(op_a, op_b, params, label="coefficient"):
+    """``check_symbols`` on a0, b0, c0 of A and a1, b1, c1 of B, each in its
+    operator's variable."""
+    for digit, op in (("0", op_a), ("1", op_b)):
+        for slot in "abc":
+            check_symbols(f"{label} {slot}{digit}", getattr(op, slot), op.var, params)
 
 
 def _check_single_variable(op: DifferentialOperator, f: Expr) -> None:

@@ -107,10 +107,6 @@ def transform(case, f_smooth, t_exponent, x, n=64):
     """
     alpha_w = case.p_diag
     beta_w = case.kernel_t_exponent + t_exponent
-    if alpha_w <= -1.0 or beta_w <= -1.0:
-        raise UsageError(
-            f"non-integrable endpoint exponents ({alpha_w!r}, {beta_w!r})"
-        )
     # first, so that an order above the cap is refused before any array work
     rule = jacobi_rule(n, alpha_w, beta_w)
     try:

@@ -1,13 +1,21 @@
 """End-to-end runs of the command-line driver, in process via main(argv)."""
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
-from transmute import conditions, quadrature
+from transmute import conditions, kernels, quadrature
 from transmute.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# the custom case file the README shows
+(README_FILE,) = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
 
 CASE_FILE = """\
 # hand-written telegraph pair
@@ -47,6 +55,14 @@ BAD_CONFIGS = {
     "kappa_nan.cfg": SOLVER_FILE.replace("h = 0.03125", "h = 0.03125\nkappa = nan"),
     "x_max_inf.cfg": CASE_FILE.replace("x_max = 2.0", "x_max = inf"),
     "leading_two.cfg": SOLVER_FILE.replace('c = "', 'a = "2"\nc = "'),
+    # a = 1 at t = 0.3, 0.7 and 1.1, but not a constant
+    "variable_a.cfg": SOLVER_FILE.replace(
+        "[operatorA]\n", '[operatorA]\na = "1+(t-0.3)*(t-0.7)*(t-1.1)"\n'
+    ),
+    "stray_x.cfg": CASE_FILE.replace('c = "omega^2"\n', 'c = "x"\n', 1),
+    "readme.cfg": README_FILE,
+    "x_min_negative.cfg": CASE_FILE.replace("x_max = 2.0", "x_min = -1"),
+    "x_max_50.cfg": CASE_FILE.replace("x_max = 2.0", "x_max = 50"),
 }
 
 
@@ -78,6 +94,21 @@ def test_catalog_show_carries_tags(capsys):
     assert code == 0
     assert "5.4.11" in out
     assert "K(x,t)" in out
+
+
+def test_catalog_show_json_has_the_fields_of_describe(capsys):
+    code, out, _ = run(capsys, "catalog", "show", "sonin", "--format", "json", "--no-timestamp")
+    assert code == 0
+    payload = json.loads(out)
+    case = kernels.get_case("sonin")
+    assert payload["tags"] == list(case.refs) and payload["parameters"] == dict(case.params)
+    text = kernels.describe(case)
+    for key, label in (("kernel", "K(x,t) = "), ("f0", "f0(t)  = "), ("f1", "f1(x)  = ")):
+        assert label + payload[key] in text
+    assert f"lambda = {payload['lambda']!r}" in text
+    assert f"p_diag = {payload['p_diag']!r}, p_zero = {payload['p_zero']!r}" in text
+    assert payload["notes"] in text and payload["name"] == "sonin"
+    assert "generated_at" not in payload
 
 
 def test_catalog_show_unknown_name(capsys):
@@ -181,6 +212,14 @@ def test_verify_csv_format(capsys):
         ("apply", "--case", "vekua_telegraph", "--x-count", "-3"),
         ("solve", "--custom", "leading_two.cfg", "--params", "mu=1"),  # sigma is not +-1
         ("solve", "--case", "sine_to_bessel", "--params", "beta=1"),  # K = 0 on t = 0
+        ("solve", "--custom", "variable_a.cfg", "--params", "mu=1"),
+        ("verify", "--custom", "stray_x.cfg", "--params", "mu=1,omega=1"),  # c0 reads x
+        ("verify", "--custom", "readme.cfg"),  # mu and omega undeclared
+        ("apply", "--custom", "readme.cfg"),
+        ("verify", "--custom", "x_min_negative.cfg", "--params", "mu=1,omega=1"),
+        ("apply", "--custom", "x_min_negative.cfg", "--params", "mu=1,omega=1"),
+        ("verify", "--custom", "x_max_50.cfg", "--params", "mu=1,omega=1"),  # needs --unsafe-range
+        ("apply", "--custom", "x_max_50.cfg", "--params", "mu=1,omega=1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
@@ -404,13 +443,32 @@ def test_config_file_diagnostics(tmp_path, capsys, text, needle):
 
 
 def test_readme_example_runs(tmp_path, capsys):
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    (block,) = re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
     cfg = tmp_path / "readme.cfg"
-    cfg.write_text(block)
+    cfg.write_text(README_FILE)
     code, out, _ = run(capsys, "verify", "--custom", str(cfg), "--params", "mu=1,omega=1")
     assert code == 0
     assert "overall: PASS" in out
+
+
+def test_commands_run_without_the_test_oracles(tmp_path):
+    # numpy is the only runtime dependency: scipy and mpmath serve the tests
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(README_FILE)
+    argvs = [
+        ["verify", "--custom", str(cfg), "--params", "mu=1,omega=1"],
+        ["apply", "--case", "poisson_bessel", "--x-count", "5"],
+        ["solve", "--case", "vekua_telegraph", "--solver-h", "0.0625"],
+    ]
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = sys.modules['mpmath'] = None\n"
+        "from transmute.cli import main\n"
+        f"print([main(argv) for argv in {argvs!r}])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0]"
 
 
 def test_missing_file_exits_2(capsys):

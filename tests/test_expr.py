@@ -453,3 +453,40 @@ def test_array_jet_errors_name_the_first_failing_point():
         evaluate_jet(parse("besselj(1, x-t)"), xs, ts, {})
     with pytest.raises(DomainError, match=r"only the last argument"):
         evaluate_jet(parse("besselj(x, t)"), xs, ts, {})
+
+
+@pytest.mark.parametrize("x,t", [(0.4, 0.9), (1.3, 0.25), (2.7, 1.6)])
+def test_jet_exponent_matches_closed_form_partials(x, t):
+    # a jet in the exponent: 2^x = exp(x ln 2) and x^t = exp(t ln x)
+    ln2, lnx = math.log(2.0), math.log(x)
+    f = 2.0 ** x
+    jet = evaluate_jet(parse("2^x"), x, t, {})
+    want = (f, f * ln2, 0.0, f * ln2 * ln2, 0.0, 0.0)
+    got = (jet.value, jet.dx, jet.dt, jet.dxx, jet.dxt, jet.dtt)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    f = x ** t
+    jet = evaluate_jet(parse("x^t"), x, t, {})
+    want = (
+        f,
+        t * f / x,
+        f * lnx,
+        t * (t - 1.0) * f / (x * x),
+        f / x * (1.0 + t * lnx),
+        f * lnx * lnx,
+    )
+    got = (jet.value, jet.dx, jet.dt, jet.dxx, jet.dxt, jet.dtt)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("text", ["gamma(1+x)", "x^t", "gamma(x)*x^(t+0.5)"])
+def test_per_entry_array_evaluation_is_the_float_walk(text):
+    # no array rule for gamma, an exponent that varies: each entry runs the
+    # float walk, so the array equals it bit for bit
+    expr = parse(text)
+    xs = np.linspace(0.15, 2.9, 7)[:, None]
+    ts = np.linspace(0.05, 1.9, 5)[None, :]
+    got = evaluate(expr, {"x": xs, "t": ts})
+    assert got.shape == (7, 5)
+    want = [[evaluate(expr, {"x": x, "t": t}) for t in ts.ravel().tolist()]
+            for x in xs.ravel().tolist()]
+    assert got.tolist() == want

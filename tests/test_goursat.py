@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from transmute.errors import NumericalError, UsageError
-from transmute.expr import evaluate, evaluate_jet, parse
+from transmute.expr import Num, evaluate, evaluate_jet, parse
 from transmute.goursat import (
     MAX_STEPS,
     GoursatProblem,
@@ -27,19 +27,29 @@ from transmute.goursat import (
     solve,
 )
 from transmute.kernels import get_case
+from transmute.operators import DifferentialOperator
 from transmute.quadrature import jacobi_rule
 
 
-def _telegraph(h, sign="", X=2.0):
+def _gp(sigma=1.0, b0="0", b1="0", c0="0", c1="0", **fields):
+    """The problem of A = (sigma, b0, c0) in t and B = (sigma, b1, c1) in x."""
     return GoursatProblem(
+        DifferentialOperator("t", Num(sigma), parse(b0), parse(c0)),
+        DifferentialOperator("x", Num(sigma), parse(b1), parse(c1)),
+        **fields,
+    )
+
+
+def _telegraph(h, sign="", X=2.0):
+    return _gp(
         sigma=1.0, b0="0", b1="0", c0="0", c1=sign + "mu^2",
         X=X, h=h, params={"mu": 1.0},
     )
 
 
 def test_trivial_problem_is_exact():
-    grid = solve(GoursatProblem(sigma=1.0, b0="0", b1="0", c0="0", c1="0",
-                                X=1.0, h=1.0 / 16.0))
+    grid = solve(_gp(sigma=1.0, b0="0", b1="0", c0="0", c1="0",
+                     X=1.0, h=1.0 / 16.0))
     stats = compare(grid, "1")
     assert stats["max"] == 0.0
 
@@ -71,7 +81,7 @@ def test_sign_flipped_telegraph_gives_i0():
 
 def _robin(h):
     # K = exp(t/2) satisfies the pair and the Robin relation with h0 = 1/2
-    return GoursatProblem(
+    return _gp(
         sigma=1.0, b0="0", b1="-1", c0="0", c1="0.25",
         h0=0.5, X=2.0, h=h,
     )
@@ -93,8 +103,7 @@ def solve_even(problem):
     any other problem is refused.
     """
     top = 2 * problem.steps
-    tables = _coefficient_tables(problem, top)
-    b0t, c0t, b1x, c1x = (tables[k] for k in ("b0", "c0", "b1", "c1"))
+    b0t, c0t, b1x, c1x = _coefficient_tables(problem, top)
     if problem.h0 != 0.0 or np.any(b0t != 0.0):
         raise UsageError("even-extension marching requires b0 = 0 and h0 = 0")
     sigma, h = problem.sigma, problem.h
@@ -122,8 +131,8 @@ def diagonal_panel_loop(problem, xs):
         return [0.0 for _ in xs]
 
     def smooth(s):
-        value = (evaluate(problem.b1, {**problem.params, "x": s})
-                 - evaluate(problem.b0, {**problem.params, "t": s}))
+        value = (evaluate(problem.op_b.b, {**problem.params, "x": s})
+                 - evaluate(problem.op_a.b, {**problem.params, "t": s}))
         return value - problem.rho / s if problem.rho != 0.0 else value
 
     gl = jacobi_rule(32, 0.0, 0.0)
@@ -168,7 +177,7 @@ def cell_two_sweep(sigma, h, S, Q, base_corner, b0v, b1s, c0v, c1s):
 
 def _theta(problem):
     """The Robin factor b0(0) + h0 sigma of the t = 0 wall."""
-    return evaluate(problem.b0, {**problem.params, "t": 0.0}) + problem.h0 * problem.sigma
+    return evaluate(problem.op_a.b, {**problem.params, "t": 0.0}) + problem.h0 * problem.sigma
 
 
 def march_two_sweep(problem):
@@ -181,10 +190,12 @@ def march_two_sweep(problem):
     sigma, h = problem.sigma, problem.h
     top = 2 * problem.steps
     tab = {}
-    for name, var in (("b0", "t"), ("c0", "t"), ("b1", "x"), ("c1", "x")):
-        expr = getattr(problem, name)
-        tab[name] = np.array([evaluate(expr, {**problem.params, var: m * (h / 2.0)})
-                              for m in range(top + 1)])
+    for digit, op in (("0", problem.op_a), ("1", problem.op_b)):
+        for slot in "bc":
+            tab[slot + digit] = np.array([
+                evaluate(getattr(op, slot), {**problem.params, op.var: m * (h / 2.0)})
+                for m in range(top + 1)
+            ])
     b0t, c0t, b1x, c1x = (tab[k] for k in ("b0", "c0", "b1", "c1"))
     diag = diagonal_panel_loop(problem, [d * h / 2.0 for d in range(top + 1)])
     theta = _theta(problem)
@@ -219,10 +230,10 @@ def march_two_sweep(problem):
     _telegraph(1.0 / 64.0),
     _robin(1.0 / 64.0),
     # every coefficient nonzero, so each term of the fused cell is exercised
-    GoursatProblem(sigma=1.0, b0="t", b1="0.5*x", c0="0.3*t", c1="1+x",
-                   X=1.0, h=1.0 / 64.0),
-    GoursatProblem(sigma=-1.0, b0="1+t", b1="0.5*x", c0="0.3*t", c1="1+x",
-                   h0=0.5, X=1.0, h=1.0 / 64.0),
+    _gp(sigma=1.0, b0="t", b1="0.5*x", c0="0.3*t", c1="1+x",
+        X=1.0, h=1.0 / 64.0),
+    _gp(sigma=-1.0, b0="1+t", b1="0.5*x", c0="0.3*t", c1="1+x",
+        h0=0.5, X=1.0, h=1.0 / 64.0),
 ], ids=["telegraph", "robin", "ghost_all_terms", "robin_all_terms"])
 def test_fused_march_matches_two_sweep_oracle(problem):
     grid = solve(problem)
@@ -279,7 +290,7 @@ def _off_the_wall(case):
 
 
 @pytest.mark.parametrize("problem", [
-    *(GoursatProblem(**kw) for kw in DIAGONAL_PROBLEMS.values()),
+    *(_gp(**kw) for kw in DIAGONAL_PROBLEMS.values()),
     *(problem_from_case(_off_the_wall(get_case(name, params)), X=2.0, h=1.0 / 32.0)
       for name, params in CATALOG_PROBLEMS.items()),
 ], ids=[*DIAGONAL_PROBLEMS, *CATALOG_PROBLEMS])
@@ -300,11 +311,11 @@ def test_lattice_budget_is_checked_before_solving():
     h = 1.0 / 512.0
     base = dict(sigma=1.0, b0="0", b1="0", c0="0", c1="0", h=h)
     assert MAX_STEPS >= 2048  # the benchmark ladder's finest rung
-    assert GoursatProblem(X=MAX_STEPS * h, **base).steps == MAX_STEPS
+    assert _gp(X=MAX_STEPS * h, **base).steps == MAX_STEPS
     with pytest.raises(UsageError, match="budget"):
-        GoursatProblem(X=(MAX_STEPS + 1) * h, **base)
+        _gp(X=(MAX_STEPS + 1) * h, **base)
     with pytest.raises(UsageError, match="budget"):
-        GoursatProblem(X=2.0, **{**base, "h": 1e-7})
+        _gp(X=2.0, **{**base, "h": 1e-7})
 
 
 def test_diagonal_abscissa_beyond_the_budget_is_refused():
@@ -326,7 +337,7 @@ def test_even_extension_equals_neumann_ghost():
 
 def test_even_boundary_requires_vanishing_b0():
     # the oracle above is only valid for b0 = 0
-    problem = GoursatProblem(
+    problem = _gp(
         sigma=1.0, b0="t", b1="0", c0="0", c1="0",
         X=1.0, h=1.0 / 8.0,
     )
@@ -336,8 +347,8 @@ def test_even_boundary_requires_vanishing_b0():
 
 def test_diagonal_power_law():
     # rho = 1 with b1 - b0 = 1/x exactly: K(x,x) = kappa x^(-1/2)
-    problem = GoursatProblem(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0",
-                             rho=1.0, X=2.0, h=1.0 / 16.0)
+    problem = _gp(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0",
+                  rho=1.0, X=2.0, h=1.0 / 16.0)
     lo, hi = diagonal_values(problem, [0.25, 1.0])
     assert lo / hi == pytest.approx(2.0, rel=1e-12)
     assert hi == pytest.approx(1.0, rel=1e-12)
@@ -345,23 +356,23 @@ def test_diagonal_power_law():
 
 def test_diagonal_gaussian_decay():
     # b1 - b0 = 2x integrates to x^2, so K(x,x) = exp(-x^2/2)
-    problem = GoursatProblem(sigma=1.0, b0="0", b1="2*x", c0="0", c1="0",
-                             X=2.0, h=1.0 / 16.0)
+    problem = _gp(sigma=1.0, b0="0", b1="2*x", c0="0", c1="0",
+                  X=2.0, h=1.0 / 16.0)
     for x in (0.5, 1.0, 1.75):
         (got,) = diagonal_values(problem, [x])
         assert got == pytest.approx(math.exp(-x * x / 2.0), rel=1e-12)
 
 
 def test_diagonal_blowup_is_reported():
-    problem = GoursatProblem(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0",
-                             rho=1.0, X=2.0, h=1.0 / 16.0)
+    problem = _gp(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0",
+                  rho=1.0, X=2.0, h=1.0 / 16.0)
     with pytest.raises(UsageError, match="blows up"):
         diagonal_values(problem, [0.0, 1.0])
 
 
 def test_diagonal_kappa_zero_shortcut():
-    problem = GoursatProblem(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0",
-                             rho=1.0, kappa=0.0, X=2.0, h=1.0 / 16.0)
+    problem = _gp(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0",
+                  rho=1.0, kappa=0.0, X=2.0, h=1.0 / 16.0)
     assert diagonal_values(problem, [0.0, 0.5, 1.0]) == [0.0, 0.0, 0.0]
 
 
@@ -432,7 +443,7 @@ def test_problem_from_case_cancelling_poles():
 @pytest.mark.parametrize(
     "kwargs,needle",
     [
-        (dict(sigma=2.0), "sigma"),
+        (dict(sigma=2.0), "leading coefficient"),
         (dict(X=1.0, h=0.3), "X/h"),
         (dict(c1="t"), "may only depend on 'x'"),
         (dict(b0="x"), "may only depend on 't'"),
@@ -441,28 +452,49 @@ def test_problem_from_case_cancelling_poles():
     ],
 )
 def test_problem_validation(kwargs, needle):
-    base = dict(sigma=1.0, b0="0", b1="0", c0="0", c1="0")
-    base.update(kwargs)
     with pytest.raises(UsageError, match=needle):
-        GoursatProblem(**base)
+        _gp(**kwargs)
+
+
+def test_sigma_is_the_constant_leading_coefficient():
+    def pair(a0, a1, **fields):
+        return GoursatProblem(
+            DifferentialOperator("t", parse(a0), Num(0.0), Num(0.0)),
+            DifferentialOperator("x", parse(a1), Num(0.0), parse("mu^2")),
+            **fields,
+        )
+
+    assert pair("-1", "-mu", params={"mu": 1.0}).sigma == -1.0
+    # equal to 1 at t = 0.3, 0.7 and 1.1, but it reads t: not a constant
+    with pytest.raises(UsageError, match="leading coefficient"):
+        pair("1+(t-0.3)*(t-0.7)*(t-1.1)", "1", params={"mu": 1.0})
+    with pytest.raises(UsageError, match="leading coefficient"):
+        pair("1", "-1", params={"mu": 1.0})
+    with pytest.raises(UsageError, match="may only depend on 'x'"):
+        pair("1", "1")  # mu undeclared
+    with pytest.raises(TypeError):
+        pair("1", "1", params={"mu": 1.0}, sigma=1.0)
+    problem = pair("1", "1", params={"mu": 1.0})
+    with pytest.raises(UsageError, match="A acting in 't'"):
+        GoursatProblem(problem.op_b, problem.op_a, params=problem.params)
 
 
 def test_boundary_flavor_guards():
     with pytest.raises(UsageError, match="c0 regular"):
-        solve(GoursatProblem(sigma=1.0, b0="0", b1="0", c0="1/t", c1="0",
-                             X=1.0, h=1.0 / 8.0))
+        solve(_gp(sigma=1.0, b0="0", b1="0", c0="1/t", c1="0",
+                  X=1.0, h=1.0 / 8.0))
 
 
 def test_divergent_march_raises_numerical_error():
-    problem = GoursatProblem(sigma=-1.0, b0="0", b1="0", c0="0", c1="1e8",
-                             X=2.0, h=1.0 / 16.0)
+    problem = _gp(sigma=-1.0, b0="0", b1="0", c0="0", c1="1e8",
+                  X=2.0, h=1.0 / 16.0)
     with pytest.raises(NumericalError, match="non-finite"):
         solve(problem)
 
 
 def test_grid_geometry_and_csv():
-    grid = solve(GoursatProblem(sigma=1.0, b0="0", b1="0", c0="0", c1="0",
-                                X=1.0, h=0.25))
+    grid = solve(_gp(sigma=1.0, b0="0", b1="0", c0="0", c1="0",
+                     X=1.0, h=0.25))
     pts = list(grid.points())
     assert len(pts) == sum(min(i, 8 - i) + 1 for i in range(9))
     for i, j, x, t, k in pts:

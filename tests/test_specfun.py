@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from transmute.errors import (
     ConvergenceError, DomainError, PoleError, RangeError, TransmuteError,
 )
-from transmute.expr import evaluate, parse
+from transmute.expr import evaluate, evaluate_jet, parse
 import transmute.specfun as specfun
 
 
@@ -486,3 +486,15 @@ def test_array_results_keep_the_shape():
     assert specfun.hyp1f2(1.0, 0.5, 2.0, z).shape == (2, 2)
     assert specfun.gegenbauer(0, 1.0, z).shape == (2, 2)
     assert type(specfun.hyp1f2(1.0, 0.5, 2.0, 0.25)) is float
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 1.7, 4.25])
+def test_gamma_jet_matches_mpmath(t):
+    # d/dt gamma(1+t) = gamma psi, d2/dt2 = gamma (psi^2 + psi'), all at 1+t
+    jet = evaluate_jet(parse("gamma(1+t)"), 0.5, t, {})
+    z = mp.mpf(1.0 + t)
+    g, psi, psi1 = mp.gamma(z), mp.digamma(z), mp.polygamma(1, z)
+    assert jet.value == pytest.approx(float(g), rel=1e-14)
+    assert jet.dt == pytest.approx(float(g * psi), rel=1e-12, abs=1e-14)
+    assert jet.dtt == pytest.approx(float(g * (psi * psi + psi1)), rel=1e-12)
+    assert (jet.dx, jet.dxx, jet.dxt) == (0.0, 0.0, 0.0)
