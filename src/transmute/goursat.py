@@ -14,9 +14,13 @@ cell where that factor vanishes. Marching is second order: each cell uses
 the integral identity K(u,v) = K(u-h,v) + K(u,v-h) - K(u-h,v-h)
 + h^2 F(midpoint) with exactly two predictor-corrector sweeps. F takes
 K_u, K_v and K at the cell midpoint from centred differences of the new
-value p and its three neighbours, so h^2 F is affine in p, a p + g, and
-the two sweeps fuse into p1 = base + a base + g, p2 = base + a p1 + g,
-applied to a whole level at once.
+value and its three neighbours S = K(u-h,v), Q = K(u,v-h), C = K(u-h,v-h),
+so two sweeps are affine in them: K = (S + Q - C) + (wS S + wQ Q + wC C)
+with O(h) weight deviations, kept apart from the stencil sum so that no
+weight rounds its 1 away. A level is 8 in-place ufunc calls on two scratch
+buffers. A coefficient of A that does not read t is one float, so such a
+pair (the telegraph, any Bessel-type B side) has three float weights per
+level; otherwise the weights are arrays over reversed runs of the t-tables.
 
 Coefficient tables, the diagonal transport integral and ``compare`` each
 evaluate their expression once over arrays of points, not point by point.
@@ -44,7 +48,6 @@ __all__ = [
     "diagonal_values",
     "solve",
     "compare",
-    "potential_from_diagonal",
 ]
 
 # The grid keeps every level in one array of exactly (N+1)^2 doubles for N
@@ -275,23 +278,23 @@ def _coefficient_tables(problem, count):
     return tables
 
 
-def _cell_update(sigma, h, S, Q, base_corner, b0v, b1s, c0v, c1s):
-    """Two corrector sweeps of the characteristic cell rule, fused.
+def _cell_weights(sigma, h, b0, b1, c0, c1):
+    """The fused two-sweep cell rule as the deviations (wS, wQ, wC) of
+    K = (S + Q - C) + (wS S + wQ Q + wC C), for floats and arrays alike.
 
-    S = K(u-h, v), Q = K(u, v-h), base_corner = K(u-h, v-h); the
-    returned value is K(u, v). A sweep sets p = base + h^2 F(p), where
-    4 sigma F = -(b1 (p - C) + b0 (Q - S)) / h - (c1 - c0)(p + S + Q + C) / 4
-    is affine in p: h^2 F(p) = a p + g. Works elementwise on numpy arrays.
+    S = K(u-h, v), Q = K(u, v-h), C = K(u-h, v-h). A sweep sets
+    p = base + h^2 F(p), base = S + Q - C, where h^2 F(p) = a p + g from
+    4 sigma F = -(b1 (p - C) + b0 (Q - S)) / h - (c1 - c0)(p + S + Q + C) / 4,
+    so a = q b1 + e with q = -h / (4 sigma), e = -(c1 - c0) h^2 / (16 sigma).
+    Two sweeps give K = (1 + a + a^2) base + (1 + a) g, whose deviations
+    a + a^2 + (1 + a)(e -+ q b0) and (1 + a)(e - q b1) - a - a^2 factor
+    as (1 + a)(a + e -+ q b0) and -2 (1 + a) q b1.
     """
-    C = base_corner
     q = -h / (4.0 * sigma)
-    e = (c1s - c0v) * (-h * h / (16.0 * sigma))
-    a = q * b1s + e
-    sq = S + Q
-    base = sq - C
-    g = q * (b0v * (Q - S) - b1s * C) + e * (sq + C)
-    p = base + a * base + g
-    return base + a * p + g
+    e = (c1 - c0) * (-h * h / (16.0 * sigma))
+    a = q * b1 + e
+    big, mid, qb0 = 1.0 + a, a + e, q * b0
+    return big * (mid - qb0), big * (mid + qb0), big * (-2.0 * q * b1)
 
 
 def solve(problem):
@@ -312,38 +315,50 @@ def solve(problem):
     if ghost_cell and math.isnan(c0t[0]):
         raise UsageError("Neumann ghost cell needs c0 regular at t = 0")
     slope = sigma * theta if flavor == "robin" else 0.0
+    offsets = _offset(np.arange(top + 1)).tolist()
     values = np.empty(_offset(top + 1))
-    values[_offset(np.arange(top + 1))] = diagonal_values(problem, np.arange(top + 1) * h / 2.0)
+    values[offsets] = diagonal_values(problem, np.arange(top + 1) * h / 2.0)
+    # b0 and c0 are one float each unless they read t. Level d's cells j = 1..n read
+    # them at t = (d - 2j) h/2: from (top - d) // 2 + 1 on in that parity, reversed
+    b0, c0 = (
+        float(tab[0]) if "t" not in free_symbols(expr)
+        else (tab[::2][::-1].copy(), tab[1::2][::-1].copy())
+        for expr, tab in ((problem.op_a.b, b0t), (problem.op_a.c, c0t))
+    )
+    b1x, c1x = b1x.tolist(), c1x.tolist()
+    acc, tmp = np.empty(problem.steps), np.empty(problem.steps)
 
     # the finiteness gate after the march reports divergence; keep numpy
     # from announcing the overflow separately on stderr first
     with np.errstate(over="ignore", invalid="ignore"):
         for d in range(2, top + 1):
-            prev2, prev, lvl = (values[_offset(k) : _offset(k + 1)] for k in (d - 2, d - 1, d))
-            # cells j = 1..j_hi read b0 and c0 at t = (d - 2j) h/2: reversed strided views
-            j_hi = (d - 1) // 2
-            lvl[1 : j_hi + 1] = _cell_update(
-                sigma,
-                h,
-                prev[1 : j_hi + 1],
-                prev[:j_hi],
-                prev2[:j_hi],
-                b0t[d - 2 :: -2][:j_hi],
-                b1x[d - 1],
-                c0t[d - 2 :: -2][:j_hi],
-                c1x[d - 1],
+            o2, o1, o0 = offsets[d - 2], offsets[d - 1], offsets[d]
+            n, lo = (d - 1) // 2, (top - d) // 2 + 1  # n cells between diagonal and wall
+            w_s, w_q, w_c = _cell_weights(
+                sigma, h, b0 if type(b0) is float else b0[d % 2][lo : lo + n], b1x[d - 1],
+                c0 if type(c0) is float else c0[d % 2][lo : lo + n], c1x[d - 1],
             )
-            if d % 2 == 0:
-                j0 = d // 2
-                if ghost_cell:
-                    ghost = prev[j0 - 1]
-                    lvl[j0] = _cell_update(
-                        sigma, h, ghost, ghost, prev2[j0 - 1], b0t[0], b1x[d - 1], c0t[0], c1x[d - 1]
-                    )
-                elif j0 >= 2:
-                    lvl[j0] = (4.0 * lvl[j0 - 1] - lvl[j0 - 2]) / (3.0 + 2.0 * h * slope)
-                else:
-                    lvl[j0] = lvl[0] / (1.0 + h * slope)
+            s, q, c = values[o1 + 1 : o1 + n + 1], values[o1 : o1 + n], values[o2 : o2 + n]
+            out, a, t = values[o0 + 1 : o0 + n + 1], acc[:n], tmp[:n]
+            np.multiply(w_s, s, out=a)
+            np.multiply(w_q, q, out=t)
+            np.add(a, t, out=a)
+            np.multiply(w_c, c, out=t)
+            np.add(a, t, out=a)
+            np.add(s, q, out=out)
+            np.subtract(out, c, out=out)
+            np.add(out, a, out=out)
+            if d % 2 == 0 and ghost_cell:
+                # Q mirrors S; the weights at t = 0 are the level's when b0 and c0 are floats
+                if type(b0) is not float or type(c0) is not float:
+                    w_s, w_q, w_c = _cell_weights(sigma, h, b0t[0], b1x[d - 1], c0t[0], c1x[d - 1])
+                g, c = values[o1 + n], values[o2 + n]
+                values[o0 + n + 1] = (g + g - c) + ((w_s * g + w_q * g) + w_c * c)
+            elif d % 2 == 0 and n:
+                wall = 4.0 * values[o0 + n] - values[o0 + n - 1]
+                values[o0 + n + 1] = wall / (3.0 + 2.0 * h * slope)
+            elif d % 2 == 0:
+                values[o0 + 1] = values[o0] / (1.0 + h * slope)
         grid = TriangleGrid(h=h, values=values, boundary=flavor)
         # NaN carries through min and max: no full-size isfinite mask is needed
         if not (math.isfinite(values.min()) and math.isfinite(values.max())):
@@ -381,28 +396,6 @@ def compare(grid, reference, params=None):
 
     total = math.fsum(chain.from_iterable(square_blocks()))
     return {"max": float(max(maxima)), "l2": math.sqrt(total / count), "count": count}
-
-
-def potential_from_diagonal(source, spacing=None):
-    """q(x) = 2 dK(x,x)/dx by second-order differencing.
-
-    ``source`` is either a TriangleGrid (spacing inferred) or a sequence
-    of diagonal samples on a uniform grid with explicit ``spacing``.
-    """
-    if isinstance(source, TriangleGrid):
-        _, vals = source.diagonal()
-        spacing = source.h / 2.0
-    elif spacing is None or not 0.0 < spacing < math.inf:
-        raise UsageError("potential_from_diagonal needs a positive, finite spacing")
-    else:
-        vals = source
-    vals = np.asarray(vals, dtype=float)
-    if len(vals) < 3:
-        raise UsageError("need at least 3 diagonal samples")
-    if not np.isfinite(vals).all():
-        raise UsageError("diagonal samples must be finite")
-    # central differences inside, second-order one-sided ones at the ends
-    return (2.0 * np.gradient(vals, spacing, edge_order=2)).tolist()
 
 
 def problem_from_case(case, X, h):

@@ -76,23 +76,22 @@ def check_symbols(what, expr, variables, params):
 
 def check_pair_symbols(op_a, op_b, params, label="coefficient"):
     """``check_symbols`` on a0, b0, c0 of A and a1, b1, c1 of B, each in its
-    operator's variable."""
+    operator's variable. A coefficient that reads no variable is evaluated
+    here, once: one that does not evaluate is a config error too."""
     for digit, op in (("0", op_a), ("1", op_b)):
         for slot in "abc":
-            check_symbols(f"{label} {slot}{digit}", getattr(op, slot), op.var, params)
-
-
-def _check_single_variable(op: DifferentialOperator, f: Expr) -> None:
-    other = "t" if op.var == "x" else "x"
-    if other in free_symbols(f):
-        raise DomainError(
-            f"operator acts in {op.var!r} but the function also references {other!r}"
-        )
+            what, expr = f"{label} {slot}{digit}", getattr(op, slot)
+            check_symbols(what, expr, op.var, params)
+            if op.var not in free_symbols(expr):
+                try:
+                    evaluate(expr, params)
+                except TransmuteError as exc:
+                    raise UsageError(f"{what} does not evaluate: {exc}") from exc
 
 
 def apply(op: DifferentialOperator, f: Expr, pt, params: Mapping[str, float]):
     """Apply the operator to a single-variable expression at a point or an array of points."""
-    _check_single_variable(op, f)
+    check_symbols("the function", f, op.var, params)
     x = pt if op.var == "x" else 0.0
     t = pt if op.var == "t" else 0.0
 

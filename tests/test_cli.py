@@ -63,6 +63,10 @@ BAD_CONFIGS = {
     "readme.cfg": README_FILE,
     "x_min_negative.cfg": CASE_FILE.replace("x_max = 2.0", "x_min = -1"),
     "x_max_50.cfg": CASE_FILE.replace("x_max = 2.0", "x_max = 50"),
+    # constant coefficients that do not evaluate
+    "a0_log0.cfg": SOLVER_FILE.replace("[operatorA]\n", '[operatorA]\na = "log(0)"\n'),
+    "b0_log0.cfg": SOLVER_FILE.replace("[operatorA]\n", '[operatorA]\nb = "log(0)"\n'),
+    "case_a0_log0.cfg": CASE_FILE.replace("[operatorA]\n", '[operatorA]\na = "log(0)"\n'),
 }
 
 
@@ -220,6 +224,9 @@ def test_verify_csv_format(capsys):
         ("apply", "--custom", "x_min_negative.cfg", "--params", "mu=1,omega=1"),
         ("verify", "--custom", "x_max_50.cfg", "--params", "mu=1,omega=1"),  # needs --unsafe-range
         ("apply", "--custom", "x_max_50.cfg", "--params", "mu=1,omega=1"),
+        ("solve", "--custom", "a0_log0.cfg", "--params", "mu=1"),
+        ("solve", "--custom", "b0_log0.cfg", "--params", "mu=1"),
+        ("verify", "--custom", "case_a0_log0.cfg", "--params", "mu=1,omega=1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):

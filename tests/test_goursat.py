@@ -18,11 +18,10 @@ from transmute.goursat import (
     MAX_STEPS,
     GoursatProblem,
     TriangleGrid,
-    _cell_update,
+    _cell_weights,
     _coefficient_tables,
     compare,
     diagonal_values,
-    potential_from_diagonal,
     problem_from_case,
     solve,
 )
@@ -115,9 +114,9 @@ def solve_even(problem):
         if d >= 2:
             js = np.arange(1, d)
             m = np.abs(d - 2 * js)
-            prev, prev2 = full[d - 1], full[d - 2]
-            lvl[1:d] = _cell_update(sigma, h, prev[js], prev[js - 1], prev2[js - 1],
-                                    b0t[m], b1x[d - 1], c0t[m], c1x[d - 1])
+            s, q, c = full[d - 1][js], full[d - 1][js - 1], full[d - 2][js - 1]
+            w_s, w_q, w_c = _cell_weights(sigma, h, b0t[m], b1x[d - 1], c0t[m], c1x[d - 1])
+            lvl[1:d] = (s + q - c) + ((w_s * s + w_q * q) + w_c * c)
         full.append(lvl)
     values = np.concatenate([lvl[: d // 2 + 1] for d, lvl in enumerate(full)])
     return TriangleGrid(h=h, values=values, boundary="neumann")
@@ -161,7 +160,7 @@ def diagonal_panel_loop(problem, xs):
 def cell_two_sweep(sigma, h, S, Q, base_corner, b0v, b1s, c0v, c1s):
     """The cell rule as two full predictor-corrector sweeps, each taking
     K_u, K_v and K at the midpoint afresh: an oracle for the fused
-    ``_cell_update``."""
+    ``_cell_weights``."""
     base = S + Q - base_corner
     p = base
     for _ in range(2):
@@ -376,38 +375,6 @@ def test_diagonal_kappa_zero_shortcut():
     assert diagonal_values(problem, [0.0, 0.5, 1.0]) == [0.0, 0.0, 0.0]
 
 
-def test_potential_from_diagonal_linear():
-    xs = [0.1 * k for k in range(21)]
-    q = potential_from_diagonal([x * x / 4.0 for x in xs], spacing=0.1)
-    for x, val in zip(xs, q):
-        assert val == pytest.approx(x, abs=1e-12)
-
-
-def test_potential_from_solved_grid():
-    # telegraph diagonal is constant 1, so the recovered potential vanishes
-    grid = solve(_telegraph(1.0 / 32.0))
-    q = potential_from_diagonal(grid)
-    assert max(abs(v) for v in q) <= 1e-12
-
-
-def test_potential_needs_enough_samples():
-    with pytest.raises(UsageError):
-        potential_from_diagonal([1.0, 2.0], spacing=0.1)
-
-
-@pytest.mark.parametrize("samples,spacing", [
-    ([1.0, 2.0, 3.0], math.nan),
-    ([1.0, 2.0, 3.0], math.inf),
-    ([1.0, 2.0, 3.0], -0.1),
-    ([1.0, 2.0, 3.0], None),
-    ([1.0, math.inf, 3.0], 0.1),
-    ([1.0, 2.0, math.nan], 0.1),
-])
-def test_potential_refuses_non_finite_input(samples, spacing):
-    with pytest.raises(UsageError):
-        potential_from_diagonal(samples, spacing=spacing)
-
-
 def test_problem_from_case_probes_the_operators():
     problem = problem_from_case(get_case("vekua_telegraph"), X=2.0, h=1.0 / 32.0)
     assert problem.sigma == 1.0
@@ -449,6 +416,7 @@ def test_problem_from_case_cancelling_poles():
         (dict(b0="x"), "may only depend on 't'"),
         (dict(h=-0.1), "h > 0"),
         (dict(X=-1.0), "X > 0"),
+        (dict(c0="log(0)"), "coefficient c0 does not evaluate"),
     ],
 )
 def test_problem_validation(kwargs, needle):
@@ -486,10 +454,23 @@ def test_boundary_flavor_guards():
 
 
 def test_divergent_march_raises_numerical_error():
-    problem = _gp(sigma=-1.0, b0="0", b1="0", c0="0", c1="1e8",
-                  X=2.0, h=1.0 / 16.0)
-    with pytest.raises(NumericalError, match="non-finite"):
-        solve(problem)
+    # c0 = 0 is one float per level; c0 that reads t gives array weights
+    for c0, c1 in (("0", "1e8"), ("-1e8*(1+t)", "0")):
+        problem = _gp(sigma=-1.0, b0="0", b1="0", c0=c0, c1=c1,
+                      X=2.0, h=1.0 / 16.0)
+        with pytest.raises(NumericalError, match="non-finite"):
+            solve(problem)
+
+
+def test_float_weights_equal_array_weights():
+    # the telegraph pair with b0 and c0 reading t (as 0*t) takes the array
+    # weights; it must reproduce the float weights of the plain pair bit for bit
+    fields = dict(sigma=1.0, b1="0", c1="omega^2+mu^2", X=2.0, h=1.0 / 64.0,
+                  params={"mu": 1.0, "omega": 0.7})
+    floats = solve(_gp(b0="0", c0="omega^2", **fields))
+    arrays = solve(_gp(b0="0*t", c0="omega^2+0*t", **fields))
+    assert np.array_equal(floats.values, arrays.values)
+    assert compare(floats, "besselj(0, mu*sqrt(x^2-t^2))", {"mu": 1.0})["max"] <= 1e-5
 
 
 def test_grid_geometry_and_csv():

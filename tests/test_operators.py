@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from transmute.errors import DomainError, TransmuteError
+from transmute.errors import DomainError, TransmuteError, UsageError
 from transmute.expr import parse
 from transmute.operators import (
     DifferentialOperator,
@@ -52,7 +52,7 @@ def test_operator_form_validation():
 
 def test_function_must_live_in_operator_variable():
     op = _nondiv("1", "0", "0")
-    with pytest.raises(DomainError, match="also references 't'"):
+    with pytest.raises(UsageError, match=r"may only depend on 'x'.*\['t'\]"):
         apply(op, parse("t^2"), 1.0, {})
 
 
