@@ -46,7 +46,7 @@ _KEYS = {
     ),
     "operatora": ("a", "b", "c", "h"),
     "operatorb": ("a", "b", "c"),
-    "solver": ("x", "h", "kappa", "rho", "reference"),
+    "solver": ("x", "h", "kappa", "reference"),
 }
 
 
@@ -85,15 +85,18 @@ def _parse_params(text):
         if not chunk:
             continue
         key, sep, value = chunk.partition("=")
+        key = key.strip()
         if not sep:
             raise UsageError(f"--params entries must look like name=value, got {chunk!r}")
         try:
             number = float(value)
         except ValueError:
-            raise UsageError(f"parameter {key.strip()!r} has non-numeric value {value!r}") from None
+            raise UsageError(f"parameter {key!r} has non-numeric value {value!r}") from None
         if not math.isfinite(number):
-            raise UsageError(f"parameter {key.strip()!r} must be finite, got {value!r}")
-        out[key.strip()] = number
+            raise UsageError(f"parameter {key!r} must be finite, got {value!r}")
+        if key in out:
+            raise UsageError(f"duplicate parameter {key!r} in --params")
+        out[key] = number
     return out
 
 
@@ -265,7 +268,6 @@ def _problem_from_config(path, params, args):
         kappa=_cfg_float(solver, "kappa", path, default=1.0),
         X=big_x,
         h=h,
-        rho=_cfg_float(solver, "rho", path, default=0.0),
         params=params,
     )
     reference = None
@@ -424,9 +426,13 @@ def cmd_apply(args):
             raise UsageError(f"--x must be positive, got {args.x!r}")
         if args.x > 3.0 and not args.unsafe_range:
             raise UsageError("--x exceeds the validated range 3; pass --unsafe-range")
+        if not math.isfinite(args.x):
+            raise UsageError(f"--x must be a finite number, got {args.x!r}")
         xs = [args.x]
     else:
         xs = conditions.sample_points(case, args.x_count)
+        if not xs:
+            raise UsageError("--x-count must be at least 1")
     xs = np.array(xs, dtype=float)
     lhs = quadrature.apply_transmutation(case, xs, args.quad_order)
     f1 = evaluate(case.f1, {**case.params, "x": xs})

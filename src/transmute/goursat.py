@@ -36,7 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericalError, TransmuteError, UsageError
-from .expr import BinOp, Jet2, evaluate, free_symbols, parse
+from .expr import BinOp, Jet2, Name, evaluate, free_symbols, parse
 from .operators import DifferentialOperator, check_pair_symbols
 from .quadrature import jacobi_rule
 
@@ -62,12 +62,14 @@ class GoursatProblem:
 
     ``op_a`` acts in t and gives b0, c0 (its b, c); ``op_b`` acts in x and
     gives b1, c1. Each coefficient may read its own variable and entries
-    of ``params``. ``sigma`` is derived, not set: the pair's leading
-    coefficient, which must be one constant +1 or -1 on both sides.
-    ``rho`` declares the 1/x residue of b1 - b0 on the diagonal, so the
-    transport data can split off the x^(-rho/(2 sigma)) factor exactly.
-    ``kappa`` seeds K(0,0); the vertex value is otherwise free. ``h0``
-    enters the t = 0 relation, and so picks the closure ``solve`` uses.
+    of ``params``. ``sigma`` and ``rho`` are derived, not set. ``sigma`` is
+    the pair's leading coefficient, which must be one constant +1 or -1
+    on both sides. ``rho`` is the residue of b1 - b0 = rho/x + smooth on
+    the diagonal, so the transport data can split off the
+    x^(-rho/(2 sigma)) factor exactly; a b1 - b0 of any other form near 0
+    is refused. ``kappa`` seeds K(0,0); the vertex value is otherwise
+    free. ``h0`` enters the t = 0 relation, and so picks the closure
+    ``solve`` uses.
     """
 
     op_a: DifferentialOperator
@@ -76,9 +78,9 @@ class GoursatProblem:
     kappa: float = 1.0
     X: float = 1.0
     h: float = 1.0 / 64.0
-    rho: float = 0.0
     params: Mapping[str, float] = field(default_factory=dict)
     sigma: float = field(init=False)
+    rho: float = field(init=False)
 
     def __post_init__(self):
         if (self.op_a.var, self.op_b.var) != ("t", "x"):
@@ -95,6 +97,16 @@ class GoursatProblem:
                 " the characteristic solver does not apply"
             )
         object.__setattr__(self, "sigma", leading[0])
+        # x (b1 - b0) at x = t = 2^-900 and 2^-1000: a rho/x term scales by powers of
+        # two exactly, giving rho bit for bit at both, and any other term shrinks
+        tree = BinOp("*", Name("x"), BinOp("-", self.op_b.b, self.op_a.b))
+        try:
+            near, nearer = (evaluate(tree, {**self.params, "x": s, "t": s}) for s in (2.0**-900, 2.0**-1000))
+        except TransmuteError:
+            near = nearer = math.nan
+        if not (near == nearer or abs(nearer) < abs(near)):
+            raise UsageError("b1 - b0 is not rho/x + smooth at x = t = 0; the transport data cannot be split")
+        object.__setattr__(self, "rho", near + 0.0 if near == nearer else 0.0)  # +0.0, not -0.0
         if not (self.X > 0.0 and self.h > 0.0):
             raise UsageError("need X > 0 and h > 0")
         n = self.X / self.h
@@ -117,7 +129,7 @@ def diagonal_values(problem, xs):
     Solves 2 sigma K0' + (b1-b0) K0 = 0 in closed form:
     K0(x) = kappa * x^(-rho/(2 sigma)) * exp(-(1/(2 sigma)) S(x)) with
     S the running integral of the smooth part of b1 - b0 (less the
-    declared rho/s pole). From each abscissa (in increasing order) to the
+    rho/s pole). From each abscissa (in increasing order) to the
     next, S advances in panels of h/2, the last cut short; the smooth
     part is evaluated once over the 32 Gauss-Legendre nodes of every
     panel, and a cumulative sum of the panel integrals gives S.
@@ -218,11 +230,6 @@ class TriangleGrid:
         for i in range(top + 1):
             for j in range(min(i, top - i) + 1):
                 yield i, j, (i + j) * self.h / 2.0, (i - j) * self.h / 2.0, self.value(i, j)
-
-    def diagonal(self):
-        """(x, K(x,x)) samples along t = x, spacing h/2."""
-        d = np.arange(self.top + 1)
-        return (d * self.h / 2.0).tolist(), self.values[_offset(d)].tolist()
 
     def export_csv(self, stream):
         stream.write("x,t,K\n")
@@ -401,30 +408,12 @@ def compare(grid, reference, params=None):
 def problem_from_case(case, X, h):
     """The solver problem of a catalog case's operator pair.
 
-    The 1/x residue of b1 - b0 is probed numerically so the transport
-    data can be split exactly, and kappa scales the transport data to
-    the case's own K(X, X). A case whose K(X, X) is 0 is refused: zero
-    transport data would make the march return K = 0. So is a kernel
-    that vanishes on t = 0: no closure of ``solve`` holds K = 0 there.
+    kappa scales the transport data to the case's own K(X, X). A case
+    whose K(X, X) is 0 is refused: zero transport data would make the
+    march return K = 0. So is a kernel that vanishes on t = 0: no closure
+    of ``solve`` holds K = 0 there.
     """
-    def gap(s):
-        return evaluate(case.opB.b, {**case.params, "x": s}) - evaluate(
-            case.opA.b, {**case.params, "t": s}
-        )
-
-    r1, r2 = 1e-3 * gap(1e-3), 1e-6 * gap(1e-6)
-    if abs(r2) < 1e-10:
-        rho = 0.0
-    elif abs(r1 - r2) <= 1e-6 * (1.0 + abs(r2)):
-        rho = r2
-    else:
-        raise UsageError(
-            f"b1 - b0 of case {case.name!r} is not rho/x + smooth;"
-            " the transport data cannot be split"
-        )
-    problem = GoursatProblem(
-        case.opA, case.opB, h0=case.h0, X=X, h=h, rho=rho, params=dict(case.params)
-    )
+    problem = GoursatProblem(case.opA, case.opB, h0=case.h0, X=X, h=h, params=dict(case.params))
     try:
         k_diag = evaluate(case.kernel, {**case.params, "x": X, "t": X})
     except TransmuteError as exc:

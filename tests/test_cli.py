@@ -67,6 +67,9 @@ BAD_CONFIGS = {
     "a0_log0.cfg": SOLVER_FILE.replace("[operatorA]\n", '[operatorA]\na = "log(0)"\n'),
     "b0_log0.cfg": SOLVER_FILE.replace("[operatorA]\n", '[operatorA]\nb = "log(0)"\n'),
     "case_a0_log0.cfg": CASE_FILE.replace("[operatorA]\n", '[operatorA]\na = "log(0)"\n'),
+    # b1 - b0 that is not rho/x + smooth near 0
+    "pole_squared.cfg": SOLVER_FILE.replace("[operatorB]\n", '[operatorB]\nb = "1/x^2"\n'),
+    "exp_pole.cfg": SOLVER_FILE.replace("[operatorB]\n", '[operatorB]\nb = "exp(1/x)"\n'),
 }
 
 
@@ -227,6 +230,10 @@ def test_verify_csv_format(capsys):
         ("solve", "--custom", "a0_log0.cfg", "--params", "mu=1"),
         ("solve", "--custom", "b0_log0.cfg", "--params", "mu=1"),
         ("verify", "--custom", "case_a0_log0.cfg", "--params", "mu=1,omega=1"),
+        ("apply", "--case", "sonin", "--x-count", "0"),
+        ("verify", "--case", "sonin", "--params", "nu=1,nu=2"),
+        ("solve", "--custom", "pole_squared.cfg", "--params", "mu=1"),
+        ("solve", "--custom", "exp_pole.cfg", "--params", "mu=1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
@@ -236,6 +243,21 @@ def test_usage_errors_exit_2(capsys, tmp_path, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (("--x", "nan"), "--x must be a finite number, got nan"),
+        (("--x", "inf", "--unsafe-range"), "--x must be a finite number, got inf"),
+        (("--x-count", "0"), "--x-count must be at least 1"),
+        (("--params", "nu=1,nu=2"), "duplicate parameter 'nu'"),
+    ],
+)
+def test_apply_refusal_names_the_input(capsys, argv, needle):
+    code, out, err = run(capsys, "apply", "--case", "sonin", *argv)
+    assert code == 2 and not out
+    assert needle in err and "array(" not in err
 
 
 def test_quad_order_above_the_cap_exits_2(capsys, monkeypatch):
@@ -401,6 +423,18 @@ def test_solve_json_reports_resolved_robin_closure(tmp_path, capsys):
     assert "boundary=robin sigma=1 rho=0" in out
 
 
+def test_solve_derives_rho_from_the_operators(tmp_path, capsys):
+    # b1 = -1/x: rho = -1, so K(x,x) = kappa sqrt(x), 0 at the vertex
+    cfg = tmp_path / "pole.cfg"
+    cfg.write_text('[operatorA]\n\n[operatorB]\nb = "-1/x"\n\n[solver]\nx = 1\nh = 0.0625\n')
+    code, out, _ = run(capsys, "solve", "--custom", str(cfg), "--format", "json", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["rho"] == -1.0
+    code, out, _ = run(capsys, "solve", "--custom", str(cfg), "--format", "csv")
+    rows = {tuple(line.split(",")[:2]): float(line.split(",")[2]) for line in out.splitlines()[1:]}
+    assert (rows["0", "0"], rows["1", "1"]) == (0.0, 1.0)
+
+
 def test_malformed_expression_reports_position(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("[operatorA]\nc = \"besselj(0,\"\n[operatorB]\nc = \"0\"\n"
@@ -436,6 +470,7 @@ def test_custom_case_verify_and_apply(tmp_path, capsys):
         # keys the operator pair fixes, and a misspelt one
         ("[operatorA]\nform = divergence\n", "bad.cfg:2: unknown key 'form' in [operatora]"),
         ("[solver]\nsigma = 1\n", "bad.cfg:2: unknown key 'sigma' in [solver]"),
+        ("[solver]\nrho = 1\n", "bad.cfg:2: unknown key 'rho' in [solver]"),
         ("[solver]\nboundary = robin\n", "bad.cfg:2: unknown key 'boundary' in [solver]"),
         ("[operatorB]\nh = 0.5\n", "bad.cfg:2: unknown key 'h' in [operatorb]"),
         ("[case]\nname = x\nkernal = \"x\"\n", "bad.cfg:3: unknown key 'kernal' in [case]"),

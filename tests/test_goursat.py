@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transmute.errors import NumericalError, UsageError
 from transmute.expr import Num, evaluate, evaluate_jet, parse
@@ -254,10 +255,9 @@ DIAGONAL_PROBLEMS = {
     "robin": dict(sigma=1.0, b0="0", b1="-1", c0="0", c1="0.25", h0=0.5,
                   X=2.0, h=1.0 / 64.0),
     "even_b0": dict(sigma=1.0, b0="t", b1="0", c0="0", c1="0", X=1.0, h=1.0 / 8.0),
-    "power_law": dict(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0", rho=1.0,
-                      X=2.0, h=1.0 / 16.0),
+    "power_law": dict(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0", X=2.0, h=1.0 / 16.0),
     "gaussian": dict(sigma=1.0, b0="0", b1="2*x", c0="0", c1="0", X=2.0, h=1.0 / 16.0),
-    "kappa_zero": dict(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0", rho=1.0,
+    "kappa_zero": dict(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0",
                        kappa=0.0, X=2.0, h=1.0 / 16.0),
     "c0_singular": dict(sigma=1.0, b0="0", b1="0", c0="1/t", c1="0", X=1.0,
                         h=1.0 / 8.0),
@@ -266,7 +266,7 @@ DIAGONAL_PROBLEMS = {
     "divergent": dict(sigma=-1.0, b0="0", b1="0", c0="0", c1="1e8", X=2.0, h=1.0 / 16.0),
     "geometry": dict(sigma=1.0, b0="0", b1="0", c0="0", c1="0", X=1.0, h=0.25),
     "sigma_minus_b": dict(sigma=-1.0, b0="t^2", b1="sin(x)", c0="0", c1="0",
-                          rho=0.5, X=1.5, h=1.0 / 32.0),
+                          X=1.5, h=1.0 / 32.0),
 }
 
 
@@ -347,7 +347,7 @@ def test_even_boundary_requires_vanishing_b0():
 def test_diagonal_power_law():
     # rho = 1 with b1 - b0 = 1/x exactly: K(x,x) = kappa x^(-1/2)
     problem = _gp(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0",
-                  rho=1.0, X=2.0, h=1.0 / 16.0)
+                  X=2.0, h=1.0 / 16.0)
     lo, hi = diagonal_values(problem, [0.25, 1.0])
     assert lo / hi == pytest.approx(2.0, rel=1e-12)
     assert hi == pytest.approx(1.0, rel=1e-12)
@@ -364,14 +364,14 @@ def test_diagonal_gaussian_decay():
 
 def test_diagonal_blowup_is_reported():
     problem = _gp(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0",
-                  rho=1.0, X=2.0, h=1.0 / 16.0)
+                  X=2.0, h=1.0 / 16.0)
     with pytest.raises(UsageError, match="blows up"):
         diagonal_values(problem, [0.0, 1.0])
 
 
 def test_diagonal_kappa_zero_shortcut():
     problem = _gp(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0",
-                  rho=1.0, kappa=0.0, X=2.0, h=1.0 / 16.0)
+                  kappa=0.0, X=2.0, h=1.0 / 16.0)
     assert diagonal_values(problem, [0.0, 0.5, 1.0]) == [0.0, 0.0, 0.0]
 
 
@@ -391,20 +391,72 @@ def test_problem_from_case_rejects_variable_leading_coefficient():
 
 
 def test_problem_from_case_diagonal_residue():
-    # sine_to_bessel: b1 - b0 = -2 beta / s on the diagonal, so the probe
-    # must report rho = -2 at beta = 1 (where K(x,x) = x does not vanish)
+    # sine_to_bessel: b1 - b0 = -2 beta / s on the diagonal, so rho is
+    # exactly -2 at beta = 1 (where K(x,x) = x does not vanish)
     case = _off_the_wall(get_case("sine_to_bessel", {"beta": 1.0}))
     problem = problem_from_case(case, X=2.0, h=1.0 / 32.0)
-    assert problem.rho == pytest.approx(-2.0, abs=1e-6)
+    assert problem.rho == -2.0
     assert problem.kappa == 1.0
 
 
 def test_problem_from_case_cancelling_poles():
     # sonin's b0 and b1 are each singular, but the 1/s parts cancel on the
-    # diagonal; the probe has to see through that and report zero (at
-    # nu = 0, where K(x,x) = 1 does not vanish)
+    # diagonal; rho has to see through that and be zero (at nu = 0, where
+    # K(x,x) = 1 does not vanish)
     problem = problem_from_case(get_case("sonin", {"nu": 0.0}), X=2.0, h=1.0 / 32.0)
     assert problem.rho == 0.0
+
+
+@pytest.mark.parametrize("name,params,rho", [
+    ("vekua_telegraph", {}, 0.0),
+    ("poisson_bessel", {}, 0.0),
+    ("sonin", {}, 0.0),
+    ("lowndes", {"mu": 0.0}, 0.0),
+    ("cosh_1f2", {"beta": 1.0}, 0.0),  # b1 = -0/x: rho is +0.0, not -0.0
+    ("epd_bessel", {"nu": 0.0}, 0.0),
+    ("sine_to_bessel", {"beta": 1.0}, -2.0),
+    ("lowndes", {}, -2.0),
+    ("sinh_cosh", {}, -1.0),
+])
+def test_rho_of_catalog_pairs_is_exact(name, params, rho):
+    case = get_case(name, params)
+    problem = GoursatProblem(case.opA, case.opB, params=dict(case.params))
+    assert str(problem.rho) == str(rho)
+
+
+@pytest.mark.parametrize("b0,b1,rho", [
+    ("0", "1/x", 1.0),
+    ("-1/t", "0", 1.0),
+    ("0", "-1", 0.0),
+    ("0", "2*x", 0.0),
+    ("t^2", "sin(x)", 0.0),
+])
+def test_rho_of_a_pair_is_exact(b0, b1, rho):
+    assert str(_gp(b0=b0, b1=b1).rho) == str(rho)
+
+
+# x (c/x + a) rounds to c only while |c| > |a| 2^-847, 3e-252 for |a| <= 1e3;
+# smaller draws become zero, keeping their sign, so -0.0 is drawn too
+_RESIDUES = st.floats(-1e3, 1e3).map(lambda c: c if abs(c) >= 1e-250 else 0.0 * c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=_RESIDUES, a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3))
+def test_rho_is_the_residue_of_a_pole_plus_a_line(c, a, b):
+    problem = _gp(b1="c/x + a + b*x", params={"c": c, "a": a, "b": b})
+    assert str(problem.rho) == ("0.0" if c == 0.0 else str(c))
+
+
+def test_rho_is_not_settable():
+    with pytest.raises(TypeError):
+        _gp(b1="1/x", rho=1.0)
+
+
+def test_problem_from_case_accepts_a_smooth_nonzero_b():
+    # the telegraph pair with b1 = -1: b1 - b0 is smooth and nonzero at 0
+    case = get_case("vekua_telegraph")
+    case = dataclasses.replace(case, opB=dataclasses.replace(case.opB, b=Num(-1.0)))
+    assert problem_from_case(case, X=2.0, h=1.0 / 32.0).rho == 0.0
 
 
 @pytest.mark.parametrize(
@@ -417,6 +469,9 @@ def test_problem_from_case_cancelling_poles():
         (dict(h=-0.1), "h > 0"),
         (dict(X=-1.0), "X > 0"),
         (dict(c0="log(0)"), "coefficient c0 does not evaluate"),
+        # b1 - b0 is not rho/x + smooth near 0
+        (dict(b1="1/x^2"), "not rho/x"),
+        (dict(b1="exp(1/x)"), "not rho/x"),
     ],
 )
 def test_problem_validation(kwargs, needle):
