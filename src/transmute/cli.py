@@ -88,6 +88,11 @@ def _parse_params(text):
         key = key.strip()
         if not sep:
             raise UsageError(f"--params entries must look like name=value, got {chunk!r}")
+        if not key:
+            raise UsageError(f"--params entry {chunk!r} has no name")
+        if key in ("x", "t", "pi"):
+            what = "the reserved constant" if key == "pi" else "a kernel variable"
+            raise UsageError(f"--params cannot set {key!r}: it is {what}")
         try:
             number = float(value)
         except ValueError:
@@ -348,23 +353,13 @@ def cmd_catalog(args):
     return 0
 
 
+_ROW_KEYS = ("id", "grid", "max_residual", "mean_residual", "decay_slope", "tolerance",
+             "passed", "informational", "limit", "detail")
+
+
 def _report_payload(report):
-    rows = []
-    for rec in report.records:
-        rows.append(
-            {
-                "id": rec.id,
-                "grid": rec.grid,
-                "max_residual": rec.max_residual,
-                "mean_residual": rec.mean_residual,
-                "decay_slope": rec.decay_slope,
-                "tolerance": rec.tolerance,
-                "pass": rec.passed,
-                "informational": rec.informational,
-                "limit": rec.limit,
-                "detail": rec.detail,
-            }
-        )
+    # a record's fields in order, "passed" printed as "pass"
+    rows = [{"pass" if k == "passed" else k: getattr(rec, k) for k in _ROW_KEYS} for rec in report.records]
     return {
         "case": report.case,
         "params": dict(report.params),

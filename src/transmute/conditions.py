@@ -154,6 +154,11 @@ def sample_points(case, n=20):
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
+def _abscissae(case, xs, config):
+    """``xs`` as a list; by default the sample points ``config`` asks for."""
+    return list(sample_points(case, (config or VerifyConfig()).n_samples) if xs is None else xs)
+
+
 def hyperbolic_terms(case, x, t):
     """The six terms of the hyperbolic identity at the points (x, t).
 
@@ -305,10 +310,7 @@ def transport_residual(case, x, delta):
 
 def check_diagonal(case, xs=None, config=None):
     """Conditions 4b1 and 4b2, returned as two ConditionRecords."""
-    cfg = config or VerifyConfig()
-    if xs is None:
-        xs = sample_points(case, cfg.n_samples)
-    xs = list(xs)
+    xs = _abscissae(case, xs, config)
     if not xs:
         raise UsageError("diagonal check needs sample points")
     params = case.params
@@ -339,10 +341,7 @@ def check_diagonal(case, xs=None, config=None):
 def check_boundary_t0(case, xs=None, eps_seq=None, config=None):
     """Condition 4c: the t = 0 bracket times f0 must vanish as eps -> 0
     along ``eps_seq`` (default EPS_SEQ)."""
-    cfg = config or VerifyConfig()
-    if xs is None:
-        xs = sample_points(case, cfg.n_samples)
-    xs = list(xs)
+    xs = _abscissae(case, xs, config)
     eps_seq = list(EPS_SEQ if eps_seq is None else eps_seq)
     if not xs or not eps_seq:
         raise UsageError("boundary check needs sample points and an eps sequence")
@@ -400,10 +399,7 @@ def check_vertex(case, pairs=None, config=None):
 
 def check_eigen(case, xs=None, config=None):
     """Eigen-relations on both sides, folding in shifted variants."""
-    cfg = config or VerifyConfig()
-    if xs is None:
-        xs = sample_points(case, cfg.n_samples)
-    xs = list(xs)
+    xs = _abscissae(case, xs, config)
     shift = case.eigen_shift
     records = []
     for cond_id, op, f, shifted in (

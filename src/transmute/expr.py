@@ -17,6 +17,8 @@ everything else is a case parameter.
 Expression nodes are frozen dataclasses: parsing never aliases mutable
 state into the tree, and evaluation never mutates it, so one parsed
 expression can be shared between threads and across parameter sweeps.
+``parse`` shares the trees of the last 1024 texts (a ParseError is raised
+anew each time), and a tree finds its free symbols once.
 
 Evaluation is one tree walk over values that are floats, second-order
 jets (:class:`Jet2`, of floats or of arrays) or numpy arrays.
@@ -25,12 +27,14 @@ say); ``evaluate_jet`` binds x and t to jet seeds, floats or arrays.
 Jets and arrays spread only from the names bound to them, so a subtree
 that depends on parameters alone stays a float and calls the plain value
 of each function.  A jet's value is therefore exactly the float result.
-Only the last argument of a function may depend on x or t in a jet.  On
-arrays, arithmetic is numpy's (bit for bit the float result), elementary
-functions and their jets are numpy ufuncs (within a few ulp of
-``math``), the Bessel functions, gegenbauer and hyp1f2 run their one
-body over the whole array (each entry exactly the float value), and gamma
-runs per entry.
+Only the last argument of a function may depend on x or t in a jet.  An
+array call has a fixed cost, mostly finiteness checks, numpy's error
+state and one fresh array per output component (14 us for ``x`` at 20
+points on a 2-core x86 host, 37 us as a jet).  On arrays, arithmetic is
+numpy's (bit for bit the float result), elementary functions and their
+jets are numpy ufuncs (within a few ulp of ``math``), the Bessel
+functions, gegenbauer and hyp1f2 run their one body over the whole array
+(each entry exactly the float value), and gamma runs per entry.
 
 Powers with a literal integer exponent are evaluated by repeated
 multiplication (valid for negative bases, exact for jets); any other
@@ -46,8 +50,9 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import repeat
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Callable, Mapping
 
 import numpy as np
@@ -76,6 +81,23 @@ class Expr:
 
     def __str__(self) -> str:
         return to_string(self)
+
+    @cached_property  # found once per tree: cases and problems check every expression
+    def _symbols(self) -> frozenset[str]:
+        out: set[str] = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is Name:
+                out.add(node.ident)
+            elif kind is Neg:
+                stack.append(node.arg)
+            elif kind is BinOp:
+                stack += (node.left, node.right)
+            elif kind is Call:
+                stack += node.args
+        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -235,8 +257,9 @@ class _Parser:
         )
 
 
+@lru_cache(maxsize=1024)
 def parse(text: str) -> Expr:
-    """Parse the DSL into an immutable expression tree."""
+    """Parse the DSL into an immutable tree, shared by calls with the same text."""
     return _Parser(text).parse()
 
 
@@ -296,25 +319,9 @@ def to_string(node: Expr) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def free_symbols(node: Expr) -> set[str]:
+def free_symbols(node: Expr) -> frozenset[str]:
     """All identifiers the expression will look up in the binding map."""
-    # one set and a stack, not a set per node: cases and problems check every expression
-    out: set[str] = set()
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is Name:
-            out.add(node.ident)
-        elif kind is Neg:
-            stack.append(node.arg)
-        elif kind is BinOp:
-            stack += (node.left, node.right)
-        elif kind is Call:
-            stack += node.args
-    return out
-
-
+    return node._symbols
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +576,9 @@ def _array_call(node, env, spec, args, z):
         except _CALL_ERRORS as exc:
             _entrywise(env, one, (*args, u))  # names the first failing point
             raise _in_call(node, exc) from None
-    finite = np.isfinite(np.broadcast_arrays(*out)).all(axis=0) if jet else np.isfinite(out)
-    _require(node, env, np.isfinite(u) & ~finite, "no finite value")
+    finite = np.isfinite(out[0]) & np.isfinite(out[1]) & np.isfinite(out[2]) if jet else np.isfinite(out)
+    if not finite.all():
+        _require(node, env, np.isfinite(u) & ~finite, "no finite value")
     return z.chain(*out) if jet else out
 
 
@@ -658,30 +666,29 @@ def evaluate(node: Expr, bindings: Mapping[str, object]):
 
 def _evaluate_array(node, bindings, jet=False):
     """``evaluate`` over the arrays bound to x and t; with ``jet`` they
-    are seeded as jets and the result is a Jet2 of arrays."""
+    are seeded as jets and the result is a Jet2 of fresh arrays."""
     env = dict(bindings)
-    names = [k for k in ("x", "t") if type(env.get(k)) is _ndarray]
-    for k in names:
-        env[k] = np.asarray(env[k], dtype=float)
-    for k in names:
-        bad = ~np.isfinite(env[k])
-        if bad.any():
-            raise DomainError(f"non-finite value bound to {k}{_where(env, bad)}")
-    shape = np.broadcast_shapes(*(v.shape for v in env.values() if type(v) is _ndarray))
+    for k in ("x", "t"):
+        if type(env.get(k)) is _ndarray:
+            a = env[k] = np.asarray(env[k], dtype=float)
+            if not np.isfinite(a).all():
+                raise DomainError(f"non-finite value bound to {k}{_where(env, ~np.isfinite(a))}")
+    shapes = {v.shape for v in env.values() if type(v) is _ndarray}
+    shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
     if jet:
         env["x"] = Jet2(env["x"], dx=1.0)
         env["t"] = Jet2(env["t"], dt=1.0)
     # every failure is raised by name below; keep numpy from warning first
     with np.errstate(all="ignore"):
         out = _walk(node, env)
-    if jet:
-        out = out if type(out) is Jet2 else Jet2(out)
-        out = Jet2(*(np.array(np.broadcast_to(c, shape), dtype=float) for c in vars(out).values()))
-        value = out.value
-    else:
-        out = value = np.array(np.broadcast_to(out, shape), dtype=float)
-    _require(node, env, ~np.isfinite(value), "non-finite result")
-    return out
+    fresh = []
+    # a constant's jet has zero derivatives
+    for part in vars(out).values() if type(out) is Jet2 else (out,) + (0.0,) * (5 * jet):
+        fresh.append(c := np.empty(shape))
+        c[...] = part
+    if not np.isfinite(fresh[0]).all():
+        _require(node, env, ~np.isfinite(fresh[0]), "non-finite result")
+    return Jet2(*fresh) if jet else fresh[0]
 
 
 def evaluate_jet(node: Expr, x, t, params: Mapping[str, float]) -> Jet2:

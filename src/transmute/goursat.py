@@ -285,6 +285,12 @@ def _coefficient_tables(problem, count):
     return tables
 
 
+# Folding the deviations into S (1 + wS) + Q (1 + wQ) + C (wC - 1) takes 5 ufunc
+# calls a level, not 8 (telegraph at h = 1/1024: 75 against 98 ms, 2-core host),
+# but each rounded 1 + w drops O(eps) of a weight, an O(eps / h^2) potential. On
+# the benchmark ladder (telegraph, X = 2, h = 1/256..1/1024, h = 1/32 sublattice)
+# it failed 5 of 28 draws of seeds 1-2 (order 1.10-1.79 at mu = 0.51-0.65) and gave
+# 0.95, 2.96 and 1.61 in test_ladder_order_on_the_coarse_sublattice; this gives 2.00.
 def _cell_weights(sigma, h, b0, b1, c0, c1):
     """The fused two-sweep cell rule as the deviations (wS, wQ, wC) of
     K = (S + Q - C) + (wS S + wQ Q + wC C), for floats and arrays alike.
@@ -332,16 +338,19 @@ def solve(problem):
         else (tab[::2][::-1].copy(), tab[1::2][::-1].copy())
         for expr, tab in ((problem.op_a.b, b0t), (problem.op_a.c, c0t))
     )
-    b1x, c1x = b1x.tolist(), c1x.tolist()
     acc, tmp = np.empty(problem.steps), np.empty(problem.steps)
 
     # the finiteness gate after the march reports divergence; keep numpy
     # from announcing the overflow separately on stderr first
     with np.errstate(over="ignore", invalid="ignore"):
+        # entry d - 1: level d's weights with b0, c0 at t = 0 from one array call (float and
+        # array arithmetic round alike), the ghost cell's and, for float b0, c0, every cell's
+        t0_weights = list(zip(*(
+            w.tolist() for w in _cell_weights(sigma, h, b0t[0], b1x[:-1], c0t[0], c1x[:-1]))))
         for d in range(2, top + 1):
             o2, o1, o0 = offsets[d - 2], offsets[d - 1], offsets[d]
             n, lo = (d - 1) // 2, (top - d) // 2 + 1  # n cells between diagonal and wall
-            w_s, w_q, w_c = _cell_weights(
+            w_s, w_q, w_c = t0_weights[d - 1] if type(b0) is type(c0) is float else _cell_weights(
                 sigma, h, b0 if type(b0) is float else b0[d % 2][lo : lo + n], b1x[d - 1],
                 c0 if type(c0) is float else c0[d % 2][lo : lo + n], c1x[d - 1],
             )
@@ -356,9 +365,7 @@ def solve(problem):
             np.subtract(out, c, out=out)
             np.add(out, a, out=out)
             if d % 2 == 0 and ghost_cell:
-                # Q mirrors S; the weights at t = 0 are the level's when b0 and c0 are floats
-                if type(b0) is not float or type(c0) is not float:
-                    w_s, w_q, w_c = _cell_weights(sigma, h, b0t[0], b1x[d - 1], c0t[0], c1x[d - 1])
+                w_s, w_q, w_c = t0_weights[d - 1]  # Q mirrors S
                 g, c = values[o1 + n], values[o2 + n]
                 values[o0 + n + 1] = (g + g - c) + ((w_s * g + w_q * g) + w_c * c)
             elif d % 2 == 0 and n:

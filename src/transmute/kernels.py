@@ -537,14 +537,6 @@ def get_case(name, params=None):
     return builder(params)
 
 
-def _describe_operator(label, op):
-    lines = [f"  {label} ({op.form}, d/d{op.var}):"]
-    lines.append(f"    a = {op.a}")
-    lines.append(f"    b = {op.b}")
-    lines.append(f"    c = {op.c}")
-    return lines
-
-
 def describe(case):
     """Render a deterministic human-readable record of a case."""
     lines = [f"case {case.name}  [tags: {', '.join(case.refs)}]"]
@@ -553,8 +545,9 @@ def describe(case):
     lines.append(f"  K(x,t) = {case.kernel}")
     lines.append(f"  f0(t)  = {case.f0}")
     lines.append(f"  f1(x)  = {case.f1}")
-    lines.extend(_describe_operator("A", case.opA))
-    lines.extend(_describe_operator("B", case.opB))
+    for label, op in (("A", case.opA), ("B", case.opB)):
+        lines.append(f"  {label} ({op.form}, d/d{op.var}):")
+        lines += (f"    {slot} = {getattr(op, slot)}" for slot in "abc")
     if case.h0:
         lines.append(f"  h0 = {case.h0!r}")
     lines.append(f"  lambda = {case.lam!r}")

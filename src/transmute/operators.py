@@ -52,13 +52,13 @@ class DifferentialOperator:
         return "divergence" if self.var == "t" else "nondivergence"
 
     def coefficient_values(self, s: float, params: Mapping[str, float]):
-        """(a, b, c) evaluated at s, without derivatives."""
+        """(a, b, c) evaluated at s, without derivatives. A coefficient
+        that reads no variable is one float, at an array of points too."""
         bindings = dict(params)
         bindings[self.var] = s
-        return (
-            evaluate(self.a, bindings),
-            evaluate(self.b, bindings),
-            evaluate(self.c, bindings),
+        return tuple(
+            evaluate(e, bindings if self.var in free_symbols(e) else params)
+            for e in (self.a, self.b, self.c)
         )
 
 
@@ -90,7 +90,8 @@ def check_pair_symbols(op_a, op_b, params, label="coefficient"):
 
 
 def apply(op: DifferentialOperator, f: Expr, pt, params: Mapping[str, float]):
-    """Apply the operator to a single-variable expression at a point or an array of points."""
+    """Apply the operator to a single-variable expression at a point or an array of points;
+    a coefficient that reads no variable is one float (float times array rounds alike)."""
     check_symbols("the function", f, op.var, params)
     x = pt if op.var == "x" else 0.0
     t = pt if op.var == "t" else 0.0
@@ -102,9 +103,9 @@ def apply(op: DifferentialOperator, f: Expr, pt, params: Mapping[str, float]):
     if op.var == "x":
         a, b, c = op.coefficient_values(pt, params)
         return a * f2 + b * f1 + c * f0
-    a, ap, _ = along(op.a)
-    b, bp, _ = along(op.b)
-    c = evaluate(op.c, {**params, op.var: pt})
+    a, ap, _ = along(op.a) if op.var in free_symbols(op.a) else (evaluate(op.a, params), 0.0, 0.0)
+    b, bp, _ = along(op.b) if op.var in free_symbols(op.b) else (evaluate(op.b, params), 0.0, 0.0)
+    c = evaluate(op.c, {**params, op.var: pt} if op.var in free_symbols(op.c) else params)
     return a * f2 + (ap + b) * f1 + (bp + c) * f0
 
 
@@ -124,7 +125,7 @@ def eigen_residual(
     if not s.size:
         raise TransmuteError("eigen_residual needs a non-empty grid")
     lhs = apply(op, f, s, params)
-    target = lam * evaluate(f, {**params, op.var: s})
+    target = lam * evaluate(f, {**params, op.var: s}) if lam else 0.0  # |lhs - 0 f| is |lhs|
     with np.errstate(all="ignore"):  # a non-finite residual raises below
         r = np.abs(lhs - target) / (1.0 + np.abs(target))
     bad = ~np.isfinite(r)

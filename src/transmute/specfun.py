@@ -212,26 +212,32 @@ def _clifford(nu: float, w):
     return out
 
 
-@np.errstate(all="ignore")  # jets near z = 0 overflow: raised as RangeError
 def _bessel(nu: float, z, sign: float, name: str, jets: bool = False):
     """J (sign=-1) or I (sign=+1) as f = (z/2)^nu C_nu(sign z^2/4); with
     ``jets`` (f, f', f'') from f_k = (z/2)^(nu+k) C_nu+k, k = 1, 2:
     f' = nu/z f + sign f_1, f'' = nu (nu-1)/z^2 f + sign (2 nu+1)/z f_1 + f_2.
     A jet that is not finite, as at a tiny z where nu/z overflows, raises."""
+    if type(z) is not np.ndarray:  # float arithmetic overflows without a warning
+        return _bessel_at(nu, z, sign, name, jets)
+    with np.errstate(all="ignore"):  # jets near z = 0 overflow: raised as RangeError
+        return _bessel_at(nu, z, sign, name, jets)
+
+
+def _bessel_at(nu: float, z, sign: float, name: str, jets: bool):
     if jets and (bad := 0.5 * np.asarray(z) <= 0.0).any():
         zk = _first(bad, z)
         raise (RangeError if zk > 0 else DomainError)(
             f"{name} jets need z > 0, got z={zk}" + " whose half underflows" * (zk > 0))
     _check_box(name, (0.0 <= z) & (z <= 20.0), nu, "z", z, "0 <= z <= 20")
     if nu == -1.0:  # J_-1 = -J_1 and I_-1 = I_1 stay finite at z = 0
-        out = _bessel(1.0, z, sign, name, jets)
+        out = _bessel_at(1.0, z, sign, name, jets)
         return tuple(sign * v for v in out) if jets else sign * out
     h = 0.5 * z
     c0, c1, c2 = _clifford(nu, sign * h * h)
     try:  # Python's pow per entry: numpy's power need not round alike
         p = h**nu if type(h) is not np.ndarray else np.reshape([v**nu for v in h.ravel().tolist()], h.shape)
     except ArithmeticError:  # a zero or underflowed z/2 under a negative order
-        zk = _first(~np.isfinite(np.power(h, nu)), z)
+        zk = z if type(h) is not np.ndarray else _first(~np.isfinite(np.power(h, nu)), z)
         raise (RangeError if zk else DomainError)(
             f"{name}: z={zk:g} with negative order {nu}: (z/2)^nu is not finite") from None
     f = p * c0

@@ -260,6 +260,36 @@ def test_apply_refusal_names_the_input(capsys, argv, needle):
     assert needle in err and "array(" not in err
 
 
+@pytest.mark.parametrize(
+    "name,needle",
+    [
+        ("", "--params entry '=2' has no name"),
+        ("x", "--params cannot set 'x': it is a kernel variable"),
+        ("t", "--params cannot set 't': it is a kernel variable"),
+        ("pi", "--params cannot set 'pi': it is the reserved constant"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv,declared",
+    [
+        (("solve", "--case", "vekua_telegraph"), ""),
+        (("verify", "--case", "vekua_telegraph"), ""),
+        (("apply", "--case", "vekua_telegraph"), ""),
+        (("solve", "--custom", "solver.cfg"), "mu=1,"),
+        (("verify", "--custom", "case.cfg"), "mu=1,omega=1,"),
+        (("apply", "--custom", "case.cfg"), "mu=1,omega=1,"),
+    ],
+)
+def test_params_names_the_expressions_cannot_take(capsys, tmp_path, argv, declared, name, needle):
+    # a binding of x or t would be overwritten by the points, one of pi ignored
+    for file_name, text in (("solver.cfg", SOLVER_FILE), ("case.cfg", CASE_FILE)):
+        (tmp_path / file_name).write_text(text)
+    argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+    code, out, err = run(capsys, *argv, "--params", f"{declared}{name}=2")
+    assert code == 2 and not out
+    assert needle in err
+
+
 def test_quad_order_above_the_cap_exits_2(capsys, monkeypatch):
     # without numpy an attempt to build the rule fails with a traceback
     monkeypatch.setattr(quadrature, "np", None)

@@ -67,6 +67,14 @@ def test_to_string_round_trip(text):
     assert parse(to_string(tree)) == tree
 
 
+def test_parse_shares_trees_and_raises_anew():
+    text = "sin(omega*t) + x^2"
+    assert parse(text) is parse(text)
+    for _ in range(3):  # a failure is not remembered
+        with pytest.raises(ParseError, match="offset 4"):
+            parse("1 + ")
+
+
 def test_reserved_pi_folds_at_parse_time():
     assert parse("pi") == Num(math.pi)
     assert to_string(parse("0.5*pi")) == "0.5*pi"
@@ -439,6 +447,21 @@ def test_array_jet_is_scalar_jet_per_entry(name, data):
                 assert np.all(err <= 8 * np.spacing(np.abs(want[p]))), to_string(e)
             else:
                 assert np.all(err <= _JET_ULPS[p] * np.spacing(scale)), (to_string(e), p)
+
+
+@pytest.mark.parametrize("text", ["x", "t", "2", "omega", "x*t", "sin(x)+t", "x^1"])
+def test_array_outputs_are_fresh(text):
+    # every component is its own writeable array of the broadcast shape,
+    # even where the walk returns a seed, a bound array or a constant
+    x = np.linspace(0.5, 1.5, 4)
+    for t in (np.array([[0.1], [0.2], [0.3]]), x):
+        shape = np.broadcast_shapes(x.shape, t.shape)
+        parts = list(vars(evaluate_jet(parse(text), x, t, {"omega": 1.5})).values())
+        parts.append(evaluate(parse(text), {"x": x, "t": t, "omega": 1.5}))
+        for k, c in enumerate(parts):
+            assert type(c) is np.ndarray and c.shape == shape and c.flags.writeable
+            for other in [x, t] + parts[k + 1 :]:
+                assert not np.shares_memory(c, other)
 
 
 def test_array_jet_errors_name_the_first_failing_point():

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from transmute.errors import DomainError, TransmuteError, UsageError
-from transmute.expr import parse
+from transmute.expr import evaluate, evaluate_jet, parse
+from transmute.kernels import get_case, list_cases
 from transmute.operators import (
     DifferentialOperator,
     apply,
@@ -91,3 +93,51 @@ def test_eigen_residual_annotates_failing_point():
     with pytest.raises(DomainError, match=r"at x=0\.0"):
         eigen_residual(op, parse("x"), 0.0, [1.0, 0.0], {})
 
+
+def _apply_over_arrays(op, f, pt, params):
+    """``apply`` with every coefficient evaluated over the points, constant or
+    not: the reference that float constant coefficients must match bit for bit."""
+    x = pt if op.var == "x" else 0.0
+    t = pt if op.var == "t" else 0.0
+
+    def along(e):
+        j = evaluate_jet(e, x, t, params)
+        return (j.value, j.dx, j.dxx) if op.var == "x" else (j.value, j.dt, j.dtt)
+    f0, f1, f2 = along(f)
+    if op.var == "x":
+        a, b, c = (evaluate(e, {**params, "x": pt}) for e in (op.a, op.b, op.c))
+        return a * f2 + b * f1 + c * f0
+    a, ap, _ = along(op.a)
+    b, bp, _ = along(op.b)
+    c = evaluate(op.c, {**params, "t": pt})
+    return a * f2 + (ap + b) * f1 + (bp + c) * f0
+
+
+def _pairs(name):
+    """(operator, function, lambda, params) of a catalog case's eigen relations,
+    shifted ones included, and of two hand-built pairs with constant coefficients."""
+    if name == "hand-built":
+        params = {"omega": 0.8, "mu": 1.3}
+        return [
+            (_div("2", "-0.5", "omega^2"), parse("sin(omega*t)"), -1.0, params),
+            (_nondiv("-1", "0", "omega^2+mu^2"), parse("x*exp(-x)"), 0.5, params),
+        ]
+    case = get_case(name)
+    pairs = [(case.opA, case.f0, case.lam, case.params), (case.opB, case.f1, case.lam, case.params)]
+    if case.eigen_shift:
+        shift = case.eigen_shift
+        pairs += [(shift.opA, case.f0, shift.lam_a, case.params), (shift.opB, case.f1, shift.lam_b, case.params)]
+    return pairs
+
+
+@pytest.mark.parametrize("name", list_cases() + ["hand-built"])
+def test_constant_coefficients_change_no_bit(name):
+    pt = np.linspace(0.2, 3.0, 20)
+    for op, f, lam, params in _pairs(name):
+        want = _apply_over_arrays(op, f, pt, params)
+        got = apply(op, f, pt, params)
+        assert got.shape == pt.shape and got.tobytes() == want.tobytes()
+        target = lam * evaluate(f, {**params, op.var: pt})
+        r = np.abs(want - target) / (1.0 + np.abs(target))
+        stats = eigen_residual(op, f, lam, pt.tolist(), params)
+        assert (stats["max"], stats["mean"]) == (float(r.max()), math.fsum(r.tolist()) / len(r))
