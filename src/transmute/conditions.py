@@ -15,6 +15,9 @@ shifted variants when the case defines them).
 
 All derivatives come from jet arithmetic, never finite differences, so
 the 4a residual floor is rounding noise and tolerances can stay tight.
+``verify_all`` walks K's jet once over the 4a, 4b2 and 4c points together,
+and each eigen side's f once for both operators; arithmetic is elementwise
+and special functions run one body per entry, so no value changes a bit.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError, TransmuteError, UsageError
-from .expr import evaluate, evaluate_jet
-from .operators import eigen_residual
+from .expr import Jet2, evaluate, evaluate_jet, free_symbols
+from .operators import _at, _eigen_residuals, _jet
 
 __all__ = [
     "VerifyConfig",
@@ -134,12 +137,13 @@ class VerificationReport:
 
 def triangle_grid(nx=20, nt=20, x_max=2.0):
     """Interior points of {0 < t < x <= x_max}, nt per column."""
-    pts = []
-    for i in range(1, nx + 1):
-        x = x_max * i / nx
-        for j in range(1, nt + 1):
-            pts.append((x, x * j / (nt + 1)))
-    return pts
+    return list(map(tuple, _triangle(nx, nt, x_max).tolist()))
+
+
+def _triangle(nx, nt, x_max):
+    """``triangle_grid`` as an (nx nt, 2) array: x = x_max i / nx, t = x j / (nt + 1)."""
+    x = np.repeat(x_max * np.arange(1, nx + 1) / nx, nt)
+    return np.stack([x, x * np.tile(np.arange(1, nt + 1), nx) / (nt + 1)], axis=1)
 
 
 def sample_points(case, n=20):
@@ -168,11 +172,14 @@ def hyperbolic_terms(case, x, t):
       rhs = a1 d2K/dx2 + b1 dK/dx + c1 K       (non-divergence side, in x)
     and terms collects the six magnitudes used for relative scaling.
     """
+    return _hyperbolic_terms(case, x, t, evaluate_jet(case.kernel, x, t, case.params))
+
+
+def _hyperbolic_terms(case, x, t, jk):
     params = case.params
-    jk = evaluate_jet(case.kernel, x, t, params)
-    ja0 = evaluate_jet(case.opA.a, 0.0, t, params)
-    b0 = evaluate(case.opA.b, {**params, "t": t})
-    c0 = evaluate(case.opA.c, {**params, "t": t})
+    a0 = case.opA.a
+    ja0 = _jet(a0, "t", t, params) if "t" in free_symbols(a0) else Jet2(evaluate(a0, params))
+    b0, c0 = (_at(e, "t", t, params) for e in (case.opA.b, case.opA.c))
     a1, b1, c1 = case.opB.coefficient_values(x, params)
     div_term = ja0.dt * jk.dt + ja0.value * jk.dtt
     terms = (
@@ -188,10 +195,11 @@ def hyperbolic_terms(case, x, t):
     return lhs, rhs, terms
 
 
-def _hyperbolic_residuals(case, x, t):
+def _hyperbolic_residuals(case, x, t, jk=None):
     """(|lhs - rhs|, |lhs - rhs| / (1 + max|term|)) at the points (x, t)."""
     with np.errstate(all="ignore"):  # a non-finite residual is a failure
-        lhs, rhs, terms = hyperbolic_terms(case, x, t)
+        jk = evaluate_jet(case.kernel, x, t, case.params) if jk is None else jk
+        lhs, rhs, terms = _hyperbolic_terms(case, x, t, jk)
         diff = np.abs(lhs - rhs)
         return diff, diff / (1.0 + np.max(np.abs(terms), axis=0))
 
@@ -204,9 +212,12 @@ def check_hyperbolic(case, grid=None, tol=1e-8):
     non-finite residual) are listed in ``failures`` with the reason, and
     only an all-points failure raises.
     """
-    if grid is None:
-        grid = triangle_grid()
-    pts = np.array(list(grid), dtype=float).reshape(-1, 2)
+    pts = _triangle(20, 20, 2.0) if grid is None else np.array(list(grid), dtype=float).reshape(-1, 2)
+    return _judge_hyperbolic(case, pts, None)
+
+
+def _judge_hyperbolic(case, pts, jk):
+    """``check_hyperbolic`` at the (n, 2) array ``pts``, given K's jet there or None."""
     if not len(pts):
         raise UsageError("hyperbolic check needs a non-empty grid")
     x, t = pts.T
@@ -216,7 +227,7 @@ def check_hyperbolic(case, grid=None, tol=1e-8):
         raise UsageError(f"grid point {bad!r} outside 0 < t < x")
     errors = {}
     try:
-        raw, res = _hyperbolic_residuals(case, x, t)
+        raw, res = _hyperbolic_residuals(case, x, t, jk)
     except TransmuteError:
         # the array walk stops at the first failing point: walk each
         # point on its own to list them all
@@ -227,8 +238,8 @@ def check_hyperbolic(case, grid=None, tol=1e-8):
             except TransmuteError as exc:
                 errors[k] = str(exc)
     ok = np.isfinite(res)
-    failures = [(xk, tk, errors.get(k, "non-finite residual"))
-                for k, (xk, tk) in enumerate(pts.tolist()) if not ok[k]]
+    failures = [(*pts[k].tolist(), errors.get(k, "non-finite residual"))
+                for k in np.flatnonzero(~ok).tolist()]
     if not ok.any():
         first = failures[0]
         raise NumericalError(
@@ -298,11 +309,13 @@ def transport_residual(case, x, delta):
     evaluated at t = x; scaled divides by (1 + |K|).  x and delta are
     floats or arrays that broadcast together.
     """
-    params = case.params
-    jk = evaluate_jet(case.kernel, x, x - delta, params)
-    a = evaluate(case.opA.a, {**params, "t": x})
-    b0_at_x = evaluate(case.opA.b, {**params, "t": x})
-    b1 = evaluate(case.opB.b, {**params, "x": x})
+    return _transport(case, x, evaluate_jet(case.kernel, x, x - delta, case.params))
+
+
+def _transport(case, x, jk):
+    """``transport_residual`` given K's jet ``jk`` at (x, x - delta)."""
+    a, b0_at_x = (_at(e, "t", x, case.params) for e in (case.opA.a, case.opA.b))
+    b1 = _at(case.opB.b, "x", x, case.params)
     dk_diag = jk.dx + jk.dt
     raw = abs(2.0 * a * dk_diag + (b1 - b0_at_x) * jk.value)
     return raw, raw / (1.0 + abs(jk.value))
@@ -313,12 +326,15 @@ def check_diagonal(case, xs=None, config=None):
     xs = _abscissae(case, xs, config)
     if not xs:
         raise UsageError("diagonal check needs sample points")
-    params = case.params
-    s = np.array(xs, dtype=float)
+    return _judge_diagonal(case, xs, None)
 
-    a0 = evaluate(case.opA.a, {**params, "t": s})
-    a1 = evaluate(case.opB.a, {**params, "x": s})
-    coeff_gaps = np.abs(a0 - a1).tolist()
+
+def _judge_diagonal(case, xs, jk):
+    """``check_diagonal`` given K's jet at the 4b2 points, or None."""
+    s = np.array(xs, dtype=float)
+    a0 = _at(case.opA.a, "t", s, case.params)
+    a1 = _at(case.opB.a, "x", s, case.params)
+    coeff_gaps = np.broadcast_to(np.abs(a0 - a1), s.shape).tolist()
     rec_4b1 = ConditionRecord(
         id="4b1",
         grid=f"{len(xs)} shared samples in [{xs[0]:g}, {xs[-1]:g}]",
@@ -330,7 +346,8 @@ def check_diagonal(case, xs=None, config=None):
 
     # 4b2: scan t = x - delta for a shrinking sequence of relative deltas,
     # one row of the grid per delta
-    raw, scaled = transport_residual(case, s, np.array(DELTA_REL)[:, None] * s)
+    t = s - np.array(DELTA_REL)[:, None] * s
+    raw, scaled = _transport(case, s, evaluate_jet(case.kernel, s, t, case.params) if jk is None else jk)
     grid = (
         f"{len(xs)} abscissae, delta/x in [{DELTA_REL[-1]:g}, {DELTA_REL[0]:g}];"
         f" raw final {raw.max(axis=1)[-1]:.3e}"
@@ -345,13 +362,16 @@ def check_boundary_t0(case, xs=None, eps_seq=None, config=None):
     eps_seq = list(EPS_SEQ if eps_seq is None else eps_seq)
     if not xs or not eps_seq:
         raise UsageError("boundary check needs sample points and an eps sequence")
-    params = case.params
+    return _judge_boundary(case, xs, eps_seq, None)
+
+
+def _judge_boundary(case, xs, eps_seq, jk):
+    """``check_boundary_t0`` given K's jet at the 4c points, or None."""
     # one row of the grid per eps, one column per abscissa
     eps = np.array(eps_seq, dtype=float)[:, None]
-    f0 = evaluate(case.f0, {**params, "t": eps})
-    a = evaluate(case.opA.a, {**params, "t": eps})
-    b0 = evaluate(case.opA.b, {**params, "t": eps})
-    jk = evaluate_jet(case.kernel, np.array(xs, dtype=float), eps, params)
+    f0 = evaluate(case.f0, {**case.params, "t": eps})
+    a, b0 = (_at(e, "t", eps, case.params) for e in (case.opA.a, case.opA.b))
+    jk = evaluate_jet(case.kernel, np.array(xs, dtype=float), eps, case.params) if jk is None else jk
     bracket = a * jk.dt - b0 * jk.value - case.h0 * a * jk.value
     values = np.abs(bracket * f0).max(axis=1).tolist()
     grid = f"{len(xs)} abscissae, eps in [{eps_seq[-1]:.3e}, {eps_seq[0]:.3e}]"
@@ -403,24 +423,20 @@ def check_eigen(case, xs=None, config=None):
     shift = case.eigen_shift
     records = []
     for cond_id, op, f, shifted in (
-        ("eigenA", case.opA, case.f0, (shift.opA, shift.lam_a) if shift else None),
-        ("eigenB", case.opB, case.f1, (shift.opB, shift.lam_b) if shift else None),
+        ("eigenA", case.opA, case.f0, [(shift.opA, shift.lam_a)] if shift else []),
+        ("eigenB", case.opB, case.f1, [(shift.opB, shift.lam_b)] if shift else []),
     ):
-        stats = eigen_residual(op, f, case.lam, xs, case.params)
-        worst, mean = stats["max"], stats["mean"]
-        desc = f"lambda={case.lam:g}"
-        if shifted is not None:
-            shift_op, shift_lam = shifted
-            stats = eigen_residual(shift_op, f, shift_lam, xs, case.params)
-            worst = max(worst, stats["max"])
-            mean = 0.5 * (mean + stats["mean"])
-            desc += f", shifted lambda={shift_lam:g}"
+        # one jet of f serves the plain and the shifted operator
+        pairs = [(op, case.lam)] + shifted
+        stats = _eigen_residuals(pairs, f, xs, case.params)
+        worst = max(st["max"] for st in stats)
+        desc = ", shifted ".join(f"lambda={lam:g}" for _, lam in pairs)
         records.append(
             ConditionRecord(
                 id=cond_id,
                 grid=f"{len(xs)} points in [{xs[0]:g}, {xs[-1]:g}]; {desc}",
                 max_residual=worst,
-                mean_residual=mean,
+                mean_residual=sum(st["mean"] for st in stats) / len(stats),
                 tolerance=TOL_EIGEN,
                 passed=worst <= TOL_EIGEN,
             )
@@ -429,12 +445,25 @@ def check_eigen(case, xs=None, config=None):
 
 
 def verify_all(case, config=None):
-    """Run every condition and assemble a VerificationReport."""
+    """Run every condition and assemble a VerificationReport: the records
+    of the separate check_* calls, each expression walked once (see above)."""
     cfg = config or VerifyConfig()
     xs = sample_points(case, cfg.n_samples)
-    hyp = check_hyperbolic(
-        case, triangle_grid(cfg.nx, cfg.nt, cfg.x_max), tol=cfg.tol_4a
-    )
+    pts, s = _triangle(cfg.nx, cfg.nt, cfg.x_max), np.array(xs, dtype=float)
+    n, m, t_4b2 = len(pts), len(s), s - np.array(DELTA_REL)[:, None] * s
+    # K's points, flat: the 4a grid, then a row of m per delta (4b2) and per eps (4c)
+    x = np.concatenate([pts[:, 0], np.tile(s, len(DELTA_REL) + len(EPS_SEQ))])
+    t = np.concatenate([pts[:, 1], t_4b2.ravel(), np.repeat(EPS_SEQ, m)])
+    try:  # the union keeps to the MAX_POINTS budget of one evaluation
+        jk = evaluate_jet(case.kernel, x, t, case.params) if len(x) <= MAX_POINTS else None
+    except TransmuteError:
+        jk = None  # each check evaluates, and fails, on its own
+
+    def part(start, *shape):  # K's jet at one check's points, or None
+        end = start + math.prod(shape)
+        return None if jk is None else Jet2(*(c[start:end].reshape(shape) for c in vars(jk).values()))
+
+    hyp = _judge_hyperbolic(case, pts, part(0, n))
     rec_4a = ConditionRecord(
         id="4a",
         grid=f"{cfg.nx}x{cfg.nt} interior triangle, x <= {cfg.x_max:g}",
@@ -449,8 +478,8 @@ def verify_all(case, config=None):
             else ""
         ),
     )
-    rec_4b1, rec_4b2 = check_diagonal(case, xs, cfg)
-    rec_4c = check_boundary_t0(case, xs, None, cfg)
+    rec_4b1, rec_4b2 = _judge_diagonal(case, xs, part(n, *t_4b2.shape))
+    rec_4c = _judge_boundary(case, xs, EPS_SEQ, part(n + t_4b2.size, len(EPS_SEQ), m))
     rec_4d = check_vertex(case, None, cfg)
     eig_a, eig_b = check_eigen(case, xs, cfg)
     return VerificationReport(

@@ -39,7 +39,8 @@ functions, gegenbauer and hyp1f2 run their one body over the whole array
 Powers with a literal integer exponent are evaluated by repeated
 multiplication (valid for negative bases, exact for jets); any other
 exponent goes through exp(v*log(u)) and requires a positive base (a
-constant zero base stays zero under a positive power).
+constant zero base stays zero under a positive power).  An exponent that
+varies over an array is valued by the float walk point by point, in a jet too.
 Domain violations raise :class:`~transmute.errors.DomainError` naming
 the offending subexpression (and, for arrays, the first failing point)
 instead of letting NaN propagate; a non-finite bound value or result is
@@ -541,7 +542,10 @@ def _power(node, env, u, v):
         if type(u) is Jet2:
             log_u = u.chain(log_u, 1.0 / u0, -1.0 / (u0 * u0))
         w = v * log_u
-        f = m.exp(w.value)
+        if type(v0) is _ndarray:  # the value is evaluate's: this node walked on the values
+            f = _walk(node, {k: getattr(a, "value", a) for k, a in env.items()})
+        else:
+            f = m.exp(w.value)
     else:
         # exp(v * -inf) = 0 at a zero base of an array
         f = m.exp(v * m.log(u0))

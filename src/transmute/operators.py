@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DomainError, TransmuteError, UsageError
-from .expr import Expr, evaluate, evaluate_jet, free_symbols
+from .expr import Expr, Jet2, evaluate, evaluate_jet, free_symbols
 
 __all__ = [
     "DifferentialOperator",
@@ -54,12 +54,17 @@ class DifferentialOperator:
     def coefficient_values(self, s: float, params: Mapping[str, float]):
         """(a, b, c) evaluated at s, without derivatives. A coefficient
         that reads no variable is one float, at an array of points too."""
-        bindings = dict(params)
-        bindings[self.var] = s
-        return tuple(
-            evaluate(e, bindings if self.var in free_symbols(e) else params)
-            for e in (self.a, self.b, self.c)
-        )
+        return tuple(_at(e, self.var, s, params) for e in (self.a, self.b, self.c))
+
+
+def _at(e, var, s, params):
+    """e at the points s of ``var``; one float if e reads no variable."""
+    return evaluate(e, {**params, var: s} if var in free_symbols(e) else params)
+
+
+def _jet(e, var, s, params):
+    """e's jet at the points s of ``var``, the other variable 0."""
+    return evaluate_jet(e, s if var == "x" else 0.0, s if var == "t" else 0.0, params)
 
 
 def check_symbols(what, expr, variables, params):
@@ -93,20 +98,21 @@ def apply(op: DifferentialOperator, f: Expr, pt, params: Mapping[str, float]):
     """Apply the operator to a single-variable expression at a point or an array of points;
     a coefficient that reads no variable is one float (float times array rounds alike)."""
     check_symbols("the function", f, op.var, params)
-    x = pt if op.var == "x" else 0.0
-    t = pt if op.var == "t" else 0.0
+    return _apply_jet(op, _jet(f, op.var, pt, params), pt, params)
 
-    def along(e):  # (e, e', e'') in the operator's variable
-        j = evaluate_jet(e, x, t, params)
+
+def _apply_jet(op, jf, pt, params):
+    """``apply`` given f's jet ``jf`` at pt."""
+    def along(e):  # (e, e', e'') in the operator's variable, from e or from its jet
+        j = e if type(e) is Jet2 else _jet(e, op.var, pt, params)
         return (j.value, j.dx, j.dxx) if op.var == "x" else (j.value, j.dt, j.dtt)
-    f0, f1, f2 = along(f)
+    f0, f1, f2 = along(jf)
     if op.var == "x":
         a, b, c = op.coefficient_values(pt, params)
         return a * f2 + b * f1 + c * f0
     a, ap, _ = along(op.a) if op.var in free_symbols(op.a) else (evaluate(op.a, params), 0.0, 0.0)
     b, bp, _ = along(op.b) if op.var in free_symbols(op.b) else (evaluate(op.b, params), 0.0, 0.0)
-    c = evaluate(op.c, {**params, op.var: pt} if op.var in free_symbols(op.c) else params)
-    return a * f2 + (ap + b) * f1 + (bp + c) * f0
+    return a * f2 + (ap + b) * f1 + (bp + _at(op.c, op.var, pt, params)) * f0
 
 
 def eigen_residual(
@@ -121,18 +127,25 @@ def eigen_residual(
     The whole grid is evaluated at once; a domain error names the first
     failing point.
     """
+    return _eigen_residuals([(op, lam)], f, grid, params)[0]
+
+
+def _eigen_residuals(pairs, f, grid, params):
+    """``eigen_residual`` for each (op, lam) of ``pairs``, all from one jet
+    of f: lam f is its value, which is ``evaluate``'s bit for bit."""
     s = np.array(list(grid), dtype=float)
     if not s.size:
         raise TransmuteError("eigen_residual needs a non-empty grid")
-    lhs = apply(op, f, s, params)
-    target = lam * evaluate(f, {**params, op.var: s}) if lam else 0.0  # |lhs - 0 f| is |lhs|
-    with np.errstate(all="ignore"):  # a non-finite residual raises below
-        r = np.abs(lhs - target) / (1.0 + np.abs(target))
-    bad = ~np.isfinite(r)
-    if bad.any():
-        raise DomainError(f"non-finite eigen residual at {op.var}={s[np.argmax(bad)].item()!r}")
-    return {
-        "max": float(r.max()),
-        "mean": math.fsum(r.tolist()) / len(r),
-        "count": len(r),
-    }
+    out, jf = [], None
+    for op, lam in pairs:
+        check_symbols("the function", f, op.var, params)
+        jf = _jet(f, op.var, s, params) if jf is None else jf
+        lhs = _apply_jet(op, jf, s, params)
+        target = lam * jf.value if lam else 0.0  # |lhs - 0 f| is |lhs|
+        with np.errstate(all="ignore"):  # a non-finite residual raises below
+            r = np.abs(lhs - target) / (1.0 + np.abs(target))
+        bad = ~np.isfinite(r)
+        if bad.any():
+            raise DomainError(f"non-finite eigen residual at {op.var}={s[np.argmax(bad)].item()!r}")
+        out.append({"max": float(r.max()), "mean": math.fsum(r.tolist()) / len(r), "count": len(r)})
+    return out

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
+import transmute.conditions as conditions
 from transmute.conditions import (
     CONDITION_IDS,
     MAX_POINTS,
@@ -20,9 +22,10 @@ from transmute.conditions import (
     triangle_grid,
     verify_all,
 )
-from transmute.errors import NumericalError, UsageError
-from transmute.expr import BinOp, Num, parse
-from transmute.kernels import COEFFICIENT_NAMES, corrupt_case, get_case
+from transmute.errors import AdmissibilityError, DomainError, NumericalError, TransmuteError, UsageError
+from transmute.expr import BinOp, Num, evaluate, parse
+from transmute.kernels import COEFFICIENT_NAMES, corrupt_case, get_case, list_cases
+from transmute.operators import apply
 
 
 def test_triangle_grid_stays_inside_the_triangle():
@@ -269,3 +272,128 @@ def test_hyperbolic_lists_the_points_that_fail():
     assert rec.detail == (
         f"20 points failed to evaluate; first at ({first[0]!r}, {first[1]!r}): {first[2]}"
     )
+
+
+def _from_checks(case, cfg=VerifyConfig()):
+    """verify_all's records built from the five public check_* calls, or the
+    (type, message) of the first error they raise."""
+    xs = sample_points(case, cfg.n_samples)
+    try:
+        hyp = check_hyperbolic(case, triangle_grid(cfg.nx, cfg.nt, cfg.x_max), tol=cfg.tol_4a)
+        failures = hyp["failures"]
+        rec_4a = ConditionRecord(
+            id="4a",
+            grid=f"{cfg.nx}x{cfg.nt} interior triangle, x <= {cfg.x_max:g}",
+            max_residual=hyp["max"],
+            mean_residual=hyp["mean"],
+            tolerance=cfg.tol_4a,
+            passed=hyp["max"] <= cfg.tol_4a and not failures,
+            detail=(f"{len(failures)} points failed to evaluate;"
+                    " first at ({!r}, {!r}): {}".format(*failures[0]) if failures else ""),
+        )
+        return (rec_4a, *check_diagonal(case, xs, cfg), check_boundary_t0(case, xs, None, cfg),
+                check_vertex(case, None, cfg), *check_eigen(case, xs, cfg))
+    except TransmuteError as exc:
+        return type(exc), str(exc)
+
+
+def _verified(case, cfg=None):
+    try:
+        return verify_all(case, cfg).records
+    except TransmuteError as exc:
+        return type(exc), str(exc)
+
+
+_PINNED = {"gegenbauer": ("lambda", "p"), "cosh_1f2": ("alpha",)}
+
+
+def _sweep_cases(seed, rounds=3):
+    """Catalog cases at seeded parameters: each free one scaled by a
+    factor in [0.5, 1.5), inadmissible draws skipped."""
+    rng = random.Random(f"equivalence:{seed}")
+    for name in list_cases():
+        defaults = dict(get_case(name).params)
+        for _ in range(rounds):
+            params = {p: v if p in _PINNED.get(name, ()) else v * rng.uniform(0.5, 1.5)
+                      for p, v in defaults.items()}
+            try:
+                yield get_case(name, params)
+            except AdmissibilityError:
+                pass
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_verify_all_equals_the_separate_checks(seed):
+    # one kernel jet over the union of the 4a, 4b2 and 4c points, one f jet
+    # per eigen side: every record field equals the separate calls' exactly
+    cases = [get_case(n) for n in list_cases()] if seed is None else list(_sweep_cases(seed))
+    assert len(cases) >= 9
+    for case in cases:
+        assert _verified(case) == _from_checks(case), (case.name, dict(case.params))
+
+
+def _old_eigen(case, xs):
+    """check_eigen as it was with two walks of f per operator: apply's jet,
+    and evaluate for lam f, each operator on its own."""
+    def stats(op, f, lam):
+        s = np.array(xs)
+        lhs = apply(op, f, s, case.params)
+        target = lam * evaluate(f, {**case.params, op.var: s}) if lam else 0.0
+        r = np.abs(lhs - target) / (1.0 + np.abs(target))
+        return float(r.max()), math.fsum(r.tolist()) / len(r)
+
+    shift = case.eigen_shift
+    out = []
+    for cond_id, op, f, shifted in (
+        ("eigenA", case.opA, case.f0, shift and (shift.opA, shift.lam_a)),
+        ("eigenB", case.opB, case.f1, shift and (shift.opB, shift.lam_b)),
+    ):
+        worst, mean = stats(op, f, case.lam)
+        desc = f"lambda={case.lam:g}"
+        if shifted:
+            w2, m2 = stats(shifted[0], f, shifted[1])
+            worst, mean = max(worst, w2), 0.5 * (mean + m2)
+            desc += f", shifted lambda={shifted[1]:g}"
+        out.append(ConditionRecord(
+            id=cond_id, grid=f"{len(xs)} points in [{xs[0]:g}, {xs[-1]:g}]; {desc}",
+            max_residual=worst, mean_residual=mean, tolerance=1e-8, passed=worst <= 1e-8))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_shared_f_jet_changes_no_eigen_bit(seed):
+    cases = [get_case(n) for n in list_cases()] if seed is None else list(_sweep_cases(seed))
+    for case in cases:
+        xs = sample_points(case)
+        assert check_eigen(case) == _old_eigen(case, xs), case.name
+
+
+def test_kernel_failing_at_a_4c_point_fails_as_the_separate_checks():
+    # K/(t - 0.05) divides by zero at eps = 0.1/2, a 4c point only: the
+    # union evaluation fails, and each check runs on its own
+    case = get_case("sine_to_bessel")
+    bent = dataclasses.replace(case, kernel=BinOp("/", case.kernel, parse("t-0.05")))
+    got = _verified(bent)
+    assert got == _from_checks(bent)
+    assert got[0] is DomainError
+    assert "division by zero" in got[1] and "t=0.05" in got[1]
+
+
+def test_union_above_max_points_takes_the_per_check_path(monkeypatch):
+    # 51200 grid points plus 18 x 1000 limit points exceed MAX_POINTS: no
+    # evaluation may span the union, and the records stay the same
+    cfg = VerifyConfig(nx=256, nt=200, n_samples=1000)
+    assert cfg.nx * cfg.nt + 18 * cfg.n_samples > MAX_POINTS
+    case = get_case("sinh_cosh")
+    sizes = []
+    real = conditions.evaluate_jet
+
+    def counted(node, x, t, params):
+        sizes.append(np.broadcast(x, t).size)
+        return real(node, x, t, params)
+
+    monkeypatch.setattr(conditions, "evaluate_jet", counted)
+    got = verify_all(case, cfg).records
+    assert max(sizes) <= MAX_POINTS
+    monkeypatch.undo()
+    assert got == _from_checks(case, cfg)

@@ -513,3 +513,14 @@ def test_per_entry_array_evaluation_is_the_float_walk(text):
     want = [[evaluate(expr, {"x": x, "t": t}) for t in ts.ravel().tolist()]
             for x in xs.ravel().tolist()]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("text", ["x^x", "x^(0.5*x+0.3)", "(1+x)^sin(x)"])
+def test_array_jet_power_value_is_the_float_walk(text):
+    # an exponent that reads x: the jet's value takes the float walk per
+    # point, as evaluate does, so lam f can come from the jet's value
+    expr = parse(text)
+    xs = np.random.default_rng(20).uniform(0.1, 3.0, 2000)
+    want = [evaluate(expr, {"x": x}) for x in xs.tolist()]
+    assert evaluate(expr, {"x": xs}).tolist() == want
+    assert evaluate_jet(expr, xs, 0.0, {}).value.tolist() == want

@@ -528,11 +528,21 @@ def test_boundary_flavor_guards():
 
 
 def test_divergent_march_raises_numerical_error():
-    # c0 = 0 is one float per level; c0 that reads t gives array weights
-    for c0, c1 in (("0", "1e8"), ("-1e8*(1+t)", "0")):
-        problem = _gp(sigma=-1.0, b0="0", b1="0", c0=c0, c1=c1,
-                      X=2.0, h=1.0 / 16.0)
-        with pytest.raises(NumericalError, match="non-finite"):
+    # Only the last level is tested for finiteness; the error still names
+    # the first level that holds a non-finite value. c0 = 0 is one float
+    # per level, c0 that reads t gives array weights; then the Robin
+    # closure and the wall of a b0 singular at 0.
+    for fields, h, level in (
+        (dict(c1="1e8"), 1.0 / 16.0, 34),
+        (dict(c0="-1e8*(1+t)"), 1.0 / 16.0, 34),
+        (dict(c1="1e8"), 1.0 / 64.0, 46),
+        (dict(c0="1e8*t"), 1.0 / 64.0, 62),
+        (dict(c1="1e6*x"), 1.0 / 64.0, 137),
+        (dict(c1="1e8", h0=0.5), 1.0 / 16.0, 35),
+        (dict(c1="1e8", b0="-3/t", b1="-3/x"), 1.0 / 64.0, 47),
+    ):
+        problem = _gp(sigma=-1.0, X=2.0, h=h, **fields)
+        with pytest.raises(NumericalError, match=f"non-finite lattice value at level {level}$"):
             solve(problem)
 
 
