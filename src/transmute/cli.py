@@ -34,20 +34,25 @@ from .errors import (
     TransmuteError,
     UsageError,
 )
-from .expr import Num, evaluate, parse as parse_expr
+from .expr import evaluate, parse as parse_expr
 from .kernels import COEFFICIENT_NAMES
 from .operators import DifferentialOperator
 
-# the keys each section of a config file takes, by lower-cased section name
+# The keys of each config section, by lower-cased section name, with the kind of
+# value each takes. A key sets the field of its name, or the one _FIELDS gives;
+# a key the file leaves out is not passed, so its field keeps its own default.
 _KEYS = {
-    "case": (
-        "name", "kernel", "f0", "f1", "lambda", "p_diag", "kernel_t_exponent",
-        "f0_t_exponent", "kernel_smooth", "f0_smooth", "x_min", "x_max",
-    ),
-    "operatora": ("a", "b", "c", "h"),
-    "operatorb": ("a", "b", "c"),
-    "solver": ("x", "h", "kappa", "reference"),
+    "case": {
+        "name": "name", "kernel": "expression", "f0": "expression", "f1": "expression",
+        "lambda": "number", "p_diag": "number", "kernel_t_exponent": "number",
+        "f0_t_exponent": "number", "kernel_smooth": "expression", "f0_smooth": "expression",
+        "x_min": "number", "x_max": "number",
+    },
+    "operatora": {"a": "expression", "b": "expression", "c": "expression", "h": "number"},
+    "operatorb": {"a": "expression", "b": "expression", "c": "expression"},
+    "solver": {"x": "number", "h": "number", "kappa": "number", "reference": "expression"},
 }
+_FIELDS = {("case", "lambda"): "lam", ("operatora", "h"): "h0", ("solver", "x"): "X"}
 
 
 def _json_dump(value, indent=0):
@@ -147,7 +152,7 @@ def _read_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     sections = {}
     current = None
@@ -180,222 +185,148 @@ def _read_config(path):
     return sections
 
 
-def _cfg_expr(section, key, path, default=None):
-    if key not in section:
-        if default is not None:
-            return default
-        raise UsageError(f"{path}: missing required expression {key!r}")
-    raw, lineno = section[key]
-    if len(raw) >= 2 and raw[0] == '"' and raw[-1] == '"':
-        raw = raw[1:-1]
-    try:
-        return parse_expr(raw)
-    except ExpressionError as exc:
-        raise UsageError(f"{path}:{lineno}: {exc}") from exc
-
-
-def _cfg_float(section, key, path, default=None):
-    if key not in section:
-        if default is None:
-            raise UsageError(f"{path}: missing required number {key!r}")
-        return default
-    raw, lineno = section[key]
+def _config_value(kind, key, raw, where):
+    """One config value read by its kind; ``where`` is the path:line it came from."""
+    if kind == "name":
+        return raw.strip('"')
+    if kind == "expression":
+        if len(raw) >= 2 and raw[0] == '"' and raw[-1] == '"':
+            raw = raw[1:-1]
+        try:
+            return parse_expr(raw)
+        except ExpressionError as exc:
+            raise UsageError(f"{where}: {exc}") from exc
     try:
         value = float(raw)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise UsageError(f"{path}:{lineno}: {key!r} must be a finite number, got {raw!r}")
+        raise UsageError(f"{where}: {key!r} must be a finite number, got {raw!r}")
     return value
 
 
+def _config_fields(sections, label, path, required=()):
+    """The fields that the keys of section [label] set, by field name."""
+    name = label.lower()
+    if name not in sections:
+        raise UsageError(f"{path}: missing [{label}] section")
+    for key in required:
+        if key not in sections[name]:
+            raise UsageError(f"{path}: missing required {_KEYS[name][key]} {key!r}")
+    return {
+        _FIELDS.get((name, key), key): _config_value(_KEYS[name][key], key, raw, f"{path}:{lineno}")
+        for key, (raw, lineno) in sections[name].items()
+    }
+
+
 def _operators_from_config(sections, path):
-    """(A, B, h0): the operator pair and A's t = 0 constant ``h``."""
-    ops = []
-    for label, var in (("operatorA", "t"), ("operatorB", "x")):
-        sec = sections.get(label.lower())
-        if sec is None:
-            raise UsageError(f"{path}: missing [{label}] section")
-        a, b, c = (_cfg_expr(sec, k, path, default=Num(v)) for k, v in zip("abc", (1.0, 0.0, 0.0)))
-        ops.append(DifferentialOperator(var, a, b, c))
-    return (*ops, _cfg_float(sections["operatora"], "h", path, default=0.0))
+    """(A, B, h0): the operator pair, and {"h0": h} if [operatorA] sets ``h``, else {}."""
+    fields_a = _config_fields(sections, "operatorA", path)
+    fields_b = _config_fields(sections, "operatorB", path)
+    h0 = {"h0": fields_a.pop("h0")} if "h0" in fields_a else {}
+    return DifferentialOperator("t", **fields_a), DifferentialOperator("x", **fields_b), h0
 
 
 def _case_from_config(path, params):
+    """The file's case, and the x_min and x_max it sets, which the flags override."""
     sections = _read_config(path)
-    case_sec = sections.get("case")
-    if case_sec is None:
-        raise UsageError(f"{path}: missing [case] section")
-    kernel = _cfg_expr(case_sec, "kernel", path)
-    f0 = _cfg_expr(case_sec, "f0", path)
-    kernel_t = _cfg_float(case_sec, "kernel_t_exponent", path, default=0.0)
-    f0_t = _cfg_float(case_sec, "f0_t_exponent", path, default=0.0)
-    name_raw = case_sec.get("name", ("custom", 0))[0].strip().strip('"')
-    f1 = _cfg_expr(case_sec, "f1", path)
+    fields = _config_fields(sections, "case", path, required=("kernel", "f0", "f1"))
     op_a, op_b, h0 = _operators_from_config(sections, path)
-    return kernels.TransmutationCase(
-        name=name_raw or "custom",
-        params=dict(params),
-        kernel=kernel,
-        f0=f0,
-        f1=f1,
-        opA=op_a,
-        opB=op_b,
-        lam=_cfg_float(case_sec, "lambda", path, default=0.0),
-        eigen_shift=None,
-        p_diag=_cfg_float(case_sec, "p_diag", path, default=0.0),
-        kernel_t_exponent=kernel_t,
-        f0_t_exponent=f0_t,
-        kernel_smooth=_cfg_expr(case_sec, "kernel_smooth", path, default=kernel),
-        f0_smooth=_cfg_expr(case_sec, "f0_smooth", path, default=f0),
-        x_range=(
-            _cfg_float(case_sec, "x_min", path, default=0.2),
-            _cfg_float(case_sec, "x_max", path, default=3.0),
-        ),
-        refs=(),
-        notes="user-supplied case",
-        h0=h0,
+    bounds = {key: fields.pop(key) for key in ("x_min", "x_max") if key in fields}
+    case = kernels.TransmutationCase(
+        name=fields.pop("name", "") or "custom", params=dict(params), opA=op_a, opB=op_b, **h0, **fields
     )
+    return case, bounds
 
 
-def _problem_from_config(path, params, args):
+def _problem_from_config(path, params, flags):
+    """The file's problem, its lattice ``flags`` overriding [solver], and its reference."""
     sections = _read_config(path)
-    solver = sections.get("solver")
-    if solver is None:
-        raise UsageError(f"{path}: missing [solver] section")
+    fields = _config_fields(sections, "solver", path)
     op_a, op_b, h0 = _operators_from_config(sections, path)
-    big_x = args.solver_X if args.solver_X is not None else _cfg_float(solver, "x", path, default=1.0)
-    h = args.solver_h if args.solver_h is not None else _cfg_float(solver, "h", path, default=1.0 / 64.0)
-    problem = goursat.GoursatProblem(
-        op_a,
-        op_b,
-        h0=h0,
-        kappa=_cfg_float(solver, "kappa", path, default=1.0),
-        X=big_x,
-        h=h,
-        params=params,
-    )
-    reference = None
-    if "reference" in solver:
-        reference = _cfg_expr(solver, "reference", path)
-    return problem, reference
+    reference = fields.pop("reference", None)
+    return goursat.GoursatProblem(op_a, op_b, params=params, **h0, **{**fields, **flags}), reference
+
+
+def _check_x(name, value, unsafe):
+    """The range rule of --x, x_min and x_max, set by a flag, a file or the catalog."""
+    if not math.isfinite(value):
+        raise UsageError(f"{name} must be a finite number, got {value!r}")
+    if value <= 0.0:
+        raise UsageError(f"{name} must be positive, got {value!r}")
+    if value > 3.0 and not unsafe:
+        raise UsageError(
+            f"{name} {value!r} exceeds the validated range 3; pass --unsafe-range to override"
+        )
+    return value
 
 
 def _resolve_case(args):
-    params = _parse_params(getattr(args, "params", None))
-    if getattr(args, "custom", None):
-        case = _case_from_config(args.custom, params)
-    elif getattr(args, "case", None):
+    params = _parse_params(args.params)
+    bounds = {}
+    if args.custom:
+        case, bounds = _case_from_config(args.custom, params)
+    elif args.case:
         case = kernels.get_case(args.case, params)
     else:
         raise UsageError("pick a case with --case NAME or --custom FILE")
     if getattr(args, "corrupt", None):
         coef, delta = _parse_corrupt(args.corrupt)
         case = kernels.corrupt_case(case, coef, delta)
-    # the range rule holds whether a flag, a config file or the catalog set it
-    x_min = getattr(args, "x_min", None)
-    x_max = getattr(args, "x_max", None)
-    lo = x_min if x_min is not None else case.x_range[0]
-    hi = x_max if x_max is not None else case.x_range[1]
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"x_min and x_max must be finite, got {lo!r} and {hi!r}")
-    if lo <= 0.0:
-        raise UsageError(f"x_min must be positive, got {lo!r}")
-    if hi > 3.0 and not getattr(args, "unsafe_range", False):
-        raise UsageError(
-            f"x_max {hi!r} exceeds the validated range 3; pass --unsafe-range to override"
-        )
+    # each end of the range from its flag, else from the file, else from the case
+    ends = dict(zip(("x_min", "x_max"), case.x_range), **bounds)
+    ends.update({key: getattr(args, key) for key in ends if getattr(args, key) is not None})
+    lo, hi = (_check_x(key, value, args.unsafe_range) for key, value in ends.items())
     if hi <= lo:
         raise UsageError(f"x_max must exceed x_min, got {lo!r} and {hi!r}")
     return dataclasses.replace(case, x_range=(lo, hi))
 
 
-def _emit(args, text):
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _report(args, payload, text, csv=None):
+    """Write a command's output to --out, or else to stdout: ``payload`` as
+    JSON with the tool version and time stamp, or what ``text()`` or ``csv()``
+    renders."""
+    if args.format == "json":
+        payload["tool_version"] = __version__
+        if not args.no_timestamp:
+            payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        body = _json_dump(payload) + "\n"
     else:
-        sys.stdout.write(text)
-
-
-def _stamp(args, payload):
-    payload["tool_version"] = __version__
-    if not getattr(args, "no_timestamp", False):
-        payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return payload
+        body = (csv if args.format == "csv" else text)()
+    if not args.out:
+        sys.stdout.write(body)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(body)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc}") from None
 
 
 def cmd_catalog(args):
     if args.action == "list":
         names = kernels.list_cases()
-        if args.format == "json":
-            _emit(args, _json_dump(_stamp(args, {"cases": names})) + "\n")
-        else:
-            _emit(args, "\n".join(names) + "\n")
+        _report(args, {"cases": names}, lambda: "\n".join(names) + "\n")
         return 0
     case = kernels.get_case(args.name)
-    if args.format == "json":
-        payload = {
-            "name": case.name,
-            "tags": list(case.refs),
-            "parameters": dict(case.params),
-            "kernel": str(case.kernel),
-            "f0": str(case.f0),
-            "f1": str(case.f1),
-            "lambda": case.lam,
-            "p_diag": case.p_diag,
-            "p_zero": case.p_zero,
-            "notes": case.notes,
-        }
-        _emit(args, _json_dump(_stamp(args, payload)) + "\n")
-    else:
-        _emit(args, kernels.describe(case) + "\n")
+    payload = {
+        "name": case.name,
+        "tags": list(case.refs),
+        "parameters": dict(case.params),
+        "kernel": str(case.kernel),
+        "f0": str(case.f0),
+        "f1": str(case.f1),
+        "lambda": case.lam,
+        "p_diag": case.p_diag,
+        "p_zero": case.p_zero,
+        "notes": case.notes,
+    }
+    _report(args, payload, lambda: kernels.describe(case) + "\n")
     return 0
 
 
 _ROW_KEYS = ("id", "grid", "max_residual", "mean_residual", "decay_slope", "tolerance",
              "passed", "informational", "limit", "detail")
-
-
-def _report_payload(report):
-    # a record's fields in order, "passed" printed as "pass"
-    rows = [{"pass" if k == "passed" else k: getattr(rec, k) for k in _ROW_KEYS} for rec in report.records]
-    return {
-        "case": report.case,
-        "params": dict(report.params),
-        "conditions": rows,
-        "overall_pass": report.overall_pass,
-    }
-
-
-def _report_text(report):
-    lines = [f"case {report.case}"]
-    for rec in report.records:
-        mark = "PASS" if rec.passed else "FAIL"
-        extra = ""
-        if rec.decay_slope is not None:
-            extra += f" slope={rec.decay_slope:.3g}"
-        if rec.informational:
-            extra += f" informational (limit {rec.limit:.7g})"
-        if rec.detail and not rec.passed:
-            extra += f" [{rec.detail}]"
-        lines.append(
-            f"[{mark}] {rec.id:6s} max {rec.max_residual:.3e}"
-            f" (tol {rec.tolerance:.1e}){extra}"
-        )
-    lines.append(f"overall: {'PASS' if report.overall_pass else 'FAIL'}")
-    return "\n".join(lines) + "\n"
-
-
-def _report_csv(report):
-    out = ["id,max_residual,mean_residual,decay_slope,tolerance,pass,informational"]
-    for rec in report.records:
-        slope = "" if rec.decay_slope is None else "%.17g" % rec.decay_slope
-        out.append(
-            f"{rec.id},{rec.max_residual:.17g},{rec.mean_residual:.17g},"
-            f"{slope},{rec.tolerance:.17g},{rec.passed},{rec.informational}"
-        )
-    return "\n".join(out) + "\n"
 
 
 def cmd_verify(args):
@@ -405,25 +336,52 @@ def cmd_verify(args):
         nx=nx, nt=nt, n_samples=args.x_count, tol_4a=args.tol_residual
     )
     report = conditions.verify_all(case, config)
-    if args.format == "json":
-        _emit(args, _json_dump(_stamp(args, _report_payload(report))) + "\n")
-    elif args.format == "csv":
-        _emit(args, _report_csv(report))
-    else:
-        _emit(args, _report_text(report))
+    payload = {
+        "case": report.case,
+        "params": dict(report.params),
+        # a record's fields in order, "passed" printed as "pass"
+        "conditions": [
+            {"pass" if k == "passed" else k: getattr(rec, k) for k in _ROW_KEYS} for rec in report.records
+        ],
+        "overall_pass": report.overall_pass,
+    }
+
+    def text():
+        lines = [f"case {report.case}"]
+        for rec in report.records:
+            mark = "PASS" if rec.passed else "FAIL"
+            extra = ""
+            if rec.decay_slope is not None:
+                extra += f" slope={rec.decay_slope:.3g}"
+            if rec.informational:
+                extra += f" informational (limit {rec.limit:.7g})"
+            if rec.detail and not rec.passed:
+                extra += f" [{rec.detail}]"
+            lines.append(
+                f"[{mark}] {rec.id:6s} max {rec.max_residual:.3e}"
+                f" (tol {rec.tolerance:.1e}){extra}"
+            )
+        lines.append(f"overall: {'PASS' if report.overall_pass else 'FAIL'}")
+        return "\n".join(lines) + "\n"
+
+    def csv():
+        out = ["id,max_residual,mean_residual,decay_slope,tolerance,pass,informational"]
+        for rec in report.records:
+            slope = "" if rec.decay_slope is None else "%.17g" % rec.decay_slope
+            out.append(
+                f"{rec.id},{rec.max_residual:.17g},{rec.mean_residual:.17g},"
+                f"{slope},{rec.tolerance:.17g},{rec.passed},{rec.informational}"
+            )
+        return "\n".join(out) + "\n"
+
+    _report(args, payload, text, csv)
     return 0 if report.overall_pass else 1
 
 
 def cmd_apply(args):
     case = _resolve_case(args)
     if args.x is not None:
-        if args.x <= 0.0:
-            raise UsageError(f"--x must be positive, got {args.x!r}")
-        if args.x > 3.0 and not args.unsafe_range:
-            raise UsageError("--x exceeds the validated range 3; pass --unsafe-range")
-        if not math.isfinite(args.x):
-            raise UsageError(f"--x must be a finite number, got {args.x!r}")
-        xs = [args.x]
+        xs = [_check_x("--x", args.x, args.unsafe_range)]
     else:
         xs = conditions.sample_points(case, args.x_count)
         if not xs:
@@ -435,25 +393,20 @@ def cmd_apply(args):
     rows = list(zip(xs.tolist(), lhs.tolist(), f1.tolist(), rel.tolist()))
     worst = max(rel.tolist(), default=0.0)
     passed = worst <= args.tol_identity
-    if args.format == "json":
-        payload = {
-            "case": case.name,
-            "params": dict(case.params),
-            "quad_order": args.quad_order,
-            "rows": [
-                {"x": x, "transform": lhs, "f1": f1, "rel_error": rel}
-                for x, lhs, f1, rel in rows
-            ],
-            "max_rel_error": worst,
-            "tolerance": args.tol_identity,
-            "overall_pass": passed,
-        }
-        _emit(args, _json_dump(_stamp(args, payload)) + "\n")
-    elif args.format == "csv":
-        lines = ["x,transform,f1,rel_error"]
-        lines += [f"{x:.17g},{l:.17g},{f:.17g},{r:.17g}" for x, l, f, r in rows]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
+    payload = {
+        "case": case.name,
+        "params": dict(case.params),
+        "quad_order": args.quad_order,
+        "rows": [
+            {"x": x, "transform": lhs, "f1": f1, "rel_error": rel}
+            for x, lhs, f1, rel in rows
+        ],
+        "max_rel_error": worst,
+        "tolerance": args.tol_identity,
+        "overall_pass": passed,
+    }
+
+    def text():
         lines = [f"case {case.name}", f"{'x':>10s} {'T f0(x)':>16s} {'f1(x)':>16s} {'rel error':>12s}"]
         for x, lhs, f1, rel in rows:
             lines.append(f"{x:10.4f} {lhs:16.7f} {f1:16.7f} {rel:12.3e}")
@@ -461,20 +414,26 @@ def cmd_apply(args):
             f"max rel error {worst:.3e} (tol {args.tol_identity:.1e}):"
             f" {'PASS' if passed else 'FAIL'}"
         )
-        _emit(args, "\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    def csv():
+        lines = ["x,transform,f1,rel_error"]
+        lines += [f"{x:.17g},{l:.17g},{f:.17g},{r:.17g}" for x, l, f, r in rows]
+        return "\n".join(lines) + "\n"
+
+    _report(args, payload, text, csv)
     return 0 if passed else 1
 
 
 def cmd_solve(args):
     params = _parse_params(args.params)
+    flags = {key: v for key, v in (("X", args.solver_X), ("h", args.solver_h)) if v is not None}
     if args.custom:
-        problem, reference = _problem_from_config(args.custom, params, args)
+        problem, reference = _problem_from_config(args.custom, params, flags)
         label = args.custom
     elif args.case:
         case = kernels.get_case(args.case, params)
-        big_x = args.solver_X if args.solver_X is not None else 2.0
-        h = args.solver_h if args.solver_h is not None else 1.0 / 128.0
-        problem = goursat.problem_from_case(case, X=big_x, h=h)
+        problem = goursat.problem_from_case(case, **{"X": 2.0, "h": 1.0 / 128.0, **flags})
         reference = case.kernel
         label = case.name
     else:
@@ -484,12 +443,6 @@ def cmd_solve(args):
     if reference is not None:
         stats = goursat.compare(grid, reference, problem.params)
     passed = stats is None or stats["max"] <= args.tol_solver
-
-    if args.format == "csv":
-        buf = io.StringIO()
-        grid.export_csv(buf)
-        _emit(args, buf.getvalue())
-        return 0 if passed else 1
     payload = {
         "problem": label,
         "X": problem.X,
@@ -503,9 +456,8 @@ def cmd_solve(args):
         "tolerance": args.tol_solver,
         "overall_pass": passed,
     }
-    if args.format == "json":
-        _emit(args, _json_dump(_stamp(args, payload)) + "\n")
-    else:
+
+    def text():
         lines = [
             f"problem {label}: X={problem.X:g} h={problem.h:g}"
             f" boundary={grid.boundary} sigma={problem.sigma:g} rho={problem.rho:g}"
@@ -518,7 +470,14 @@ def cmd_solve(args):
         lines.append(
             f"[{'PASS' if passed else 'FAIL'}] tolerance {args.tol_solver:.1e}"
         )
-        _emit(args, "\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    def csv():
+        buf = io.StringIO()
+        grid.export_csv(buf)
+        return buf.getvalue()
+
+    _report(args, payload, text, csv)
     return 0 if passed else 1
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DomainError, TransmuteError, UsageError
-from .expr import Expr, Jet2, evaluate, evaluate_jet, free_symbols
+from .expr import Expr, Jet2, Num, evaluate, evaluate_jet, free_symbols
 
 __all__ = [
     "DifferentialOperator",
@@ -36,12 +36,12 @@ __all__ = [
 @dataclass(frozen=True)
 class DifferentialOperator:
     """Coefficient triple (a, b, c) in the variable ``var``, which fixes the
-    form: divergence in t, non-divergence in x."""
+    form: divergence in t, non-divergence in x. Left out, a is 1 and b, c are 0."""
 
     var: str
-    a: Expr
-    b: Expr
-    c: Expr
+    a: Expr = Num(1.0)
+    b: Expr = Num(0.0)
+    c: Expr = Num(0.0)
 
     def __post_init__(self):
         if self.var not in ("x", "t"):

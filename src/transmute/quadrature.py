@@ -13,6 +13,7 @@ declare their exponents explicitly for the same reason.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,8 +47,6 @@ class JacobiRule:
 # so the check runs before it is allocated.
 MAX_RULE_ORDER = 1024
 
-_RULE_CACHE = {}
-
 
 def jacobi_rule(n, alpha, beta):
     """Gauss-Jacobi rule by Golub-Welsch.
@@ -55,23 +54,36 @@ def jacobi_rule(n, alpha, beta):
     The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
     matrix of the three-term recurrence, in ascending order; the weights
     are mu0 v0^2, with v0 the first component of each unit eigenvector
-    and mu0 = integral of the weight over [-1, 1].
+    and mu0 = integral of the weight over [-1, 1]. The last 256 rules
+    built are cached.
     """
     if n > MAX_RULE_ORDER:
         raise UsageError(f"rule order {n!r} exceeds the maximum {MAX_RULE_ORDER}")
     if not n >= 1 or int(n) != n:
         raise UsageError(f"rule order must be a positive integer, got {n!r}")
-    n = int(n)
     if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
         raise UsageError(
             f"Jacobi exponents must be finite and exceed -1, got ({alpha!r}, {beta!r})"
         )
-    key = (n, float(alpha), float(beta))
-    cached = _RULE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _jacobi_rule(int(n), float(alpha), float(beta))
 
+
+@functools.lru_cache(maxsize=256)
+def _jacobi_rule(n, alpha, beta):
     apb = alpha + beta
+    try:
+        mu0 = math.exp(
+            (apb + 1.0) * math.log(2.0)
+            + math.lgamma(alpha + 1.0)
+            + math.lgamma(beta + 1.0)
+            - math.lgamma(apb + 2.0)
+        )
+    except OverflowError:
+        mu0 = math.inf
+    if not mu0 < math.inf:  # refused before the matrix is built
+        raise UsageError(
+            f"Jacobi exponents ({alpha!r}, {beta!r}) give weights beyond the float range"
+        )
     k = np.arange(1.0, n)
     s = 2.0 * k + apb
     diag = np.append(
@@ -82,18 +94,8 @@ def jacobi_rule(n, alpha, beta):
     off_sq[1:] *= (k[1:] + apb) / (s[1:] - 1.0)
     off = np.sqrt(off_sq)
     nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    mu0 = math.exp(
-        (apb + 1.0) * math.log(2.0)
-        + math.lgamma(alpha + 1.0)
-        + math.lgamma(beta + 1.0)
-        - math.lgamma(apb + 2.0)
-    )
     weights = mu0 * vectors[0] ** 2
-    rule = JacobiRule(
-        n, float(alpha), float(beta), tuple(nodes.tolist()), tuple(weights.tolist())
-    )
-    _RULE_CACHE[key] = rule
-    return rule
+    return JacobiRule(n, alpha, beta, tuple(nodes.tolist()), tuple(weights.tolist()))
 
 
 def transform(case, f_smooth, t_exponent, x, n=64):

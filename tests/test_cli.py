@@ -1,5 +1,7 @@
 """End-to-end runs of the command-line driver, in process via main(argv)."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -8,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transmute import conditions, kernels, quadrature
 from transmute.cli import main
@@ -70,6 +73,7 @@ BAD_CONFIGS = {
     # b1 - b0 that is not rho/x + smooth near 0
     "pole_squared.cfg": SOLVER_FILE.replace("[operatorB]\n", '[operatorB]\nb = "1/x^2"\n'),
     "exp_pole.cfg": SOLVER_FILE.replace("[operatorB]\n", '[operatorB]\nb = "exp(1/x)"\n'),
+    "no_solver.cfg": CASE_FILE,
 }
 
 
@@ -234,6 +238,14 @@ def test_verify_csv_format(capsys):
         ("verify", "--case", "sonin", "--params", "nu=1,nu=2"),
         ("solve", "--custom", "pole_squared.cfg", "--params", "mu=1"),
         ("solve", "--custom", "exp_pole.cfg", "--params", "mu=1"),
+        ("verify", "--case", "sonin", "--params", "mu"),  # no "="
+        ("verify", "--case", "sonin", "--corrupt", "c1:abc"),
+        ("solve", "--custom", "no_solver.cfg", "--params", "mu=1,omega=1"),
+        ("verify", "--case", "sonin", "--x-min", "2", "--x-max", "1"),
+        ("apply", "--case", "sonin", "--x", "5"),  # needs --unsafe-range
+        ("verify", "--case", "vekua_telegraph", "--params", "mu=1e155"),  # mu^2 overflows
+        ("apply", "--case", "poisson_bessel", "--params", "nu=1e6"),  # Jacobi weights overflow
+        ("apply", "--case", "gegenbauer", "--params", "lambda=1e6"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
@@ -504,6 +516,12 @@ def test_custom_case_verify_and_apply(tmp_path, capsys):
         ("[solver]\nboundary = robin\n", "bad.cfg:2: unknown key 'boundary' in [solver]"),
         ("[operatorB]\nh = 0.5\n", "bad.cfg:2: unknown key 'h' in [operatorb]"),
         ("[case]\nname = x\nkernal = \"x\"\n", "bad.cfg:3: unknown key 'kernal' in [case]"),
+        # sections and keys a case needs
+        ("[operatorA]\n[operatorB]\n", "bad.cfg: missing [case] section"),
+        ("[case]\nkernel = \"1\"\nf0 = \"1\"\n[operatorA]\n[operatorB]\n",
+         "bad.cfg: missing required expression 'f1'"),
+        ("[case]\nkernel = \"1\"\nf0 = \"1\"\nf1 = \"x\"\n[operatorB]\n",
+         "bad.cfg: missing [operatorA] section"),
     ],
 )
 def test_config_file_diagnostics(tmp_path, capsys, text, needle):
@@ -541,6 +559,48 @@ def test_commands_run_without_the_test_oracles(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[0, 0, 0]"
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify", "--case", "sonin", "--out", str(target))
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot write {target}:") and err.count("\n") == 1
+
+
+def test_config_that_is_not_utf8_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(b"\xff\xfe[case]\n")
+    code, out, err = run(capsys, "verify", "--custom", str(cfg))
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot read {cfg}:") and err.count("\n") == 1
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} in the JSON output")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from([("verify",), ("apply",), ("solve", "--solver-h", "0.125")]),
+    name_key=st.sampled_from(
+        [(name, key) for name in kernels.list_cases() for key in kernels.get_case(name).params]
+    ),
+    value=st.sampled_from([0.0, -0.0, 1e-320, -1e-320, 1e155, -1e155, 1e300, -1e300])
+    | st.floats(-10.0, 10.0),
+)
+def test_any_parameter_value_ends_in_an_exit_code(command, name_key, value):
+    name, key = name_key
+    argv = [command[0], "--case", name, "--params", f"{key}={value!r}", *command[1:],
+            "--format", "json", "--no-timestamp"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        json.loads(out.getvalue(), parse_constant=_no_constant)
+    else:
+        assert not out.getvalue() and err.getvalue().count("\n") == 1
 
 
 def test_missing_file_exits_2(capsys):

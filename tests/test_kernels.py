@@ -3,9 +3,11 @@ import math
 import pytest
 
 from transmute.errors import AdmissibilityError, UsageError
-from transmute.expr import BinOp, Call, Neg, evaluate, parse
+from transmute.expr import BinOp, Call, Neg, Num, evaluate, parse
+from transmute.operators import DifferentialOperator
 from transmute.kernels import (
     COEFFICIENT_NAMES,
+    TransmutationCase,
     corrupt_case,
     describe,
     get_case,
@@ -59,6 +61,48 @@ def test_admissibility_messages(name, params, needle):
     with pytest.raises(AdmissibilityError) as err:
         get_case(name, params)
     assert needle in str(err.value)
+
+
+# each parameter that a builder squares for the shifted eigenvalues
+SQUARED = [
+    ("sine_to_bessel", "omega"),
+    ("sinh_cosh", "beta"),
+    ("lowndes", "omega"),
+    ("lowndes", "beta"),
+    ("epd_bessel", "omega"),
+    ("epd_bessel", "mu"),
+    ("vekua_telegraph", "omega"),
+    ("vekua_telegraph", "mu"),
+    ("cosh_1f2", "mu"),
+]
+
+
+@pytest.mark.parametrize("value", [1e155, 1e300])
+@pytest.mark.parametrize("name,key", SQUARED)
+def test_a_squared_parameter_beyond_the_float_range_is_refused(name, key, value):
+    with pytest.raises(AdmissibilityError, match=f"float range violated .*{key}="):
+        get_case(name, {key: value})
+
+
+def test_a_coefficient_that_sums_to_inf_is_refused():
+    # each square is finite, so the shifted eigenvalue -(omega^2 + mu^2) is -inf;
+    # c1 = omega^2 + mu^2 is evaluated first and refused
+    with pytest.raises(UsageError, match="coefficient c1 does not evaluate"):
+        get_case("vekua_telegraph", {"mu": 1e154, "omega": 1e154})
+
+
+def test_a_case_left_to_its_defaults():
+    kernel, f0 = parse("1"), parse("cos(t)")
+    case = TransmutationCase(
+        name="bare", params={}, kernel=kernel, f0=f0, f1=parse("sin(x)"),
+        opA=DifferentialOperator("t", c=Num(1.0)), opB=DifferentialOperator("x", c=Num(1.0)),
+    )
+    assert case.kernel_smooth is kernel and case.f0_smooth is f0
+    assert (case.lam, case.eigen_shift, case.p_diag, case.p_zero) == (0.0, None, 0.0, 0.0)
+    assert (case.x_range, case.refs, case.notes, case.h0) == ((0.2, 3.0), (), "", 0.0)
+    assert (case.opA.a, case.opA.b) == (Num(1.0), Num(0.0))
+    with pytest.raises(TypeError):
+        TransmutationCase("bare", {}, kernel, f0, f0, case.opA, case.opB)
 
 
 def test_gegenbauer_gamma_pole_guard():

@@ -212,6 +212,21 @@ def test_rules_are_cached():
     assert jacobi_rule(16, -0.5, 0.0) is jacobi_rule(16, -0.5, 0.0)
 
 
+def test_rule_cache_is_bounded():
+    limit = quadrature._jacobi_rule.cache_info().maxsize
+    for k in range(limit + 10):
+        jacobi_rule(2, 0.001 * k, 0.5)
+    assert quadrature._jacobi_rule.cache_info().currsize == limit
+
+
+@pytest.mark.parametrize("ab", [(1e6, 0.0), (1.0, 1999999.0), (1e300, 0.0)])
+def test_weights_beyond_the_float_range_are_refused_before_the_matrix(monkeypatch, ab):
+    # without numpy any attempt to build the matrix fails loudly
+    monkeypatch.setattr(quadrature, "np", None)
+    with pytest.raises(UsageError, match="beyond the float range"):
+        jacobi_rule(64, *ab)
+
+
 @pytest.mark.parametrize(
     "args,needle",
     [
