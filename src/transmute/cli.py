@@ -52,7 +52,13 @@ _KEYS = {
     "operatorb": {"a": "expression", "b": "expression", "c": "expression"},
     "solver": {"x": "number", "h": "number", "kappa": "number", "reference": "expression"},
 }
-_FIELDS = {("case", "lambda"): "lam", ("operatora", "h"): "h0", ("solver", "x"): "X"}
+_FIELDS = {
+    ("case", "kernel"): "kernel_smooth", ("case", "f0"): "f0_smooth", ("case", "lambda"): "lam",
+    ("operatora", "h"): "h0", ("solver", "x"): "X",
+}
+# A [case] key that states a factored function whole, and the keys that state it by
+# its factors: ``kernel`` is the smooth factor with every exponent 0, so it takes none.
+_WHOLE = {"kernel": ("kernel_smooth", "p_diag", "kernel_t_exponent"), "f0": ("f0_smooth", "f0_t_exponent")}
 
 
 def _json_dump(value, indent=0):
@@ -143,9 +149,12 @@ def _parse_corrupt(text):
             f" got {name!r}"
         )
     try:
-        return name, float(delta)
+        value = float(delta)
     except ValueError:
-        raise UsageError(f"--corrupt delta {delta!r} is not a number") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise UsageError(f"--corrupt delta must be a finite number, got {delta!r}")
+    return name, value
 
 
 def _read_config(path):
@@ -206,17 +215,21 @@ def _config_value(kind, key, raw, where):
 
 
 def _config_fields(sections, label, path, required=()):
-    """The fields that the keys of section [label] set, by field name."""
+    """The fields that the keys of section [label] set, by field name; each
+    ``required`` field must be set by one of the keys that map to it."""
     name = label.lower()
     if name not in sections:
         raise UsageError(f"{path}: missing [{label}] section")
-    for key in required:
-        if key not in sections[name]:
-            raise UsageError(f"{path}: missing required {_KEYS[name][key]} {key!r}")
-    return {
+    fields = {
         _FIELDS.get((name, key), key): _config_value(_KEYS[name][key], key, raw, f"{path}:{lineno}")
         for key, (raw, lineno) in sections[name].items()
     }
+    for field in required:
+        if field not in fields:
+            keys = [key for key in _KEYS[name] if _FIELDS.get((name, key), key) == field]
+            kind = _KEYS[name][keys[0]]
+            raise UsageError(f"{path}: missing required {kind} {' or '.join(map(repr, keys))}")
+    return fields
 
 
 def _operators_from_config(sections, path):
@@ -230,7 +243,14 @@ def _operators_from_config(sections, path):
 def _case_from_config(path, params):
     """The file's case, and the x_min and x_max it sets, which the flags override."""
     sections = _read_config(path)
-    fields = _config_fields(sections, "case", path, required=("kernel", "f0", "f1"))
+    keys = sections.get("case", {})
+    for whole, factors in _WHOLE.items():
+        restated = sorted((keys[k][1], k) for k in factors if k in keys)
+        if whole in keys and restated:
+            lineno, key = restated[0]
+            raise UsageError(f"{path}:{lineno}: state the {whole} once: {whole!r} is its smooth factor"
+                             f" with every exponent 0, so {key!r} states it again")
+    fields = _config_fields(sections, "case", path, required=("kernel_smooth", "f0_smooth", "f1"))
     op_a, op_b, h0 = _operators_from_config(sections, path)
     bounds = {key: fields.pop(key) for key in ("x_min", "x_max") if key in fields}
     case = kernels.TransmutationCase(

@@ -7,13 +7,14 @@ Each entry packages everything needed to check that
 maps f0 onto f1 while intertwining a divergence-form operator A (acting
 in t) with a non-divergence operator B (acting in x):
 
-* the kernel K(x,t),
-* the input/output pair (f0, f1) and the eigenvalue convention,
+* K and f0 by their factors, K = (x-t)^p_diag t^kernel_t_exponent W with
+  W = kernel_smooth, and f0 = t^f0_t_exponent f0_smooth: the quadrature
+  module weights the smooth factors by the powers, and the checks read
+  the products ``kernel`` and ``f0``, which are built, never stated,
+* f1 and the eigenvalue convention,
 * the operator pair (opA, opB) with any corrected coefficients,
 * the constant h0 of the t = 0 bracket a K_t - b0 K - h0 a K that A's
-  side must annihilate (0 unless set; no catalog case sets it),
-* endpoint exponents and smooth factors consumed by the quadrature
-  module (K ~ (x-t)^p_diag near the diagonal, K*f0 ~ t^p_zero at 0).
+  side must annihilate (0 unless set; no catalog case sets it).
 
 Formula tags such as "5.1.4" are opaque catalog labels used by
 ``describe`` and the CLI; they carry no meaning inside the library.
@@ -23,11 +24,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import AdmissibilityError, UsageError
-from .expr import Expr, Num, BinOp, parse
+from .expr import BinOp, Expr, Name, Num, parse
 from .operators import DifferentialOperator, check_pair_symbols, check_symbols
 
 __all__ = [
@@ -60,14 +61,16 @@ class EigenShift:
 
 @dataclass(frozen=True, kw_only=True)
 class TransmutationCase:
-    """One case, built by keyword. Left out: no eigenvalue and no shifted
-    pair, zero endpoint exponents (a smooth kernel and f0), smooth factors
-    equal to the kernel and f0, x in [0.2, 3], no tags and no notes."""
+    """One case, built by keyword. ``kernel`` and ``f0`` are built, not set:
+    (x-t)^p_diag t^kernel_t_exponent kernel_smooth and t^f0_t_exponent
+    f0_smooth, each power whose exponent is 0 left out. Left out: no
+    eigenvalue and no shifted pair, zero exponents, x in [0.2, 3], no tags
+    and no notes."""
 
     name: str
     params: Mapping[str, float]
-    kernel: Expr
-    f0: Expr
+    kernel_smooth: Expr
+    f0_smooth: Expr
     f1: Expr
     opA: DifferentialOperator
     opB: DifferentialOperator
@@ -76,12 +79,12 @@ class TransmutationCase:
     p_diag: float = 0.0
     kernel_t_exponent: float = 0.0
     f0_t_exponent: float = 0.0
-    kernel_smooth: Optional[Expr] = None
-    f0_smooth: Optional[Expr] = None
     x_range: tuple = (0.2, 3.0)
     refs: tuple = ()
     notes: str = ""
     h0: float = 0.0
+    kernel: Expr = field(init=False)
+    f0: Expr = field(init=False)
 
     @property
     def p_zero(self):
@@ -89,20 +92,28 @@ class TransmutationCase:
         return self.kernel_t_exponent + self.f0_t_exponent
 
     def __post_init__(self):
-        for smooth, whole in (("kernel_smooth", self.kernel), ("f0_smooth", self.f0)):
-            if getattr(self, smooth) is None:
-                object.__setattr__(self, smooth, whole)
         if not self.p_diag > -1.0:
             raise AdmissibilityError("p_diag > -1", f"got {self.p_diag}")
         if not self.p_zero > -1.0:
             raise AdmissibilityError("p_zero > -1", f"got {self.p_zero}")
-        for name, variables in (
-            ("kernel", "xt"), ("kernel_smooth", "xt"), ("f0", "t"), ("f0_smooth", "t"), ("f1", "x")
-        ):
+        for name, variables in (("kernel_smooth", "xt"), ("f0_smooth", "t"), ("f1", "x")):
             check_symbols(name, getattr(self, name), variables, self.params)
         check_pair_symbols(self.opA, self.opB, self.params)
         if (shift := self.eigen_shift) is not None:
             check_pair_symbols(shift.opA, shift.opB, self.params, "eigen-shift coefficient")
+        t = Name("t")
+        kernel = _product(self.kernel_smooth, (BinOp("-", Name("x"), t), self.p_diag), (t, self.kernel_t_exponent))
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "f0", _product(self.f0_smooth, (t, self.f0_t_exponent)))
+
+
+def _product(smooth, *powers):
+    """The tree base^exponent ... times ``smooth``, over the (base, exponent)
+    ``powers`` in order; a power whose exponent is 0 is left out."""
+    for base, exponent in reversed(powers):
+        if exponent != 0.0:
+            smooth = BinOp("*", BinOp("^", base, Num(float(exponent))), smooth)
+    return smooth
 
 
 def _merge(defaults, params, case_name):
@@ -135,12 +146,10 @@ def _poisson_bessel(params):
     p = _merge({"nu": 1.0}, params, "poisson_bessel")
     nu = p["nu"]
     _require(nu > -0.5, "Re nu > -1/2", nu=nu)
-    kernel = parse("2^(1-nu)/(gamma(0.5)*gamma(nu+0.5))*((x^2-t^2)^(nu-0.5)/x^(nu-0.5))")
     return TransmutationCase(
         name="poisson_bessel",
         params=p,
-        kernel=kernel,
-        f0=parse("cos(t)"),
+        f0_smooth=parse("cos(t)"),
         f1=parse("sqrt(x)*besselj(nu, x)"),
         opA=_div_t("1", "0", "1"),
         opB=_nondiv_x("1", "0", "1-(nu^2-0.25)/x^2"),
@@ -170,12 +179,9 @@ def _sonin(params):
     mu, nu = p["mu"], p["nu"]
     _require(mu > -1.0, "Re mu > -1", mu=mu)
     _require(nu > -1.0, "Re nu > -1", nu=nu)
-    kernel = parse("1/(2^nu*gamma(nu+1))*((x^2-t^2)^nu/x^nu)")
     return TransmutationCase(
         name="sonin",
         params=p,
-        kernel=kernel,
-        f0=parse("t^(mu+1)*besselj(mu, t)"),
         f1=parse("x^(mu+1)*besselj(mu+nu+1, x)"),
         opA=_div_t("1", "-(2*mu+1)/t", "1"),
         opB=_nondiv_x("1", "-(2*mu+1)/x", "1-nu*(nu+2*mu+2)/x^2"),
@@ -204,12 +210,9 @@ def _sine_to_bessel(params):
     beta, omega = p["beta"], p["omega"]
     _require(beta > 0.0, "Re beta > 0", beta=beta)
     _require(omega > 0.0, "omega > 0", omega=omega)
-    kernel = parse("t*(x^2-t^2)^(beta-1)")
     return TransmutationCase(
         name="sine_to_bessel",
         params=p,
-        kernel=kernel,
-        f0=parse("sin(omega*t)"),
         f1=parse(
             "0.5*sqrt(pi)*gamma(beta)*(2/omega)^(beta-0.5)"
             "*x^(beta+0.5)*besselj(beta+0.5, omega*x)"
@@ -241,12 +244,10 @@ def _sinh_cosh(params):
     mu, beta = p["mu"], p["beta"]
     _require(mu > 0.0, "mu > 0", mu=mu)
     _require(beta >= 0.0, "beta >= 0", beta=beta)
-    kernel = parse("sinh(mu*sqrt(x^2-t^2))")
     return TransmutationCase(
         name="sinh_cosh",
         params=p,
-        kernel=kernel,
-        f0=parse("cosh(beta*t)"),
+        f0_smooth=parse("cosh(beta*t)"),
         f1=parse("0.5*pi*mu*x*besseli(1, sqrt(beta^2+mu^2)*x)/sqrt(beta^2+mu^2)"),
         opA=_div_t("1", "0", "-beta^2"),
         opB=_nondiv_x("1", "-1/x", "-(beta^2+mu^2)"),
@@ -285,12 +286,9 @@ def _gegenbauer(params):
         "lambda - beta not a pole of gamma",
         **{"lambda-beta": diff},
     )
-    kernel = parse("(x^2-t^2)^(beta-1)")
     return TransmutationCase(
         name="gegenbauer",
         params=p,
-        kernel=kernel,
-        f0=parse("t^(2*(lambda-beta)+p-1)*gegenbauer(p, lambda, t)"),
         f1=parse(
             "0.5*gamma(lambda-beta)*gamma(beta)/gamma(lambda)"
             "*x^(2*lambda-2+p)*gegenbauer(p, lambda-beta, x)"
@@ -336,12 +334,9 @@ def _lowndes(params):
     _require(nu > 0.0, "nu > 0", nu=nu)
     _require(beta > 0.0, "beta > 0", beta=beta)
     _require(omega > 0.0, "omega > 0", omega=omega)
-    kernel = parse("(x^2-t^2)^(mu/2)*besselj(mu, beta*sqrt(x^2-t^2))")
     return TransmutationCase(
         name="lowndes",
         params=p,
-        kernel=kernel,
-        f0=parse("t^(nu+1)*besselj(nu, omega*t)"),
         f1=parse(
             "beta^mu*omega^nu*x^(mu+nu+1)"
             "*besselj(mu+nu+1, sqrt(beta^2+omega^2)*x)"
@@ -376,12 +371,10 @@ def _epd_bessel(params):
     _require(nu > -0.5, "Re nu > -1/2", nu=nu)
     _require(mu > 0.0, "mu > 0", mu=mu)
     _require(omega >= 0.0, "omega >= 0", omega=omega)
-    kernel = parse("(x^2-t^2)^(nu/2)*besselj(nu, mu*sqrt(x^2-t^2))")
     return TransmutationCase(
         name="epd_bessel",
         params=p,
-        kernel=kernel,
-        f0=parse("cos(omega*t)"),
+        f0_smooth=parse("cos(omega*t)"),
         f1=parse(
             "sqrt(0.5*pi)*mu^nu*x^(nu+0.5)"
             "*besselj(nu+0.5, sqrt(omega^2+mu^2)*x)"
@@ -414,12 +407,10 @@ def _vekua_telegraph(params):
     mu, omega = p["mu"], p["omega"]
     _require(mu > 0.0, "mu > 0", mu=mu)
     _require(omega >= 0.0, "omega >= 0", omega=omega)
-    kernel = parse("besselj(0, mu*sqrt(x^2-t^2))")
     return TransmutationCase(
         name="vekua_telegraph",
         params=p,
-        kernel=kernel,
-        f0=parse("cos(omega*t)"),
+        f0_smooth=parse("cos(omega*t)"),
         f1=parse("sin(sqrt(omega^2+mu^2)*x)/sqrt(omega^2+mu^2)"),
         opA=_div_t("1", "0", "omega^2"),
         opB=_nondiv_x("1", "0", "omega^2+mu^2"),
@@ -444,12 +435,10 @@ def _cosh_1f2(params):
     alpha, beta = p["alpha"], p["beta"]
     _require(alpha == 1.0, "alpha = 1", alpha=alpha)
     _require(beta > 0.0, "Re beta > 0", beta=beta)
-    kernel = parse("(x^2-t^2)^(beta-1)")
     return TransmutationCase(
         name="cosh_1f2",
         params=p,
-        kernel=kernel,
-        f0=parse("cosh(mu*t)"),
+        f0_smooth=parse("cosh(mu*t)"),
         f1=parse(
             "0.5*x^(2*beta-1)*gamma(0.5)*gamma(beta)/gamma(beta+0.5)"
             "*hyp1f2(0.5, 0.5, beta+0.5, (mu*x/2)^2)"
@@ -549,10 +538,10 @@ def corrupt_case(case, coefficient, delta):
             f"unknown coefficient {coefficient!r}"
             f" (expected one of {', '.join(COEFFICIENT_NAMES)})"
         )
-    field = "opA" if coefficient.endswith("0") else "opB"
-    op = getattr(case, field)
+    side = "opA" if coefficient.endswith("0") else "opB"
+    op = getattr(case, side)
     slot = coefficient[0]
     bumped = dataclasses.replace(
         op, **{slot: BinOp("+", getattr(op, slot), Num(float(delta)))}
     )
-    return dataclasses.replace(case, **{field: bumped})
+    return dataclasses.replace(case, **{side: bumped})

@@ -107,12 +107,13 @@ def _apply_jet(op, jf, pt, params):
         j = e if type(e) is Jet2 else _jet(e, op.var, pt, params)
         return (j.value, j.dx, j.dxx) if op.var == "x" else (j.value, j.dt, j.dtt)
     f0, f1, f2 = along(jf)
-    if op.var == "x":
-        a, b, c = op.coefficient_values(pt, params)
-        return a * f2 + b * f1 + c * f0
-    a, ap, _ = along(op.a) if op.var in free_symbols(op.a) else (evaluate(op.a, params), 0.0, 0.0)
-    b, bp, _ = along(op.b) if op.var in free_symbols(op.b) else (evaluate(op.b, params), 0.0, 0.0)
-    return a * f2 + (ap + b) * f1 + (bp + _at(op.c, op.var, pt, params)) * f0
+    with np.errstate(all="ignore"):  # an overflowing sum is inf, which eigen_residual refuses
+        if op.var == "x":
+            a, b, c = op.coefficient_values(pt, params)
+            return a * f2 + b * f1 + c * f0
+        a, ap, _ = along(op.a) if op.var in free_symbols(op.a) else (evaluate(op.a, params), 0.0, 0.0)
+        b, bp, _ = along(op.b) if op.var in free_symbols(op.b) else (evaluate(op.b, params), 0.0, 0.0)
+        return a * f2 + (ap + b) * f1 + (bp + _at(op.c, op.var, pt, params)) * f0
 
 
 def eigen_residual(

@@ -8,12 +8,16 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transmute import conditions, kernels, quadrature
+from transmute import cli, conditions, kernels, quadrature
 from transmute.cli import main
+from transmute.expr import evaluate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -52,6 +56,41 @@ reference = "besselj(0, mu*sqrt(x^2-t^2))"
 
 # a = -1 on both sides: the same pair with sigma = -1, whose kernel is I0
 I0_FILE = SOLVER_FILE.replace('c = "', 'a = "-1"\nc = "').replace("besselj", "besseli")
+
+# sonin at its defaults (mu = nu = 1/2), stated by its factors
+SONIN_FILE = """\
+[case]
+name = sonin
+kernel_smooth = "(x+t)^nu/(x^nu*2^nu*gamma(nu+1))"
+p_diag = 0.5
+f0_smooth = "bessel_clifford(mu, -t^2/4)/2^mu"
+f0_t_exponent = 2
+f1 = "x^(mu+1)*besselj(mu+nu+1, x)"
+
+[operatorA]
+b = "-(2*mu+1)/t"
+c = "1"
+
+[operatorB]
+b = "-(2*mu+1)/x"
+c = "1-nu*(nu+2*mu+2)/x^2"
+"""
+
+# K = sqrt(2/pi) (x^2 - t^2)^0.5 / x^0.5 stated whole, next to factors of another kernel
+TWICE_FILE = """\
+[case]
+kernel = "sqrt(2/pi)*(x^2-t^2)^0.5/x^0.5"
+p_diag = 0.5
+kernel_smooth = "sqrt(2/pi)*(x+t)^0.6/x^0.5"
+f0 = "cos(t)"
+f1 = "sqrt(x)*besselj(1, x)"
+
+[operatorA]
+c = "1"
+
+[operatorB]
+c = "1-0.75/x^2"
+"""
 
 # config files for test_usage_errors_exit_2, written under tmp_path
 BAD_CONFIGS = {
@@ -240,6 +279,8 @@ def test_verify_csv_format(capsys):
         ("solve", "--custom", "exp_pole.cfg", "--params", "mu=1"),
         ("verify", "--case", "sonin", "--params", "mu"),  # no "="
         ("verify", "--case", "sonin", "--corrupt", "c1:abc"),
+        ("verify", "--case", "sonin", "--corrupt", "c1:nan"),
+        ("verify", "--case", "sonin", "--corrupt", "c1:inf"),
         ("solve", "--custom", "no_solver.cfg", "--params", "mu=1,omega=1"),
         ("verify", "--case", "sonin", "--x-min", "2", "--x-max", "1"),
         ("apply", "--case", "sonin", "--x", "5"),  # needs --unsafe-range
@@ -522,14 +563,52 @@ def test_custom_case_verify_and_apply(tmp_path, capsys):
          "bad.cfg: missing required expression 'f1'"),
         ("[case]\nkernel = \"1\"\nf0 = \"1\"\nf1 = \"x\"\n[operatorB]\n",
          "bad.cfg: missing [operatorA] section"),
+        # the kernel and f0, each stated once
+        (TWICE_FILE, "bad.cfg:3: state the kernel once"),
+        (TWICE_FILE.replace('kernel_smooth = "sqrt(2/pi)*(x+t)^0.6/x^0.5"\n', ""),
+         "bad.cfg:3: state the kernel once: 'kernel' is its smooth factor with every exponent 0,"
+         " so 'p_diag' states it again"),
+        (CASE_FILE.replace("x_max = 2.0", "kernel_t_exponent = 1"), "state the kernel once"),
+        (CASE_FILE.replace("x_max = 2.0", 'f0_smooth = "cos(omega*t)"'), "bad.cfg:7: state the f0 once"),
+        (CASE_FILE.replace("x_max = 2.0", "f0_t_exponent = 0"), "state the f0 once"),
+        (CASE_FILE.replace("kernel = ", "# kernel = "),
+         "bad.cfg: missing required expression 'kernel' or 'kernel_smooth'"),
+        (CASE_FILE.replace("f0 = ", "# f0 = "), "bad.cfg: missing required expression 'f0' or 'f0_smooth'"),
     ],
 )
 def test_config_file_diagnostics(tmp_path, capsys, text, needle):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
-    code, _, err = run(capsys, "verify", "--custom", str(cfg))
-    assert code == 2
-    assert needle in err
+    for command in ("verify", "apply"):
+        code, out, err = run(capsys, command, "--custom", str(cfg))
+        assert code == 2 and not out
+        assert needle in err and err.count("\n") == 1
+
+
+def test_a_case_stated_by_its_factors_reports_as_the_catalog_case(tmp_path, capsys):
+    cfg = tmp_path / "sonin.cfg"
+    cfg.write_text(SONIN_FILE)
+    reports = {}
+    for source in (("--case", "sonin"), ("--custom", str(cfg), "--params", "mu=0.5,nu=0.5")):
+        for command in ("verify", "apply"):
+            code, out, _ = run(capsys, command, *source, "--format", "json", "--no-timestamp")
+            assert code == 0
+            reports.setdefault(command, []).append(out)
+    assert reports["apply"][0] == reports["apply"][1]
+    # a file cannot state the shifted eigen pair, so the eigen records differ
+    catalog, custom = (json.loads(out) for out in reports["verify"])
+    assert catalog["conditions"][:5] == custom["conditions"][:5]
+    assert custom["conditions"][5]["max_residual"] <= catalog["conditions"][5]["max_residual"]
+
+
+def test_an_overflowing_corruption_prints_only_the_failure_line():
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["verify", "--case", "sonin", "--corrupt", "c1:1e308"])
+    assert code == 3
+    assert err.getvalue().startswith("numerical failure: ") and err.getvalue().count("\n") == 1
 
 
 def test_readme_example_runs(tmp_path, capsys):
@@ -601,6 +680,73 @@ def test_any_parameter_value_ends_in_an_exit_code(command, name_key, value):
         json.loads(out.getvalue(), parse_constant=_no_constant)
     else:
         assert not out.getvalue() and err.getvalue().count("\n") == 1
+
+
+# values the [case] fuzz draws for each key: expressions in the key's variables
+# (some pass verify with A = B = d2 + 1), in the wrong ones or malformed, and
+# numbers in and out of range
+_BAD = ["y", "1e308*x", "x*("]
+_NUMBERS = ["0", "1", "-1", "0.5", "-0.5", "2", "-1.5", "nan", "inf", "1e308", "abc"]
+FUZZ_KEYS = {
+    **dict.fromkeys(("kernel", "kernel_smooth"), ["1", "x-t", "cos(x-t)", "x+t", "(x+t)^0.5", "1/(x-t)",
+                                                  "besselj(0, x-t)", "sqrt(x-t)", "t^(-3)", "log(t)", *_BAD]),
+    **dict.fromkeys(("f0", "f0_smooth"), ["cos(t)", "sin(t)", "1", "t", "log(t)", "x", *_BAD]),
+    "f1": ["sin(x)", "cos(x)", "x", "t", *_BAD],
+    **dict.fromkeys(("p_diag", "kernel_t_exponent", "f0_t_exponent"), _NUMBERS),
+}
+# key sets that state K and f0 once, each by the whole or by its factors
+_ONCE = [
+    ("kernel", "f0", "f1"),
+    ("kernel_smooth", "p_diag", "f0", "f1"),
+    ("kernel_smooth", "kernel_t_exponent", "f0_smooth", "f0_t_exponent", "f1"),
+    ("kernel", "f0_smooth", "f1"),
+]
+
+
+@st.composite
+def _case_lines(draw):
+    """The lines of a [case] section: any subset of FUZZ_KEYS, most often one of _ONCE."""
+    if draw(st.sampled_from([True, True, True, False])):
+        keys = draw(st.sampled_from(_ONCE))
+    else:
+        keys = draw(st.sets(st.sampled_from(sorted(FUZZ_KEYS))))
+    lines = {}
+    for key in keys:
+        if FUZZ_KEYS[key] is _NUMBERS:
+            lines[key] = draw(st.sampled_from(_NUMBERS) | st.floats(-2.0, 3.0).map(repr))
+        else:
+            lines[key] = f'"{draw(st.sampled_from(FUZZ_KEYS[key]))}"'
+    return lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=_case_lines())
+def test_any_case_section_ends_in_an_exit_code_and_verifies_the_applied_kernel(lines):
+    text = "[case]\n" + "".join(f"{k} = {v}\n" for k, v in lines.items())
+    text += '[operatorA]\nc = "1"\n[operatorB]\nc = "1"\n'
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        codes = {}
+        for command in ("verify", "apply"):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no warning may reach the user
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    codes[command] = main([command, "--custom", str(cfg), "--format", "json", "--no-timestamp"])
+            assert codes[command] in (0, 1, 2, 3)
+            if codes[command] in (0, 1):
+                json.loads(out.getvalue(), parse_constant=_no_constant)
+            else:
+                assert not out.getvalue() and err.getvalue().count("\n") == 1
+        if codes["verify"] == 0:
+            # the K that passed is the product whose smooth factor apply weights by
+            # (x-t)^p_diag t^kernel_t_exponent
+            case, _ = cli._case_from_config(str(cfg), {})
+            x, t = np.array(conditions.triangle_grid()).T
+            smooth = evaluate(case.kernel_smooth, {"x": x, "t": t})
+            weighted = (x - t) ** case.p_diag * t ** case.kernel_t_exponent * smooth
+            assert evaluate(case.kernel, {"x": x, "t": t}) == pytest.approx(weighted, rel=1e-13, abs=0.0)
 
 
 def test_missing_file_exits_2(capsys):

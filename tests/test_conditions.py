@@ -183,7 +183,7 @@ def test_limit_records_decaying_pass_and_fixed_drop_failure():
 
 
 def test_limit_record_growing_tail():
-    rec_4d = _limit_records("vekua_telegraph", kernel=parse("1/x"))[2]
+    rec_4d = _limit_records("vekua_telegraph", kernel_smooth=parse("1/x"))[2]
     assert not rec_4d.passed and not rec_4d.informational
     assert rec_4d.detail.startswith("tail not decreasing; final 4.096e+04 above 0.001 x initial")
     assert rec_4d.detail.endswith(f"; slope {rec_4d.decay_slope!r} <= 0.1")
@@ -231,7 +231,7 @@ def test_verdicts_survive_kernel_rescaling(scale):
     # must not flip any verdict
     case = get_case("epd_bessel")
     scaled = dataclasses.replace(
-        case, kernel=BinOp("*", Num(scale), case.kernel)
+        case, kernel_smooth=BinOp("*", Num(scale), case.kernel_smooth)
     )
     base = verify_all(case)
     bent_records = (
@@ -255,10 +255,11 @@ def test_custom_grid_and_tolerance_flow_through():
 
 
 def test_hyperbolic_lists_the_points_that_fail():
-    # K/(x-1) divides by zero on the x = 1 column of the 20x20 triangle
-    # only: the array walk stops there, and the point walk lists each one
+    # K/(x-1), from W/(x-1), divides by zero on the x = 1 column of the
+    # 20x20 triangle only: the array walk stops there, and the point walk
+    # lists each one
     case = get_case("poisson_bessel")
-    bent = dataclasses.replace(case, kernel=BinOp("/", case.kernel, parse("x-1")))
+    bent = dataclasses.replace(case, kernel_smooth=BinOp("/", case.kernel_smooth, parse("x-1")))
     grid = triangle_grid()
     out = check_hyperbolic(bent, grid)
     bad = [(x, t) for x, t in grid if x == 1.0]
@@ -369,10 +370,10 @@ def test_shared_f_jet_changes_no_eigen_bit(seed):
 
 
 def test_kernel_failing_at_a_4c_point_fails_as_the_separate_checks():
-    # K/(t - 0.05) divides by zero at eps = 0.1/2, a 4c point only: the
-    # union evaluation fails, and each check runs on its own
+    # K/(t - 0.05), from W/(t - 0.05), divides by zero at eps = 0.1/2, a 4c
+    # point only: the union evaluation fails, and each check runs on its own
     case = get_case("sine_to_bessel")
-    bent = dataclasses.replace(case, kernel=BinOp("/", case.kernel, parse("t-0.05")))
+    bent = dataclasses.replace(case, kernel_smooth=BinOp("/", case.kernel_smooth, parse("t-0.05")))
     got = _verified(bent)
     assert got == _from_checks(bent)
     assert got[0] is DomainError

@@ -301,10 +301,11 @@ CATALOG_PROBLEMS = {
 def _off_the_wall(case):
     """``case`` with the kernel x in place of one that vanishes on t = 0,
     which ``problem_from_case`` refuses; the operators, and so rho, stay
-    (and for sine_to_bessel at beta = 1 so does K(x,x) = x)."""
+    (and for sine_to_bessel at beta = 1, where p_diag = 0 and the smooth
+    factor is 1, so does K(x,x) = x)."""
     if case.kernel_t_exponent == 0.0:
         return case
-    return dataclasses.replace(case, kernel=parse("x"), kernel_t_exponent=0.0)
+    return dataclasses.replace(case, kernel_smooth=parse("x"), kernel_t_exponent=0.0)
 
 
 @pytest.mark.parametrize("problem", [

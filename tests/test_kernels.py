@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from transmute.conditions import sample_points, triangle_grid
 from transmute.errors import AdmissibilityError, UsageError
-from transmute.expr import BinOp, Call, Neg, Num, evaluate, parse
+from transmute.expr import Num, evaluate, parse
 from transmute.operators import DifferentialOperator
 from transmute.kernels import (
     COEFFICIENT_NAMES,
@@ -13,6 +16,7 @@ from transmute.kernels import (
     get_case,
     list_cases,
 )
+from transmute.quadrature import jacobi_rule
 
 ALL_NAMES = (
     "gegenbauer",
@@ -92,17 +96,35 @@ def test_a_coefficient_that_sums_to_inf_is_refused():
 
 
 def test_a_case_left_to_its_defaults():
-    kernel, f0 = parse("1"), parse("cos(t)")
+    kernel_smooth, f0_smooth = parse("1"), parse("cos(t)")
     case = TransmutationCase(
-        name="bare", params={}, kernel=kernel, f0=f0, f1=parse("sin(x)"),
+        name="bare", params={}, kernel_smooth=kernel_smooth, f0_smooth=f0_smooth, f1=parse("sin(x)"),
         opA=DifferentialOperator("t", c=Num(1.0)), opB=DifferentialOperator("x", c=Num(1.0)),
     )
-    assert case.kernel_smooth is kernel and case.f0_smooth is f0
+    # every exponent 0: K and f0 are the smooth factors themselves
+    assert case.kernel is kernel_smooth and case.f0 is f0_smooth
     assert (case.lam, case.eigen_shift, case.p_diag, case.p_zero) == (0.0, None, 0.0, 0.0)
     assert (case.x_range, case.refs, case.notes, case.h0) == ((0.2, 3.0), (), "", 0.0)
     assert (case.opA.a, case.opA.b) == (Num(1.0), Num(0.0))
     with pytest.raises(TypeError):
-        TransmutationCase("bare", {}, kernel, f0, f0, case.opA, case.opB)
+        TransmutationCase("bare", {}, kernel_smooth, f0_smooth, f0_smooth, case.opA, case.opB)
+    # K and f0 are built, never stated
+    with pytest.raises(TypeError):
+        TransmutationCase(
+            name="bare", params={}, kernel=kernel_smooth, f0=f0_smooth, f1=case.f1, opA=case.opA, opB=case.opB
+        )
+    assert len([f for f in dataclasses.fields(TransmutationCase) if f.init]) == 16
+
+
+def test_a_case_builds_k_and_f0_from_their_factors():
+    case = TransmutationCase(
+        name="built", params={"nu": 1.5}, kernel_smooth=parse("(x+t)^nu"), f0_smooth=parse("cos(t)"),
+        f1=parse("x"), opA=DifferentialOperator("t"), opB=DifferentialOperator("x"),
+        p_diag=0.5, kernel_t_exponent=2.0, f0_t_exponent=1.0,
+    )
+    assert case.kernel == parse("(x-t)^0.5*(t^2*(x+t)^nu)")
+    assert case.f0 == parse("t^1*cos(t)")
+    assert dataclasses.replace(case, p_diag=0.0).kernel == parse("t^2*(x+t)^nu")
 
 
 def test_gegenbauer_gamma_pole_guard():
@@ -112,24 +134,65 @@ def test_gegenbauer_gamma_pole_guard():
         get_case("gegenbauer", {"lambda": 2.0, "beta": 2.0})
 
 
-def _contains(tree, wanted):
-    if tree == wanted:
-        return True
-    if isinstance(tree, BinOp):
-        return _contains(tree.left, wanted) or _contains(tree.right, wanted)
-    if isinstance(tree, Neg):
-        return _contains(tree.arg, wanted)
-    if isinstance(tree, Call):
-        return any(_contains(a, wanted) for a in tree.args)
-    return False
+# the closed forms the catalog tags print, at each case's default parameters
+PRINTED_KERNELS = {
+    "gegenbauer": "(x^2-t^2)^(beta-1)",
+    "poisson_bessel": "2^(1-nu)/(gamma(0.5)*gamma(nu+0.5))*((x^2-t^2)^(nu-0.5)/x^(nu-0.5))",
+    "sonin": "1/(2^nu*gamma(nu+1))*((x^2-t^2)^nu/x^nu)",
+    "sine_to_bessel": "t*(x^2-t^2)^(beta-1)",
+    "sinh_cosh": "sinh(mu*sqrt(x^2-t^2))",
+    "lowndes": "(x^2-t^2)^(mu/2)*besselj(mu, beta*sqrt(x^2-t^2))",
+    "epd_bessel": "(x^2-t^2)^(nu/2)*besselj(nu, mu*sqrt(x^2-t^2))",
+    "vekua_telegraph": "besselj(0, mu*sqrt(x^2-t^2))",
+    "cosh_1f2": "(x^2-t^2)^(beta-1)",
+}
+# the printed f0 of each case whose f0 carries a power of t
+PRINTED_F0 = {
+    "sonin": "t^(mu+1)*besselj(mu, t)",
+    "sine_to_bessel": "sin(omega*t)",
+    "gegenbauer": "t^(2*(lambda-beta)+p-1)*gegenbauer(p, lambda, t)",
+    "lowndes": "t^(nu+1)*besselj(nu, omega*t)",
+}
+
+
+def _max_gap(case, built, printed):
+    """max of |built - printed| / (1 + |printed|) over the 40 x 40 triangle."""
+    x, t = np.array(triangle_grid(40, 40)).T
+    bindings = {**case.params, "x": x, "t": t}
+    want = evaluate(parse(printed), bindings)
+    return np.max(np.abs(evaluate(built, bindings) - want) / (1.0 + np.abs(want)))
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_every_kernel_is_built_on_the_wave_argument(name):
-    # all nine closed forms are functions of x^2 - t^2; the subtree has to
-    # appear verbatim in the kernel
+def test_built_kernel_matches_the_printed_closed_form(name):
     case = get_case(name)
-    assert _contains(case.kernel, parse("x^2-t^2"))
+    assert _max_gap(case, case.kernel, PRINTED_KERNELS[name]) <= 2e-15
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED_F0))
+def test_built_f0_matches_the_printed_closed_form(name):
+    case = get_case(name)
+    assert case.f0_t_exponent != 0.0
+    assert _max_gap(case, case.f0, PRINTED_F0[name]) <= 2e-15
+
+
+def test_built_kernel_is_accurate_at_the_nodes_nearest_the_diagonal():
+    # K = (x-t)^p W takes x - t exactly there; the printed closed form
+    # forms x^2 - t^2 by cancellation and is off by about 6e-14
+    mpmath = pytest.importorskip("mpmath")
+    case = get_case("poisson_bessel", {"nu": 1.0})
+    rule = jacobi_rule(64, case.p_diag, case.p_zero)
+    s = np.array(rule.nodes[-3:])
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x in sample_points(case):
+            ts = x * (1.0 + s) / 2.0
+            got = evaluate(case.kernel, {**case.params, "x": x, "t": ts})
+            for t, k in zip(ts.tolist(), got.tolist()):
+                X, T = mpmath.mpf(x), mpmath.mpf(t)
+                want = mpmath.sqrt(X * X - T * T) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(1.5) * mpmath.sqrt(X))
+                worst = max(worst, float(abs(k - want) / want))
+    assert worst <= 1e-15
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -219,8 +282,9 @@ def test_corrupt_case_targets_one_coefficient():
     bent = corrupt_case(case, "c1", 0.1)
     base = evaluate(case.opB.c, {**case.params, "x": 1.0})
     assert evaluate(bent.opB.c, {**case.params, "x": 1.0}) == pytest.approx(base + 0.1)
-    # untouched pieces are shared, not rebuilt
-    assert bent.kernel is case.kernel
+    # untouched pieces are shared; K is built again from the same factors
+    assert bent.kernel_smooth is case.kernel_smooth and bent.f0_smooth is case.f0_smooth
+    assert bent.kernel == case.kernel and bent.f0 == case.f0
     assert bent.opA is case.opA
 
 
