@@ -538,11 +538,12 @@ def build_parser():
 
     ver = subs.add_parser("verify", help="run the existence conditions")
     _add_case_flags(ver, with_corrupt=True)
-    ver.add_argument("--grid", default="20x20", help="hyperbolic grid, NXxNT")
+    defaults = conditions.VerifyConfig()
+    ver.add_argument("--grid", default=f"{defaults.nx}x{defaults.nt}", help="hyperbolic grid, NXxNT")
     ver.add_argument("--x-min", type=float)
     ver.add_argument("--x-max", type=float)
-    ver.add_argument("--x-count", type=int, default=20)
-    ver.add_argument("--tol-residual", type=_positive_float, default=1e-8)
+    ver.add_argument("--x-count", type=int, default=defaults.n_samples)
+    ver.add_argument("--tol-residual", type=_positive_float, default=defaults.tol_4a)
     ver.add_argument("--unsafe-range", action="store_true")
     _add_output_flags(ver)
     ver.set_defaults(func=cmd_verify)
@@ -552,8 +553,8 @@ def build_parser():
     app.add_argument("--x", type=float, help="single abscissa")
     app.add_argument("--x-min", type=float)
     app.add_argument("--x-max", type=float)
-    app.add_argument("--x-count", type=int, default=20)
-    app.add_argument("--quad-order", type=int, default=64)
+    app.add_argument("--x-count", type=int, default=defaults.n_samples)
+    app.add_argument("--quad-order", type=int, default=quadrature.RULE_ORDER)
     app.add_argument("--tol-identity", type=_positive_float, default=1e-8)
     app.add_argument("--unsafe-range", action="store_true")
     _add_output_flags(app)

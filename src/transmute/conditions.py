@@ -15,9 +15,12 @@ shifted variants when the case defines them).
 
 All derivatives come from jet arithmetic, never finite differences, so
 the 4a residual floor is rounding noise and tolerances can stay tight.
-``verify_all`` walks K's jet once over the 4a, 4b2 and 4c points together,
-and each eigen side's f once for both operators; arithmetic is elementwise
-and special functions run one body per entry, so no value changes a bit.
+Each condition has one function, ``check_*``, which evaluates its own
+points unless it is given K's jet there (``jet=``) and, for 4c and 4d,
+f0 at t = eps (``f0=``).  ``verify_all`` walks K's jet once over the 4a,
+4b2, 4c and 4d points together, f0 once at t = EPS_SEQ, and each eigen
+side's f once for both operators; arithmetic is elementwise and special
+functions run one body per entry, so no value changes a bit.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import NumericalError, TransmuteError, UsageError
 from .expr import Jet2, evaluate, evaluate_jet, free_symbols
-from .operators import _at, _eigen_residuals, _jet
+from .operators import _at, _eigen_residuals, _jet, _mean
 
 __all__ = [
     "VerifyConfig",
@@ -40,8 +43,6 @@ __all__ = [
     "MAX_POINTS",
     "triangle_grid",
     "sample_points",
-    "hyperbolic_terms",
-    "transport_residual",
     "check_hyperbolic",
     "check_diagonal",
     "check_boundary_t0",
@@ -114,6 +115,8 @@ class ConditionRecord:
             raise NumericalError(
                 f"condition {self.id}: non-finite or negative residual"
             )
+        if not math.isfinite(self.mean_residual):
+            raise NumericalError(f"condition {self.id}: non-finite mean residual")
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ class VerificationReport:
         raise UsageError(f"report has no record for {cond_id!r}")
 
 
-def triangle_grid(nx=20, nt=20, x_max=2.0):
+def triangle_grid(nx=VerifyConfig.nx, nt=VerifyConfig.nt, x_max=VerifyConfig.x_max):
     """Interior points of {0 < t < x <= x_max}, nt per column."""
     return list(map(tuple, _triangle(nx, nt, x_max).tolist()))
 
@@ -146,7 +149,7 @@ def _triangle(nx, nt, x_max):
     return np.stack([x, x * np.tile(np.arange(1, nt + 1), nx) / (nt + 1)], axis=1)
 
 
-def sample_points(case, n=20):
+def sample_points(case, n=VerifyConfig.n_samples):
     """Evenly spaced abscissae across the case's working interval."""
     if n > MAX_POINTS:
         raise UsageError(f"{n} sample points exceed the maximum of {MAX_POINTS}")
@@ -163,61 +166,38 @@ def _abscissae(case, xs, config):
     return list(sample_points(case, (config or VerifyConfig()).n_samples) if xs is None else xs)
 
 
-def hyperbolic_terms(case, x, t):
-    """The six terms of the hyperbolic identity at the points (x, t).
-
-    x and t are floats or arrays that broadcast together.  Returns
-    (lhs, rhs, terms) where
+def _hyperbolic_residuals(case, x, t, jk=None):
+    """(|lhs - rhs|, |lhs - rhs| / (1 + max|term|)) at the points (x, t), where
       lhs = d/dt(a0 dK/dt) - b0 dK/dt + c0 K   (divergence side, in t)
       rhs = a1 d2K/dx2 + b1 dK/dx + c1 K       (non-divergence side, in x)
-    and terms collects the six magnitudes used for relative scaling.
-    """
-    return _hyperbolic_terms(case, x, t, evaluate_jet(case.kernel, x, t, case.params))
-
-
-def _hyperbolic_terms(case, x, t, jk):
+    and the terms are these six products; ``jk`` is K's jet there, if known."""
     params = case.params
-    a0 = case.opA.a
-    ja0 = _jet(a0, "t", t, params) if "t" in free_symbols(a0) else Jet2(evaluate(a0, params))
-    b0, c0 = (_at(e, "t", t, params) for e in (case.opA.b, case.opA.c))
-    a1, b1, c1 = case.opB.coefficient_values(x, params)
-    div_term = ja0.dt * jk.dt + ja0.value * jk.dtt
-    terms = (
-        div_term,
-        b0 * jk.dt,
-        c0 * jk.value,
-        a1 * jk.dxx,
-        b1 * jk.dx,
-        c1 * jk.value,
-    )
-    lhs = terms[0] - terms[1] + terms[2]
-    rhs = terms[3] + terms[4] + terms[5]
-    return lhs, rhs, terms
-
-
-def _hyperbolic_residuals(case, x, t, jk=None):
-    """(|lhs - rhs|, |lhs - rhs| / (1 + max|term|)) at the points (x, t)."""
     with np.errstate(all="ignore"):  # a non-finite residual is a failure
-        jk = evaluate_jet(case.kernel, x, t, case.params) if jk is None else jk
-        lhs, rhs, terms = _hyperbolic_terms(case, x, t, jk)
+        jk = evaluate_jet(case.kernel, x, t, params) if jk is None else jk
+        a0 = case.opA.a
+        ja0 = _jet(a0, "t", t, params) if "t" in free_symbols(a0) else Jet2(evaluate(a0, params))
+        b0, c0 = (_at(e, "t", t, params) for e in (case.opA.b, case.opA.c))
+        a1, b1, c1 = case.opB.coefficient_values(x, params)
+        terms = (ja0.dt * jk.dt + ja0.value * jk.dtt, b0 * jk.dt, c0 * jk.value,
+                 a1 * jk.dxx, b1 * jk.dx, c1 * jk.value)
+        lhs = terms[0] - terms[1] + terms[2]
+        rhs = terms[3] + terms[4] + terms[5]
         diff = np.abs(lhs - rhs)
         return diff, diff / (1.0 + np.max(np.abs(terms), axis=0))
 
 
-def check_hyperbolic(case, grid=None, tol=1e-8):
-    """Residual of the hyperbolic identity over a triangle grid.
+def check_hyperbolic(case, grid=None, tol=1e-8, *, jet=None):
+    """Residual of the hyperbolic identity over a triangle grid (by
+    default VerifyConfig's); ``tol`` is unread.
 
     Per-point residual is |lhs - rhs| / (1 + max|term|), evaluated over
-    the whole grid at once.  Points where it fails (a domain error or a
-    non-finite residual) are listed in ``failures`` with the reason, and
-    only an all-points failure raises.
+    the whole grid at once, or read from K's ``jet`` at the grid points.
+    Points where it fails (a domain error or a non-finite residual) are
+    listed in ``failures`` with the reason, and only an all-points
+    failure raises.
     """
-    pts = _triangle(20, 20, 2.0) if grid is None else np.array(list(grid), dtype=float).reshape(-1, 2)
-    return _judge_hyperbolic(case, pts, None)
-
-
-def _judge_hyperbolic(case, pts, jk):
-    """``check_hyperbolic`` at the (n, 2) array ``pts``, given K's jet there or None."""
+    grid = triangle_grid() if grid is None else grid
+    pts = np.array(grid if isinstance(grid, np.ndarray) else list(grid), dtype=float).reshape(-1, 2)
     if not len(pts):
         raise UsageError("hyperbolic check needs a non-empty grid")
     x, t = pts.T
@@ -227,7 +207,7 @@ def _judge_hyperbolic(case, pts, jk):
         raise UsageError(f"grid point {bad!r} outside 0 < t < x")
     errors = {}
     try:
-        raw, res = _hyperbolic_residuals(case, x, t, jk)
+        raw, res = _hyperbolic_residuals(case, x, t, jet)
     except TransmuteError:
         # the array walk stops at the first failing point: walk each
         # point on its own to list them all
@@ -248,7 +228,7 @@ def _judge_hyperbolic(case, pts, jk):
         )
     return {
         "max": float(res[ok].max()),
-        "mean": math.fsum(res[ok].tolist()) / int(ok.sum()),
+        "mean": _mean(res[ok].tolist()),
         "max_raw": float(raw[ok].max()),
         "count": int(ok.sum()),
         "failures": failures,
@@ -263,8 +243,7 @@ def _loglog_slope(xs, ys, last_n=6):
         return None
     lx = [math.log(x) for x, _ in pairs]
     ly = [math.log(y) for _, y in pairs]
-    mx = math.fsum(lx) / len(lx)
-    my = math.fsum(ly) / len(ly)
+    mx, my = _mean(lx), _mean(ly)
     den = math.fsum((u - mx) ** 2 for u in lx)
     if den == 0.0:
         return None
@@ -293,7 +272,7 @@ def _limit_record(cond_id, grid, seq, values, drop):
         id=cond_id,
         grid=grid,
         max_residual=values[-1],
-        mean_residual=math.fsum(values) / len(values),
+        mean_residual=_mean(values),
         tolerance=drop,
         passed=floor or not reasons,
         decay_slope=slope,
@@ -301,86 +280,66 @@ def _limit_record(cond_id, grid, seq, values, drop):
     )
 
 
-def transport_residual(case, x, delta):
-    """(raw, scaled) diagonal transport residual at (x, delta).
+def check_diagonal(case, xs=None, config=None, *, jet=None):
+    """Conditions 4b1 and 4b2, returned as two ConditionRecords.
 
-    raw = |2 a(x) dK(x, x-delta)/dx + (b1(x) - b0(x)) K(x, x-delta)|
-    with dK/dx taken along the diagonal direction (d/dx + d/dt) and b0
-    evaluated at t = x; scaled divides by (1 + |K|).  x and delta are
-    floats or arrays that broadcast together.
+    4b2 scans t = x - delta, one row per relative delta of DELTA_REL, for
+    |2 a dK/dx + (b1 - b0) K| / (1 + |K|), with a, b0 at t = x and dK/dx
+    along the diagonal (d/dx + d/dt); ``jet`` is K's jet there, if known.
     """
-    return _transport(case, x, evaluate_jet(case.kernel, x, x - delta, case.params))
-
-
-def _transport(case, x, jk):
-    """``transport_residual`` given K's jet ``jk`` at (x, x - delta)."""
-    a, b0_at_x = (_at(e, "t", x, case.params) for e in (case.opA.a, case.opA.b))
-    b1 = _at(case.opB.b, "x", x, case.params)
-    dk_diag = jk.dx + jk.dt
-    raw = abs(2.0 * a * dk_diag + (b1 - b0_at_x) * jk.value)
-    return raw, raw / (1.0 + abs(jk.value))
-
-
-def check_diagonal(case, xs=None, config=None):
-    """Conditions 4b1 and 4b2, returned as two ConditionRecords."""
     xs = _abscissae(case, xs, config)
     if not xs:
         raise UsageError("diagonal check needs sample points")
-    return _judge_diagonal(case, xs, None)
-
-
-def _judge_diagonal(case, xs, jk):
-    """``check_diagonal`` given K's jet at the 4b2 points, or None."""
+    params = case.params
     s = np.array(xs, dtype=float)
-    a0 = _at(case.opA.a, "t", s, case.params)
-    a1 = _at(case.opB.a, "x", s, case.params)
+    a0 = _at(case.opA.a, "t", s, params)
+    a1 = _at(case.opB.a, "x", s, params)
     coeff_gaps = np.broadcast_to(np.abs(a0 - a1), s.shape).tolist()
     rec_4b1 = ConditionRecord(
         id="4b1",
         grid=f"{len(xs)} shared samples in [{xs[0]:g}, {xs[-1]:g}]",
         max_residual=max(coeff_gaps),
-        mean_residual=math.fsum(coeff_gaps) / len(coeff_gaps),
+        mean_residual=_mean(coeff_gaps),
         tolerance=TOL_4B1,
         passed=max(coeff_gaps) <= TOL_4B1,
     )
 
-    # 4b2: scan t = x - delta for a shrinking sequence of relative deltas,
-    # one row of the grid per delta
-    t = s - np.array(DELTA_REL)[:, None] * s
-    raw, scaled = _transport(case, s, evaluate_jet(case.kernel, s, t, case.params) if jk is None else jk)
+    jk = evaluate_jet(case.kernel, s, s - np.array(DELTA_REL)[:, None] * s, params) if jet is None else jet
+    b0, b1 = _at(case.opA.b, "t", s, params), _at(case.opB.b, "x", s, params)
+    raw = abs(2.0 * a0 * (jk.dx + jk.dt) + (b1 - b0) * jk.value)
     grid = (
         f"{len(xs)} abscissae, delta/x in [{DELTA_REL[-1]:g}, {DELTA_REL[0]:g}];"
         f" raw final {raw.max(axis=1)[-1]:.3e}"
     )
+    scaled = raw / (1.0 + abs(jk.value))
     return rec_4b1, _limit_record("4b2", grid, DELTA_REL, scaled.max(axis=1).tolist(), TRANSPORT_DROP)
 
 
-def check_boundary_t0(case, xs=None, eps_seq=None, config=None):
+def check_boundary_t0(case, xs=None, eps_seq=None, config=None, *, jet=None, f0=None):
     """Condition 4c: the t = 0 bracket times f0 must vanish as eps -> 0
-    along ``eps_seq`` (default EPS_SEQ)."""
+    along ``eps_seq`` (default EPS_SEQ).
+
+    The grid has one row per eps and one column per abscissa: ``jet`` is
+    K's jet there and ``f0`` is f0 at t = eps as a column, if known.
+    """
     xs = _abscissae(case, xs, config)
     eps_seq = list(EPS_SEQ if eps_seq is None else eps_seq)
     if not xs or not eps_seq:
         raise UsageError("boundary check needs sample points and an eps sequence")
-    return _judge_boundary(case, xs, eps_seq, None)
-
-
-def _judge_boundary(case, xs, eps_seq, jk):
-    """``check_boundary_t0`` given K's jet at the 4c points, or None."""
-    # one row of the grid per eps, one column per abscissa
     eps = np.array(eps_seq, dtype=float)[:, None]
-    f0 = evaluate(case.f0, {**case.params, "t": eps})
+    f0 = evaluate(case.f0, {**case.params, "t": eps}) if f0 is None else f0
     a, b0 = (_at(e, "t", eps, case.params) for e in (case.opA.a, case.opA.b))
-    jk = evaluate_jet(case.kernel, np.array(xs, dtype=float), eps, case.params) if jk is None else jk
+    jk = evaluate_jet(case.kernel, np.array(xs, dtype=float), eps, case.params) if jet is None else jet
     bracket = a * jk.dt - b0 * jk.value - case.h0 * a * jk.value
     values = np.abs(bracket * f0).max(axis=1).tolist()
     grid = f"{len(xs)} abscissae, eps in [{eps_seq[-1]:.3e}, {eps_seq[0]:.3e}]"
     return _limit_record("4c", grid, eps_seq, values, DECAY_DROP)
 
 
-def check_vertex(case, pairs=None, config=None):
+def check_vertex(case, pairs=None, config=None, *, jet=None, f0=None):
     """Condition 4d: K(eps, eps-delta) f0(eps) along the (eps, delta)
     ``pairs``, by default delta = eps^2 over EPS_SEQ; ``config`` is unread.
+    ``jet`` is K's jet at the pairs and ``f0`` is f0 at each eps, if known.
 
     A finite nonzero limit does not fail the check; the record is
     marked informational and carries the limit.
@@ -395,8 +354,8 @@ def check_vertex(case, pairs=None, config=None):
             raise UsageError(f"vertex pair needs 0 < delta < eps, got ({eps}, {delta})")
     params = case.params
     e, d = np.array(pairs, dtype=float).T
-    k = evaluate(case.kernel, {**params, "x": e, "t": e - d})
-    f0 = evaluate(case.f0, {**params, "t": e})
+    k = evaluate(case.kernel, {**params, "x": e, "t": e - d}) if jet is None else jet.value
+    f0 = evaluate(case.f0, {**params, "t": e}) if f0 is None else f0
     values = np.abs(k * f0).tolist()
     eps_vals = [eps for eps, _ in pairs]
     grid = f"{len(pairs)} pairs, delta = eps^2, eps down to {eps_vals[-1]:.3e}"
@@ -436,7 +395,7 @@ def check_eigen(case, xs=None, config=None):
                 id=cond_id,
                 grid=f"{len(xs)} points in [{xs[0]:g}, {xs[-1]:g}]; {desc}",
                 max_residual=worst,
-                mean_residual=sum(st["mean"] for st in stats) / len(stats),
+                mean_residual=_mean([st["mean"] for st in stats]),
                 tolerance=TOL_EIGEN,
                 passed=worst <= TOL_EIGEN,
             )
@@ -449,21 +408,24 @@ def verify_all(case, config=None):
     of the separate check_* calls, each expression walked once (see above)."""
     cfg = config or VerifyConfig()
     xs = sample_points(case, cfg.n_samples)
-    pts, s = _triangle(cfg.nx, cfg.nt, cfg.x_max), np.array(xs, dtype=float)
+    pts, s, eps = _triangle(cfg.nx, cfg.nt, cfg.x_max), np.array(xs, dtype=float), np.array(EPS_SEQ)
     n, m, t_4b2 = len(pts), len(s), s - np.array(DELTA_REL)[:, None] * s
-    # K's points, flat: the 4a grid, then a row of m per delta (4b2) and per eps (4c)
-    x = np.concatenate([pts[:, 0], np.tile(s, len(DELTA_REL) + len(EPS_SEQ))])
-    t = np.concatenate([pts[:, 1], t_4b2.ravel(), np.repeat(EPS_SEQ, m)])
-    try:  # the union keeps to the MAX_POINTS budget of one evaluation
-        jk = evaluate_jet(case.kernel, x, t, case.params) if len(x) <= MAX_POINTS else None
-    except TransmuteError:
-        jk = None  # each check evaluates, and fails, on its own
+    # K's points, flat: the 4a grid, a row of m per delta (4b2) and per eps (4c),
+    # then the 4d pairs (eps, eps - eps^2)
+    x = np.concatenate([pts[:, 0], np.tile(s, len(DELTA_REL) + len(eps)), eps])
+    t = np.concatenate([pts[:, 1], t_4b2.ravel(), np.repeat(eps, m), eps - eps * eps])
+    jk = f0 = None
+    if len(x) <= MAX_POINTS:  # the union keeps to the MAX_POINTS budget of one evaluation
+        try:
+            jk, f0 = evaluate_jet(case.kernel, x, t, case.params), evaluate(case.f0, {**case.params, "t": eps})
+        except TransmuteError:
+            pass  # each check evaluates, and fails, on its own
 
     def part(start, *shape):  # K's jet at one check's points, or None
         end = start + math.prod(shape)
         return None if jk is None else Jet2(*(c[start:end].reshape(shape) for c in vars(jk).values()))
 
-    hyp = _judge_hyperbolic(case, pts, part(0, n))
+    hyp = check_hyperbolic(case, pts, jet=part(0, n))
     rec_4a = ConditionRecord(
         id="4a",
         grid=f"{cfg.nx}x{cfg.nt} interior triangle, x <= {cfg.x_max:g}",
@@ -478,10 +440,11 @@ def verify_all(case, config=None):
             else ""
         ),
     )
-    rec_4b1, rec_4b2 = _judge_diagonal(case, xs, part(n, *t_4b2.shape))
-    rec_4c = _judge_boundary(case, xs, EPS_SEQ, part(n + t_4b2.size, len(EPS_SEQ), m))
-    rec_4d = check_vertex(case, None, cfg)
-    eig_a, eig_b = check_eigen(case, xs, cfg)
+    rec_4b1, rec_4b2 = check_diagonal(case, xs, jet=part(n, *t_4b2.shape))
+    n_4c = n + t_4b2.size  # where the 4c points start
+    rec_4c = check_boundary_t0(case, xs, jet=part(n_4c, len(eps), m), f0=None if f0 is None else f0[:, None])
+    rec_4d = check_vertex(case, jet=part(n_4c + len(eps) * m, len(eps)), f0=f0)
+    eig_a, eig_b = check_eigen(case, xs)
     return VerificationReport(
         case=case.name,
         params=dict(case.params),

@@ -62,6 +62,14 @@ def _at(e, var, s, params):
     return evaluate(e, {**params, var: s} if var in free_symbols(e) else params)
 
 
+def _mean(values):
+    """The mean of the floats ``values`` by fsum, or the fsum of value / n if the sum overflows."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        return math.fsum(v / len(values) for v in values)
+
+
 def _jet(e, var, s, params):
     """e's jet at the points s of ``var``, the other variable 0."""
     return evaluate_jet(e, s if var == "x" else 0.0, s if var == "t" else 0.0, params)
@@ -148,5 +156,5 @@ def _eigen_residuals(pairs, f, grid, params):
         bad = ~np.isfinite(r)
         if bad.any():
             raise DomainError(f"non-finite eigen residual at {op.var}={s[np.argmax(bad)].item()!r}")
-        out.append({"max": float(r.max()), "mean": math.fsum(r.tolist()) / len(r), "count": len(r)})
+        out.append({"max": float(r.max()), "mean": _mean(r.tolist()), "count": len(r)})
     return out

@@ -46,6 +46,7 @@ class JacobiRule:
 # Largest rule order jacobi_rule builds: the n x n Jacobi matrix is dense,
 # so the check runs before it is allocated.
 MAX_RULE_ORDER = 1024
+RULE_ORDER = 64  # the rule order of a transform unless one is given
 
 
 def jacobi_rule(n, alpha, beta):
@@ -98,7 +99,7 @@ def _jacobi_rule(n, alpha, beta):
     return JacobiRule(n, alpha, beta, tuple(nodes.tolist()), tuple(weights.tolist()))
 
 
-def transform(case, f_smooth, t_exponent, x, n=64):
+def transform(case, f_smooth, t_exponent, x, n=RULE_ORDER):
     """integral_0^x K(x,t) t^t_exponent f_smooth(t) dt.
 
     ``f_smooth`` is an expression in t (plus case parameters); its
@@ -129,17 +130,17 @@ def transform(case, f_smooth, t_exponent, x, n=64):
     return out[0] if np.ndim(x) == 0 else np.reshape(out, np.shape(x))
 
 
-def apply_transmutation(case, x, n=64):
+def apply_transmutation(case, x, n=RULE_ORDER):
     """T f0 at one abscissa or an array of them, by the case's smooth factors."""
     if n < 8:
         raise UsageError(f"quadrature order must be at least 8, got {n!r}")
     return transform(case, case.f0_smooth, case.f0_t_exponent, x, n)
 
 
-def identity_error(case, xs=None, n=64):
+def identity_error(case, xs=None, n=RULE_ORDER):
     """max over xs of |T f0(x) - f1(x)| / (1 + |f1(x)|)."""
     if xs is None:
-        xs = sample_points(case, 20)
+        xs = sample_points(case)
     xs = np.array(list(xs), dtype=float)
     if not xs.size:
         raise UsageError("identity check needs at least one abscissa")

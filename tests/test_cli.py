@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line driver, in process via main(argv)."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -609,6 +610,37 @@ def test_an_overflowing_corruption_prints_only_the_failure_line():
             code = main(["verify", "--case", "sonin", "--corrupt", "c1:1e308"])
     assert code == 3
     assert err.getvalue().startswith("numerical failure: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["c0:1e308", "a0:1e308", "b1:1e308", "a1:-1e308"])
+def test_a_corruption_whose_mean_overflows_ends_in_an_exit_code(spec):
+    # residuals near 1e308 are finite, but their fsum overflows: each mean
+    # is then taken as the sum of value / n, so the report is written
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--case", "sonin", "--corrupt", spec, "--format", "json", "--no-timestamp"])
+    assert code in (1, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert json.loads(out.getvalue(), parse_constant=_no_constant)["overall_pass"] is False
+    else:
+        assert not out.getvalue() and err.getvalue().startswith("numerical failure: ")
+        assert err.getvalue().count("\n") == 1
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    ver = parser.parse_args(["verify"])
+    config = conditions.VerifyConfig()
+    assert ver.grid == f"{config.nx}x{config.nt}"
+    assert (ver.x_count, ver.tol_residual) == (config.n_samples, config.tol_4a)
+    app = parser.parse_args(["apply"])
+    assert app.x_count == config.n_samples
+    assert app.quad_order == quadrature.RULE_ORDER
+    for fn in (quadrature.transform, quadrature.apply_transmutation, quadrature.identity_error):
+        assert inspect.signature(fn).parameters["n"].default == quadrature.RULE_ORDER
+    assert inspect.signature(conditions.sample_points).parameters["n"].default == config.n_samples
+    assert np.array_equal(conditions.triangle_grid(), conditions.triangle_grid(config.nx, config.nt, config.x_max))
 
 
 def test_readme_example_runs(tmp_path, capsys):

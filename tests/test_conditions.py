@@ -16,14 +16,12 @@ from transmute.conditions import (
     check_eigen,
     check_hyperbolic,
     check_vertex,
-    hyperbolic_terms,
     sample_points,
-    transport_residual,
     triangle_grid,
     verify_all,
 )
 from transmute.errors import AdmissibilityError, DomainError, NumericalError, TransmuteError, UsageError
-from transmute.expr import BinOp, Num, evaluate, parse
+from transmute.expr import BinOp, Jet2, Num, evaluate, parse
 from transmute.kernels import COEFFICIENT_NAMES, corrupt_case, get_case, list_cases
 from transmute.operators import apply
 
@@ -81,6 +79,8 @@ def test_record_validation():
         ConditionRecord("4a", "grid", float("nan"), 0.0, 1e-8, True)
     with pytest.raises(NumericalError):
         ConditionRecord("4a", "grid", -1.0, 0.0, 1e-8, True)
+    with pytest.raises(NumericalError, match="mean"):
+        ConditionRecord("4a", "grid", 0.0, math.inf, 1e-8, True)
 
 
 def test_hyperbolic_residual_small_on_catalog_case():
@@ -92,11 +92,16 @@ def test_hyperbolic_residual_small_on_catalog_case():
 
 
 def test_hyperbolic_terms_balance():
+    # the six terms balance to rounding on a catalog kernel; with c0 shifted
+    # by 0.1, the raw residual |lhs - rhs| is the extra term 0.1 |K|
     case = get_case("sonin")
     x, t = np.array([1.4, 1.9]), np.array([0.6, 0.3])
-    lhs, rhs, terms = hyperbolic_terms(case, x, t)
-    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-    assert len(terms) == 6
+    raw, scaled = conditions._hyperbolic_residuals(case, x, t)
+    assert raw.shape == scaled.shape == (2,)
+    assert np.all(raw <= 1e-12) and np.all(scaled <= raw)
+    raw, _ = conditions._hyperbolic_residuals(corrupt_case(case, "c0", 0.1), x, t)
+    k = evaluate(case.kernel, {**case.params, "x": x, "t": t})
+    assert raw == pytest.approx(0.1 * np.abs(k), rel=1e-10)
 
 
 def test_hyperbolic_rejects_bad_grids():
@@ -130,10 +135,17 @@ def test_diagonal_detects_mismatched_principal_parts():
 
 
 def test_transport_residual_scaling():
-    case = get_case("poisson_bessel")
-    raw, scaled = transport_residual(case, np.array([1.3, 2.1]), np.array([1e-4, 2e-4]))
-    assert np.all(scaled <= raw)  # scaled divides by 1 + |K|
-    assert np.all(raw <= 1e-5)
+    # 4b2's raw residual is |2 a (dK/dx + dK/dt) + (b1 - b0) K| and its record
+    # divides it by 1 + |K|: with K = 1, both slopes 1/4 and b1 - b0 = 0.1 that
+    # is 1.1 raw and 0.55 scaled at every point
+    bent = corrupt_case(get_case("poisson_bessel"), "b1", 0.1)
+    shape = (len(conditions.DELTA_REL), 2)
+    jet = Jet2(np.ones(shape), dx=np.full(shape, 0.25), dt=np.full(shape, 0.25))
+    rec = check_diagonal(bent, [1.3, 2.1], jet=jet)[1]
+    assert rec.grid.endswith("raw final 1.100e+00")
+    assert rec.max_residual == rec.mean_residual == pytest.approx(0.55, rel=1e-15)
+    rec = check_diagonal(get_case("poisson_bessel"), [1.3, 2.1])[1]
+    assert rec.passed and rec.max_residual <= 1e-5
 
 
 def test_boundary_record_slope():
@@ -325,12 +337,39 @@ def _sweep_cases(seed, rounds=3):
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
 def test_verify_all_equals_the_separate_checks(seed):
-    # one kernel jet over the union of the 4a, 4b2 and 4c points, one f jet
-    # per eigen side: every record field equals the separate calls' exactly
+    # one kernel jet over the union of the 4a, 4b2, 4c and 4d points, f0 once
+    # at t = EPS_SEQ, one f jet per eigen side: every record field equals the
+    # separate calls' exactly, for each case and its six +0.1 corruptions
     cases = [get_case(n) for n in list_cases()] if seed is None else list(_sweep_cases(seed))
     assert len(cases) >= 9
     for case in cases:
-        assert _verified(case) == _from_checks(case), (case.name, dict(case.params))
+        for bent in (case, *(corrupt_case(case, c, 0.1) for c in COEFFICIENT_NAMES)):
+            assert _verified(bent) == _from_checks(bent), (bent.name, dict(bent.params))
+
+
+@pytest.mark.parametrize("name", list_cases())
+def test_verify_all_walks_k_once_and_f0_once(name, monkeypatch):
+    # one jet of K over all 773 default points and one f0 array at t = EPS_SEQ;
+    # the eigen check's walk of f0 at the sample points is the operators' own
+    case = get_case(name)
+    jets, values = [], []
+    real_jet, real_value = conditions.evaluate_jet, conditions.evaluate
+
+    def jet(node, x, t, params):
+        jets.append((node, np.broadcast(x, t).size))
+        return real_jet(node, x, t, params)
+
+    def value(node, bindings):
+        values.append((node, bindings.get("t")))
+        return real_value(node, bindings)
+
+    monkeypatch.setattr(conditions, "evaluate_jet", jet)
+    monkeypatch.setattr(conditions, "evaluate", value)
+    verify_all(case)
+    assert [size for node, size in jets if node is case.kernel] == [773]
+    assert not [node for node, _ in values if node is case.kernel]
+    f0_at = [t for node, t in values if node is case.f0]
+    assert len(f0_at) == 1 and f0_at[0].tolist() == list(conditions.EPS_SEQ)
 
 
 def _old_eigen(case, xs):
@@ -378,6 +417,17 @@ def test_kernel_failing_at_a_4c_point_fails_as_the_separate_checks():
     assert got == _from_checks(bent)
     assert got[0] is DomainError
     assert "division by zero" in got[1] and "t=0.05" in got[1]
+
+
+def test_kernel_failing_at_a_4d_point_fails_as_the_separate_checks():
+    # K/(x - 0.025), from W/(x - 0.025), divides by zero at the vertex pair
+    # eps = 0.1/4 only: no 4a, 4b2 or 4c point has x = 0.025
+    case = get_case("sonin")
+    bent = dataclasses.replace(case, kernel_smooth=BinOp("/", case.kernel_smooth, parse("x-0.025")))
+    got = _verified(bent)
+    assert got == _from_checks(bent)
+    assert got[0] is DomainError
+    assert "division by zero" in got[1] and "x=0.025" in got[1]
 
 
 def test_union_above_max_points_takes_the_per_check_path(monkeypatch):
