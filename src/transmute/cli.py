@@ -25,8 +25,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, conditions, goursat, kernels, quadrature
 from .errors import (
     AdmissibilityError,
@@ -34,7 +32,7 @@ from .errors import (
     TransmuteError,
     UsageError,
 )
-from .expr import evaluate, parse as parse_expr
+from .expr import parse as parse_expr
 from .kernels import COEFFICIENT_NAMES
 from .operators import DifferentialOperator
 
@@ -406,11 +404,8 @@ def cmd_apply(args):
         xs = conditions.sample_points(case, args.x_count)
         if not xs:
             raise UsageError("--x-count must be at least 1")
-    xs = np.array(xs, dtype=float)
-    lhs = quadrature.apply_transmutation(case, xs, args.quad_order)
-    f1 = evaluate(case.f1, {**case.params, "x": xs})
-    rel = np.abs(lhs - f1) / (1.0 + np.abs(f1))
-    rows = list(zip(xs.tolist(), lhs.tolist(), f1.tolist(), rel.tolist()))
+    lhs, f1, rel = quadrature.identity_rows(case, xs, args.quad_order)
+    rows = list(zip(xs, lhs.tolist(), f1.tolist(), rel.tolist()))
     worst = max(rel.tolist(), default=0.0)
     passed = worst <= args.tol_identity
     payload = {

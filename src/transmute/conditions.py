@@ -330,8 +330,8 @@ def check_boundary_t0(case, xs=None, eps_seq=None, config=None, *, jet=None, f0=
     f0 = evaluate(case.f0, {**case.params, "t": eps}) if f0 is None else f0
     a, b0 = (_at(e, "t", eps, case.params) for e in (case.opA.a, case.opA.b))
     jk = evaluate_jet(case.kernel, np.array(xs, dtype=float), eps, case.params) if jet is None else jet
-    bracket = a * jk.dt - b0 * jk.value - case.h0 * a * jk.value
-    values = np.abs(bracket * f0).max(axis=1).tolist()
+    with np.errstate(all="ignore"):  # a non-finite bracket is a failure
+        values = np.abs((a * jk.dt - b0 * jk.value - case.h0 * a * jk.value) * f0).max(axis=1).tolist()
     grid = f"{len(xs)} abscissae, eps in [{eps_seq[-1]:.3e}, {eps_seq[0]:.3e}]"
     return _limit_record("4c", grid, eps_seq, values, DECAY_DROP)
 
@@ -358,7 +358,9 @@ def check_vertex(case, pairs=None, config=None, *, jet=None, f0=None):
     f0 = evaluate(case.f0, {**params, "t": e}) if f0 is None else f0
     values = np.abs(k * f0).tolist()
     eps_vals = [eps for eps, _ in pairs]
-    grid = f"{len(pairs)} pairs, delta = eps^2, eps down to {eps_vals[-1]:.3e}"
+    squares = all(delta == eps * eps for eps, delta in pairs)
+    grid = (f"{len(pairs)} pairs, delta = eps^2, eps down to {eps_vals[-1]:.3e}" if squares else
+            f"{len(pairs)} pairs (eps, delta) as given, down to ({eps_vals[-1]:.3e}, {pairs[-1][1]:.3e})")
     rec = _limit_record("4d", grid, eps_vals, values, DECAY_DROP)
     tail = values[-3:]
     settled = len(tail) == 3 and all(

@@ -109,6 +109,8 @@ class GoursatProblem:
         object.__setattr__(self, "rho", near + 0.0 if near == nearer else 0.0)  # +0.0, not -0.0
         if not (self.X > 0.0 and self.h > 0.0):
             raise UsageError("need X > 0 and h > 0")
+        if not self.h / 2.0 > 0.0:  # the lattice's half step
+            raise UsageError(f"h = {self.h!r} is too small: h/2 underflows to 0")
         n = self.X / self.h
         if not n <= MAX_STEPS + 0.5:
             raise UsageError(
@@ -224,17 +226,15 @@ class TriangleGrid:
     def value(self, i, j):
         return float(self.values[_offset(i + j) + j])
 
-    def points(self):
-        """Yield (i, j, x, t, K) row-major by i then j."""
+    def export_csv(self, stream):
+        """Write x,t,K row-major by i, then by j = 0..min(i, 2N - i), with %.17g;
+        one run of j per i is formatted at a time."""
+        stream.write("x,t,K\n")
         top = self.top
         for i in range(top + 1):
-            for j in range(min(i, top - i) + 1):
-                yield i, j, (i + j) * self.h / 2.0, (i - j) * self.h / 2.0, self.value(i, j)
-
-    def export_csv(self, stream):
-        stream.write("x,t,K\n")
-        for _, _, x, t, k in self.points():
-            stream.write(f"{x:.17g},{t:.17g},{k:.17g}\n")
+            j = np.arange(min(i, top - i) + 1)
+            rows = np.stack(((i + j) * self.h / 2.0, (i - j) * self.h / 2.0, self.values[_offset(i + j) + j]))
+            stream.write("%.17g,%.17g,%.17g\n" * j.size % tuple(rows.T.ravel().tolist()))
 
     def jet(self, x, t):
         """Second-order jet at an off-lattice point via a 4x4 tensor-cubic

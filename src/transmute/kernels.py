@@ -142,135 +142,23 @@ def _nondiv_x(a, b, c):
     return DifferentialOperator("x", parse(a), parse(b), parse(c))
 
 
-def _poisson_bessel(params):
-    p = _merge({"nu": 1.0}, params, "poisson_bessel")
-    nu = p["nu"]
-    _require(nu > -0.5, "Re nu > -1/2", nu=nu)
-    return TransmutationCase(
-        name="poisson_bessel",
-        params=p,
-        f0_smooth=parse("cos(t)"),
-        f1=parse("sqrt(x)*besselj(nu, x)"),
-        opA=_div_t("1", "0", "1"),
-        opB=_nondiv_x("1", "0", "1-(nu^2-0.25)/x^2"),
-        eigen_shift=EigenShift(
-            opA=_div_t("-1", "0", "0"),
-            opB=_nondiv_x("-1", "0", "(nu^2-0.25)/x^2"),
-            lam_a=1.0,
-            lam_b=1.0,
-        ),
-        p_diag=nu - 0.5,
-        kernel_smooth=parse(
-            "(2^(1-nu)/(gamma(0.5)*gamma(nu+0.5))) * (x+t)^(nu-0.5)/x^(nu-0.5)"
-        ),
-        refs=("5.1.3", "5.1.4", "5.1.5"),
-        notes=(
-            "The normalising factor 2^(1-nu)/(gamma(0.5)*gamma(nu+0.5))"
-            " carries gamma(0.5) = sqrt(pi), which some renderings of tag"
-            " 5.1.3 drop; without it T[cos] misses f1 by sqrt(pi)."
-            " At nu = 1/2 the kernel collapses to the constant sqrt(2/pi)"
-            " and T becomes the plain Fourier cosine-to-sine map."
-        ),
-    )
+# name -> (builder, parameter defaults), in catalog order. A builder takes the
+# merged parameters and returns every field of its case but the name and params.
+_CASES = {}
 
 
-def _sonin(params):
-    p = _merge({"mu": 0.5, "nu": 0.5}, params, "sonin")
-    mu, nu = p["mu"], p["nu"]
-    _require(mu > -1.0, "Re mu > -1", mu=mu)
-    _require(nu > -1.0, "Re nu > -1", nu=nu)
-    return TransmutationCase(
-        name="sonin",
-        params=p,
-        f1=parse("x^(mu+1)*besselj(mu+nu+1, x)"),
-        opA=_div_t("1", "-(2*mu+1)/t", "1"),
-        opB=_nondiv_x("1", "-(2*mu+1)/x", "1-nu*(nu+2*mu+2)/x^2"),
-        eigen_shift=EigenShift(
-            opA=_div_t("-1", "(2*mu+1)/t", "0"),
-            opB=_nondiv_x("-1", "(2*mu+1)/x", "nu*(nu+2*mu+2)/x^2"),
-            lam_a=1.0,
-            lam_b=1.0,
-        ),
-        p_diag=nu,
-        f0_t_exponent=2.0 * mu + 1.0,
-        kernel_smooth=parse("(x+t)^nu/(x^nu*2^nu*gamma(nu+1))"),
-        f0_smooth=parse("bessel_clifford(mu, -t^2/4)/2^mu"),
-        refs=("5.1.7", "5.1.8"),
-        notes=(
-            "Two corrections against the printed tags: tag 5.1.8b shows b0"
-            " with a 1/x factor, stored here as -(2*mu+1)/t (the hyperbolic"
-            " identity closes only in t); and c1 is stored with /x^2 where"
-            " the tag prints nu*(nu+2*mu+2)/x."
-        ),
-    )
+def _case(defaults):
+    """Enter the decorated ``_name`` builder in the catalog as ``name``."""
+
+    def enter(builder):
+        _CASES[builder.__name__[1:]] = (builder, defaults)
+        return builder
+
+    return enter
 
 
-def _sine_to_bessel(params):
-    p = _merge({"beta": 1.5, "omega": 1.0}, params, "sine_to_bessel")
-    beta, omega = p["beta"], p["omega"]
-    _require(beta > 0.0, "Re beta > 0", beta=beta)
-    _require(omega > 0.0, "omega > 0", omega=omega)
-    return TransmutationCase(
-        name="sine_to_bessel",
-        params=p,
-        f1=parse(
-            "0.5*sqrt(pi)*gamma(beta)*(2/omega)^(beta-0.5)"
-            "*x^(beta+0.5)*besselj(beta+0.5, omega*x)"
-        ),
-        opA=_div_t("1", "0", "omega^2"),
-        opB=_nondiv_x("1", "-2*beta/x", "omega^2"),
-        eigen_shift=EigenShift(
-            opA=_div_t("1", "0", "0"),
-            opB=_nondiv_x("1", "-2*beta/x", "0"),
-            lam_a=-(omega ** 2),
-            lam_b=-(omega ** 2),
-        ),
-        p_diag=beta - 1.0,
-        kernel_t_exponent=1.0,
-        f0_t_exponent=1.0,
-        kernel_smooth=parse("(x+t)^(beta-1)"),
-        f0_smooth=parse("omega*0.5*sqrt(pi)*bessel_clifford(0.5, -omega^2*t^2/4)"),
-        refs=("5.1.9", "5.1.10", "5.1.11"),
-        notes=(
-            "The omega-dependence of f1 follows from rescaling the"
-            " integration variable: the output picks up (2/omega)^(beta-1/2)"
-            " relative to the omega = 1 statement in tag 5.1.10."
-        ),
-    )
-
-
-def _sinh_cosh(params):
-    p = _merge({"mu": 1.0, "beta": 0.5}, params, "sinh_cosh")
-    mu, beta = p["mu"], p["beta"]
-    _require(mu > 0.0, "mu > 0", mu=mu)
-    _require(beta >= 0.0, "beta >= 0", beta=beta)
-    return TransmutationCase(
-        name="sinh_cosh",
-        params=p,
-        f0_smooth=parse("cosh(beta*t)"),
-        f1=parse("0.5*pi*mu*x*besseli(1, sqrt(beta^2+mu^2)*x)/sqrt(beta^2+mu^2)"),
-        opA=_div_t("1", "0", "-beta^2"),
-        opB=_nondiv_x("1", "-1/x", "-(beta^2+mu^2)"),
-        eigen_shift=EigenShift(
-            opA=_div_t("1", "0", "0"),
-            opB=_nondiv_x("1", "-1/x", "-mu^2"),
-            lam_a=beta ** 2,
-            lam_b=beta ** 2,
-        ),
-        p_diag=0.5,
-        kernel_smooth=parse(
-            "mu*0.5*sqrt(pi)*sqrt(x+t)*bessel_clifford(0.5, mu^2*(x^2-t^2)/4)"
-        ),
-        refs=("5.2.3",),
-        notes=(
-            "K(x,x) = 0, so the diagonal transport condition is met"
-            " regardless of b1 - b0 = -1/x."
-        ),
-    )
-
-
-def _gegenbauer(params):
-    p = _merge({"beta": 2.0, "lambda": 3.0, "p": 3.0}, params, "gegenbauer")
+@_case({"beta": 2.0, "lambda": 3.0, "p": 3.0})
+def _gegenbauer(p):
     beta, lam_p, degree = p["beta"], p["lambda"], p["p"]
     _require(beta > 0.0, "Re beta > 0", beta=beta)
     _require(
@@ -286,9 +174,7 @@ def _gegenbauer(params):
         "lambda - beta not a pole of gamma",
         **{"lambda-beta": diff},
     )
-    return TransmutationCase(
-        name="gegenbauer",
-        params=p,
+    return dict(
         f1=parse(
             "0.5*gamma(lambda-beta)*gamma(beta)/gamma(lambda)"
             "*x^(2*lambda-2+p)*gegenbauer(p, lambda-beta, x)"
@@ -327,16 +213,133 @@ def _gegenbauer(params):
     )
 
 
-def _lowndes(params):
-    p = _merge({"mu": 1.0, "nu": 1.0, "beta": 1.0, "omega": 1.0}, params, "lowndes")
+@_case({"nu": 1.0})
+def _poisson_bessel(p):
+    nu = p["nu"]
+    _require(nu > -0.5, "Re nu > -1/2", nu=nu)
+    return dict(
+        f0_smooth=parse("cos(t)"),
+        f1=parse("sqrt(x)*besselj(nu, x)"),
+        opA=_div_t("1", "0", "1"),
+        opB=_nondiv_x("1", "0", "1-(nu^2-0.25)/x^2"),
+        eigen_shift=EigenShift(
+            opA=_div_t("-1", "0", "0"),
+            opB=_nondiv_x("-1", "0", "(nu^2-0.25)/x^2"),
+            lam_a=1.0,
+            lam_b=1.0,
+        ),
+        p_diag=nu - 0.5,
+        kernel_smooth=parse(
+            "(2^(1-nu)/(gamma(0.5)*gamma(nu+0.5))) * (x+t)^(nu-0.5)/x^(nu-0.5)"
+        ),
+        refs=("5.1.3", "5.1.4", "5.1.5"),
+        notes=(
+            "The normalising factor 2^(1-nu)/(gamma(0.5)*gamma(nu+0.5))"
+            " carries gamma(0.5) = sqrt(pi), which some renderings of tag"
+            " 5.1.3 drop; without it T[cos] misses f1 by sqrt(pi)."
+            " At nu = 1/2 the kernel collapses to the constant sqrt(2/pi)"
+            " and T becomes the plain Fourier cosine-to-sine map."
+        ),
+    )
+
+
+@_case({"mu": 0.5, "nu": 0.5})
+def _sonin(p):
+    mu, nu = p["mu"], p["nu"]
+    _require(mu > -1.0, "Re mu > -1", mu=mu)
+    _require(nu > -1.0, "Re nu > -1", nu=nu)
+    return dict(
+        f1=parse("x^(mu+1)*besselj(mu+nu+1, x)"),
+        opA=_div_t("1", "-(2*mu+1)/t", "1"),
+        opB=_nondiv_x("1", "-(2*mu+1)/x", "1-nu*(nu+2*mu+2)/x^2"),
+        eigen_shift=EigenShift(
+            opA=_div_t("-1", "(2*mu+1)/t", "0"),
+            opB=_nondiv_x("-1", "(2*mu+1)/x", "nu*(nu+2*mu+2)/x^2"),
+            lam_a=1.0,
+            lam_b=1.0,
+        ),
+        p_diag=nu,
+        f0_t_exponent=2.0 * mu + 1.0,
+        kernel_smooth=parse("(x+t)^nu/(x^nu*2^nu*gamma(nu+1))"),
+        f0_smooth=parse("bessel_clifford(mu, -t^2/4)/2^mu"),
+        refs=("5.1.7", "5.1.8"),
+        notes=(
+            "Two corrections against the printed tags: tag 5.1.8b shows b0"
+            " with a 1/x factor, stored here as -(2*mu+1)/t (the hyperbolic"
+            " identity closes only in t); and c1 is stored with /x^2 where"
+            " the tag prints nu*(nu+2*mu+2)/x."
+        ),
+    )
+
+
+@_case({"beta": 1.5, "omega": 1.0})
+def _sine_to_bessel(p):
+    beta, omega = p["beta"], p["omega"]
+    _require(beta > 0.0, "Re beta > 0", beta=beta)
+    _require(omega > 0.0, "omega > 0", omega=omega)
+    return dict(
+        f1=parse(
+            "0.5*sqrt(pi)*gamma(beta)*(2/omega)^(beta-0.5)"
+            "*x^(beta+0.5)*besselj(beta+0.5, omega*x)"
+        ),
+        opA=_div_t("1", "0", "omega^2"),
+        opB=_nondiv_x("1", "-2*beta/x", "omega^2"),
+        eigen_shift=EigenShift(
+            opA=_div_t("1", "0", "0"),
+            opB=_nondiv_x("1", "-2*beta/x", "0"),
+            lam_a=-(omega ** 2),
+            lam_b=-(omega ** 2),
+        ),
+        p_diag=beta - 1.0,
+        kernel_t_exponent=1.0,
+        f0_t_exponent=1.0,
+        kernel_smooth=parse("(x+t)^(beta-1)"),
+        f0_smooth=parse("omega*0.5*sqrt(pi)*bessel_clifford(0.5, -omega^2*t^2/4)"),
+        refs=("5.1.9", "5.1.10", "5.1.11"),
+        notes=(
+            "The omega-dependence of f1 follows from rescaling the"
+            " integration variable: the output picks up (2/omega)^(beta-1/2)"
+            " relative to the omega = 1 statement in tag 5.1.10."
+        ),
+    )
+
+
+@_case({"mu": 1.0, "beta": 0.5})
+def _sinh_cosh(p):
+    mu, beta = p["mu"], p["beta"]
+    _require(mu > 0.0, "mu > 0", mu=mu)
+    _require(beta >= 0.0, "beta >= 0", beta=beta)
+    return dict(
+        f0_smooth=parse("cosh(beta*t)"),
+        f1=parse("0.5*pi*mu*x*besseli(1, sqrt(beta^2+mu^2)*x)/sqrt(beta^2+mu^2)"),
+        opA=_div_t("1", "0", "-beta^2"),
+        opB=_nondiv_x("1", "-1/x", "-(beta^2+mu^2)"),
+        eigen_shift=EigenShift(
+            opA=_div_t("1", "0", "0"),
+            opB=_nondiv_x("1", "-1/x", "-mu^2"),
+            lam_a=beta ** 2,
+            lam_b=beta ** 2,
+        ),
+        p_diag=0.5,
+        kernel_smooth=parse(
+            "mu*0.5*sqrt(pi)*sqrt(x+t)*bessel_clifford(0.5, mu^2*(x^2-t^2)/4)"
+        ),
+        refs=("5.2.3",),
+        notes=(
+            "K(x,x) = 0, so the diagonal transport condition is met"
+            " regardless of b1 - b0 = -1/x."
+        ),
+    )
+
+
+@_case({"mu": 1.0, "nu": 1.0, "beta": 1.0, "omega": 1.0})
+def _lowndes(p):
     mu, nu, beta, omega = p["mu"], p["nu"], p["beta"], p["omega"]
     _require(mu >= 0.0, "mu >= 0", mu=mu)
     _require(nu > 0.0, "nu > 0", nu=nu)
     _require(beta > 0.0, "beta > 0", beta=beta)
     _require(omega > 0.0, "omega > 0", omega=omega)
-    return TransmutationCase(
-        name="lowndes",
-        params=p,
+    return dict(
         f1=parse(
             "beta^mu*omega^nu*x^(mu+nu+1)"
             "*besselj(mu+nu+1, sqrt(beta^2+omega^2)*x)"
@@ -365,15 +368,13 @@ def _lowndes(params):
     )
 
 
-def _epd_bessel(params):
-    p = _merge({"nu": 1.0, "mu": 1.0, "omega": 1.0}, params, "epd_bessel")
+@_case({"nu": 1.0, "mu": 1.0, "omega": 1.0})
+def _epd_bessel(p):
     nu, mu, omega = p["nu"], p["mu"], p["omega"]
     _require(nu > -0.5, "Re nu > -1/2", nu=nu)
     _require(mu > 0.0, "mu > 0", mu=mu)
     _require(omega >= 0.0, "omega >= 0", omega=omega)
-    return TransmutationCase(
-        name="epd_bessel",
-        params=p,
+    return dict(
         f0_smooth=parse("cos(omega*t)"),
         f1=parse(
             "sqrt(0.5*pi)*mu^nu*x^(nu+0.5)"
@@ -402,14 +403,12 @@ def _epd_bessel(params):
     )
 
 
-def _vekua_telegraph(params):
-    p = _merge({"mu": 1.0, "omega": 1.0}, params, "vekua_telegraph")
+@_case({"mu": 1.0, "omega": 1.0})
+def _vekua_telegraph(p):
     mu, omega = p["mu"], p["omega"]
     _require(mu > 0.0, "mu > 0", mu=mu)
     _require(omega >= 0.0, "omega >= 0", omega=omega)
-    return TransmutationCase(
-        name="vekua_telegraph",
-        params=p,
+    return dict(
         f0_smooth=parse("cos(omega*t)"),
         f1=parse("sin(sqrt(omega^2+mu^2)*x)/sqrt(omega^2+mu^2)"),
         opA=_div_t("1", "0", "omega^2"),
@@ -430,14 +429,12 @@ def _vekua_telegraph(params):
     )
 
 
-def _cosh_1f2(params):
-    p = _merge({"alpha": 1.0, "beta": 2.0, "mu": 1.0}, params, "cosh_1f2")
+@_case({"alpha": 1.0, "beta": 2.0, "mu": 1.0})
+def _cosh_1f2(p):
     alpha, beta = p["alpha"], p["beta"]
     _require(alpha == 1.0, "alpha = 1", alpha=alpha)
     _require(beta > 0.0, "Re beta > 0", beta=beta)
-    return TransmutationCase(
-        name="cosh_1f2",
-        params=p,
+    return dict(
         f0_smooth=parse("cosh(mu*t)"),
         f1=parse(
             "0.5*x^(2*beta-1)*gamma(0.5)*gamma(beta)/gamma(beta+0.5)"
@@ -467,34 +464,20 @@ def _cosh_1f2(params):
     )
 
 
-_BUILDERS = {
-    "gegenbauer": _gegenbauer,
-    "poisson_bessel": _poisson_bessel,
-    "sonin": _sonin,
-    "sine_to_bessel": _sine_to_bessel,
-    "sinh_cosh": _sinh_cosh,
-    "lowndes": _lowndes,
-    "epd_bessel": _epd_bessel,
-    "vekua_telegraph": _vekua_telegraph,
-    "cosh_1f2": _cosh_1f2,
-}
-
-
 def list_cases():
     """Names of the built-in cases, in stable catalog order."""
-    return list(_BUILDERS)
+    return list(_CASES)
 
 
 def get_case(name, params=None):
     """Build a catalog case, merging ``params`` over its defaults."""
     try:
-        builder = _BUILDERS[name]
+        builder, defaults = _CASES[name]
     except KeyError:
-        raise UsageError(
-            f"unknown case {name!r} (known: {', '.join(_BUILDERS)})"
-        ) from None
+        raise UsageError(f"unknown case {name!r} (known: {', '.join(_CASES)})") from None
+    merged = _merge(defaults, params, name)
     try:
-        return builder(params)
+        return TransmutationCase(name=name, params=merged, **builder(merged))
     except OverflowError:  # such as a parameter squared for a shifted eigenvalue
         _require(False, "parameter powers within the float range", **params)
 

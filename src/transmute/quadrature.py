@@ -28,6 +28,7 @@ __all__ = [
     "jacobi_rule",
     "transform",
     "apply_transmutation",
+    "identity_rows",
     "identity_error",
 ]
 
@@ -137,13 +138,15 @@ def apply_transmutation(case, x, n=RULE_ORDER):
     return transform(case, case.f0_smooth, case.f0_t_exponent, x, n)
 
 
-def identity_error(case, xs=None, n=RULE_ORDER):
-    """max over xs of |T f0(x) - f1(x)| / (1 + |f1(x)|)."""
-    if xs is None:
-        xs = sample_points(case)
-    xs = np.array(list(xs), dtype=float)
-    if not xs.size:
+def identity_rows(case, xs, n=RULE_ORDER):
+    """T f0, f1 and |T f0 - f1| / (1 + |f1|) at the abscissae ``xs``, as arrays."""
+    if not (xs := list(xs)):
         raise UsageError("identity check needs at least one abscissa")
-    lhs = apply_transmutation(case, xs, n)
-    f1 = evaluate(case.f1, {**case.params, "x": xs})
-    return float(np.max(np.abs(lhs - f1) / (1.0 + np.abs(f1))))
+    lhs = apply_transmutation(case, xs, n)  # first, so that n is checked before any array work
+    f1 = evaluate(case.f1, {**case.params, "x": np.array(xs, dtype=float)})
+    return lhs, f1, np.abs(lhs - f1) / (1.0 + np.abs(f1))
+
+
+def identity_error(case, xs=None, n=RULE_ORDER):
+    """max over xs (by default the case's sample points) of ``identity_rows``' error."""
+    return float(np.max(identity_rows(case, sample_points(case) if xs is None else xs, n)[2]))

@@ -132,6 +132,7 @@ _SPLIT = 4.0
 _SHORT, _LONG = 18, 36
 _START = 54  # Miller's start above floor(nu), enough for w >= -100
 _NU_MAX = 100.0  # keeps gamma(nu+2) and the scaled Miller sweep far from overflow
+_NORMAL = 2.0**-1022  # the least positive normal float
 
 
 def _first(bad, z) -> float:
@@ -217,34 +218,35 @@ def _bessel(nu: float, z, sign: float, name: str, jets: bool = False):
     ``jets`` (f, f', f'') from f_k = (z/2)^(nu+k) C_nu+k, k = 1, 2:
     f' = nu/z f + sign f_1, f'' = nu (nu-1)/z^2 f + sign (2 nu+1)/z f_1 + f_2.
     A jet that is not finite, as at a tiny z where nu/z overflows, raises."""
-    if type(z) is not np.ndarray:  # float arithmetic overflows without a warning
-        return _bessel_at(nu, z, sign, name, jets)
-    with np.errstate(all="ignore"):  # jets near z = 0 overflow: raised as RangeError
-        return _bessel_at(nu, z, sign, name, jets)
-
-
-def _bessel_at(nu: float, z, sign: float, name: str, jets: bool):
     if jets and (bad := 0.5 * np.asarray(z) <= 0.0).any():
         zk = _first(bad, z)
         raise (RangeError if zk > 0 else DomainError)(
             f"{name} jets need z > 0, got z={zk}" + " whose half underflows" * (zk > 0))
     _check_box(name, (0.0 <= z) & (z <= 20.0), nu, "z", z, "0 <= z <= 20")
     if nu == -1.0:  # J_-1 = -J_1 and I_-1 = I_1 stay finite at z = 0
-        out = _bessel_at(1.0, z, sign, name, jets)
+        out = _bessel(1.0, z, sign, name, jets)
         return tuple(sign * v for v in out) if jets else sign * out
     h = 0.5 * z
     c0, c1, c2 = _clifford(nu, sign * h * h)
-    try:  # Python's pow per entry: numpy's power need not round alike
-        p = h**nu if type(h) is not np.ndarray else np.reshape([v**nu for v in h.ravel().tolist()], h.shape)
-    except ArithmeticError:  # a zero or underflowed z/2 under a negative order
-        zk = z if type(h) is not np.ndarray else _first(~np.isfinite(np.power(h, nu)), z)
+    array = type(h) is np.ndarray
+    # numpy's power for a float too, so that it rounds as an array entry does; with
+    # z/2 <= 10 and -1 < nu <= 100 it overflows only at a zero or subnormal z/2
+    if nu < 0.0 and (array or h < _NORMAL):  # raised below
+        with np.errstate(all="ignore"):
+            p = np.power(h, nu)
+    else:
+        p = np.power(h, nu)
+    p = p if array else float(p)
+    if nu < 0.0 and not (np.isfinite(p).all() if array else p - p == 0.0):
+        zk = _first(~np.isfinite(p), z) if array else z
         raise (RangeError if zk else DomainError)(
-            f"{name}: z={zk:g} with negative order {nu}: (z/2)^nu is not finite") from None
+            f"{name}: z={zk:g} with negative order {nu}: (z/2)^nu is not finite")
     f = p * c0
     if not jets:
         return f
-    f1, f2 = p * h * c1, p * h * h * c2
-    jet = f, nu / z * f + sign * f1, nu * (nu - 1.0) / z * f / z + sign * (2.0 * nu + 1.0) / z * f1 + f2
+    with np.errstate(all="ignore"):  # jets near z = 0 overflow: raised as RangeError
+        f1, f2 = p * h * c1, p * h * h * c2
+        jet = f, nu / z * f + sign * f1, nu * (nu - 1.0) / z * f / z + sign * (2.0 * nu + 1.0) / z * f1 + f2
     if not (ok := np.isfinite(jet).all(axis=0)).all():
         raise RangeError(f"{name} jets: no finite value at nu={nu}, z={_first(~ok, z)!r}")
     return jet

@@ -14,9 +14,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from transmute import cli, conditions, kernels, quadrature
+from transmute import cli, conditions, goursat, kernels, quadrature
 from transmute.cli import main
 from transmute.expr import evaluate
 
@@ -779,6 +779,54 @@ def test_any_case_section_ends_in_an_exit_code_and_verifies_the_applied_kernel(l
             smooth = evaluate(case.kernel_smooth, {"x": x, "t": t})
             weighted = (x - t) ** case.p_diag * t ** case.kernel_t_exponent * smooth
             assert evaluate(case.kernel, {"x": x, "t": t}) == pytest.approx(weighted, rel=1e-13, abs=0.0)
+
+
+def _flag_value(strategy, *extreme):
+    """Text of a flag value: a drawn one, or one of the ``extreme`` texts."""
+    return st.sampled_from(extreme) | strategy
+
+
+_BAD_NUMBERS = ("0", "-0.0", "-1", "1e-320", "nan", "inf", "-inf", "1e308", "abc", "")
+# lattices of at most 128 steps or beyond MAX_STEPS, grids of at most 40 x 40 or
+# beyond MAX_POINTS, so that the fuzz runs in about a second
+_FLAG_DRAWS = st.one_of(
+    st.tuples(st.just(("verify", "--grid")), _flag_value(
+        st.builds("{}x{}".format, st.integers(-1, 40), st.integers(-1, 40)),
+        "300x300", "65537x1", "1x65537", "100000x100000", "20", "20x", "x20", "ax3", "4X4", " 4x4", "2.5x3", "")),
+    st.tuples(st.just(("verify", "--corrupt")), _flag_value(
+        st.builds("{}:{!r}".format, st.sampled_from((*kernels.COEFFICIENT_NAMES, "d0", "")), st.floats(-10.0, 10.0)),
+        *(f"{c}:{v}" for c in kernels.COEFFICIENT_NAMES for v in _BAD_NUMBERS), "c1", "c1:+0.1:2", ":1")),
+    st.tuples(st.just(("apply", "--x")), _flag_value(
+        st.floats(0.0, 3.5).map(repr), *_BAD_NUMBERS, "3", "3.0000000000000004", "5e-324")),
+    st.tuples(st.sampled_from([("solve", "--solver-X"), ("solve", "--solver-h")]), _flag_value(
+        st.sampled_from([2.0, 1.0, 0.5, 1.0 / 8.0, 1.0 / 16.0, 1.0 / 64.0, 0.3, 1e-7, 1e300]).map(repr),
+        *_BAD_NUMBERS)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command_flag_value=_FLAG_DRAWS, name=st.sampled_from(kernels.list_cases()))
+def test_any_flag_value_ends_in_an_exit_code(command_flag_value, name):
+    (command, flag), value = command_flag_value
+    flags = {flag: value}
+    if command == "solve":  # the other one at X = 2 or h = 1/16
+        flags = {"--solver-X": "2.0", "--solver-h": "0.0625", **flags}
+        try:
+            steps = float(flags["--solver-X"]) / float(flags["--solver-h"])
+        except (ValueError, ZeroDivisionError):
+            steps = 0.0
+        assume(not 128.5 < steps <= goursat.MAX_STEPS + 0.5)
+    argv = [command, "--case", name, *(f"{k}={v}" for k, v in flags.items()), "--format", "json", "--no-timestamp"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning may reach the user
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        json.loads(out.getvalue(), parse_constant=_no_constant)
+    else:
+        assert not out.getvalue() and err.getvalue() and "Traceback" not in err.getvalue()
 
 
 def test_missing_file_exits_2(capsys):

@@ -164,6 +164,15 @@ def test_vertex_decay_and_informational_branch():
     assert info.limit == pytest.approx(1.0, abs=1e-6)
 
 
+def test_vertex_label_says_delta_is_eps_squared_only_when_it_is():
+    case = get_case("sonin")
+    assert check_vertex(case).grid == "13 pairs, delta = eps^2, eps down to 2.441e-05"
+    assert check_vertex(case, [(0.1, 0.1 * 0.1), (0.02, 0.02 * 0.02)]).grid == (
+        "2 pairs, delta = eps^2, eps down to 2.000e-02")
+    given_pairs = check_vertex(case, [(0.1, 0.05), (0.05, 0.01), (0.02, 0.001)]).grid
+    assert given_pairs == "3 pairs (eps, delta) as given, down to (2.000e-02, 1.000e-03)"
+
+
 def _limit_records(name, params=None, **fields):
     case = dataclasses.replace(get_case(name, params), **fields)
     rec_4b2 = check_diagonal(case)[1]

@@ -348,10 +348,9 @@ def test_even_extension_equals_neumann_ghost():
     # even-extension march must agree to the bit
     ghost = solve(_telegraph(1.0 / 32.0))
     even = solve_even(_telegraph(1.0 / 32.0))
-    worst = 0.0
-    for (i, j, x, t, k_g) in ghost.points():
-        worst = max(worst, abs(k_g - even.value(i, j)))
-    assert worst == 0.0
+    top = ghost.top
+    assert np.array_equal(ghost.values, even.values)
+    assert all(ghost.value(i, j) == even.value(i, j) for i in range(top + 1) for j in range(min(i, top - i) + 1))
 
 
 def test_even_boundary_requires_vanishing_b0():
@@ -561,17 +560,62 @@ def test_float_weights_equal_array_weights():
 def test_grid_geometry_and_csv():
     grid = solve(_gp(sigma=1.0, b0="0", b1="0", c0="0", c1="0",
                      X=1.0, h=0.25))
-    pts = list(grid.points())
-    assert len(pts) == sum(min(i, 8 - i) + 1 for i in range(9))
-    for i, j, x, t, k in pts:
-        assert x == pytest.approx((i + j) * 0.125)
-        assert t == pytest.approx((i - j) * 0.125)
-        assert 0.0 <= t <= x + 1e-12
+    ij = [(i, j) for i in range(9) for j in range(min(i, 8 - i) + 1)]
+    assert grid.values.size == len(ij)
     buf = io.StringIO()
     grid.export_csv(buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "x,t,K"
-    assert len(lines) == len(pts) + 1
+    assert len(lines) == len(ij) + 1
+    for (i, j), line in zip(ij, lines[1:]):
+        x, t, k = map(float, line.split(","))
+        assert (x, t, k) == ((i + j) * 0.125, (i - j) * 0.125, grid.value(i, j))
+        assert 0.0 <= t <= x
+
+
+def export_csv_per_point(grid, stream):
+    """The lattice CSV one point at a time through ``value``: an oracle for
+    ``TriangleGrid.export_csv``, which formats one run of j per i."""
+    stream.write("x,t,K\n")
+    top = grid.top
+    for i in range(top + 1):
+        for j in range(min(i, top - i) + 1):
+            x, t = (i + j) * grid.h / 2.0, (i - j) * grid.h / 2.0
+            stream.write(f"{x:.17g},{t:.17g},{grid.value(i, j):.17g}\n")
+
+
+@pytest.mark.parametrize("steps", [15, 32])
+@pytest.mark.parametrize("lattice, boundary", [
+    (lambda X, h: _telegraph(h, X=X), "neumann"),  # the ghost cell
+    (lambda X, h: dataclasses.replace(_robin(h), X=X), "robin"),
+    # b0 = -3/t is singular at the wall
+    (lambda X, h: problem_from_case(get_case("lowndes", {"mu": 0.0}), X=X, h=h), "neumann"),
+], ids=["ghost", "robin", "singular_b0"])
+def test_export_csv_is_the_per_point_writer(lattice, boundary, steps):
+    h = 1.0 / 16.0
+    grid = solve(lattice(steps * h, h))
+    assert grid.boundary == boundary and grid.top == 2 * steps
+    got, want = io.StringIO(), io.StringIO()
+    grid.export_csv(got)
+    export_csv_per_point(grid, want)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_compare_of_the_telegraph_reads_bessel_j_and_the_case_kernel_alike():
+    # J0(mu sqrt(x^2 - t^2)) and the catalog's C_0(-mu^2 (x^2 - t^2)/4) differ by rounding
+    case = get_case("vekua_telegraph")
+    grid = solve(problem_from_case(case, X=2.0, h=1.0 / 64.0))
+    by_j = compare(grid, "besselj(0, mu*sqrt(x^2-t^2))", case.params)
+    by_case = compare(grid, case.kernel, case.params)
+    assert by_j["count"] == by_case["count"] == grid.values.size
+    assert by_j["max"] == pytest.approx(by_case["max"], rel=0.0, abs=1e-14)
+    assert by_j["l2"] == pytest.approx(by_case["l2"], rel=0.0, abs=1e-14)
+    assert 0.0 < by_j["max"] <= 5e-6
+
+
+def test_a_step_whose_half_underflows_is_refused():
+    with pytest.raises(UsageError, match="h/2 underflows"):
+        _gp(X=5e-324, h=5e-324)
 
 
 def test_grid_jet_matches_closed_form():

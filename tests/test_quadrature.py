@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from transmute import quadrature
 from transmute.errors import ConvergenceError, UsageError
-from transmute.expr import Num, parse
+from transmute.expr import Num, evaluate, parse
 from transmute.kernels import get_case, list_cases
 from transmute.quadrature import (
     MAX_RULE_ORDER,
     apply_transmutation,
     identity_error,
+    identity_rows,
     jacobi_rule,
     transform,
 )
@@ -280,6 +281,19 @@ def test_transform_validation():
 @pytest.mark.parametrize("name", list_cases())
 def test_identity_reproduced_for_every_case(name):
     assert identity_error(get_case(name)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["sonin", "lowndes"])
+def test_identity_rows_are_the_transform_f1_and_their_relative_gap(name):
+    case = get_case(name)
+    xs = [0.3, 1.1, 2.5]
+    lhs, f1, rel = identity_rows(case, xs)
+    assert np.array_equal(lhs, apply_transmutation(case, np.array(xs)))
+    assert f1.tolist() == [evaluate(case.f1, {**case.params, "x": x}) for x in xs]
+    assert np.array_equal(rel, np.abs(lhs - f1) / (1.0 + np.abs(f1)))
+    assert identity_error(case, xs) == rel.max()
+    with pytest.raises(UsageError, match="at least one abscissa"):
+        identity_rows(case, [])
 
 
 @pytest.mark.parametrize("name", ["sonin", "lowndes", "gegenbauer"])

@@ -5,6 +5,8 @@ never imports them.
 """
 
 import math
+import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -285,6 +287,35 @@ def test_bessel_at_underflowing_z_raises_a_library_error(fn, nu, z):
         fn(nu, z)
     with pytest.raises(RangeError, match=r"z=(5e-324|4\.94066e-324|9\.9998)"):
         fn(nu, np.array([1.0, z, 0.5]))
+
+
+# z whose half is zero, subnormal, or the least normal floats, and beyond them
+_EDGE = [0.0, 5e-324, 1e-320, 1e-310, 2 * sys.float_info.min, 4.5e-308, 1e-300, 1e-100, 0.5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(nu=st.floats(-0.9999, -1e-4), z=st.lists(
+    st.sampled_from(_EDGE) | st.floats(0.0, 1e-305) | st.floats(0.0, 20.0), min_size=1, max_size=12))
+def test_negative_order_bessel_at_the_underflow_edge_is_the_float_value(nu, z):
+    # a float and each array entry share numpy's power, so the same bits, or the same
+    # error type at the first entry whose (z/2)^nu is not finite, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (specfun.bessel_j, specfun.bessel_i):
+            want = []
+            for v in z:
+                try:
+                    want.append(fn(nu, v))
+                except (DomainError, RangeError) as exc:
+                    want.append(type(exc))
+            assert all(type(w) is float or w is RangeError or (w is DomainError and v == 0.0)
+                       for w, v in zip(want, z))
+            failed = [w for w in want if type(w) is not float]
+            if failed:
+                with pytest.raises(failed[0]):
+                    fn(nu, np.array(z))
+            else:
+                assert np.array_equal(fn(nu, np.array(z)), want)
 
 
 @pytest.mark.parametrize("fn, nu", [(specfun.bessel_j_jets, 0.3), (specfun.bessel_i_jets, 2.0)])
