@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -302,21 +301,20 @@ def _resolve_case(args):
 
 def _report(args, payload, text, csv=None):
     """Write a command's output to --out, or else to stdout: ``payload`` as
-    JSON with the tool version and time stamp, or what ``text()`` or ``csv()``
-    renders."""
+    JSON with the tool version and time stamp, or what ``text(stream)`` or
+    ``csv(stream)`` writes."""
+    render = csv if args.format == "csv" else text
     if args.format == "json":
         payload["tool_version"] = __version__
         if not args.no_timestamp:
             payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        body = _json_dump(payload) + "\n"
-    else:
-        body = (csv if args.format == "csv" else text)()
+        render = lambda stream: stream.write(_json_dump(payload) + "\n")
     if not args.out:
-        sys.stdout.write(body)
+        render(sys.stdout)
         return
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+            render(fh)
     except OSError as exc:
         raise UsageError(f"cannot write {args.out}: {exc}") from None
 
@@ -324,7 +322,7 @@ def _report(args, payload, text, csv=None):
 def cmd_catalog(args):
     if args.action == "list":
         names = kernels.list_cases()
-        _report(args, {"cases": names}, lambda: "\n".join(names) + "\n")
+        _report(args, {"cases": names}, lambda out: out.write("\n".join(names) + "\n"))
         return 0
     case = kernels.get_case(args.name)
     payload = {
@@ -339,7 +337,7 @@ def cmd_catalog(args):
         "p_zero": case.p_zero,
         "notes": case.notes,
     }
-    _report(args, payload, lambda: kernels.describe(case) + "\n")
+    _report(args, payload, lambda out: out.write(kernels.describe(case) + "\n"))
     return 0
 
 
@@ -364,7 +362,7 @@ def cmd_verify(args):
         "overall_pass": report.overall_pass,
     }
 
-    def text():
+    def text(out):
         lines = [f"case {report.case}"]
         for rec in report.records:
             mark = "PASS" if rec.passed else "FAIL"
@@ -380,17 +378,17 @@ def cmd_verify(args):
                 f" (tol {rec.tolerance:.1e}){extra}"
             )
         lines.append(f"overall: {'PASS' if report.overall_pass else 'FAIL'}")
-        return "\n".join(lines) + "\n"
+        out.write("\n".join(lines) + "\n")
 
-    def csv():
-        out = ["id,max_residual,mean_residual,decay_slope,tolerance,pass,informational"]
+    def csv(out):
+        lines = ["id,max_residual,mean_residual,decay_slope,tolerance,pass,informational"]
         for rec in report.records:
             slope = "" if rec.decay_slope is None else "%.17g" % rec.decay_slope
-            out.append(
+            lines.append(
                 f"{rec.id},{rec.max_residual:.17g},{rec.mean_residual:.17g},"
                 f"{slope},{rec.tolerance:.17g},{rec.passed},{rec.informational}"
             )
-        return "\n".join(out) + "\n"
+        out.write("\n".join(lines) + "\n")
 
     _report(args, payload, text, csv)
     return 0 if report.overall_pass else 1
@@ -421,7 +419,7 @@ def cmd_apply(args):
         "overall_pass": passed,
     }
 
-    def text():
+    def text(out):
         lines = [f"case {case.name}", f"{'x':>10s} {'T f0(x)':>16s} {'f1(x)':>16s} {'rel error':>12s}"]
         for x, lhs, f1, rel in rows:
             lines.append(f"{x:10.4f} {lhs:16.7f} {f1:16.7f} {rel:12.3e}")
@@ -429,12 +427,12 @@ def cmd_apply(args):
             f"max rel error {worst:.3e} (tol {args.tol_identity:.1e}):"
             f" {'PASS' if passed else 'FAIL'}"
         )
-        return "\n".join(lines) + "\n"
+        out.write("\n".join(lines) + "\n")
 
-    def csv():
+    def csv(out):
         lines = ["x,transform,f1,rel_error"]
         lines += [f"{x:.17g},{l:.17g},{f:.17g},{r:.17g}" for x, l, f, r in rows]
-        return "\n".join(lines) + "\n"
+        out.write("\n".join(lines) + "\n")
 
     _report(args, payload, text, csv)
     return 0 if passed else 1
@@ -472,7 +470,7 @@ def cmd_solve(args):
         "overall_pass": passed,
     }
 
-    def text():
+    def text(out):
         lines = [
             f"problem {label}: X={problem.X:g} h={problem.h:g}"
             f" boundary={grid.boundary} sigma={problem.sigma:g} rho={problem.rho:g}"
@@ -485,14 +483,9 @@ def cmd_solve(args):
         lines.append(
             f"[{'PASS' if passed else 'FAIL'}] tolerance {args.tol_solver:.1e}"
         )
-        return "\n".join(lines) + "\n"
+        out.write("\n".join(lines) + "\n")
 
-    def csv():
-        buf = io.StringIO()
-        grid.export_csv(buf)
-        return buf.getvalue()
-
-    _report(args, payload, text, csv)
+    _report(args, payload, text, grid.export_csv)
     return 0 if passed else 1
 
 

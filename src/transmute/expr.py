@@ -20,8 +20,9 @@ expression can be shared between threads and across parameter sweeps.
 ``parse`` shares the trees of the last 1024 texts (a ParseError is raised
 anew each time), and a tree finds its free symbols once.
 
-Evaluation is one tree walk over values that are floats, second-order
-jets (:class:`Jet2`, of floats or of arrays) or numpy arrays.
+Each tree compiles once into closures, kept on its nodes and shared by
+floats, second-order jets (:class:`Jet2`, of floats or of arrays) and
+numpy arrays.
 ``evaluate`` binds plain numbers, or arrays to some names (x and t,
 say); ``evaluate_jet`` binds x and t to jet seeds, floats or arrays.
 Jets and arrays spread only from the names bound to them, so a subtree
@@ -40,7 +41,7 @@ Powers with a literal integer exponent are evaluated by repeated
 multiplication (valid for negative bases, exact for jets); any other
 exponent goes through exp(v*log(u)) and requires a positive base (a
 constant zero base stays zero under a positive power).  An exponent that
-varies over an array is valued by the float walk point by point, in a jet too.
+varies over an array is valued as a float point by point, in a jet too.
 Domain violations raise :class:`~transmute.errors.DomainError` naming
 the offending subexpression (and, for arrays, the first failing point)
 instead of letting NaN propagate; a non-finite bound value or result is
@@ -82,6 +83,13 @@ class Expr:
 
     def __str__(self) -> str:
         return to_string(self)
+
+    @cached_property  # compiled once per node: a tree is evaluated at many points
+    def _run(self) -> Callable:
+        return _compile(self)
+
+    def __getstate__(self):  # a closure does not pickle; it is compiled again on first use
+        return {k: v for k, v in vars(self).items() if k != "_run"}
 
     @cached_property  # found once per tree: cases and problems check every expression
     def _symbols(self) -> frozenset[str]:
@@ -441,13 +449,12 @@ def _as_int_exponent(v: float) -> int | None:
 
 def _int_pow(u, n: int):
     """Binary exponentiation of a positive power; floats, jets and arrays alike."""
-    acc = None
-    base = u
-    while n:
-        if n & 1:
-            acc = base if acc is None else acc * base
-        base = base * base
+    acc = u if n & 1 else None
+    while n > 1:
         n >>= 1
+        u = u * u
+        if n & 1:
+            acc = u if acc is None else acc * u
     return acc
 
 
@@ -476,8 +483,8 @@ def _require(node, env, bad, what):
 def _entrywise(env, f, args):
     """The scalar rule ``f`` over the broadcast entries of ``args``.
 
-    Entries go in as Python floats, so each value is the one the scalar
-    walk gives; an error gains the point where it happened.  A rule that
+    Entries go in as Python floats, so each value is the one a scalar
+    evaluation gives; an error gains the point where it happened.  A rule that
     returns a (f, f', f'') triple gives an array with a last axis of 3.
     """
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
@@ -510,11 +517,11 @@ def _in_call(node, exc):
 def _power(node, env, u, v):
     """u^v for floats, jets and arrays alike, by the rules in the module docstring."""
     if type(v) is _ndarray:
-        # an exponent that varies: the float walk of this node, point by point
+        # an exponent that varies: this node on floats, point by point
         names = [k for k, a in env.items() if type(a) is _ndarray]
         return _entrywise(
             env,
-            lambda *p: _walk(node, {**env, **dict(zip(names, p))}),
+            lambda *p: node._run({**env, **dict(zip(names, p))}),
             [env[k] for k in names],
         )
     u0 = u.value if type(u) is Jet2 else u
@@ -542,8 +549,8 @@ def _power(node, env, u, v):
         if type(u) is Jet2:
             log_u = u.chain(log_u, 1.0 / u0, -1.0 / (u0 * u0))
         w = v * log_u
-        if type(v0) is _ndarray:  # the value is evaluate's: this node walked on the values
-            f = _walk(node, {k: getattr(a, "value", a) for k, a in env.items()})
+        if type(v0) is _ndarray:  # the value is evaluate's: this node run on the values
+            f = node._run({k: getattr(a, "value", a) for k, a in env.items()})
         else:
             f = m.exp(w.value)
     else:
@@ -555,6 +562,11 @@ def _power(node, env, u, v):
     if type(u) is Jet2:
         return u.chain(f, v * f / u0, v * (v - 1.0) * f / (u0 * u0))
     return f
+
+
+def _divide(node, env, u, v):
+    _require(node, env, (v.value if type(v) is Jet2 else v) == 0.0, "division by zero")
+    return u / v
 
 
 def _array_call(node, env, spec, args, z):
@@ -586,53 +598,70 @@ def _array_call(node, env, spec, args, z):
     return z.chain(*out) if jet else out
 
 
-def _walk(node: Expr, env: Mapping[str, object]):
-    """The one tree walk behind ``evaluate`` and ``evaluate_jet``.
+def _compiled(node):
+    """The closure of ``node``, compiled on first use and kept on the node."""
+    if type(node) not in (Num, Name, Neg, BinOp, Call):
+        raise TypeError(f"not an expression node: {node!r}")
+    return node._run
 
-    ``env`` maps names to numbers, to Jet2 seeds (of floats or of arrays)
-    or to numpy arrays.  Jets and arrays spread only from the names bound
-    to them, so a subtree that reads neither stays a float and calls the
-    plain value of each function.
-    """
+
+def _compile(node: Expr) -> Callable:
+    """The closure ``run(env)`` of ``node``; ``env`` maps names to numbers,
+    to Jet2 seeds (of floats or of arrays) or to numpy arrays.  The node's
+    kind, operator, function, a literal positive integer exponent and
+    leading function arguments that are all numbers are read here, once."""
     kind = type(node)
     if kind is Num:
-        return node.value
+        value = node.value
+        return lambda env: value
     if kind is Name:
-        try:
-            v = env[node.ident]
-        except KeyError:
-            raise UnboundSymbolError(node.ident) from None
-        if type(v) is not float:
-            if type(v) is Jet2 or type(v) is _ndarray:
-                return v
-            v = float(v)
-        if v - v != 0.0:
-            raise DomainError(f"non-finite value {v} bound to {node.ident}")
-        return v
+        ident = node.ident
+
+        def name(env):
+            try:
+                v = env[ident]
+            except KeyError:
+                raise UnboundSymbolError(ident) from None
+            if type(v) is not float:
+                if type(v) is Jet2 or type(v) is _ndarray:
+                    return v
+                v = float(v)
+            if v - v != 0.0:
+                raise DomainError(f"non-finite value {v} bound to {ident}")
+            return v
+        return name
     if kind is Neg:
-        return -_walk(node.arg, env)
+        arg = _compiled(node.arg)
+        return lambda env: -arg(env)
     if kind is BinOp:
-        u = _walk(node.left, env)
-        v = _walk(node.right, env)
         op = node.op
+        left = _compiled(node.left)
+        if op == "^" and type(node.right) is Num and (n := _as_int_exponent(node.right.value) or 0) > 0:
+            return lambda env: _int_pow(left(env), n)
+        right = _compiled(node.right)
         if op == "+":
-            return u + v
+            return lambda env: left(env) + right(env)
         if op == "-":
-            return u - v
+            return lambda env: left(env) - right(env)
         if op == "*":
-            return u * v
-        try:
-            if op == "/":
-                _require(node, env, (v.value if type(v) is Jet2 else v) == 0.0,
-                         "division by zero")
-                return u / v
-            return _power(node, env, u, v)
-        except OverflowError:
-            raise DomainError(f"overflow in {to_string(node)}") from None
-    if kind is Call:
-        args = [_walk(a, env) for a in node.args]
-        z = args.pop()
-        spec = FUNCTIONS[node.name]
+            return lambda env: left(env) * right(env)
+        apply = _divide if op == "/" else _power
+
+        def binop(env):
+            u = left(env)
+            v = right(env)
+            try:
+                return apply(node, env, u, v)
+            except OverflowError:
+                raise DomainError(f"overflow in {to_string(node)}") from None
+        return binop
+    spec = FUNCTIONS[node.name]  # a Call
+    *first, last = map(_compiled, node.args)
+    consts = [a.value for a in node.args[:-1]] if all(type(a) is Num for a in node.args[:-1]) else None
+
+    def call(env):
+        args = [a(env) for a in first] if consts is None else consts
+        z = last(env)
         z0 = z.value if type(z) is Jet2 else z
         array = type(z0) is _ndarray
         for a in args:
@@ -650,7 +679,7 @@ def _walk(node: Expr, env: Mapping[str, object]):
             return spec.value(*args, z)
         except _CALL_ERRORS as exc:
             raise _in_call(node, exc) from None
-    raise TypeError(f"not an expression node: {node!r}")
+    return call
 
 
 def evaluate(node: Expr, bindings: Mapping[str, object]):
@@ -662,7 +691,7 @@ def evaluate(node: Expr, bindings: Mapping[str, object]):
     """
     if type(bindings.get("x")) is _ndarray or type(bindings.get("t")) is _ndarray:
         return _evaluate_array(node, bindings)
-    out = _walk(node, bindings)
+    out = _compiled(node)(bindings)
     if out - out != 0.0:
         raise DomainError(f"non-finite result {out} in {to_string(node)}")
     return out
@@ -684,7 +713,7 @@ def _evaluate_array(node, bindings, jet=False):
         env["t"] = Jet2(env["t"], dt=1.0)
     # every failure is raised by name below; keep numpy from warning first
     with np.errstate(all="ignore"):
-        out = _walk(node, env)
+        out = _compiled(node)(env)
     fresh = []
     # a constant's jet has zero derivatives
     for part in vars(out).values() if type(out) is Jet2 else (out,) + (0.0,) * (5 * jet):
@@ -709,10 +738,8 @@ def evaluate_jet(node: Expr, x, t, params: Mapping[str, float]) -> Jet2:
     if x - x != 0.0 or t - t != 0.0:
         name, v = ("x", x) if x - x != 0.0 else ("t", t)
         raise DomainError(f"non-finite value {v} bound to {name}")
-    env = dict(params)
-    env["x"] = Jet2(x, dx=1.0)
-    env["t"] = Jet2(t, dt=1.0)
-    out = _walk(node, env)
+    env = {**params, "x": Jet2(x, dx=1.0), "t": Jet2(t, dt=1.0)}
+    out = _compiled(node)(env)
     if type(out) is not Jet2:
         out = Jet2(out)
     if out.value - out.value != 0.0:

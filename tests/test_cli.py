@@ -479,6 +479,27 @@ def test_solve_grid_csv_export(tmp_path, capsys):
     assert len(lines) == 1 + sum(min(i, 32 - i) + 1 for i in range(33))
 
 
+def test_the_lattice_csv_streams_in_the_memory_of_the_json_report():
+    # the CSV is written a run of the lattice at a time, not built whole first:
+    # at h = 1/512 its 46 MB body once took the process to 167 MB, JSON to 40 MB
+    def peak_mb(fmt):
+        script = (
+            "import resource, sys\n"
+            "from transmute.cli import main\n"
+            "code = main(['solve', '--case', 'vekua_telegraph',"
+            f" '--solver-h', '0.001953125', '--format', {fmt!r}])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", script], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, env=env)
+        code, kb = done.stderr.split()[-2:]
+        assert code == "0", done.stderr
+        return int(kb) / 1024  # ru_maxrss is in kB on Linux
+
+    assert peak_mb("csv") <= peak_mb("json") + 20
+
+
 def test_solve_json_stats(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--case", "vekua_telegraph",
                        "--solver-h", "0.03125", "--format", "json",

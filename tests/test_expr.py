@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,13 +13,22 @@ from transmute.errors import (
     TransmuteError,
     UnboundSymbolError,
 )
+from transmute import expr as expr_module
+from transmute.conditions import verify_all
 from transmute.expr import (
+    _CALL_ERRORS,
+    FUNCTIONS,
     BinOp,
     Call,
+    Expr,
     Jet2,
     Neg,
     Name,
     Num,
+    _array_call,
+    _in_call,
+    _power,
+    _require,
     evaluate,
     evaluate_jet,
     free_symbols,
@@ -524,3 +534,212 @@ def test_array_jet_power_value_is_the_float_walk(text):
     want = [evaluate(expr, {"x": x}) for x in xs.tolist()]
     assert evaluate(expr, {"x": xs}).tolist() == want
     assert evaluate_jet(expr, xs, 0.0, {}).value.tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# the compiled closures against the tree walk they replaced
+# ---------------------------------------------------------------------------
+
+_ndarray = np.ndarray
+
+
+def _walk(node: Expr, env):
+    """The one tree walk behind ``evaluate`` and ``evaluate_jet``.
+
+    ``env`` maps names to numbers, to Jet2 seeds (of floats or of arrays)
+    or to numpy arrays.  Jets and arrays spread only from the names bound
+    to them, so a subtree that reads neither stays a float and calls the
+    plain value of each function.
+    """
+    kind = type(node)
+    if kind is Num:
+        return node.value
+    if kind is Name:
+        try:
+            v = env[node.ident]
+        except KeyError:
+            raise UnboundSymbolError(node.ident) from None
+        if type(v) is not float:
+            if type(v) is Jet2 or type(v) is _ndarray:
+                return v
+            v = float(v)
+        if v - v != 0.0:
+            raise DomainError(f"non-finite value {v} bound to {node.ident}")
+        return v
+    if kind is Neg:
+        return -_walk(node.arg, env)
+    if kind is BinOp:
+        u = _walk(node.left, env)
+        v = _walk(node.right, env)
+        op = node.op
+        if op == "+":
+            return u + v
+        if op == "-":
+            return u - v
+        if op == "*":
+            return u * v
+        try:
+            if op == "/":
+                _require(node, env, (v.value if type(v) is Jet2 else v) == 0.0,
+                         "division by zero")
+                return u / v
+            return _power(node, env, u, v)
+        except OverflowError:
+            raise DomainError(f"overflow in {to_string(node)}") from None
+    if kind is Call:
+        args = [_walk(a, env) for a in node.args]
+        z = args.pop()
+        spec = FUNCTIONS[node.name]
+        z0 = z.value if type(z) is Jet2 else z
+        array = type(z0) is _ndarray
+        for a in args:
+            if type(a) is Jet2:
+                raise DomainError(
+                    f"only the last argument of {node.name} may depend on x or t:"
+                    f" {to_string(node)}"
+                )
+            array = array or type(a) is _ndarray
+        if array:
+            return _array_call(node, env, spec, args, z)
+        try:
+            if type(z) is Jet2:
+                return z.chain(*spec.jet(*args, z0))
+            return spec.value(*args, z)
+        except _CALL_ERRORS as exc:
+            raise _in_call(node, exc) from None
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+_LEAVES = st.one_of(
+    st.sampled_from(["x", "t", "a", "b"]).map(Name),
+    st.sampled_from([0.0, 0.0, 1.0, 2.0, 0.5, 3.0, -1.5]).map(Num),
+)
+# literal exponents: 1, 2, 3 and 5 take the compiled repeated product, 0 and
+# the negative integers the general power
+_EXPONENTS = st.sampled_from([1.0, 2.0, 3.0, 5.0, 0.0, -1.0, -2.0, 0.5, -0.5]).map(Num)
+# leading function arguments: mostly constants, which a jet allows
+_LEADING = st.one_of(st.sampled_from(["a", "b"]).map(Name), st.sampled_from([0.0, 0.5, 1.0, 2.0]).map(Num))
+
+
+def _calls(sub):
+    """A call of any function in FUNCTIONS on trees drawn from ``sub``."""
+    def call(name):
+        lead = st.one_of(_LEADING, _LEADING, sub)
+        args = [lead] * (FUNCTIONS[name].arity - 1) + [sub]
+        return st.tuples(*args).map(lambda a: Call(name, a))
+
+    return st.sampled_from(sorted(FUNCTIONS)).flatmap(call)
+
+
+def _extend(sub):
+    return st.one_of(
+        sub.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*//"), sub, sub),
+        st.builds(BinOp, st.just("^"), sub, _EXPONENTS),
+        st.builds(BinOp, st.just("^"), sub, _EXPONENTS),
+        st.builds(BinOp, st.just("^"), sub, sub),
+        _calls(sub),
+    )
+
+
+_TREES = st.recursive(_LEAVES, _extend, max_leaves=8)
+# half of the trees are a call at the root, so every function is drawn often
+_ROOTS = st.one_of(_TREES, _calls(_TREES))
+
+
+def _outcome(run, node, env, arrays):
+    """What ``run(node, env)`` gives: each component's type, shape and
+    bytes, or the type and message of what it raises."""
+    try:
+        if arrays:
+            with np.errstate(all="ignore"):
+                out = run(node, env)
+        else:
+            out = run(node, env)
+    except Exception as exc:  # the two must fail alike, whatever the failure
+        return type(exc), str(exc)
+    parts = vars(out).values() if type(out) is Jet2 else (out,)
+    return [(type(p), np.shape(p), np.asarray(p, dtype=float).tobytes()) for p in parts]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    node=_ROOTS,
+    xs=st.lists(st.floats(0.1, 2.5), min_size=3, max_size=3),
+    ts=st.lists(st.floats(0.05, 2.0), min_size=2, max_size=2),
+    a=st.floats(-1.5, 2.5),
+    b=st.floats(0.1, 3.0),
+)
+def test_compiled_tree_is_the_tree_walk_bit_for_bit(node, xs, ts, a, b):
+    x, t = np.array(xs)[:, None], np.array(ts)
+    envs = [
+        ({"a": a, "b": b, "x": xs[0], "t": ts[0]}, False),
+        ({"a": a, "b": b, "x": x, "t": t}, True),
+        ({"a": a, "b": b, "x": Jet2(xs[0], dx=1.0), "t": Jet2(ts[0], dt=1.0)}, False),
+        ({"a": a, "b": b, "x": Jet2(x, dx=1.0), "t": Jet2(t, dt=1.0)}, True),
+    ]
+    for env, arrays in envs:
+        want = _outcome(_walk, node, env, arrays)
+        assert _outcome(lambda n, e: n._run(e), node, env, arrays) == want
+
+
+def _nodes(node):
+    """Every node of the tree, once each by identity."""
+    seen, stack = {}, [node]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            stack += [getattr(n, k) for k in ("arg", "left", "right") if hasattr(n, k)]
+            stack += getattr(n, "args", ())
+    return seen
+
+
+def _literal_powers(nodes):
+    """The literal positive integer exponents, which compile into their power."""
+    return {id(n.right) for n in nodes.values()
+            if type(n) is BinOp and n.op == "^" and type(n.right) is Num
+            and 0 < n.right.value <= 1024 and n.right.value.is_integer()}
+
+
+def _spy_compile(monkeypatch):
+    compiled = []
+    compile_ = expr_module._compile
+    monkeypatch.setattr(expr_module, "_compile", lambda node: compiled.append(node) or compile_(node))
+    return compiled
+
+
+def test_a_tree_compiles_each_node_once(monkeypatch):
+    compiled = _spy_compile(monkeypatch)
+    node = parse.__wrapped__("sin(x)^2 + besselj(nu, x*t)/(1+t^2) - (x+t)^0.5*gamma(nu+1)")
+    xs = np.linspace(0.2, 1.0, 4)
+    for k in range(1000):
+        x, t = 0.5 + k / 2000, 0.25
+        evaluate(node, {"nu": 0.5, "x": x, "t": t})
+        if k % 100 == 0:
+            evaluate_jet(node, x, t, {"nu": 0.5})
+            evaluate(node, {"nu": 0.5, "x": xs, "t": xs / 2})
+            evaluate_jet(node, xs, xs / 2, {"nu": 0.5})
+    nodes = _nodes(node)
+    assert sorted(map(id, compiled)) == sorted(nodes.keys() - _literal_powers(nodes))
+
+
+def test_an_evaluated_tree_pickles_and_compiles_again():
+    node = parse("besselj(nu, x*t)/(1+t^2)")
+    want = evaluate(node, {"nu": 0.5, "x": 0.7, "t": 0.3})
+    copy = pickle.loads(pickle.dumps(node))
+    assert copy == node and "_run" not in vars(copy)
+    assert evaluate(copy, {"nu": 0.5, "x": 0.7, "t": 0.3}) == want
+
+
+@pytest.mark.parametrize("name", list_cases())
+def test_a_second_case_compiles_only_its_product_nodes(name, monkeypatch):
+    verify_all(get_case(name))
+    compiled = _spy_compile(monkeypatch)
+    case = get_case(name)
+    verify_all(case)
+    # the memoized parsed trees keep their closures; _product's nodes are new
+    built = _nodes(case.kernel) | _nodes(case.f0)
+    parsed = _nodes(case.kernel_smooth) | _nodes(case.f0_smooth)
+    fresh = built.keys() - parsed.keys()
+    assert sorted(map(id, compiled)) == sorted(fresh - _literal_powers(built))
