@@ -319,6 +319,18 @@ def _report(args, payload, text, csv=None):
         raise UsageError(f"cannot write {args.out}: {exc}") from None
 
 
+def _csv_rows(rows, keys):
+    """The CSV of the dicts ``rows``, one column per key of ``keys``: a number
+    with 17 significant digits, None empty, a name or a boolean as it prints."""
+    def cell(v):
+        if v is None:
+            return ""
+        return str(v) if type(v) in (str, bool) else "%.17g" % v
+
+    lines = [",".join(keys)] + [",".join(cell(row[k]) for k in keys) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_catalog(args):
     if args.action == "list":
         names = kernels.list_cases()
@@ -380,17 +392,8 @@ def cmd_verify(args):
         lines.append(f"overall: {'PASS' if report.overall_pass else 'FAIL'}")
         out.write("\n".join(lines) + "\n")
 
-    def csv(out):
-        lines = ["id,max_residual,mean_residual,decay_slope,tolerance,pass,informational"]
-        for rec in report.records:
-            slope = "" if rec.decay_slope is None else "%.17g" % rec.decay_slope
-            lines.append(
-                f"{rec.id},{rec.max_residual:.17g},{rec.mean_residual:.17g},"
-                f"{slope},{rec.tolerance:.17g},{rec.passed},{rec.informational}"
-            )
-        out.write("\n".join(lines) + "\n")
-
-    _report(args, payload, text, csv)
+    keys = ("id", "max_residual", "mean_residual", "decay_slope", "tolerance", "pass", "informational")
+    _report(args, payload, text, lambda out: out.write(_csv_rows(payload["conditions"], keys)))
     return 0 if report.overall_pass else 1
 
 
@@ -404,16 +407,14 @@ def cmd_apply(args):
             raise UsageError("--x-count must be at least 1")
     lhs, f1, rel = quadrature.identity_rows(case, xs, args.quad_order)
     rows = list(zip(xs, lhs.tolist(), f1.tolist(), rel.tolist()))
+    keys = ("x", "transform", "f1", "rel_error")  # a JSON row's keys and the CSV's columns
     worst = max(rel.tolist(), default=0.0)
     passed = worst <= args.tol_identity
     payload = {
         "case": case.name,
         "params": dict(case.params),
         "quad_order": args.quad_order,
-        "rows": [
-            {"x": x, "transform": lhs, "f1": f1, "rel_error": rel}
-            for x, lhs, f1, rel in rows
-        ],
+        "rows": [dict(zip(keys, row)) for row in rows],
         "max_rel_error": worst,
         "tolerance": args.tol_identity,
         "overall_pass": passed,
@@ -429,12 +430,7 @@ def cmd_apply(args):
         )
         out.write("\n".join(lines) + "\n")
 
-    def csv(out):
-        lines = ["x,transform,f1,rel_error"]
-        lines += [f"{x:.17g},{l:.17g},{f:.17g},{r:.17g}" for x, l, f, r in rows]
-        out.write("\n".join(lines) + "\n")
-
-    _report(args, payload, text, csv)
+    _report(args, payload, text, lambda out: out.write(_csv_rows(payload["rows"], keys)))
     return 0 if passed else 1
 
 

@@ -30,8 +30,8 @@ that depends on parameters alone stays a float and calls the plain value
 of each function.  A jet's value is therefore exactly the float result.
 Only the last argument of a function may depend on x or t in a jet.  An
 array call has a fixed cost, mostly finiteness checks, numpy's error
-state and one fresh array per output component (14 us for ``x`` at 20
-points on a 2-core x86 host, 37 us as a jet).  On arrays, arithmetic is
+state and one fresh block for the output components (14 us for ``x``
+at 20 points on a 2-core x86 host, 37 us as a jet).  On arrays, arithmetic is
 numpy's (bit for bit the float result), elementary functions and their
 jets are numpy ufuncs (within a few ulp of ``math``), the Bessel
 functions, gegenbauer and hyp1f2 run their one body over the whole array
@@ -44,8 +44,8 @@ constant zero base stays zero under a positive power).  An exponent that
 varies over an array is valued as a float point by point, in a jet too.
 Domain violations raise :class:`~transmute.errors.DomainError` naming
 the offending subexpression (and, for arrays, the first failing point)
-instead of letting NaN propagate; a non-finite bound value or result is
-a DomainError too.
+instead of letting NaN propagate; a non-finite bound value, result or
+jet component is a DomainError too.
 """
 
 from __future__ import annotations
@@ -654,6 +654,8 @@ def _compile(node: Expr) -> Callable:
                 return apply(node, env, u, v)
             except OverflowError:
                 raise DomainError(f"overflow in {to_string(node)}") from None
+            except ZeroDivisionError:  # a jet rule's divisor, such as u^2, underflowing to 0
+                raise DomainError(f"division by zero in {to_string(node)}") from None
         return binop
     spec = FUNCTIONS[node.name]  # a Call
     *first, last = map(_compiled, node.args)
@@ -714,21 +716,24 @@ def _evaluate_array(node, bindings, jet=False):
     # every failure is raised by name below; keep numpy from warning first
     with np.errstate(all="ignore"):
         out = _compiled(node)(env)
-    fresh = []
+    # the components are the rows of one block, so one reduction checks them all;
     # a constant's jet has zero derivatives
-    for part in vars(out).values() if type(out) is Jet2 else (out,) + (0.0,) * (5 * jet):
-        fresh.append(c := np.empty(shape))
-        c[...] = part
-    if not np.isfinite(fresh[0]).all():
-        _require(node, env, ~np.isfinite(fresh[0]), "non-finite result")
-    return Jet2(*fresh) if jet else fresh[0]
+    block = np.zeros((6 if jet else 1,) + shape)
+    for k, part in enumerate(vars(out).values() if type(out) is Jet2 else (out,)):
+        block[k] = part
+    finite = np.isfinite(block)
+    if not finite.all():
+        _require(node, env, ~finite.all(axis=0), "non-finite result")
+    # block[k, ...] is an array at a 0-d shape too, where block[k] is a scalar
+    return Jet2(*(block[k, ...] for k in range(6))) if jet else block.reshape(shape)
 
 
 def evaluate_jet(node: Expr, x, t, params: Mapping[str, float]) -> Jet2:
     """Evaluate with first and second partials in x and t carried along.
 
     With numpy arrays for x or t (broadcast together) every component of
-    the jet is an array of their shape, one jet per point.
+    the jet is an array of their shape, one jet per point.  A component
+    that is not finite is a DomainError naming the first such point.
     """
     if type(x) is _ndarray or type(t) is _ndarray:
         return _evaluate_array(
@@ -742,8 +747,9 @@ def evaluate_jet(node: Expr, x, t, params: Mapping[str, float]) -> Jet2:
     out = _compiled(node)(env)
     if type(out) is not Jet2:
         out = Jet2(out)
-    if out.value - out.value != 0.0:
-        raise DomainError(f"non-finite result {out.value} in {to_string(node)}")
+    for part in vars(out).values():
+        if part - part != 0.0:
+            raise DomainError(f"non-finite result {part} in {to_string(node)} at x={x!r}, t={t!r}")
     return out
 
 

@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain
 from typing import Mapping
 
 import numpy as np
 
 from .errors import NumericalError, TransmuteError, UsageError
-from .expr import BinOp, Jet2, Name, evaluate, free_symbols, parse
+from .expr import BinOp, Name, evaluate, free_symbols, parse
 from .operators import DifferentialOperator, check_pair_symbols
 from .quadrature import jacobi_rule
 
@@ -192,17 +193,6 @@ def _offset(d):
     return d + (d // 2) * ((d - 1) // 2)
 
 
-# the cubic Lagrange basis on the nodes 0..3, row k holding the power-series
-# coefficients of L_k: the inverse of the nodes' Vandermonde matrix
-_LAGRANGE = np.array([[6, -11, 6, -1], [0, 18, -15, 3], [0, -9, 12, -3], [0, 2, -3, 1]]) / 6.0
-
-
-def _cubic_basis(xi, h):
-    """The basis at xi (row 0), then its first and second derivatives per step h."""
-    powers = [[1, xi, xi * xi, xi**3], [0, 1, 2 * xi, 3 * xi * xi], [0, 0, 2, 6 * xi]]
-    return powers @ _LAGRANGE.T / np.array([[1.0], [h], [h * h]])
-
-
 @dataclass(frozen=True, eq=False)
 class TriangleGrid:
     """Solved values, one flat array of the levels laid out by ``_offset``
@@ -213,7 +203,7 @@ class TriangleGrid:
     values: np.ndarray
     boundary: str
 
-    @property
+    @cached_property  # read by every call of ``value``
     def top(self):
         """The last level, 2N."""
         return 2 * (math.isqrt(self.values.size) - 1)
@@ -224,7 +214,13 @@ class TriangleGrid:
         return tuple(self.values[_offset(d) : _offset(d + 1)] for d in range(self.top + 1))
 
     def value(self, i, j):
-        return float(self.values[_offset(i + j) + j])
+        """K at the cell (i, j), integers with 0 <= j <= i and i + j <= 2N; anything else is a UsageError."""
+        if 0 <= j <= i <= self.top - j:
+            try:  # a float passes the comparisons but not numpy's indexing
+                return float(self.values[_offset(i + j) + j])
+            except IndexError:
+                pass
+        raise UsageError(f"({i!r}, {j!r}) is not a lattice cell: need integers 0 <= j <= i, i + j <= {self.top}")
 
     def export_csv(self, stream):
         """Write x,t,K row-major by i, then by j = 0..min(i, 2N - i), with %.17g;
@@ -235,33 +231,6 @@ class TriangleGrid:
             j = np.arange(min(i, top - i) + 1)
             rows = np.stack(((i + j) * self.h / 2.0, (i - j) * self.h / 2.0, self.values[_offset(i + j) + j]))
             stream.write("%.17g,%.17g,%.17g\n" * j.size % tuple(rows.T.ravel().tolist()))
-
-    def jet(self, x, t):
-        """Second-order jet at an off-lattice point via a 4x4 tensor-cubic
-        fit in characteristic coordinates."""
-        h = self.h
-        uu = (x + t) / h
-        vv = (x - t) / h
-        j0 = max(int(math.floor(vv)) - 1, 0)
-        i0 = max(int(math.floor(uu)) - 1, j0 + 3)
-        if i0 + 3 + j0 + 3 > self.top or vv < 0.0:
-            raise UsageError(
-                f"point ({x!r}, {t!r}) too close to the triangle edge for a"
-                " 4x4 interpolation stencil"
-            )
-        a, b = np.ogrid[0:4, 0:4]
-        stencil = self.values[_offset(i0 + j0 + a + b) + j0 + b]
-        # row r, column s: the fit's r-th u- and s-th v-derivative
-        k = _cubic_basis(uu - i0, h) @ stencil @ _cubic_basis(vv - j0, h).T
-        (val, kv, kvv), (ku, kuv, _), (kuu, _, _) = k.tolist()
-        return Jet2(
-            value=val,
-            dx=ku + kv,
-            dt=ku - kv,
-            dxx=kuu + 2.0 * kuv + kvv,
-            dxt=kuu - kvv,
-            dtt=kuu - 2.0 * kuv + kvv,
-        )
 
 
 def _coefficient_tables(problem, count):

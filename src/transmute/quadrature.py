@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import MAX_POINTS, sample_points
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .expr import evaluate
 
 __all__ = [
@@ -33,15 +33,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobiRule:
-    """Nodes/weights for the weight (1-s)^alpha (1+s)^beta on [-1,1]."""
+    """Nodes/weights for the weight (1-s)^alpha (1+s)^beta on [-1,1], as
+    read-only float arrays: a cached rule is shared by every caller."""
 
-    n: int
-    alpha: float
-    beta: float
-    nodes: tuple
-    weights: tuple
+    nodes: np.ndarray
+    weights: np.ndarray
 
 
 # Largest rule order jacobi_rule builds: the n x n Jacobi matrix is dense,
@@ -97,7 +95,8 @@ def _jacobi_rule(n, alpha, beta):
     off = np.sqrt(off_sq)
     nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     weights = mu0 * vectors[0] ** 2
-    return JacobiRule(n, alpha, beta, tuple(nodes.tolist()), tuple(weights.tolist()))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return JacobiRule(nodes, weights)
 
 
 def transform(case, f_smooth, t_exponent, x, n=RULE_ORDER):
@@ -122,12 +121,20 @@ def transform(case, f_smooth, t_exponent, x, n=RULE_ORDER):
     if xs.size * n > MAX_POINTS:
         raise UsageError(f"{xs.size} abscissae x {n} nodes exceed the maximum of {MAX_POINTS}")
     # one row per node, one column per abscissa
-    t = xs * (1.0 + np.array(rule.nodes)[:, None]) / 2.0
+    t = xs * (1.0 + rule.nodes[:, None]) / 2.0
     bindings = {**case.params, "x": xs, "t": t}
-    smooth = evaluate(case.kernel_smooth, bindings) * evaluate(f_smooth, bindings)
-    terms = np.array(rule.weights)[:, None] * smooth
+    with np.errstate(over="ignore"):  # an overflowing term is refused below, by its abscissa
+        smooth = evaluate(case.kernel_smooth, bindings) * evaluate(f_smooth, bindings)
+        terms = rule.weights[:, None] * smooth
     p = alpha_w + beta_w + 1.0
-    out = [(xk / 2.0) ** p * math.fsum(col.tolist()) for xk, col in zip(xs.tolist(), terms.T)]
+    out = []
+    for xk, col in zip(xs.tolist(), terms.T):
+        try:
+            out.append((xk / 2.0) ** p * math.fsum(col.tolist()))
+        except (OverflowError, ValueError):  # fsum's overflow, or inf - inf among the terms
+            out.append(math.nan)
+        if not math.isfinite(out[-1]):
+            raise NumericalError(f"T f0 has no finite value at x = {xk!r}")
     return out[0] if np.ndim(x) == 0 else np.reshape(out, np.shape(x))
 
 

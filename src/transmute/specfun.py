@@ -133,6 +133,7 @@ _SHORT, _LONG = 18, 36
 _START = 54  # Miller's start above floor(nu), enough for w >= -100
 _NU_MAX = 100.0  # keeps gamma(nu+2) and the scaled Miller sweep far from overflow
 _NORMAL = 2.0**-1022  # the least positive normal float
+_DEGREE_MAX = 1024  # gegenbauer's recurrence takes one step per degree
 
 
 def _first(bad, z) -> float:
@@ -278,7 +279,8 @@ def gegenbauer(m: int, alpha: float, z):
         m C_m = 2 z (m + alpha - 1) C_{m-1} - (m + 2 alpha - 2) C_{m-2}
 
     with C_0 = 1, C_1 = 2 alpha z.  The recurrence convention gives
-    C_m^0 = 0 for m >= 1.
+    C_m^0 = 0 for m >= 1.  A degree above 1024 is a RangeError, raised
+    before the first step.
     """
     nan = np.isnan(z)
     if m != m or alpha != alpha or nan.any():
@@ -286,6 +288,8 @@ def gegenbauer(m: int, alpha: float, z):
     mi = round(m)
     if abs(m - mi) > 1e-9 or mi < 0:
         raise DomainError(f"gegenbauer degree must be a non-negative integer, got {m}")
+    if mi > _DEGREE_MAX:
+        raise RangeError(f"gegenbauer degree {m} is above the supported {_DEGREE_MAX}")
     if mi == 0:
         return np.ones(z.shape) if type(z) is np.ndarray else 1.0
     prev = 1.0

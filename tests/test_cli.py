@@ -633,6 +633,26 @@ def test_an_overflowing_corruption_prints_only_the_failure_line():
     assert err.getvalue().startswith("numerical failure: ") and err.getvalue().count("\n") == 1
 
 
+@pytest.mark.parametrize("case, argv", [
+    # K's jet rule for (t*1e-300)^0.5 divides by an underflowing u^2
+    ('kernel = "(t*1e-300)^0.5 + 1/(x-1)"\nf0 = "cos(t)"\nf1 = "sin(x)"', ["verify"]),
+    # the transform's terms overflow
+    ('kernel = "1e300"\nf0 = "1e300"\nf1 = "1"', ["apply", "--format", "json"]),
+    # the terms are finite, but their fsum overflows
+    ('kernel = "1.7e308"\nf0 = "1"\nf1 = "1"', ["apply", "--x", "2"]),
+], ids=["jet_divisor_underflows", "terms_overflow", "fsum_overflows"])
+def test_a_non_finite_number_prints_only_the_failure_line(tmp_path, case, argv):
+    config = tmp_path / "case.cfg"
+    config.write_text(f"[case]\n{case}\n[operatorA]\n[operatorB]\n")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--custom", str(config)])
+    assert code == 3 and not out.getvalue()
+    assert err.getvalue().startswith("numerical failure: ") and err.getvalue().count("\n") == 1
+
+
 @pytest.mark.parametrize("spec", ["c0:1e308", "a0:1e308", "b1:1e308", "a1:-1e308"])
 def test_a_corruption_whose_mean_overflows_ends_in_an_exit_code(spec):
     # residuals near 1e308 are finite, but their fsum overflows: each mean
@@ -706,6 +726,13 @@ def test_config_that_is_not_utf8_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--custom", str(cfg))
     assert code == 2 and not out
     assert err.startswith(f"error: cannot read {cfg}:") and err.count("\n") == 1
+
+
+def test_a_gegenbauer_degree_above_the_cap_exits_3_before_its_recurrence(capsys):
+    # an odd degree passes the case's own check; its recurrence took one step per degree
+    code, out, err = run(capsys, "verify", "--case", "gegenbauer", "--params", "p=1000000001")
+    assert code == 3 and not out and err.count("\n") == 1
+    assert "gegenbauer degree 1000000001.0 is above the supported 1024" in err
 
 
 def _no_constant(token):

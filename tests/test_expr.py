@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -586,6 +587,8 @@ def _walk(node: Expr, env):
             return _power(node, env, u, v)
         except OverflowError:
             raise DomainError(f"overflow in {to_string(node)}") from None
+        except ZeroDivisionError:
+            raise DomainError(f"division by zero in {to_string(node)}") from None
     if kind is Call:
         args = [_walk(a, env) for a in node.args]
         z = args.pop()
@@ -681,6 +684,37 @@ def test_compiled_tree_is_the_tree_walk_bit_for_bit(node, xs, ts, a, b):
     for env, arrays in envs:
         want = _outcome(_walk, node, env, arrays)
         assert _outcome(lambda n, e: n._run(e), node, env, arrays) == want
+
+
+# the extremes of the float range, and 0 and 1, with either sign
+_EXTREMES = st.sampled_from([s * v for v in (0.0, 5e-324, 1e-310, 1e-160, 1.0, 1e154, 1e300) for s in (1.0, -1.0)])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    node=_ROOTS,
+    xs=st.lists(_EXTREMES, min_size=3, max_size=3),
+    ts=st.lists(_EXTREMES, min_size=2, max_size=2),
+    a=_EXTREMES,
+    b=_EXTREMES,
+)
+def test_evaluation_gives_finite_numbers_or_a_transmute_error(node, xs, ts, a, b):
+    params = {"a": a, "b": b}
+    x, t = np.array(xs)[:, None], np.array(ts)
+    for run in (
+        lambda: evaluate(node, {**params, "x": xs[0], "t": ts[0]}),
+        lambda: evaluate(node, {**params, "x": x, "t": t}),
+        lambda: evaluate_jet(node, xs[0], ts[0], params),
+        lambda: evaluate_jet(node, x, t, params),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = run()
+            except TransmuteError:
+                continue
+        for part in vars(out).values() if type(out) is Jet2 else (out,):
+            assert np.isfinite(part).all(), (to_string(node), part)
 
 
 def _nodes(node):

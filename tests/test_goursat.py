@@ -8,19 +8,21 @@ gives the I0 variant. Robin data is exercised with K = exp(t/2).
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from transmute.errors import NumericalError, UsageError
-from transmute.expr import Num, evaluate, evaluate_jet, parse
+from transmute.expr import Num, evaluate, parse
 from transmute.goursat import (
     MAX_STEPS,
     GoursatProblem,
     TriangleGrid,
     _cell_weights,
     _coefficient_tables,
+    _offset,
     compare,
     diagonal_values,
     problem_from_case,
@@ -618,20 +620,12 @@ def test_a_step_whose_half_underflows_is_refused():
         _gp(X=5e-324, h=5e-324)
 
 
-def test_grid_jet_matches_closed_form():
-    grid = solve(_telegraph(1.0 / 64.0))
-    ref = parse("besselj(0, mu*sqrt(x^2-t^2))")
-    for x, t in [(0.83, 0.41), (1.27, 0.66), (1.9, 1.11)]:
-        got = grid.jet(x, t)
-        want = evaluate_jet(ref, x, t, {"mu": 1.0})
-        assert got.value == pytest.approx(want.value, abs=1e-5)
-        assert got.dx == pytest.approx(want.dx, abs=1e-5)
-        assert got.dt == pytest.approx(want.dt, abs=1e-5)
-        assert got.dxx == pytest.approx(want.dxx, abs=1e-4)
-        assert got.dtt == pytest.approx(want.dtt, abs=1e-4)
-
-
-def test_grid_jet_needs_interior_stencil():
-    grid = solve(_telegraph(1.0 / 16.0))
-    with pytest.raises(UsageError):
-        grid.jet(1.99, 0.005)  # too close to the corner for a 4x4 stencil
+def test_value_reads_the_cells_and_refuses_anything_else():
+    grid = solve(_telegraph(1.0 / 32.0))
+    n = grid.top // 2
+    for i in range(2 * n + 1):
+        for j in range(min(i, 2 * n - i) + 1):
+            assert grid.value(i, j) == grid.values[_offset(i + j) + j]
+    for i, j in [(1, 2), (-1, 0), (2 * n + 1, 0), (n, n + 1), (2.5, 0), (np.int64(2**62), np.int64(2**62))]:
+        with pytest.raises(UsageError, match="^" + re.escape(f"({i!r}, {j!r}) is not a lattice cell")):
+            grid.value(i, j)

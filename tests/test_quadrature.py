@@ -213,6 +213,14 @@ def test_rules_are_cached():
     assert jacobi_rule(16, -0.5, 0.0) is jacobi_rule(16, -0.5, 0.0)
 
 
+def test_a_cached_rule_is_read_only():
+    rule = jacobi_rule(16, -0.5, 0.0)
+    for part in (rule.nodes, rule.weights):
+        assert part.dtype == float and part.shape == (16,)
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 0.0
+
+
 def test_rule_cache_is_bounded():
     limit = quadrature._jacobi_rule.cache_info().maxsize
     for k in range(limit + 10):

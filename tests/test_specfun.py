@@ -370,6 +370,11 @@ def test_gegenbauer_degree_validation():
         specfun.gegenbauer(-1, 3.0, 0.5)
     with pytest.raises(DomainError):
         specfun.gegenbauer(2.5, 3.0, 0.5)
+    assert specfun.gegenbauer(1024, 1.0, 0.0) == 1.0  # C_2k^1(0) = (-1)^k
+    with pytest.raises(RangeError, match="degree 1025.0 is above the supported 1024"):
+        specfun.gegenbauer(1025.0, 1.0, 0.5)
+    with pytest.raises(RangeError):
+        specfun.gegenbauer(1e300, 1.0, np.array([0.5]))  # refused, not stepped 1e300 times
 
 
 # --- 1F2 ---------------------------------------------------------------------
