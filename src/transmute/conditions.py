@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NumericalError, TransmuteError, UsageError
 from .expr import Jet2, evaluate, evaluate_jet, free_symbols
-from .operators import _at, _eigen_residuals, _jet, _mean
+from .operators import _at, _eigen_residuals, _jet, _mean, _residual
 
 __all__ = [
     "VerifyConfig",
@@ -178,12 +178,8 @@ def _hyperbolic_residuals(case, x, t, jk=None):
         ja0 = _jet(a0, "t", t, params) if "t" in free_symbols(a0) else Jet2(evaluate(a0, params))
         b0, c0 = (_at(e, "t", t, params) for e in (case.opA.b, case.opA.c))
         a1, b1, c1 = case.opB.coefficient_values(x, params)
-        terms = (ja0.dt * jk.dt + ja0.value * jk.dtt, b0 * jk.dt, c0 * jk.value,
-                 a1 * jk.dxx, b1 * jk.dx, c1 * jk.value)
-        lhs = terms[0] - terms[1] + terms[2]
-        rhs = terms[3] + terms[4] + terms[5]
-        diff = np.abs(lhs - rhs)
-        return diff, diff / (1.0 + np.max(np.abs(terms), axis=0))
+        return _residual((ja0.dt * jk.dt + ja0.value * jk.dtt, -(b0 * jk.dt), c0 * jk.value),
+                        (a1 * jk.dxx, b1 * jk.dx, c1 * jk.value))
 
 
 def check_hyperbolic(case, grid=None, tol=1e-8, *, jet=None):

@@ -31,11 +31,17 @@ of each function.  A jet's value is therefore exactly the float result.
 Only the last argument of a function may depend on x or t in a jet.  An
 array call has a fixed cost, mostly finiteness checks, numpy's error
 state and one fresh block for the output components (14 us for ``x``
-at 20 points on a 2-core x86 host, 37 us as a jet).  On arrays, arithmetic is
-numpy's (bit for bit the float result), elementary functions and their
-jets are numpy ufuncs (within a few ulp of ``math``), the Bessel
-functions, gegenbauer and hyp1f2 run their one body over the whole array
-(each entry exactly the float value), and gamma runs per entry.
+at 20 points on a 2-core x86 host, 37 us as a jet).
+
+Each entry of an array is the float value bit for bit: arithmetic is IEEE
+for both, each elementary function and the real power exp(v*log(u)) is
+numpy's ufunc for both (a float result is turned back into a float), the
+Bessel functions, gegenbauer and hyp1f2 run their one body over the whole
+array, and gamma runs per entry.  x and t are bound as contiguous arrays,
+copied if need be: numpy takes another inner loop for a reversed or
+strided array.  numpy does not promise that a float and a contiguous
+array share an inner loop; this was verified with numpy 2.4.6 on an x86-64
+host, and the tests assert it exactly.
 
 Powers with a literal integer exponent are evaluated by repeated
 multiplication (valid for negative bases, exact for jets); any other
@@ -542,23 +548,16 @@ def _power(node, env, u, v):
              "non-integer power needs a positive base")
     if type(u) is float and u == 0.0:
         return 0.0
-    # math raises OverflowError for floats; arrays are checked below
-    m = np if type(u0) is _ndarray or type(v0) is _ndarray else math
     if type(v) is Jet2:
-        log_u = m.log(u0)
+        # the value is evaluate's: this node run on the values
+        f = node._run({k: getattr(a, "value", a) for k, a in env.items()})
+        log_u = _ufunc(np.log, u0)
         if type(u) is Jet2:
             log_u = u.chain(log_u, 1.0 / u0, -1.0 / (u0 * u0))
-        w = v * log_u
-        if type(v0) is _ndarray:  # the value is evaluate's: this node run on the values
-            f = node._run({k: getattr(a, "value", a) for k, a in env.items()})
-        else:
-            f = m.exp(w.value)
-    else:
-        # exp(v * -inf) = 0 at a zero base of an array
-        f = m.exp(v * m.log(u0))
+        return (v * log_u).chain(f, f, f)
+    # exp(v * -inf) = 0 at a zero base of an array
+    f = _ufunc(np.exp, v * _ufunc(np.log, u0))
     _require(node, env, f == math.inf, "overflow")
-    if type(v) is Jet2:
-        return w.chain(f, f, f)
     if type(u) is Jet2:
         return u.chain(f, v * f / u0, v * (v - 1.0) * f / (u0 * u0))
     return f
@@ -582,13 +581,14 @@ def _array_call(node, env, spec, args, z):
         except _CALL_ERRORS as exc:
             raise _in_call(node, exc) from None
 
-    if spec.array is None or any(type(a) is _ndarray for a in args):
-        # no array rule, or an array parameter: the scalar rule per entry
+    if spec.value is specfun.gamma or any(type(a) is _ndarray for a in args):
+        # gamma has no array rule, and no rule takes an array parameter:
+        # the scalar rule per entry
         out = _entrywise(env, one, (*args, u))
         out = np.moveaxis(out, -1, 0) if jet else out
     else:
         try:
-            out = (rule if jet else spec.array)(*args, u)
+            out = rule(*args, u)
         except _CALL_ERRORS as exc:
             _entrywise(env, one, (*args, u))  # names the first failing point
             raise _in_call(node, exc) from None
@@ -652,8 +652,6 @@ def _compile(node: Expr) -> Callable:
             v = right(env)
             try:
                 return apply(node, env, u, v)
-            except OverflowError:
-                raise DomainError(f"overflow in {to_string(node)}") from None
             except ZeroDivisionError:  # a jet rule's divisor, such as u^2, underflowing to 0
                 raise DomainError(f"division by zero in {to_string(node)}") from None
         return binop
@@ -705,7 +703,9 @@ def _evaluate_array(node, bindings, jet=False):
     env = dict(bindings)
     for k in ("x", "t"):
         if type(env.get(k)) is _ndarray:
-            a = env[k] = np.asarray(env[k], dtype=float)
+            # contiguous, copied if need be: numpy takes another inner loop for a
+            # reversed or strided array, whose last bits may differ from a float's
+            a = env[k] = np.asarray(env[k], dtype=float, order="C")
             if not np.isfinite(a).all():
                 raise DomainError(f"non-finite value bound to {k}{_where(env, ~np.isfinite(a))}")
     shapes = {v.shape for v in env.values() if type(v) is _ndarray}
@@ -761,92 +761,65 @@ def evaluate_jet(node: Expr, x, t, params: Mapping[str, float]) -> Jet2:
 @dataclass(frozen=True)
 class _Fn:
     arity: int
+    # the value; every function but gamma also takes an array last argument
     value: Callable[..., float]
-    # (f, f', f'') with respect to the last argument; the others are floats.
-    # Every rule but gamma's also takes an array last argument.
+    # (f, f', f'') with respect to the last argument; the others are floats
     jet: Callable[..., tuple[float, float, float]]
-    # the value for an array last argument: a numpy ufunc, or the special
-    # function itself, which runs over whole arrays; None runs
-    # ``value`` (and ``jet``) per entry
-    array: Callable | None = None
 
 
-def _lib(u):
-    """numpy for an array, math for a float: one jet rule serves both."""
-    return np if type(u) is _ndarray else math
+# where each ufunc sets no floating-point flag, so a float needs no error
+# state (entering np.errstate costs four times the call): an argument in
+# (lo, hi) and not below 1e-300 in size (sin underflows at a subnormal)
+_QUIET = {
+    np.sin: (-math.inf, math.inf), np.cos: (-math.inf, math.inf),
+    np.sinh: (-700.0, 700.0), np.cosh: (-700.0, 700.0), np.exp: (-700.0, 700.0),
+    np.log: (0.0, math.inf), np.sqrt: (0.0, math.inf),
+}
 
 
-def _log(u):
-    if u <= 0.0:
-        raise DomainError(f"log of non-positive value {u}")
-    return math.log(u)
+def _ufunc(f, u):
+    """numpy's ufunc ``f`` at u: the one implementation of an elementary
+    function, so each entry of an array is the float value bit for bit.  An
+    array runs under its caller's error state (``_evaluate_array``'s); a
+    float gives a float, with numpy's warnings off where it could warn."""
+    if type(u) is _ndarray:
+        return f(u)
+    lo, hi = _QUIET[f]
+    if lo < u < hi and not 0.0 < abs(u) < 1e-300:
+        return float(f(u))
+    with np.errstate(all="ignore"):
+        return float(f(u))
 
 
-def _sqrt(u):
-    if u < 0.0:
-        raise DomainError(f"sqrt of negative value {u}")
-    return math.sqrt(u)
+def _elementary(f):
+    """The DSL function of the ufunc ``f``; a float result that is not
+    finite is a DomainError, as an array's is in ``_array_call``."""
+    def value(u):
+        r = _ufunc(f, u)
+        if type(r) is float and r - r != 0.0:
+            raise DomainError(f"no finite value of {f.__name__}({u!r})")
+        return r
+    return value
 
 
-def _sin_jet(u):
-    m = _lib(u)
-    s = m.sin(u)
-    return s, m.cos(u), -s
+_sin, _cos, _sinh, _cosh, _exp, _log, _sqrt = map(_elementary, _QUIET)
 
-
-def _cos_jet(u):
-    m = _lib(u)
-    c = m.cos(u)
-    return c, -m.sin(u), -c
-
-
-def _sinh_jet(u):
-    m = _lib(u)
-    s = m.sinh(u)
-    return s, m.cosh(u), s
-
-
-def _cosh_jet(u):
-    m = _lib(u)
-    c = m.cosh(u)
-    return c, m.sinh(u), c
-
-
-def _exp_jet(u):
-    e = _lib(u).exp(u)
-    return e, e, e
-
-
-# A singular derivative is a ZeroDivisionError for floats and a non-finite
-# entry for arrays; both end as a DomainError naming the call.
-def _log_jet(u):
-    return (np.log if type(u) is _ndarray else _log)(u), 1.0 / u, -1.0 / (u * u)
-
-
-def _sqrt_jet(u):
-    r = (np.sqrt if type(u) is _ndarray else _sqrt)(u)
-    return r, 0.5 / r, -0.25 / (u * r)
-
-
-def _abs_jet(u):
-    return abs(u), u / abs(u), 0.0
-
-
+# Each jet rule gives (f, f', f'').  A singular derivative is a
+# ZeroDivisionError for floats and a non-finite entry for arrays; both end
+# as a DomainError naming the call.
 FUNCTIONS: dict[str, _Fn] = {
-    "sin": _Fn(1, math.sin, _sin_jet, np.sin),
-    "cos": _Fn(1, math.cos, _cos_jet, np.cos),
-    "sinh": _Fn(1, math.sinh, _sinh_jet, np.sinh),
-    "cosh": _Fn(1, math.cosh, _cosh_jet, np.cosh),
-    "exp": _Fn(1, math.exp, _exp_jet, np.exp),
-    "log": _Fn(1, _log, _log_jet, np.log),
-    "sqrt": _Fn(1, _sqrt, _sqrt_jet, np.sqrt),
-    "abs": _Fn(1, abs, _abs_jet, np.abs),
+    "sin": _Fn(1, _sin, lambda u: ((s := _sin(u)), _cos(u), -s)),
+    "cos": _Fn(1, _cos, lambda u: ((c := _cos(u)), -_sin(u), -c)),
+    "sinh": _Fn(1, _sinh, lambda u: ((s := _sinh(u)), _cosh(u), s)),
+    "cosh": _Fn(1, _cosh, lambda u: ((c := _cosh(u)), _sinh(u), c)),
+    "exp": _Fn(1, _exp, lambda u: ((e := _exp(u)), e, e)),
+    "log": _Fn(1, _log, lambda u: (_log(u), 1.0 / u, -1.0 / (u * u))),
+    "sqrt": _Fn(1, _sqrt, lambda u: ((r := _sqrt(u)), 0.5 / r, -0.25 / (u * r))),
+    "abs": _Fn(1, abs, lambda u: (abs(u), u / abs(u), 0.0)),
     "gamma": _Fn(1, specfun.gamma, specfun.gamma_jets),
-    "besselj": _Fn(2, specfun.bessel_j, specfun.bessel_j_jets, specfun.bessel_j),
-    "besseli": _Fn(2, specfun.bessel_i, specfun.bessel_i_jets, specfun.bessel_i),
-    "bessel_clifford": _Fn(
-        2, specfun.bessel_clifford, specfun.bessel_clifford_jets, specfun.bessel_clifford
-    ),
-    "gegenbauer": _Fn(3, specfun.gegenbauer, specfun.gegenbauer_jets, specfun.gegenbauer),
-    "hyp1f2": _Fn(4, specfun.hyp1f2, specfun.hyp1f2_jets, specfun.hyp1f2),
+    "besselj": _Fn(2, specfun.bessel_j, specfun.bessel_j_jets),
+    "besseli": _Fn(2, specfun.bessel_i, specfun.bessel_i_jets),
+    "bessel_clifford": _Fn(2, specfun.bessel_clifford, specfun.bessel_clifford_jets),
+    "gegenbauer": _Fn(3, specfun.gegenbauer, specfun.gegenbauer_jets),
+    "hyp1f2": _Fn(4, specfun.hyp1f2, specfun.hyp1f2_jets),
 }

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -102,26 +103,37 @@ def check_pair_symbols(op_a, op_b, params, label="coefficient"):
                     raise UsageError(f"{what} does not evaluate: {exc}") from exc
 
 
+def _residual(lhs, rhs):
+    """(|sum lhs - sum rhs|, that over 1 + max |term|) for the terms of each
+    side, summed in order, floats or arrays: the one scale rule of the 4a
+    and eigen residuals, relative where the terms are large and cancel."""
+    diff = abs(sum(lhs[1:], lhs[0]) - sum(rhs[1:], rhs[0]))
+    return diff, diff / (1.0 + reduce(np.maximum, map(abs, (*lhs, *rhs))))
+
+
 def apply(op: DifferentialOperator, f: Expr, pt, params: Mapping[str, float]):
     """Apply the operator to a single-variable expression at a point or an array of points;
     a coefficient that reads no variable is one float (float times array rounds alike)."""
     check_symbols("the function", f, op.var, params)
-    return _apply_jet(op, _jet(f, op.var, pt, params), pt, params)
+    terms = _terms(op, _jet(f, op.var, pt, params), pt, params)
+    with np.errstate(all="ignore"):  # an overflowing sum is inf
+        return terms[0] + terms[1] + terms[2]
 
 
-def _apply_jet(op, jf, pt, params):
-    """``apply`` given f's jet ``jf`` at pt."""
+def _terms(op, jf, pt, params):
+    """The three terms of ``apply``, (a f'', (a' + b) f', (b' + c) f) in
+    divergence form and (a f'', b f', c f) otherwise, given f's jet ``jf`` at pt."""
     def along(e):  # (e, e', e'') in the operator's variable, from e or from its jet
         j = e if type(e) is Jet2 else _jet(e, op.var, pt, params)
         return (j.value, j.dx, j.dxx) if op.var == "x" else (j.value, j.dt, j.dtt)
     f0, f1, f2 = along(jf)
-    with np.errstate(all="ignore"):  # an overflowing sum is inf, which eigen_residual refuses
+    with np.errstate(all="ignore"):  # an overflowing term is inf, which eigen_residual refuses
         if op.var == "x":
             a, b, c = op.coefficient_values(pt, params)
-            return a * f2 + b * f1 + c * f0
+            return a * f2, b * f1, c * f0
         a, ap, _ = along(op.a) if op.var in free_symbols(op.a) else (evaluate(op.a, params), 0.0, 0.0)
         b, bp, _ = along(op.b) if op.var in free_symbols(op.b) else (evaluate(op.b, params), 0.0, 0.0)
-        return a * f2 + (ap + b) * f1 + (bp + _at(op.c, op.var, pt, params)) * f0
+        return a * f2, (ap + b) * f1, (bp + _at(op.c, op.var, pt, params)) * f0
 
 
 def eigen_residual(
@@ -131,7 +143,8 @@ def eigen_residual(
     grid: Iterable[float],
     params: Mapping[str, float],
 ) -> dict:
-    """max and mean over the grid of |op f - lam f| / (1 + |lam f|).
+    """max and mean over the grid of |op f - lam f| / (1 + max |term|),
+    the terms being op f's three and lam f (see ``_residual``).
 
     The whole grid is evaluated at once; a domain error names the first
     failing point.
@@ -149,10 +162,9 @@ def _eigen_residuals(pairs, f, grid, params):
     for op, lam in pairs:
         check_symbols("the function", f, op.var, params)
         jf = _jet(f, op.var, s, params) if jf is None else jf
-        lhs = _apply_jet(op, jf, s, params)
         target = lam * jf.value if lam else 0.0  # |lhs - 0 f| is |lhs|
         with np.errstate(all="ignore"):  # a non-finite residual raises below
-            r = np.abs(lhs - target) / (1.0 + np.abs(target))
+            r = _residual(_terms(op, jf, s, params), (target,))[1]
         bad = ~np.isfinite(r)
         if bad.any():
             raise DomainError(f"non-finite eigen residual at {op.var}={s[np.argmax(bad)].item()!r}")

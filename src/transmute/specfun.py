@@ -132,7 +132,6 @@ _SPLIT = 4.0
 _SHORT, _LONG = 18, 36
 _START = 54  # Miller's start above floor(nu), enough for w >= -100
 _NU_MAX = 100.0  # keeps gamma(nu+2) and the scaled Miller sweep far from overflow
-_NORMAL = 2.0**-1022  # the least positive normal float
 _DEGREE_MAX = 1024  # gegenbauer's recurrence takes one step per degree
 
 
@@ -232,7 +231,7 @@ def _bessel(nu: float, z, sign: float, name: str, jets: bool = False):
     array = type(h) is np.ndarray
     # numpy's power for a float too, so that it rounds as an array entry does; with
     # z/2 <= 10 and -1 < nu <= 100 it overflows only at a zero or subnormal z/2
-    if nu < 0.0 and (array or h < _NORMAL):  # raised below
+    if nu < 0.0:  # raised below
         with np.errstate(all="ignore"):
             p = np.power(h, nu)
     else:
@@ -300,34 +299,50 @@ def gegenbauer(m: int, alpha: float, z):
 
 
 @np.errstate(all="ignore")  # an overflow is raised as ConvergenceError
-def hyp1f2(a: float, b1: float, b2: float, z):
-    """Generalized hypergeometric 1F2 by direct series.
+def hyp1f2(a: float, b1: float, b2: float, z, *, scale: float = 1.0):
+    """Generalized hypergeometric 1F2 by direct series, times ``scale``.
 
     Each entry of z stops when its running term drops below 1e-16 of its
     partial sum, accumulated term by term; an overflow, or a 500-term cap
-    with a still-growing term, raises ConvergenceError.
+    with a still-growing term, raises ConvergenceError.  The sum's rounding
+    error is about 2^-52 sum|term|, so where the terms cancel (a large
+    negative z) and that exceeds 1e-10 max(|sum|, 1) it raises
+    ConvergenceError too, rather than return digits that are not there.
+    The floor of 1 keeps a zero of 1F2, where the error is tiny but not
+    small against the sum, from being refused.  With ``scale`` both sides
+    are of scale * 1F2: its error |scale| 2^-52 sum|term| against 1e-10
+    max(|scale * sum|, 1), as a derivative in ``hyp1f2_jets`` needs.
     """
     for b in (b1, b2):
         if _is_nonpositive_int(b):
             raise PoleError(f"hyp1f2 lower parameter {b} is a pole of gamma")
     zs = np.asarray(z, dtype=float).ravel()
-    out = np.empty(zs.size)
+    out, mags = np.empty(zs.size), np.zeros(zs.size)
     live, zl = np.arange(zs.size), zs
-    term = total = np.ones(zs.size)
+    term = total = mag = np.ones(zs.size)
     failed = {}
     for k in range(500):
         if not live.size:
             break
         term = term * ((a + k) / ((b1 + k) * (b2 + k)) * zl / (k + 1.0))
         total = total + term
+        size = np.abs(term)
+        mag = mag + size
         # converged, or overflowed: any comparison with inf or NaN is False
-        done = ~(np.abs(term) > 1e-16 * np.abs(total))
+        done = ~(size > 1e-16 * np.abs(total))
         if done.any():
             over = live[done & ~np.isfinite(total)].tolist()
             failed.update(dict.fromkeys(over, f"overflowed after {k + 1} terms"))
-            out[live[done]] = total[done]
-            live, zl, term, total = live[~done], zl[~done], term[~done], total[~done]
+            out[live[done]], mags[live[done]] = total[done], mag[done]
+            live, zl = live[~done], zl[~done]
+            term, total, mag = term[~done], total[~done], mag[~done]
     failed.update(dict.fromkeys(live.tolist(), "did not converge within 500 terms"))
+    out = scale * out
+    # the terms cancel: the rounding error estimate is above 1e-10 max(|sum|, 1)
+    est = abs(scale) * 2.0**-52 * mags
+    for i in np.flatnonzero(est > 1e-10 * np.maximum(np.abs(out), 1.0)).tolist():
+        failed.setdefault(
+            i, f"cancels: rounding error estimate {est[i]:.1e}, above 1e-10 max(|sum|, 1)")
     if failed:
         i = min(failed)
         raise ConvergenceError(f"hyp1f2({a},{b1},{b2},{float(zs[i])}) {failed[i]}")
@@ -378,7 +393,7 @@ def hyp1f2_jets(a: float, b1: float, b2: float, z: float) -> tuple[float, float,
     """d/dz 1F2(a;b1,b2;z) = a/(b1 b2) 1F2(a+1;b1+1,b2+1;z)."""
     v = hyp1f2(a, b1, b2, z)
     r1 = a / (b1 * b2)
-    d1 = r1 * hyp1f2(a + 1.0, b1 + 1.0, b2 + 1.0, z)
+    d1 = hyp1f2(a + 1.0, b1 + 1.0, b2 + 1.0, z, scale=r1)
     r2 = r1 * (a + 1.0) / ((b1 + 1.0) * (b2 + 1.0))
-    d2 = r2 * hyp1f2(a + 2.0, b1 + 2.0, b2 + 2.0, z)
+    d2 = hyp1f2(a + 2.0, b1 + 2.0, b2 + 2.0, z, scale=r2)
     return v, d1, d2

@@ -23,7 +23,8 @@ from transmute.conditions import (
 from transmute.errors import AdmissibilityError, DomainError, NumericalError, TransmuteError, UsageError
 from transmute.expr import BinOp, Jet2, Num, evaluate, parse
 from transmute.kernels import COEFFICIENT_NAMES, corrupt_case, get_case, list_cases
-from transmute.operators import apply
+from transmute.operators import _jet, _terms, apply
+from transmute.quadrature import identity_error
 
 
 def test_triangle_grid_stays_inside_the_triangle():
@@ -383,12 +384,15 @@ def test_verify_all_walks_k_once_and_f0_once(name, monkeypatch):
 
 def _old_eigen(case, xs):
     """check_eigen as it was with two walks of f per operator: apply's jet,
-    and evaluate for lam f, each operator on its own."""
+    and evaluate for lam f, each operator on its own.  The residual is
+    |A f - lam f| / (1 + max |term|) over A f's three terms and lam f."""
     def stats(op, f, lam):
         s = np.array(xs)
         lhs = apply(op, f, s, case.params)
+        terms = _terms(op, _jet(f, op.var, s, case.params), s, case.params)
         target = lam * evaluate(f, {**case.params, op.var: s}) if lam else 0.0
-        r = np.abs(lhs - target) / (1.0 + np.abs(target))
+        scale = np.max(np.abs(np.broadcast_arrays(*terms, target)), axis=0)
+        r = np.abs(lhs - target) / (1.0 + scale)
         return float(r.max()), math.fsum(r.tolist()) / len(r)
 
     shift = case.eigen_shift
@@ -415,6 +419,24 @@ def test_shared_f_jet_changes_no_eigen_bit(seed):
     for case in cases:
         xs = sample_points(case)
         assert check_eigen(case) == _old_eigen(case, xs), case.name
+
+
+@pytest.mark.parametrize("name,params", [
+    ("cosh_1f2", {"beta": 8.0}),
+    ("cosh_1f2", {"beta": 16.0}),
+    ("cosh_1f2", {"mu": 8.0}),
+    ("cosh_1f2", {"mu": 10.0}),
+    ("sine_to_bessel", {"beta": 12.0}),
+])
+def test_eigen_residual_is_rounding_where_the_terms_cancel(name, params):
+    # T f0 = f1 holds to rounding on these draws, but A f and B f are sums of
+    # large terms that cancel: scaled by 1 + |lam f| alone (absolute at
+    # lam = 0) they failed eigenB at 4e-8 .. 0.84, and eigenA too at mu = 10.
+    # Scaled by 1 + max |term|, as 4a is, they are rounding.
+    case = get_case(name, params)
+    assert identity_error(case) <= 1e-14
+    for record in check_eigen(case):
+        assert record.passed and record.max_residual <= 1e-15, record
 
 
 def test_kernel_failing_at_a_4c_point_fails_as_the_separate_checks():

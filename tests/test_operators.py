@@ -94,9 +94,9 @@ def test_eigen_residual_annotates_failing_point():
         eigen_residual(op, parse("x"), 0.0, [1.0, 0.0], {})
 
 
-def _apply_over_arrays(op, f, pt, params):
-    """``apply`` with every coefficient evaluated over the points, constant or
-    not: the reference that float constant coefficients must match bit for bit."""
+def _terms_over_arrays(op, f, pt, params):
+    """``apply``'s three terms with every coefficient evaluated over the points,
+    constant or not: the reference that float constant coefficients must match bit for bit."""
     x = pt if op.var == "x" else 0.0
     t = pt if op.var == "t" else 0.0
 
@@ -106,11 +106,11 @@ def _apply_over_arrays(op, f, pt, params):
     f0, f1, f2 = along(f)
     if op.var == "x":
         a, b, c = (evaluate(e, {**params, "x": pt}) for e in (op.a, op.b, op.c))
-        return a * f2 + b * f1 + c * f0
+        return a * f2, b * f1, c * f0
     a, ap, _ = along(op.a)
     b, bp, _ = along(op.b)
     c = evaluate(op.c, {**params, "t": pt})
-    return a * f2 + (ap + b) * f1 + (bp + c) * f0
+    return a * f2, (ap + b) * f1, (bp + c) * f0
 
 
 def _pairs(name):
@@ -134,10 +134,12 @@ def _pairs(name):
 def test_constant_coefficients_change_no_bit(name):
     pt = np.linspace(0.2, 3.0, 20)
     for op, f, lam, params in _pairs(name):
-        want = _apply_over_arrays(op, f, pt, params)
+        terms = _terms_over_arrays(op, f, pt, params)
+        want = terms[0] + terms[1] + terms[2]
         got = apply(op, f, pt, params)
         assert got.shape == pt.shape and got.tobytes() == want.tobytes()
         target = lam * evaluate(f, {**params, op.var: pt})
-        r = np.abs(want - target) / (1.0 + np.abs(target))
+        # the scale is 1 + the largest of the three terms and lam f
+        r = np.abs(want - target) / (1.0 + np.max(np.abs([*terms, target]), axis=0))
         stats = eigen_residual(op, f, lam, pt.tolist(), params)
         assert (stats["max"], stats["mean"]) == (float(r.max()), math.fsum(r.tolist()) / len(r))

@@ -5,6 +5,7 @@ never imports them.
 """
 
 import math
+import re
 import sys
 import warnings
 
@@ -413,6 +414,62 @@ def test_hyp1f2_overflow_raises():
         specfun.hyp1f2(1.0, 0.5, 2.0, 1e9)
 
 
+_HYP1F2_Z = np.concatenate([-np.geomspace(1000.0, 0.5, 36), [0.0], np.geomspace(0.5, 700.0, 16)])
+
+
+@pytest.mark.parametrize("a,b1,b2", [(0.5, 0.5, 2.5), (1.0, 0.5, 2.0), (0.5, 1.5, 1.5), (2.5, 1.25, 0.75)])
+def test_hyp1f2_is_within_its_bound_or_refuses(a, b1, b2):
+    # for large negative z the alternating series cancels; a value that comes
+    # back is within 1e-10 max(|value|, 1) of mpmath (40 digits), else the call
+    # raises; for these parameters, where the value comes back its jet does
+    # too, within the same bound
+    mp.mp.dps = 40
+    r1 = a / (b1 * b2)
+    r2 = r1 * (a + 1.0) / ((b1 + 1.0) * (b2 + 1.0))
+    refused = []
+    for z in _HYP1F2_Z.tolist():
+        try:
+            got = specfun.hyp1f2(a, b1, b2, z)
+        except ConvergenceError as exc:
+            assert "cancels" in str(exc) and repr(z) in str(exc)
+            refused.append(z)
+            continue
+        want = [
+            mp.hyp1f2(a, b1, b2, z),
+            r1 * mp.hyp1f2(a + 1, b1 + 1, b2 + 1, z),
+            r2 * mp.hyp1f2(a + 2, b1 + 2, b2 + 2, z),
+        ]
+        jets = specfun.hyp1f2_jets(a, b1, b2, z)
+        assert jets[0] == got
+        for g, w in zip(jets, want):
+            assert abs(mp.mpf(g) - w) <= 1e-10 * max(abs(w), 1), (z, jets)
+    # the series alone was off by 2e11 relative at z = -1000; positive z never cancels
+    assert refused and max(refused) < 0.0 and min(refused) == -1000.0
+
+
+def test_hyp1f2_is_not_refused_at_a_zero():
+    # 1F2(0.5; 0.5, 2.5; z) vanishes near z = -5.0477: the rounding error is
+    # large against the value there, but not against 1
+    mp.mp.dps = 40
+    z = float(mp.findroot(lambda s: mp.hyp1f2(0.5, 0.5, 2.5, s), -5.05))
+    v, d1, d2 = specfun.hyp1f2_jets(0.5, 0.5, 2.5, z)
+    assert v == specfun.hyp1f2(0.5, 0.5, 2.5, z)
+    assert abs(v) < 1e-14 and abs(mp.mpf(v) - mp.hyp1f2(0.5, 0.5, 2.5, z)) < 1e-14
+    assert abs(mp.mpf(d1) - 0.4 * mp.hyp1f2(1.5, 1.5, 3.5, z)) < 1e-14
+
+
+def test_hyp1f2_jet_is_refused_by_its_own_error():
+    # 1F2(1.2; 3.25, 2.75; -137) alone is refused, but d/dz is 0.051 times it,
+    # whose rounding error is within the bound, as the value's is
+    mp.mp.dps = 40
+    a, b1, b2, z = 0.2, 2.25, 1.75, -137.0
+    with pytest.raises(ConvergenceError, match="cancels"):
+        specfun.hyp1f2(a + 1.0, b1 + 1.0, b2 + 1.0, z)
+    _, d1, _ = specfun.hyp1f2_jets(a, b1, b2, z)
+    assert abs(mp.mpf(d1) - a / (b1 * b2) * mp.hyp1f2(a + 1, b1 + 1, b2 + 1, z)) <= 1e-10
+    assert d1 == specfun.hyp1f2(a + 1.0, b1 + 1.0, b2 + 1.0, z, scale=a / (b1 * b2))
+
+
 @pytest.mark.parametrize(
     "fn",
     [specfun.bessel_j, specfun.bessel_i, specfun.bessel_clifford],
@@ -432,13 +489,16 @@ def test_bessel_nan_raises_domain_error(fn):
 def hyp1f2_oracle(a, b1, b2, z):
     """1F2 of a float, term by term: the oracle for the array series."""
     term = 1.0
-    total = 1.0
+    total = mag = 1.0
     for k in range(500):
         term *= (a + k) / ((b1 + k) * (b2 + k)) * z / (k + 1.0)
         total += term
+        mag += abs(term)
         if not math.isfinite(total):
             raise ConvergenceError(f"overflowed after {k + 1} terms")
         if abs(term) <= 1e-16 * abs(total):
+            if 2.0**-52 * mag > 1e-10 * max(abs(total), 1.0):
+                raise ConvergenceError("cancels")
             return total
     raise ConvergenceError("did not converge within 500 terms")
 
@@ -490,9 +550,23 @@ def test_array_bessel_series_is_the_float_series(nu, z, w):
     g=_array_of(-1.5, 1.5),
 )
 def test_array_hyp1f2_and_gegenbauer_are_the_float_oracles(a, b1, b2, z, m, alpha, g):
-    assert np.array_equal(specfun.hyp1f2(a, b1, b2, z),
-                          [hyp1f2_oracle(a, b1, b2, v) for v in z.tolist()])
-    assert specfun.hyp1f2(a, b1, b2, float(z[0])) == hyp1f2_oracle(a, b1, b2, float(z[0]))
+    want, refused = {}, None
+    for v in z.tolist():
+        try:
+            want[v] = hyp1f2_oracle(a, b1, b2, v)
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError):
+                specfun.hyp1f2(a, b1, b2, v)
+            refused = refused or (v, exc)
+    if refused:  # the array names its first refused entry
+        v, exc = refused
+        with pytest.raises(ConvergenceError, match=rf"{re.escape(repr(v))}\) {exc}"):
+            specfun.hyp1f2(a, b1, b2, z)
+    # the entries that are not refused, converging at different terms, are the oracle's
+    ok = np.array([v in want for v in z.tolist()], dtype=bool)
+    assert np.array_equal(specfun.hyp1f2(a, b1, b2, z[ok]), [want[v] for v in z[ok].tolist()])
+    for v in want:
+        assert specfun.hyp1f2(a, b1, b2, v) == want[v]
     assert np.array_equal(specfun.gegenbauer(m, alpha, g),
                           [gegenbauer_oracle(m, alpha, v) for v in g.tolist()])
     assert specfun.gegenbauer(m, alpha, float(g[0])) == gegenbauer_oracle(m, alpha, float(g[0]))
