@@ -48,6 +48,10 @@ multiplication (valid for negative bases, exact for jets); any other
 exponent goes through exp(v*log(u)) and requires a positive base (a
 constant zero base stays zero under a positive power).  An exponent that
 varies over an array is valued as a float point by point, in a jet too.
+Three literal shapes compile to fewer steps over the same operations, so
+to the same bits: u^2 is u * u, the product repeated multiplication forms;
+a divisor literal other than 0 and -0.0 skips a zero test that cannot fire;
+a call with literal leading arguments hands a float last one straight on.
 Domain violations raise :class:`~transmute.errors.DomainError` naming
 the offending subexpression (and, for arrays, the first failing point)
 instead of letting NaN propagate; a non-finite bound value, result or
@@ -469,9 +473,10 @@ _ndarray = np.ndarray
 
 
 def _where(env, bad) -> str:
-    """' at x=..., t=...': the first point where the mask ``bad`` holds,
-    given by the value of every array (or jet of arrays) bound in ``env``."""
+    """' at x=..., t=...': the first point where the mask ``bad`` holds, given by each array
+    (or jet of arrays) bound in ``env`` that is not 0-d, or by every one if none varies."""
     arrays = {k: a for k, v in env.items() if type(a := getattr(v, "value", v)) is _ndarray}
+    arrays = {k: a for k, a in arrays.items() if a.ndim} or arrays
     if not arrays:
         return ""
     shape = np.broadcast_shapes(*(v.shape for v in arrays.values()))
@@ -636,8 +641,11 @@ def _compile(node: Expr) -> Callable:
     if kind is BinOp:
         op = node.op
         left = _compiled(node.left)
-        if op == "^" and type(node.right) is Num and (n := _as_int_exponent(node.right.value) or 0) > 0:
-            return lambda env: _int_pow(left(env), n)
+        literal = node.right.value if type(node.right) is Num else 0.0  # 0.0: no shortcut
+        if op == "^" and (n := _as_int_exponent(literal) or 0) > 0:
+            return (lambda env: (u := left(env)) * u) if n == 2 else lambda env: _int_pow(left(env), n)
+        if op == "/" and literal:  # not 0 or -0.0: _divide's zero test cannot fire
+            return lambda env: left(env) / literal
         right = _compiled(node.right)
         if op == "+":
             return lambda env: left(env) + right(env)
@@ -662,17 +670,18 @@ def _compile(node: Expr) -> Callable:
     def call(env):
         args = [a(env) for a in first] if consts is None else consts
         z = last(env)
-        z0 = z.value if type(z) is Jet2 else z
-        array = type(z0) is _ndarray
-        for a in args:
-            if type(a) is Jet2:
-                raise DomainError(
-                    f"only the last argument of {node.name} may depend on x or t:"
-                    f" {to_string(node)}"
-                )
-            array = array or type(a) is _ndarray
-        if array:
-            return _array_call(node, env, spec, args, z)
+        if type(z) is not float or consts is None:  # constants and a float: nothing to check
+            z0 = z.value if type(z) is Jet2 else z
+            array = type(z0) is _ndarray
+            for a in args:
+                if type(a) is Jet2:
+                    raise DomainError(
+                        f"only the last argument of {node.name} may depend on x or t:"
+                        f" {to_string(node)}"
+                    )
+                array = array or type(a) is _ndarray
+            if array:
+                return _array_call(node, env, spec, args, z)
         try:
             if type(z) is Jet2:
                 return z.chain(*spec.jet(*args, z0))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, pairwise
 from typing import Mapping
 
 import numpy as np
@@ -211,14 +211,14 @@ class TriangleGrid:
     @property
     def levels(self):
         """One view of ``values`` per level."""
-        return tuple(self.values[_offset(d) : _offset(d + 1)] for d in range(self.top + 1))
+        return tuple(self.values[a:b] for a, b in pairwise(_offset(np.arange(self.top + 2)).tolist()))
 
     def value(self, i, j):
         """K at the cell (i, j), integers with 0 <= j <= i and i + j <= 2N; anything else is a UsageError."""
         if 0 <= j <= i <= self.top - j:
-            try:  # a float passes the comparisons but not numpy's indexing
-                return float(self.values[_offset(i + j) + j])
-            except IndexError:
+            try:  # a float passes the comparisons but not ``item``
+                return self.values.item(_offset(i + j) + j)
+            except (IndexError, TypeError):
                 pass
         raise UsageError(f"({i!r}, {j!r}) is not a lattice cell: need integers 0 <= j <= i, i + j <= {self.top}")
 
@@ -308,7 +308,10 @@ def solve(problem):
         for expr, tab in ((problem.op_a.b, b0t), (problem.op_a.c, c0t))
     )
     acc, tmp = np.empty(problem.steps), np.empty(problem.steps)
-
+    a, t = acc[:0], tmp[:0]
+    floats = type(b0) is type(c0) is float
+    mul, add, sub, item = np.multiply, np.add, np.subtract, values.item
+    wall_2, wall_1 = 3.0 + 2.0 * h * slope, 1.0 + h * slope  # the walls' divisors, two cells and one
     # the finiteness gate after the march reports divergence; keep numpy
     # from announcing the overflow separately on stderr first
     with np.errstate(over="ignore", invalid="ignore"):
@@ -319,29 +322,30 @@ def solve(problem):
         for d in range(2, top + 1):
             o2, o1, o0 = offsets[d - 2], offsets[d - 1], offsets[d]
             n, lo = (d - 1) // 2, (top - d) // 2 + 1  # n cells between diagonal and wall
-            w_s, w_q, w_c = t0_weights[d - 1] if type(b0) is type(c0) is float else _cell_weights(
-                sigma, h, b0 if type(b0) is float else b0[d % 2][lo : lo + n], b1x[d - 1],
-                c0 if type(c0) is float else c0[d % 2][lo : lo + n], c1x[d - 1],
+            if d & 1:  # levels 2n + 1 and 2n + 2 share the scratch views
+                a, t = acc[:n], tmp[:n]
+            w_s, w_q, w_c = t0_weights[d - 1] if floats else _cell_weights(
+                sigma, h, b0 if type(b0) is float else b0[d & 1][lo : lo + n], b1x[d - 1],
+                c0 if type(c0) is float else c0[d & 1][lo : lo + n], c1x[d - 1],
             )
             s, q, c = values[o1 + 1 : o1 + n + 1], values[o1 : o1 + n], values[o2 : o2 + n]
-            out, a, t = values[o0 + 1 : o0 + n + 1], acc[:n], tmp[:n]
-            np.multiply(w_s, s, out=a)
-            np.multiply(w_q, q, out=t)
-            np.add(a, t, out=a)
-            np.multiply(w_c, c, out=t)
-            np.add(a, t, out=a)
-            np.add(s, q, out=out)
-            np.subtract(out, c, out=out)
-            np.add(out, a, out=out)
-            if d % 2 == 0 and ghost_cell:
+            out = values[o0 + 1 : o0 + n + 1]
+            mul(w_s, s, a)
+            mul(w_q, q, t)
+            add(a, t, a)
+            mul(w_c, c, t)
+            add(a, t, a)
+            add(s, q, out)
+            sub(out, c, out)
+            add(out, a, out)
+            if d & 1:
+                continue
+            if ghost_cell:
                 w_s, w_q, w_c = t0_weights[d - 1]  # Q mirrors S
-                g, c = values[o1 + n], values[o2 + n]
+                g, c = item(o1 + n), item(o2 + n)
                 values[o0 + n + 1] = (g + g - c) + ((w_s * g + w_q * g) + w_c * c)
-            elif d % 2 == 0 and n:
-                wall = 4.0 * values[o0 + n] - values[o0 + n - 1]
-                values[o0 + n + 1] = wall / (3.0 + 2.0 * h * slope)
-            elif d % 2 == 0:
-                values[o0 + 1] = values[o0] / (1.0 + h * slope)
+            else:  # one-sided K_t = slope K: from two cells, or at n = 0 from the diagonal
+                values[o0 + n + 1] = (4.0 * item(o0 + n) - item(o0 + n - 1)) / wall_2 if n else item(o0) / wall_1
         grid = TriangleGrid(h=h, values=values, boundary=flavor)
         # the last level is enough: each cell (d, j >= 1) is the S neighbour of (d + 1, j),
         # no sum, difference, weight product or division by a finite wall factor turns

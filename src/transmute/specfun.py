@@ -268,6 +268,8 @@ def bessel_clifford(nu: float, w):
     -1 <= nu <= 100, |w| <= 100.  The smooth core shared by J and I, as
     J_nu(z) = (z/2)^nu C_nu(-z^2/4) and I_nu(z) = (z/2)^nu C_nu(z^2/4),
     lets kernels divide out the z^nu factor without a 0/0."""
+    if type(w) is float and -1.0 <= nu <= _NU_MAX and -100.0 <= w <= 100.0:  # the branch _clifford picks
+        return _miller(nu, w)[0] if w < -_SPLIT else _series(nu, w, _SHORT if w <= _SPLIT else _LONG)[0]
     return bessel_clifford_jets(nu, w)[0]
 
 

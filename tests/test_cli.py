@@ -653,6 +653,19 @@ def test_a_non_finite_number_prints_only_the_failure_line(tmp_path, case, argv):
     assert err.getvalue().startswith("numerical failure: ") and err.getvalue().count("\n") == 1
 
 
+def test_an_x_side_eigen_failure_names_only_x(tmp_path):
+    # f1 reads x alone; the eigen check binds t as one number, which is not named
+    config = tmp_path / "cancel.cfg"
+    config.write_text(
+        '[case]\nkernel = "1"\nf0 = "1"\nf1 = "hyp1f2(0.5, 0.5, 2.5, -100*x^2)"\n[operatorA]\n[operatorB]\n')
+    for command in ("verify", "apply"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--custom", str(config)])
+        assert code == 3
+        assert re.search(r" in hyp1f2\(0\.5, 0\.5, 2\.5, -100\*x\^2\) at x=[0-9.]+\n$", err.getvalue())
+
+
 @pytest.mark.parametrize("spec", ["c0:1e308", "a0:1e308", "b1:1e308", "a1:-1e308"])
 def test_a_corruption_whose_mean_overflows_ends_in_an_exit_code(spec):
     # residuals near 1e308 are finite, but their fsum overflows: each mean

@@ -680,6 +680,37 @@ def test_compiled_tree_is_the_tree_walk_bit_for_bit(node, xs, ts, a, b):
         assert _outcome(lambda n, e: n._run(e), node, env, arrays) == want
 
 
+_SPECIALISED = [
+    # a literal ^2 is one product
+    "x^2", "(x-t)^2", "sin(x)^2", "(x/0)^2",
+    # a nonzero literal divisor skips the zero test; 0 and -0.0 keep it
+    "x/4", "(x*t)/0.5", "sin(x)/3", "x/0", "(1/x)/7", "log(-x)/2",
+    BinOp("/", Name("x"), Num(-0.0)), BinOp("/", Name("t"), Num(math.nan)),
+    # constant leading arguments with a float, jet or array last one
+    "besselj(0.5, x)", "bessel_clifford(0, -a^2*(x^2-t^2)/4)", "gegenbauer(2, 0.5, x-t)",
+    "hyp1f2(0.5, 0.5, 2.5, -100*x^2)", "bessel_clifford(0, 200*x)", "besseli(-1.5, x)",
+    # an error in a leading argument comes first, then one in the last
+    "besselj(log(-a-2), x)", "besselj(log(-a-2), 1/0)", "besselj(0.5, log(-x))",
+    "besselj(0.5, x/0)", "gegenbauer(2, sqrt(-b), x)", "bessel_clifford(a, x)", "besselj(x, t)",
+]
+
+
+@pytest.mark.parametrize("node", [parse(n) if isinstance(n, str) else n for n in _SPECIALISED], ids=str)
+def test_compiled_specialisations_are_the_tree_walk(node):
+    xs, ts = [0.3, 1.7, 2.5], [0.2, 1.1]
+    x, t = np.array(xs)[:, None], np.array(ts)
+    for a, b in ((0.7, 1.3), (-1.5, 0.1), (2.5, 3.0)):
+        envs = [
+            ({"a": a, "b": b, "x": xs[1], "t": ts[0]}, False),
+            ({"a": a, "b": b, "x": x, "t": t}, True),
+            ({"a": a, "b": b, "x": Jet2(xs[1], dx=1.0), "t": Jet2(ts[0], dt=1.0)}, False),
+            ({"a": a, "b": b, "x": Jet2(x, dx=1.0), "t": Jet2(t, dt=1.0)}, True),
+        ]
+        for env, arrays in envs:
+            want = _outcome(_walk, node, env, arrays)
+            assert _outcome(lambda n, e: n._run(e), node, env, arrays) == want
+
+
 # the extremes of the float range, and 0 and 1, with either sign
 _EXTREMES = st.sampled_from([s * v for v in (0.0, 5e-324, 1e-310, 1e-160, 1.0, 1e154, 1e300) for s in (1.0, -1.0)])
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transmute.errors import NumericalError, UsageError
-from transmute.expr import Num, evaluate, parse
+from transmute.expr import Num, evaluate, free_symbols, parse
 from transmute.goursat import (
     MAX_STEPS,
     GoursatProblem,
@@ -262,6 +262,80 @@ def test_fused_march_matches_two_sweep_oracle(problem):
     oracle = np.concatenate(march_two_sweep(problem))
     assert grid.values.shape == oracle.shape
     np.testing.assert_allclose(grid.values, oracle, rtol=1e-12, atol=0.0)
+
+
+def march_per_level(problem):
+    """The level loop ``solve`` had before its per-call overhead was cut,
+    kept verbatim (each level re-slicing its buffers and testing its weight
+    types, the wall read as numpy scalars): an oracle that ``solve`` must
+    match bit for bit, since only Python-level dispatch was removed."""
+    sigma, h = problem.sigma, problem.h
+    top = 2 * problem.steps
+    b0t, c0t, b1x, c1x = _coefficient_tables(problem, top)
+    theta = b0t[0] + problem.h0 * sigma
+    flavor = "robin" if abs(theta) > 1e-13 else "neumann"
+    ghost_cell = flavor == "neumann" and not math.isnan(b0t[0])
+    if ghost_cell and math.isnan(c0t[0]):
+        raise UsageError("Neumann ghost cell needs c0 regular at t = 0")
+    slope = sigma * theta if flavor == "robin" else 0.0
+    offsets = _offset(np.arange(top + 1)).tolist()
+    values = np.empty(_offset(top + 1))
+    values[offsets] = diagonal_values(problem, np.arange(top + 1) * h / 2.0)
+    b0, c0 = (
+        float(tab[0]) if "t" not in free_symbols(expr)
+        else (tab[::2][::-1].copy(), tab[1::2][::-1].copy())
+        for expr, tab in ((problem.op_a.b, b0t), (problem.op_a.c, c0t))
+    )
+    acc, tmp = np.empty(problem.steps), np.empty(problem.steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t0_weights = list(zip(*(
+            w.tolist() for w in _cell_weights(sigma, h, b0t[0], b1x[:-1], c0t[0], c1x[:-1]))))
+        for d in range(2, top + 1):
+            o2, o1, o0 = offsets[d - 2], offsets[d - 1], offsets[d]
+            n, lo = (d - 1) // 2, (top - d) // 2 + 1
+            w_s, w_q, w_c = t0_weights[d - 1] if type(b0) is type(c0) is float else _cell_weights(
+                sigma, h, b0 if type(b0) is float else b0[d % 2][lo : lo + n], b1x[d - 1],
+                c0 if type(c0) is float else c0[d % 2][lo : lo + n], c1x[d - 1],
+            )
+            s, q, c = values[o1 + 1 : o1 + n + 1], values[o1 : o1 + n], values[o2 : o2 + n]
+            out, a, t = values[o0 + 1 : o0 + n + 1], acc[:n], tmp[:n]
+            np.multiply(w_s, s, out=a)
+            np.multiply(w_q, q, out=t)
+            np.add(a, t, out=a)
+            np.multiply(w_c, c, out=t)
+            np.add(a, t, out=a)
+            np.add(s, q, out=out)
+            np.subtract(out, c, out=out)
+            np.add(out, a, out=out)
+            if d % 2 == 0 and ghost_cell:
+                w_s, w_q, w_c = t0_weights[d - 1]
+                g, c = values[o1 + n], values[o2 + n]
+                values[o0 + n + 1] = (g + g - c) + ((w_s * g + w_q * g) + w_c * c)
+            elif d % 2 == 0 and n:
+                wall = 4.0 * values[o0 + n] - values[o0 + n - 1]
+                values[o0 + n + 1] = wall / (3.0 + 2.0 * h * slope)
+            elif d % 2 == 0:
+                values[o0 + 1] = values[o0] / (1.0 + h * slope)
+    return flavor, values
+
+
+@pytest.mark.parametrize("problem", [
+    *(_telegraph(h) for h in (1.0 / 64.0, 1.0 / 100.0, 1.0 / 256.0)),
+    _telegraph(1.0 / 64.0, sign="-"),
+    _robin(1.0 / 64.0),
+    # b0 and c0 read t: array weights; then c0 alone does
+    _gp(sigma=1.0, b0="t", b1="0.5*x", c0="0.3*t", c1="1+x", X=1.0, h=1.0 / 64.0),
+    _gp(sigma=-1.0, b0="1+t", b1="0.5*x", c0="0.3*t", c1="1+x", h0=0.5, X=1.0, h=1.0 / 64.0),
+    _gp(sigma=1.0, b0="0", b1="0", c0="0.3*t", c1="mu^2", X=2.0, h=1.0 / 64.0, params={"mu": 1.0}),
+    # b0 = -3/t is singular at the wall: K_t = 0 one-sided
+    problem_from_case(get_case("lowndes", {"mu": 0.0}), X=2.0, h=1.0 / 128.0),
+], ids=["telegraph64", "telegraph100", "telegraph256", "sign_flip", "robin",
+        "ghost_all_terms", "robin_all_terms", "c0_reads_t", "lowndes_mu0"])
+def test_march_keeps_its_bits(problem):
+    flavor, values = march_per_level(problem)
+    grid = solve(problem)
+    assert grid.boundary == flavor
+    assert np.array_equal(grid.values, values)
 
 
 def _lattice_xs(problem):

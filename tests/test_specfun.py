@@ -278,6 +278,27 @@ def test_bessel_clifford_is_the_old_series(nu, w):
     assert abs(specfun.bessel_clifford(nu, w) - clifford_series_oracle(nu, w)) <= 1e-14 * scale
 
 
+def _outcome(fn, *args):
+    """The bits of what ``fn(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return np.asarray(fn(*args), dtype=float).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# each branch's edges (Miller below -4, 18 terms to 4, 36 to 100), the box's edges and beyond
+_CLIFFORD_W = [-100.0, -57.3, -4.000000000000001, -4.0, -1.5, -0.0, 0.0, 2.25, 4.0,
+               4.000000000000001, 63.1, 100.0, 100.00000000000001, -101.0, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("nu", [-1.0, -0.5, 0.0, 0.5, 3.0, 47.25, 100.0, -1.5, 100.5, math.nan])
+def test_float_bessel_clifford_is_the_jets_path(nu):
+    # a float w skips the jets triple: the same value, or the same error, as through it
+    for w in _CLIFFORD_W:
+        assert _outcome(specfun.bessel_clifford, nu, w) == _outcome(
+            lambda n, v: specfun.bessel_clifford_jets(n, v)[0], nu, w), (nu, w)
+
+
 @pytest.mark.parametrize(
     "fn", [specfun.bessel_j, specfun.bessel_i, specfun.bessel_j_jets, specfun.bessel_i_jets],
 )
