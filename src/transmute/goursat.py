@@ -216,9 +216,9 @@ class TriangleGrid:
     def value(self, i, j):
         """K at the cell (i, j), integers with 0 <= j <= i and i + j <= 2N; anything else is a UsageError."""
         if 0 <= j <= i <= self.top - j:
-            try:  # a float passes the comparisons but not ``item``
-                return self.values.item(_offset(i + j) + j)
-            except (IndexError, TypeError):
+            try:  # a float passes the comparisons but not numpy's indexing
+                return float(self.values[_offset(i + j) + j])
+            except IndexError:
                 pass
         raise UsageError(f"({i!r}, {j!r}) is not a lattice cell: need integers 0 <= j <= i, i + j <= {self.top}")
 
@@ -311,10 +311,11 @@ def solve(problem):
     a, t = acc[:0], tmp[:0]
     floats = type(b0) is type(c0) is float
     mul, add, sub, item = np.multiply, np.add, np.subtract, values.item
-    wall_2, wall_1 = 3.0 + 2.0 * h * slope, 1.0 + h * slope  # the walls' divisors, two cells and one
-    # the finiteness gate after the march reports divergence; keep numpy
-    # from announcing the overflow separately on stderr first
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the walls' divisors, two cells and one, as numpy scalars: a zero one gives inf, not ZeroDivisionError
+    wall_2, wall_1 = np.float64(3.0 + 2.0 * h * slope), np.float64(1.0 + h * slope)
+    # the finiteness gate after the march reports divergence; keep numpy from
+    # announcing the overflow or the division by a zero wall separately on stderr first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # entry d - 1: level d's weights with b0, c0 at t = 0 from one array call (float and
         # array arithmetic round alike), the ghost cell's and, for float b0, c0, every cell's
         t0_weights = list(zip(*(

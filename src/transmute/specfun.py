@@ -161,7 +161,7 @@ def _taylor(nu: float, terms: int) -> tuple:
     return tuple((c, c / (nu + 2.0 + k)) for k, c in reversed(tuple(enumerate(p))))
 
 
-def _series(nu: float, w, terms: int):
+def _series(terms: int, nu: float, w):
     """Horner's rule for C_nu+1 and C_nu+2, then C_{a-1} = a C_a + w C_{a+1}."""
     c1 = c2 = 0.0
     for p, q in _taylor(nu, terms):
@@ -198,7 +198,7 @@ def _miller(nu: float, w):
     return keep[2] / s, keep[1] / s, keep[0] / s
 
 
-_BRANCHES = (_miller, partial(_series, terms=_SHORT), partial(_series, terms=_LONG))
+_BRANCHES = (_miller, partial(_series, _SHORT), partial(_series, _LONG))  # positional: no kwargs per call
 
 
 def _clifford(nu: float, w):
@@ -268,8 +268,6 @@ def bessel_clifford(nu: float, w):
     -1 <= nu <= 100, |w| <= 100.  The smooth core shared by J and I, as
     J_nu(z) = (z/2)^nu C_nu(-z^2/4) and I_nu(z) = (z/2)^nu C_nu(z^2/4),
     lets kernels divide out the z^nu factor without a 0/0."""
-    if type(w) is float and -1.0 <= nu <= _NU_MAX and -100.0 <= w <= 100.0:  # the branch _clifford picks
-        return _miller(nu, w)[0] if w < -_SPLIT else _series(nu, w, _SHORT if w <= _SPLIT else _LONG)[0]
     return bessel_clifford_jets(nu, w)[0]
 
 

@@ -653,6 +653,21 @@ def test_a_non_finite_number_prints_only_the_failure_line(tmp_path, case, argv):
     assert err.getvalue().startswith("numerical failure: ") and err.getvalue().count("\n") == 1
 
 
+@pytest.mark.parametrize("h0, level", [(-64, 2), (-96, 4)])
+def test_a_zero_robin_wall_factor_prints_only_the_failure_line(tmp_path, h0, level):
+    # theta = h0 at h = 1/64: 1 + h theta (level 2) or 3 + 2 h theta (level 4 on) is 0.0
+    config = tmp_path / "wall.cfg"
+    config.write_text(f'[operatorA]\nc = "0"\nh = {h0}\n\n[operatorB]\nb = "-1"\nc = "0.25"\n\n'
+                      '[solver]\nx = 2\nh = 0.015625\nreference = "exp(t/2)"\n')
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", "--custom", str(config)])
+    assert code == 3 and not out.getvalue()
+    assert err.getvalue() == f"numerical failure: non-finite lattice value at level {level}\n"
+
+
 def test_an_x_side_eigen_failure_names_only_x(tmp_path):
     # f1 reads x alone; the eigen check binds t as one number, which is not named
     config = tmp_path / "cancel.cfg"

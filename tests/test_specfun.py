@@ -292,11 +292,13 @@ _CLIFFORD_W = [-100.0, -57.3, -4.000000000000001, -4.0, -1.5, -0.0, 0.0, 2.25, 4
 
 
 @pytest.mark.parametrize("nu", [-1.0, -0.5, 0.0, 0.5, 3.0, 47.25, 100.0, -1.5, 100.5, math.nan])
-def test_float_bessel_clifford_is_the_jets_path(nu):
-    # a float w skips the jets triple: the same value, or the same error, as through it
+def test_float_bessel_clifford_is_the_array_entry(nu):
+    # a float w picks its branch and checks its box as an array entry does:
+    # the same bits, or the same error
     for w in _CLIFFORD_W:
-        assert _outcome(specfun.bessel_clifford, nu, w) == _outcome(
-            lambda n, v: specfun.bessel_clifford_jets(n, v)[0], nu, w), (nu, w)
+        for fn in (specfun.bessel_clifford, specfun.bessel_clifford_jets):
+            assert _outcome(fn, nu, w) == _outcome(
+                lambda n, v: np.ravel(fn(n, np.array([v]))), nu, w), (fn.__name__, nu, w)
 
 
 @pytest.mark.parametrize(
