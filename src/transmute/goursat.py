@@ -127,63 +127,46 @@ class GoursatProblem:
 
 
 def diagonal_values(problem, xs):
-    """Transport data K(x,x) at the requested abscissae.
+    """Transport data K(x,x) on diagonal cells x = m h/2, m an integer with
+    0 <= m <= 2N, within the 1e-9 that ``GoursatProblem`` allows X/h; any
+    other x is a UsageError, as ``TriangleGrid.value`` refuses non-cells.
 
     Solves 2 sigma K0' + (b1-b0) K0 = 0 in closed form:
     K0(x) = kappa * x^(-rho/(2 sigma)) * exp(-(1/(2 sigma)) S(x)) with
     S the running integral of the smooth part of b1 - b0 (less the
-    rho/s pole). From each abscissa (in increasing order) to the
-    next, S advances in panels of h/2, the last cut short; the smooth
-    part is evaluated once over the 32 Gauss-Legendre nodes of every
-    panel, and a cumulative sum of the panel integrals gives S.
+    rho/s pole). The smooth part is evaluated once over the 32
+    Gauss-Legendre nodes of the lattice's own panels [k h/2, (k+1) h/2]
+    up to the largest m, and S(m h/2) is the cumulative sum of the panel
+    integrals read at m, so every caller integrates the same panels.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
-    if not np.all(xs >= 0.0):
-        raise UsageError("diagonal abscissae must be nonnegative")
+    panel, top = problem.h / 2.0, 2 * problem.steps
+    with np.errstate(all="ignore"):  # an inf or NaN x fails the test below
+        m = np.rint(xs / panel)
+        on = (np.abs(xs / panel - m) <= 1e-9) & (m >= 0.0) & (m <= top)
+    if not on.all():
+        raise UsageError(f"x = {float(xs[~on][0])!r} is not a diagonal cell: need x = m h/2, m in 0..{top}")
     exponent = -problem.rho / (2.0 * problem.sigma)
     if exponent < 0.0 and problem.kappa != 0.0 and np.any(xs == 0.0):
-        raise UsageError(
-            "diagonal data blows up at x = 0 (rho/(2 sigma) > 0);"
-            " set kappa = 0 or keep x > 0"
-        )
-    if problem.kappa == 0.0 or xs.size == 0:
+        raise UsageError("diagonal data blows up at the lattice vertex x = 0 (rho/(2 sigma) > 0); set kappa = 0")
+    if problem.kappa == 0.0:
         return [0.0] * xs.size
-    panel = problem.h / 2.0
-    if xs.max() > MAX_STEPS * problem.h:
-        raise UsageError(
-            f"diagonal abscissa {xs.max():g} is beyond the lattice budget"
-            f" of {MAX_STEPS} steps of h = {problem.h:g}"
-        )
-
-    order = np.argsort(xs, kind="stable")
-    ends = xs[order]
-    starts = np.concatenate(([0.0], ends[:-1]))
-    # panels start where the previous abscissa ended and stop once within
-    # 1e-15 (relative) of the next
-    tol = 1e-15 * np.maximum(1.0, ends)
-    counts = np.maximum(np.ceil((ends - tol - starts) / panel), 0.0).astype(int)
-    done = np.cumsum(counts)
-    gap = np.repeat(np.arange(ends.size), counts)  # the abscissa a panel leads to
-    k = np.arange(done[-1]) - np.repeat(done - counts, counts)  # its place in the gap
-    lo = starts[gap] + k * panel
-    hi = np.minimum(lo + panel, ends[gap])
-    half = 0.5 * (hi - lo)
+    half = 0.5 * panel
     gl = jacobi_rule(32, 0.0, 0.0)
-    s = (0.5 * (hi + lo))[:, None] + half[:, None] * gl.nodes
+    s = ((np.arange(int(m.max(initial=0.0))) + 0.5) * panel)[:, None] + half * gl.nodes
     # b1 reads x and b0 reads t, so one tree takes both at the nodes
     smooth = evaluate(
         BinOp("-", problem.op_b.b, problem.op_a.b), {**problem.params, "x": s, "t": s}
     )
-    if problem.rho != 0.0:
-        smooth -= problem.rho / s
-    integral = np.concatenate(([0.0], np.cumsum(half * (smooth @ gl.weights))))[done]
-    with np.errstate(over="ignore"):
-        k0 = problem.kappa * ends**exponent * np.exp(-integral / (2.0 * problem.sigma))
+    # the gate below reports an overflow; keep numpy from announcing it on stderr first
+    with np.errstate(over="ignore", invalid="ignore"):
+        if problem.rho != 0.0:
+            smooth -= problem.rho / s
+        integral = np.concatenate(([0.0], np.cumsum(half * (smooth @ gl.weights))))[m.astype(int)]
+        k0 = problem.kappa * xs**exponent * np.exp(-integral / (2.0 * problem.sigma))
     if not np.all(np.isfinite(k0)):
         raise NumericalError("diagonal data overflows")
-    out = np.empty(xs.size)
-    out[order] = k0
-    return out.tolist()
+    return k0.tolist()
 
 
 def _offset(d):
@@ -380,11 +363,18 @@ def compare(grid, reference, params=None):
             d = np.searchsorted(starts, k, side="right") - 1
             t = (d - 2 * (k - starts[d])) * h / 2.0
             ref = evaluate(reference, {**params, "x": d * h / 2.0, "t": t})
-            gap = np.abs(grid.values[first : first + _COMPARE_POINTS] - ref)
+            with np.errstate(over="ignore"):  # an inf gap or square is refused below
+                gap = np.abs(grid.values[first : first + _COMPARE_POINTS] - ref)
+                squares = (gap * gap).tolist()
             maxima.append(gap.max())
-            yield (gap * gap).tolist()
+            yield squares
 
-    total = math.fsum(chain.from_iterable(square_blocks()))
+    try:  # fsum raises where finite squares overflow their sum
+        total = math.fsum(chain.from_iterable(square_blocks()))
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise NumericalError("the squared gap between the lattice and the reference overflows")
     return {"max": float(max(maxima)), "l2": math.sqrt(total / count), "count": count}
 
 

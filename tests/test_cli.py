@@ -114,6 +114,8 @@ BAD_CONFIGS = {
     "pole_squared.cfg": SOLVER_FILE.replace("[operatorB]\n", '[operatorB]\nb = "1/x^2"\n'),
     "exp_pole.cfg": SOLVER_FILE.replace("[operatorB]\n", '[operatorB]\nb = "exp(1/x)"\n'),
     "no_solver.cfg": CASE_FILE,
+    # rho = 1: K(x,x) = kappa x^(-1/2) blows up at the lattice's vertex x = 0
+    "vertex_blowup.cfg": '[operatorA]\n[operatorB]\nb = "1/x"\n[solver]\nx = 1\nh = 0.0625\n',
 }
 
 
@@ -288,6 +290,7 @@ def test_verify_csv_format(capsys):
         ("verify", "--case", "vekua_telegraph", "--params", "mu=1e155"),  # mu^2 overflows
         ("apply", "--case", "poisson_bessel", "--params", "nu=1e6"),  # Jacobi weights overflow
         ("apply", "--case", "gegenbauer", "--params", "lambda=1e6"),
+        ("solve", "--custom", "vertex_blowup.cfg"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
@@ -312,6 +315,15 @@ def test_apply_refusal_names_the_input(capsys, argv, needle):
     code, out, err = run(capsys, "apply", "--case", "sonin", *argv)
     assert code == 2 and not out
     assert needle in err and "array(" not in err
+
+
+def test_a_diagonal_that_blows_up_at_the_vertex_asks_for_kappa_0(capsys, tmp_path):
+    # every lattice holds x = 0, so keeping x > 0 is no way out for a solve
+    cfg = tmp_path / "vertex_blowup.cfg"
+    cfg.write_text(BAD_CONFIGS["vertex_blowup.cfg"])
+    code, out, err = run(capsys, "solve", "--custom", str(cfg))
+    assert code == 2 and not out
+    assert err == "error: diagonal data blows up at the lattice vertex x = 0 (rho/(2 sigma) > 0); set kappa = 0\n"
 
 
 @pytest.mark.parametrize(
@@ -855,6 +867,62 @@ def test_any_case_section_ends_in_an_exit_code_and_verifies_the_applied_kernel(l
             smooth = evaluate(case.kernel_smooth, {"x": x, "t": t})
             weighted = (x - t) ** case.p_diag * t ** case.kernel_t_exponent * smooth
             assert evaluate(case.kernel, {"x": x, "t": t}) == pytest.approx(weighted, rel=1e-13, abs=0.0)
+
+
+# values the solver-file fuzz draws for each key of [operatorA], [operatorB] and
+# [solver]; {v} is the side's own variable, t for A and x for B
+_LEADING = ["1", "-1", "2", "0", "{v}", "1+{v}", "mu", "log(0)", "y", "{v}*("]
+_LOWER = ["0", "1", "-1", "mu^2", "{v}", "2*{v}", "1/{v}", "-1/{v}", "-3/{v}", "1/{v}^2", "sin({v})", "{v}^2",
+          "exp({v})", "exp(1/{v})", "sqrt({v})", "log({v})", "1e8", "-1e8", "1e308*{v}", "log(0)", "y", "{v}*("]
+_SOLVER_KEYS = {
+    "x": ["1", "2", "0.5", "1.5", "0", "-1", "nan", "inf", "1e308", "abc"],
+    # non-dyadic steps among them, and ones that miss X/h = an integer
+    "h": ["0.0625", "0.125", "0.03125", "0.1", "0.01", "0.3", "0.0123", "0", "-0.1", "nan", "inf", "1e-300", "abc"],
+    "kappa": ["1", "0", "-2", "1e-320", "1e308", "nan", "inf", "abc"],
+    "reference": ['"1"', '"exp(t/2)"', '"besselj(0, mu*sqrt(x^2-t^2))"', '"1/(x-t)"', '"log(t)"', '"y"', '"x*("'],
+}
+
+
+@st.composite
+def _solver_file(draw):
+    """A solver file: any subset of each section's keys, each with a drawn value."""
+    sections = {"operatorA": {}, "operatorB": {}, "solver": {}}
+    for section, v in (("operatorA", "t"), ("operatorB", "x")):
+        for key, values in (("a", _LEADING), ("b", _LOWER), ("c", _LOWER)):
+            if draw(st.booleans()):
+                sections[section][key] = f'"{draw(st.sampled_from(values)).format(v=v)}"'
+    if draw(st.booleans()):
+        sections["operatorA"]["h"] = draw(st.sampled_from(["0", "0.5", "-1", "-64", "nan", "inf", "1e308", "abc"])
+                                          | st.floats(-3.0, 3.0).map(repr))
+    for key, values in _SOLVER_KEYS.items():
+        if draw(st.booleans()):
+            sections["solver"][key] = draw(st.sampled_from(values))
+    return sections
+
+
+@settings(max_examples=100, deadline=None)
+@given(sections=_solver_file())
+def test_any_solver_file_ends_in_an_exit_code(sections):
+    solver = sections["solver"]
+    try:  # X = 1 and h = 1/64 unless the file sets them
+        steps = float(solver.get("x", "1")) / float(solver.get("h", "0.015625"))
+    except (ValueError, ZeroDivisionError):
+        steps = 0.0
+    assume(not 128.5 < steps <= goursat.MAX_STEPS + 0.5)  # the fuzz stays near a second
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning may reach the user
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["solve", "--custom", str(cfg), "--params", "mu=1", "--format", "json", "--no-timestamp"])
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        json.loads(out.getvalue(), parse_constant=_no_constant)
+    else:
+        assert not out.getvalue() and err.getvalue().count("\n") == 1
 
 
 def _flag_value(strategy, *extreme):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transmute.errors import NumericalError, UsageError
-from transmute.expr import Num, evaluate, free_symbols, parse
+from transmute.expr import BinOp, Num, evaluate, free_symbols, parse
 from transmute.goursat import (
     MAX_STEPS,
     GoursatProblem,
@@ -391,8 +391,8 @@ def _off_the_wall(case):
 ], ids=[*DIAGONAL_PROBLEMS, *CATALOG_PROBLEMS])
 def test_diagonal_matches_panel_loop_oracle(problem):
     X = problem.X
-    # unsorted and repeated, off the lattice and on it
-    xs = [0.7 * X, 0.25 * X, 0.25 * X, X, 0.5 * X + 1e-3, 1e-3 * X, 0.25 * X, 0.0, 0.3 * X]
+    # unsorted and repeated, then the whole lattice in order
+    xs = [0.25 * X, 0.25 * X, X, 0.25 * X, 0.0]
     for sample in (xs, _lattice_xs(problem)):
         if problem.rho / problem.sigma > 0.0:  # K(x,x) blows up at x = 0
             sample = [x for x in sample if x > 0.0]
@@ -400,6 +400,94 @@ def test_diagonal_matches_panel_loop_oracle(problem):
         assert isinstance(got, list)
         want = diagonal_panel_loop(problem, sample)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def diagonal_values_any_abscissa(problem, xs):
+    """``diagonal_values`` as it was before it took diagonal cells only, kept
+    verbatim below this docstring (any abscissae, sorted, S advancing from
+    each to the next in panels of h/2, the last cut short): an oracle that
+    ``diagonal_values`` must match bit for bit on lattice samples at dyadic h,
+    where both integrate the same panels."""
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    if not np.all(xs >= 0.0):
+        raise UsageError("diagonal abscissae must be nonnegative")
+    exponent = -problem.rho / (2.0 * problem.sigma)
+    if exponent < 0.0 and problem.kappa != 0.0 and np.any(xs == 0.0):
+        raise UsageError(
+            "diagonal data blows up at x = 0 (rho/(2 sigma) > 0);"
+            " set kappa = 0 or keep x > 0"
+        )
+    if problem.kappa == 0.0 or xs.size == 0:
+        return [0.0] * xs.size
+    panel = problem.h / 2.0
+    if xs.max() > MAX_STEPS * problem.h:
+        raise UsageError(
+            f"diagonal abscissa {xs.max():g} is beyond the lattice budget"
+            f" of {MAX_STEPS} steps of h = {problem.h:g}"
+        )
+
+    order = np.argsort(xs, kind="stable")
+    ends = xs[order]
+    starts = np.concatenate(([0.0], ends[:-1]))
+    # panels start where the previous abscissa ended and stop once within
+    # 1e-15 (relative) of the next
+    tol = 1e-15 * np.maximum(1.0, ends)
+    counts = np.maximum(np.ceil((ends - tol - starts) / panel), 0.0).astype(int)
+    done = np.cumsum(counts)
+    gap = np.repeat(np.arange(ends.size), counts)  # the abscissa a panel leads to
+    k = np.arange(done[-1]) - np.repeat(done - counts, counts)  # its place in the gap
+    lo = starts[gap] + k * panel
+    hi = np.minimum(lo + panel, ends[gap])
+    half = 0.5 * (hi - lo)
+    gl = jacobi_rule(32, 0.0, 0.0)
+    s = (0.5 * (hi + lo))[:, None] + half[:, None] * gl.nodes
+    # b1 reads x and b0 reads t, so one tree takes both at the nodes
+    smooth = evaluate(
+        BinOp("-", problem.op_b.b, problem.op_a.b), {**problem.params, "x": s, "t": s}
+    )
+    if problem.rho != 0.0:
+        smooth -= problem.rho / s
+    integral = np.concatenate(([0.0], np.cumsum(half * (smooth @ gl.weights))))[done]
+    with np.errstate(over="ignore"):
+        k0 = problem.kappa * ends**exponent * np.exp(-integral / (2.0 * problem.sigma))
+    if not np.all(np.isfinite(k0)):
+        raise NumericalError("diagonal data overflows")
+    out = np.empty(xs.size)
+    out[order] = k0
+    return out.tolist()
+
+
+@pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 256.0, 1.0 / 100.0], ids=["h32", "h256", "h100"])
+def test_diagonal_cells_match_the_any_abscissa_oracle(h):
+    # the problems of test_diagonal_matches_panel_loop_oracle, re-posed at X = 2
+    problems = {
+        **{name: _gp(**{**kw, "X": 2.0, "h": h}) for name, kw in DIAGONAL_PROBLEMS.items()},
+        **{name: problem_from_case(_off_the_wall(get_case(name, params)), X=2.0, h=h)
+           for name, params in CATALOG_PROBLEMS.items()},
+    }
+    gaps = {}
+    for name, problem in problems.items():
+        xs = _lattice_xs(problem)
+        sample = xs[::-1] + xs[::7]  # unsorted and repeated
+        if problem.rho / problem.sigma > 0.0:  # K(x,x) blows up at x = 0
+            sample = [x for x in sample if x > 0.0]
+        got, want = np.array(diagonal_values(problem, sample)), np.array(diagonal_values_any_abscissa(problem, sample))
+        if h == 1.0 / 100.0:  # the oracle's panel edges round apart from the lattice's
+            gaps[name] = np.max(np.abs(got - want) / np.where(want == 0.0, 1.0, np.abs(want)))
+        else:  # dyadic: the same panels, bit for bit
+            assert np.array_equal(got, want), name
+    if gaps:
+        name = max(gaps, key=gaps.get)
+        print(f"h = 1/100: largest relative gap to the any-abscissa oracle {gaps[name]:.2e} ({name})")
+        assert gaps[name] < 1e-13
+
+
+@pytest.mark.parametrize("x", [0.3, 2.0 + 1.0 / 64.0, -1.0 / 64.0, math.nan, math.inf],
+                         ids=["off_lattice", "beyond_X", "negative", "nan", "inf"])
+def test_diagonal_values_refuses_what_is_not_a_diagonal_cell(x):
+    problem = _telegraph(1.0 / 32.0)  # X = 2: cells m/64, m = 0..128
+    with pytest.raises(UsageError, match="is not a diagonal cell"):
+        diagonal_values(problem, [1.0, x])
 
 
 def test_lattice_budget_is_checked_before_solving():
@@ -415,7 +503,7 @@ def test_lattice_budget_is_checked_before_solving():
 
 def test_diagonal_abscissa_beyond_the_budget_is_refused():
     problem = _telegraph(1.0 / 64.0)
-    with pytest.raises(UsageError, match="budget"):
+    with pytest.raises(UsageError, match="not a diagonal cell"):
         diagonal_values(problem, [1.0, 1e9])
 
 
@@ -468,6 +556,14 @@ def test_diagonal_kappa_zero_shortcut():
     problem = _gp(sigma=1.0, b0="0", b1="1/x", c0="0", c1="0",
                   kappa=0.0, X=2.0, h=1.0 / 16.0)
     assert diagonal_values(problem, [0.0, 0.5, 1.0]) == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("reference", ["1e200", "1e153"], ids=["square_overflows", "sum_overflows"])
+def test_compare_refuses_a_squared_gap_beyond_the_float_range(reference):
+    # 1e200 squares to inf; 1e153 squares to 1e306, and 289 of them overflow fsum
+    grid = solve(_gp(X=1.0, h=1.0 / 16.0))
+    with pytest.raises(NumericalError, match="overflows"):
+        compare(grid, reference)
 
 
 def test_problem_from_case_probes_the_operators():
