@@ -17,10 +17,13 @@ K_u, K_v and K at the cell midpoint from centred differences of the new
 value and its three neighbours S = K(u-h,v), Q = K(u,v-h), C = K(u-h,v-h),
 so two sweeps are affine in them: K = (S + Q - C) + (wS S + wQ Q + wC C)
 with O(h) weight deviations, kept apart from the stencil sum so that no
-weight rounds its 1 away. A level is 8 in-place ufunc calls on two scratch
-buffers. A coefficient of A that does not read t is one float, so such a
-pair (the telegraph, any Bessel-type B side) has three float weights per
-level; otherwise the weights are arrays over reversed runs of the t-tables.
+weight rounds its 1 away. A coefficient of A that does not read t is one
+float, so such a pair (the telegraph, any Bessel-type B side) has three
+float weights per level; otherwise the weights are arrays over reversed
+runs of the t-tables. A level is 8 in-place ufunc calls on two scratch
+buffers, or 5 where the float weights have wS == wQ and wC == 0 on every
+marched level (b0 = b1 = 0, c0 free of t): then wS S + wQ Q is read off
+one product wS L of the whole previous level L, with the same roundings.
 
 Coefficient tables, the diagonal transport integral and ``compare`` each
 evaluate their expression once over arrays of points, not point by point.
@@ -29,7 +32,7 @@ evaluate their expression once over arrays of points, not point by point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, pairwise
 from typing import Mapping
@@ -125,6 +128,20 @@ class GoursatProblem:
     def steps(self):
         return int(round(self.X / self.h))
 
+    @cached_property  # kappa does not enter it, so ``problem_from_case`` hands it to ``solve``
+    def _transport_integral(self):
+        """S(m h/2), m = 0..2N, for ``diagonal_values``: the smooth part of b1 - b0 over the 32
+        Gauss-Legendre nodes of each panel [k h/2, (k+1) h/2], summed cumulatively."""
+        panel, gl = self.h / 2.0, jacobi_rule(32, 0.0, 0.0)
+        half = 0.5 * panel
+        s = ((np.arange(2 * self.steps) + 0.5) * panel)[:, None] + half * gl.nodes
+        # b1 reads x and b0 reads t, so one tree takes both at the nodes
+        smooth = evaluate(BinOp("-", self.op_b.b, self.op_a.b), {**self.params, "x": s, "t": s})
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.rho != 0.0:
+                smooth -= self.rho / s
+            return np.concatenate(([0.0], np.cumsum(half * (smooth @ gl.weights))))
+
 
 def diagonal_values(problem, xs):
     """Transport data K(x,x) on diagonal cells x = m h/2, m an integer with
@@ -134,10 +151,10 @@ def diagonal_values(problem, xs):
     Solves 2 sigma K0' + (b1-b0) K0 = 0 in closed form:
     K0(x) = kappa * x^(-rho/(2 sigma)) * exp(-(1/(2 sigma)) S(x)) with
     S the running integral of the smooth part of b1 - b0 (less the
-    rho/s pole). The smooth part is evaluated once over the 32
-    Gauss-Legendre nodes of the lattice's own panels [k h/2, (k+1) h/2]
-    up to the largest m, and S(m h/2) is the cumulative sum of the panel
-    integrals read at m, so every caller integrates the same panels.
+    rho/s pole). The smooth part is evaluated once per problem over the 32
+    Gauss-Legendre nodes of all 2N of the lattice's own panels
+    [k h/2, (k+1) h/2], and S(m h/2) is the cumulative sum of the panel
+    integrals read at m, so every caller reads the same panels.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
     panel, top = problem.h / 2.0, 2 * problem.steps
@@ -151,18 +168,9 @@ def diagonal_values(problem, xs):
         raise UsageError("diagonal data blows up at the lattice vertex x = 0 (rho/(2 sigma) > 0); set kappa = 0")
     if problem.kappa == 0.0:
         return [0.0] * xs.size
-    half = 0.5 * panel
-    gl = jacobi_rule(32, 0.0, 0.0)
-    s = ((np.arange(int(m.max(initial=0.0))) + 0.5) * panel)[:, None] + half * gl.nodes
-    # b1 reads x and b0 reads t, so one tree takes both at the nodes
-    smooth = evaluate(
-        BinOp("-", problem.op_b.b, problem.op_a.b), {**problem.params, "x": s, "t": s}
-    )
+    integral = problem._transport_integral[m.astype(int)]
     # the gate below reports an overflow; keep numpy from announcing it on stderr first
     with np.errstate(over="ignore", invalid="ignore"):
-        if problem.rho != 0.0:
-            smooth -= problem.rho / s
-        integral = np.concatenate(([0.0], np.cumsum(half * (smooth @ gl.weights))))[m.astype(int)]
         k0 = problem.kappa * xs**exponent * np.exp(-integral / (2.0 * problem.sigma))
     if not np.all(np.isfinite(k0)):
         raise NumericalError("diagonal data overflows")
@@ -291,7 +299,7 @@ def solve(problem):
         for expr, tab in ((problem.op_a.b, b0t), (problem.op_a.c, c0t))
     )
     acc, tmp = np.empty(problem.steps), np.empty(problem.steps)
-    a, t = acc[:0], tmp[:0]
+    a, t, r, r_s = acc[:0], tmp[:0], tmp[:1], tmp[1:1]
     floats = type(b0) is type(c0) is float
     mul, add, sub, item = np.multiply, np.add, np.subtract, values.item
     # the walls' divisors, two cells and one, as numpy scalars: a zero one gives inf, not ZeroDivisionError
@@ -301,24 +309,33 @@ def solve(problem):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # entry d - 1: level d's weights with b0, c0 at t = 0 from one array call (float and
         # array arithmetic round alike), the ghost cell's and, for float b0, c0, every cell's
-        t0_weights = list(zip(*(
-            w.tolist() for w in _cell_weights(sigma, h, b0t[0], b1x[:-1], c0t[0], c1x[:-1]))))
+        t0_s, t0_q, t0_c = _cell_weights(sigma, h, b0t[0], b1x[:-1], c0t[0], c1x[:-1])
+        t0_weights = list(zip(t0_s.tolist(), t0_q.tolist(), t0_c.tolist()))
+        # levels 2..2N (entries 1..2N-1; entry 0, level 1's, may be NaN) with wS == wQ and
+        # wC == 0, as for b0 = b1 = 0 and c0 free of t: wS S + wQ Q is R[1:] + R[:-1] of one
+        # product R = wS L_{d-1}, the same roundings, and the zero wC C is dropped, which can
+        # only turn a +0.0 cell into -0.0, where S = Q = -0.0 and C = +0.0
+        paired = floats and np.array_equal(t0_s[1:], t0_q[1:]) and not t0_c[1:].any()
         for d in range(2, top + 1):
             o2, o1, o0 = offsets[d - 2], offsets[d - 1], offsets[d]
             n, lo = (d - 1) // 2, (top - d) // 2 + 1  # n cells between diagonal and wall
             if d & 1:  # levels 2n + 1 and 2n + 2 share the scratch views
-                a, t = acc[:n], tmp[:n]
+                a, t, r, r_s = acc[:n], tmp[:n], tmp[: n + 1], tmp[1 : n + 1]
             w_s, w_q, w_c = t0_weights[d - 1] if floats else _cell_weights(
                 sigma, h, b0 if type(b0) is float else b0[d & 1][lo : lo + n], b1x[d - 1],
                 c0 if type(c0) is float else c0[d & 1][lo : lo + n], c1x[d - 1],
             )
             s, q, c = values[o1 + 1 : o1 + n + 1], values[o1 : o1 + n], values[o2 : o2 + n]
             out = values[o0 + 1 : o0 + n + 1]
-            mul(w_s, s, a)
-            mul(w_q, q, t)
-            add(a, t, a)
-            mul(w_c, c, t)
-            add(a, t, a)
+            if paired:
+                mul(w_s, values[o1 : o1 + n + 1], r)
+                add(r_s, t, a)
+            else:
+                mul(w_s, s, a)
+                mul(w_q, q, t)
+                add(a, t, a)
+                mul(w_c, c, t)
+                add(a, t, a)
             add(s, q, out)
             sub(out, c, out)
             add(out, a, out)
@@ -404,4 +421,6 @@ def problem_from_case(case, X, h):
             " t = 0 wall; solve closes that wall by a Neumann or Robin relation,"
             " which cannot hold K = 0 there"
         )
-    return replace(problem, kappa=k_diag / diagonal_values(problem, [X])[0])
+    # set in place, not by ``replace``: kappa enters no check and not the integral kept for ``solve``
+    object.__setattr__(problem, "kappa", k_diag / diagonal_values(problem, [X])[0])
+    return problem

@@ -329,13 +329,42 @@ def march_per_level(problem):
     _gp(sigma=1.0, b0="0", b1="0", c0="0.3*t", c1="mu^2", X=2.0, h=1.0 / 64.0, params={"mu": 1.0}),
     # b0 = -3/t is singular at the wall: K_t = 0 one-sided
     problem_from_case(get_case("lowndes", {"mu": 0.0}), X=2.0, h=1.0 / 128.0),
+    # no first-order term, c0 free of t: wS == wQ and wC == 0 on levels 2..2N, and
+    # poisson_bessel's c1 is singular at x = 0, so level 1's weights are NaN
+    problem_from_case(get_case("poisson_bessel", {"nu": 0.5}), X=2.0, h=1.0 / 128.0),
+    _gp(b0="0", b1="0", c0="0.3", c1="-x", X=1.0, h=1.0 / 64.0),
+    _gp(b0="0", b1="0", c0="0.3", c1="-x", h0=0.7, X=1.0, h=1.0 / 64.0),
+    # near misses: wS != wQ, wC != 0, array weights
+    _gp(b0="0.1", b1="0", c0="0.3", c1="-x", X=1.0, h=1.0 / 64.0),
+    _gp(b0="0", b1="0.5/x", c0="0.3", c1="-x", kappa=0.0, X=1.0, h=1.0 / 64.0),
+    _gp(b0="0", b1="0", c0="0.3*t", c1="-x", X=1.0, h=1.0 / 64.0),
 ], ids=["telegraph64", "telegraph100", "telegraph256", "sign_flip", "robin",
-        "ghost_all_terms", "robin_all_terms", "c0_reads_t", "lowndes_mu0"])
+        "ghost_all_terms", "robin_all_terms", "c0_reads_t", "lowndes_mu0",
+        "poisson_bessel_half", "paired_neumann", "paired_robin",
+        "b0_nonzero", "b1_nonzero", "c0_reads_t_paired_b"])
 def test_march_keeps_its_bits(problem):
     flavor, values = march_per_level(problem)
     grid = solve(problem)
     assert grid.boundary == flavor
     assert np.array_equal(grid.values, values)
+    assert grid.values.tobytes() == values.tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("b0,calls", [("0", 1), ("0.1", 3)], ids=["telegraph", "b0_nonzero"])
+def test_a_pair_without_first_order_terms_multiplies_once_a_level(monkeypatch, b0, calls):
+    # X = 1, h = 1/64: levels 2..128 are marched
+    count = 0
+    multiply = np.multiply
+
+    def spy(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return multiply(*args, **kwargs)
+
+    problem = _gp(b0=b0, c1="mu^2", X=1.0, h=1.0 / 64.0, params={"mu": 1.0})
+    monkeypatch.setattr("transmute.goursat.np.multiply", spy)
+    solve(problem)
+    assert count == calls * 127
 
 
 def _lattice_xs(problem):
@@ -574,6 +603,25 @@ def test_problem_from_case_probes_the_operators():
     grid = solve(problem)
     stats = compare(grid, get_case("vekua_telegraph").kernel, {"mu": 1.0, "omega": 1.0})
     assert stats["max"] <= 1e-3
+
+
+@pytest.mark.parametrize("name,params", [
+    ("vekua_telegraph", {}), ("poisson_bessel", {"nu": 0.5}), ("lowndes", {"mu": 0.0}),
+])
+def test_problem_from_case_and_solve_integrate_the_panels_once(monkeypatch, name, params):
+    # the 32-point rule is taken once per transport integral
+    case = get_case(name, params)
+    rules = []
+    monkeypatch.setattr("transmute.goursat.jacobi_rule", lambda *a: rules.append(a) or jacobi_rule(*a))
+    problem = problem_from_case(case, X=2.0, h=1.0 / 128.0)
+    grid = solve(problem)
+    assert len(rules) == 1
+    # against a problem that integrates afresh, as for the kappa = 1 scaling
+    fresh = dataclasses.replace(problem, kappa=1.0)
+    kappa = evaluate(case.kernel, {**case.params, "x": 2.0, "t": 2.0}) / diagonal_values(fresh, [2.0])[0]
+    assert str(problem.kappa) == str(kappa)
+    assert grid.values.tobytes() == solve(dataclasses.replace(fresh, kappa=kappa)).values.tobytes()
+    assert len(rules) == 3
 
 
 def test_problem_from_case_rejects_variable_leading_coefficient():
