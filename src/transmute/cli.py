@@ -6,8 +6,9 @@ Subcommands:
   apply                              evaluate T f0 and compare with f1
   solve                              march the characteristic lattice
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage/config
-error, 3 numerical failure.
+Exit codes: 0 all checks passed (or none ran: a solve with no reference
+reports overall_pass null), 1 a check failed, 2 usage/config error, 3
+numerical failure.
 
 Reports are deterministic; JSON carries a timestamp unless
 --no-timestamp is given, and floats are rendered with 17 significant
@@ -451,7 +452,7 @@ def cmd_solve(args):
     stats = None
     if reference is not None:
         stats = goursat.compare(grid, reference, problem.params)
-    passed = stats is None or stats["max"] <= args.tol_solver
+    passed = None if stats is None else stats["max"] <= args.tol_solver
     payload = {
         "problem": label,
         "X": problem.X,
@@ -476,13 +477,12 @@ def cmd_solve(args):
                 f"max |K - reference| = {stats['max']:.6e},"
                 f" rms = {stats['l2']:.6e} over {stats['count']} points"
             )
-        lines.append(
-            f"[{'PASS' if passed else 'FAIL'}] tolerance {args.tol_solver:.1e}"
-        )
+        lines.append("[UNCHECKED] no reference to compare against" if passed is None
+                     else f"[{'PASS' if passed else 'FAIL'}] tolerance {args.tol_solver:.1e}")
         out.write("\n".join(lines) + "\n")
 
     _report(args, payload, text, grid.export_csv)
-    return 0 if passed else 1
+    return 1 if passed is False else 0
 
 
 def _add_case_flags(sub, with_corrupt=False):

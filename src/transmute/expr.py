@@ -21,8 +21,8 @@ expression can be shared between threads and across parameter sweeps.
 anew each time), and a tree finds its free symbols once.
 
 Each tree compiles once into closures, kept on its nodes and shared by
-floats, second-order jets (:class:`Jet2`, of floats or of arrays) and
-numpy arrays.
+floats, numpy arrays and second-order jets (:class:`Jet2`, of floats or of
+arrays), whose five components leave out the mixed partial no check reads.
 ``evaluate`` binds plain numbers, or arrays to some names (x and t,
 say); ``evaluate_jet`` binds x and t to jet seeds, floats or arrays.
 Jets and arrays spread only from the names bound to them, so a subtree
@@ -350,11 +350,13 @@ def free_symbols(node: Expr) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value and partial derivatives through second order in (x, t).
+    """Value, first partials and pure second partials in (x, t).
 
-    The components are floats, or numpy arrays of one shape for a jet at
-    many points.  A plain float on either side of an operator acts as a
-    constant.  The value of a quotient is the float quotient of the
+    BT = TA sets A, acting in t, against B, acting in x, so no existence
+    condition or eigen relation reads the mixed partial, and it is not
+    carried.  The components are floats, or numpy arrays of one shape for
+    a jet at many points.  A plain float on either side of an operator acts
+    as a constant.  The value of a quotient is the float quotient of the
     values, so a jet's value is bit for bit what float evaluation gives.
     """
 
@@ -362,24 +364,22 @@ class Jet2:
     dx: float = 0.0
     dt: float = 0.0
     dxx: float = 0.0
-    dxt: float = 0.0
     dtt: float = 0.0
 
     # numpy operands defer to Jet2's operators instead of building object arrays
     __array_ufunc__ = None
 
     def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.dx, -self.dt, -self.dxx, -self.dxt, -self.dtt)
+        return Jet2(-self.value, -self.dx, -self.dt, -self.dxx, -self.dtt)
 
     def __add__(self, other) -> "Jet2":
         if type(other) is not Jet2:
-            return Jet2(self.value + other, self.dx, self.dt, self.dxx, self.dxt, self.dtt)
+            return Jet2(self.value + other, self.dx, self.dt, self.dxx, self.dtt)
         return Jet2(
             self.value + other.value,
             self.dx + other.dx,
             self.dt + other.dt,
             self.dxx + other.dxx,
-            self.dxt + other.dxt,
             self.dtt + other.dtt,
         )
 
@@ -396,14 +396,13 @@ class Jet2:
         a = self
         if type(other) is not Jet2:
             c = other
-            return Jet2(a.value * c, a.dx * c, a.dt * c, a.dxx * c, a.dxt * c, a.dtt * c)
+            return Jet2(a.value * c, a.dx * c, a.dt * c, a.dxx * c, a.dtt * c)
         b = other
         return Jet2(
             a.value * b.value,
             a.dx * b.value + a.value * b.dx,
             a.dt * b.value + a.value * b.dt,
             a.dxx * b.value + 2.0 * a.dx * b.dx + a.value * b.dxx,
-            a.dxt * b.value + a.dx * b.dt + a.dt * b.dx + a.value * b.dxt,
             a.dtt * b.value + 2.0 * a.dt * b.dt + a.value * b.dtt,
         )
 
@@ -414,7 +413,7 @@ class Jet2:
         u = self
         if type(other) is not Jet2:
             c = other
-            return Jet2(u.value / c, u.dx / c, u.dt / c, u.dxx / c, u.dxt / c, u.dtt / c)
+            return Jet2(u.value / c, u.dx / c, u.dt / c, u.dxx / c, u.dtt / c)
         w = other
         v = w.value
         q = u.value / v
@@ -425,7 +424,6 @@ class Jet2:
             qx,
             qt,
             (u.dxx - 2.0 * qx * w.dx - q * w.dxx) / v,
-            (u.dxt - qx * w.dt - qt * w.dx - q * w.dxt) / v,
             (u.dtt - 2.0 * qt * w.dt - q * w.dtt) / v,
         )
 
@@ -440,7 +438,6 @@ class Jet2:
             d1 * u.dx,
             d1 * u.dt,
             d2 * u.dx * u.dx + d1 * u.dxx,
-            d2 * u.dx * u.dt + d1 * u.dxt,
             d2 * u.dt * u.dt + d1 * u.dtt,
         )
 
@@ -727,14 +724,14 @@ def _evaluate_array(node, bindings, jet=False):
         out = _compiled(node)(env)
     # the components are the rows of one block, so one reduction checks them all;
     # a constant's jet has zero derivatives
-    block = np.zeros((6 if jet else 1,) + shape)
+    block = np.zeros((5 if jet else 1,) + shape)
     for k, part in enumerate(vars(out).values() if type(out) is Jet2 else (out,)):
         block[k] = part
     finite = np.isfinite(block)
     if not finite.all():
         _require(node, env, ~finite.all(axis=0), "non-finite result")
     # block[k, ...] is an array at a 0-d shape too, where block[k] is a scalar
-    return Jet2(*(block[k, ...] for k in range(6))) if jet else block.reshape(shape)
+    return Jet2(*(block[k, ...] for k in range(5))) if jet else block.reshape(shape)
 
 
 def evaluate_jet(node: Expr, x, t, params: Mapping[str, float]) -> Jet2:

@@ -481,6 +481,20 @@ def test_solve_trivial_config_is_exact(tmp_path, capsys):
     assert "max |K - reference| = 0.000000e+00" in out
 
 
+def test_a_solve_without_a_reference_reports_no_verdict(tmp_path, capsys):
+    # nothing is compared, so nothing passes and nothing fails: null, and exit 0
+    cfg = tmp_path / "no_reference.cfg"
+    cfg.write_text('[operatorA]\n\n[operatorB]\nc = "-x"\n\n[solver]\nx = 1\nh = 0.015625\n')
+    code, out, _ = run(capsys, "solve", "--custom", str(cfg), "--format", "json", "--no-timestamp")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["max_error"], payload["l2_error"], payload["overall_pass"]) == (None, None, None)
+    code, out, _ = run(capsys, "solve", "--custom", str(cfg))
+    assert code == 0
+    assert out.splitlines()[-1] == "[UNCHECKED] no reference to compare against"
+    assert "PASS" not in out
+
+
 def test_solve_grid_csv_export(tmp_path, capsys):
     out_file = tmp_path / "grid.csv"
     code = main(["solve", "--case", "vekua_telegraph", "--solver-h", "0.125",

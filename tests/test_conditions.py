@@ -241,6 +241,33 @@ def test_verify_all_shape(name):
     assert report.record("4a").max_residual <= 1e-8
 
 
+# The telegraph's length scale is 1/omega, but the limit checks sample at the
+# fixed eps = 0.1 * 2^-k, so their verdict moves with omega while the kernel
+# stays right: the ladder defect of ROADMAP item 1, whose fix must flip the xfails.
+def _telegraph(omega):
+    return get_case("vekua_telegraph", {"mu": 1.0, "omega": omega})
+
+
+@pytest.mark.parametrize("omega", [2.0, 5.0, 10.0, 15.0, 20.0, 40.0])
+def test_the_telegraph_kernel_is_right_at_every_omega(omega):
+    case = _telegraph(omega)
+    assert identity_error(case) <= 1e-14
+    report = verify_all(case)
+    for rid in ("4a", "4b1", "4b2", "eigenA", "eigenB"):
+        assert report.record(rid).passed, rid
+
+
+@pytest.mark.parametrize("omega", [
+    2.0, 5.0, 10.0, 20.0,
+    pytest.param(15.0, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: 4c's final 1.2e-5 is above 1e-3 x its initial 3.5e-3")),
+    pytest.param(40.0, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: 4d's tail, which starts at 0.65, is not decreasing")),
+])
+def test_the_telegraph_verdict_passes_at_every_omega(omega):
+    assert verify_all(_telegraph(omega)).overall_pass
+
+
 def test_report_accessor_rejects_unknown_id():
     report = verify_all(get_case("poisson_bessel"))
     with pytest.raises(UsageError, match="no record"):

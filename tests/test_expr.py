@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import warnings
@@ -232,17 +233,17 @@ def test_jet_matches_finite_differences(text, params):
     assert jet.dt == pytest.approx(_fd(lambda s: at(x0, s), t0), rel=2e-7)
     assert jet.dxx == pytest.approx(_fd2(lambda s: at(s, t0), x0), rel=2e-5, abs=1e-6)
     assert jet.dtt == pytest.approx(_fd2(lambda s: at(x0, s), t0), rel=2e-5, abs=1e-6)
-    # mixed partial via the four-point stencil
-    h = 1e-4
-    mixed = (at(x0 + h, t0 + h) - at(x0 + h, t0 - h)
-             - at(x0 - h, t0 + h) + at(x0 - h, t0 - h)) / (4 * h * h)
-    assert jet.dxt == pytest.approx(mixed, rel=2e-5, abs=1e-6)
 
 
 def test_jet_exact_polynomial():
     jet = evaluate_jet(parse("x^2*t + 3*t^2"), 2.0, 5.0, {})
     assert (jet.value, jet.dx, jet.dt) == (95.0, 20.0, 34.0)
-    assert (jet.dxx, jet.dxt, jet.dtt) == (10.0, 4.0, 6.0)
+    assert (jet.dxx, jet.dtt) == (10.0, 6.0)
+
+
+def test_jet_carries_the_five_partials_the_checks_read():
+    # BT = TA sets A, in t, against B, in x: no check reads the mixed partial
+    assert [f.name for f in dataclasses.fields(Jet2)] == ["value", "dx", "dt", "dxx", "dtt"]
 
 
 def test_jet_singularity_reported():
@@ -286,7 +287,6 @@ def test_jet_arithmetic_product_rule(a, b):
     assert prod.value == pytest.approx(a * b)
     assert prod.dx == pytest.approx(b)
     assert prod.dt == pytest.approx(a)
-    assert prod.dxt == pytest.approx(1.0)
     assert prod.dxx == 0.0 and prod.dtt == 0.0
 
 
@@ -394,7 +394,7 @@ def test_array_evaluate_is_scalar_evaluate_per_entry(name, data):
             assert np.array_equal(got, np.array(scalar)[order]), to_string(e)
 
 
-_JET_PARTS = ("value", "dx", "dt", "dxx", "dxt", "dtt")
+_JET_PARTS = ("value", "dx", "dt", "dxx", "dtt")
 
 
 @pytest.mark.parametrize("text", ["sin(x)", "cos(x)", "sinh(x)", "cosh(x)", "exp(x)", "log(x)",
@@ -491,8 +491,8 @@ def test_jet_exponent_matches_closed_form_partials(x, t):
     ln2, lnx = math.log(2.0), math.log(x)
     f = 2.0 ** x
     jet = evaluate_jet(parse("2^x"), x, t, {})
-    want = (f, f * ln2, 0.0, f * ln2 * ln2, 0.0, 0.0)
-    got = (jet.value, jet.dx, jet.dt, jet.dxx, jet.dxt, jet.dtt)
+    want = (f, f * ln2, 0.0, f * ln2 * ln2, 0.0)
+    got = (jet.value, jet.dx, jet.dt, jet.dxx, jet.dtt)
     assert got == pytest.approx(want, rel=1e-14, abs=0.0)
     f = x ** t
     jet = evaluate_jet(parse("x^t"), x, t, {})
@@ -501,10 +501,9 @@ def test_jet_exponent_matches_closed_form_partials(x, t):
         t * f / x,
         f * lnx,
         t * (t - 1.0) * f / (x * x),
-        f / x * (1.0 + t * lnx),
         f * lnx * lnx,
     )
-    got = (jet.value, jet.dx, jet.dt, jet.dxx, jet.dxt, jet.dtt)
+    got = (jet.value, jet.dx, jet.dt, jet.dxx, jet.dtt)
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 

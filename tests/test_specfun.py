@@ -630,4 +630,4 @@ def test_gamma_jet_matches_mpmath(t):
     assert jet.value == pytest.approx(float(g), rel=1e-14)
     assert jet.dt == pytest.approx(float(g * psi), rel=1e-12, abs=1e-14)
     assert jet.dtt == pytest.approx(float(g * (psi * psi + psi1)), rel=1e-12)
-    assert (jet.dx, jet.dxx, jet.dxt) == (0.0, 0.0, 0.0)
+    assert (jet.dx, jet.dxx) == (0.0, 0.0)
