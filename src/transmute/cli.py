@@ -7,8 +7,8 @@ Subcommands:
   solve                              march the characteristic lattice
 
 Exit codes: 0 all checks passed (or none ran: a solve with no reference
-reports overall_pass null), 1 a check failed, 2 usage/config error, 3
-numerical failure.
+reports overall_pass null), 1 a check failed, 2 usage/config error or a
+failed write of the report (to --out or stdout), 3 numerical failure.
 
 Reports are deterministic; JSON carries a timestamp unless
 --no-timestamp is given, and floats are rendered with 17 significant
@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
+import os
 import sys
 import time
 
@@ -311,7 +313,15 @@ def _report(args, payload, text, csv=None):
             payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         render = lambda stream: stream.write(_json_dump(payload) + "\n")
     if not args.out:
-        render(sys.stdout)
+        try:
+            render(sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the interpreter flushes stdout again at exit: send what is left nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise UsageError(f"cannot write stdout: {exc}") from None
         return
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -571,8 +581,12 @@ def main(argv=None):
 
 
 def entry():
-    raise SystemExit(main())
+    """Run ``main`` as a whole process and exit with its code. The objects left
+    by then are frozen, so the interpreter's final collections skip them."""
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line driver, in process via main(argv)."""
 
 import contextlib
+import gc
 import inspect
 import io
 import json
@@ -993,15 +994,88 @@ def test_missing_file_exits_2(capsys):
     assert "cannot read" in err
 
 
-def test_entry_raises_system_exit(capsys):
-    from transmute.cli import entry
-    import sys
+def test_entry_raises_system_exit(capsys, monkeypatch):
+    # entry exits with main's code and freezes what is left; main leaves the
+    # collector alone, since tests and other callers run it many times
+    for argv, expected in [
+        (["catalog", "list"], 0),
+        (["verify", "--case", "poisson_bessel", "--params", "nu=1", "--corrupt", "c1:+0.1"], 1),
+        (["verify", "--case", "sonin", "--params", "mu=-2"], 2),
+        (["verify", "--case", "poisson_bessel", "--x-max", "25", "--unsafe-range"], 3),
+    ]:
+        before = gc.get_freeze_count()
+        assert main(argv) == expected and gc.get_freeze_count() == before
+        monkeypatch.setattr(sys, "argv", ["transmute", *argv])
+        try:
+            with pytest.raises(SystemExit) as stop:
+                cli.entry()
+            frozen = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()  # this process goes on collecting
+        assert stop.value.code == expected and frozen > before
 
-    old = sys.argv
-    sys.argv = ["transmute", "catalog", "list"]
+
+_MODULE_ARGVS = [
+    ["catalog", "list"],
+    *([command, "--case", "vekua_telegraph", "--format", "json", "--no-timestamp"]
+      for command in ("verify", "apply", "solve")),
+]
+
+
+def _module_run(*argv, stdout=subprocess.PIPE):
+    """A fresh ``python -m transmute.cli`` process, its stdout and stderr as bytes."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-m", "transmute.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("argv", _MODULE_ARGVS, ids=lambda argv: argv[0])
+def test_a_module_run_prints_what_main_prints(capsys, argv):
+    done = _module_run(*argv)
+    code, out, _ = run(capsys, *argv)
+    assert (done.returncode, done.stdout) == (code, out.encode())
+
+
+def test_a_module_run_ends_through_entry():
+    # what ``python -m`` does, with a hook that reads the freeze count at exit
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        "sys.argv[1:] = ['catalog', 'list']\n"
+        "runpy.run_module('transmute.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stderr.split()[-1]) > 0
+
+
+def _assert_refused_write(done):
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert err.startswith("error: cannot write stdout:") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # the lattice CSV fails while it is written, the short report when it is flushed
+    ["solve", "--case", "vekua_telegraph", "--format", "csv"],
+    ["verify", "--case", "sonin", "--format", "json"],
+], ids=["csv", "json"])
+def test_a_closed_pipe_on_stdout_exits_2(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
     try:
-        with pytest.raises(SystemExit) as stop:
-            entry()
-        assert stop.value.code == 0
+        done = _module_run(*argv, stdout=write_end)
     finally:
-        sys.argv = old
+        os.close(write_end)
+    _assert_refused_write(done)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_full_disk_on_stdout_exits_2(monkeypatch, unbuffered):
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    with open("/dev/full", "wb") as full:
+        done = _module_run("verify", "--case", "sonin", "--format", "json", stdout=full)
+    _assert_refused_write(done)
