@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 all checks passed (or none ran: a solve with no reference
 reports overall_pass null), 1 a check failed, 2 usage/config error or a
-failed write of the report (to --out or stdout), 3 numerical failure.
+failed write of the report or the help (to --out or stdout), 3 numerical failure.
 
 Reports are deterministic; JSON carries a timestamp unless
 --no-timestamp is given, and floats are rendered with 17 significant
@@ -302,6 +302,21 @@ def _resolve_case(args):
     return dataclasses.replace(case, x_range=(lo, hi))
 
 
+def _write_stdout(render):
+    """``render(sys.stdout)`` and a flush; a closed stdout or a failed write is a UsageError."""
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise UsageError("cannot write stdout: it is closed")
+    try:
+        render(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit: send what is left nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise UsageError(f"cannot write stdout: {exc}") from None
+
+
 def _report(args, payload, text, csv=None):
     """Write a command's output to --out, or else to stdout: ``payload`` as
     JSON with the tool version and time stamp, or what ``text(stream)`` or
@@ -313,16 +328,7 @@ def _report(args, payload, text, csv=None):
             payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         render = lambda stream: stream.write(_json_dump(payload) + "\n")
     if not args.out:
-        try:
-            render(sys.stdout)
-            sys.stdout.flush()
-        except OSError as exc:
-            # the interpreter flushes stdout again at exit: send what is left nowhere
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise UsageError(f"cannot write stdout: {exc}") from None
-        return
+        return _write_stdout(render)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             render(fh)
@@ -371,9 +377,7 @@ _ROW_KEYS = ("id", "grid", "max_residual", "mean_residual", "decay_slope", "tole
 def cmd_verify(args):
     case = _resolve_case(args)
     nx, nt = _parse_grid(args.grid)
-    config = conditions.VerifyConfig(
-        nx=nx, nt=nt, n_samples=args.x_count, tol_4a=args.tol_residual
-    )
+    config = conditions.VerifyConfig(nx=nx, nt=nt, n_samples=args.x_count, tol_4a=args.tol_residual)
     report = conditions.verify_all(case, config)
     payload = {
         "case": report.case,
@@ -513,8 +517,17 @@ def _add_output_flags(sub, formats=("text", "json", "csv")):
     sub.add_argument("--no-timestamp", action="store_true", help="omit generated_at")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose help fails as a report does; argparse's own print drops a failed write."""
+
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:  # errors name stderr; help goes to sys.stdout, None if fd 1 is closed
+            return super()._print_message(message, file)
+        _write_stdout(lambda out: out.write(message))
+
+
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="transmute",
         description="verify, apply, and solve transmutation-kernel problems",
     )
@@ -565,13 +578,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's exit, 0 after the help and 2 after a usage error
+        return exc.code if isinstance(exc.code, int) else 2
     except (UsageError, AdmissibilityError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NumericalError, TransmuteError, UsageError
 from .expr import Jet2, evaluate, evaluate_jet, free_symbols
-from .operators import _at, _eigen_residuals, _jet, _mean, _residual
+from .operators import _at, _eigen_residuals, _jet, _mean, _residual, _terms
 
 __all__ = [
     "VerifyConfig",
@@ -73,16 +73,17 @@ TINY = 1e-12  # rounding floor of a limit residual
 class VerifyConfig:
     """Grids and the 4a tolerance for one verification run.
 
-    The hyperbolic check uses an nx x nt triangle grid up to x_max and
-    the tolerance tol_4a; the other checks use n_samples abscissae.  The
-    limit sequences, drops and other tolerances are module constants.
+    The hyperbolic check uses an nx x nt triangle grid up to the class
+    constant x_max and the tolerance tol_4a; the other checks use
+    n_samples abscissae.  The limit sequences, drops and other
+    tolerances are module constants.
     """
 
     nx: int = 20
     nt: int = 20
     n_samples: int = 20
-    x_max: float = 2.0
     tol_4a: float = 1e-8
+    x_max = 2.0  # not annotated, so not a field
 
     def __post_init__(self):
         if not 0.0 < self.tol_4a < math.inf:
@@ -169,7 +170,7 @@ def _abscissae(case, xs, config):
 def _hyperbolic_residuals(case, x, t, jk=None):
     """(|lhs - rhs|, |lhs - rhs| / (1 + max|term|)) at the points (x, t), where
       lhs = d/dt(a0 dK/dt) - b0 dK/dt + c0 K   (divergence side, in t)
-      rhs = a1 d2K/dx2 + b1 dK/dx + c1 K       (non-divergence side, in x)
+      rhs = a1 d2K/dx2 + b1 dK/dx + c1 K       (B K in x, by ``_terms``)
     and the terms are these six products; ``jk`` is K's jet there, if known."""
     params = case.params
     with np.errstate(all="ignore"):  # a non-finite residual is a failure
@@ -177,9 +178,8 @@ def _hyperbolic_residuals(case, x, t, jk=None):
         a0 = case.opA.a
         ja0 = _jet(a0, "t", t, params) if "t" in free_symbols(a0) else Jet2(evaluate(a0, params))
         b0, c0 = (_at(e, "t", t, params) for e in (case.opA.b, case.opA.c))
-        a1, b1, c1 = case.opB.coefficient_values(x, params)
         return _residual((ja0.dt * jk.dt + ja0.value * jk.dtt, -(b0 * jk.dt), c0 * jk.value),
-                        (a1 * jk.dxx, b1 * jk.dx, c1 * jk.value))
+                         _terms(case.opB, jk, x, params))
 
 
 def check_hyperbolic(case, grid=None, tol=1e-8, *, jet=None):

@@ -17,10 +17,10 @@ K_u, K_v and K at the cell midpoint from centred differences of the new
 value and its three neighbours S = K(u-h,v), Q = K(u,v-h), C = K(u-h,v-h),
 so two sweeps are affine in them: K = (S + Q - C) + (wS S + wQ Q + wC C)
 with O(h) weight deviations, kept apart from the stencil sum so that no
-weight rounds its 1 away. A coefficient of A that does not read t is one
-float, so such a pair (the telegraph, any Bessel-type B side) has three
-float weights per level; otherwise the weights are arrays over reversed
-runs of the t-tables. A level is 8 in-place ufunc calls on two scratch
+weight rounds its 1 away. A pair whose b0 and c0 do not read t (the
+telegraph, any Bessel-type B side) has three float weights per level;
+otherwise the weights are arrays over reversed runs of both t-tables,
+b0's and c0's. A level is 8 in-place ufunc calls on two scratch
 buffers, or 5 where the float weights have wS == wQ and wC == 0 on every
 marched level (b0 = b1 = 0, c0 free of t): then wS S + wQ Q is read off
 one product wS L of the whole previous level L, with the same roundings.
@@ -291,16 +291,12 @@ def solve(problem):
     offsets = _offset(np.arange(top + 1)).tolist()
     values = np.empty(_offset(top + 1))
     values[offsets] = diagonal_values(problem, np.arange(top + 1) * h / 2.0)
-    # b0 and c0 are one float each unless they read t. Level d's cells j = 1..n read
-    # them at t = (d - 2j) h/2: from (top - d) // 2 + 1 on in that parity, reversed
-    b0, c0 = (
-        float(tab[0]) if "t" not in free_symbols(expr)
-        else (tab[::2][::-1].copy(), tab[1::2][::-1].copy())
-        for expr, tab in ((problem.op_a.b, b0t), (problem.op_a.c, c0t))
-    )
+    # b0 and c0 are one float each unless either reads t; the march then reads both from
+    # parity tables: level d's cells j = 1..n at t = (d - 2j) h/2, from (top - d) // 2 + 1 on, reversed
+    floats = "t" not in free_symbols(problem.op_a.b) | free_symbols(problem.op_a.c)
+    b0, c0 = ((tab[::2][::-1].copy(), tab[1::2][::-1].copy()) for tab in (b0t, c0t))
     acc, tmp = np.empty(problem.steps), np.empty(problem.steps)
     a, t, r, r_s = acc[:0], tmp[:0], tmp[:1], tmp[1:1]
-    floats = type(b0) is type(c0) is float
     mul, add, sub, item = np.multiply, np.add, np.subtract, values.item
     # the walls' divisors, two cells and one, as numpy scalars: a zero one gives inf, not ZeroDivisionError
     wall_2, wall_1 = np.float64(3.0 + 2.0 * h * slope), np.float64(1.0 + h * slope)
@@ -322,9 +318,7 @@ def solve(problem):
             if d & 1:  # levels 2n + 1 and 2n + 2 share the scratch views
                 a, t, r, r_s = acc[:n], tmp[:n], tmp[: n + 1], tmp[1 : n + 1]
             w_s, w_q, w_c = t0_weights[d - 1] if floats else _cell_weights(
-                sigma, h, b0 if type(b0) is float else b0[d & 1][lo : lo + n], b1x[d - 1],
-                c0 if type(c0) is float else c0[d & 1][lo : lo + n], c1x[d - 1],
-            )
+                sigma, h, b0[d & 1][lo : lo + n], b1x[d - 1], c0[d & 1][lo : lo + n], c1x[d - 1])
             s, q, c = values[o1 + 1 : o1 + n + 1], values[o1 : o1 + n], values[o2 : o2 + n]
             out = values[o0 + 1 : o0 + n + 1]
             if paired:

@@ -52,11 +52,6 @@ class DifferentialOperator:
     def form(self):
         return "divergence" if self.var == "t" else "nondivergence"
 
-    def coefficient_values(self, s: float, params: Mapping[str, float]):
-        """(a, b, c) evaluated at s, without derivatives. A coefficient
-        that reads no variable is one float, at an array of points too."""
-        return tuple(_at(e, self.var, s, params) for e in (self.a, self.b, self.c))
-
 
 def _at(e, var, s, params):
     """e at the points s of ``var``; one float if e reads no variable."""
@@ -129,7 +124,7 @@ def _terms(op, jf, pt, params):
     f0, f1, f2 = along(jf)
     with np.errstate(all="ignore"):  # an overflowing term is inf, which eigen_residual refuses
         if op.var == "x":
-            a, b, c = op.coefficient_values(pt, params)
+            a, b, c = (_at(e, "x", pt, params) for e in (op.a, op.b, op.c))
             return a * f2, b * f1, c * f0
         a, ap, _ = along(op.a) if op.var in free_symbols(op.a) else (evaluate(op.a, params), 0.0, 0.0)
         b, bp, _ = along(op.b) if op.var in free_symbols(op.b) else (evaluate(op.b, params), 0.0, 0.0)

@@ -1,4 +1,6 @@
-"""End-to-end runs of the command-line driver, in process via main(argv)."""
+"""End-to-end runs of the command-line driver, in process via main(argv) and,
+where the interpreter's own stdout matters, as fresh ``python -m transmute.cli``
+processes: the one harness for the CLI's exit codes, stderr and output."""
 
 import contextlib
 import gc
@@ -498,18 +500,20 @@ def test_a_solve_without_a_reference_reports_no_verdict(tmp_path, capsys):
 
 def test_solve_grid_csv_export(tmp_path, capsys):
     out_file = tmp_path / "grid.csv"
-    code = main(["solve", "--case", "vekua_telegraph", "--solver-h", "0.125",
-                 "--format", "csv", "--out", str(out_file)])
-    assert code == 0
-    lines = out_file.read_text().splitlines()
-    assert lines[0] == "x,t,K"
-    assert len(lines) == 1 + sum(min(i, 32 - i) + 1 for i in range(33))
+    # (N + 1)^2 data rows for N = X/h steps: 16 at h = 1/8, 256 at the defaults X = 2, h = 1/128
+    for step, steps in ((["--solver-h", "0.125"], 16), ([], 256)):
+        code = main(["solve", "--case", "vekua_telegraph", *step, "--format", "csv", "--out", str(out_file)])
+        assert code == 0
+        lines = out_file.read_text().splitlines()
+        assert lines[0] == "x,t,K"
+        assert len(lines) - 1 == (steps + 1) ** 2
 
 
 def test_the_lattice_csv_streams_in_the_memory_of_the_json_report():
     # the CSV is written a run of the lattice at a time, not built whole first:
     # at h = 1/512 its 46 MB body once took the process to 167 MB, JSON to 40 MB
-    def peak_mb(fmt):
+    def solve(fmt):
+        """(peak MB, first line, lines after it) of the h = 1/512 solve's stdout, read as it streams."""
         script = (
             "import resource, sys\n"
             "from transmute.cli import main\n"
@@ -518,13 +522,19 @@ def test_the_lattice_csv_streams_in_the_memory_of_the_json_report():
             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        done = subprocess.run([sys.executable, "-c", script], stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True, env=env)
-        code, kb = done.stderr.split()[-2:]
-        assert code == "0", done.stderr
-        return int(kb) / 1024  # ru_maxrss is in kB on Linux
+        with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env) as proc:
+            first = proc.stdout.readline()
+            rows = sum(block.count(b"\n") for block in iter(lambda: proc.stdout.read(1 << 20), b""))
+            err = proc.stderr.read().decode()
+        code, kb = err.split()[-2:]
+        assert code == "0" and "Traceback" not in err, err
+        return int(kb) / 1024, first, rows  # ru_maxrss is in kB on Linux
 
-    assert peak_mb("csv") <= peak_mb("json") + 20
+    csv_mb, header, rows = solve("csv")
+    # N = X/h = 1024 steps at X = 2, h = 1/512: 1025^2 data rows
+    assert (header, rows) == (b"x,t,K\n", 1050625)
+    assert csv_mb <= solve("json")[0] + 20
 
 
 def test_solve_json_stats(tmp_path, capsys):
@@ -712,16 +722,21 @@ def test_an_x_side_eigen_failure_names_only_x(tmp_path):
 def test_a_corruption_whose_mean_overflows_ends_in_an_exit_code(spec):
     # residuals near 1e308 are finite, but their fsum overflows: each mean
     # is then taken as the sum of value / n, so the report is written
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", "--case", "sonin", "--corrupt", spec, "--format", "json", "--no-timestamp"])
-    assert code in (1, 3)
-    assert "Traceback" not in err.getvalue()
-    if code == 1:
-        assert json.loads(out.getvalue(), parse_constant=_no_constant)["overall_pass"] is False
-    else:
-        assert not out.getvalue() and err.getvalue().startswith("numerical failure: ")
-        assert err.getvalue().count("\n") == 1
+    codes = {}
+    for fmt in ("json", "text"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes[fmt] = code = main(["verify", "--case", "sonin", "--corrupt", spec, "--format", fmt, "--no-timestamp"])
+        assert code in (1, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 3:
+            assert not out.getvalue() and err.getvalue().startswith("numerical failure: ")
+            assert err.getvalue().count("\n") == 1
+        elif fmt == "json":
+            assert json.loads(out.getvalue(), parse_constant=_no_constant)["overall_pass"] is False
+        else:
+            assert out.getvalue().endswith("overall: FAIL\n")
+    assert codes["json"] == codes["text"]
 
 
 def test_flag_defaults_are_the_library_defaults():
@@ -1015,25 +1030,36 @@ def test_entry_raises_system_exit(capsys, monkeypatch):
         assert stop.value.code == expected and frozen > before
 
 
+# b1 - b0 = 2x varies, so the transport integral runs over panels of h/2 = 0.005
+B_2X_FILE = '[operatorA]\n[operatorB]\nb = "2*x"\n[solver]\nx = 1\nh = 0.01\n'
+
 _MODULE_ARGVS = [
     ["catalog", "list"],
     *([command, "--case", "vekua_telegraph", "--format", "json", "--no-timestamp"]
       for command in ("verify", "apply", "solve")),
+    # the paired update at a step that is not dyadic
+    pytest.param(["solve", "--case", "vekua_telegraph", "--solver-h", "0.01", "--format", "json", "--no-timestamp"],
+                 id="solve_h_0.01"),
+    pytest.param(["solve", "--custom", "b_2x.cfg"], id="solve_b1_2x"),
 ]
 
 
-def _module_run(*argv, stdout=subprocess.PIPE):
+def _module_run(*argv, stdout=subprocess.PIPE, **popen):
     """A fresh ``python -m transmute.cli`` process, its stdout and stderr as bytes."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([sys.executable, "-m", "transmute.cli", *argv],
-                          stdout=stdout, stderr=subprocess.PIPE, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, env=env, **popen)
 
 
 @pytest.mark.parametrize("argv", _MODULE_ARGVS, ids=lambda argv: argv[0])
-def test_a_module_run_prints_what_main_prints(capsys, argv):
+def test_a_module_run_prints_what_main_prints(capsys, tmp_path, argv):
+    # and nothing on stderr: no traceback, warning or "Exception ignored" at exit
+    (tmp_path / "b_2x.cfg").write_text(B_2X_FILE)
+    argv = [str(tmp_path / a) if a == "b_2x.cfg" else a for a in argv]
     done = _module_run(*argv)
-    code, out, _ = run(capsys, *argv)
-    assert (done.returncode, done.stdout) == (code, out.encode())
+    code, out, err = run(capsys, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), b"")
+    assert code == 0 and not err
 
 
 def test_a_module_run_ends_through_entry():
@@ -1072,10 +1098,18 @@ def test_a_closed_pipe_on_stdout_exits_2(argv):
     _assert_refused_write(done)
 
 
+@pytest.mark.parametrize("argv", [["catalog", "list"], ["--help"]], ids=lambda argv: argv[0])
+def test_a_closed_stdout_exits_2(argv):
+    # fd 1 closed before the interpreter starts, so sys.stdout is None
+    _assert_refused_write(_module_run(*argv, stdout=None, preexec_fn=lambda: os.close(1)))
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_a_full_disk_on_stdout_exits_2(monkeypatch, unbuffered):
     monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
-    with open("/dev/full", "wb") as full:
-        done = _module_run("verify", "--case", "sonin", "--format", "json", stdout=full)
-    _assert_refused_write(done)
+    # a report, and the help that argparse prints and would otherwise exit 0 after losing
+    for argv in (["verify", "--case", "sonin", "--format", "json"], ["--help"], ["verify", "--help"]):
+        with open("/dev/full", "wb") as full:
+            done = _module_run(*argv, stdout=full)
+        _assert_refused_write(done)
