@@ -10,10 +10,9 @@ Exit codes: 0 all checks passed (or none ran: a solve with no reference
 reports overall_pass null), 1 a check failed, 2 usage/config error or a
 failed write of the report or the help (to --out or stdout), 3 numerical failure.
 
-Reports are deterministic; JSON carries a timestamp unless
---no-timestamp is given, and floats are rendered with 17 significant
-digits (the stock serializer cannot be pinned down that way, so the
-emitter here is hand-rolled).
+Reports are deterministic. JSON comes from ``json.dumps(indent=2)``, each
+float the shortest text that reads back to the same double, and carries a
+timestamp unless --no-timestamp is given; CSV writes numbers with %.17g.
 """
 
 from __future__ import annotations
@@ -59,32 +58,6 @@ _FIELDS = {
 # A [case] key that states a factored function whole, and the keys that state it by
 # its factors: ``kernel`` is the smooth factor with every exponent 0, so it takes none.
 _WHOLE = {"kernel": ("kernel_smooth", "p_diag", "kernel_t_exponent"), "f0": ("f0_smooth", "f0_t_exponent")}
-
-
-def _json_dump(value, indent=0):
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [
-            f'{pad}  {json.dumps(str(k))}: {_json_dump(v, indent + 1)}'
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        rows = [f"{pad}  {_json_dump(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        return "%.17g" % value
-    if isinstance(value, int):
-        return str(value)
-    return json.dumps(str(value))
 
 
 def _parse_params(text):
@@ -326,7 +299,7 @@ def _report(args, payload, text, csv=None):
         payload["tool_version"] = __version__
         if not args.no_timestamp:
             payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        render = lambda stream: stream.write(_json_dump(payload) + "\n")
+        render = lambda stream: stream.write(json.dumps(payload, indent=2) + "\n")
     if not args.out:
         return _write_stdout(render)
     try:
@@ -354,6 +327,7 @@ def cmd_catalog(args):
         _report(args, {"cases": names}, lambda out: out.write("\n".join(names) + "\n"))
         return 0
     case = kernels.get_case(args.name)
+    shift = case.eigen_shift
     payload = {
         "name": case.name,
         "tags": list(case.refs),
@@ -361,9 +335,16 @@ def cmd_catalog(args):
         "kernel": str(case.kernel),
         "f0": str(case.f0),
         "f1": str(case.f1),
+        "operators": {
+            label: {"var": op.var, "form": op.form, **{slot: str(getattr(op, slot)) for slot in "abc"}}
+            for label, op in (("A", case.opA), ("B", case.opB))
+        },
+        "h0": case.h0,
         "lambda": case.lam,
+        "shifted_pair": None if shift is None else {"lambda_a": shift.lam_a, "lambda_b": shift.lam_b},
         "p_diag": case.p_diag,
         "p_zero": case.p_zero,
+        "x_range": list(case.x_range),
         "notes": case.notes,
     }
     _report(args, payload, lambda out: out.write(kernels.describe(case) + "\n"))

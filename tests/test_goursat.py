@@ -605,6 +605,21 @@ def test_problem_from_case_probes_the_operators():
     assert stats["max"] <= 1e-3
 
 
+# lowndes at mu = 0 has b0 = -r/t with r = 1 + 2 nu: the march holds for r < 4, its
+# error sits at 4e-2 at r = 4 (nu = 1.5) and grows without bound above it, the wall
+# defect of ROADMAP item 2, whose fix must flip the xfails
+@pytest.mark.parametrize("nu", [
+    0.5, 1.0, 1.25,
+    *(pytest.param(nu, marks=pytest.mark.xfail(strict=True, reason=f"ROADMAP item 2: max error {error}"))
+      for nu, error in ((1.5, "4.0e-2"), (2.0, "3.4e49"), (2.5, "4.1e88"), (3.0, "7.9e120"))),
+])
+def test_lowndes_at_mu_0_meets_the_solver_tolerance_at_every_nu(nu):
+    # the defaults of `transmute solve --case`: X = 2, h = 1/128, tolerance 1e-3
+    case = get_case("lowndes", {"mu": 0.0, "nu": nu})
+    problem = problem_from_case(case, X=2.0, h=1.0 / 128.0)
+    assert compare(solve(problem), case.kernel, problem.params)["max"] <= 1e-3
+
+
 @pytest.mark.parametrize("name,params", [
     ("vekua_telegraph", {}), ("poisson_bessel", {"nu": 0.5}), ("lowndes", {"mu": 0.0}),
 ])
