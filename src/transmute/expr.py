@@ -1,18 +1,16 @@
 """Parsing, evaluation, and second-order jets for the coefficient DSL.
 
-Grammar (infix, case sensitive)::
-
-    expr   := term (("+"|"-") term)*
-    term   := factor (("*"|"/") factor)*
-    factor := "-" factor | power
-    power  := atom ("^" factor)?
-    atom   := NUMBER | IDENT | IDENT "(" expr ("," expr)* ")" | "(" expr ")"
-
-"^" is right-associative and binds tighter than unary minus, so "-x^2"
-parses as -(x^2).  ``pi`` is a reserved constant.  Any other identifier
-that is not a registered function resolves through the binding map at
-evaluation time; by convention "x" and "t" are the kernel variables and
-everything else is a case parameter.
+Infix and case sensitive; binding from loosest to tightest, ``+ -`` <
+``* /`` < unary minus < ``^``, with ``^`` right-associative and taking a
+signed factor (so "-x^2" is -(x^2), "2^-x" is 2^(-x), "x^y^z" is
+x^(y^z)), the others left-associative.  Atoms are numbers, identifiers,
+calls ``f(expr, ...)`` and ``(expr)``.  ``pi`` is a reserved constant.  Any
+other identifier that is not a registered function resolves through the
+binding map at evaluation time; by convention "x" and "t" are the kernel
+variables and everything else is a case parameter.  ``parse`` refuses a
+tree more than MAX_DEPTH = 100 levels deep, or brackets nested deeper,
+with a ParseError at the offset where the limit is passed: every tree it
+returns evaluates and prints within Python's recursion limit.
 
 Expression nodes are frozen dataclasses: parsing never aliases mutable
 state into the tree, and evaluation never mutates it, so one parsed
@@ -73,6 +71,7 @@ from . import specfun
 from .errors import DomainError, ParseError, SpecFunError, UnboundSymbolError
 
 __all__ = [
+    "MAX_DEPTH",
     "Expr",
     "Num",
     "Name",
@@ -180,96 +179,107 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# how tightly each binary operator binds, for the parser and the printer; unary
+# minus binds at _NEG, between * and ^, and ^ reads its exponent at _NEG too: a
+# signed factor, so 2^-x parses and x^y^z is x^(y^z)
+_BINDS = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG = 3
+
+MAX_DEPTH = 100
+
+
+def _too_deep(what: str, pos: int) -> ParseError:
+    return ParseError(f"{what} nested deeper than {MAX_DEPTH} levels", pos)
+
+
 class _Parser:
+    """Precedence climbing (Pratt, POPL 1973) over ``_BINDS``.  ``expr``,
+    ``bracketed`` and ``atom`` return what they read with its depth, the
+    nodes on its longest path to a leaf, and refuse a tree deeper than
+    MAX_DEPTH, or brackets nested deeper, before recursing further."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+        self.brackets = 0  # open around the current token
 
     def expect(self, kind: str, expected: str):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok[0] != kind:
             got = repr(tok[1]) if tok[0] != "end" else "end of input"
             raise ParseError(f"unexpected {got}", tok[2], expected=expected)
-        return self.advance()
+        self.i += 1
 
     def parse(self) -> Expr:
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
+        node, _ = self.expr(1, 0)
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
             raise ParseError(
-                f"trailing input {tok[1]!r}", tok[2], expected="operator or end"
+                f"trailing input {text!r}", pos, expected="operator or end"
             )
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.term())
-        return node
+    def expr(self, floor: int, above: int) -> tuple[Expr, int]:
+        """The longest expression from here whose binary operators bind at
+        ``floor`` or tighter, and its depth; ``above`` nodes will hold it."""
+        kind, _, pos = self.tokens[self.i]
+        if above >= MAX_DEPTH:
+            raise _too_deep("expression", pos)
+        if kind == "-":
+            self.i += 1
+            node, depth = self.expr(_NEG, above + 1)
+            node, depth = Neg(node), depth + 1
+        else:
+            node, depth = self.atom(above)
+        while (bind := _BINDS.get(self.tokens[self.i][0], 0)) >= floor:
+            op, _, pos = self.tokens[self.i]
+            self.i += 1
+            right, below = self.expr(_NEG if op == "^" else bind + 1, above + 1)
+            node, depth = BinOp(op, node, right), 1 + max(depth, below)
+            if above + depth > MAX_DEPTH:
+                raise _too_deep("expression", pos)
+        return node, depth
 
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.factor())
-        return node
+    def bracketed(self, above: int, many: bool) -> tuple[tuple[Expr, ...], int]:
+        """The expressions, comma-separated if ``many``, in the brackets
+        that open here, and the depth of the deepest."""
+        self.brackets += 1
+        if self.brackets > MAX_DEPTH:
+            raise _too_deep("brackets", self.tokens[self.i][2])
+        self.i += 1
+        items = [self.expr(1, above)]
+        while many and self.tokens[self.i][0] == ",":
+            self.i += 1
+            items.append(self.expr(1, above))
+        self.expect(")", "')'")
+        self.brackets -= 1
+        nodes, depths = zip(*items)
+        return nodes, max(depths)
 
-    def factor(self) -> Expr:
-        if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            return BinOp("^", base, self.factor())
-        return base
-
-    def atom(self) -> Expr:
-        kind, text, pos = self.peek()
+    def atom(self, above: int) -> tuple[Expr, int]:
+        kind, text, pos = self.tokens[self.i]
         if kind == "number":
-            self.advance()
+            self.i += 1
             value = float(text)
             if math.isinf(value):
                 raise ParseError(f"number {text!r} overflows a double", pos)
-            return Num(value)
+            return Num(value), 1
         if kind == "ident":
-            self.advance()
-            if self.peek()[0] == "(":
+            self.i += 1
+            if self.tokens[self.i][0] == "(":
                 if text not in FUNCTIONS:
                     raise ParseError(f"unknown function {text!r}", pos)
-                self.advance()
-                args = [self.expr()]
-                while self.peek()[0] == ",":
-                    self.advance()
-                    args.append(self.expr())
-                self.expect(")", "')'")
+                args, depth = self.bracketed(above + 1, many=True)
                 spec = FUNCTIONS[text]
                 if len(args) != spec.arity:
                     raise ParseError(
                         f"{text} takes {spec.arity} argument(s), got {len(args)}", pos
                     )
-                return Call(text, tuple(args))
-            if text == "pi":
-                return Num(math.pi)
-            return Name(text)
+                return Call(text, args), depth + 1
+            return (Num(math.pi) if text == "pi" else Name(text)), 1
         if kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")", "')'")
-            return node
+            (node,), depth = self.bracketed(above, many=False)
+            return node, depth
         got = repr(text) if kind != "end" else "end of input"
         raise ParseError(
             f"unexpected {got}", pos, expected="number, identifier, or '('"
@@ -286,23 +296,26 @@ def parse(text: str) -> Expr:
 # printing
 # ---------------------------------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
 
 def _prec(node: Expr) -> int:
+    """How tightly ``node`` binds as an operand; an atom binds tightest."""
     if isinstance(node, BinOp):
-        if node.op in ("+", "-"):
-            return _PREC_ADD
-        if node.op in ("*", "/"):
-            return _PREC_MUL
-        return _PREC_POW
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    return _PREC_ATOM
+        return _BINDS[node.op]
+    return _NEG if isinstance(node, Neg) else 5
+
+
+def _operand(node: Expr, floor: int) -> str:
+    text = to_string(node)
+    return f"({text})" if _prec(node) < floor else text
 
 
 def to_string(node: Expr) -> str:
-    """Canonical infix form; parse(to_string(e)) reproduces the same tree."""
+    """Canonical infix form; parse(to_string(e)) reproduces the same tree.
+
+    An operand is bracketed where the parser, reading its slot, would stop
+    before it, and a minus sign is bracketed under ^ or another minus too,
+    so that signs never stack: x^(-y) and -(-x).
+    """
     if isinstance(node, Num):
         if node.value == math.pi:
             return "pi"
@@ -315,26 +328,11 @@ def to_string(node: Expr) -> str:
     if isinstance(node, Call):
         return f"{node.name}({', '.join(to_string(a) for a in node.args)})"
     if isinstance(node, Neg):
-        inner = to_string(node.arg)
-        if _prec(node.arg) < _PREC_POW:
-            inner = f"({inner})"
-        return "-" + inner
+        return "-" + _operand(node.arg, _NEG + 1)
     if isinstance(node, BinOp):
-        mine = _prec(node)
-        left = to_string(node.left)
-        right = to_string(node.right)
-        if node.op == "^":
-            # right-associative: parenthesize an exponent-like left child
-            if _prec(node.left) <= _PREC_POW:
-                left = f"({left})"
-            if _prec(node.right) < _PREC_POW:
-                right = f"({right})"
-        else:
-            if _prec(node.left) < mine:
-                left = f"({left})"
-            if _prec(node.right) <= mine:
-                right = f"({right})"
-        return f"{left}{node.op}{right}"
+        bind = _BINDS[node.op]
+        power = node.op == "^"  # right-associative: the base binds tighter
+        return _operand(node.left, bind + power) + node.op + _operand(node.right, bind + (not power))
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -659,6 +659,18 @@ def test_malformed_expression_reports_position(tmp_path, capsys):
     assert code == 2
     assert "broken.cfg:2" in err
     assert "offset" in err
+    # expressions past the parser's depth limit: one line each, not a RecursionError
+    kernel = "besselj(0, mu*sqrt(x^2-t^2))"
+    for command, params, text, line in [
+        ("verify", "mu=1,omega=1", CASE_FILE.replace(kernel, "+".join(["x"] * 300)), 4),
+        ("verify", "mu=1,omega=1", CASE_FILE.replace(kernel, "(" * 1500 + "x" + ")" * 1500), 4),
+        ("solve", "mu=1", SOLVER_FILE.replace('c = "0"', 'b = "' + "+".join(["t"] * 300) + '"'), 2),
+    ]:
+        cfg.write_text(text)
+        code, out, err = run(capsys, command, "--custom", str(cfg), "--params", params)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {cfg}:{line}: ") and "nested deeper than 100 levels at offset" in err
+        assert err.count("\n") == 1
 
 
 def test_custom_case_verify_and_apply(tmp_path, capsys):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from transmute.conditions import triangle_grid
 from transmute.errors import (
@@ -20,6 +20,7 @@ from transmute.conditions import verify_all
 from transmute.expr import (
     _CALL_ERRORS,
     FUNCTIONS,
+    MAX_DEPTH,
     BinOp,
     Call,
     Expr,
@@ -31,6 +32,7 @@ from transmute.expr import (
     _in_call,
     _power,
     _require,
+    _tokenize,
     evaluate,
     evaluate_jet,
     free_symbols,
@@ -61,6 +63,20 @@ def test_evaluate(text, bindings, expected):
     assert evaluate(parse(text), bindings) == pytest.approx(expected, abs=1e-14)
 
 
+# precedence corner cases, and the text each prints as
+_PRINTED = {
+    "-x^2": "-x^2",
+    "(-x)^2": "(-x)^2",
+    "2^-x^2": "2^(-x^2)",
+    "x^y^z": "x^y^z",
+    "(x^y)^z": "(x^y)^z",
+    "x-(y-z)": "x-(y-z)",
+    "x/(y*z)": "x/(y*z)",
+    "x*-y": "x*-y",
+    "-(-x)": "-(-x)",
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -72,11 +88,14 @@ def test_evaluate(text, bindings, expected):
         "-(x+1)^-2",
         "1e20*x",
         "t^(mu+1)*besselj(mu, t)",
+        *_PRINTED,
     ],
 )
 def test_to_string_round_trip(text):
     tree = parse(text)
     assert parse(to_string(tree)) == tree
+    if text in _PRINTED:
+        assert to_string(tree) == _PRINTED[text]
 
 
 def test_parse_shares_trees_and_raises_anew():
@@ -194,6 +213,51 @@ def test_jet_domain_errors(text, params):
 def test_overflowing_literal_is_a_parse_error():
     with pytest.raises(ParseError, match="overflows"):
         parse("2^1e999")
+
+
+def _depth(node):
+    """The number of nodes on the longest path from ``node`` down to a leaf."""
+    if type(node) is Neg:
+        return 1 + _depth(node.arg)
+    if type(node) is BinOp:
+        return 1 + max(_depth(node.left), _depth(node.right))
+    return 1 + max(map(_depth, node.args), default=0) if type(node) is Call else 1
+
+
+# each way the parser nests a tree, n levels deep, and the token at which
+# one level more passes the limit
+_NESTINGS = {
+    "sum": (lambda n: "x" + "+x" * (n - 1), "+"),
+    "power": (lambda n: "x^" * (n - 1) + "x", "x"),
+    "sign": (lambda n: "-" * (n - 1) + "x", "x"),
+    "call": (lambda n: "sin(" * (n - 1) + "x" + ")" * (n - 1), "x"),
+    "bracketed product": (lambda n: "(" * 60 + "x" + "*x" * (n - 1) + ")" * 60, "*"),
+}
+
+
+@pytest.mark.parametrize("shape", _NESTINGS)
+def test_a_tree_max_depth_deep_evaluates_and_one_level_more_is_a_parse_error(shape):
+    build, where = _NESTINGS[shape]
+    node = parse(build(MAX_DEPTH))
+    assert _depth(node) == MAX_DEPTH
+    xs = np.linspace(0.5, 0.9, 3)
+    assert math.isfinite(evaluate(node, {"x": 0.7}))
+    assert evaluate(node, {"x": xs}).shape == (3,)
+    assert math.isfinite(evaluate_jet(node, 0.7, 0.3, {}).dxx)
+    assert evaluate_jet(node, xs, xs / 2, {}).dxx.shape == (3,)
+    assert parse(to_string(node)) == node
+    text = build(MAX_DEPTH + 1)
+    with pytest.raises(ParseError, match=f"expression nested deeper than {MAX_DEPTH} levels") as err:
+        parse(text)
+    assert err.value.offset == text.rindex(where)
+
+
+@pytest.mark.parametrize("n", [MAX_DEPTH + 1, 198, 1500])
+def test_brackets_nested_past_the_limit_are_a_parse_error(n):
+    assert parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH) == Name("x")
+    with pytest.raises(ParseError, match=f"brackets nested deeper than {MAX_DEPTH} levels") as err:
+        parse("(" * n + "x" + ")" * n)
+    assert err.value.offset == MAX_DEPTH
 
 
 def test_zero_to_the_zero_is_one():
@@ -801,3 +865,212 @@ def test_a_second_case_compiles_only_its_product_nodes(name, monkeypatch):
     parsed = _nodes(case.kernel_smooth) | _nodes(case.f0_smooth)
     fresh = built.keys() - parsed.keys()
     assert sorted(map(id, compiled)) == sorted(fresh - _literal_powers(built))
+
+
+# ---------------------------------------------------------------------------
+# precedence climbing against the recursive descent it replaced
+# ---------------------------------------------------------------------------
+
+
+class _DescentParser:
+    """The recursive-descent parser ``parse`` had before precedence climbing,
+    kept verbatim but for its name: an oracle for the trees and the errors."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, expected: str):
+        tok = self.peek()
+        if tok[0] != kind:
+            got = repr(tok[1]) if tok[0] != "end" else "end of input"
+            raise ParseError(f"unexpected {got}", tok[2], expected=expected)
+        return self.advance()
+
+    def parse(self) -> Expr:
+        node = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(
+                f"trailing input {tok[1]!r}", tok[2], expected="operator or end"
+            )
+        return node
+
+    def expr(self) -> Expr:
+        node = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            node = BinOp(op, node, self.term())
+        return node
+
+    def term(self) -> Expr:
+        node = self.factor()
+        while self.peek()[0] in ("*", "/"):
+            op = self.advance()[0]
+            node = BinOp(op, node, self.factor())
+        return node
+
+    def factor(self) -> Expr:
+        if self.peek()[0] == "-":
+            self.advance()
+            return Neg(self.factor())
+        return self.power()
+
+    def power(self) -> Expr:
+        base = self.atom()
+        if self.peek()[0] == "^":
+            self.advance()
+            return BinOp("^", base, self.factor())
+        return base
+
+    def atom(self) -> Expr:
+        kind, text, pos = self.peek()
+        if kind == "number":
+            self.advance()
+            value = float(text)
+            if math.isinf(value):
+                raise ParseError(f"number {text!r} overflows a double", pos)
+            return Num(value)
+        if kind == "ident":
+            self.advance()
+            if self.peek()[0] == "(":
+                if text not in FUNCTIONS:
+                    raise ParseError(f"unknown function {text!r}", pos)
+                self.advance()
+                args = [self.expr()]
+                while self.peek()[0] == ",":
+                    self.advance()
+                    args.append(self.expr())
+                self.expect(")", "')'")
+                spec = FUNCTIONS[text]
+                if len(args) != spec.arity:
+                    raise ParseError(
+                        f"{text} takes {spec.arity} argument(s), got {len(args)}", pos
+                    )
+                return Call(text, tuple(args))
+            if text == "pi":
+                return Num(math.pi)
+            return Name(text)
+        if kind == "(":
+            self.advance()
+            node = self.expr()
+            self.expect(")", "')'")
+            return node
+        got = repr(text) if kind != "end" else "end of input"
+        raise ParseError(
+            f"unexpected {got}", pos, expected="number, identifier, or '('"
+        )
+
+
+# the printer ``to_string`` had with the descent parser, verbatim but for its names
+
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+
+def _descent_prec(node: Expr) -> int:
+    if isinstance(node, BinOp):
+        if node.op in ("+", "-"):
+            return _PREC_ADD
+        if node.op in ("*", "/"):
+            return _PREC_MUL
+        return _PREC_POW
+    if isinstance(node, Neg):
+        return _PREC_NEG
+    return _PREC_ATOM
+
+
+def _descent_to_string(node: Expr) -> str:
+    """Canonical infix form; parse(to_string(e)) reproduces the same tree."""
+    if isinstance(node, Num):
+        if node.value == math.pi:
+            return "pi"
+        text = repr(node.value)
+        if text.endswith(".0"):
+            text = text[:-2]
+        return f"({text})" if node.value < 0 else text
+    if isinstance(node, Name):
+        return node.ident
+    if isinstance(node, Call):
+        return f"{node.name}({', '.join(_descent_to_string(a) for a in node.args)})"
+    if isinstance(node, Neg):
+        inner = _descent_to_string(node.arg)
+        if _descent_prec(node.arg) < _PREC_POW:
+            inner = f"({inner})"
+        return "-" + inner
+    if isinstance(node, BinOp):
+        mine = _descent_prec(node)
+        left = _descent_to_string(node.left)
+        right = _descent_to_string(node.right)
+        if node.op == "^":
+            # right-associative: parenthesize an exponent-like left child
+            if _descent_prec(node.left) <= _PREC_POW:
+                left = f"({left})"
+            if _descent_prec(node.right) < _PREC_POW:
+                right = f"({right})"
+        else:
+            if _descent_prec(node.left) < mine:
+                left = f"({left})"
+            if _descent_prec(node.right) <= mine:
+                right = f"({right})"
+        return f"{left}{node.op}{right}"
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _parsed(parser, printer, text):
+    """The tree ``parser`` makes of ``text`` and its printed form, or the
+    message, offset and hint of its ParseError."""
+    try:
+        node = parser(text).parse()
+    except ParseError as exc:
+        return str(exc), exc.offset, exc.expected
+    return node, printer(node)
+
+
+# random token strings, mostly malformed; adjacent names and digits run together
+_TOKEN_TEXTS = st.lists(
+    st.sampled_from(["x", "t", "2", "0.5", "1e999", "pi", "-", "+", "*", "/", "^",
+                     "(", ")", ",", "sin", "besselj", "foo", " ", "@"]),
+    max_size=24,
+).map("".join)
+
+
+_OPERATORS = st.sampled_from(["+", "-", "*", "/", "^", " - ", "^-", "*-"])
+
+
+def _grammar_extend(sub):
+    return st.one_of(
+        st.tuples(sub, _OPERATORS, sub).map("".join),
+        st.tuples(sub, _OPERATORS, sub, _OPERATORS, sub).map("".join),
+        sub.map(lambda a: "-" + a),
+        sub.map(lambda a: f"({a})"),
+        sub.map(lambda a: f"sin({a})"),
+        st.tuples(sub, sub).map(lambda a: f"besselj({a[0]}, {a[1]})"),
+    )
+
+
+# well-formed strings built from the grammar
+_GRAMMAR_TEXTS = st.recursive(st.sampled_from(["x", "t", "2", "0.5", "pi", "1e3"]),
+                              _grammar_extend, max_leaves=12)
+
+
+@seed(1973)
+@settings(max_examples=1000, deadline=None)
+@given(text=st.one_of(_TOKEN_TEXTS, _GRAMMAR_TEXTS))
+def test_precedence_climbing_parses_as_the_recursive_descent(text):
+    assert _parsed(expr_module._Parser, to_string, text) == _parsed(_DescentParser, _descent_to_string, text)
+
+
+@seed(1973)
+@settings(max_examples=500, deadline=None)
+@given(node=_ROOTS)
+def test_to_string_prints_as_the_descent_printer(node):
+    assert to_string(node) == _descent_to_string(node)
