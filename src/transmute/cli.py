@@ -6,6 +6,11 @@ Subcommands:
   apply                              evaluate T f0 and compare with f1
   solve                              march the characteristic lattice
 
+verify, apply and solve take exactly one of --case NAME and --custom FILE;
+both, or neither, exit 2. solve refuses a nonzero [operatorA] h (h0) when b0 is
+singular at t = 0. catalog show --format json prints kernels.case_record,
+the record that kernels.describe renders as text.
+
 Exit codes: 0 all checks passed (or none ran: a solve with no reference
 reports overall_pass null), 1 a check failed, 2 usage/config error or a
 failed write of the report or the help (to --out or stdout), 3 numerical failure.
@@ -34,7 +39,6 @@ from .errors import (
     UsageError,
 )
 from .expr import parse as parse_expr
-from .kernels import COEFFICIENT_NAMES
 from .operators import DifferentialOperator
 
 # The keys of each config section, by lower-cased section name, with the kind of
@@ -62,8 +66,6 @@ _WHOLE = {"kernel": ("kernel_smooth", "p_diag", "kernel_t_exponent"), "f0": ("f0
 
 def _parse_params(text):
     out = {}
-    if not text:
-        return out
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -115,19 +117,13 @@ def _parse_corrupt(text):
     name, sep, delta = text.partition(":")
     if not sep:
         raise UsageError(f"--corrupt must look like c1:+0.1, got {text!r}")
-    name = name.strip()
-    if name not in COEFFICIENT_NAMES:
-        raise UsageError(
-            f"--corrupt coefficient must be one of {', '.join(COEFFICIENT_NAMES)},"
-            f" got {name!r}"
-        )
     try:
         value = float(delta)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise UsageError(f"--corrupt delta must be a finite number, got {delta!r}")
-    return name, value
+    return name.strip(), value
 
 
 def _read_config(path):
@@ -255,17 +251,13 @@ def _check_x(name, value, unsafe):
 
 
 def _resolve_case(args):
-    params = _parse_params(args.params)
     bounds = {}
-    if args.custom:
-        case, bounds = _case_from_config(args.custom, params)
-    elif args.case:
-        case = kernels.get_case(args.case, params)
+    if args.custom is not None:
+        case, bounds = _case_from_config(args.custom, args.params)
     else:
-        raise UsageError("pick a case with --case NAME or --custom FILE")
+        case = kernels.get_case(args.case, args.params)
     if getattr(args, "corrupt", None):
-        coef, delta = _parse_corrupt(args.corrupt)
-        case = kernels.corrupt_case(case, coef, delta)
+        case = kernels.corrupt_case(case, *args.corrupt)
     # each end of the range from its flag, else from the file, else from the case
     ends = dict(zip(("x_min", "x_max"), case.x_range), **bounds)
     ends.update({key: getattr(args, key) for key in ends if getattr(args, key) is not None})
@@ -327,27 +319,7 @@ def cmd_catalog(args):
         _report(args, {"cases": names}, lambda out: out.write("\n".join(names) + "\n"))
         return 0
     case = kernels.get_case(args.name)
-    shift = case.eigen_shift
-    payload = {
-        "name": case.name,
-        "tags": list(case.refs),
-        "parameters": dict(case.params),
-        "kernel": str(case.kernel),
-        "f0": str(case.f0),
-        "f1": str(case.f1),
-        "operators": {
-            label: {"var": op.var, "form": op.form, **{slot: str(getattr(op, slot)) for slot in "abc"}}
-            for label, op in (("A", case.opA), ("B", case.opB))
-        },
-        "h0": case.h0,
-        "lambda": case.lam,
-        "shifted_pair": None if shift is None else {"lambda_a": shift.lam_a, "lambda_b": shift.lam_b},
-        "p_diag": case.p_diag,
-        "p_zero": case.p_zero,
-        "x_range": list(case.x_range),
-        "notes": case.notes,
-    }
-    _report(args, payload, lambda out: out.write(kernels.describe(case) + "\n"))
+    _report(args, kernels.case_record(case), lambda out: out.write(kernels.describe(case) + "\n"))
     return 0
 
 
@@ -357,7 +329,7 @@ _ROW_KEYS = ("id", "grid", "max_residual", "mean_residual", "decay_slope", "tole
 
 def cmd_verify(args):
     case = _resolve_case(args)
-    nx, nt = _parse_grid(args.grid)
+    nx, nt = args.grid
     config = conditions.VerifyConfig(nx=nx, nt=nt, n_samples=args.x_count, tol_4a=args.tol_residual)
     report = conditions.verify_all(case, config)
     payload = {
@@ -431,18 +403,15 @@ def cmd_apply(args):
 
 
 def cmd_solve(args):
-    params = _parse_params(args.params)
     flags = {key: v for key, v in (("X", args.solver_X), ("h", args.solver_h)) if v is not None}
-    if args.custom:
-        problem, reference = _problem_from_config(args.custom, params, flags)
+    if args.custom is not None:
+        problem, reference = _problem_from_config(args.custom, args.params, flags)
         label = args.custom
-    elif args.case:
-        case = kernels.get_case(args.case, params)
+    else:
+        case = kernels.get_case(args.case, args.params)
         problem = goursat.problem_from_case(case, **{"X": 2.0, "h": 1.0 / 128.0, **flags})
         reference = case.kernel
         label = case.name
-    else:
-        raise UsageError("pick a problem with --case NAME or --custom FILE")
     grid = goursat.solve(problem)
     stats = None
     if reference is not None:
@@ -480,16 +449,21 @@ def cmd_solve(args):
     return 1 if passed is False else 0
 
 
-def _add_case_flags(sub, with_corrupt=False):
-    sub.add_argument("--case", help="catalog case name")
-    sub.add_argument("--custom", metavar="FILE", help="case/problem config file")
-    sub.add_argument("--params", help="parameter overrides, e.g. nu=1,omega=2")
-    if with_corrupt:
-        sub.add_argument(
-            "--corrupt",
-            metavar="SPEC",
-            help="test hook: shift one coefficient, e.g. c1:+0.1",
-        )
+def _add_case_flags(sub):
+    """Exactly one of --case and --custom, and the --params they read. A type=
+    parser's UsageError is not argparse's to catch: it leaves parse_args for main."""
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--case", help="catalog case name")
+    source.add_argument("--custom", metavar="FILE", help="case/problem config file")
+    sub.add_argument("--params", type=_parse_params, default="", help="parameter overrides, e.g. nu=1,omega=2")
+
+
+def _add_range_flags(sub):
+    """The sample range flags of verify and apply."""
+    sub.add_argument("--x-min", type=float)
+    sub.add_argument("--x-max", type=float)
+    sub.add_argument("--x-count", type=int, default=conditions.VerifyConfig.n_samples)
+    sub.add_argument("--unsafe-range", action="store_true")
 
 
 def _add_output_flags(sub, formats=("text", "json", "csv")):
@@ -525,26 +499,23 @@ def build_parser():
     cat_show.set_defaults(func=cmd_catalog, action="show")
 
     ver = subs.add_parser("verify", help="run the existence conditions")
-    _add_case_flags(ver, with_corrupt=True)
+    _add_case_flags(ver)
+    ver.add_argument("--corrupt", metavar="SPEC", type=_parse_corrupt,
+                     help="test hook: shift one coefficient, e.g. c1:+0.1")
     defaults = conditions.VerifyConfig()
-    ver.add_argument("--grid", default=f"{defaults.nx}x{defaults.nt}", help="hyperbolic grid, NXxNT")
-    ver.add_argument("--x-min", type=float)
-    ver.add_argument("--x-max", type=float)
-    ver.add_argument("--x-count", type=int, default=defaults.n_samples)
+    ver.add_argument("--grid", type=_parse_grid, default=f"{defaults.nx}x{defaults.nt}",
+                     help="hyperbolic grid, NXxNT")
+    _add_range_flags(ver)
     ver.add_argument("--tol-residual", type=_positive_float, default=defaults.tol_4a)
-    ver.add_argument("--unsafe-range", action="store_true")
     _add_output_flags(ver)
     ver.set_defaults(func=cmd_verify)
 
     app = subs.add_parser("apply", help="evaluate T f0 against f1")
     _add_case_flags(app)
     app.add_argument("--x", type=float, help="single abscissa")
-    app.add_argument("--x-min", type=float)
-    app.add_argument("--x-max", type=float)
-    app.add_argument("--x-count", type=int, default=defaults.n_samples)
+    _add_range_flags(app)
     app.add_argument("--quad-order", type=int, default=quadrature.RULE_ORDER)
     app.add_argument("--tol-identity", type=_positive_float, default=1e-8)
-    app.add_argument("--unsafe-range", action="store_true")
     _add_output_flags(app)
     app.set_defaults(func=cmd_apply)
 

@@ -139,6 +139,10 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
+    def __post_init__(self):
+        if self.op not in _BINDS:
+            raise ValueError(f"unknown binary operator {self.op!r}: expected one of {' '.join(_BINDS)}")
+
 
 @dataclass(frozen=True)
 class Call(Expr):

@@ -10,7 +10,8 @@ The lattice lives at u = i h, v = j h with 0 <= j <= i and i+j <= 2N
 line of constant x = d h/2. j = 0 is the diagonal t = x, carrying the
 closed-form transport data; j = i is the t = 0 edge, closed by the
 Robin relation sigma K_t = (b0(0) + h0 sigma) K, or by a Neumann ghost
-cell where that factor vanishes. Marching is second order: each cell uses
+cell where that factor vanishes; a b0 singular at t = 0 takes the
+one-sided K_t = 0 and so needs h0 = 0. Marching is second order: each cell uses
 the integral identity K(u,v) = K(u-h,v) + K(u,v-h) - K(u-h,v-h)
 + h^2 F(midpoint) with exactly two predictor-corrector sweeps. F takes
 K_u, K_v and K at the cell midpoint from centred differences of the new
@@ -274,7 +275,8 @@ def solve(problem):
     """March the triangle and return the solved TriangleGrid.
 
     The t = 0 closure is Robin when theta = b0(0) + h0 sigma is nonzero,
-    else Neumann; a b0 singular at 0 (NaN in its table) takes Neumann.
+    else Neumann: a ghost cell, or the one-sided K_t = 0 for a b0 singular
+    at 0 (NaN in its table), which refuses an h0 other than 0.
     """
     sigma, h = problem.sigma, problem.h
     top = 2 * problem.steps
@@ -287,6 +289,8 @@ def solve(problem):
     ghost_cell = flavor == "neumann" and not math.isnan(b0t[0])
     if ghost_cell and math.isnan(c0t[0]):
         raise UsageError("Neumann ghost cell needs c0 regular at t = 0")
+    if problem.h0 and math.isnan(b0t[0]):
+        raise UsageError(f"h0 = {problem.h0!r} needs b0 regular at t = 0: a singular b0 takes K_t = 0 there")
     slope = sigma * theta if flavor == "robin" else 0.0
     offsets = _offset(np.arange(top + 1)).tolist()
     values = np.empty(_offset(top + 1))

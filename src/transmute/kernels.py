@@ -36,6 +36,7 @@ __all__ = [
     "EigenShift",
     "list_cases",
     "get_case",
+    "case_record",
     "describe",
     "corrupt_case",
     "COEFFICIENT_NAMES",
@@ -482,31 +483,49 @@ def get_case(name, params=None):
         _require(False, "parameter powers within the float range", **params)
 
 
+def case_record(case):
+    """The case as plain data, by field: what ``catalog show --format json``
+    prints and ``describe`` renders."""
+    shift = case.eigen_shift
+    return {
+        "name": case.name,
+        "tags": list(case.refs),
+        "parameters": dict(case.params),
+        "kernel": str(case.kernel),
+        "f0": str(case.f0),
+        "f1": str(case.f1),
+        "operators": {
+            label: {"var": op.var, "form": op.form, **{slot: str(getattr(op, slot)) for slot in "abc"}}
+            for label, op in (("A", case.opA), ("B", case.opB))
+        },
+        "h0": case.h0,
+        "lambda": case.lam,
+        "shifted_pair": None if shift is None else {"lambda_a": shift.lam_a, "lambda_b": shift.lam_b},
+        "p_diag": case.p_diag,
+        "p_zero": case.p_zero,
+        "x_range": list(case.x_range),
+        "notes": case.notes,
+    }
+
+
 def describe(case):
-    """Render a deterministic human-readable record of a case."""
-    lines = [f"case {case.name}  [tags: {', '.join(case.refs)}]"]
-    params = ", ".join(f"{k}={v!r}" for k, v in sorted(case.params.items()))
-    lines.append(f"  parameters: {params}")
-    lines.append(f"  K(x,t) = {case.kernel}")
-    lines.append(f"  f0(t)  = {case.f0}")
-    lines.append(f"  f1(x)  = {case.f1}")
-    for label, op in (("A", case.opA), ("B", case.opB)):
-        lines.append(f"  {label} ({op.form}, d/d{op.var}):")
-        lines += (f"    {slot} = {getattr(op, slot)}" for slot in "abc")
-    if case.h0:
-        lines.append(f"  h0 = {case.h0!r}")
-    lines.append(f"  lambda = {case.lam!r}")
-    if case.eigen_shift is not None:
-        shift = case.eigen_shift
-        lines.append(
-            f"  shifted pair: A' f0 = {shift.lam_a!r} f0, B' f1 = {shift.lam_b!r} f1"
-        )
-    lines.append(
-        f"  exponents: p_diag = {case.p_diag!r}, p_zero = {case.p_zero!r}"
-    )
-    lines.append(f"  x range: [{case.x_range[0]!r}, {case.x_range[1]!r}]")
-    if case.notes:
-        lines.append(f"  notes: {case.notes}")
+    """Render ``case_record(case)`` as deterministic human-readable text."""
+    rec = case_record(case)
+    params = ", ".join(f"{k}={v!r}" for k, v in sorted(rec["parameters"].items()))
+    lines = [f"case {rec['name']}  [tags: {', '.join(rec['tags'])}]", f"  parameters: {params}",
+             f"  K(x,t) = {rec['kernel']}", f"  f0(t)  = {rec['f0']}", f"  f1(x)  = {rec['f1']}"]
+    for label, op in rec["operators"].items():
+        lines.append(f"  {label} ({op['form']}, d/d{op['var']}):")
+        lines += (f"    {slot} = {op[slot]}" for slot in "abc")
+    if rec["h0"]:
+        lines.append(f"  h0 = {rec['h0']!r}")
+    lines.append(f"  lambda = {rec['lambda']!r}")
+    if (shift := rec["shifted_pair"]) is not None:
+        lines.append(f"  shifted pair: A' f0 = {shift['lambda_a']!r} f0, B' f1 = {shift['lambda_b']!r} f1")
+    lines.append(f"  exponents: p_diag = {rec['p_diag']!r}, p_zero = {rec['p_zero']!r}")
+    lines.append("  x range: [{!r}, {!r}]".format(*rec["x_range"]))
+    if rec["notes"]:
+        lines.append(f"  notes: {rec['notes']}")
     return "\n".join(lines)
 
 

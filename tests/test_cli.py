@@ -119,6 +119,9 @@ BAD_CONFIGS = {
     "no_solver.cfg": CASE_FILE,
     # rho = 1: K(x,x) = kappa x^(-1/2) blows up at the lattice's vertex x = 0
     "vertex_blowup.cfg": '[operatorA]\n[operatorB]\nb = "1/x"\n[solver]\nx = 1\nh = 0.0625\n',
+    # a b0 singular at t = 0 closes the wall by K_t = 0, which would drop h0
+    "h0_singular_wall.cfg": '[operatorA]\nb = "-3/t"\nc = "1"\nh = 0.5\n[operatorB]\nb = "-3/x"\nc = "1"\n'
+                            '[solver]\nx = 1\nh = 0.0625\n',
 }
 
 
@@ -158,6 +161,7 @@ def test_catalog_show_json_has_the_fields_of_describe(capsys):
         assert code == 0
         payload = json.loads(out)
         case = kernels.get_case(name)
+        assert payload == {**kernels.case_record(case), "tool_version": cli.__version__}
         assert payload["tags"] == list(case.refs) and payload["parameters"] == dict(case.params)
         text = kernels.describe(case)
         for key, label in (("kernel", "K(x,t) = "), ("f0", "f0(t)  = "), ("f1", "f1(x)  = ")):
@@ -357,6 +361,7 @@ def test_verify_csv_format(capsys):
         ("apply", "--case", "poisson_bessel", "--params", "nu=1e6"),  # Jacobi weights overflow
         ("apply", "--case", "gegenbauer", "--params", "lambda=1e6"),
         ("solve", "--custom", "vertex_blowup.cfg"),
+        ("solve", "--custom", "h0_singular_wall.cfg"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
@@ -366,6 +371,24 @@ def test_usage_errors_exit_2(capsys, tmp_path, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("verify", "--case", "sonin"), CASE_FILE),
+    (("apply", "--case", "sonin"), CASE_FILE),
+    (("solve", "--case", "vekua_telegraph"), SOLVER_FILE),
+], ids=["verify", "apply", "solve"])
+def test_a_command_takes_exactly_one_of_case_and_custom(capsys, tmp_path, argv, text):
+    cfg = tmp_path / "given.cfg"
+    cfg.write_text(text)
+    params = ("--params", "mu=1,omega=1" if text is CASE_FILE else "mu=1")
+    assert run(capsys, argv[0], "--custom", str(cfg), *params)[0] == 0  # the file alone runs
+    code, out, err = run(capsys, *argv, "--custom", str(cfg), *params)
+    assert code == 2 and not out and "Traceback" not in err
+    assert err.endswith("error: argument --custom: not allowed with argument --case\n")
+    code, out, err = run(capsys, argv[0], *params)
+    assert code == 2 and not out
+    assert err.endswith("error: one of the arguments --case --custom is required\n")
 
 
 @pytest.mark.parametrize(
@@ -827,11 +850,13 @@ def test_a_corruption_whose_mean_overflows_ends_in_an_exit_code(spec):
 
 def test_flag_defaults_are_the_library_defaults():
     parser = cli.build_parser()
-    ver = parser.parse_args(["verify"])
+    ver = parser.parse_args(["verify", "--case", "sonin"])
     config = conditions.VerifyConfig()
-    assert ver.grid == f"{config.nx}x{config.nt}"
+    assert ver.grid == (config.nx, config.nt) and ver.params == {}
     assert (ver.x_count, ver.tol_residual) == (config.n_samples, config.tol_4a)
-    app = parser.parse_args(["apply"])
+    # flags are parsed where they are declared, an empty --params entry skipped
+    assert parser.parse_args(["verify", "--case", "sonin", "--params", "nu=1,"]).params == {"nu": 1.0}
+    app = parser.parse_args(["apply", "--case", "sonin"])
     assert app.x_count == config.n_samples
     assert app.quad_order == quadrature.RULE_ORDER
     for fn in (quadrature.transform, quadrature.apply_transmutation, quadrature.identity_error):

@@ -41,6 +41,7 @@ def test_sample_points_honor_the_case_range():
     assert xs[0] == pytest.approx(case.x_range[0])
     assert xs[-1] == pytest.approx(case.x_range[1])
     assert all(b > a for a, b in zip(xs, xs[1:]))
+    assert sample_points(case, 1) == [0.5 * (case.x_range[0] + case.x_range[1])]
 
 
 @pytest.mark.parametrize(
@@ -105,6 +106,22 @@ def test_hyperbolic_terms_balance():
     assert raw == pytest.approx(0.1 * np.abs(k), rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "run,needle",
+    [
+        (lambda case: check_diagonal(case, []), "diagonal check needs sample points"),
+        (lambda case: check_boundary_t0(case, []), "needs sample points and an eps sequence"),
+        (lambda case: check_boundary_t0(case, eps_seq=[]), "needs sample points and an eps sequence"),
+        (lambda case: check_vertex(case, []), r"vertex check needs \(eps, delta\) pairs"),
+        (lambda case: check_vertex(case, [(0.1, 0.01), (0.05, 0.05)]), "0 < delta < eps, got"),
+    ],
+    ids=["diagonal_no_xs", "boundary_no_xs", "boundary_no_eps", "vertex_no_pairs", "vertex_delta_eps"],
+)
+def test_limit_checks_refuse_empty_or_inverted_inputs(run, needle):
+    with pytest.raises(UsageError, match=needle):
+        run(get_case("sonin"))
+
+
 def test_hyperbolic_rejects_bad_grids():
     case = get_case("poisson_bessel")
     with pytest.raises(UsageError, match="outside 0 < t < x"):
@@ -163,6 +180,8 @@ def test_vertex_decay_and_informational_branch():
     info = check_vertex(get_case("vekua_telegraph"))
     assert info.passed and info.informational
     assert info.limit == pytest.approx(1.0, abs=1e-6)
+    # one eps given twice: no spread in log eps to fit a slope over
+    assert check_vertex(get_case("sonin"), [(0.1, 0.01), (0.1, 0.01)]).decay_slope is None
 
 
 def test_vertex_label_says_delta_is_eps_squared_only_when_it_is():

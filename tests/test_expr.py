@@ -154,6 +154,28 @@ def test_wrong_arity_rejected():
         parse("besselj(x)")
 
 
+def test_binop_refuses_an_unknown_operator():
+    # compiled, "%" would run as a power: 2 % 3 evaluated to 8
+    with pytest.raises(ValueError, match="unknown binary operator '%'"):
+        BinOp("%", Num(2.0), Num(3.0))
+
+
+@pytest.mark.parametrize("run", [to_string, lambda node: evaluate(node, {})], ids=["to_string", "evaluate"])
+def test_a_child_that_is_not_a_node_is_a_type_error(run):
+    with pytest.raises(TypeError, match="not an expression node: 3"):
+        run(BinOp("+", Num(1.0), 3))
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="a tree built in code skips parse's MAX_DEPTH: compiling it recurses once per level")
+def test_a_deep_tree_built_in_code_ends_in_a_transmute_error():
+    tree = Name("x")
+    for _ in range(300):
+        tree = BinOp("+", tree, Name("x"))
+    with pytest.raises(TransmuteError):
+        evaluate(tree, {"x": 1.0})
+
+
 def test_unbound_symbol():
     with pytest.raises(UnboundSymbolError, match="'y'"):
         evaluate(parse("x+y"), {"x": 1.0})

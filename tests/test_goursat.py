@@ -579,6 +579,10 @@ def test_diagonal_blowup_is_reported():
                   X=2.0, h=1.0 / 16.0)
     with pytest.raises(UsageError, match="blows up"):
         diagonal_values(problem, [0.0, 1.0])
+    # b1 - b0 = -2000 x: K(x,x) = exp(1000 x^2) leaves the float range at x = 2
+    problem = _gp(sigma=1.0, b0="0", b1="-2000*x", c0="0", c1="0", X=2.0, h=1.0 / 16.0)
+    with pytest.raises(NumericalError, match="diagonal data overflows"):
+        diagonal_values(problem, [2.0])
 
 
 def test_diagonal_kappa_zero_shortcut():
@@ -759,6 +763,10 @@ def test_sigma_is_the_constant_leading_coefficient():
 def test_boundary_flavor_guards():
     with pytest.raises(UsageError, match="c0 regular"):
         solve(_gp(sigma=1.0, b0="0", b1="0", c0="1/t", c1="0",
+                  X=1.0, h=1.0 / 8.0))
+    # a b0 singular at 0 closes the wall by K_t = 0, which has no room for h0
+    with pytest.raises(UsageError, match="h0 = 0.5 needs b0 regular at t = 0"):
+        solve(_gp(sigma=1.0, b0="-3/t", b1="-3/x", c0="1", c1="1", h0=0.5,
                   X=1.0, h=1.0 / 8.0))
 
 

@@ -275,6 +275,9 @@ def test_describe_is_deterministic_and_tagged():
     assert "K(x,t)" in text and "lambda" in text
     for name in ALL_NAMES:
         assert describe(get_case(name))
+    # no catalog case sets h0; the line shows only when it is not 0
+    assert "h0 =" not in text
+    assert "\n  h0 = 0.5\n" in describe(dataclasses.replace(case, h0=0.5))
 
 
 def test_corrupt_case_targets_one_coefficient():
