@@ -7,7 +7,8 @@ Subcommands:
   solve                              march the characteristic lattice
 
 verify, apply and solve take exactly one of --case NAME and --custom FILE;
-both, or neither, exit 2. solve refuses a nonzero [operatorA] h (h0) when b0 is
+both, or neither, exit 2, and so does a --params name that no expression of
+the FILE reads. solve refuses a nonzero [operatorA] h (h0) when b0 is
 singular at t = 0. catalog show --format json prints kernels.case_record,
 the record that kernels.describe renders as text.
 
@@ -38,7 +39,7 @@ from .errors import (
     TransmuteError,
     UsageError,
 )
-from .expr import parse as parse_expr
+from .expr import Expr, free_symbols, parse as parse_expr
 from .operators import DifferentialOperator
 
 # The keys of each config section, by lower-cased section name, with the kind of
@@ -201,11 +202,18 @@ def _config_fields(sections, label, path, required=()):
     return fields
 
 
-def _operators_from_config(sections, path):
-    """(A, B, h0): the operator pair, and {"h0": h} if [operatorA] sets ``h``, else {}."""
+def _operators_from_config(sections, path, params, fields):
+    """(A, B, h0): the operator pair, and {"h0": h} if [operatorA] sets ``h``, else {}.
+    A ``params`` name that neither the pair nor an expression among the other
+    section's ``fields`` reads is refused: no expression of the file reads it."""
     fields_a = _config_fields(sections, "operatorA", path)
     fields_b = _config_fields(sections, "operatorB", path)
     h0 = {"h0": fields_a.pop("h0")} if "h0" in fields_a else {}
+    trees = [v for v in (*fields.values(), *fields_a.values(), *fields_b.values()) if isinstance(v, Expr)]
+    read = set().union(*map(free_symbols, trees)) - {"x", "t"}
+    if unread := ", ".join(map(repr, sorted(set(params) - read))):
+        read = ", ".join(sorted(read)) or "no parameter"
+        raise UsageError(f"unknown parameter {unread} for {path} (its expressions read {read})")
     return DifferentialOperator("t", **fields_a), DifferentialOperator("x", **fields_b), h0
 
 
@@ -220,7 +228,7 @@ def _case_from_config(path, params):
             raise UsageError(f"{path}:{lineno}: state the {whole} once: {whole!r} is its smooth factor"
                              f" with every exponent 0, so {key!r} states it again")
     fields = _config_fields(sections, "case", path, required=("kernel_smooth", "f0_smooth", "f1"))
-    op_a, op_b, h0 = _operators_from_config(sections, path)
+    op_a, op_b, h0 = _operators_from_config(sections, path, params, fields)
     bounds = {key: fields.pop(key) for key in ("x_min", "x_max") if key in fields}
     case = kernels.TransmutationCase(
         name=fields.pop("name", "") or "custom", params=dict(params), opA=op_a, opB=op_b, **h0, **fields
@@ -232,7 +240,7 @@ def _problem_from_config(path, params, flags):
     """The file's problem, its lattice ``flags`` overriding [solver], and its reference."""
     sections = _read_config(path)
     fields = _config_fields(sections, "solver", path)
-    op_a, op_b, h0 = _operators_from_config(sections, path)
+    op_a, op_b, h0 = _operators_from_config(sections, path, params, fields)
     reference = fields.pop("reference", None)
     return goursat.GoursatProblem(op_a, op_b, params=params, **h0, **{**fields, **flags}), reference
 

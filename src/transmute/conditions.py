@@ -26,13 +26,13 @@ functions run one body per entry, so no value changes a bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import NumericalError, TransmuteError, UsageError
-from .expr import Jet2, evaluate, evaluate_jet, free_symbols
+from .expr import Jet2, Record, evaluate, evaluate_jet, free_symbols
 from .operators import _at, _eigen_residuals, _jet, _mean, _residual, _terms
 
 __all__ = [
@@ -69,8 +69,7 @@ DECAY_DROP = 1e-3  # the same bound for 4c and 4d
 TINY = 1e-12  # rounding floor of a limit residual
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(Record):
     """Grids and the 4a tolerance for one verification run.
 
     The hyperbolic check uses an nx x nt triangle grid up to the class
@@ -79,21 +78,20 @@ class VerifyConfig:
     tolerances are module constants.
     """
 
-    nx: int = 20
-    nt: int = 20
-    n_samples: int = 20
-    tol_4a: float = 1e-8
-    x_max = 2.0  # not annotated, so not a field
+    _fields = ("nx", "nt", "n_samples", "tol_4a")
+    nx, nt, n_samples, tol_4a = 20, 20, 20, 1e-8  # the defaults
+    x_max = 2.0  # not a field
 
-    def __post_init__(self):
-        if not 0.0 < self.tol_4a < math.inf:
-            raise UsageError(f"tol_4a must be a positive finite number, got {self.tol_4a!r}")
-        if self.nx < 1 or self.nt < 1:
+    def __init__(self, nx: int = nx, nt: int = nt, n_samples: int = n_samples, tol_4a: float = tol_4a):
+        if not 0.0 < tol_4a < math.inf:
+            raise UsageError(f"tol_4a must be a positive finite number, got {tol_4a!r}")
+        if nx < 1 or nt < 1:
             raise UsageError("hyperbolic grid must have at least one point per axis")
-        if self.n_samples < 2:
+        if n_samples < 2:
             raise UsageError("need at least two sample points")
-        if max(self.nx * self.nt, self.n_samples) > MAX_POINTS:
-            raise UsageError(f"{self.nx}x{self.nt} grid or {self.n_samples} samples: maximum {MAX_POINTS}")
+        if max(nx * nt, n_samples) > MAX_POINTS:
+            raise UsageError(f"{nx}x{nt} grid or {n_samples} samples: maximum {MAX_POINTS}")
+        self.__dict__.update(nx=nx, nt=nt, n_samples=n_samples, tol_4a=tol_4a)
 
 
 @dataclass(frozen=True)
@@ -120,17 +118,12 @@ class ConditionRecord:
             raise NumericalError(f"condition {self.id}: non-finite mean residual")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    case: str
-    params: dict
-    records: tuple
-    overall_pass: bool = field(init=False)
+class VerificationReport(Record):
+    _fields = ("case", "params", "records", "overall_pass")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "overall_pass", all(r.passed for r in self.records)
-        )
+    def __init__(self, case: str, params: dict, records: tuple):
+        overall_pass = all(r.passed for r in records)
+        self.__dict__.update(case=case, params=params, records=records, overall_pass=overall_pass)
 
     def record(self, cond_id):
         for r in self.records:

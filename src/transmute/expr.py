@@ -12,9 +12,11 @@ tree more than MAX_DEPTH = 100 levels deep, or brackets nested deeper,
 with a ParseError at the offset where the limit is passed: every tree it
 returns evaluates and prints within Python's recursion limit.
 
-Expression nodes are frozen dataclasses: parsing never aliases mutable
+Expression nodes are immutable records: parsing never aliases mutable
 state into the tree, and evaluation never mutates it, so one parsed
 expression can be shared between threads and across parameter sweeps.
+A node records its depth, and one built in code deeper than 2 * MAX_DEPTH
+is an ExpressionError when it is evaluated, before any recursion.
 ``parse`` shares the trees of the last 1024 texts (a ParseError is raised
 anew each time), and a tree finds its free symbols once.
 
@@ -60,7 +62,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Callable, Mapping
@@ -68,10 +69,11 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, ParseError, SpecFunError, UnboundSymbolError
+from .errors import DomainError, ExpressionError, ParseError, SpecFunError, UnboundSymbolError
 
 __all__ = [
     "MAX_DEPTH",
+    "Record",
     "Expr",
     "Num",
     "Name",
@@ -87,8 +89,38 @@ __all__ = [
 ]
 
 
-class Expr:
-    """Base class for expression nodes."""
+class Record:
+    """Immutable attributes ``_fields``, written into ``__dict__`` by
+    ``__init__``: equal and hashed by value, printed as the constructor
+    call.  Unlike a dataclass's, these methods are compiled and cached with
+    the module, not generated by ``exec`` at every import."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Expr(Record):
+    """Base class for expression nodes.  ``_depth`` counts the nodes on the
+    longest path to a leaf, a child that is not a node counting 0."""
+
+    _depth = 1  # a leaf's
 
     def __str__(self) -> str:
         return to_string(self)
@@ -118,36 +150,43 @@ class Expr:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    _fields = ("value",)
+
+    def __init__(self, value: float):
+        self.__dict__["value"] = value
 
 
-@dataclass(frozen=True)
 class Name(Expr):
-    ident: str
+    _fields = ("ident",)
+
+    def __init__(self, ident: str):
+        self.__dict__["ident"] = ident
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    _fields = ("arg",)
+
+    def __init__(self, arg: Expr):
+        self.__dict__.update(arg=arg, _depth=1 + getattr(arg, "_depth", 0))
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # one of + - * / ^
-    left: Expr
-    right: Expr
+    _fields = ("op", "left", "right")  # op is one of + - * / ^
 
-    def __post_init__(self):
-        if self.op not in _BINDS:
-            raise ValueError(f"unknown binary operator {self.op!r}: expected one of {' '.join(_BINDS)}")
+    def __init__(self, op: str, left: Expr, right: Expr):
+        if op not in _BINDS:
+            raise ValueError(f"unknown binary operator {op!r}: expected one of {' '.join(_BINDS)}")
+        depth = 1 + max(getattr(left, "_depth", 0), getattr(right, "_depth", 0))
+        self.__dict__.update(op=op, left=left, right=right, _depth=depth)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    name: str
-    args: tuple[Expr, ...]
+    _fields = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Expr, ...]):
+        depth = 1 + max([getattr(a, "_depth", 0) for a in args], default=0)
+        self.__dict__.update(name=name, args=args, _depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +236,9 @@ def _too_deep(what: str, pos: int) -> ParseError:
 
 
 class _Parser:
-    """Precedence climbing (Pratt, POPL 1973) over ``_BINDS``.  ``expr``,
-    ``bracketed`` and ``atom`` return what they read with its depth, the
-    nodes on its longest path to a leaf, and refuse a tree deeper than
-    MAX_DEPTH, or brackets nested deeper, before recursing further."""
+    """Precedence climbing (Pratt, POPL 1973) over ``_BINDS``.  ``expr``
+    refuses a tree deeper than MAX_DEPTH, and ``bracketed`` brackets nested
+    deeper, before recursing further; a node's ``_depth`` is what counts."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -215,7 +253,7 @@ class _Parser:
         self.i += 1
 
     def parse(self) -> Expr:
-        node, _ = self.expr(1, 0)
+        node = self.expr(1, 0)
         kind, text, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError(
@@ -223,30 +261,28 @@ class _Parser:
             )
         return node
 
-    def expr(self, floor: int, above: int) -> tuple[Expr, int]:
+    def expr(self, floor: int, above: int) -> Expr:
         """The longest expression from here whose binary operators bind at
-        ``floor`` or tighter, and its depth; ``above`` nodes will hold it."""
+        ``floor`` or tighter; ``above`` nodes will hold it."""
         kind, _, pos = self.tokens[self.i]
         if above >= MAX_DEPTH:
             raise _too_deep("expression", pos)
         if kind == "-":
             self.i += 1
-            node, depth = self.expr(_NEG, above + 1)
-            node, depth = Neg(node), depth + 1
+            node = Neg(self.expr(_NEG, above + 1))
         else:
-            node, depth = self.atom(above)
+            node = self.atom(above)
         while (bind := _BINDS.get(self.tokens[self.i][0], 0)) >= floor:
             op, _, pos = self.tokens[self.i]
             self.i += 1
-            right, below = self.expr(_NEG if op == "^" else bind + 1, above + 1)
-            node, depth = BinOp(op, node, right), 1 + max(depth, below)
-            if above + depth > MAX_DEPTH:
+            node = BinOp(op, node, self.expr(_NEG if op == "^" else bind + 1, above + 1))
+            if above + node._depth > MAX_DEPTH:
                 raise _too_deep("expression", pos)
-        return node, depth
+        return node
 
-    def bracketed(self, above: int, many: bool) -> tuple[tuple[Expr, ...], int]:
+    def bracketed(self, above: int, many: bool) -> tuple[Expr, ...]:
         """The expressions, comma-separated if ``many``, in the brackets
-        that open here, and the depth of the deepest."""
+        that open here."""
         self.brackets += 1
         if self.brackets > MAX_DEPTH:
             raise _too_deep("brackets", self.tokens[self.i][2])
@@ -257,33 +293,32 @@ class _Parser:
             items.append(self.expr(1, above))
         self.expect(")", "')'")
         self.brackets -= 1
-        nodes, depths = zip(*items)
-        return nodes, max(depths)
+        return tuple(items)
 
-    def atom(self, above: int) -> tuple[Expr, int]:
+    def atom(self, above: int) -> Expr:
         kind, text, pos = self.tokens[self.i]
         if kind == "number":
             self.i += 1
             value = float(text)
             if math.isinf(value):
                 raise ParseError(f"number {text!r} overflows a double", pos)
-            return Num(value), 1
+            return Num(value)
         if kind == "ident":
             self.i += 1
             if self.tokens[self.i][0] == "(":
                 if text not in FUNCTIONS:
                     raise ParseError(f"unknown function {text!r}", pos)
-                args, depth = self.bracketed(above + 1, many=True)
+                args = self.bracketed(above + 1, many=True)
                 spec = FUNCTIONS[text]
                 if len(args) != spec.arity:
                     raise ParseError(
                         f"{text} takes {spec.arity} argument(s), got {len(args)}", pos
                     )
-                return Call(text, args), depth + 1
-            return (Num(math.pi) if text == "pi" else Name(text)), 1
+                return Call(text, args)
+            return Num(math.pi) if text == "pi" else Name(text)
         if kind == "(":
-            (node,), depth = self.bracketed(above, many=False)
-            return node, depth
+            (node,) = self.bracketed(above, many=False)
+            return node
         got = repr(text) if kind != "end" else "end of input"
         raise ParseError(
             f"unexpected {got}", pos, expected="number, identifier, or '('"
@@ -350,8 +385,7 @@ def free_symbols(node: Expr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(Record):
     """Value, first partials and pure second partials in (x, t).
 
     BT = TA sets A, acting in t, against B, acting in x, so no existence
@@ -362,11 +396,10 @@ class Jet2:
     values, so a jet's value is bit for bit what float evaluation gives.
     """
 
-    value: float
-    dx: float = 0.0
-    dt: float = 0.0
-    dxx: float = 0.0
-    dtt: float = 0.0
+    _fields = ("value", "dx", "dt", "dxx", "dtt")
+
+    def __init__(self, value: float, dx: float = 0.0, dt: float = 0.0, dxx: float = 0.0, dtt: float = 0.0):
+        self.__dict__.update(value=value, dx=dx, dt=dt, dxx=dxx, dtt=dtt)
 
     # numpy operands defer to Jet2's operators instead of building object arrays
     __array_ufunc__ = None
@@ -614,6 +647,8 @@ def _compile(node: Expr) -> Callable:
     to Jet2 seeds (of floats or of arrays) or to numpy arrays.  The node's
     kind, operator, function, a literal positive integer exponent and
     leading function arguments that are all numbers are read here, once."""
+    if node._depth > 2 * MAX_DEPTH:  # built in code: parse refuses a tree deeper than MAX_DEPTH
+        raise ExpressionError(f"expression nested deeper than {2 * MAX_DEPTH} levels")
     kind = type(node)
     if kind is Num:
         value = node.value
@@ -766,13 +801,13 @@ def evaluate_jet(node: Expr, x, t, params: Mapping[str, float]) -> Jet2:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Fn:
-    arity: int
-    # the value; every function but gamma also takes an array last argument
-    value: Callable[..., float]
-    # (f, f', f'') with respect to the last argument; the others are floats
-    jet: Callable[..., tuple[float, float, float]]
+class _Fn(Record):
+    _fields = ("arity", "value", "jet")
+
+    # ``value``: every function but gamma also takes an array last argument;
+    # ``jet``: (f, f', f'') with respect to the last argument, the others floats
+    def __init__(self, arity: int, value: Callable[..., float], jet: Callable[..., tuple[float, float, float]]):
+        self.__dict__.update(arity=arity, value=value, jet=jet)
 
 
 # where each ufunc sets no floating-point flag, so a float needs no error

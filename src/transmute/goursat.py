@@ -33,7 +33,6 @@ evaluate their expression once over arrays of points, not point by point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, pairwise
 from typing import Mapping
@@ -41,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericalError, TransmuteError, UsageError
-from .expr import BinOp, Name, evaluate, free_symbols, parse
+from .expr import BinOp, Name, Record, evaluate, free_symbols, parse
 from .operators import DifferentialOperator, check_pair_symbols
 from .quadrature import jacobi_rule
 
@@ -61,8 +60,7 @@ __all__ = [
 MAX_STEPS = 4096
 
 
-@dataclass(frozen=True)
-class GoursatProblem:
+class GoursatProblem(Record):
     """The operator pair and lattice geometry for one solve.
 
     ``op_a`` acts in t and gives b0, c0 (its b, c); ``op_b`` acts in x and
@@ -77,17 +75,14 @@ class GoursatProblem:
     ``solve`` uses.
     """
 
-    op_a: DifferentialOperator
-    op_b: DifferentialOperator
-    h0: float = 0.0
-    kappa: float = 1.0
-    X: float = 1.0
-    h: float = 1.0 / 64.0
-    params: Mapping[str, float] = field(default_factory=dict)
-    sigma: float = field(init=False)
-    rho: float = field(init=False)
+    _fields = ("op_a", "op_b", "h0", "kappa", "X", "h", "params", "sigma", "rho")
 
-    def __post_init__(self):
+    def __init__(
+        self, op_a: DifferentialOperator, op_b: DifferentialOperator, h0: float = 0.0, kappa: float = 1.0,
+        X: float = 1.0, h: float = 1.0 / 64.0, params: Mapping[str, float] | None = None,
+    ):
+        params = {} if params is None else params
+        self.__dict__.update(op_a=op_a, op_b=op_b, h0=h0, kappa=kappa, X=X, h=h, params=params)
         if (self.op_a.var, self.op_b.var) != ("t", "x"):
             raise UsageError("the solver needs A acting in 't' and B in 'x'")
         check_pair_symbols(self.op_a, self.op_b, self.params)
@@ -101,7 +96,7 @@ class GoursatProblem:
                 "the leading coefficients of A and B are not one constant +-1;"
                 " the characteristic solver does not apply"
             )
-        object.__setattr__(self, "sigma", leading[0])
+        self.__dict__["sigma"] = leading[0]
         # x (b1 - b0) at x = t = 2^-900 and 2^-1000: a rho/x term scales by powers of
         # two exactly, giving rho bit for bit at both, and any other term shrinks
         tree = BinOp("*", Name("x"), BinOp("-", self.op_b.b, self.op_a.b))
@@ -111,7 +106,7 @@ class GoursatProblem:
             near = nearer = math.nan
         if not (near == nearer or abs(nearer) < abs(near)):
             raise UsageError("b1 - b0 is not rho/x + smooth at x = t = 0; the transport data cannot be split")
-        object.__setattr__(self, "rho", near + 0.0 if near == nearer else 0.0)  # +0.0, not -0.0
+        self.__dict__["rho"] = near + 0.0 if near == nearer else 0.0  # +0.0, not -0.0
         if not (self.X > 0.0 and self.h > 0.0):
             raise UsageError("need X > 0 and h > 0")
         if not self.h / 2.0 > 0.0:  # the lattice's half step
@@ -185,15 +180,16 @@ def _offset(d):
     return d + (d // 2) * ((d - 1) // 2)
 
 
-@dataclass(frozen=True, eq=False)
-class TriangleGrid:
+class TriangleGrid(Record):
     """Solved values, one flat array of the levels laid out by ``_offset``
     ((N+1)^2 doubles for N = X/h steps), and the t = 0 closure the march
     used ("neumann" or "robin")."""
 
-    h: float
-    values: np.ndarray
-    boundary: str
+    _fields = ("h", "values", "boundary")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # it holds an array: equal only to itself
+
+    def __init__(self, h: float, values: np.ndarray, boundary: str):
+        self.__dict__.update(h=h, values=values, boundary=boundary)
 
     @cached_property  # read by every call of ``value``
     def top(self):
@@ -420,5 +416,5 @@ def problem_from_case(case, X, h):
             " which cannot hold K = 0 there"
         )
     # set in place, not by ``replace``: kappa enters no check and not the integral kept for ``solve``
-    object.__setattr__(problem, "kappa", k_diag / diagonal_values(problem, [X])[0])
+    problem.__dict__["kappa"] = k_diag / diagonal_values(problem, [X])[0]
     return problem

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import AdmissibilityError, UsageError
-from .expr import BinOp, Expr, Name, Num, parse
+from .expr import BinOp, Expr, Name, Num, Record, parse
 from .operators import DifferentialOperator, check_pair_symbols, check_symbols
 
 __all__ = [
@@ -45,8 +45,7 @@ __all__ = [
 COEFFICIENT_NAMES = ("a0", "b0", "c0", "a1", "b1", "c1")
 
 
-@dataclass(frozen=True)
-class EigenShift:
+class EigenShift(Record):
     """Shifted operator pair for which f0/f1 become genuine eigenfunctions.
 
     Moving a free term across the equality A f0 = 0 produces
@@ -54,10 +53,10 @@ class EigenShift:
     eigenvalues need not agree.
     """
 
-    opA: DifferentialOperator
-    opB: DifferentialOperator
-    lam_a: float
-    lam_b: float
+    _fields = ("opA", "opB", "lam_a", "lam_b")
+
+    def __init__(self, opA: DifferentialOperator, opB: DifferentialOperator, lam_a: float, lam_b: float):
+        self.__dict__.update(opA=opA, opB=opB, lam_a=lam_a, lam_b=lam_b)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -543,7 +542,5 @@ def corrupt_case(case, coefficient, delta):
     side = "opA" if coefficient.endswith("0") else "opB"
     op = getattr(case, side)
     slot = coefficient[0]
-    bumped = dataclasses.replace(
-        op, **{slot: BinOp("+", getattr(op, slot), Num(float(delta)))}
-    )
+    bumped = DifferentialOperator(**{**vars(op), slot: BinOp("+", getattr(op, slot), Num(float(delta)))})
     return dataclasses.replace(case, **{side: bumped})

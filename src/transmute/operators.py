@@ -16,14 +16,13 @@ needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DomainError, TransmuteError, UsageError
-from .expr import Expr, Jet2, Num, evaluate, evaluate_jet, free_symbols
+from .expr import Expr, Jet2, Num, Record, evaluate, evaluate_jet, free_symbols
 
 __all__ = [
     "DifferentialOperator",
@@ -34,19 +33,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DifferentialOperator:
+class DifferentialOperator(Record):
     """Coefficient triple (a, b, c) in the variable ``var``, which fixes the
     form: divergence in t, non-divergence in x. Left out, a is 1 and b, c are 0."""
 
-    var: str
-    a: Expr = Num(1.0)
-    b: Expr = Num(0.0)
-    c: Expr = Num(0.0)
+    _fields = ("var", "a", "b", "c")
 
-    def __post_init__(self):
-        if self.var not in ("x", "t"):
-            raise TransmuteError(f"operator variable must be 'x' or 't', got {self.var!r}")
+    def __init__(self, var: str, a: Expr = Num(1.0), b: Expr = Num(0.0), c: Expr = Num(0.0)):
+        if var not in ("x", "t"):
+            raise TransmuteError(f"operator variable must be 'x' or 't', got {var!r}")
+        self.__dict__.update(var=var, a=a, b=b, c=c)
 
     @property
     def form(self):

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .conditions import MAX_POINTS, sample_points
 from .errors import NumericalError, UsageError
-from .expr import evaluate
+from .expr import Record, evaluate
 
 __all__ = [
     "JacobiRule",
@@ -33,13 +32,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class JacobiRule:
+class JacobiRule(Record):
     """Nodes/weights for the weight (1-s)^alpha (1+s)^beta on [-1,1], as
     read-only float arrays: a cached rule is shared by every caller."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    _fields = ("nodes", "weights")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # it holds arrays: equal only to itself
+
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray):
+        self.__dict__.update(nodes=nodes, weights=weights)
 
 
 # Largest rule order jacobi_rule builds: the n x n Jacobi matrix is dense,

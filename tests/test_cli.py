@@ -122,6 +122,10 @@ BAD_CONFIGS = {
     # a b0 singular at t = 0 closes the wall by K_t = 0, which would drop h0
     "h0_singular_wall.cfg": '[operatorA]\nb = "-3/t"\nc = "1"\nh = 0.5\n[operatorB]\nb = "-3/x"\nc = "1"\n'
                             '[solver]\nx = 1\nh = 0.0625\n',
+    # files that run, given a parameter none of their expressions reads
+    "case.cfg": CASE_FILE,
+    "solver.cfg": SOLVER_FILE,
+    "no_reference.cfg": SOLVER_FILE.replace('reference = "besselj(0, mu*sqrt(x^2-t^2))"\n', ""),
 }
 
 
@@ -362,6 +366,10 @@ def test_verify_csv_format(capsys):
         ("apply", "--case", "gegenbauer", "--params", "lambda=1e6"),
         ("solve", "--custom", "vertex_blowup.cfg"),
         ("solve", "--custom", "h0_singular_wall.cfg"),
+        ("verify", "--custom", "case.cfg", "--params", "mu=1,omega=1,zzz=3"),
+        ("apply", "--custom", "case.cfg", "--params", "mu=1,omega=1,zzz=3"),
+        ("solve", "--custom", "solver.cfg", "--params", "mu=1,zzz=3"),
+        ("solve", "--custom", "no_reference.cfg", "--params", "mu=1,zzz=3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
@@ -422,6 +430,7 @@ def test_a_diagonal_that_blows_up_at_the_vertex_asks_for_kappa_0(capsys, tmp_pat
         ("x", "--params cannot set 'x': it is a kernel variable"),
         ("t", "--params cannot set 't': it is a kernel variable"),
         ("pi", "--params cannot set 'pi': it is the reserved constant"),
+        ("zzz", "unknown parameter 'zzz' for "),  # read by no expression
     ],
 )
 @pytest.mark.parametrize(

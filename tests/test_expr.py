@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -11,12 +12,13 @@ from transmute.conditions import triangle_grid
 from transmute.errors import (
     AdmissibilityError,
     DomainError,
+    ExpressionError,
     ParseError,
     TransmuteError,
     UnboundSymbolError,
 )
 from transmute import expr as expr_module
-from transmute.conditions import verify_all
+from transmute.conditions import VerifyConfig, verify_all
 from transmute.expr import (
     _CALL_ERRORS,
     FUNCTIONS,
@@ -39,7 +41,9 @@ from transmute.expr import (
     parse,
     to_string,
 )
+from transmute.goursat import problem_from_case
 from transmute.kernels import get_case, list_cases
+from transmute.operators import DifferentialOperator
 
 
 @pytest.mark.parametrize(
@@ -166,14 +170,22 @@ def test_a_child_that_is_not_a_node_is_a_type_error(run):
         run(BinOp("+", Num(1.0), 3))
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError,
-                   reason="a tree built in code skips parse's MAX_DEPTH: compiling it recurses once per level")
 def test_a_deep_tree_built_in_code_ends_in_a_transmute_error():
     tree = Name("x")
     for _ in range(300):
         tree = BinOp("+", tree, Name("x"))
     with pytest.raises(TransmuteError):
         evaluate(tree, {"x": 1.0})
+    # up to twice parse's limit a tree built in code, such as a parsed one the
+    # library wraps in a few more levels, evaluates and prints; one more is refused
+    tree = Name("x")
+    for _ in range(2 * MAX_DEPTH - 1):
+        tree = Call("sin", (tree,))
+    assert evaluate(tree, {"x": 1.0}) == evaluate(tree, {"x": np.array([1.0])})[0]
+    assert math.isfinite(evaluate_jet(tree, 1.0, 0.5, {}).dxx)
+    assert to_string(tree).count("sin(") == 2 * MAX_DEPTH - 1
+    with pytest.raises(ExpressionError, match=f"nested deeper than {2 * MAX_DEPTH} levels"):
+        evaluate_jet(Neg(tree), 1.0, 0.5, {})
 
 
 def test_unbound_symbol():
@@ -329,7 +341,7 @@ def test_jet_exact_polynomial():
 
 def test_jet_carries_the_five_partials_the_checks_read():
     # BT = TA sets A, in t, against B, in x: no check reads the mixed partial
-    assert [f.name for f in dataclasses.fields(Jet2)] == ["value", "dx", "dt", "dxx", "dtt"]
+    assert list(vars(Jet2(1.0))) == ["value", "dx", "dt", "dxx", "dtt"]
 
 
 def test_jet_singularity_reported():
@@ -874,6 +886,52 @@ def test_an_evaluated_tree_pickles_and_compiles_again():
     copy = pickle.loads(pickle.dumps(node))
     assert copy == node and "_run" not in vars(copy)
     assert evaluate(copy, {"nu": 0.5, "x": 0.7, "t": 0.3}) == want
+
+
+def test_the_package_generates_no_dataclass_but_the_two_it_replaces():
+    # a dataclass execs its generated methods at every import; only the two
+    # records that dataclasses.replace and dataclasses.fields take stay one
+    import transmute.cli  # noqa: F401
+
+    classes = {
+        obj for name, module in list(sys.modules.items()) if name.partition(".")[0] == "transmute"
+        for obj in vars(module).values() if isinstance(obj, type) and obj.__module__ == name
+    }
+    assert len(classes) > 20
+    assert sorted(c.__name__ for c in classes if dataclasses.is_dataclass(c)) == [
+        "ConditionRecord", "TransmutationCase"
+    ]
+
+
+def test_records_keep_the_dataclass_behaviour():
+    tree = parse("-x^2 + besselj(nu, sqrt(x*t)) / (1 - t)")
+    assert repr(tree) == (
+        "BinOp(op='+', left=Neg(arg=BinOp(op='^', left=Name(ident='x'), right=Num(value=2.0))),"
+        " right=BinOp(op='/', left=Call(name='besselj', args=(Name(ident='nu'), Call(name='sqrt',"
+        " args=(BinOp(op='*', left=Name(ident='x'), right=Name(ident='t')),)))),"
+        " right=BinOp(op='-', left=Num(value=1.0), right=Name(ident='t'))))"
+    )
+    jet = Jet2(1.5, dx=1.0)
+    assert repr(jet) == "Jet2(value=1.5, dx=1.0, dt=0.0, dxx=0.0, dtt=0.0)"
+    assert list(vars(jet).items()) == [("value", 1.5), ("dx", 1.0), ("dt", 0.0), ("dxx", 0.0), ("dtt", 0.0)]
+    assert repr(DifferentialOperator("x", b=parse("1/x"))) == (
+        "DifferentialOperator(var='x', a=Num(value=1.0),"
+        " b=BinOp(op='/', left=Num(value=1.0), right=Name(ident='x')), c=Num(value=0.0))"
+    )
+    assert repr(VerifyConfig()) == "VerifyConfig(nx=20, nt=20, n_samples=20, tol_4a=1e-08)"
+    config = VerifyConfig(5, 6, n_samples=7, tol_4a=1e-6)
+    assert repr(config) == "VerifyConfig(nx=5, nt=6, n_samples=7, tol_4a=1e-06)"
+    # equal trees are equal and hash equal; a built tree equals its parse
+    built = BinOp("+", Neg(BinOp("^", Name("x"), Num(2.0))), tree.right)
+    assert built == tree and hash(built) == hash(tree) and built != tree.right
+    assert Jet2(1.5, 1.0) == jet and hash(Jet2(1.5, 1.0)) == hash(jet)
+    problem = problem_from_case(get_case("vekua_telegraph"), X=2.0, h=1.0 / 32.0)
+    for record, field in ((tree, "op"), (Num(1.0), "value"), (jet, "dx"), (problem, "kappa"), (problem, "new")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+    copy = pickle.loads(pickle.dumps(tree))
+    at = {"nu": 0.5, "x": 0.7, "t": 0.3}
+    assert copy == tree and evaluate(copy, at) == evaluate(tree, at)
 
 
 @pytest.mark.parametrize("name", list_cases())
