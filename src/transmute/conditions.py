@@ -269,6 +269,13 @@ def _limit_record(cond_id, grid, seq, values, drop):
     )
 
 
+def _tolerance_record(cond_id, grid, worst, mean, tolerance, detail=""):
+    """The record of a tolerance check: passes when the ``worst`` residual is
+    within ``tolerance`` and there is no ``detail``, which names failed points."""
+    return ConditionRecord(id=cond_id, grid=grid, max_residual=worst, mean_residual=mean,
+                           tolerance=tolerance, passed=worst <= tolerance and not detail, detail=detail)
+
+
 def check_diagonal(case, xs=None, config=None, *, jet=None):
     """Conditions 4b1 and 4b2, returned as two ConditionRecords.
 
@@ -284,14 +291,8 @@ def check_diagonal(case, xs=None, config=None, *, jet=None):
     a0 = _at(case.opA.a, "t", s, params)
     a1 = _at(case.opB.a, "x", s, params)
     coeff_gaps = np.broadcast_to(np.abs(a0 - a1), s.shape).tolist()
-    rec_4b1 = ConditionRecord(
-        id="4b1",
-        grid=f"{len(xs)} shared samples in [{xs[0]:g}, {xs[-1]:g}]",
-        max_residual=max(coeff_gaps),
-        mean_residual=_mean(coeff_gaps),
-        tolerance=TOL_4B1,
-        passed=max(coeff_gaps) <= TOL_4B1,
-    )
+    rec_4b1 = _tolerance_record("4b1", f"{len(xs)} shared samples in [{xs[0]:g}, {xs[-1]:g}]",
+                                max(coeff_gaps), _mean(coeff_gaps), TOL_4B1)
 
     jk = evaluate_jet(case.kernel, s, s - np.array(DELTA_REL)[:, None] * s, params) if jet is None else jet
     b0, b1 = _at(case.opA.b, "t", s, params), _at(case.opB.b, "x", s, params)
@@ -379,18 +380,10 @@ def check_eigen(case, xs=None, config=None):
         # one jet of f serves the plain and the shifted operator
         pairs = [(op, case.lam)] + shifted
         stats = _eigen_residuals(pairs, f, xs, case.params)
-        worst = max(st["max"] for st in stats)
         desc = ", shifted ".join(f"lambda={lam:g}" for _, lam in pairs)
-        records.append(
-            ConditionRecord(
-                id=cond_id,
-                grid=f"{len(xs)} points in [{xs[0]:g}, {xs[-1]:g}]; {desc}",
-                max_residual=worst,
-                mean_residual=_mean([st["mean"] for st in stats]),
-                tolerance=TOL_EIGEN,
-                passed=worst <= TOL_EIGEN,
-            )
-        )
+        records.append(_tolerance_record(cond_id, f"{len(xs)} points in [{xs[0]:g}, {xs[-1]:g}]; {desc}",
+                                         max(st["max"] for st in stats), _mean([st["mean"] for st in stats]),
+                                         TOL_EIGEN))
     return tuple(records)
 
 
@@ -417,20 +410,10 @@ def verify_all(case, config=None):
         return None if jk is None else Jet2(*(c[start:end].reshape(shape) for c in vars(jk).values()))
 
     hyp = check_hyperbolic(case, pts, jet=part(0, n))
-    rec_4a = ConditionRecord(
-        id="4a",
-        grid=f"{cfg.nx}x{cfg.nt} interior triangle, x <= {cfg.x_max:g}",
-        max_residual=hyp["max"],
-        mean_residual=hyp["mean"],
-        tolerance=cfg.tol_4a,
-        passed=hyp["max"] <= cfg.tol_4a and not hyp["failures"],
-        detail=(
-            f"{len(hyp['failures'])} points failed to evaluate;"
-            " first at ({!r}, {!r}): {}".format(*hyp["failures"][0])
-            if hyp["failures"]
-            else ""
-        ),
-    )
+    fails = hyp["failures"]
+    rec_4a = _tolerance_record(
+        "4a", f"{cfg.nx}x{cfg.nt} interior triangle, x <= {cfg.x_max:g}", hyp["max"], hyp["mean"], cfg.tol_4a,
+        "{} points failed to evaluate; first at ({!r}, {!r}): {}".format(len(fails), *fails[0]) if fails else "")
     rec_4b1, rec_4b2 = check_diagonal(case, xs, jet=part(n, *t_4b2.shape))
     n_4c = n + t_4b2.size  # where the 4c points start
     rec_4c = check_boundary_t0(case, xs, jet=part(n_4c, len(eps), m), f0=None if f0 is None else f0[:, None])

@@ -3,7 +3,8 @@
 Everything here is plain double precision.  Accuracy targets are stated
 per function; where cancellation makes a published target unreachable in
 doubles the docstring says what is actually delivered.  A NaN argument
-raises DomainError instead of coming back as NaN.
+raises DomainError instead of coming back as NaN, and gamma, digamma,
+trigamma and their jets raise RangeError where their value is not finite.
 
 The Bessel functions (J, I and the Clifford core C), ``gegenbauer`` and
 ``hyp1f2`` and their ``*_jets`` also take a numpy array as last argument.
@@ -15,7 +16,7 @@ an error names the first failing entry.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 
 import numpy as np
 
@@ -38,20 +39,32 @@ def _is_nonpositive_int(x: float) -> bool:
     return x == -math.inf or (x <= 0.0 and x == math.floor(x))
 
 
+def _gamma_family(f):
+    """``f`` behind the guards gamma, digamma and trigamma share: DomainError
+    for a NaN argument, PoleError at 0, -1, -2, ... and at -inf, and
+    RangeError where the value is not finite."""
+
+    @wraps(f)
+    def guarded(x: float) -> float:
+        if x != x:
+            raise DomainError(f"{f.__name__}: NaN argument")
+        if _is_nonpositive_int(x):
+            raise PoleError(f"{f.__name__} pole at {x}")
+        try:
+            v = f(x)
+        except ArithmeticError:  # math.gamma's overflow, or a 1/(x*x) where x*x underflows to 0
+            v = math.inf
+        if not math.isfinite(v):
+            raise RangeError(f"{f.__name__} overflow at x={x}")
+        return v
+
+    return guarded
+
+
+@_gamma_family
 def gamma(x: float) -> float:
-    """Gamma function by ``math.gamma``, exact at the small positive
-    integers; pole error at 0, -1, -2, ... and at -inf."""
-    if x != x:
-        raise DomainError("gamma: NaN argument")
-    if _is_nonpositive_int(x):
-        raise PoleError(f"gamma pole at {x}")
-    try:
-        g = math.gamma(x)
-    except OverflowError:
-        g = math.inf
-    if g == math.inf:
-        raise RangeError(f"gamma overflow at x={x}")
-    return g
+    """Gamma function by ``math.gamma``, exact at the small positive integers."""
+    return math.gamma(x)
 
 
 # Asymptotic tail coefficients B_{2n}/(2n): psi(x) ~ ln x - 1/(2x) - sum c_n x^{-2n}
@@ -66,14 +79,9 @@ _DIGAMMA_TAIL = (
 )
 
 
+@_gamma_family
 def digamma(x: float) -> float:
     """Logarithmic derivative of gamma; recurrence into the asymptotic zone."""
-    if x != x:
-        raise DomainError("digamma: NaN argument")
-    if x == math.inf:
-        raise RangeError("digamma overflow at x=inf")
-    if _is_nonpositive_int(x):
-        raise PoleError(f"digamma pole at {x}")
     if x < 0.0:
         # psi(x) = psi(1-x) - pi / tan(pi x)
         return digamma(1.0 - x) - math.pi / math.tan(math.pi * x)
@@ -101,12 +109,9 @@ _TRIGAMMA_TAIL = (
 )
 
 
+@_gamma_family
 def trigamma(x: float) -> float:
     """Second logarithmic derivative of gamma."""
-    if x != x:
-        raise DomainError("trigamma: NaN argument")
-    if _is_nonpositive_int(x):
-        raise PoleError(f"trigamma pole at {x}")
     if x < 0.0:
         s = math.sin(math.pi * x)
         return math.pi * math.pi / (s * s) - trigamma(1.0 - x)
@@ -343,7 +348,9 @@ def hyp1f2(a: float, b1: float, b2: float, z, *, scale: float = 1.0):
     for i in np.flatnonzero(est > 1e-10 * np.maximum(np.abs(out), 1.0)).tolist():
         failed.setdefault(
             i, f"cancels: rounding error estimate {est[i]:.1e}, above 1e-10 max(|sum|, 1)")
-    if failed:
+    if failed:  # a NaN argument fails every entry it reaches
+        if (nan := np.isnan(zs)).any() or a != a or b1 != b1 or b2 != b2:
+            raise DomainError(f"hyp1f2: NaN argument (a={a}, b1={b1}, b2={b2}, z={_first(nan, zs)})")
         i = min(failed)
         raise ConvergenceError(f"hyp1f2({a},{b1},{b2},{float(zs[i])}) {failed[i]}")
     return out.reshape(z.shape) if type(z) is np.ndarray else out.item()
@@ -357,7 +364,10 @@ def hyp1f2(a: float, b1: float, b2: float, z, *, scale: float = 1.0):
 def gamma_jets(x: float) -> tuple[float, float, float]:
     g = gamma(x)
     psi = digamma(x)
-    return g, g * psi, g * (psi * psi + trigamma(x))
+    jet = g, g * psi, g * (psi * psi + trigamma(x))
+    if not (math.isfinite(jet[1]) and math.isfinite(jet[2])):
+        raise RangeError(f"gamma jets: no finite value at x={x}")
+    return jet
 
 
 def bessel_j_jets(nu: float, z):

@@ -3,7 +3,10 @@
 Each command runs through ``cli.main`` twice, once to stdout and once with
 ``--out``; the digest covers both outputs and both exit codes, so two trees
 whose printed lines match write the same bytes.  Every command takes
-``--no-timestamp``.  Not a test module: run it as
+``--no-timestamp``.  Besides the catalog at its defaults, the list verifies
+cases whose records fail: two catalog cases with each coefficient shifted,
+and a custom case file, written to a temporary directory, whose kernel
+cannot be evaluated at x = 1.  Not a test module: run it as
 
     PYTHONPATH=src python tests/replay_cli.py > replay.txt
 
@@ -16,13 +19,16 @@ import io
 import os
 import tempfile
 
+from test_cli import CASE_FILE
 from transmute import cli
-from transmute.kernels import list_cases
+from transmute.kernels import COEFFICIENT_NAMES, list_cases
 
 FORMATS = ("text", "json", "csv")
+# CASE_FILE with its kernel divided by (x - 1): 4a fails at every point with x = 1
+POLE_CASE = CASE_FILE.replace('sqrt(x^2-t^2))"', 'sqrt(x^2-t^2))/(x-1)"')
 
 
-def commands():
+def commands(case_path):
     yield ["catalog", "list"]
     for name in list_cases():
         yield ["catalog", "show", name]
@@ -33,6 +39,11 @@ def commands():
     for source in (["--case", "vekua_telegraph"], ["--case", "lowndes", "--params", "mu=0"]):
         for fmt in FORMATS:
             yield ["solve", *source, "--format", fmt]
+    for name in ("sonin", "vekua_telegraph"):
+        for coefficient in COEFFICIENT_NAMES:
+            yield ["verify", "--case", name, "--corrupt", f"{coefficient}:+0.1", "--format", "json"]
+    for fmt in ("text", "json"):
+        yield ["verify", "--custom", case_path, "--params", "mu=1,omega=2", "--format", fmt]
 
 
 def digest(argv, out_path):
@@ -52,9 +63,11 @@ def digest(argv, out_path):
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        out_path = os.path.join(tmp, "out")
-        for argv in commands():
-            print(digest(argv, out_path), " ".join(argv))
+        out_path, case_path = os.path.join(tmp, "out"), os.path.join(tmp, "pole.cfg")
+        with open(case_path, "w") as fh:
+            fh.write(POLE_CASE)
+        for argv in commands(case_path):
+            print(digest(argv, out_path), " ".join(argv).replace(case_path, "pole.cfg"))
 
 
 if __name__ == "__main__":

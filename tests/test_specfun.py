@@ -107,11 +107,28 @@ def test_digamma_trigamma_poles():
     (lambda: specfun.digamma(math.nan), DomainError),
     (lambda: specfun.trigamma(math.nan), DomainError),
     (lambda: specfun.digamma(math.inf), RangeError),
+    # values that are not finite, and divisions by an x*x that underflows to 0
+    (lambda: specfun.digamma(1e-320), RangeError),
+    (lambda: specfun.digamma(-1e-320), RangeError),
+    (lambda: specfun.trigamma(1e-160), RangeError),
+    (lambda: specfun.trigamma(-1e-160), RangeError),
+    (lambda: specfun.trigamma(1e-320), RangeError),
+    (lambda: specfun.trigamma(-1e-320), RangeError),
+    (lambda: specfun.gamma_jets(1e-170), RangeError),
+    (lambda: specfun.gamma_jets(1e-160), RangeError),
+    (lambda: specfun.gamma_jets(171.5), RangeError),
+    (lambda: evaluate_jet(parse("gamma(x)"), 1e-170, 0.5, {}), RangeError),
+    (lambda: specfun.hyp1f2(0.5, 0.5, 1.5, math.nan), DomainError),
+    (lambda: specfun.hyp1f2(math.nan, 0.5, 1.5, 0.5), DomainError),
 ], ids=["digamma-inf", "trigamma-inf", "hyp1f2-inf", "digamma-nan", "trigamma-nan",
-        "digamma+inf"])
+        "digamma+inf", "digamma-tiny", "digamma-negative-tiny", "trigamma-1e-160",
+        "trigamma-negative-1e-160", "trigamma-tiny", "trigamma-negative-tiny", "gamma_jets-1e-170",
+        "gamma_jets-1e-160", "gamma_jets-171.5", "dsl-gamma-jet-1e-170", "hyp1f2-nan-z", "hyp1f2-nan-a"])
 def test_infinite_and_nan_arguments_raise_library_errors(call, error):
-    with pytest.raises(error):
+    with pytest.raises(error) as info:
         call()
+    assert type(info.value) is error
+    assert error is not DomainError or ": NaN argument" in str(info.value)  # names the NaN
 
 
 # --- Bessel J / I and the Clifford core -------------------------------------
