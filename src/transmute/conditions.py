@@ -26,7 +26,7 @@ functions run one body per entry, so no value changes a bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,6 +67,9 @@ MIN_SLOPE = 0.1  # a vanishing limit's log-log slope exceeds this
 TRANSPORT_DROP = 0.1  # 4b2's final residual is at most this times its first
 DECAY_DROP = 1e-3  # the same bound for 4c and 4d
 TINY = 1e-12  # rounding floor of a limit residual
+# Each limit check's drop and, if a settled finite limit passes it as
+# informational, the name of the value that tends to that limit.
+_LIMIT_RULES = {"4b2": (TRANSPORT_DROP, None), "4c": (DECAY_DROP, None), "4d": (DECAY_DROP, "vertex product")}
 
 
 class VerifyConfig(Record):
@@ -239,34 +242,35 @@ def _loglog_slope(xs, ys, last_n=6):
     return math.fsum((u - mx) * (v - my) for u, v in zip(lx, ly)) / den
 
 
-def _limit_record(cond_id, grid, seq, values, drop):
-    """The record of a limit check: ``values``, taken along the decreasing
-    ``seq``, must vanish.
+def _limit_record(cond_id, grid, seq, values):
+    """The record of the limit check ``cond_id``: ``values``, taken along
+    the decreasing ``seq``, must vanish.
 
     Passes if everything already sits at the rounding floor, or if the
-    tail decreases with a log-log slope above MIN_SLOPE down to ``drop``
-    times the initial value; ``detail`` gives the failed tests' reasons.
+    tail decreases with a log-log slope above MIN_SLOPE down to the
+    check's drop times the initial value; ``detail`` gives the failed
+    tests' reasons.  A check that ``_LIMIT_RULES`` lets settle also passes,
+    as informational with its limit, once its last three values agree
+    within 1e-6 (1 + |last|) and the last is above TINY.
     """
+    (drop, tends), last = _LIMIT_RULES[cond_id], values[-1]
     slope = _loglog_slope(seq, values)
     tail = values[-6:]
     reasons = []
     if not all(b <= a * (1.0 + 1e-9) + TINY for a, b in zip(tail, tail[1:])):
         reasons.append("tail not decreasing")
-    if not values[-1] <= max(drop * values[0], TINY):
-        reasons.append(f"final {values[-1]:.3e} above {drop:g} x initial {values[0]:.3e}")
+    if not last <= max(drop * values[0], TINY):
+        reasons.append(f"final {last:.3e} above {drop:g} x initial {values[0]:.3e}")
     if not (slope is not None and slope > MIN_SLOPE):
         reasons.append(f"slope {slope!r} <= {MIN_SLOPE:g}")
     floor = all(v <= TINY for v in values)
+    passed = floor or not reasons
+    settled = not passed and tends is not None and len(values) >= 3 and last > TINY and all(
+        abs(a - b) <= 1e-6 * (1.0 + abs(last)) for a, b in zip(values[-3:], values[-2:]))
     return ConditionRecord(
-        id=cond_id,
-        grid=grid,
-        max_residual=values[-1],
-        mean_residual=_mean(values),
-        tolerance=drop,
-        passed=floor or not reasons,
-        decay_slope=slope,
-        detail="at rounding floor" if floor else "; ".join(reasons),
-    )
+        id=cond_id, grid=grid, max_residual=last, mean_residual=_mean(values), tolerance=drop,
+        passed=passed or settled, decay_slope=slope, informational=settled, limit=last if settled else None,
+        detail=f"{tends} tends to {last!r}, not 0" if settled else "at rounding floor" if floor else "; ".join(reasons))
 
 
 def _tolerance_record(cond_id, grid, worst, mean, tolerance, detail=""):
@@ -302,7 +306,7 @@ def check_diagonal(case, xs=None, config=None, *, jet=None):
         f" raw final {raw.max(axis=1)[-1]:.3e}"
     )
     scaled = raw / (1.0 + abs(jk.value))
-    return rec_4b1, _limit_record("4b2", grid, DELTA_REL, scaled.max(axis=1).tolist(), TRANSPORT_DROP)
+    return rec_4b1, _limit_record("4b2", grid, DELTA_REL, scaled.max(axis=1).tolist())
 
 
 def check_boundary_t0(case, xs=None, eps_seq=None, config=None, *, jet=None, f0=None):
@@ -323,7 +327,7 @@ def check_boundary_t0(case, xs=None, eps_seq=None, config=None, *, jet=None, f0=
     with np.errstate(all="ignore"):  # a non-finite bracket is a failure
         values = np.abs((a * jk.dt - b0 * jk.value - case.h0 * a * jk.value) * f0).max(axis=1).tolist()
     grid = f"{len(xs)} abscissae, eps in [{eps_seq[-1]:.3e}, {eps_seq[0]:.3e}]"
-    return _limit_record("4c", grid, eps_seq, values, DECAY_DROP)
+    return _limit_record("4c", grid, eps_seq, values)
 
 
 def check_vertex(case, pairs=None, config=None, *, jet=None, f0=None):
@@ -351,21 +355,7 @@ def check_vertex(case, pairs=None, config=None, *, jet=None, f0=None):
     squares = all(delta == eps * eps for eps, delta in pairs)
     grid = (f"{len(pairs)} pairs, delta = eps^2, eps down to {eps_vals[-1]:.3e}" if squares else
             f"{len(pairs)} pairs (eps, delta) as given, down to ({eps_vals[-1]:.3e}, {pairs[-1][1]:.3e})")
-    rec = _limit_record("4d", grid, eps_vals, values, DECAY_DROP)
-    tail = values[-3:]
-    settled = len(tail) == 3 and all(
-        abs(a - b) <= 1e-6 * (1.0 + abs(tail[-1])) for a, b in zip(tail, tail[1:])
-    )
-    if rec.passed or not (settled and tail[-1] > TINY):
-        return rec
-    # no decay: accept a converged finite limit, but say so
-    return replace(
-        rec,
-        passed=True,
-        informational=True,
-        limit=tail[-1],
-        detail=f"vertex product tends to {tail[-1]!r}, not 0",
-    )
+    return _limit_record("4d", grid, eps_vals, values)
 
 
 def check_eigen(case, xs=None, config=None):

@@ -810,26 +810,13 @@ class _Fn(Record):
         self.__dict__.update(arity=arity, value=value, jet=jet)
 
 
-# where each ufunc sets no floating-point flag, so a float needs no error
-# state (entering np.errstate costs four times the call): an argument in
-# (lo, hi) and not below 1e-300 in size (sin underflows at a subnormal)
-_QUIET = {
-    np.sin: (-math.inf, math.inf), np.cos: (-math.inf, math.inf),
-    np.sinh: (-700.0, 700.0), np.cosh: (-700.0, 700.0), np.exp: (-700.0, 700.0),
-    np.log: (0.0, math.inf), np.sqrt: (0.0, math.inf),
-}
-
-
 def _ufunc(f, u):
     """numpy's ufunc ``f`` at u: the one implementation of an elementary
     function, so each entry of an array is the float value bit for bit.  An
     array runs under its caller's error state (``_evaluate_array``'s); a
-    float gives a float, with numpy's warnings off where it could warn."""
+    float gives a float, with numpy's warnings off."""
     if type(u) is _ndarray:
         return f(u)
-    lo, hi = _QUIET[f]
-    if lo < u < hi and not 0.0 < abs(u) < 1e-300:
-        return float(f(u))
     with np.errstate(all="ignore"):
         return float(f(u))
 
@@ -845,7 +832,8 @@ def _elementary(f):
     return value
 
 
-_sin, _cos, _sinh, _cosh, _exp, _log, _sqrt = map(_elementary, _QUIET)
+_sin, _cos, _sinh, _cosh, _exp, _log, _sqrt = map(
+    _elementary, (np.sin, np.cos, np.sinh, np.cosh, np.exp, np.log, np.sqrt))
 
 # Each jet rule gives (f, f', f'').  A singular derivative is a
 # ZeroDivisionError for floats and a non-finite entry for arrays; both end

@@ -2,9 +2,11 @@
 
 Everything here is plain double precision.  Accuracy targets are stated
 per function; where cancellation makes a published target unreachable in
-doubles the docstring says what is actually delivered.  A NaN argument
-raises DomainError instead of coming back as NaN, and gamma, digamma,
-trigamma and their jets raise RangeError where their value is not finite.
+doubles the docstring says what is actually delivered.  Every function
+and jet returns finite numbers or raises a SpecFunError or DomainError,
+never NaN or inf: a NaN argument is a DomainError, and a value that is
+not finite a RangeError (a DomainError for gegenbauer at an infinite
+alpha or z).
 
 The Bessel functions (J, I and the Clifford core C), ``gegenbauer`` and
 ``hyp1f2`` and their ``*_jets`` also take a numpy array as last argument.
@@ -276,7 +278,15 @@ def bessel_clifford(nu: float, w):
     return bessel_clifford_jets(nu, w)[0]
 
 
-@np.errstate(all="ignore")  # a huge z overflows to inf, as in float arithmetic
+def _degree(m, alpha: float, z) -> int:
+    """gegenbauer's degree round(m); a NaN argument or an infinite m is a DomainError."""
+    nan = np.isnan(z)
+    if not math.isfinite(m) or alpha != alpha or nan.any():
+        raise DomainError(f"gegenbauer: NaN argument or infinite degree (m={m}, alpha={alpha}, z={_first(nan, z)})")
+    return round(m)
+
+
+@np.errstate(all="ignore")  # a huge z overflows: raised as RangeError
 def gegenbauer(m: int, alpha: float, z):
     """Gegenbauer polynomial C_m^alpha(z) by the three-term recurrence
 
@@ -284,12 +294,10 @@ def gegenbauer(m: int, alpha: float, z):
 
     with C_0 = 1, C_1 = 2 alpha z.  The recurrence convention gives
     C_m^0 = 0 for m >= 1.  A degree above 1024 is a RangeError, raised
-    before the first step.
+    before the first step.  A value that is not finite is a DomainError
+    where alpha or z is infinite, else a RangeError; C_0 = 1 everywhere.
     """
-    nan = np.isnan(z)
-    if m != m or alpha != alpha or nan.any():
-        raise DomainError(f"gegenbauer: NaN argument (m={m}, alpha={alpha}, z={_first(nan, z)})")
-    mi = round(m)
+    mi = _degree(m, alpha, z)
     if abs(m - mi) > 1e-9 or mi < 0:
         raise DomainError(f"gegenbauer degree must be a non-negative integer, got {m}")
     if mi > _DEGREE_MAX:
@@ -300,6 +308,10 @@ def gegenbauer(m: int, alpha: float, z):
     cur = 2.0 * alpha * z
     for k in range(2, mi + 1):
         prev, cur = cur, (2.0 * z * (k + alpha - 1.0) * cur - (k + 2.0 * alpha - 2.0) * prev) / k
+    if not (ok := np.isfinite(cur)).all():
+        zk = _first(~ok, z)
+        raise (DomainError if math.isinf(alpha) or math.isinf(zk) else RangeError)(
+            f"gegenbauer: no finite value at (m={m}, alpha={alpha}, z={zk})")
     return cur
 
 
@@ -321,6 +333,8 @@ def hyp1f2(a: float, b1: float, b2: float, z, *, scale: float = 1.0):
     for b in (b1, b2):
         if _is_nonpositive_int(b):
             raise PoleError(f"hyp1f2 lower parameter {b} is a pole of gamma")
+    if b1 * b2 == 0.0:  # neither is 0: the first term would divide by an underflow
+        raise RangeError(f"hyp1f2: b1 * b2 underflows to 0 (b1={b1}, b2={b2})")
     zs = np.asarray(z, dtype=float).ravel()
     out, mags = np.empty(zs.size), np.zeros(zs.size)
     live, zl = np.arange(zs.size), zs
@@ -386,16 +400,15 @@ def bessel_clifford_jets(nu: float, w):
     return tuple(_clifford(nu, w))
 
 
+@np.errstate(all="ignore")  # an overflowing derivative is raised as RangeError
 def gegenbauer_jets(m: int, alpha: float, z: float) -> tuple[float, float, float]:
     """d/dz C_m^alpha = 2 alpha C_{m-1}^{alpha+1}."""
-    mi = round(m)
+    mi = _degree(m, alpha, z)
     c = gegenbauer(mi, alpha, z)
     d1 = 2.0 * alpha * gegenbauer(mi - 1, alpha + 1.0, z) if mi >= 1 else 0.0
-    d2 = (
-        4.0 * alpha * (alpha + 1.0) * gegenbauer(mi - 2, alpha + 2.0, z)
-        if mi >= 2
-        else 0.0
-    )
+    d2 = 4.0 * alpha * (alpha + 1.0) * gegenbauer(mi - 2, alpha + 2.0, z) if mi >= 2 else 0.0
+    if not (ok := np.isfinite(d1) & np.isfinite(d2)).all():
+        raise RangeError(f"gegenbauer jets: no finite derivative at (m={m}, alpha={alpha}, z={_first(~ok, z)})")
     return c, d1, d2
 
 
@@ -406,4 +419,7 @@ def hyp1f2_jets(a: float, b1: float, b2: float, z: float) -> tuple[float, float,
     d1 = hyp1f2(a + 1.0, b1 + 1.0, b2 + 1.0, z, scale=r1)
     r2 = r1 * (a + 1.0) / ((b1 + 1.0) * (b2 + 1.0))
     d2 = hyp1f2(a + 2.0, b1 + 2.0, b2 + 2.0, z, scale=r2)
+    if not (ok := np.isfinite(d1) & np.isfinite(d2)).all():
+        raise RangeError(f"hyp1f2 jets: no finite derivative at (a={a}, b1={b1}, b2={b2}, z={_first(~ok, z)})"
+                         f" with scales {r1!r} and {r2!r}")
     return v, d1, d2

@@ -9,8 +9,12 @@ import transmute.conditions as conditions
 from transmute.conditions import (
     CONDITION_IDS,
     MAX_POINTS,
+    DECAY_DROP,
+    EPS_SEQ,
+    TRANSPORT_DROP,
     ConditionRecord,
     VerifyConfig,
+    _limit_record,
     check_boundary_t0,
     check_diagonal,
     check_eigen,
@@ -236,6 +240,22 @@ def test_limit_record_informational_vertex():
     assert rec_4d.limit == rec_4d.max_residual
     assert rec_4d.detail == f"vertex product tends to {rec_4d.limit!r}, not 0"
     assert rec_4d.tolerance == 1e-3
+
+
+def test_only_4d_passes_a_settled_finite_limit():
+    # the same settled values: 4b2 and 4c fail on their drop and slope, 4d
+    # passes them as informational; a limit that has not settled fails 4d
+    settled = [0.5] * len(EPS_SEQ)
+    for cond_id, drop in (("4b2", TRANSPORT_DROP), ("4c", DECAY_DROP)):
+        rec = _limit_record(cond_id, "g", EPS_SEQ, settled)
+        assert (rec.passed, rec.informational, rec.limit, rec.tolerance) == (False, False, None, drop)
+        assert rec.detail == f"final 5.000e-01 above {drop:g} x initial 5.000e-01; slope 0.0 <= 0.1"
+    rec = _limit_record("4d", "g", EPS_SEQ, settled)
+    assert (rec.passed, rec.informational, rec.limit, rec.tolerance) == (True, True, 0.5, DECAY_DROP)
+    assert rec.detail == "vertex product tends to 0.5, not 0" and rec.decay_slope == 0.0
+    drifting = settled[:-1] + [0.5 * (1.0 - 4e-6)]
+    assert not _limit_record("4d", "g", EPS_SEQ, drifting).passed
+    assert not _limit_record("4d", "g", EPS_SEQ[:2], settled[:2]).passed  # too short to settle
 
 
 def test_eigen_records_fold_shifted_pairs():

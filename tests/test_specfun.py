@@ -4,7 +4,9 @@ scipy and mpmath are test-only dependencies here; the library itself
 never imports them.
 """
 
+import itertools
 import math
+import random
 import re
 import sys
 import warnings
@@ -648,3 +650,72 @@ def test_gamma_jet_matches_mpmath(t):
     assert jet.dt == pytest.approx(float(g * psi), rel=1e-12, abs=1e-14)
     assert jet.dtt == pytest.approx(float(g * (psi * psi + psi1)), rel=1e-12)
     assert (jet.dx, jet.dxx) == (0.0, 0.0)
+
+
+# --- the contract: finite numbers or a library error, on awkward arguments ---
+
+# the last argument takes every edge value; each parameter takes one of the
+# thinner _PARAMS, all combinations, except hyp1f2's three: seeded draws
+_EDGES = (0.0, 1e-320, -1e-320, 1e-200, -1e-200, 1e200, -1e200, math.inf, -math.inf, math.nan,
+          1.0, -1.0, 2.0, -2.0, 3.0, 0.5, -0.5, 1e3, -1e3)
+_PARAMS = (0.0, 1e-320, 1e-200, -1e-200, 1e200, -1e200, math.inf, -math.inf, math.nan, -1.0, 0.5, 1.0, 2.0)
+_CONTRACT = {
+    "gamma": 0, "digamma": 0, "trigamma": 0, "gamma_jets": 0,
+    "bessel_j": 1, "bessel_i": 1, "bessel_clifford": 1,
+    "bessel_j_jets": 1, "bessel_i_jets": 1, "bessel_clifford_jets": 1,
+    "gegenbauer": 2, "gegenbauer_jets": 2, "hyp1f2": 3, "hyp1f2_jets": 3,
+}
+
+
+def _parameter_tuples(n):
+    tuples = list(itertools.product(_PARAMS, repeat=n))
+    return random.Random(36).sample(tuples, 300) if n == 3 else tuples
+
+
+@pytest.mark.parametrize("name", _CONTRACT)
+def test_every_call_gives_finite_numbers_or_a_library_error(name):
+    fn = getattr(specfun, name)
+    escapes = []
+    for params in _parameter_tuples(_CONTRACT[name]):
+        calls = [(*params, z) for z in _EDGES]
+        if name not in ("gamma", "digamma", "trigamma", "gamma_jets"):  # these take floats only
+            calls.append((*params, np.array(_EDGES)))
+        for args in calls:
+            try:
+                out = fn(*args)
+            except TransmuteError:
+                continue
+            except Exception as exc:  # anything else escapes the contract
+                escapes.append((args, repr(exc)))
+                continue
+            if not all(np.isfinite(v).all() for v in (out if name.endswith("_jets") else (out,))):
+                escapes.append((args, out))
+    assert not escapes, f"{len(escapes)} escapes, first {escapes[:3]}"
+
+
+@pytest.mark.parametrize("call, error, needle", [
+    (lambda: specfun.hyp1f2(1.0, 1e-200, 1e-200, 0.5), RangeError, "b1=1e-200, b2=1e-200"),
+    (lambda: specfun.hyp1f2_jets(0.0, 1e-320, 1e-200, 0.0), RangeError, "b1=1e-320, b2=1e-200"),
+    (lambda: specfun.hyp1f2_jets(1e200, 1e-200, 1e200, 0.0), RangeError, "z=0.0) with scales 1e+200 and inf"),
+    (lambda: specfun.gegenbauer(1, 0.0, math.inf), DomainError, "z=inf"),
+    (lambda: specfun.gegenbauer(3, 0.5, 1e200), RangeError, "z=1e+200"),
+    (lambda: specfun.gegenbauer(1, math.inf, 0.5), DomainError, "alpha=inf"),
+    (lambda: specfun.gegenbauer(math.inf, 1.0, 0.5), DomainError, "m=inf"),
+    (lambda: specfun.gegenbauer_jets(math.nan, 1.0, 0.5), DomainError, "m=nan"),
+    (lambda: specfun.gegenbauer_jets(3, 0.5, 1e200), RangeError, "z=1e+200"),
+    (lambda: specfun.gegenbauer_jets(2, 1e200, 0.0), RangeError, "no finite derivative"),
+    (lambda: specfun.gegenbauer(2, 1.0, np.array([0.5, 1e200, math.inf])), RangeError, "z=1e+200"),
+], ids=["hyp1f2-b1b2-underflow", "hyp1f2_jets-b1b2-underflow", "hyp1f2_jets-scale-overflow",
+        "gegenbauer-z-inf", "gegenbauer-overflow", "gegenbauer-alpha-inf", "gegenbauer-m-inf",
+        "gegenbauer_jets-m-nan", "gegenbauer_jets-overflow", "gegenbauer_jets-d2-overflow",
+        "gegenbauer-array-overflow"])
+def test_escapes_end_in_an_error_that_names_the_argument(call, error, needle):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and needle in str(info.value)
+
+
+def test_degree_0_is_1_at_any_argument_that_is_not_nan():
+    # C_0 reads neither alpha nor z
+    assert specfun.gegenbauer(0, math.inf, -math.inf) == 1.0
+    assert specfun.gegenbauer_jets(0, 1.0, math.inf) == (1.0, 0.0, 0.0)
