@@ -47,9 +47,11 @@ Powers with a literal integer exponent are evaluated by repeated
 multiplication (valid for negative bases, exact for jets); any other
 exponent goes through exp(v*log(u)) and requires a positive base (a
 constant zero base stays zero under a positive power).  An exponent that
-varies over an array is valued as a float point by point, in a jet too.
-Three literal shapes compile to fewer steps over the same operations, so
-to the same bits: u^2 is u * u, the product repeated multiplication forms;
+varies over an array takes this rule on each entry of the operands the
+walk computed, in a jet's value too, so no node is evaluated twice and a
+tree costs time linear in its nodes times its points.  Three literal
+shapes compile to fewer steps over the same operations, so to the same
+bits: u^2 is u * u, the product repeated multiplication forms;
 a divisor literal other than 0 and -0.0 skips a zero test that cannot fire;
 a call with literal leading arguments hands a float last one straight on.
 Domain violations raise :class:`~transmute.errors.DomainError` naming
@@ -560,13 +562,9 @@ def _in_call(node, exc):
 def _power(node, env, u, v):
     """u^v for floats, jets and arrays alike, by the rules in the module docstring."""
     if type(v) is _ndarray:
-        # an exponent that varies: this node on floats, point by point
-        names = [k for k, a in env.items() if type(a) is _ndarray]
-        return _entrywise(
-            env,
-            lambda *p: node._run({**env, **dict(zip(names, p))}),
-            [env[k] for k in names],
-        )
+        # an exponent that varies: this rule on each entry of the computed operands,
+        # each the float a point walk gives, so no node is evaluated twice
+        return _entrywise(env, lambda a, b: _power(node, {}, a, b), (u, v))
     u0 = u.value if type(u) is Jet2 else u
     v0 = v.value if type(v) is Jet2 else v
     n = None if type(v) is Jet2 else _as_int_exponent(v)
@@ -586,8 +584,7 @@ def _power(node, env, u, v):
     if type(u) is float and u == 0.0:
         return 0.0
     if type(v) is Jet2:
-        # the value is evaluate's: this node run on the values
-        f = node._run({k: getattr(a, "value", a) for k, a in env.items()})
+        f = _power(node, env, u0, v0)  # evaluate's value: this rule on the values
         log_u = _ufunc(np.log, u0)
         if type(u) is Jet2:
             log_u = u.chain(log_u, 1.0 / u0, -1.0 / (u0 * u0))

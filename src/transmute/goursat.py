@@ -272,7 +272,8 @@ def solve(problem):
 
     The t = 0 closure is Robin when theta = b0(0) + h0 sigma is nonzero,
     else Neumann: a ghost cell, or the one-sided K_t = 0 for a b0 singular
-    at 0 (NaN in its table), which refuses an h0 other than 0.
+    at 0 (NaN in its table), which refuses an h0 other than 0 and a
+    b0 = -r/t + smooth with r/sigma >= 4, where it diverges.
     """
     sigma, h = problem.sigma, problem.h
     top = 2 * problem.steps
@@ -287,6 +288,16 @@ def solve(problem):
         raise UsageError("Neumann ghost cell needs c0 regular at t = 0")
     if problem.h0 and math.isnan(b0t[0]):
         raise UsageError(f"h0 = {problem.h0!r} needs b0 regular at t = 0: a singular b0 takes K_t = 0 there")
+    if math.isnan(b0t[0]):
+        # b0 = -r/t + smooth, r found as rho is: the t = h/2 cell takes the weights
+        # -+r/(2 sigma), and the one-sided K_t = 0 wall diverges from r/sigma = 4 on
+        try:
+            r = -evaluate(BinOp("*", Name("t"), problem.op_a.b), {**problem.params, "t": 2.0**-1000})
+        except TransmuteError:  # t b0 has no value near 0: no r to refuse
+            r = math.nan
+        if r / sigma >= 4.0:
+            raise NumericalError(f"b0 = -r/t at t = 0 with r = {r!r}: the one-sided K_t = 0 wall"
+                                 f" is unstable for r/sigma >= 4 (sigma = {sigma:g})")
     slope = sigma * theta if flavor == "robin" else 0.0
     offsets = _offset(np.arange(top + 1)).tolist()
     values = np.empty(_offset(top + 1))

@@ -404,7 +404,7 @@ def bessel_clifford_jets(nu: float, w):
 def gegenbauer_jets(m: int, alpha: float, z: float) -> tuple[float, float, float]:
     """d/dz C_m^alpha = 2 alpha C_{m-1}^{alpha+1}."""
     mi = _degree(m, alpha, z)
-    c = gegenbauer(mi, alpha, z)
+    c = gegenbauer(m, alpha, z)  # the degree as given: one that is not an integer is refused
     d1 = 2.0 * alpha * gegenbauer(mi - 1, alpha + 1.0, z) if mi >= 1 else 0.0
     d2 = 4.0 * alpha * (alpha + 1.0) * gegenbauer(mi - 2, alpha + 2.0, z) if mi >= 2 else 0.0
     if not (ok := np.isfinite(d1) & np.isfinite(d2)).all():

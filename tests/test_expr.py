@@ -35,6 +35,7 @@ from transmute.expr import (
     _power,
     _require,
     _tokenize,
+    _ufunc,
     evaluate,
     evaluate_jet,
     free_symbols,
@@ -284,6 +285,20 @@ def test_a_tree_max_depth_deep_evaluates_and_one_level_more_is_a_parse_error(sha
     with pytest.raises(ParseError, match=f"expression nested deeper than {MAX_DEPTH} levels") as err:
         parse(text)
     assert err.value.offset == text.rindex(where)
+
+
+def test_a_power_chain_costs_calls_linear_in_its_nodes(monkeypatch):
+    # each ^ takes its rule on the operands the walk computed, so no node is
+    # evaluated twice: 198 elementary calls as a float, 3 x 198 over 3 points
+    calls = []
+    monkeypatch.setattr("transmute.expr._ufunc", lambda f, u: calls.append(f) or _ufunc(f, u))
+    node = parse("x^" * (MAX_DEPTH - 1) + "x")
+    xs = np.linspace(0.5, 0.9, 3)
+    for run in (lambda: evaluate(node, {"x": 0.7}), lambda: evaluate(node, {"x": xs}),
+                lambda: evaluate_jet(node, 0.7, 0.3, {}), lambda: evaluate_jet(node, xs, xs / 2, {})):
+        calls.clear()
+        run()
+        assert 0 < len(calls) <= 1000
 
 
 @pytest.mark.parametrize("n", [MAX_DEPTH + 1, 198, 1500])

@@ -616,11 +616,12 @@ def test_problem_from_case_probes_the_operators():
 
 
 # lowndes at mu = 0 has b0 = -r/t with r = 1 + 2 nu: the march holds for r < 4, its
-# error sits at 4e-2 at r = 4 (nu = 1.5) and grows without bound above it, the wall
-# defect of ROADMAP item 2, whose fix must flip the xfails
+# error sits at 4e-2 at r = 4 (nu = 1.5) and grows without bound above it, so solve
+# refuses r >= 4; the wall defect of ROADMAP item 3, whose fix must flip the xfails
 @pytest.mark.parametrize("nu", [
     0.5, 1.0, 1.25,
-    *(pytest.param(nu, marks=pytest.mark.xfail(strict=True, reason=f"ROADMAP item 2: max error {error}"))
+    *(pytest.param(nu, marks=pytest.mark.xfail(
+        strict=True, reason=f"ROADMAP item 3: refused, and marched the max error is {error}"))
       for nu, error in ((1.5, "4.0e-2"), (2.0, "3.4e49"), (2.5, "4.1e88"), (3.0, "7.9e120"))),
 ])
 def test_lowndes_at_mu_0_meets_the_solver_tolerance_at_every_nu(nu):

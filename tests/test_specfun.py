@@ -705,10 +705,14 @@ def test_every_call_gives_finite_numbers_or_a_library_error(name):
     (lambda: specfun.gegenbauer_jets(3, 0.5, 1e200), RangeError, "z=1e+200"),
     (lambda: specfun.gegenbauer_jets(2, 1e200, 0.0), RangeError, "no finite derivative"),
     (lambda: specfun.gegenbauer(2, 1.0, np.array([0.5, 1e200, math.inf])), RangeError, "z=1e+200"),
+    # a degree the value refuses, the jet refuses too, and so does a tree's jet
+    (lambda: specfun.gegenbauer_jets(2.5, 1.0, 0.5), DomainError, "got 2.5"),
+    (lambda: evaluate_jet(parse("gegenbauer(p, 1, x)"), 0.5, 0.2, {"p": 2.5}), DomainError,
+     "got 2.5 in gegenbauer(p, 1, x)"),
 ], ids=["hyp1f2-b1b2-underflow", "hyp1f2_jets-b1b2-underflow", "hyp1f2_jets-scale-overflow",
         "gegenbauer-z-inf", "gegenbauer-overflow", "gegenbauer-alpha-inf", "gegenbauer-m-inf",
         "gegenbauer_jets-m-nan", "gegenbauer_jets-overflow", "gegenbauer_jets-d2-overflow",
-        "gegenbauer-array-overflow"])
+        "gegenbauer-array-overflow", "gegenbauer_jets-degree-2.5", "evaluate_jet-gegenbauer-degree-2.5"])
 def test_escapes_end_in_an_error_that_names_the_argument(call, error, needle):
     with pytest.raises(error) as info:
         call()
