@@ -18,8 +18,9 @@ the 4a residual floor is rounding noise and tolerances can stay tight.
 Each condition has one function, ``check_*``, which evaluates its own
 points unless it is given K's jet there (``jet=``) and, for 4c and 4d,
 f0 at t = eps (``f0=``).  ``verify_all`` walks K's jet once over the 4a,
-4b2, 4c and 4d points together, f0 once at t = EPS_SEQ, and each eigen
-side's f once for both operators; arithmetic is elementwise and special
+4b2, 4c and 4d points together, f0's once over t = the samples then
+EPS_SEQ (eigen A, 4c, 4d) and f1's once over x = the samples (eigen B,
+then ``quadrature.identity_rows``); arithmetic is elementwise and special
 functions run one body per entry, so no value changes a bit.
 """
 
@@ -358,18 +359,48 @@ def check_vertex(case, pairs=None, config=None, *, jet=None, f0=None):
     return _limit_record("4d", grid, eps_vals, values)
 
 
+def _walks(case, s, fill=True):
+    """(f0's jet over t = s then EPS_SEQ, f1's jet over x = s), walked for
+    the first abscissae ``s`` a case is asked for (with ``fill``) and kept
+    read-only on it; None at other abscissae, and for a function whose walk
+    raised: its callers then walk on their own and fail as they would."""
+    held, key = case._walks, s.tobytes()
+    if held is None and fill:
+        jets = []
+        for f, x, t in ((case.f0, 0.0, np.append(s, EPS_SEQ)), (case.f1, s, 0.0)):
+            try:
+                jet = evaluate_jet(f, x, t, case.params)
+            except Exception:  # any failure is raised again, in its place, by a caller's own walk
+                jet = None
+            else:
+                for part in vars(jet).values():
+                    part.flags.writeable = False
+            jets.append(jet)
+        held = (key, *jets)
+        object.__setattr__(case, "_walks", held)
+    return held[1:] if held and held[0] == key else (None, None)
+
+
+def _part(jet, start, *shape):
+    """``jet``'s components from ``start`` on, as arrays of ``shape``; None for no jet."""
+    end = start + math.prod(shape)
+    return None if jet is None else Jet2(*(c[start:end].reshape(shape) for c in vars(jet).values()))
+
+
 def check_eigen(case, xs=None, config=None):
-    """Eigen-relations on both sides, folding in shifted variants."""
+    """Eigen-relations on both sides, folding in shifted variants; f0 and
+    f1 are the case's walks (see ``_walks``) where those are at ``xs``."""
     xs = _abscissae(case, xs, config)
+    jf0, jf1 = _walks(case, np.array(xs, dtype=float))
     shift = case.eigen_shift
     records = []
-    for cond_id, op, f, shifted in (
-        ("eigenA", case.opA, case.f0, [(shift.opA, shift.lam_a)] if shift else []),
-        ("eigenB", case.opB, case.f1, [(shift.opB, shift.lam_b)] if shift else []),
+    for cond_id, op, f, jf, shifted in (
+        ("eigenA", case.opA, case.f0, _part(jf0, 0, len(xs)), [(shift.opA, shift.lam_a)] if shift else []),
+        ("eigenB", case.opB, case.f1, jf1, [(shift.opB, shift.lam_b)] if shift else []),
     ):
         # one jet of f serves the plain and the shifted operator
         pairs = [(op, case.lam)] + shifted
-        stats = _eigen_residuals(pairs, f, xs, case.params)
+        stats = _eigen_residuals(pairs, f, xs, case.params, jf)
         desc = ", shifted ".join(f"lambda={lam:g}" for _, lam in pairs)
         records.append(_tolerance_record(cond_id, f"{len(xs)} points in [{xs[0]:g}, {xs[-1]:g}]; {desc}",
                                          max(st["max"] for st in stats), _mean([st["mean"] for st in stats]),
@@ -388,26 +419,23 @@ def verify_all(case, config=None):
     # then the 4d pairs (eps, eps - eps^2)
     x = np.concatenate([pts[:, 0], np.tile(s, len(DELTA_REL) + len(eps)), eps])
     t = np.concatenate([pts[:, 1], t_4b2.ravel(), np.repeat(eps, m), eps - eps * eps])
-    jk = f0 = None
+    jk, jf0 = None, _walks(case, s)[0]
+    f0 = None if jf0 is None else jf0.value[m:]  # f0 at t = eps
     if len(x) <= MAX_POINTS:  # the union keeps to the MAX_POINTS budget of one evaluation
         try:
-            jk, f0 = evaluate_jet(case.kernel, x, t, case.params), evaluate(case.f0, {**case.params, "t": eps})
+            jk = evaluate_jet(case.kernel, x, t, case.params)
         except TransmuteError:
             pass  # each check evaluates, and fails, on its own
 
-    def part(start, *shape):  # K's jet at one check's points, or None
-        end = start + math.prod(shape)
-        return None if jk is None else Jet2(*(c[start:end].reshape(shape) for c in vars(jk).values()))
-
-    hyp = check_hyperbolic(case, pts, jet=part(0, n))
+    hyp = check_hyperbolic(case, pts, jet=_part(jk, 0, n))
     fails = hyp["failures"]
     rec_4a = _tolerance_record(
         "4a", f"{cfg.nx}x{cfg.nt} interior triangle, x <= {cfg.x_max:g}", hyp["max"], hyp["mean"], cfg.tol_4a,
         "{} points failed to evaluate; first at ({!r}, {!r}): {}".format(len(fails), *fails[0]) if fails else "")
-    rec_4b1, rec_4b2 = check_diagonal(case, xs, jet=part(n, *t_4b2.shape))
+    rec_4b1, rec_4b2 = check_diagonal(case, xs, jet=_part(jk, n, *t_4b2.shape))
     n_4c = n + t_4b2.size  # where the 4c points start
-    rec_4c = check_boundary_t0(case, xs, jet=part(n_4c, len(eps), m), f0=None if f0 is None else f0[:, None])
-    rec_4d = check_vertex(case, jet=part(n_4c + len(eps) * m, len(eps)), f0=f0)
+    rec_4c = check_boundary_t0(case, xs, jet=_part(jk, n_4c, len(eps), m), f0=None if f0 is None else f0[:, None])
+    rec_4d = check_vertex(case, jet=_part(jk, n_4c + len(eps) * m, len(eps)), f0=f0)
     eig_a, eig_b = check_eigen(case, xs)
     return VerificationReport(
         case=case.name,

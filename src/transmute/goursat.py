@@ -302,10 +302,9 @@ def solve(problem):
     offsets = _offset(np.arange(top + 1)).tolist()
     values = np.empty(_offset(top + 1))
     values[offsets] = diagonal_values(problem, np.arange(top + 1) * h / 2.0)
-    # b0 and c0 are one float each unless either reads t; the march then reads both from
-    # parity tables: level d's cells j = 1..n at t = (d - 2j) h/2, from (top - d) // 2 + 1 on, reversed
+    # b0 and c0 are one float each unless either reads t; the march then reads both at
+    # level d's cells j = 1..n, t = (d - 2j) h/2, as strided views of the half-grid tables
     floats = "t" not in free_symbols(problem.op_a.b) | free_symbols(problem.op_a.c)
-    b0, c0 = ((tab[::2][::-1].copy(), tab[1::2][::-1].copy()) for tab in (b0t, c0t))
     acc, tmp = np.empty(problem.steps), np.empty(problem.steps)
     a, t, r, r_s = acc[:0], tmp[:0], tmp[:1], tmp[1:1]
     mul, add, sub, item = np.multiply, np.add, np.subtract, values.item
@@ -325,11 +324,11 @@ def solve(problem):
         paired = floats and np.array_equal(t0_s[1:], t0_q[1:]) and not t0_c[1:].any()
         for d in range(2, top + 1):
             o2, o1, o0 = offsets[d - 2], offsets[d - 1], offsets[d]
-            n, lo = (d - 1) // 2, (top - d) // 2 + 1  # n cells between diagonal and wall
+            n = (d - 1) // 2  # cells between diagonal and wall
             if d & 1:  # levels 2n + 1 and 2n + 2 share the scratch views
                 a, t, r, r_s = acc[:n], tmp[:n], tmp[: n + 1], tmp[1 : n + 1]
             w_s, w_q, w_c = t0_weights[d - 1] if floats else _cell_weights(
-                sigma, h, b0[d & 1][lo : lo + n], b1x[d - 1], c0[d & 1][lo : lo + n], c1x[d - 1])
+                sigma, h, b0t[d - 2 : d - 2 * n - 1 : -2], b1x[d - 1], c0t[d - 2 : d - 2 * n - 1 : -2], c1x[d - 1])
             s, q, c = values[o1 + 1 : o1 + n + 1], values[o1 : o1 + n], values[o2 : o2 + n]
             out = values[o0 + 1 : o0 + n + 1]
             if paired:

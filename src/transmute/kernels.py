@@ -85,6 +85,9 @@ class TransmutationCase:
     h0: float = 0.0
     kernel: Expr = field(init=False)
     f0: Expr = field(init=False)
+    # f0's and f1's jets once ``conditions`` has walked them: not a field, so
+    # ==, repr, hash and dataclasses.replace ignore it and a copy walks afresh
+    _walks = None
 
     @property
     def p_zero(self):

@@ -143,13 +143,13 @@ def eigen_residual(
     return _eigen_residuals([(op, lam)], f, grid, params)[0]
 
 
-def _eigen_residuals(pairs, f, grid, params):
+def _eigen_residuals(pairs, f, grid, params, jf=None):
     """``eigen_residual`` for each (op, lam) of ``pairs``, all from one jet
-    of f: lam f is its value, which is ``evaluate``'s bit for bit."""
+    of f (``jf``, if known): lam f is its value, ``evaluate``'s bit for bit."""
     s = np.array(list(grid), dtype=float)
     if not s.size:
         raise TransmuteError("eigen_residual needs a non-empty grid")
-    out, jf = [], None
+    out = []
     for op, lam in pairs:
         check_symbols("the function", f, op.var, params)
         jf = _jet(f, op.var, s, params) if jf is None else jf

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .conditions import MAX_POINTS, sample_points
+from .conditions import MAX_POINTS, _walks, sample_points
 from .errors import NumericalError, UsageError
 from .expr import Record, evaluate
 
@@ -147,11 +147,14 @@ def apply_transmutation(case, x, n=RULE_ORDER):
 
 
 def identity_rows(case, xs, n=RULE_ORDER):
-    """T f0, f1 and |T f0 - f1| / (1 + |f1|) at the abscissae ``xs``, as arrays."""
+    """T f0, f1 and |T f0 - f1| / (1 + |f1|) at the abscissae ``xs``, as arrays;
+    f1 is the value of the jet the case's eigen check walked at ``xs``, if any."""
     if not (xs := list(xs)):
         raise UsageError("identity check needs at least one abscissa")
     lhs = apply_transmutation(case, xs, n)  # first, so that n is checked before any array work
-    f1 = evaluate(case.f1, {**case.params, "x": np.array(xs, dtype=float)})
+    s = np.array(xs, dtype=float)
+    jf1 = _walks(case, s, fill=False)[1]
+    f1 = evaluate(case.f1, {**case.params, "x": s}) if jf1 is None else jf1.value
     return lhs, f1, np.abs(lhs - f1) / (1.0 + np.abs(f1))
 
 

@@ -1,8 +1,9 @@
 """Replay a fixed list of CLI commands in one process and print one sha256 per command.
 
 Each command runs through ``cli.main`` twice, once to stdout and once with
-``--out``; the digest covers both outputs and both exit codes, so two trees
-whose printed lines match write the same bytes.  Every command takes
+``--out``; the digest covers both outputs, both runs' stderr and both exit
+codes, with the temporary directory read as "tmp", so two trees hash alike
+only if they print, write and refuse alike.  Every command takes
 ``--no-timestamp``.  Besides the catalog at its defaults, the list verifies
 cases whose records fail: two catalog cases with each coefficient shifted,
 and custom case files, written to a temporary directory: one whose kernel
@@ -59,31 +60,31 @@ def commands(tmp):
         yield [command, "--custom", os.path.join(tmp, "gegenbauer.cfg"), "--params", "p=2.5"]
 
 
-def digest(argv, out_path):
-    """sha256 over stdout and exit code of ``argv``, then over the --out file, if any, and exit code."""
+def digest(argv, tmp):
+    """sha256 over stdout, stderr and exit code of ``argv``, run to stdout and then
+    with ``--out`` (whose file, if any, is hashed too), ``tmp`` read as "tmp"."""
     sha = hashlib.sha256()
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main([*argv, "--no-timestamp"])
-    sha.update(f"{stdout.getvalue()}\0{code}\0".encode())
-    with contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main([*argv, "--no-timestamp", "--out", out_path])
-    if os.path.exists(out_path):  # a command that fails before its output writes none
-        with open(out_path, "rb") as fh:
-            sha.update(fh.read())
-        os.remove(out_path)
-    sha.update(f"\0{code}".encode())
+    out_path = os.path.join(tmp, "out")
+    for extra in ([], ["--out", out_path]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, "--no-timestamp", *extra])
+        text = f"{stdout.getvalue()}\0{stderr.getvalue()}\0{code}\0"
+        if os.path.exists(out_path):  # a command that fails before its output writes none
+            with open(out_path) as fh:
+                text += fh.read()
+            os.remove(out_path)
+        sha.update(text.replace(tmp, "tmp").encode())
     return sha.hexdigest()
 
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        out_path = os.path.join(tmp, "out")
         for name, text in {"pole.cfg": POLE_CASE, **CASES}.items():
             with open(os.path.join(tmp, name), "w") as fh:
                 fh.write(text)
         for argv in commands(tmp):
-            print(digest(argv, out_path), " ".join(argv).replace(tmp + os.sep, ""))
+            print(digest(argv, tmp), " ".join(argv).replace(tmp + os.sep, ""))
 
 
 if __name__ == "__main__":

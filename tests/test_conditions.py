@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import transmute.conditions as conditions
+import transmute.operators as operators
+import transmute.quadrature as quadrature
 from transmute.conditions import (
     CONDITION_IDS,
     MAX_POINTS,
@@ -25,10 +27,10 @@ from transmute.conditions import (
     verify_all,
 )
 from transmute.errors import AdmissibilityError, DomainError, NumericalError, TransmuteError, UsageError
-from transmute.expr import BinOp, Jet2, Num, evaluate, parse
+from transmute.expr import BinOp, Jet2, Num, evaluate, evaluate_jet, parse
 from transmute.kernels import COEFFICIENT_NAMES, corrupt_case, get_case, list_cases
 from transmute.operators import _jet, _terms, apply
-from transmute.quadrature import identity_error
+from transmute.quadrature import identity_error, identity_rows
 
 
 def test_triangle_grid_stays_inside_the_triangle():
@@ -423,29 +425,104 @@ def test_verify_all_equals_the_separate_checks(seed):
             assert _verified(bent) == _from_checks(bent), (bent.name, dict(bent.params))
 
 
+def _spy_walks(monkeypatch):
+    """[(node, "jet" or "value", points)] of every evaluate and evaluate_jet call
+    that the checks, the eigen residuals and the identity rows make; the
+    transform's walks at the rule's nodes, which bind t, are left out."""
+    walks = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def walk(node, *args):
+            if name == "evaluate_jet":
+                walks.append((node, "jet", np.broadcast(args[0], args[1]).size))
+            elif not (module is quadrature and "t" in args[0]):
+                walks.append((node, "value", np.broadcast(args[0].get("x", 0.0), args[0].get("t", 0.0)).size))
+            return real(node, *args)
+        monkeypatch.setattr(module, name, walk)
+
+    for module in (conditions, operators, quadrature):
+        for name in ("evaluate", "evaluate_jet"):
+            if hasattr(module, name):
+                spy(module, name)
+    return walks
+
+
+def _of(walks, node):
+    return [(kind, size) for n, kind, size in walks if n is node]
+
+
 @pytest.mark.parametrize("name", list_cases())
 def test_verify_all_walks_k_once_and_f0_once(name, monkeypatch):
-    # one jet of K over all 773 default points and one f0 array at t = EPS_SEQ;
-    # the eigen check's walk of f0 at the sample points is the operators' own
+    # one jet of K over all 773 default points; one jet of f0 over t = the 20
+    # samples then EPS_SEQ, serving eigen A, 4c and 4d; one jet of f1 over the
+    # samples, whose values identity_error then reads on the same case object
     case = get_case(name)
-    jets, values = [], []
-    real_jet, real_value = conditions.evaluate_jet, conditions.evaluate
-
-    def jet(node, x, t, params):
-        jets.append((node, np.broadcast(x, t).size))
-        return real_jet(node, x, t, params)
-
-    def value(node, bindings):
-        values.append((node, bindings.get("t")))
-        return real_value(node, bindings)
-
-    monkeypatch.setattr(conditions, "evaluate_jet", jet)
-    monkeypatch.setattr(conditions, "evaluate", value)
+    walks = _spy_walks(monkeypatch)
     verify_all(case)
-    assert [size for node, size in jets if node is case.kernel] == [773]
-    assert not [node for node, _ in values if node is case.kernel]
-    f0_at = [t for node, t in values if node is case.f0]
-    assert len(f0_at) == 1 and f0_at[0].tolist() == list(conditions.EPS_SEQ)
+    identity_error(case)
+    assert _of(walks, case.kernel) == [("jet", 773)]
+    assert _of(walks, case.f0) == [("jet", 20 + len(EPS_SEQ))]
+    assert _of(walks, case.f1) == [("jet", 20)]
+
+
+def test_identity_rows_on_a_fresh_case_walks_f1_once_as_values(monkeypatch):
+    walks = _spy_walks(monkeypatch)
+    for name in list_cases():
+        case = get_case(name)
+        identity_rows(case, sample_points(case))
+        assert _of(walks, case.f1) == [("value", 20)], name
+        assert case._walks is None, name
+
+
+def test_a_copy_or_other_abscissae_walk_afresh(monkeypatch):
+    case = get_case("sonin")
+    walks = _spy_walks(monkeypatch)
+    verify_all(case)
+    del walks[:]
+    # the slot is no field: a replaced copy equals the case and reads alike, and
+    # neither it nor a corrupted copy holds a walk
+    copies = (dataclasses.replace(case), corrupt_case(case, "c1", 0.1))
+    assert copies[0] == case and repr(copies[0]) == repr(case)
+    for copy in copies:
+        assert copy._walks is None
+        identity_error(copy)
+        verify_all(copy)
+        assert _of(walks, copy.f1) == [("value", 20), ("jet", 20)]
+        assert _of(walks, copy.f0) == [("jet", 20 + len(EPS_SEQ))]
+        del walks[:]
+    # abscissae other than those walked: each caller walks on its own
+    xs = [0.5, 1.0]
+    check_eigen(case, xs)
+    identity_rows(case, xs)
+    assert _of(walks, case.f0) == [("jet", 2)]
+    assert _of(walks, case.f1) == [("jet", 2), ("value", 2)]
+    del walks[:]
+    fresh = get_case("sonin")
+    verify_all(fresh, VerifyConfig(n_samples=7))
+    identity_error(fresh)
+    assert _of(walks, fresh.f0) == [("jet", 7 + len(EPS_SEQ))]
+    assert _of(walks, fresh.f1) == [("jet", 7), ("value", 20)]
+    # the walks are read-only: no caller can change what the next one reads
+    for jet in case._walks[1:]:
+        with pytest.raises(ValueError):
+            jet.value[0] = 0.0
+
+
+def test_an_f0_whose_jet_fails_at_an_eps_point_gives_the_separate_checks(monkeypatch):
+    # 1e300/sqrt(t) has a finite value at every eps but its second derivative
+    # overflows below t = 4e-4: 4c and 4d walk f0 on their own, eigen A f0's jet
+    case = dataclasses.replace(get_case("vekua_telegraph"), f0_smooth=parse("1e300/sqrt(t)"))
+    with pytest.raises(DomainError):
+        evaluate_jet(case.f0, 0.0, np.array(EPS_SEQ), case.params)
+    walks = _spy_walks(monkeypatch)
+    records = _verified(case)
+    assert _of(walks, case.f0) == [("jet", 20 + len(EPS_SEQ)), ("value", len(EPS_SEQ)),
+                                   ("value", len(EPS_SEQ)), ("jet", 20)]
+    assert records == _from_checks(dataclasses.replace(case))
+    assert records[-2:] == _old_eigen(case, sample_points(case))
+    assert [r.passed for r in records] == [True, True, True, False, False, False, True]
 
 
 def _old_eigen(case, xs):
