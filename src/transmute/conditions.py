@@ -15,13 +15,16 @@ shifted variants when the case defines them).
 
 All derivatives come from jet arithmetic, never finite differences, so
 the 4a residual floor is rounding noise and tolerances can stay tight.
-Each condition has one function, ``check_*``, which evaluates its own
-points unless it is given K's jet there (``jet=``) and, for 4c and 4d,
-f0 at t = eps (``f0=``).  ``verify_all`` walks K's jet once over the 4a,
-4b2, 4c and 4d points together, f0's once over t = the samples then
-EPS_SEQ (eigen A, 4c, 4d) and f1's once over x = the samples (eigen B,
-then ``quadrature.identity_rows``); arithmetic is elementwise and special
-functions run one body per entry, so no value changes a bit.
+Each condition has one function, ``check_*``, which walks its own points
+unless it is given K's jet there (``jet=``) and, for 4c and 4d, f0 at
+t = eps (``f0=``); no check reads state left on the case.  ``verify_all``
+walks K's jet once over the 4a, 4b2, 4c and 4d points together, f0's over
+t = the samples then EPS_SEQ and f1's over x = the samples, and hands the
+slices to every check; if the points exceed MAX_POINTS or any walk raises,
+every check walks its own points instead.  Arithmetic is elementwise and
+special functions run one body per entry, so both ways give the same bits.
+The only state kept is f1's values at the samples, read-only on the case
+for ``quadrature.identity_rows``.
 """
 
 from __future__ import annotations
@@ -229,8 +232,8 @@ def check_hyperbolic(case, grid=None, tol=1e-8, *, jet=None):
 
 
 def _loglog_slope(xs, ys, last_n=6):
-    """Least-squares slope of log y against log x over the tail."""
-    pairs = [(x, y) for x, y in zip(xs, ys) if y > 0.0 and x > 0.0]
+    """Least-squares slope of log y against log x over the tail of finite positive y."""
+    pairs = [(x, y) for x, y in zip(xs, ys) if 0.0 < y < math.inf and x > 0.0]
     pairs = pairs[-last_n:]
     if len(pairs) < 2:
         return None
@@ -301,12 +304,13 @@ def check_diagonal(case, xs=None, config=None, *, jet=None):
 
     jk = evaluate_jet(case.kernel, s, s - np.array(DELTA_REL)[:, None] * s, params) if jet is None else jet
     b0, b1 = _at(case.opA.b, "t", s, params), _at(case.opB.b, "x", s, params)
-    raw = abs(2.0 * a0 * (jk.dx + jk.dt) + (b1 - b0) * jk.value)
+    with np.errstate(all="ignore"):  # a non-finite residual is a failure
+        raw = abs(2.0 * a0 * (jk.dx + jk.dt) + (b1 - b0) * jk.value)
+        scaled = raw / (1.0 + abs(jk.value))
     grid = (
         f"{len(xs)} abscissae, delta/x in [{DELTA_REL[-1]:g}, {DELTA_REL[0]:g}];"
         f" raw final {raw.max(axis=1)[-1]:.3e}"
     )
-    scaled = raw / (1.0 + abs(jk.value))
     return rec_4b1, _limit_record("4b2", grid, DELTA_REL, scaled.max(axis=1).tolist())
 
 
@@ -351,34 +355,13 @@ def check_vertex(case, pairs=None, config=None, *, jet=None, f0=None):
     e, d = np.array(pairs, dtype=float).T
     k = evaluate(case.kernel, {**params, "x": e, "t": e - d}) if jet is None else jet.value
     f0 = evaluate(case.f0, {**params, "t": e}) if f0 is None else f0
-    values = np.abs(k * f0).tolist()
+    with np.errstate(all="ignore"):  # a non-finite product is a failure
+        values = np.abs(k * f0).tolist()
     eps_vals = [eps for eps, _ in pairs]
     squares = all(delta == eps * eps for eps, delta in pairs)
     grid = (f"{len(pairs)} pairs, delta = eps^2, eps down to {eps_vals[-1]:.3e}" if squares else
             f"{len(pairs)} pairs (eps, delta) as given, down to ({eps_vals[-1]:.3e}, {pairs[-1][1]:.3e})")
     return _limit_record("4d", grid, eps_vals, values)
-
-
-def _walks(case, s, fill=True):
-    """(f0's jet over t = s then EPS_SEQ, f1's jet over x = s), walked for
-    the first abscissae ``s`` a case is asked for (with ``fill``) and kept
-    read-only on it; None at other abscissae, and for a function whose walk
-    raised: its callers then walk on their own and fail as they would."""
-    held, key = case._walks, s.tobytes()
-    if held is None and fill:
-        jets = []
-        for f, x, t in ((case.f0, 0.0, np.append(s, EPS_SEQ)), (case.f1, s, 0.0)):
-            try:
-                jet = evaluate_jet(f, x, t, case.params)
-            except Exception:  # any failure is raised again, in its place, by a caller's own walk
-                jet = None
-            else:
-                for part in vars(jet).values():
-                    part.flags.writeable = False
-            jets.append(jet)
-        held = (key, *jets)
-        object.__setattr__(case, "_walks", held)
-    return held[1:] if held and held[0] == key else (None, None)
 
 
 def _part(jet, start, *shape):
@@ -388,14 +371,16 @@ def _part(jet, start, *shape):
 
 
 def check_eigen(case, xs=None, config=None):
-    """Eigen-relations on both sides, folding in shifted variants; f0 and
-    f1 are the case's walks (see ``_walks``) where those are at ``xs``."""
-    xs = _abscissae(case, xs, config)
-    jf0, jf1 = _walks(case, np.array(xs, dtype=float))
+    """Eigen-relations on both sides, folding in shifted variants."""
+    return _eigen_records(case, _abscissae(case, xs, config))
+
+
+def _eigen_records(case, xs, jf0=None, jf1=None):
+    """``check_eigen``'s records at ``xs``, from f0's and f1's jets there if known."""
     shift = case.eigen_shift
     records = []
     for cond_id, op, f, jf, shifted in (
-        ("eigenA", case.opA, case.f0, _part(jf0, 0, len(xs)), [(shift.opA, shift.lam_a)] if shift else []),
+        ("eigenA", case.opA, case.f0, jf0, [(shift.opA, shift.lam_a)] if shift else []),
         ("eigenB", case.opB, case.f1, jf1, [(shift.opB, shift.lam_b)] if shift else []),
     ):
         # one jet of f serves the plain and the shifted operator
@@ -410,7 +395,7 @@ def check_eigen(case, xs=None, config=None):
 
 def verify_all(case, config=None):
     """Run every condition and assemble a VerificationReport: the records
-    of the separate check_* calls, each expression walked once (see above)."""
+    of the separate check_* calls, from one walk of K, f0 and f1 (see above)."""
     cfg = config or VerifyConfig()
     xs = sample_points(case, cfg.n_samples)
     pts, s, eps = _triangle(cfg.nx, cfg.nt, cfg.x_max), np.array(xs, dtype=float), np.array(EPS_SEQ)
@@ -419,13 +404,17 @@ def verify_all(case, config=None):
     # then the 4d pairs (eps, eps - eps^2)
     x = np.concatenate([pts[:, 0], np.tile(s, len(DELTA_REL) + len(eps)), eps])
     t = np.concatenate([pts[:, 1], t_4b2.ravel(), np.repeat(eps, m), eps - eps * eps])
-    jk, jf0 = None, _walks(case, s)[0]
-    f0 = None if jf0 is None else jf0.value[m:]  # f0 at t = eps
+    jk = jf0 = jf1 = None
     if len(x) <= MAX_POINTS:  # the union keeps to the MAX_POINTS budget of one evaluation
         try:
-            jk = evaluate_jet(case.kernel, x, t, case.params)
+            jk, jf0, jf1 = (evaluate_jet(case.kernel, x, t, case.params),
+                            evaluate_jet(case.f0, 0.0, np.append(s, eps), case.params),
+                            evaluate_jet(case.f1, s, 0.0, case.params))
         except TransmuteError:
-            pass  # each check evaluates, and fails, on its own
+            pass  # each check walks, and fails, on its own
+    if jf1 is not None:  # f1 at the samples, for quadrature.identity_rows
+        jf1.value.flags.writeable = False
+        object.__setattr__(case, "_f1_values", (s.tobytes(), jf1.value))
 
     hyp = check_hyperbolic(case, pts, jet=_part(jk, 0, n))
     fails = hyp["failures"]
@@ -434,11 +423,11 @@ def verify_all(case, config=None):
         "{} points failed to evaluate; first at ({!r}, {!r}): {}".format(len(fails), *fails[0]) if fails else "")
     rec_4b1, rec_4b2 = check_diagonal(case, xs, jet=_part(jk, n, *t_4b2.shape))
     n_4c = n + t_4b2.size  # where the 4c points start
+    f0 = None if jf0 is None else jf0.value[m:]  # f0 at t = eps
     rec_4c = check_boundary_t0(case, xs, jet=_part(jk, n_4c, len(eps), m), f0=None if f0 is None else f0[:, None])
     rec_4d = check_vertex(case, jet=_part(jk, n_4c + len(eps) * m, len(eps)), f0=f0)
-    eig_a, eig_b = check_eigen(case, xs)
     return VerificationReport(
         case=case.name,
         params=dict(case.params),
-        records=(rec_4a, rec_4b1, rec_4b2, rec_4c, rec_4d, eig_a, eig_b),
+        records=(rec_4a, rec_4b1, rec_4b2, rec_4c, rec_4d, *_eigen_records(case, xs, _part(jf0, 0, m), jf1)),
     )

@@ -153,8 +153,8 @@ def _eigen_residuals(pairs, f, grid, params, jf=None):
     for op, lam in pairs:
         check_symbols("the function", f, op.var, params)
         jf = _jet(f, op.var, s, params) if jf is None else jf
-        target = lam * jf.value if lam else 0.0  # |lhs - 0 f| is |lhs|
         with np.errstate(all="ignore"):  # a non-finite residual raises below
+            target = lam * jf.value if lam else 0.0  # |lhs - 0 f| is |lhs|
             r = _residual(_terms(op, jf, s, params), (target,))[1]
         bad = ~np.isfinite(r)
         if bad.any():

@@ -8,8 +8,10 @@ only if they print, write and refuse alike.  Every command takes
 cases whose records fail: two catalog cases with each coefficient shifted,
 and custom case files, written to a temporary directory: one whose kernel
 cannot be evaluated at x = 1, a power chain whose exponents vary over the
-points, and a gegenbauer degree read from ``--params``.  It also solves
-``lowndes`` at a wall the solver refuses.  Not a test module: run it as
+points, a gegenbauer degree read from ``--params``, and an f0 and an f1
+whose jets overflow where their values do not.  It verifies ``sinh_cosh``
+on more points than one evaluation may take, and solves ``lowndes`` at a
+wall the solver refuses.  Not a test module: run it as
 
     PYTHONPATH=src python tests/replay_cli.py > replay.txt
 
@@ -29,6 +31,12 @@ from transmute.kernels import COEFFICIENT_NAMES, list_cases
 FORMATS = ("text", "json", "csv")
 # CASE_FILE with its kernel divided by (x - 1): 4a fails at every point with x = 1
 POLE_CASE = CASE_FILE.replace('sqrt(x^2-t^2))"', 'sqrt(x^2-t^2))/(x-1)"')
+# CASE_FILE with f0 = 1e300/sqrt(t), whose jet overflows near t = 0, and with
+# f1 = 1e307/sqrt(x), whose jet overflows at x = 0.2
+JET_CASES = {
+    "f0_jet.cfg": CASE_FILE.replace('f0 = "cos(omega*t)"', 'f0 = "1e300/sqrt(t)"'),
+    "f1_jet.cfg": CASE_FILE.replace('f1 = "sin(sqrt(omega^2+mu^2)*x)/sqrt(omega^2+mu^2)"', 'f1 = "1e307/sqrt(x)"'),
+}
 # the kernel x^x^...^x^t of 20 names, and gegenbauer(p, 1, x - t)
 CASES = {
     name: f'[case]\nkernel = "{kernel}"\nf0 = "cos(t)"\nf1 = "sin(x)"\nx_max = 0.9\n\n'
@@ -54,6 +62,10 @@ def commands(tmp):
             yield ["verify", "--case", name, "--corrupt", f"{coefficient}:+0.1", "--format", "json"]
     for fmt in ("text", "json"):
         yield ["verify", "--custom", case_path, "--params", "mu=1,omega=2", "--format", fmt]
+    for name in JET_CASES:
+        yield ["verify", "--custom", os.path.join(tmp, name), "--params", "mu=1,omega=2"]
+    # 256 x 200 grid points and 18 x 1000 limit points exceed MAX_POINTS
+    yield ["verify", "--case", "sinh_cosh", "--grid", "256x200", "--x-count", "1000"]
     yield ["solve", "--case", "lowndes", "--params", "mu=0,nu=2"]
     yield ["verify", "--custom", os.path.join(tmp, "chain.cfg"), "--x-min", "0.5"]
     for command in ("verify", "apply"):
@@ -80,7 +92,7 @@ def digest(argv, tmp):
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in {"pole.cfg": POLE_CASE, **CASES}.items():
+        for name, text in {"pole.cfg": POLE_CASE, **CASES, **JET_CASES}.items():
             with open(os.path.join(tmp, name), "w") as fh:
                 fh.write(text)
         for argv in commands(tmp):

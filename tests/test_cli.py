@@ -10,6 +10,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -795,6 +796,9 @@ def test_an_overflowing_corruption_prints_only_the_failure_line():
     assert err.getvalue().startswith("numerical failure: ") and err.getvalue().count("\n") == 1
 
 
+INF_LADDER_CASE = 'kernel = "1/t"\nf0 = "1e300"\nf1 = "1"'
+
+
 @pytest.mark.parametrize("case, argv", [
     # K's jet rule for (t*1e-300)^0.5 divides by an underflowing u^2
     ('kernel = "(t*1e-300)^0.5 + 1/(x-1)"\nf0 = "cos(t)"\nf1 = "sin(x)"', ["verify"]),
@@ -802,7 +806,9 @@ def test_an_overflowing_corruption_prints_only_the_failure_line():
     ('kernel = "1e300"\nf0 = "1e300"\nf1 = "1"', ["apply", "--format", "json"]),
     # the terms are finite, but their fsum overflows
     ('kernel = "1.7e308"\nf0 = "1"\nf1 = "1"', ["apply", "--x", "2"]),
-], ids=["jet_divisor_underflows", "terms_overflow", "fsum_overflows"])
+    # the 4c bracket times f0 overflows at small eps, so the limit ladder holds inf
+    (INF_LADDER_CASE, ["verify"]),
+], ids=["jet_divisor_underflows", "terms_overflow", "fsum_overflows", "limit_ladder_holds_inf"])
 def test_a_non_finite_number_prints_only_the_failure_line(tmp_path, case, argv):
     config = tmp_path / "case.cfg"
     config.write_text(f"[case]\n{case}\n[operatorA]\n[operatorB]\n")
@@ -1128,6 +1134,70 @@ def test_any_flag_value_ends_in_an_exit_code(command_flag_value, name):
         json.loads(out.getvalue(), parse_constant=_no_constant)
     else:
         assert not out.getvalue() and err.getvalue() and "Traceback" not in err.getvalue()
+
+
+# the grammar of the generated --custom files: numbers (extreme ones among them),
+# a parameter, calls of the DSL's functions and its binary operators
+_LEAVES = ["0", "1", "-1", "0.5", "2", "3", "1e300", "1e-300", "mu", "pi"]
+_CALLS = ["sin({})", "cos({})", "exp({})", "log({})", "sqrt({})", "abs({})", "gamma({})", "sinh({})",
+          "besselj(0, {})", "besseli(1, {})", "bessel_clifford(0.5, {})", "hyp1f2(1, 1.5, 2, {})"]
+
+
+def _expression(rng, variables, depth=2):
+    """A random expression over ``variables`` (a string of them), at most ``depth`` deep."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice([*variables * 3, *_LEAVES])
+    if roll < 0.55:
+        return rng.choice(_CALLS).format(_expression(rng, variables, depth - 1))
+    left, right = (_expression(rng, variables, depth - 1) for _ in range(2))
+    return f"({left}){rng.choice('+-*/^')}({right})"
+
+
+def _generated_file(rng):
+    """A --custom file: K, f0 and f1, b and c of each operator at random, and
+    at random lambda, x_max, [operatorA] h and a small [solver] lattice."""
+    case = {key: f'"{_expression(rng, v)}"' for key, v in (("kernel", "xt"), ("f0", "t"), ("f1", "x"))}
+    if rng.random() < 0.3:
+        case["lambda"] = rng.choice(["0", "1", "-1", "2.5", "1e300"])
+    if rng.random() < 0.3:
+        case["x_max"] = rng.choice(["0.5", "1", "2", "3", "5"])
+    sections = {"case": case}
+    for name, v in (("operatorA", "t"), ("operatorB", "x")):
+        sections[name] = {key: f'"{_expression(rng, v, 1)}"' for key in "bc" if rng.random() < 0.6}
+    if rng.random() < 0.3:
+        sections["operatorA"]["h"] = rng.choice(["0", "0.5", "-1", "2"])
+    if rng.random() < 0.5:
+        sections["solver"] = {"x": rng.choice(["0.5", "1", "2"]), "h": rng.choice(["0.0625", "0.125", "0.25"])}
+        if rng.random() < 0.5:
+            sections["solver"]["reference"] = f'"{_expression(rng, "xt", 1)}"'
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_any_generated_custom_file_ends_in_an_exit_code(seed, tmp_path):
+    # 200 generated files per seed, about a second, each run by verify, apply
+    # or solve at a random --format and --params; the first is a fixed row
+    rng = random.Random(f"cli_generator:{seed}")
+    config = tmp_path / "gen.cfg"
+    texts = [f"[case]\n{INF_LADDER_CASE}\n[operatorA]\n[operatorB]\n"]
+    texts += (_generated_file(rng) for _ in range(200))
+    for text in texts:
+        config.write_text(text)
+        params = rng.choice(["mu=1", "mu=0.5", "mu=-2", "mu=1e300"]) if "mu" in text else ""
+        if rng.random() < 0.1:  # a missing or unread parameter
+            params = rng.choice(["", "nu=1", "mu=1"])
+        argv = [rng.choice(["verify", "apply", "solve"]), "--custom", str(config), "--params", params,
+                "--format", rng.choice(["text", "json", "csv"]), "--no-timestamp"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning may reach the user
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, text)
+        if code in (2, 3):
+            assert err.getvalue().splitlines()[-1].startswith(("error:", "numerical failure:")), (argv, text)
 
 
 def test_missing_file_exits_2(capsys):

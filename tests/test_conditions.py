@@ -28,8 +28,8 @@ from transmute.conditions import (
 )
 from transmute.errors import AdmissibilityError, DomainError, NumericalError, TransmuteError, UsageError
 from transmute.expr import BinOp, Jet2, Num, evaluate, evaluate_jet, parse
-from transmute.kernels import COEFFICIENT_NAMES, corrupt_case, get_case, list_cases
-from transmute.operators import _jet, _terms, apply
+from transmute.kernels import COEFFICIENT_NAMES, TransmutationCase, corrupt_case, get_case, list_cases
+from transmute.operators import DifferentialOperator, _jet, _terms, apply
 from transmute.quadrature import identity_error, identity_rows
 
 
@@ -473,7 +473,7 @@ def test_identity_rows_on_a_fresh_case_walks_f1_once_as_values(monkeypatch):
         case = get_case(name)
         identity_rows(case, sample_points(case))
         assert _of(walks, case.f1) == [("value", 20)], name
-        assert case._walks is None, name
+        assert case._f1_values is None, name
 
 
 def test_a_copy_or_other_abscissae_walk_afresh(monkeypatch):
@@ -486,7 +486,7 @@ def test_a_copy_or_other_abscissae_walk_afresh(monkeypatch):
     copies = (dataclasses.replace(case), corrupt_case(case, "c1", 0.1))
     assert copies[0] == case and repr(copies[0]) == repr(case)
     for copy in copies:
-        assert copy._walks is None
+        assert copy._f1_values is None
         identity_error(copy)
         verify_all(copy)
         assert _of(walks, copy.f1) == [("value", 20), ("jet", 20)]
@@ -504,10 +504,9 @@ def test_a_copy_or_other_abscissae_walk_afresh(monkeypatch):
     identity_error(fresh)
     assert _of(walks, fresh.f0) == [("jet", 7 + len(EPS_SEQ))]
     assert _of(walks, fresh.f1) == [("jet", 7), ("value", 20)]
-    # the walks are read-only: no caller can change what the next one reads
-    for jet in case._walks[1:]:
-        with pytest.raises(ValueError):
-            jet.value[0] = 0.0
+    # f1's kept values are read-only: no caller can change what the next one reads
+    with pytest.raises(ValueError):
+        case._f1_values[1][0] = 0.0
 
 
 def test_an_f0_whose_jet_fails_at_an_eps_point_gives_the_separate_checks(monkeypatch):
@@ -523,6 +522,46 @@ def test_an_f0_whose_jet_fails_at_an_eps_point_gives_the_separate_checks(monkeyp
     assert records == _from_checks(dataclasses.replace(case))
     assert records[-2:] == _old_eigen(case, sample_points(case))
     assert [r.passed for r in records] == [True, True, True, False, False, False, True]
+
+
+def test_the_separate_checks_read_no_state_left_by_verify_all(monkeypatch):
+    # after verify_all, check_eigen walks f0 and f1 itself, and the separate
+    # checks on the same case object give verify_all's records
+    for name in list_cases():
+        case = get_case(name)
+        records = verify_all(case).records
+        walks = _spy_walks(monkeypatch)
+        check_eigen(case)
+        assert _of(walks, case.f0) == [("jet", 20)], name
+        assert _of(walks, case.f1) == [("jet", 20)], name
+        monkeypatch.undo()
+        assert _from_checks(case) == records, name
+
+
+def test_an_f1_whose_jet_fails_gives_the_separate_checks_and_keeps_nothing(monkeypatch):
+    # 1e307/sqrt(x) is finite at every sample, but its second derivative
+    # overflows at x = 0.2: every record comes from the separate checks, which
+    # raise eigen B's DomainError, and the case keeps no f1 values
+    case = dataclasses.replace(get_case("vekua_telegraph"), f1=parse("1e307/sqrt(x)"))
+    with pytest.raises(DomainError, match="x=0.2"):
+        evaluate_jet(case.f1, np.array(sample_points(case)), 0.0, case.params)
+    got = _verified(case)
+    assert got[0] is DomainError and got == _from_checks(dataclasses.replace(case))
+    assert case._f1_values is None
+    walks = _spy_walks(monkeypatch)
+    identity_rows(case, sample_points(case))
+    assert _of(walks, case.f1) == [("value", 20)]
+
+
+def test_a_limit_ladder_that_holds_inf_is_a_numerical_error():
+    # K = 1/t times f0 = 1e300 overflows the 4c bracket at small eps: the slope
+    # is fitted over the finite values, and the record refuses the inf residual
+    case = TransmutationCase(name="custom", params={}, kernel_smooth=parse("1/t"), f0_smooth=parse("1e300"),
+                             f1=parse("1"), opA=DifferentialOperator("t"), opB=DifferentialOperator("x"))
+    with pytest.raises(NumericalError, match="^condition 4c: non-finite or negative residual$"):
+        verify_all(case)
+    with pytest.raises(NumericalError, match="condition 4c"):
+        _limit_record("4c", "grid", [1.0, 0.5, 0.25], [1.0, 0.5, math.inf])
 
 
 def _old_eigen(case, xs):
