@@ -1,13 +1,13 @@
 """Transmutation kernels connecting pairs of one-dimensional operators.
 
-The package has four layers:
+Four layers sit over ``errors``, each module importing only earlier ones:
 
-* ``expr`` / ``specfun`` - a small expression DSL with second-order jets
-  and the scalar special functions it needs;
+* ``specfun`` / ``expr`` - scalar special functions and a small expression
+  DSL with second-order jets over them;
 * ``operators`` / ``kernels`` - differential operator pairs and the
   catalog of closed-form kernel cases;
-* ``conditions`` / ``quadrature`` - the kernel existence checks and the
-  weighted Gauss-Jacobi transform machinery;
+* ``quadrature`` / ``conditions`` - the weighted Gauss-Jacobi transform,
+  and the kernel existence checks with the identity T f0 = f1;
 * ``goursat`` - a characteristic-grid solver producing kernels
   numerically when no closed form is listed, plus grid diagnostics.
 
@@ -32,8 +32,8 @@ from .errors import (
 )
 from .expr import Jet2, evaluate, evaluate_jet, parse, to_string
 from .kernels import TransmutationCase, describe, get_case, list_cases
-from .conditions import VerifyConfig, VerificationReport, verify_all
-from .quadrature import apply_transmutation, identity_error, jacobi_rule
+from .quadrature import apply_transmutation, jacobi_rule
+from .conditions import VerifyConfig, VerificationReport, identity_error, verify_all
 from .goursat import GoursatProblem, problem_from_case, solve
 
 __all__ = [

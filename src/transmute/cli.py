@@ -381,7 +381,7 @@ def cmd_apply(args):
         xs = conditions.sample_points(case, args.x_count)
         if not xs:
             raise UsageError("--x-count must be at least 1")
-    lhs, f1, rel = quadrature.identity_rows(case, xs, args.quad_order)
+    lhs, f1, rel = conditions.identity_rows(case, xs, args.quad_order)
     rows = list(zip(xs, lhs.tolist(), f1.tolist(), rel.tolist()))
     keys = ("x", "transform", "f1", "rel_error")  # a JSON row's keys and the CSV's columns
     worst = max(rel.tolist(), default=0.0)

@@ -23,8 +23,9 @@ t = the samples then EPS_SEQ and f1's over x = the samples, and hands the
 slices to every check; if the points exceed MAX_POINTS or any walk raises,
 every check walks its own points instead.  Arithmetic is elementwise and
 special functions run one body per entry, so both ways give the same bits.
-The only state kept is f1's values at the samples, read-only on the case
-for ``quadrature.identity_rows``.
+``identity_rows`` checks T f0 = f1, reading f1 from the one state kept: the
+full walk's values in ``case._f1_values``, keyed by the abscissae's bytes,
+read-only and not a field, so a ``replace`` or ``corrupt_case`` copy walks afresh.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 from .errors import NumericalError, TransmuteError, UsageError
 from .expr import Jet2, Record, evaluate, evaluate_jet, free_symbols
 from .operators import _at, _eigen_residuals, _jet, _mean, _residual, _terms
+from .quadrature import MAX_POINTS, RULE_ORDER, apply_transmutation
 
 __all__ = [
     "VerifyConfig",
@@ -53,12 +55,11 @@ __all__ = [
     "check_vertex",
     "check_eigen",
     "verify_all",
+    "identity_rows",
+    "identity_error",
 ]
 
 CONDITION_IDS = ("4a", "4b1", "4b2", "4c", "4d", "eigenA", "eigenB")
-# Points one check or transform evaluates at once: at about 0.4 kB of jets
-# per grid point and 3 kB per sample, a verification stays below 0.25 GB.
-MAX_POINTS = 65536
 
 
 # Tolerances, limit sequences and verdict constants of the checks that no
@@ -92,9 +93,9 @@ class VerifyConfig(Record):
     def __init__(self, nx: int = nx, nt: int = nt, n_samples: int = n_samples, tol_4a: float = tol_4a):
         if not 0.0 < tol_4a < math.inf:
             raise UsageError(f"tol_4a must be a positive finite number, got {tol_4a!r}")
-        if nx < 1 or nt < 1:
+        if _count("nx", nx) < 1 or _count("nt", nt) < 1:
             raise UsageError("hyperbolic grid must have at least one point per axis")
-        if n_samples < 2:
+        if _count("n_samples", n_samples) < 2:
             raise UsageError("need at least two sample points")
         if max(nx * nt, n_samples) > MAX_POINTS:
             raise UsageError(f"{nx}x{nt} grid or {n_samples} samples: maximum {MAX_POINTS}")
@@ -139,9 +140,16 @@ class VerificationReport(Record):
         raise UsageError(f"report has no record for {cond_id!r}")
 
 
+def _count(name, n):
+    """``n``, refused unless an integer: numpy's integers are, bool is not."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise UsageError(f"{name} must be an integer, got {n!r}")
+    return n
+
+
 def triangle_grid(nx=VerifyConfig.nx, nt=VerifyConfig.nt, x_max=VerifyConfig.x_max):
     """Interior points of {0 < t < x <= x_max}, nt per column."""
-    return list(map(tuple, _triangle(nx, nt, x_max).tolist()))
+    return list(map(tuple, _triangle(_count("nx", nx), _count("nt", nt), x_max).tolist()))
 
 
 def _triangle(nx, nt, x_max):
@@ -152,7 +160,7 @@ def _triangle(nx, nt, x_max):
 
 def sample_points(case, n=VerifyConfig.n_samples):
     """Evenly spaced abscissae across the case's working interval."""
-    if n > MAX_POINTS:
+    if _count("n", n) > MAX_POINTS:
         raise UsageError(f"{n} sample points exceed the maximum of {MAX_POINTS}")
     if n < 0:
         raise UsageError(f"the number of sample points must be nonnegative, got {n}")
@@ -233,8 +241,7 @@ def check_hyperbolic(case, grid=None, tol=1e-8, *, jet=None):
 
 def _loglog_slope(xs, ys, last_n=6):
     """Least-squares slope of log y against log x over the tail of finite positive y."""
-    pairs = [(x, y) for x, y in zip(xs, ys) if 0.0 < y < math.inf and x > 0.0]
-    pairs = pairs[-last_n:]
+    pairs = [(x, y) for x, y in zip(xs, ys) if 0.0 < y < math.inf and x > 0.0][-last_n:]
     if len(pairs) < 2:
         return None
     lx = [math.log(x) for x, _ in pairs]
@@ -412,7 +419,7 @@ def verify_all(case, config=None):
                             evaluate_jet(case.f1, s, 0.0, case.params))
         except TransmuteError:
             pass  # each check walks, and fails, on its own
-    if jf1 is not None:  # f1 at the samples, for quadrature.identity_rows
+    if jf1 is not None:  # f1 at the samples, for identity_rows
         jf1.value.flags.writeable = False
         object.__setattr__(case, "_f1_values", (s.tobytes(), jf1.value))
 
@@ -431,3 +438,19 @@ def verify_all(case, config=None):
         params=dict(case.params),
         records=(rec_4a, rec_4b1, rec_4b2, rec_4c, rec_4d, *_eigen_records(case, xs, _part(jf0, 0, m), jf1)),
     )
+
+
+def identity_rows(case, xs, n=RULE_ORDER):
+    """T f0, f1 and |T f0 - f1| / (1 + |f1|) at the abscissae ``xs``, as arrays;
+    f1 is read from the case where ``verify_all`` walked it at ``xs``."""
+    if not (xs := list(xs)):
+        raise UsageError("identity check needs at least one abscissa")
+    lhs = apply_transmutation(case, xs, n)  # first, so that n is checked before any array work
+    s, held = np.array(xs, dtype=float), vars(case).get("_f1_values")
+    f1 = held[1] if held and held[0] == s.tobytes() else evaluate(case.f1, {**case.params, "x": s})
+    return lhs, f1, np.abs(lhs - f1) / (1.0 + np.abs(f1))
+
+
+def identity_error(case, xs=None, n=RULE_ORDER):
+    """max over xs (by default the case's sample points) of ``identity_rows``' error."""
+    return float(np.max(identity_rows(case, sample_points(case) if xs is None else xs, n)[2]))

@@ -289,12 +289,9 @@ def solve(problem):
     if problem.h0 and math.isnan(b0t[0]):
         raise UsageError(f"h0 = {problem.h0!r} needs b0 regular at t = 0: a singular b0 takes K_t = 0 there")
     if math.isnan(b0t[0]):
-        # b0 = -r/t + smooth, r found as rho is: the t = h/2 cell takes the weights
-        # -+r/(2 sigma), and the one-sided K_t = 0 wall diverges from r/sigma = 4 on
-        try:
-            r = -evaluate(BinOp("*", Name("t"), problem.op_a.b), {**problem.params, "t": 2.0**-1000})
-        except TransmuteError:  # t b0 has no value near 0: no r to refuse
-            r = math.nan
+        # b0 = -r/t + smooth, r found as rho is: finite, since GoursatProblem evaluated b0 at t = 2^-1000.
+        # The t = h/2 cell takes the weights -+r/(2 sigma); the one-sided K_t = 0 wall diverges from r/sigma = 4 on
+        r = -evaluate(BinOp("*", Name("t"), problem.op_a.b), {**problem.params, "t": 2.0**-1000})
         if r / sigma >= 4.0:
             raise NumericalError(f"b0 = -r/t at t = 0 with r = {r!r}: the one-sided K_t = 0 wall"
                                  f" is unstable for r/sigma >= 4 (sigma = {sigma:g})")

@@ -85,10 +85,6 @@ class TransmutationCase:
     h0: float = 0.0
     kernel: Expr = field(init=False)
     f0: Expr = field(init=False)
-    # the one state a case keeps: (abscissae as bytes, f1's read-only values there)
-    # from ``verify_all``'s full walk, for ``identity_rows``. Not a field, so ==,
-    # repr, hash and dataclasses.replace ignore it and a copy walks afresh
-    _f1_values = None
 
     @property
     def p_zero(self):

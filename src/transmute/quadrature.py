@@ -18,7 +18,6 @@ import math
 
 import numpy as np
 
-from .conditions import MAX_POINTS, sample_points
 from .errors import NumericalError, UsageError
 from .expr import Record, evaluate
 
@@ -27,8 +26,6 @@ __all__ = [
     "jacobi_rule",
     "transform",
     "apply_transmutation",
-    "identity_rows",
-    "identity_error",
 ]
 
 
@@ -43,6 +40,9 @@ class JacobiRule(Record):
         self.__dict__.update(nodes=nodes, weights=weights)
 
 
+# Points one check or transform evaluates at once: at about 0.4 kB of jets
+# per grid point and 3 kB per sample, a verification stays below 0.25 GB.
+MAX_POINTS = 65536
 # Largest rule order jacobi_rule builds: the n x n Jacobi matrix is dense,
 # so the check runs before it is allocated.
 MAX_RULE_ORDER = 1024
@@ -144,19 +144,3 @@ def apply_transmutation(case, x, n=RULE_ORDER):
     if n < 8:
         raise UsageError(f"quadrature order must be at least 8, got {n!r}")
     return transform(case, case.f0_smooth, case.f0_t_exponent, x, n)
-
-
-def identity_rows(case, xs, n=RULE_ORDER):
-    """T f0, f1 and |T f0 - f1| / (1 + |f1|) at the abscissae ``xs``, as arrays;
-    f1 is read from the case where ``verify_all`` walked it at ``xs``."""
-    if not (xs := list(xs)):
-        raise UsageError("identity check needs at least one abscissa")
-    lhs = apply_transmutation(case, xs, n)  # first, so that n is checked before any array work
-    s, held = np.array(xs, dtype=float), case._f1_values
-    f1 = held[1] if held and held[0] == s.tobytes() else evaluate(case.f1, {**case.params, "x": s})
-    return lhs, f1, np.abs(lhs - f1) / (1.0 + np.abs(f1))
-
-
-def identity_error(case, xs=None, n=RULE_ORDER):
-    """max over xs (by default the case's sample points) of ``identity_rows``' error."""
-    return float(np.max(identity_rows(case, sample_points(case) if xs is None else xs, n)[2]))

@@ -17,11 +17,12 @@ from transmute.conditions import (
     check_eigen,
     check_hyperbolic,
     check_vertex,
+    identity_error,
 )
 from transmute.expr import evaluate
 from transmute.goursat import compare, problem_from_case, solve
 from transmute.kernels import COEFFICIENT_NAMES, corrupt_case, get_case, list_cases
-from transmute.quadrature import apply_transmutation, identity_error, jacobi_rule
+from transmute.quadrature import apply_transmutation, jacobi_rule
 
 ALL_CASES = tuple(list_cases())
 

@@ -277,7 +277,7 @@ def test_json_numbers_are_the_library_floats_bit_for_bit(capsys, name):
 
     payload = _json_report(capsys, "apply", "--case", name)
     xs = conditions.sample_points(case)
-    lhs, f1, rel = quadrature.identity_rows(case, xs, quadrature.RULE_ORDER)
+    lhs, f1, rel = conditions.identity_rows(case, xs, quadrature.RULE_ORDER)
     pairs = [(payload["params"][k], v) for k, v in case.params.items()]
     pairs += [(payload["max_rel_error"], rel.max()), (payload["tolerance"], 1e-8)]
     for row, want in zip(payload["rows"], zip(xs, lhs, f1, rel), strict=True):
@@ -372,6 +372,7 @@ def test_verify_csv_format(capsys):
         ("apply", "--custom", "case.cfg", "--params", "mu=1,omega=1,zzz=3"),
         ("solve", "--custom", "solver.cfg", "--params", "mu=1,zzz=3"),
         ("solve", "--custom", "no_reference.cfg", "--params", "mu=1,zzz=3"),
+        ("solve", "--case", "epd_bessel", "--params", "nu=-0.3"),  # (x - t)^-0.3 has no K(x,x)
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
@@ -549,6 +550,10 @@ def test_solve_catalog_case_fits_kappa(capsys):
     code, _, err = run(capsys, "solve", "--case", "sine_to_bessel")
     assert code == 2
     assert "K(x,x)" in err and "vanishes" in err
+    # p_diag = nu - 1/2 < 0: (x - t)^p_diag has no value at t = x
+    code, _, err = run(capsys, "solve", "--case", "poisson_bessel", "--params", "nu=0.3")
+    assert code == 2
+    assert "K(x,x) of case 'poisson_bessel'" in err and "does not evaluate" in err
 
 
 def test_solve_custom_file(tmp_path, capsys):
@@ -881,7 +886,7 @@ def test_flag_defaults_are_the_library_defaults():
     app = parser.parse_args(["apply", "--case", "sonin"])
     assert app.x_count == config.n_samples
     assert app.quad_order == quadrature.RULE_ORDER
-    for fn in (quadrature.transform, quadrature.apply_transmutation, quadrature.identity_error):
+    for fn in (quadrature.transform, quadrature.apply_transmutation, conditions.identity_error):
         assert inspect.signature(fn).parameters["n"].default == quadrature.RULE_ORDER
     assert inspect.signature(conditions.sample_points).parameters["n"].default == config.n_samples
     assert np.array_equal(conditions.triangle_grid(), conditions.triangle_grid(config.nx, config.nt, config.x_max))

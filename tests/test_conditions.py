@@ -22,6 +22,8 @@ from transmute.conditions import (
     check_eigen,
     check_hyperbolic,
     check_vertex,
+    identity_error,
+    identity_rows,
     sample_points,
     triangle_grid,
     verify_all,
@@ -30,7 +32,6 @@ from transmute.errors import AdmissibilityError, DomainError, NumericalError, Tr
 from transmute.expr import BinOp, Jet2, Num, evaluate, evaluate_jet, parse
 from transmute.kernels import COEFFICIENT_NAMES, TransmutationCase, corrupt_case, get_case, list_cases
 from transmute.operators import DifferentialOperator, _jet, _terms, apply
-from transmute.quadrature import identity_error, identity_rows
 
 
 def test_triangle_grid_stays_inside_the_triangle():
@@ -71,6 +72,31 @@ def test_sample_points_honor_the_case_range():
 def test_config_validation(kwargs, needle):
     with pytest.raises(UsageError, match=needle):
         VerifyConfig(**kwargs)
+
+
+NON_INTEGER_COUNTS = [
+    (VerifyConfig, "nx", 2.5), (VerifyConfig, "nx", 20.0), (VerifyConfig, "nx", "3"), (VerifyConfig, "nx", True),
+    (VerifyConfig, "nt", 2.5), (VerifyConfig, "nt", np.float64(20.0)),
+    (VerifyConfig, "n_samples", math.nan), (VerifyConfig, "n_samples", 20.0),
+    (sample_points, "n", 2.5), (sample_points, "n", False),
+    (triangle_grid, "nx", 2.5), (triangle_grid, "nt", "2"),
+]
+
+
+@pytest.mark.parametrize("fn,name,value", NON_INTEGER_COUNTS,
+                         ids=[f"{fn.__name__}-{name}={value!r}" for fn, name, value in NON_INTEGER_COUNTS])
+def test_a_point_count_that_is_no_integer_is_a_usage_error(fn, name, value):
+    # each of these ended in a TypeError or a numpy ValueError
+    args = (get_case("sonin"),) if fn is sample_points else ()
+    with pytest.raises(UsageError, match=f"^{name} must be an integer, got "):
+        fn(*args, **{name: value})
+
+
+def test_numpy_integers_count_as_point_counts():
+    n = np.int64(20)
+    assert VerifyConfig(nx=n, nt=np.int32(20), n_samples=n) == VerifyConfig()
+    assert sample_points(get_case("sonin"), np.int16(7)) == sample_points(get_case("sonin"), 7)
+    assert triangle_grid(np.uint8(3), n) == triangle_grid(3, 20)
 
 
 def test_point_budget_admits_its_own_bound():
@@ -473,7 +499,7 @@ def test_identity_rows_on_a_fresh_case_walks_f1_once_as_values(monkeypatch):
         case = get_case(name)
         identity_rows(case, sample_points(case))
         assert _of(walks, case.f1) == [("value", 20)], name
-        assert case._f1_values is None, name
+        assert vars(case).get("_f1_values") is None, name
 
 
 def test_a_copy_or_other_abscissae_walk_afresh(monkeypatch):
@@ -486,7 +512,7 @@ def test_a_copy_or_other_abscissae_walk_afresh(monkeypatch):
     copies = (dataclasses.replace(case), corrupt_case(case, "c1", 0.1))
     assert copies[0] == case and repr(copies[0]) == repr(case)
     for copy in copies:
-        assert copy._f1_values is None
+        assert vars(copy).get("_f1_values") is None
         identity_error(copy)
         verify_all(copy)
         assert _of(walks, copy.f1) == [("value", 20), ("jet", 20)]
@@ -547,7 +573,7 @@ def test_an_f1_whose_jet_fails_gives_the_separate_checks_and_keeps_nothing(monke
         evaluate_jet(case.f1, np.array(sample_points(case)), 0.0, case.params)
     got = _verified(case)
     assert got[0] is DomainError and got == _from_checks(dataclasses.replace(case))
-    assert case._f1_values is None
+    assert vars(case).get("_f1_values") is None
     walks = _spy_walks(monkeypatch)
     identity_rows(case, sample_points(case))
     assert _of(walks, case.f1) == [("value", 20)]

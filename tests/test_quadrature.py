@@ -6,14 +6,13 @@ import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
 from transmute import quadrature
+from transmute.conditions import identity_error, identity_rows
 from transmute.errors import ConvergenceError, UsageError
 from transmute.expr import Num, evaluate, parse
 from transmute.kernels import get_case, list_cases
 from transmute.quadrature import (
     MAX_RULE_ORDER,
     apply_transmutation,
-    identity_error,
-    identity_rows,
     jacobi_rule,
     transform,
 )
