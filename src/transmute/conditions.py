@@ -16,8 +16,9 @@ shifted variants when the case defines them).
 All derivatives come from jet arithmetic, never finite differences, so
 the 4a residual floor is rounding noise and tolerances can stay tight.
 Each condition has one function, ``check_*``, which walks its own points
-unless it is given K's jet there (``jet=``) and, for 4c and 4d, f0 at
-t = eps (``f0=``); no check reads state left on the case.  ``verify_all``
+unless it is given K's jet there (``jet=``), for 4c and 4d f0 at t = eps
+(``f0=``) and for the eigen relations f0's and f1's jets (``jets=``); no
+check reads state left on the case.  ``verify_all``
 walks K's jet once over the 4a, 4b2, 4c and 4d points together, f0's over
 t = the samples then EPS_SEQ and f1's over x = the samples, and hands the
 slices to every check; if the points exceed MAX_POINTS or any walk raises,
@@ -167,6 +168,8 @@ def sample_points(case, n=VerifyConfig.n_samples):
     lo, hi = case.x_range
     if n == 1:
         return [0.5 * (lo + hi)]
+    if n > 1 and not math.isfinite((hi - lo) * (n - 1)):
+        raise UsageError(f"{n} sample points over [{lo!r}, {hi!r}]: their spacing overflows")
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
@@ -309,7 +312,8 @@ def check_diagonal(case, xs=None, config=None, *, jet=None):
     rec_4b1 = _tolerance_record("4b1", f"{len(xs)} shared samples in [{xs[0]:g}, {xs[-1]:g}]",
                                 max(coeff_gaps), _mean(coeff_gaps), TOL_4B1)
 
-    jk = evaluate_jet(case.kernel, s, s - np.array(DELTA_REL)[:, None] * s, params) if jet is None else jet
+    with np.errstate(invalid="ignore"):  # an infinite x gives t = NaN, which evaluate_jet refuses
+        jk = evaluate_jet(case.kernel, s, s - np.array(DELTA_REL)[:, None] * s, params) if jet is None else jet
     b0, b1 = _at(case.opA.b, "t", s, params), _at(case.opB.b, "x", s, params)
     with np.errstate(all="ignore"):  # a non-finite residual is a failure
         raw = abs(2.0 * a0 * (jk.dx + jk.dt) + (b1 - b0) * jk.value)
@@ -377,18 +381,13 @@ def _part(jet, start, *shape):
     return None if jet is None else Jet2(*(c[start:end].reshape(shape) for c in vars(jet).values()))
 
 
-def check_eigen(case, xs=None, config=None):
-    """Eigen-relations on both sides, folding in shifted variants."""
-    return _eigen_records(case, _abscissae(case, xs, config))
-
-
-def _eigen_records(case, xs, jf0=None, jf1=None):
-    """``check_eigen``'s records at ``xs``, from f0's and f1's jets there if known."""
-    shift = case.eigen_shift
+def check_eigen(case, xs=None, config=None, *, jets=(None, None)):
+    """Eigen-relations on both sides, folding in shifted variants; ``jets`` are f0's and f1's at xs, if known."""
+    xs, shift = _abscissae(case, xs, config), case.eigen_shift
     records = []
     for cond_id, op, f, jf, shifted in (
-        ("eigenA", case.opA, case.f0, jf0, [(shift.opA, shift.lam_a)] if shift else []),
-        ("eigenB", case.opB, case.f1, jf1, [(shift.opB, shift.lam_b)] if shift else []),
+        ("eigenA", case.opA, case.f0, jets[0], [(shift.opA, shift.lam_a)] if shift else []),
+        ("eigenB", case.opB, case.f1, jets[1], [(shift.opB, shift.lam_b)] if shift else []),
     ):
         # one jet of f serves the plain and the shifted operator
         pairs = [(op, case.lam)] + shifted
@@ -436,7 +435,7 @@ def verify_all(case, config=None):
     return VerificationReport(
         case=case.name,
         params=dict(case.params),
-        records=(rec_4a, rec_4b1, rec_4b2, rec_4c, rec_4d, *_eigen_records(case, xs, _part(jf0, 0, m), jf1)),
+        records=(rec_4a, rec_4b1, rec_4b2, rec_4c, rec_4d, *check_eigen(case, xs, jets=(_part(jf0, 0, m), jf1))),
     )
 
 

@@ -40,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericalError, TransmuteError, UsageError
-from .expr import BinOp, Name, Record, evaluate, free_symbols, parse
+from .expr import BinOp, Neg, Record, evaluate, free_symbols, parse
 from .operators import DifferentialOperator, check_pair_symbols
 from .quadrature import jacobi_rule
 
@@ -96,17 +96,9 @@ class GoursatProblem(Record):
                 "the leading coefficients of A and B are not one constant +-1;"
                 " the characteristic solver does not apply"
             )
-        self.__dict__["sigma"] = leading[0]
-        # x (b1 - b0) at x = t = 2^-900 and 2^-1000: a rho/x term scales by powers of
-        # two exactly, giving rho bit for bit at both, and any other term shrinks
-        tree = BinOp("*", Name("x"), BinOp("-", self.op_b.b, self.op_a.b))
-        try:
-            near, nearer = (evaluate(tree, {**self.params, "x": s, "t": s}) for s in (2.0**-900, 2.0**-1000))
-        except TransmuteError:
-            near = nearer = math.nan
-        if not (near == nearer or abs(nearer) < abs(near)):
+        self.__dict__.update(sigma=leading[0], rho=_residue(BinOp("-", self.op_b.b, self.op_a.b), self.params))
+        if self.rho is None:
             raise UsageError("b1 - b0 is not rho/x + smooth at x = t = 0; the transport data cannot be split")
-        self.__dict__["rho"] = near + 0.0 if near == nearer else 0.0  # +0.0, not -0.0
         if not (self.X > 0.0 and self.h > 0.0):
             raise UsageError("need X > 0 and h > 0")
         if not self.h / 2.0 > 0.0:  # the lattice's half step
@@ -119,6 +111,8 @@ class GoursatProblem(Record):
             )
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise UsageError(f"X/h must be a positive integer, got {n!r}")
+        if not (math.isfinite(self.h0) and math.isfinite(self.kappa)):
+            raise UsageError(f"need finite h0 and kappa, got h0 = {self.h0!r} and kappa = {self.kappa!r}")
 
     @property
     def steps(self):
@@ -137,6 +131,16 @@ class GoursatProblem(Record):
             if self.rho != 0.0:
                 smooth -= self.rho / s
             return np.concatenate(([0.0], np.cumsum(half * (smooth @ gl.weights))))
+
+
+def _residue(tree, params):
+    """c in tree = c/x + smooth at x = t = 0, from x * tree at x = t = 2^-900 and 2^-1000: a c/x term
+    gives c bit for bit at both (+0.0 for -0.0), and any other term shrinks, giving 0.0; else None."""
+    try:
+        near, nearer = (s * evaluate(tree, {**params, "x": s, "t": s}) for s in (2.0**-900, 2.0**-1000))
+    except TransmuteError:
+        return None
+    return near + 0.0 if near == nearer else 0.0 if abs(nearer) < abs(near) else None
 
 
 def diagonal_values(problem, xs):
@@ -272,8 +276,8 @@ def solve(problem):
 
     The t = 0 closure is Robin when theta = b0(0) + h0 sigma is nonzero,
     else Neumann: a ghost cell, or the one-sided K_t = 0 for a b0 singular
-    at 0 (NaN in its table), which refuses an h0 other than 0 and a
-    b0 = -r/t + smooth with r/sigma >= 4, where it diverges.
+    at 0 (NaN in its table), which refuses an h0 other than 0, a b0 that
+    is not -r/t + smooth, and r/sigma >= 4, where it diverges.
     """
     sigma, h = problem.sigma, problem.h
     top = 2 * problem.steps
@@ -289,9 +293,10 @@ def solve(problem):
     if problem.h0 and math.isnan(b0t[0]):
         raise UsageError(f"h0 = {problem.h0!r} needs b0 regular at t = 0: a singular b0 takes K_t = 0 there")
     if math.isnan(b0t[0]):
-        # b0 = -r/t + smooth, r found as rho is: finite, since GoursatProblem evaluated b0 at t = 2^-1000.
-        # The t = h/2 cell takes the weights -+r/(2 sigma); the one-sided K_t = 0 wall diverges from r/sigma = 4 on
-        r = -evaluate(BinOp("*", Name("t"), problem.op_a.b), {**problem.params, "t": 2.0**-1000})
+        # b0 = -r/t + smooth: the t = h/2 cell takes the weights -+r/(2 sigma), diverging from r/sigma = 4 on
+        r = _residue(Neg(problem.op_a.b), problem.params)
+        if r is None:
+            raise UsageError("b0 is not -r/t + smooth at t = 0; the one-sided K_t = 0 wall does not apply")
         if r / sigma >= 4.0:
             raise NumericalError(f"b0 = -r/t at t = 0 with r = {r!r}: the one-sided K_t = 0 wall"
                                  f" is unstable for r/sigma >= 4 (sigma = {sigma:g})")

@@ -121,10 +121,10 @@ def transform(case, f_smooth, t_exponent, x, n=RULE_ORDER):
         raise UsageError(f"transform needs x > 0, got {x!r}")
     if xs.size * n > MAX_POINTS:
         raise UsageError(f"{xs.size} abscissae x {n} nodes exceed the maximum of {MAX_POINTS}")
-    # one row per node, one column per abscissa
-    t = xs * (1.0 + rule.nodes[:, None]) / 2.0
-    bindings = {**case.params, "x": xs, "t": t}
-    with np.errstate(over="ignore"):  # an overflowing term is refused below, by its abscissa
+    # one row per node, one column per abscissa; an overflowing node is refused by
+    # evaluate, an overflowing term below, by its abscissa
+    with np.errstate(over="ignore"):
+        bindings = {**case.params, "x": xs, "t": xs * (1.0 + rule.nodes[:, None]) / 2.0}
         smooth = evaluate(case.kernel_smooth, bindings) * evaluate(f_smooth, bindings)
         terms = rule.weights[:, None] * smooth
     p = alpha_w + beta_w + 1.0

@@ -10,8 +10,10 @@ and custom case files, written to a temporary directory: one whose kernel
 cannot be evaluated at x = 1, a power chain whose exponents vary over the
 points, a gegenbauer degree read from ``--params``, and an f0 and an f1
 whose jets overflow where their values do not.  It verifies ``sinh_cosh``
-on more points than one evaluation may take, and solves ``lowndes`` at a
-wall the solver refuses.  Not a test module: run it as
+on more points than one evaluation may take, solves ``lowndes`` at a wall
+the solver refuses and three custom singular t = 0 walls (b0 = -+1/t^1.01,
+and b0 = -1/t with c0 = 5/t^2), and verifies and applies at abscissae near
+the float range's end.  Not a test module: run it as
 
     PYTHONPATH=src python tests/replay_cli.py > replay.txt
 
@@ -44,6 +46,15 @@ CASES = {
     for name, kernel in (("chain.cfg", "x^" * 19 + "t"), ("gegenbauer.cfg", "gegenbauer(p, 1, x - t)"))
 }
 
+# singular t = 0 walls at X = 2, h = 1/64: two with b0 not -r/t + smooth, one with a c0 pole
+WALLS = {
+    name: f'[operatorA]\nb = "{b0}"\nc = "{c0}"\n\n[operatorB]\nb = "{b1}"\nc = "{c1}"\n\n'
+          '[solver]\nx = 2\nh = 0.015625\n'
+    for name, b0, c0, b1, c1 in (("wall_power.cfg", "1/t^1.01", "1", "1/x^1.01", "1 - x"),
+                                 ("wall_negative_power.cfg", "-1/t^1.01", "1", "-1/x^1.01", "1 - x"),
+                                 ("wall_c0_pole.cfg", "-1/t", "5/t^2", "-1/x", "5/x^2"))
+}
+
 
 def commands(tmp):
     case_path = os.path.join(tmp, "pole.cfg")
@@ -70,6 +81,10 @@ def commands(tmp):
     yield ["verify", "--custom", os.path.join(tmp, "chain.cfg"), "--x-min", "0.5"]
     for command in ("verify", "apply"):
         yield [command, "--custom", os.path.join(tmp, "gegenbauer.cfg"), "--params", "p=2.5"]
+    for name in WALLS:
+        yield ["solve", "--custom", os.path.join(tmp, name), "--format", "csv"]
+    yield ["verify", "--case", "vekua_telegraph", "--x-max", "1e308", "--unsafe-range"]
+    yield ["apply", "--case", "sonin", "--x", "1e308", "--unsafe-range"]
 
 
 def digest(argv, tmp):
@@ -92,7 +107,7 @@ def digest(argv, tmp):
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in {"pole.cfg": POLE_CASE, **CASES, **JET_CASES}.items():
+        for name, text in {"pole.cfg": POLE_CASE, **CASES, **JET_CASES, **WALLS}.items():
             with open(os.path.join(tmp, name), "w") as fh:
                 fh.write(text)
         for argv in commands(tmp):

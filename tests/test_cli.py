@@ -119,6 +119,11 @@ BAD_CONFIGS = {
     "pole_squared.cfg": SOLVER_FILE.replace("[operatorB]\n", '[operatorB]\nb = "1/x^2"\n'),
     "exp_pole.cfg": SOLVER_FILE.replace("[operatorB]\n", '[operatorB]\nb = "exp(1/x)"\n'),
     "no_solver.cfg": CASE_FILE,
+    # b0 = -+1/t^1.01: singular at t = 0 but not -r/t + smooth, so the wall has no r
+    "wall_power.cfg": '[operatorA]\nb = "1/t^1.01"\nc = "1"\n[operatorB]\nb = "1/x^1.01"\nc = "1 - x"\n'
+                      '[solver]\nx = 2\nh = 0.015625\n',
+    "wall_negative_power.cfg": '[operatorA]\nb = "-1/t^1.01"\nc = "1"\n[operatorB]\nb = "-1/x^1.01"\n'
+                               'c = "1 - x"\n[solver]\nx = 2\nh = 0.015625\n',
     # rho = 1: K(x,x) = kappa x^(-1/2) blows up at the lattice's vertex x = 0
     "vertex_blowup.cfg": '[operatorA]\n[operatorB]\nb = "1/x"\n[solver]\nx = 1\nh = 0.0625\n',
     # a b0 singular at t = 0 closes the wall by K_t = 0, which would drop h0
@@ -373,6 +378,8 @@ def test_verify_csv_format(capsys):
         ("solve", "--custom", "solver.cfg", "--params", "mu=1,zzz=3"),
         ("solve", "--custom", "no_reference.cfg", "--params", "mu=1,zzz=3"),
         ("solve", "--case", "epd_bessel", "--params", "nu=-0.3"),  # (x - t)^-0.3 has no K(x,x)
+        ("solve", "--custom", "wall_power.cfg"),
+        ("solve", "--custom", "wall_negative_power.cfg"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
@@ -607,6 +614,26 @@ def test_a_lattice_that_diverges_at_a_singular_wall_is_never_printed(tmp_path, c
                    '[solver]\nx = 2\nh = 0.0078125\n')
     code, out, _ = run(capsys, "solve", "--custom", str(cfg), "--format", "csv")
     assert code == 3 or np.abs(np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)[:, 2]).max() < 1e3
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: no guard measures a c0 pole at the wall;"
+                                       " at h = 1/64 the lattice reaches |K| = 1.4e173 under [UNCHECKED]")
+def test_a_lattice_that_diverges_at_a_c0_pole_of_the_wall_is_never_printed(tmp_path, capsys):
+    # b0 = -1/t passes the r/sigma >= 4 guard, but c0 = 5/t^2 is a pole of its own; at h = 1/128 it exits 3
+    cfg = tmp_path / "c0_wall.cfg"
+    cfg.write_text('[operatorA]\nb = "-1/t"\nc = "5/t^2"\n\n[operatorB]\nb = "-1/x"\nc = "5/x^2"\n\n'
+                   '[solver]\nx = 2\nh = 0.015625\n')
+    code, out, _ = run(capsys, "solve", "--custom", str(cfg), "--format", "csv")
+    assert code in (2, 3) or np.abs(np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)[:, 2]).max() < 1e3
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_unsafe_range_ends_in_one_line_without_a_numpy_warning(capsys):
+    # x_max = 1e308 gave inf samples, x = 1e308 inf nodes, each with numpy warnings on stderr
+    code, out, err = run(capsys, "verify", "--case", "vekua_telegraph", "--x-max", "1e308", "--unsafe-range")
+    assert (code, out, err) == (2, "", "error: 20 sample points over [0.2, 1e+308]: their spacing overflows\n")
+    code, out, err = run(capsys, "apply", "--case", "sonin", "--x", "1e308", "--unsafe-range")
+    assert (code, out) == (3, "") and err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 def test_the_telegraph_lattice_keeps_its_bytes(capsys):

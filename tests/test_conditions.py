@@ -51,6 +51,22 @@ def test_sample_points_honor_the_case_range():
     assert sample_points(case, 1) == [0.5 * (case.x_range[0] + case.x_range[1])]
 
 
+def test_a_range_whose_sample_spacing_overflows_is_refused():
+    # (hi - lo) k overflowed, giving inf and NaN samples from a finite range
+    case = get_case("vekua_telegraph")
+    for lo, hi, n in ((0.2, 1e308, 20), (0.0, 1e308, 3), (-1e308, 1e308, 2), (0.2, math.inf, 2)):
+        with pytest.raises(UsageError, match=r"sample points over \[.*\]: their spacing overflows"):
+            sample_points(dataclasses.replace(case, x_range=(lo, hi)), n)
+    assert sample_points(dataclasses.replace(case, x_range=(0.0, 1e308)), 2) == [0.0, 1e308]
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_infinite_abscissa_is_refused_without_a_numpy_warning():
+    # x - delta x at x = inf warned "invalid value encountered in subtract" first
+    with pytest.raises(DomainError, match="non-finite value bound to x"):
+        check_diagonal(get_case("vekua_telegraph"), [math.inf, 1.0])
+
+
 @pytest.mark.parametrize(
     "kwargs,needle",
     [
@@ -548,6 +564,18 @@ def test_an_f0_whose_jet_fails_at_an_eps_point_gives_the_separate_checks(monkeyp
     assert records == _from_checks(dataclasses.replace(case))
     assert records[-2:] == _old_eigen(case, sample_points(case))
     assert [r.passed for r in records] == [True, True, True, False, False, False, True]
+
+
+def test_check_eigen_reads_the_jets_it_is_given(monkeypatch):
+    # verify_all hands check_eigen its walks of f0 and f1, as it hands K's jet to the other checks
+    case = get_case("lowndes")  # with shifted variants: one jet serves both operators
+    xs = sample_points(case)
+    s = np.array(xs)
+    jets = (evaluate_jet(case.f0, 0.0, s, case.params), evaluate_jet(case.f1, s, 0.0, case.params))
+    walks = _spy_walks(monkeypatch)
+    records = check_eigen(case, xs, jets=jets)
+    assert _of(walks, case.f0) == _of(walks, case.f1) == []
+    assert records == check_eigen(case, xs) == verify_all(case).records[-2:]
 
 
 def test_the_separate_checks_read_no_state_left_by_verify_all(monkeypatch):

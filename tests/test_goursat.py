@@ -754,6 +754,14 @@ def test_problem_from_case_accepts_a_smooth_nonzero_b():
         # b1 - b0 is not rho/x + smooth near 0
         (dict(b1="1/x^2"), "not rho/x"),
         (dict(b1="exp(1/x)"), "not rho/x"),
+        # h0 = NaN marched as Neumann, h0 = +-inf held the wall at +-0, and a
+        # non-finite kappa ended in "diagonal data overflows"
+        (dict(h0=math.nan), "need finite h0 and kappa"),
+        (dict(h0=math.inf), "need finite h0 and kappa"),
+        (dict(h0=-math.inf), "need finite h0 and kappa"),
+        (dict(kappa=math.nan), "need finite h0 and kappa"),
+        (dict(kappa=math.inf), "need finite h0 and kappa"),
+        (dict(kappa=-math.inf), "need finite h0 and kappa"),
     ],
 )
 def test_problem_validation(kwargs, needle):
@@ -782,6 +790,17 @@ def test_sigma_is_the_constant_leading_coefficient():
     problem = pair("1", "1", params={"mu": 1.0})
     with pytest.raises(UsageError, match="A acting in 't'"):
         GoursatProblem(problem.op_b, problem.op_a, params=problem.params)
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_a_singular_b0_that_is_not_a_pole_plus_smooth_is_refused(sign):
+    # t b0 = -+t^-0.01 grows towards t = 0, so no r exists, while b1 - b0 = 0 on the
+    # diagonal gives rho = 0. Read at t = 2^-1000 alone, r was -+1024: the + wall
+    # marched a lattice that did not converge in h, the - wall was refused as unstable
+    problem = _gp(b0=f"{sign}1/t^1.01", b1=f"{sign}1/x^1.01", c0="1", c1="1 - x", X=2.0, h=1.0 / 64.0)
+    assert str(problem.rho) == "0.0"
+    with pytest.raises(UsageError, match=r"^b0 is not -r/t \+ smooth at t = 0"):
+        solve(problem)
 
 
 def test_boundary_flavor_guards():

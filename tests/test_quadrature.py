@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from transmute import quadrature
 from transmute.conditions import identity_error, identity_rows
-from transmute.errors import ConvergenceError, UsageError
+from transmute.errors import ConvergenceError, DomainError, UsageError
 from transmute.expr import Num, evaluate, parse
 from transmute.kernels import get_case, list_cases
 from transmute.quadrature import (
@@ -283,6 +283,13 @@ def test_transform_validation():
     # abscissae x nodes above the point budget are refused before evaluation
     with pytest.raises(UsageError, match="1025 abscissae x 64 nodes exceed"):
         transform(case, Num(1.0), 0.0, np.linspace(0.1, 2.0, 1025), 64)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_abscissa_whose_nodes_overflow_is_refused_without_a_numpy_warning():
+    # x (1 + node) / 2 overflows for the upper nodes at x = 1e308; numpy warned of it first
+    with pytest.raises(DomainError, match="non-finite value bound to t at x=1e"):
+        apply_transmutation(get_case("sonin"), 1e308)
 
 
 @pytest.mark.parametrize("name", list_cases())
