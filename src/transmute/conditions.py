@@ -166,11 +166,10 @@ def sample_points(case, n=VerifyConfig.n_samples):
     if n < 0:
         raise UsageError(f"the number of sample points must be nonnegative, got {n}")
     lo, hi = case.x_range
-    if n == 1:
-        return [0.5 * (lo + hi)]
-    if n > 1 and not math.isfinite((hi - lo) * (n - 1)):
-        raise UsageError(f"{n} sample points over [{lo!r}, {hi!r}]: their spacing overflows")
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    xs = [0.5 * (lo + hi)] if n == 1 else [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    if not all(map(math.isfinite, xs)):
+        raise UsageError(f"{n} sample points over [{lo!r}, {hi!r}]: a sample overflows the float range")
+    return xs
 
 
 def _abscissae(case, xs, config):

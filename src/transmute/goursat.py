@@ -135,12 +135,13 @@ class GoursatProblem(Record):
 
 def _residue(tree, params):
     """c in tree = c/x + smooth at x = t = 0, from x * tree at x = t = 2^-900 and 2^-1000: a c/x term
-    gives c bit for bit at both (+0.0 for -0.0), and any other term shrinks, giving 0.0; else None."""
+    gives c bit for bit at both (+0.0 for -0.0), and 0.0 needs the second smaller and below 2^-40,
+    so c + x^0.001 is not read as 0; else None."""
     try:
         near, nearer = (s * evaluate(tree, {**params, "x": s, "t": s}) for s in (2.0**-900, 2.0**-1000))
     except TransmuteError:
         return None
-    return near + 0.0 if near == nearer else 0.0 if abs(nearer) < abs(near) else None
+    return near + 0.0 if near == nearer else 0.0 if abs(nearer) < min(abs(near), 2.0**-40) else None
 
 
 def diagonal_values(problem, xs):

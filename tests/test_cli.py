@@ -629,9 +629,15 @@ def test_a_lattice_that_diverges_at_a_c0_pole_of_the_wall_is_never_printed(tmp_p
 
 @pytest.mark.filterwarnings("error")
 def test_an_overflowing_unsafe_range_ends_in_one_line_without_a_numpy_warning(capsys):
-    # x_max = 1e308 gave inf samples, x = 1e308 inf nodes, each with numpy warnings on stderr
+    # x_max = 1e308 gave inf samples, x = 1e308 inf nodes, each with numpy warnings on stderr,
+    # and one sample's midpoint of [1e308, 1.7e308] ended in "transform needs x > 0, got [inf]"
     code, out, err = run(capsys, "verify", "--case", "vekua_telegraph", "--x-max", "1e308", "--unsafe-range")
-    assert (code, out, err) == (2, "", "error: 20 sample points over [0.2, 1e+308]: their spacing overflows\n")
+    assert (code, out, err) == (2, "", "error: 20 sample points over [0.2, 1e+308]: a sample overflows"
+                                       " the float range\n")
+    code, out, err = run(capsys, "apply", "--case", "sonin", "--x-min", "1e308", "--x-max", "1.7e308",
+                         "--x-count", "1", "--unsafe-range")
+    assert (code, out, err) == (2, "", "error: 1 sample points over [1e+308, 1.7e+308]: a sample overflows"
+                                       " the float range\n")
     code, out, err = run(capsys, "apply", "--case", "sonin", "--x", "1e308", "--unsafe-range")
     assert (code, out) == (3, "") and err.startswith("numerical failure: ") and err.count("\n") == 1
 

@@ -51,13 +51,15 @@ def test_sample_points_honor_the_case_range():
     assert sample_points(case, 1) == [0.5 * (case.x_range[0] + case.x_range[1])]
 
 
-def test_a_range_whose_sample_spacing_overflows_is_refused():
-    # (hi - lo) k overflowed, giving inf and NaN samples from a finite range
+def test_a_range_whose_samples_overflow_is_refused():
+    # (hi - lo) k, or lo + hi for the one midpoint, overflowed, giving inf and NaN samples from a finite range
     case = get_case("vekua_telegraph")
-    for lo, hi, n in ((0.2, 1e308, 20), (0.0, 1e308, 3), (-1e308, 1e308, 2), (0.2, math.inf, 2)):
-        with pytest.raises(UsageError, match=r"sample points over \[.*\]: their spacing overflows"):
+    for lo, hi, n in ((0.2, 1e308, 20), (0.0, 1e308, 3), (-1e308, 1e308, 2), (0.2, math.inf, 2),
+                      (1e308, 1.7e308, 1), (0.2, math.inf, 1)):
+        with pytest.raises(UsageError, match=r"sample points over \[.*\]: a sample overflows the float range"):
             sample_points(dataclasses.replace(case, x_range=(lo, hi)), n)
     assert sample_points(dataclasses.replace(case, x_range=(0.0, 1e308)), 2) == [0.0, 1e308]
+    assert sample_points(dataclasses.replace(case, x_range=(1e307, 1e308)), 1) == [5.5e307]
 
 
 @pytest.mark.filterwarnings("error")

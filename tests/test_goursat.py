@@ -754,6 +754,8 @@ def test_problem_from_case_accepts_a_smooth_nonzero_b():
         # b1 - b0 is not rho/x + smooth near 0
         (dict(b1="1/x^2"), "not rho/x"),
         (dict(b1="exp(1/x)"), "not rho/x"),
+        # x (b1 - b0) = 5 + x^0.001 shrinks from 2^-900 to 2^-1000 but not to 0
+        (dict(b1="5/x + x^-0.999"), "not rho/x"),
         # h0 = NaN marched as Neumann, h0 = +-inf held the wall at +-0, and a
         # non-finite kappa ended in "diagonal data overflows"
         (dict(h0=math.nan), "need finite h0 and kappa"),
@@ -792,12 +794,14 @@ def test_sigma_is_the_constant_leading_coefficient():
         GoursatProblem(problem.op_b, problem.op_a, params=problem.params)
 
 
-@pytest.mark.parametrize("sign", ["", "-"])
-def test_a_singular_b0_that_is_not_a_pole_plus_smooth_is_refused(sign):
-    # t b0 = -+t^-0.01 grows towards t = 0, so no r exists, while b1 - b0 = 0 on the
-    # diagonal gives rho = 0. Read at t = 2^-1000 alone, r was -+1024: the + wall
-    # marched a lattice that did not converge in h, the - wall was refused as unstable
-    problem = _gp(b0=f"{sign}1/t^1.01", b1=f"{sign}1/x^1.01", c0="1", c1="1 - x", X=2.0, h=1.0 / 64.0)
+@pytest.mark.parametrize("b0", ["1/t^1.01", "-1/t^1.01", "-5/t - t^-0.999"])
+def test_a_singular_b0_that_is_not_a_pole_plus_smooth_is_refused(b0):
+    # b1 - b0 = 0 on the diagonal gives rho = 0, but no r exists. t b0 = -+t^-0.01 grows
+    # towards t = 0: read at t = 2^-1000 alone, r was -+1024, so the + wall marched a lattice
+    # that did not converge in h and the - wall was refused as unstable. t b0 = -5 - t^0.001
+    # settles only below any float t: at the t = h/2 cell r is about 6, where the wall
+    # diverges, yet r = 5.536 at 2^-900 and 5.5 at 2^-1000 must not read as r = 0
+    problem = _gp(b0=b0, b1=b0.replace("t", "x"), c0="1", c1="1 - x", X=2.0, h=1.0 / 64.0)
     assert str(problem.rho) == "0.0"
     with pytest.raises(UsageError, match=r"^b0 is not -r/t \+ smooth at t = 0"):
         solve(problem)
