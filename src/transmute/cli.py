@@ -27,7 +27,6 @@ import argparse
 import dataclasses
 import gc
 import json
-import math
 import os
 import sys
 import time
@@ -38,6 +37,7 @@ from .errors import (
     ExpressionError,
     TransmuteError,
     UsageError,
+    finite_number,
 )
 from .expr import Expr, free_symbols, parse as parse_expr
 from .operators import DifferentialOperator
@@ -80,25 +80,15 @@ def _parse_params(text):
         if key in ("x", "t", "pi"):
             what = "the reserved constant" if key == "pi" else "a kernel variable"
             raise UsageError(f"--params cannot set {key!r}: it is {what}")
-        try:
-            number = float(value)
-        except ValueError:
-            raise UsageError(f"parameter {key!r} has non-numeric value {value!r}") from None
-        if not math.isfinite(number):
-            raise UsageError(f"parameter {key!r} must be finite, got {value!r}")
         if key in out:
             raise UsageError(f"duplicate parameter {key!r} in --params")
-        out[key] = number
+        out[key] = finite_number(value, f"parameter {key!r}")
     return out
 
 
 def _positive_float(text):
     """argparse type for tolerances: a finite number above zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < math.inf:
+    if not (value := finite_number(text, "a tolerance", argparse.ArgumentTypeError)) > 0.0:
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
     return value
 
@@ -118,13 +108,7 @@ def _parse_corrupt(text):
     name, sep, delta = text.partition(":")
     if not sep:
         raise UsageError(f"--corrupt must look like c1:+0.1, got {text!r}")
-    try:
-        value = float(delta)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise UsageError(f"--corrupt delta must be a finite number, got {delta!r}")
-    return name.strip(), value
+    return name.strip(), finite_number(delta, "--corrupt delta")
 
 
 def _read_config(path):
@@ -175,13 +159,7 @@ def _config_value(kind, key, raw, where):
             return parse_expr(raw)
         except ExpressionError as exc:
             raise UsageError(f"{where}: {exc}") from exc
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise UsageError(f"{where}: {key!r} must be a finite number, got {raw!r}")
-    return value
+    return finite_number(raw, f"{where}: {key!r}")
 
 
 def _config_fields(sections, label, path, required=()):
@@ -247,9 +225,7 @@ def _problem_from_config(path, params, flags):
 
 def _check_x(name, value, unsafe):
     """The range rule of --x, x_min and x_max, set by a flag, a file or the catalog."""
-    if not math.isfinite(value):
-        raise UsageError(f"{name} must be a finite number, got {value!r}")
-    if value <= 0.0:
+    if (value := finite_number(value, name)) <= 0.0:
         raise UsageError(f"{name} must be positive, got {value!r}")
     if value > 3.0 and not unsafe:
         raise UsageError(

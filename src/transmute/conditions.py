@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalError, TransmuteError, UsageError
+from .errors import NumericalError, TransmuteError, UsageError, finite_number, real_numbers
 from .expr import Jet2, Record, evaluate, evaluate_jet, free_symbols
 from .operators import _at, _eigen_residuals, _jet, _mean, _residual, _terms
 from .quadrature import MAX_POINTS, RULE_ORDER, apply_transmutation
@@ -92,7 +92,7 @@ class VerifyConfig(Record):
     x_max = 2.0  # not a field
 
     def __init__(self, nx: int = nx, nt: int = nt, n_samples: int = n_samples, tol_4a: float = tol_4a):
-        if not 0.0 < tol_4a < math.inf:
+        if not (tol_4a := finite_number(tol_4a, "tol_4a")) > 0.0:
             raise UsageError(f"tol_4a must be a positive finite number, got {tol_4a!r}")
         if _count("nx", nx) < 1 or _count("nt", nt) < 1:
             raise UsageError("hyperbolic grid must have at least one point per axis")
@@ -150,7 +150,7 @@ def _count(name, n):
 
 def triangle_grid(nx=VerifyConfig.nx, nt=VerifyConfig.nt, x_max=VerifyConfig.x_max):
     """Interior points of {0 < t < x <= x_max}, nt per column."""
-    return list(map(tuple, _triangle(_count("nx", nx), _count("nt", nt), x_max).tolist()))
+    return list(map(tuple, _triangle(_count("nx", nx), _count("nt", nt), finite_number(x_max, "x_max")).tolist()))
 
 
 def _triangle(nx, nt, x_max):
@@ -173,8 +173,9 @@ def sample_points(case, n=VerifyConfig.n_samples):
 
 
 def _abscissae(case, xs, config):
-    """``xs`` as a list; by default the sample points ``config`` asks for."""
-    return list(sample_points(case, (config or VerifyConfig()).n_samples) if xs is None else xs)
+    """``xs`` as a flat array; by default the sample points ``config`` asks for."""
+    return real_numbers(sample_points(case, (config or VerifyConfig()).n_samples) if xs is None else xs,
+                        "abscissae").reshape(-1)
 
 
 def _hyperbolic_residuals(case, x, t, jk=None):
@@ -203,9 +204,9 @@ def check_hyperbolic(case, grid=None, tol=1e-8, *, jet=None):
     failure raises.
     """
     grid = triangle_grid() if grid is None else grid
-    pts = np.array(grid if isinstance(grid, np.ndarray) else list(grid), dtype=float).reshape(-1, 2)
-    if not len(pts):
-        raise UsageError("hyperbolic check needs a non-empty grid")
+    if not (pts := real_numbers(grid, "grid points")).size or pts.size % 2:
+        raise UsageError("hyperbolic check needs a non-empty grid of (x, t) points")
+    pts = pts.reshape(-1, 2)
     x, t = pts.T
     outside = ~((0.0 < t) & (t < x))
     if outside.any():
@@ -300,15 +301,14 @@ def check_diagonal(case, xs=None, config=None, *, jet=None):
     |2 a dK/dx + (b1 - b0) K| / (1 + |K|), with a, b0 at t = x and dK/dx
     along the diagonal (d/dx + d/dt); ``jet`` is K's jet there, if known.
     """
-    xs = _abscissae(case, xs, config)
-    if not xs:
+    s = _abscissae(case, xs, config)
+    if not s.size:
         raise UsageError("diagonal check needs sample points")
     params = case.params
-    s = np.array(xs, dtype=float)
     a0 = _at(case.opA.a, "t", s, params)
     a1 = _at(case.opB.a, "x", s, params)
     coeff_gaps = np.broadcast_to(np.abs(a0 - a1), s.shape).tolist()
-    rec_4b1 = _tolerance_record("4b1", f"{len(xs)} shared samples in [{xs[0]:g}, {xs[-1]:g}]",
+    rec_4b1 = _tolerance_record("4b1", f"{len(s)} shared samples in [{s[0]:g}, {s[-1]:g}]",
                                 max(coeff_gaps), _mean(coeff_gaps), TOL_4B1)
 
     with np.errstate(invalid="ignore"):  # an infinite x gives t = NaN, which evaluate_jet refuses
@@ -318,7 +318,7 @@ def check_diagonal(case, xs=None, config=None, *, jet=None):
         raw = abs(2.0 * a0 * (jk.dx + jk.dt) + (b1 - b0) * jk.value)
         scaled = raw / (1.0 + abs(jk.value))
     grid = (
-        f"{len(xs)} abscissae, delta/x in [{DELTA_REL[-1]:g}, {DELTA_REL[0]:g}];"
+        f"{len(s)} abscissae, delta/x in [{DELTA_REL[-1]:g}, {DELTA_REL[0]:g}];"
         f" raw final {raw.max(axis=1)[-1]:.3e}"
     )
     return rec_4b1, _limit_record("4b2", grid, DELTA_REL, scaled.max(axis=1).tolist())
@@ -332,17 +332,16 @@ def check_boundary_t0(case, xs=None, eps_seq=None, config=None, *, jet=None, f0=
     K's jet there and ``f0`` is f0 at t = eps as a column, if known.
     """
     xs = _abscissae(case, xs, config)
-    eps_seq = list(EPS_SEQ if eps_seq is None else eps_seq)
-    if not xs or not eps_seq:
+    eps = real_numbers(EPS_SEQ if eps_seq is None else eps_seq, "eps").reshape(-1, 1)
+    if not xs.size or not eps.size:
         raise UsageError("boundary check needs sample points and an eps sequence")
-    eps = np.array(eps_seq, dtype=float)[:, None]
     f0 = evaluate(case.f0, {**case.params, "t": eps}) if f0 is None else f0
     a, b0 = (_at(e, "t", eps, case.params) for e in (case.opA.a, case.opA.b))
-    jk = evaluate_jet(case.kernel, np.array(xs, dtype=float), eps, case.params) if jet is None else jet
+    jk = evaluate_jet(case.kernel, xs, eps, case.params) if jet is None else jet
     with np.errstate(all="ignore"):  # a non-finite bracket is a failure
         values = np.abs((a * jk.dt - b0 * jk.value - case.h0 * a * jk.value) * f0).max(axis=1).tolist()
-    grid = f"{len(xs)} abscissae, eps in [{eps_seq[-1]:.3e}, {eps_seq[0]:.3e}]"
-    return _limit_record("4c", grid, eps_seq, values)
+    grid = f"{len(xs)} abscissae, eps in [{eps[-1, 0]:.3e}, {eps[0, 0]:.3e}]"
+    return _limit_record("4c", grid, eps[:, 0].tolist(), values)
 
 
 def check_vertex(case, pairs=None, config=None, *, jet=None, f0=None):
@@ -353,16 +352,14 @@ def check_vertex(case, pairs=None, config=None, *, jet=None, f0=None):
     A finite nonzero limit does not fail the check; the record is
     marked informational and carries the limit.
     """
-    if pairs is None:
-        pairs = [(eps, eps * eps) for eps in EPS_SEQ]
-    pairs = list(pairs)
-    if not pairs:
+    p = real_numbers([(eps, eps * eps) for eps in EPS_SEQ] if pairs is None else pairs, "vertex pairs")
+    if p.ndim != 2 or p.shape[1] != 2 or not len(p):
         raise UsageError("vertex check needs (eps, delta) pairs")
-    for eps, delta in pairs:
+    for eps, delta in (pairs := p.tolist()):
         if not 0.0 < delta < eps:
             raise UsageError(f"vertex pair needs 0 < delta < eps, got ({eps}, {delta})")
     params = case.params
-    e, d = np.array(pairs, dtype=float).T
+    e, d = p.T
     k = evaluate(case.kernel, {**params, "x": e, "t": e - d}) if jet is None else jet.value
     f0 = evaluate(case.f0, {**params, "t": e}) if f0 is None else f0
     with np.errstate(all="ignore"):  # a non-finite product is a failure
@@ -439,16 +436,17 @@ def verify_all(case, config=None):
 
 
 def identity_rows(case, xs, n=RULE_ORDER):
-    """T f0, f1 and |T f0 - f1| / (1 + |f1|) at the abscissae ``xs``, as arrays;
-    f1 is read from the case where ``verify_all`` walked it at ``xs``."""
-    if not (xs := list(xs)):
+    """T f0, f1 and |T f0 - f1| / (1 + |f1|) at the abscissae ``xs`` (by default
+    the case's sample points), as arrays; f1 is read from the case where
+    ``verify_all`` walked it at ``xs``."""
+    if not (s := _abscissae(case, xs, None)).size:
         raise UsageError("identity check needs at least one abscissa")
-    lhs = apply_transmutation(case, xs, n)  # first, so that n is checked before any array work
-    s, held = np.array(xs, dtype=float), vars(case).get("_f1_values")
+    lhs = apply_transmutation(case, s, n)  # first, so that n is checked before any array work
+    held = vars(case).get("_f1_values")
     f1 = held[1] if held and held[0] == s.tobytes() else evaluate(case.f1, {**case.params, "x": s})
     return lhs, f1, np.abs(lhs - f1) / (1.0 + np.abs(f1))
 
 
 def identity_error(case, xs=None, n=RULE_ORDER):
     """max over xs (by default the case's sample points) of ``identity_rows``' error."""
-    return float(np.max(identity_rows(case, sample_points(case) if xs is None else xs, n)[2]))
+    return float(np.max(identity_rows(case, xs, n)[2]))

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two rules by which it
+reads every number a caller hands it: ``finite_number`` and ``real_numbers``."""
+
+import math
+
+import numpy as np
 
 
 class TransmuteError(Exception):
@@ -74,3 +79,29 @@ class UsageError(TransmuteError):
 
 class NumericalError(TransmuteError):
     """A numerical pipeline produced a non-finite value or failed wholesale."""
+
+
+def finite_number(value, what, kind=UsageError):
+    """``float(value)``, refused with ``kind`` where that fails or is not finite,
+    and for a numpy complex scalar, which float() cuts to its real part."""
+    try:
+        number = math.nan if isinstance(value, np.complexfloating) else float(value)
+    except OverflowError:  # an int past the float range, whose digits may be too many to print
+        raise kind(f"{what} must be a finite number, got a number beyond the float range") from None
+    except (TypeError, ValueError):
+        number = math.nan
+    if number - number != 0.0:
+        raise kind(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def real_numbers(values, what, kind=UsageError):
+    """``values`` as a C-contiguous array of doubles of their shape (the array
+    itself if it is one), refused with ``kind`` unless bool, integer or float."""
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError):  # a ragged nesting, say
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise kind(f"{what} must be real numbers, got {values!r}")
+    return np.asarray(array, dtype=float, order="C")

@@ -23,8 +23,8 @@ anew each time), and a tree finds its free symbols once.
 Each tree compiles once into closures, kept on its nodes and shared by
 floats, numpy arrays and second-order jets (:class:`Jet2`, of floats or of
 arrays), whose five components leave out the mixed partial no check reads.
-``evaluate`` binds plain numbers, or arrays to some names (x and t,
-say); ``evaluate_jet`` binds x and t to jet seeds, floats or arrays.
+``evaluate`` binds numbers to any name and arrays to x and t only;
+``evaluate_jet`` binds x and t to jet seeds, floats or arrays.
 Jets and arrays spread only from the names bound to them, so a subtree
 that depends on parameters alone stays a float and calls the plain value
 of each function.  A jet's value is therefore exactly the float result.
@@ -56,8 +56,9 @@ a divisor literal other than 0 and -0.0 skips a zero test that cannot fire;
 a call with literal leading arguments hands a float last one straight on.
 Domain violations raise :class:`~transmute.errors.DomainError` naming
 the offending subexpression (and, for arrays, the first failing point)
-instead of letting NaN propagate; a non-finite bound value, result or
-jet component is a DomainError too.
+instead of letting NaN propagate; a non-finite result or jet component is
+a DomainError too, and so is a bound value that ``errors.finite_number``
+or, for an array, ``errors.real_numbers`` refuses.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, ExpressionError, ParseError, SpecFunError, UnboundSymbolError
+from .errors import finite_number, real_numbers
 
 __all__ = [
     "MAX_DEPTH",
@@ -652,18 +654,17 @@ def _compile(node: Expr) -> Callable:
         return lambda env: value
     if kind is Name:
         ident = node.ident
+        variable = ident in ("x", "t")  # the names arrays and jets may be bound to
 
         def name(env):
             try:
                 v = env[ident]
             except KeyError:
                 raise UnboundSymbolError(ident) from None
-            if type(v) is not float:
-                if type(v) is Jet2 or type(v) is _ndarray:
+            if type(v) is not float or v - v != 0.0:
+                if variable and (type(v) is Jet2 or type(v) is _ndarray):
                     return v
-                v = float(v)
-            if v - v != 0.0:
-                raise DomainError(f"non-finite value {v} bound to {ident}")
+                v = finite_number(v, f"value bound to {ident}", DomainError)
             return v
         return name
     if kind is Neg:
@@ -742,10 +743,10 @@ def _evaluate_array(node, bindings, jet=False):
     are seeded as jets and the result is a Jet2 of fresh arrays."""
     env = dict(bindings)
     for k in ("x", "t"):
-        if type(env.get(k)) is _ndarray:
+        if jet or type(env.get(k)) is _ndarray:
             # contiguous, copied if need be: numpy takes another inner loop for a
             # reversed or strided array, whose last bits may differ from a float's
-            a = env[k] = np.asarray(env[k], dtype=float, order="C")
+            a = env[k] = real_numbers(env[k], f"values bound to {k}", DomainError)
             if not np.isfinite(a).all():
                 raise DomainError(f"non-finite value bound to {k}{_where(env, ~np.isfinite(a))}")
     shapes = {v.shape for v in env.values() if type(v) is _ndarray}
@@ -776,13 +777,8 @@ def evaluate_jet(node: Expr, x, t, params: Mapping[str, float]) -> Jet2:
     that is not finite is a DomainError naming the first such point.
     """
     if type(x) is _ndarray or type(t) is _ndarray:
-        return _evaluate_array(
-            node, {**params, "x": np.asarray(x, dtype=float), "t": np.asarray(t, dtype=float)}, jet=True
-        )
-    x, t = float(x), float(t)
-    if x - x != 0.0 or t - t != 0.0:
-        name, v = ("x", x) if x - x != 0.0 else ("t", t)
-        raise DomainError(f"non-finite value {v} bound to {name}")
+        return _evaluate_array(node, {**params, "x": x, "t": t}, jet=True)
+    x, t = (finite_number(v, f"value bound to {k}", DomainError) for k, v in (("x", x), ("t", t)))
     env = {**params, "x": Jet2(x, dx=1.0), "t": Jet2(t, dt=1.0)}
     out = _compiled(node)(env)
     if type(out) is not Jet2:

@@ -39,7 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NumericalError, TransmuteError, UsageError
+from .errors import NumericalError, TransmuteError, UsageError, finite_number, real_numbers
 from .expr import BinOp, Neg, Record, evaluate, free_symbols, parse
 from .operators import DifferentialOperator, check_pair_symbols
 from .quadrature import jacobi_rule
@@ -82,6 +82,7 @@ class GoursatProblem(Record):
         X: float = 1.0, h: float = 1.0 / 64.0, params: Mapping[str, float] | None = None,
     ):
         params = {} if params is None else params
+        h0, kappa, X, h = (finite_number(v, k) for k, v in (("h0", h0), ("kappa", kappa), ("X", X), ("h", h)))
         self.__dict__.update(op_a=op_a, op_b=op_b, h0=h0, kappa=kappa, X=X, h=h, params=params)
         if (self.op_a.var, self.op_b.var) != ("t", "x"):
             raise UsageError("the solver needs A acting in 't' and B in 'x'")
@@ -111,8 +112,6 @@ class GoursatProblem(Record):
             )
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise UsageError(f"X/h must be a positive integer, got {n!r}")
-        if not (math.isfinite(self.h0) and math.isfinite(self.kappa)):
-            raise UsageError(f"need finite h0 and kappa, got h0 = {self.h0!r} and kappa = {self.kappa!r}")
 
     @property
     def steps(self):
@@ -157,7 +156,7 @@ def diagonal_values(problem, xs):
     [k h/2, (k+1) h/2], and S(m h/2) is the cumulative sum of the panel
     integrals read at m, so every caller reads the same panels.
     """
-    xs = np.asarray(xs, dtype=float).reshape(-1)
+    xs = real_numbers(xs, "diagonal abscissae").reshape(-1)
     panel, top = problem.h / 2.0, 2 * problem.steps
     with np.errstate(all="ignore"):  # an inf or NaN x fails the test below
         m = np.rint(xs / panel)
@@ -208,11 +207,11 @@ class TriangleGrid(Record):
 
     def value(self, i, j):
         """K at the cell (i, j), integers with 0 <= j <= i and i + j <= 2N; anything else is a UsageError."""
-        if 0 <= j <= i <= self.top - j:
-            try:  # a float passes the comparisons but not numpy's indexing
+        try:  # a float passes the comparisons but not numpy's indexing; text or None fails them
+            if 0 <= j <= i <= self.top - j:
                 return float(self.values[_offset(i + j) + j])
-            except IndexError:
-                pass
+        except (IndexError, TypeError, ValueError):
+            pass
         raise UsageError(f"({i!r}, {j!r}) is not a lattice cell: need integers 0 <= j <= i, i + j <= {self.top}")
 
     def export_csv(self, stream):
@@ -411,6 +410,7 @@ def problem_from_case(case, X, h):
     of ``solve`` holds K = 0 there.
     """
     problem = GoursatProblem(case.opA, case.opB, h0=case.h0, X=X, h=h, params=dict(case.params))
+    X = problem.X  # as the problem read it
     try:
         k_diag = evaluate(case.kernel, {**case.params, "x": X, "t": X})
     except TransmuteError as exc:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .errors import AdmissibilityError, UsageError
+from .errors import AdmissibilityError, UsageError, finite_number
 from .expr import BinOp, Expr, Name, Num, Record, parse
 from .operators import DifferentialOperator, check_pair_symbols, check_symbols
 
@@ -124,7 +124,7 @@ def _merge(defaults, params, case_name):
                 f"unknown parameter {key!r} for case {case_name!r}"
                 f" (expected one of {', '.join(sorted(defaults))})"
             )
-        merged[key] = float(value)
+        merged[key] = finite_number(value, f"parameter {key!r}")
     return merged
 
 
@@ -541,6 +541,6 @@ def corrupt_case(case, coefficient, delta):
         )
     side = "opA" if coefficient.endswith("0") else "opB"
     op = getattr(case, side)
-    slot = coefficient[0]
-    bumped = DifferentialOperator(**{**vars(op), slot: BinOp("+", getattr(op, slot), Num(float(delta)))})
+    slot, delta = coefficient[0], finite_number(delta, "delta")
+    bumped = DifferentialOperator(**{**vars(op), slot: BinOp("+", getattr(op, slot), Num(delta))})
     return dataclasses.replace(case, **{side: bumped})

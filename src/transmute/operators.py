@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, TransmuteError, UsageError
+from .errors import DomainError, TransmuteError, UsageError, real_numbers
 from .expr import Expr, Jet2, Num, Record, evaluate, evaluate_jet, free_symbols
 
 __all__ = [
@@ -146,7 +146,7 @@ def eigen_residual(
 def _eigen_residuals(pairs, f, grid, params, jf=None):
     """``eigen_residual`` for each (op, lam) of ``pairs``, all from one jet
     of f (``jf``, if known): lam f is its value, ``evaluate``'s bit for bit."""
-    s = np.array(list(grid), dtype=float)
+    s = real_numbers(grid, "eigen grid").reshape(-1)
     if not s.size:
         raise TransmuteError("eigen_residual needs a non-empty grid")
     out = []

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError, UsageError
+from .errors import NumericalError, UsageError, finite_number, real_numbers
 from .expr import Record, evaluate
 
 __all__ = [
@@ -58,15 +58,15 @@ def jacobi_rule(n, alpha, beta):
     and mu0 = integral of the weight over [-1, 1]. The last 256 rules
     built are cached.
     """
-    if n > MAX_RULE_ORDER:
+    order = real_numbers(n, "rule order")  # text is refused, not read as a number
+    if order.ndim == 0 and order > MAX_RULE_ORDER:
         raise UsageError(f"rule order {n!r} exceeds the maximum {MAX_RULE_ORDER}")
-    if not n >= 1 or int(n) != n:
+    if order.ndim or not order >= 1 or int(order) != order:
         raise UsageError(f"rule order must be a positive integer, got {n!r}")
-    if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
-        raise UsageError(
-            f"Jacobi exponents must be finite and exceed -1, got ({alpha!r}, {beta!r})"
-        )
-    return _jacobi_rule(int(n), float(alpha), float(beta))
+    alpha, beta = (finite_number(v, f"Jacobi exponent {k}") for k, v in (("alpha", alpha), ("beta", beta)))
+    if not (alpha > -1.0 and beta > -1.0):
+        raise UsageError(f"Jacobi exponents must be finite and exceed -1, got ({alpha!r}, {beta!r})")
+    return _jacobi_rule(int(order), alpha, beta)
 
 
 @functools.lru_cache(maxsize=256)
@@ -113,10 +113,7 @@ def transform(case, f_smooth, t_exponent, x, n=RULE_ORDER):
     beta_w = case.kernel_t_exponent + t_exponent
     # first, so that an order above the cap is refused before any array work
     rule = jacobi_rule(n, alpha_w, beta_w)
-    try:
-        xs = np.array(x, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        raise UsageError(f"transform needs numbers for x, got {x!r}") from None
+    xs = real_numbers(x, "transform's x").reshape(-1)
     if not np.all((xs > 0.0) & (xs < math.inf)):
         raise UsageError(f"transform needs x > 0, got {x!r}")
     if xs.size * n > MAX_POINTS:
@@ -141,6 +138,6 @@ def transform(case, f_smooth, t_exponent, x, n=RULE_ORDER):
 
 def apply_transmutation(case, x, n=RULE_ORDER):
     """T f0 at one abscissa or an array of them, by the case's smooth factors."""
-    if n < 8:
+    if real_numbers(n, "quadrature order").ndim == 0 and n < 8:  # jacobi_rule refuses the rest
         raise UsageError(f"quadrature order must be at least 8, got {n!r}")
     return transform(case, case.f0_smooth, case.f0_t_exponent, x, n)

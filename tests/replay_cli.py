@@ -12,8 +12,9 @@ points, a gegenbauer degree read from ``--params``, and an f0 and an f1
 whose jets overflow where their values do not.  It verifies ``sinh_cosh``
 on more points than one evaluation may take, solves ``lowndes`` at a wall
 the solver refuses and three custom singular t = 0 walls (b0 = -+1/t^1.01,
-and b0 = -1/t with c0 = 5/t^2), and verifies and applies at abscissae near
-the float range's end.  Not a test module: run it as
+and b0 = -1/t with c0 = 5/t^2), verifies and applies at abscissae near
+the float range's end, and gives a parameter, a tolerance, a lattice size
+and a file's x_max that are no finite number.  Not a test module: run it as
 
     PYTHONPATH=src python tests/replay_cli.py > replay.txt
 
@@ -85,6 +86,10 @@ def commands(tmp):
         yield ["solve", "--custom", os.path.join(tmp, name), "--format", "csv"]
     yield ["verify", "--case", "vekua_telegraph", "--x-max", "1e308", "--unsafe-range"]
     yield ["apply", "--case", "sonin", "--x", "1e308", "--unsafe-range"]
+    yield ["verify", "--case", "sonin", "--params", "mu=abc"]
+    yield ["verify", "--case", "sonin", "--tol-residual", "abc"]
+    yield ["solve", "--case", "vekua_telegraph", "--solver-X", "nan"]
+    yield ["verify", "--custom", os.path.join(tmp, "x_max_text.cfg"), "--params", "mu=1,omega=2"]
 
 
 def digest(argv, tmp):
@@ -107,7 +112,8 @@ def digest(argv, tmp):
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in {"pole.cfg": POLE_CASE, **CASES, **JET_CASES, **WALLS}.items():
+        files = {"pole.cfg": POLE_CASE, "x_max_text.cfg": CASE_FILE.replace("x_max = 2.0", "x_max = abc")}
+        for name, text in {**files, **CASES, **JET_CASES, **WALLS}.items():
             with open(os.path.join(tmp, name), "w") as fh:
                 fh.write(text)
         for argv in commands(tmp):

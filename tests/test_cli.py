@@ -424,6 +424,28 @@ def test_apply_refusal_names_the_input(capsys, argv, needle):
     assert needle in err and "array(" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (("verify", "--case", "sonin", "--params", "mu=abc"), "error: parameter 'mu' must be a finite number, got 'abc'"),
+        (("verify", "--case", "sonin", "--params", "mu=inf"), "error: parameter 'mu' must be a finite number, got 'inf'"),
+        (("verify", "--case", "sonin", "--tol-residual", "abc"),
+         "error: argument --tol-residual: a tolerance must be a finite number, got 'abc'"),
+        (("solve", "--case", "vekua_telegraph", "--solver-X", "nan"), "error: X must be a finite number, got nan"),
+        (("solve", "--case", "vekua_telegraph", "--solver-h", "inf"), "error: h must be a finite number, got inf"),
+        (("verify", "--custom", "x_max_text.cfg", "--params", "mu=1,omega=1"),
+         "error: x_max_text.cfg:7: 'x_max' must be a finite number, got 'abc'"),
+    ],
+    ids=["params_text", "params_inf", "tolerance_text", "solver_X_nan", "solver_h_inf", "file_x_max_text"],
+)
+def test_a_number_that_is_not_finite_is_refused_in_one_line(capsys, tmp_path, monkeypatch, argv, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x_max_text.cfg").write_text(CASE_FILE.replace("x_max = 2.0", "x_max = abc"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.splitlines()[-1].endswith(line)
+
+
 def test_a_diagonal_that_blows_up_at_the_vertex_asks_for_kappa_0(capsys, tmp_path):
     # every lattice holds x = 0, so keeping x > 0 is no way out for a solve
     cfg = tmp_path / "vertex_blowup.cfg"

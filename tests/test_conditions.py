@@ -31,7 +31,7 @@ from transmute.conditions import (
 from transmute.errors import AdmissibilityError, DomainError, NumericalError, TransmuteError, UsageError
 from transmute.expr import BinOp, Jet2, Num, evaluate, evaluate_jet, parse
 from transmute.kernels import COEFFICIENT_NAMES, TransmutationCase, corrupt_case, get_case, list_cases
-from transmute.operators import DifferentialOperator, _jet, _terms, apply
+from transmute.operators import DifferentialOperator, _jet, _terms, apply, eigen_residual
 
 
 def test_triangle_grid_stays_inside_the_triangle():
@@ -85,8 +85,13 @@ def test_an_infinite_abscissa_is_refused_without_a_numpy_warning():
         (dict(nx=2000, nt=2000), "2000x2000 grid"),
         (dict(nx=MAX_POINTS + 1, nt=1), "grid"),
         (dict(n_samples=MAX_POINTS + 1), "samples"),
+        # each of these ended in a TypeError
+        (dict(tol_4a="abc"), "^tol_4a must be a finite number, got 'abc'"),
+        (dict(tol_4a=None), "^tol_4a must be a finite number, got None"),
+        (dict(tol_4a=1e-8j), "^tol_4a must be a finite number"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_config_validation(kwargs, needle):
     with pytest.raises(UsageError, match=needle):
         VerifyConfig(**kwargs)
@@ -169,6 +174,36 @@ def test_hyperbolic_terms_balance():
 )
 def test_limit_checks_refuse_empty_or_inverted_inputs(run, needle):
     with pytest.raises(UsageError, match=needle):
+        run(get_case("sonin"))
+
+
+# each ended in a TypeError or a ValueError, cast a complex number in silence,
+# or (triangle_grid at x_max = NaN) returned NaN points
+NOT_REAL = [
+    (lambda case: check_hyperbolic(case, [("abc", 1.0)]), "grid points must be real numbers"),
+    (lambda case: check_hyperbolic(case, [(1.5, 0.5 + 0j)]), "grid points must be real numbers"),
+    (lambda case: check_hyperbolic(case, [(1.5, 0.5, 0.2)]), r"hyperbolic check needs a non-empty grid of \(x, t\) points"),
+    (lambda case: check_diagonal(case, ["abc", 1.0]), "abscissae must be real numbers"),
+    (lambda case: check_diagonal(case, [1.0 + 0j]), "abscissae must be real numbers"),
+    (lambda case: check_boundary_t0(case, [None]), "abscissae must be real numbers"),
+    (lambda case: check_boundary_t0(case, [1.0], ["abc"]), "eps must be real numbers"),
+    (lambda case: check_vertex(case, [("abc", 0.01)]), "vertex pairs must be real numbers"),
+    (lambda case: check_vertex(case, [(0.1, 0.01, 0.001)]), r"vertex check needs \(eps, delta\) pairs"),
+    (lambda case: check_eigen(case, [1.0, "abc"]), "abscissae must be real numbers"),
+    (lambda case: eigen_residual(case.opA, case.f0, case.lam, [1j], case.params), "eigen grid must be real numbers"),
+    (lambda case: identity_error(case, ["abc"]), "abscissae must be real numbers"),
+    (lambda case: triangle_grid(2, 2, math.nan), "x_max must be a finite number, got nan"),
+    (lambda case: triangle_grid(2, 2, "abc"), "x_max must be a finite number, got 'abc'"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("run,needle", NOT_REAL, ids=[
+    "hyperbolic_text", "hyperbolic_complex", "hyperbolic_triple", "diagonal_text", "diagonal_complex",
+    "boundary_none", "boundary_eps_text", "vertex_text", "vertex_triple", "eigen_text", "eigen_residual_complex",
+    "identity_text", "triangle_nan", "triangle_text"])
+def test_inputs_that_are_no_real_numbers_are_refused(run, needle):
+    with pytest.raises(UsageError, match="^" + needle):
         run(get_case("sonin"))
 
 

@@ -403,6 +403,38 @@ def test_jet_arithmetic_product_rule(a, b):
     assert prod.dxx == 0.0 and prod.dtt == 0.0
 
 
+# each ended in an OverflowError, a TypeError or a ValueError, or cast a complex
+# number to its real part: x = [1+2j] gave [2.0]
+NOT_REAL_BINDINGS = {
+    "int_1e400": {"x": 10**400},
+    "None": {"x": None},
+    "text": {"x": "abc"},
+    "complex": {"x": 1j},
+    "complex128": {"x": np.complex128(1 + 2j)},
+    "list": {"x": [1.0, 2.0]},
+    "array_parameter": {"mu": np.array([1.0, 2.0])},
+    "complex_array": {"x": np.array([1 + 2j])},
+    "text_array": {"x": np.array(["1"])},
+    "object_array": {"x": np.array([1.0, None])},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bindings", NOT_REAL_BINDINGS.values(), ids=NOT_REAL_BINDINGS)
+def test_a_binding_that_is_no_real_number_is_a_domain_error(bindings):
+    with pytest.raises(DomainError, match="^values? bound to (x|mu) must be (a finite number|real numbers), got "):
+        evaluate(parse("x + mu"), {"x": 1.0, "mu": 1.0, **bindings})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x,t", [(1j, 0.5), (np.complex128(1.0), 0.5), (1.0, "abc"), (10**400, 0.5),
+                                 (np.array([1 + 2j]), 0.5), (np.array([1.0]), "abc"), (np.array([1.0]), [None])],
+                         ids=["complex", "complex128", "text", "int_1e400", "complex_array", "array_text", "array_None"])
+def test_a_jet_seed_that_is_no_real_number_is_a_domain_error(x, t):
+    with pytest.raises(DomainError, match="^values? bound to (x|t) must be (a finite number|real numbers), got "):
+        evaluate_jet(parse("x * t"), x, t, {})
+
+
 def test_non_finite_binding_names_the_parameter():
     with pytest.raises(DomainError, match="bound to y"):
         evaluate(parse("sin(y)"), {"y": math.inf})
@@ -827,13 +859,21 @@ def test_compiled_specialisations_are_the_tree_walk(node):
 _EXTREMES = st.sampled_from([s * v for v in (0.0, 5e-324, 1e-310, 1e-160, 1.0, 1e154, 1e300) for s in (1.0, -1.0)])
 
 
+# values that are no finite real number, and two that read as one ("1.5" and a 0-d array)
+_NOT_REAL = st.sampled_from([10**400, -(2**1100), 1j, np.complex128(1 + 2j), None, "abc", "1.5",
+                             [1.0], np.array([1.0, 2.0]), np.array([1j]), np.array(0.5)])
+# a parameter is not a real number about one draw in four
+_BINDINGS = st.one_of(_EXTREMES, _EXTREMES, _EXTREMES, _NOT_REAL)
+
+
+@seed(1973)
 @settings(max_examples=500, deadline=None)
 @given(
     node=_ROOTS,
     xs=st.lists(_EXTREMES, min_size=3, max_size=3),
     ts=st.lists(_EXTREMES, min_size=2, max_size=2),
-    a=_EXTREMES,
-    b=_EXTREMES,
+    a=_BINDINGS,
+    b=_BINDINGS,
 )
 def test_evaluation_gives_finite_numbers_or_a_transmute_error(node, xs, ts, a, b):
     params = {"a": a, "b": b}

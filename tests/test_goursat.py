@@ -536,6 +536,14 @@ def test_lattice_budget_is_checked_before_solving():
         _gp(X=2.0, **{**base, "h": 1e-7})
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("xs", [["abc"], [1.0, None], [1.0 + 0j], [[1.0], [1.0, 2.0]]], ids=["text", "None", "complex", "ragged"])
+def test_diagonal_abscissae_that_are_no_real_numbers_are_refused(xs):
+    # each ended in a ValueError or a TypeError, and the complex one cast in silence
+    with pytest.raises(UsageError, match="^diagonal abscissae must be real numbers, got "):
+        diagonal_values(_telegraph(1.0 / 32.0), xs)
+
+
 def test_diagonal_abscissa_beyond_the_budget_is_refused():
     problem = _telegraph(1.0 / 64.0)
     with pytest.raises(UsageError, match="not a diagonal cell"):
@@ -758,14 +766,22 @@ def test_problem_from_case_accepts_a_smooth_nonzero_b():
         (dict(b1="5/x + x^-0.999"), "not rho/x"),
         # h0 = NaN marched as Neumann, h0 = +-inf held the wall at +-0, and a
         # non-finite kappa ended in "diagonal data overflows"
-        (dict(h0=math.nan), "need finite h0 and kappa"),
-        (dict(h0=math.inf), "need finite h0 and kappa"),
-        (dict(h0=-math.inf), "need finite h0 and kappa"),
-        (dict(kappa=math.nan), "need finite h0 and kappa"),
-        (dict(kappa=math.inf), "need finite h0 and kappa"),
-        (dict(kappa=-math.inf), "need finite h0 and kappa"),
+        (dict(h0=math.nan), "h0 must be a finite number"),
+        (dict(h0=math.inf), "h0 must be a finite number"),
+        (dict(h0=-math.inf), "h0 must be a finite number"),
+        (dict(kappa=math.nan), "kappa must be a finite number"),
+        (dict(kappa=math.inf), "kappa must be a finite number"),
+        (dict(kappa=-math.inf), "kappa must be a finite number"),
+        # each of these ended in a TypeError, a ValueError or an OverflowError
+        (dict(X="abc"), "X must be a finite number, got 'abc'"),
+        (dict(h=None), "h must be a finite number, got None"),
+        (dict(h0="abc"), "h0 must be a finite number, got 'abc'"),
+        (dict(X=10**400), "X must be a finite number, got a number beyond the float range"),
+        (dict(kappa=np.complex128(1.0)), r"kappa must be a finite number, got np.complex128\(1\+0j\)"),
+        (dict(h=np.array([1.0 / 64.0, 1.0 / 32.0])), "h must be a finite number"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_problem_validation(kwargs, needle):
     with pytest.raises(UsageError, match=needle):
         _gp(**kwargs)
@@ -914,6 +930,7 @@ def test_value_reads_the_cells_and_refuses_anything_else():
     for i in range(2 * n + 1):
         for j in range(min(i, 2 * n - i) + 1):
             assert grid.value(i, j) == grid.values[_offset(i + j) + j]
-    for i, j in [(1, 2), (-1, 0), (2 * n + 1, 0), (n, n + 1), (2.5, 0), (np.int64(2**62), np.int64(2**62))]:
+    for i, j in [(1, 2), (-1, 0), (2 * n + 1, 0), (n, n + 1), (2.5, 0), (np.int64(2**62), np.int64(2**62)),
+                 ("a", 0), (None, 0), (1, "b"), (1j, 0), (np.array([1, 2]), 0)]:  # the last five: a TypeError or ValueError
         with pytest.raises(UsageError, match="^" + re.escape(f"({i!r}, {j!r}) is not a lattice cell")):
             grid.value(i, j)

@@ -305,3 +305,23 @@ def test_corrupt_case_rejects_unknown_coefficient():
     with pytest.raises(UsageError, match="coefficient"):
         corrupt_case(case, "d2", 0.1)
     assert set(COEFFICIENT_NAMES) == {"a0", "b0", "c0", "a1", "b1", "c1"}
+
+
+# a value that is no finite real number: each built a case, or ended in a
+# TypeError, ValueError or OverflowError, or cast a complex number to its real part
+NOT_NUMBERS = {"text": "abc", "None": None, "inf": math.inf, "nan": math.nan, "int_1e400": 10**400,
+               "complex128": np.complex128(1.0), "complex": 1j, "array": np.array([1.0, 2.0])}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_a_parameter_that_is_no_finite_number_is_refused(value):
+    with pytest.raises(UsageError, match="^parameter 'mu' must be a finite number, got "):
+        get_case("sonin", {"mu": value})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_a_corrupting_delta_that_is_no_finite_number_is_refused(value):
+    with pytest.raises(UsageError, match="^delta must be a finite number, got "):
+        corrupt_case(get_case("sonin"), "c1", value)

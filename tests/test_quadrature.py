@@ -242,11 +242,19 @@ def test_weights_beyond_the_float_range_are_refused_before_the_matrix(monkeypatc
         ((1.5, 0.0, 0.0), "positive integer"),
         ((4, -1.0, 0.0), "exceed -1"),
         ((4, 0.0, -2.0), "exceed -1"),
-        ((4, math.nan, 0.0), "exceed -1"),
+        ((4, math.nan, 0.0), "alpha must be a finite number"),
         ((4, 0.0, math.inf), "finite"),
         ((math.nan, 0.0, 0.0), "positive integer"),
+        # each of these ended in a TypeError or a ValueError
+        (("8", 0.0, 0.0), "^rule order must be real numbers, got '8'"),
+        ((None, 0.0, 0.0), "^rule order must be real numbers, got None"),
+        (([8], 0.0, 0.0), "positive integer"),
+        ((8, "abc", 0.0), "^Jacobi exponent alpha must be a finite number, got 'abc'"),
+        ((8, 0.0, 1j), "^Jacobi exponent beta must be a finite number"),
+        ((8, 0.0, np.complex128(0.5)), "^Jacobi exponent beta must be a finite number"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_rule_validation(args, needle):
     with pytest.raises(UsageError, match=needle):
         jacobi_rule(*args)
@@ -283,6 +291,17 @@ def test_transform_validation():
     # abscissae x nodes above the point budget are refused before evaluation
     with pytest.raises(UsageError, match="1025 abscissae x 64 nodes exceed"):
         transform(case, Num(1.0), 0.0, np.linspace(0.1, 2.0, 1025), 64)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x,n", [([1 + 0j], 64), (np.array([1.0, 2.0 + 1j]), 64), ([[1.0], [1.0, 2.0]], 64),
+                                 (None, 64), (1.0, "abc"), (1.0, None)],
+                         ids=["complex", "complex_array", "ragged", "None", "order_text", "order_None"])
+def test_abscissae_or_an_order_that_are_no_real_numbers_are_refused(x, n):
+    # the complex abscissae were cast to their real part in silence; the others ended
+    # in a TypeError or a ValueError
+    with pytest.raises(UsageError, match="^(transform's x|quadrature order) must be real numbers, got "):
+        apply_transmutation(get_case("sonin"), x, n)
 
 
 @pytest.mark.filterwarnings("error")
@@ -358,5 +377,5 @@ def test_transform_takes_a_sequence_of_abscissae():
     assert type(apply_transmutation(case, np.array(1.1))) is float
     with pytest.raises(UsageError, match=r"x > 0, got \[1.0, 0.0\]"):
         apply_transmutation(case, [1.0, 0.0])
-    with pytest.raises(UsageError, match="numbers for x"):
+    with pytest.raises(UsageError, match="transform's x must be real numbers"):
         apply_transmutation(case, [1.0, "a"])
