@@ -38,6 +38,7 @@ from .errors import (
     TransmuteError,
     UsageError,
     finite_number,
+    positive_number,
 )
 from .expr import Expr, free_symbols, parse as parse_expr
 from .operators import DifferentialOperator
@@ -88,9 +89,7 @@ def _parse_params(text):
 
 def _positive_float(text):
     """argparse type for tolerances: a finite number above zero."""
-    if not (value := finite_number(text, "a tolerance", argparse.ArgumentTypeError)) > 0.0:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+    return positive_number(text, "a tolerance", argparse.ArgumentTypeError)
 
 
 def _parse_grid(text):
@@ -225,12 +224,8 @@ def _problem_from_config(path, params, flags):
 
 def _check_x(name, value, unsafe):
     """The range rule of --x, x_min and x_max, set by a flag, a file or the catalog."""
-    if (value := finite_number(value, name)) <= 0.0:
-        raise UsageError(f"{name} must be positive, got {value!r}")
-    if value > 3.0 and not unsafe:
-        raise UsageError(
-            f"{name} {value!r} exceeds the validated range 3; pass --unsafe-range to override"
-        )
+    if (value := positive_number(value, name)) > 3.0 and not unsafe:
+        raise UsageError(f"{name} {value!r} exceeds the validated range 3; pass --unsafe-range to override")
     return value
 
 

@@ -25,8 +25,8 @@ slices to every check; if the points exceed MAX_POINTS or any walk raises,
 every check walks its own points instead.  Arithmetic is elementwise and
 special functions run one body per entry, so both ways give the same bits.
 ``identity_rows`` checks T f0 = f1, reading f1 from the one state kept: the
-full walk's values in ``case._f1_values``, keyed by the abscissae's bytes,
-read-only and not a field, so a ``replace`` or ``corrupt_case`` copy walks afresh.
+full walk's values in ``case._f1_values``, keyed by the abscissae's bytes and
+the params' repr, read-only and no field, so a ``replace`` copy walks afresh.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalError, TransmuteError, UsageError, finite_number, real_numbers
+from .errors import NumericalError, TransmuteError, UsageError, count, finite_number, positive_number, real_numbers
 from .expr import Jet2, Record, evaluate, evaluate_jet, free_symbols
 from .operators import _at, _eigen_residuals, _jet, _mean, _residual, _terms
 from .quadrature import MAX_POINTS, RULE_ORDER, apply_transmutation
@@ -92,15 +92,13 @@ class VerifyConfig(Record):
     x_max = 2.0  # not a field
 
     def __init__(self, nx: int = nx, nt: int = nt, n_samples: int = n_samples, tol_4a: float = tol_4a):
-        if not (tol_4a := finite_number(tol_4a, "tol_4a")) > 0.0:
-            raise UsageError(f"tol_4a must be a positive finite number, got {tol_4a!r}")
-        if _count("nx", nx) < 1 or _count("nt", nt) < 1:
+        if (nx := count(nx, "nx")) < 1 or (nt := count(nt, "nt")) < 1:
             raise UsageError("hyperbolic grid must have at least one point per axis")
-        if _count("n_samples", n_samples) < 2:
+        if (n_samples := count(n_samples, "n_samples")) < 2:
             raise UsageError("need at least two sample points")
         if max(nx * nt, n_samples) > MAX_POINTS:
             raise UsageError(f"{nx}x{nt} grid or {n_samples} samples: maximum {MAX_POINTS}")
-        self.__dict__.update(nx=nx, nt=nt, n_samples=n_samples, tol_4a=tol_4a)
+        self.__dict__.update(nx=nx, nt=nt, n_samples=n_samples, tol_4a=positive_number(tol_4a, "tol_4a"))
 
 
 @dataclass(frozen=True)
@@ -141,16 +139,9 @@ class VerificationReport(Record):
         raise UsageError(f"report has no record for {cond_id!r}")
 
 
-def _count(name, n):
-    """``n``, refused unless an integer: numpy's integers are, bool is not."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise UsageError(f"{name} must be an integer, got {n!r}")
-    return n
-
-
 def triangle_grid(nx=VerifyConfig.nx, nt=VerifyConfig.nt, x_max=VerifyConfig.x_max):
     """Interior points of {0 < t < x <= x_max}, nt per column."""
-    return list(map(tuple, _triangle(_count("nx", nx), _count("nt", nt), finite_number(x_max, "x_max")).tolist()))
+    return list(map(tuple, _triangle(count(nx, "nx"), count(nt, "nt"), finite_number(x_max, "x_max")).tolist()))
 
 
 def _triangle(nx, nt, x_max):
@@ -161,12 +152,12 @@ def _triangle(nx, nt, x_max):
 
 def sample_points(case, n=VerifyConfig.n_samples):
     """Evenly spaced abscissae across the case's working interval."""
-    if _count("n", n) > MAX_POINTS:
+    if (n := count(n, "n")) > MAX_POINTS:
         raise UsageError(f"{n} sample points exceed the maximum of {MAX_POINTS}")
     if n < 0:
         raise UsageError(f"the number of sample points must be nonnegative, got {n}")
     lo, hi = case.x_range
-    xs = [0.5 * (lo + hi)] if n == 1 else [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    xs = [0.5 * lo + 0.5 * hi] if n == 1 else [lo + (hi - lo) * k / (n - 1) for k in range(n)]
     if not all(map(math.isfinite, xs)):
         raise UsageError(f"{n} sample points over [{lo!r}, {hi!r}]: a sample overflows the float range")
     return xs
@@ -416,7 +407,7 @@ def verify_all(case, config=None):
             pass  # each check walks, and fails, on its own
     if jf1 is not None:  # f1 at the samples, for identity_rows
         jf1.value.flags.writeable = False
-        object.__setattr__(case, "_f1_values", (s.tobytes(), jf1.value))
+        object.__setattr__(case, "_f1_values", ((s.tobytes(), repr(case.params)), jf1.value))
 
     hyp = check_hyperbolic(case, pts, jet=_part(jk, 0, n))
     fails = hyp["failures"]
@@ -438,12 +429,12 @@ def verify_all(case, config=None):
 def identity_rows(case, xs, n=RULE_ORDER):
     """T f0, f1 and |T f0 - f1| / (1 + |f1|) at the abscissae ``xs`` (by default
     the case's sample points), as arrays; f1 is read from the case where
-    ``verify_all`` walked it at ``xs``."""
+    ``verify_all`` walked it at ``xs`` and the same params."""
     if not (s := _abscissae(case, xs, None)).size:
         raise UsageError("identity check needs at least one abscissa")
     lhs = apply_transmutation(case, s, n)  # first, so that n is checked before any array work
-    held = vars(case).get("_f1_values")
-    f1 = held[1] if held and held[0] == s.tobytes() else evaluate(case.f1, {**case.params, "x": s})
+    held = vars(case).get("_f1_values", (None, None))
+    f1 = held[1] if held[0] == (s.tobytes(), repr(case.params)) else evaluate(case.f1, {**case.params, "x": s})
     return lhs, f1, np.abs(lhs - f1) / (1.0 + np.abs(f1))
 
 

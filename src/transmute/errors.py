@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the two rules by which it
-reads every number a caller hands it: ``finite_number`` and ``real_numbers``."""
+"""Exception types shared across the package, and the four rules by which it reads
+every number a caller hands it: finite_number, real_numbers, count and positive_number."""
 
 import math
 
@@ -93,6 +93,20 @@ def finite_number(value, what, kind=UsageError):
     if number - number != 0.0:
         raise kind(f"{what} must be a finite number, got {value!r}")
     return number
+
+
+def positive_number(value, what, kind=UsageError):
+    """``finite_number(value)``, refused with ``kind`` unless above zero."""
+    if not (number := finite_number(value, what, kind)) > 0.0:
+        raise kind(f"{what} must be a positive finite number, got {value!r}")
+    return number
+
+
+def count(value, what, kind=UsageError):
+    """``int(value)``, refused with ``kind`` unless an integer: numpy's integers are, bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise kind(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def real_numbers(values, what, kind=UsageError):

@@ -509,9 +509,9 @@ _ndarray = np.ndarray
 
 
 def _where(env, bad) -> str:
-    """' at x=..., t=...': the first point where the mask ``bad`` holds, given by each array
-    (or jet of arrays) bound in ``env`` that is not 0-d, or by every one if none varies."""
-    arrays = {k: a for k, v in env.items() if type(a := getattr(v, "value", v)) is _ndarray}
+    """' at x=..., t=...': the first point where the mask ``bad`` holds, given by x and t where
+    ``env`` binds them to arrays or jets of arrays, the 0-d ones only if neither varies."""
+    arrays = {k: a for k in ("x", "t") if type(a := getattr(env.get(k), "value", env.get(k))) is _ndarray}
     arrays = {k: a for k, a in arrays.items() if a.ndim} or arrays
     if not arrays:
         return ""
@@ -730,7 +730,11 @@ def evaluate(node: Expr, bindings: Mapping[str, object]):
     shape.  Raises DomainError instead of returning NaN or inf; for arrays
     the message names the first failing point.
     """
-    if type(bindings.get("x")) is _ndarray or type(bindings.get("t")) is _ndarray:
+    try:
+        array = type(bindings.get("x")) is _ndarray or type(bindings.get("t")) is _ndarray
+    except AttributeError:
+        raise DomainError(f"bindings must be a mapping of names to numbers, got {bindings!r}") from None
+    if array:
         return _evaluate_array(node, bindings)
     out = _compiled(node)(bindings)
     if out - out != 0.0:
@@ -749,7 +753,7 @@ def _evaluate_array(node, bindings, jet=False):
             a = env[k] = real_numbers(env[k], f"values bound to {k}", DomainError)
             if not np.isfinite(a).all():
                 raise DomainError(f"non-finite value bound to {k}{_where(env, ~np.isfinite(a))}")
-    shapes = {v.shape for v in env.values() if type(v) is _ndarray}
+    shapes = {v.shape for v in (env.get("x"), env.get("t")) if type(v) is _ndarray}
     shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
     if jet:
         env["x"] = Jet2(env["x"], dx=1.0)
@@ -776,10 +780,14 @@ def evaluate_jet(node: Expr, x, t, params: Mapping[str, float]) -> Jet2:
     the jet is an array of their shape, one jet per point.  A component
     that is not finite is a DomainError naming the first such point.
     """
+    try:
+        env = {**params, "x": x, "t": t}
+    except TypeError:
+        raise DomainError(f"params must be a mapping of names to numbers, got {params!r}") from None
     if type(x) is _ndarray or type(t) is _ndarray:
-        return _evaluate_array(node, {**params, "x": x, "t": t}, jet=True)
+        return _evaluate_array(node, env, jet=True)
     x, t = (finite_number(v, f"value bound to {k}", DomainError) for k, v in (("x", x), ("t", t)))
-    env = {**params, "x": Jet2(x, dx=1.0), "t": Jet2(t, dt=1.0)}
+    env["x"], env["t"] = Jet2(x, dx=1.0), Jet2(t, dt=1.0)
     out = _compiled(node)(env)
     if type(out) is not Jet2:
         out = Jet2(out)

@@ -39,7 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NumericalError, TransmuteError, UsageError, finite_number, real_numbers
+from .errors import NumericalError, TransmuteError, UsageError, finite_number, positive_number, real_numbers
 from .expr import BinOp, Neg, Record, evaluate, free_symbols, parse
 from .operators import DifferentialOperator, check_pair_symbols
 from .quadrature import jacobi_rule
@@ -81,9 +81,10 @@ class GoursatProblem(Record):
         self, op_a: DifferentialOperator, op_b: DifferentialOperator, h0: float = 0.0, kappa: float = 1.0,
         X: float = 1.0, h: float = 1.0 / 64.0, params: Mapping[str, float] | None = None,
     ):
-        params = {} if params is None else params
-        h0, kappa, X, h = (finite_number(v, k) for k, v in (("h0", h0), ("kappa", kappa), ("X", X), ("h", h)))
-        self.__dict__.update(op_a=op_a, op_b=op_b, h0=h0, kappa=kappa, X=X, h=h, params=params)
+        if not isinstance(params := {} if params is None else params, Mapping):
+            raise UsageError(f"params must be a mapping of names to numbers, got {params!r}")
+        self.__dict__.update(op_a=op_a, op_b=op_b, h0=finite_number(h0, "h0"), kappa=finite_number(kappa, "kappa"),
+                             X=positive_number(X, "X"), h=positive_number(h, "h"), params=params)
         if (self.op_a.var, self.op_b.var) != ("t", "x"):
             raise UsageError("the solver needs A acting in 't' and B in 'x'")
         check_pair_symbols(self.op_a, self.op_b, self.params)
@@ -100,8 +101,6 @@ class GoursatProblem(Record):
         self.__dict__.update(sigma=leading[0], rho=_residue(BinOp("-", self.op_b.b, self.op_a.b), self.params))
         if self.rho is None:
             raise UsageError("b1 - b0 is not rho/x + smooth at x = t = 0; the transport data cannot be split")
-        if not (self.X > 0.0 and self.h > 0.0):
-            raise UsageError("need X > 0 and h > 0")
         if not self.h / 2.0 > 0.0:  # the lattice's half step
             raise UsageError(f"h = {self.h!r} is too small: h/2 underflows to 0")
         n = self.X / self.h
@@ -374,7 +373,8 @@ def compare(grid, reference, params=None):
     depend on how the points are split into blocks."""
     if isinstance(reference, str):
         reference = parse(reference)
-    params = params or {}
+    if not isinstance(params := {} if params is None else params, Mapping):
+        raise UsageError(f"params must be a mapping of names to numbers, got {params!r}")
     h = grid.h
     count = grid.values.size
     starts = _offset(np.arange(grid.top + 1))

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .errors import AdmissibilityError, UsageError, finite_number
+from .errors import AdmissibilityError, UsageError, finite_number, real_numbers
 from .expr import BinOp, Expr, Name, Num, Record, parse
 from .operators import DifferentialOperator, check_pair_symbols, check_symbols
 
@@ -92,6 +92,11 @@ class TransmutationCase:
         return self.kernel_t_exponent + self.f0_t_exponent
 
     def __post_init__(self):
+        for name in ("lam", "p_diag", "kernel_t_exponent", "f0_t_exponent", "h0"):
+            object.__setattr__(self, name, finite_number(getattr(self, name), name))
+        if (ends := real_numbers(self.x_range, "x_range")).shape != (2,):  # inf is sample_points' to refuse
+            raise UsageError(f"x_range must be two numbers, got {self.x_range!r}")
+        object.__setattr__(self, "x_range", tuple(ends.tolist()))
         if not self.p_diag > -1.0:
             raise AdmissibilityError("p_diag > -1", f"got {self.p_diag}")
         if not self.p_zero > -1.0:
@@ -112,13 +117,15 @@ def _product(smooth, *powers):
     ``powers`` in order; a power whose exponent is 0 is left out."""
     for base, exponent in reversed(powers):
         if exponent != 0.0:
-            smooth = BinOp("*", BinOp("^", base, Num(float(exponent))), smooth)
+            smooth = BinOp("*", BinOp("^", base, Num(exponent)), smooth)
     return smooth
 
 
 def _merge(defaults, params, case_name):
+    if not isinstance(params := {} if params is None else params, Mapping):
+        raise UsageError(f"params must be a mapping of names to numbers, got {params!r}")
     merged = dict(defaults)
-    for key, value in (params or {}).items():
+    for key, value in params.items():
         if key not in defaults:
             raise UsageError(
                 f"unknown parameter {key!r} for case {case_name!r}"

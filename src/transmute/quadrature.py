@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError, UsageError, finite_number, real_numbers
+from .errors import NumericalError, UsageError, count, finite_number, real_numbers
 from .expr import Record, evaluate
 
 __all__ = [
@@ -58,15 +58,14 @@ def jacobi_rule(n, alpha, beta):
     and mu0 = integral of the weight over [-1, 1]. The last 256 rules
     built are cached.
     """
-    order = real_numbers(n, "rule order")  # text is refused, not read as a number
-    if order.ndim == 0 and order > MAX_RULE_ORDER:
+    if (order := count(n, "rule order")) > MAX_RULE_ORDER:
         raise UsageError(f"rule order {n!r} exceeds the maximum {MAX_RULE_ORDER}")
-    if order.ndim or not order >= 1 or int(order) != order:
+    if order < 1:
         raise UsageError(f"rule order must be a positive integer, got {n!r}")
     alpha, beta = (finite_number(v, f"Jacobi exponent {k}") for k, v in (("alpha", alpha), ("beta", beta)))
     if not (alpha > -1.0 and beta > -1.0):
         raise UsageError(f"Jacobi exponents must be finite and exceed -1, got ({alpha!r}, {beta!r})")
-    return _jacobi_rule(int(order), alpha, beta)
+    return _jacobi_rule(order, alpha, beta)
 
 
 @functools.lru_cache(maxsize=256)
@@ -116,8 +115,8 @@ def transform(case, f_smooth, t_exponent, x, n=RULE_ORDER):
     xs = real_numbers(x, "transform's x").reshape(-1)
     if not np.all((xs > 0.0) & (xs < math.inf)):
         raise UsageError(f"transform needs x > 0, got {x!r}")
-    if xs.size * n > MAX_POINTS:
-        raise UsageError(f"{xs.size} abscissae x {n} nodes exceed the maximum of {MAX_POINTS}")
+    if xs.size * rule.nodes.size > MAX_POINTS:  # not n, which may be a numpy integer
+        raise UsageError(f"{xs.size} abscissae x {rule.nodes.size} nodes exceed the maximum of {MAX_POINTS}")
     # one row per node, one column per abscissa; an overflowing node is refused by
     # evaluate, an overflowing term below, by its abscissa
     with np.errstate(over="ignore"):
@@ -138,6 +137,6 @@ def transform(case, f_smooth, t_exponent, x, n=RULE_ORDER):
 
 def apply_transmutation(case, x, n=RULE_ORDER):
     """T f0 at one abscissa or an array of them, by the case's smooth factors."""
-    if real_numbers(n, "quadrature order").ndim == 0 and n < 8:  # jacobi_rule refuses the rest
+    if count(n, "quadrature order") < 8:  # jacobi_rule refuses the rest
         raise UsageError(f"quadrature order must be at least 8, got {n!r}")
     return transform(case, case.f0_smooth, case.f0_t_exponent, x, n)

@@ -13,8 +13,10 @@ whose jets overflow where their values do not.  It verifies ``sinh_cosh``
 on more points than one evaluation may take, solves ``lowndes`` at a wall
 the solver refuses and three custom singular t = 0 walls (b0 = -+1/t^1.01,
 and b0 = -1/t with c0 = 5/t^2), verifies and applies at abscissae near
-the float range's end, and gives a parameter, a tolerance, a lattice size
-and a file's x_max that are no finite number.  Not a test module: run it as
+the float range's end (one of them the midpoint of [1e308, 1.7e308]), gives
+a parameter, a tolerance, a lattice size and a file's x_max that are no finite
+number, and a tolerance and lattice sizes that are not positive.  Not a test
+module: run it as
 
     PYTHONPATH=src python tests/replay_cli.py > replay.txt
 
@@ -90,6 +92,10 @@ def commands(tmp):
     yield ["verify", "--case", "sonin", "--tol-residual", "abc"]
     yield ["solve", "--case", "vekua_telegraph", "--solver-X", "nan"]
     yield ["verify", "--custom", os.path.join(tmp, "x_max_text.cfg"), "--params", "mu=1,omega=2"]
+    yield ["verify", "--case", "sonin", "--tol-residual", "0"]
+    yield ["solve", "--case", "vekua_telegraph", "--solver-X", "0"]
+    yield ["solve", "--case", "vekua_telegraph", "--solver-h", "-0.1"]
+    yield ["apply", "--case", "sonin", "--x-min", "1e308", "--x-max", "1.7e308", "--x-count", "1", "--unsafe-range"]
 
 
 def digest(argv, tmp):

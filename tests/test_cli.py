@@ -446,6 +446,37 @@ def test_a_number_that_is_not_finite_is_refused_in_one_line(capsys, tmp_path, mo
     assert err.splitlines()[-1].endswith(line)
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (("verify", "--case", "sonin", "--tol-residual", "0"),
+         "error: argument --tol-residual: a tolerance must be a positive finite number, got '0'"),
+        (("apply", "--case", "sonin", "--tol-identity=-1e-9"),
+         "error: argument --tol-identity: a tolerance must be a positive finite number, got '-1e-9'"),
+        (("solve", "--case", "vekua_telegraph", "--tol-solver", "0"),
+         "error: argument --tol-solver: a tolerance must be a positive finite number, got '0'"),
+        (("solve", "--case", "vekua_telegraph", "--solver-X", "0"),
+         "error: X must be a positive finite number, got 0.0"),
+        (("solve", "--case", "vekua_telegraph", "--solver-h", "-0.1"),
+         "error: h must be a positive finite number, got -0.1"),
+        (("apply", "--case", "sonin", "--x", "0"), "error: --x must be a positive finite number, got 0.0"),
+        (("verify", "--case", "sonin", "--x-min", "-0.0"), "error: x_min must be a positive finite number, got -0.0"),
+        (("verify", "--custom", "x_min_negative.cfg", "--params", "mu=1,omega=1"),
+         "error: x_min must be a positive finite number, got -1.0"),
+    ],
+    ids=["tol_residual_0", "tol_identity_negative", "tol_solver_0", "solver_X_0", "solver_h_negative", "x_0",
+         "x_min_negative_zero", "file_x_min_negative"],
+)
+def test_a_number_that_is_not_positive_is_refused_in_one_line(capsys, tmp_path, monkeypatch, argv, line):
+    # the solver's sizes ended in "need X > 0 and h > 0", x in "... must be positive"
+    # and a tolerance in "must be a positive finite number", without naming it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x_min_negative.cfg").write_text(BAD_CONFIGS["x_min_negative.cfg"])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.splitlines()[-1].endswith(line)
+
+
 def test_a_diagonal_that_blows_up_at_the_vertex_asks_for_kappa_0(capsys, tmp_path):
     # every lattice holds x = 0, so keeping x > 0 is no way out for a solve
     cfg = tmp_path / "vertex_blowup.cfg"
@@ -651,17 +682,14 @@ def test_a_lattice_that_diverges_at_a_c0_pole_of_the_wall_is_never_printed(tmp_p
 
 @pytest.mark.filterwarnings("error")
 def test_an_overflowing_unsafe_range_ends_in_one_line_without_a_numpy_warning(capsys):
-    # x_max = 1e308 gave inf samples, x = 1e308 inf nodes, each with numpy warnings on stderr,
-    # and one sample's midpoint of [1e308, 1.7e308] ended in "transform needs x > 0, got [inf]"
+    # x_max = 1e308 gave inf samples, x = 1e308 inf nodes, each with numpy warnings on stderr;
+    # one sample's midpoint of [1e308, 1.7e308] is 1.35e308, whose nodes overflow as x = 1e308's do
     code, out, err = run(capsys, "verify", "--case", "vekua_telegraph", "--x-max", "1e308", "--unsafe-range")
     assert (code, out, err) == (2, "", "error: 20 sample points over [0.2, 1e+308]: a sample overflows"
                                        " the float range\n")
-    code, out, err = run(capsys, "apply", "--case", "sonin", "--x-min", "1e308", "--x-max", "1.7e308",
-                         "--x-count", "1", "--unsafe-range")
-    assert (code, out, err) == (2, "", "error: 1 sample points over [1e+308, 1.7e+308]: a sample overflows"
-                                       " the float range\n")
-    code, out, err = run(capsys, "apply", "--case", "sonin", "--x", "1e308", "--unsafe-range")
-    assert (code, out) == (3, "") and err.startswith("numerical failure: ") and err.count("\n") == 1
+    for x in (("--x-min", "1e308", "--x-max", "1.7e308", "--x-count", "1"), ("--x", "1e308")):
+        code, out, err = run(capsys, "apply", "--case", "sonin", *x, "--unsafe-range")
+        assert (code, out) == (3, "") and err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 def test_the_telegraph_lattice_keeps_its_bytes(capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -52,14 +53,16 @@ def test_sample_points_honor_the_case_range():
 
 
 def test_a_range_whose_samples_overflow_is_refused():
-    # (hi - lo) k, or lo + hi for the one midpoint, overflowed, giving inf and NaN samples from a finite range
+    # (hi - lo) k overflowed, giving inf and NaN samples from a finite range
     case = get_case("vekua_telegraph")
     for lo, hi, n in ((0.2, 1e308, 20), (0.0, 1e308, 3), (-1e308, 1e308, 2), (0.2, math.inf, 2),
-                      (1e308, 1.7e308, 1), (0.2, math.inf, 1)):
+                      (0.2, math.inf, 1)):
         with pytest.raises(UsageError, match=r"sample points over \[.*\]: a sample overflows the float range"):
             sample_points(dataclasses.replace(case, x_range=(lo, hi)), n)
     assert sample_points(dataclasses.replace(case, x_range=(0.0, 1e308)), 2) == [0.0, 1e308]
     assert sample_points(dataclasses.replace(case, x_range=(1e307, 1e308)), 1) == [5.5e307]
+    # the one midpoint is 0.5 lo + 0.5 hi: 0.5 (lo + hi) overflowed where lo + hi does
+    assert sample_points(dataclasses.replace(case, x_range=(1e308, 1.7e308)), 1) == [1.35e308]
 
 
 @pytest.mark.filterwarnings("error")
@@ -120,6 +123,30 @@ def test_numpy_integers_count_as_point_counts():
     assert VerifyConfig(nx=n, nt=np.int32(20), n_samples=n) == VerifyConfig()
     assert sample_points(get_case("sonin"), np.int16(7)) == sample_points(get_case("sonin"), 7)
     assert triangle_grid(np.uint8(3), n) == triangle_grid(3, 20)
+    # each is read as its int, so a product of counts cannot wrap
+    config = VerifyConfig(nx=np.uint8(255), nt=np.uint8(255))
+    assert (type(config.nx), config.nx * config.nt) == (int, 65025)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [np.int16(300), np.int32(65536)], ids=repr)
+def test_numpy_integer_counts_are_held_to_the_point_budget(n):
+    # 300 x 300 in int16 wrapped to 24464 points and 65536^2 in int32 to 0, each
+    # passing the budget after a numpy warning
+    with pytest.raises(UsageError, match=rf"^{n}x{n} grid or 20 samples: maximum {MAX_POINTS}$"):
+        VerifyConfig(nx=n, nt=n)
+
+
+# the positive-number rule at this layer's one tolerance; a non-finite one is
+# refused as no finite number (test_config_validation)
+NON_POSITIVE_TOLERANCES = [0.0, -0.0, -1e-8, np.float64(0.0), False, -(2**70)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", NON_POSITIVE_TOLERANCES, ids=repr)
+def test_a_tolerance_that_is_not_positive_is_refused(tol):
+    with pytest.raises(UsageError, match=rf"^tol_4a must be a positive finite number, got {re.escape(repr(tol))}$"):
+        VerifyConfig(tol_4a=tol)
 
 
 def test_point_budget_admits_its_own_bound():
@@ -586,6 +613,25 @@ def test_a_copy_or_other_abscissae_walk_afresh(monkeypatch):
     # f1's kept values are read-only: no caller can change what the next one reads
     with pytest.raises(ValueError):
         case._f1_values[1][0] = 0.0
+
+
+def test_kept_f1_values_are_not_read_after_a_change_of_params(monkeypatch):
+    # the values were keyed by the abscissae alone: at mu = 1.5 identity_error read
+    # f1 walked at mu = 0.5 and gave 0.374, where a fresh case gives 0.617
+    case = get_case("sonin")
+    verify_all(case)
+    case.params["mu"] = 1.5
+    xs = sample_points(case)
+    walks = _spy_walks(monkeypatch)
+    rows = identity_rows(case, xs)
+    assert _of(walks, case.f1) == [("value", 20)]
+    for got, want in zip(rows, identity_rows(dataclasses.replace(case), xs)):
+        assert np.array_equal(got, want)
+    # the same params again read the kept values
+    case.params["mu"] = 0.5
+    del walks[:]
+    identity_rows(case, xs)
+    assert _of(walks, case.f1) == []
 
 
 def test_an_f0_whose_jet_fails_at_an_eps_point_gives_the_separate_checks(monkeypatch):

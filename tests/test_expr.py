@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import sys
 import warnings
 
@@ -435,6 +436,35 @@ def test_a_jet_seed_that_is_no_real_number_is_a_domain_error(x, t):
         evaluate_jet(parse("x * t"), x, t, {})
 
 
+# an array bound to a parameter that the expression does not read: the point a failure
+# names, and the shape of the result, read it too, ending in a ComplexWarning or a ValueError
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b", [np.array([1j]), np.array(["abc"]), np.array([1.0, 2.0, 3.0])],
+                         ids=["complex", "text", "shape"])
+def test_an_array_bound_to_an_unread_parameter_is_not_read(b):
+    xs = np.array([1.0, 0.0])
+    assert evaluate(parse("x+1"), {"b": b, "x": xs}).tolist() == [2.0, 1.0]
+    with pytest.raises(DomainError, match="^division by zero in 1/x at x=0.0$"):
+        evaluate(parse("1/x"), {"b": b, "x": xs})
+    with pytest.raises(DomainError, match=r"^non-integer power needs a positive base in x\^x$"):
+        evaluate_jet(parse("x^x"), 0.0, 0.5, {"b": b})
+
+
+# bindings or params that are no mapping ended in an AttributeError or a TypeError
+NO_MAPPINGS = [None, [1.0], [("x", 1.0)], 5, "x"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", NO_MAPPINGS, ids=repr)
+def test_bindings_that_are_no_mapping_are_a_domain_error(value):
+    text = rf"must be a mapping of names to numbers, got {re.escape(repr(value))}$"
+    with pytest.raises(DomainError, match="^bindings " + text):
+        evaluate(parse("x"), value)
+    for x in (1.0, np.array([1.0, 2.0])):
+        with pytest.raises(DomainError, match="^params " + text):
+            evaluate_jet(parse("x"), x, 0.5, value)
+
+
 def test_non_finite_binding_names_the_parameter():
     with pytest.raises(DomainError, match="bound to y"):
         evaluate(parse("sin(y)"), {"y": math.inf})
@@ -652,6 +682,19 @@ def test_jet_exponent_matches_closed_form_partials(x, t):
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["2^(1e200*1e200)", "x^(1e200*1e200)", "x^(0*(1e200*1e200))", "(x+t)^-(1e200*1e200)"])
+def test_a_non_finite_constant_exponent_is_a_domain_error(text):
+    # an exponent that overflows, or is NaN, as a float, over an array and as a jet
+    needle = rf"^non-finite exponent in {re.escape(to_string(parse(text)))}$"
+    for run in (lambda: evaluate(parse(text), {"x": 1.5, "t": 0.5}),
+                lambda: evaluate(parse(text), {"x": np.array([1.5, 2.0]), "t": 0.5}),
+                lambda: evaluate_jet(parse(text), 1.5, 0.5, {}),
+                lambda: evaluate_jet(parse(text), np.array([1.5, 2.0]), 0.5, {})):
+        with pytest.raises(DomainError, match=needle):
+            run()
+
+
 @pytest.mark.parametrize("text", ["gamma(1+x)", "x^t", "gamma(x)*x^(t+0.5)"])
 def test_per_entry_array_evaluation_is_the_float_walk(text):
     # no array rule for gamma, an exponent that varies: each entry runs the
@@ -861,7 +904,8 @@ _EXTREMES = st.sampled_from([s * v for v in (0.0, 5e-324, 1e-310, 1e-160, 1.0, 1
 
 # values that are no finite real number, and two that read as one ("1.5" and a 0-d array)
 _NOT_REAL = st.sampled_from([10**400, -(2**1100), 1j, np.complex128(1 + 2j), None, "abc", "1.5",
-                             [1.0], np.array([1.0, 2.0]), np.array([1j]), np.array(0.5)])
+                             [1.0], np.array([1.0, 2.0]), np.array([1j]), np.array(0.5),
+                             math.nan, math.inf, -math.inf, np.float64(math.nan)])
 # a parameter is not a real number about one draw in four
 _BINDINGS = st.one_of(_EXTREMES, _EXTREMES, _EXTREMES, _NOT_REAL)
 

@@ -756,8 +756,8 @@ def test_problem_from_case_accepts_a_smooth_nonzero_b():
         (dict(X=1.0, h=0.3), "X/h"),
         (dict(c1="t"), "may only depend on 'x'"),
         (dict(b0="x"), "may only depend on 't'"),
-        (dict(h=-0.1), "h > 0"),
-        (dict(X=-1.0), "X > 0"),
+        (dict(h=-0.1), r"^h must be a positive finite number, got -0.1$"),
+        (dict(X=-1.0), r"^X must be a positive finite number, got -1.0$"),
         (dict(c0="log(0)"), "coefficient c0 does not evaluate"),
         # b1 - b0 is not rho/x + smooth near 0
         (dict(b1="1/x^2"), "not rho/x"),
@@ -785,6 +785,35 @@ def test_problem_from_case_accepts_a_smooth_nonzero_b():
 def test_problem_validation(kwargs, needle):
     with pytest.raises(UsageError, match=needle):
         _gp(**kwargs)
+
+
+# X and h are read by the positive-number rule: each ended in "need X > 0 and h > 0"
+NON_POSITIVE_SIZES = [("X", 0.0), ("X", -0.0), ("X", np.float64(-2.0)), ("X", False),
+                      ("h", 0.0), ("h", -1e-300), ("h", -(2**70))]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key,value", NON_POSITIVE_SIZES, ids=[f"{k}={v!r}" for k, v in NON_POSITIVE_SIZES])
+def test_a_lattice_size_that_is_not_positive_is_refused(key, value):
+    needle = rf"^{key} must be a positive finite number, got {re.escape(repr(value))}$"
+    with pytest.raises(UsageError, match=needle):
+        _gp(**{key: value})
+
+
+# params that are no mapping ended in an AttributeError or a TypeError; None is no params
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params", [[("mu", 1.0)], [1], 5], ids=repr)
+def test_params_that_are_no_mapping_are_refused(params):
+    needle = rf"^params must be a mapping of names to numbers, got {re.escape(repr(params))}$"
+    case = get_case("vekua_telegraph")
+    with pytest.raises(UsageError, match=needle):
+        GoursatProblem(case.opA, case.opB, params=params)
+    grid = solve(_telegraph(1.0 / 8.0))
+    with pytest.raises(UsageError, match=needle):
+        compare(grid, "x", params=params)
+    assert compare(grid, "x", params=None) == compare(grid, "x", {})
+    assert GoursatProblem(DifferentialOperator("t", Num(1.0), Num(0.0), Num(0.0)),
+                          DifferentialOperator("x", Num(1.0), Num(0.0), Num(0.0)), params=None).params == {}
 
 
 def test_sigma_is_the_constant_leading_coefficient():

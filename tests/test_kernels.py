@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from transmute.conditions import sample_points, triangle_grid
+from transmute.conditions import sample_points, triangle_grid, verify_all
 from transmute.errors import AdmissibilityError, UsageError
 from transmute.expr import Num, evaluate, parse
 from transmute.operators import DifferentialOperator
@@ -325,3 +326,43 @@ def test_a_parameter_that_is_no_finite_number_is_refused(value):
 def test_a_corrupting_delta_that_is_no_finite_number_is_refused(value):
     with pytest.raises(UsageError, match="^delta must be a finite number, got "):
         corrupt_case(get_case("sonin"), "c1", value)
+
+
+# a case's own numbers, set by ``replace``: lam ended in a numpy UFuncTypeError, x_range and
+# h0 in a TypeError when verified, p_diag in a TypeError from the case's own admissibility test
+OWN_FIELDS = [
+    ("lam", "abc", "^lam must be a finite number, got 'abc'$"),
+    ("x_range", ("a", 1.0), r"^x_range must be real numbers, got \('a', 1.0\)$"),
+    ("h0", "abc", "^h0 must be a finite number, got 'abc'$"),
+    ("p_diag", None, "^p_diag must be a finite number, got None$"),
+    ("kernel_t_exponent", math.nan, "^kernel_t_exponent must be a finite number, got nan$"),
+    ("f0_t_exponent", 1j, "^f0_t_exponent must be a finite number, got 1j$"),
+    ("x_range", (1.0,), r"^x_range must be two numbers, got \(1.0,\)$"),
+    ("x_range", [[0.2, 3.0]], r"^x_range must be two numbers, got \[\[0.2, 3.0\]\]$"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field,value,needle", OWN_FIELDS, ids=[f"{f}={v!r}" for f, v, _ in OWN_FIELDS])
+def test_a_case_reads_its_own_numbers_by_the_number_rules(field, value, needle):
+    with pytest.raises(UsageError, match=needle):
+        verify_all(dataclasses.replace(get_case("sonin"), **{field: value}))
+
+
+def test_a_case_holds_its_numbers_as_floats():
+    case = dataclasses.replace(get_case("sonin"), lam=np.float64(-2.0), h0=1, x_range=[1, np.int8(2)])
+    assert (case.lam, case.h0, case.x_range) == (-2.0, 1.0, (1.0, 2.0))
+    assert {type(v) for v in (case.lam, case.h0, *case.x_range)} == {float}
+    # an infinite end is sample_points' to refuse, as the range it gives overflows
+    assert dataclasses.replace(case, x_range=(0.2, math.inf)).x_range == (0.2, math.inf)
+
+
+# params that are no mapping ended in an AttributeError, and an empty list was read as
+# none; None is no params
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params", [[("mu", 1.0)], 5, "mu=1", []], ids=repr)
+def test_params_that_are_no_mapping_are_refused(params):
+    needle = rf"^params must be a mapping of names to numbers, got {re.escape(repr(params))}$"
+    with pytest.raises(UsageError, match=needle):
+        get_case("sonin", params)
+    assert get_case("sonin", None) == get_case("sonin")

@@ -198,7 +198,7 @@ def test_rule_order_is_capped_before_allocation(monkeypatch):
     monkeypatch.setattr(quadrature, "np", None)
     with pytest.raises(UsageError, match="exceeds the maximum"):
         jacobi_rule(MAX_RULE_ORDER + 1, 0.0, 0.0)
-    with pytest.raises(UsageError, match="exceeds the maximum"):
+    with pytest.raises(UsageError, match="^rule order must be an integer, got inf"):
         jacobi_rule(math.inf, 0.0, 0.0)
 
 
@@ -239,16 +239,16 @@ def test_weights_beyond_the_float_range_are_refused_before_the_matrix(monkeypatc
     "args,needle",
     [
         ((0, 0.0, 0.0), "positive integer"),
-        ((1.5, 0.0, 0.0), "positive integer"),
+        ((1.5, 0.0, 0.0), "^rule order must be an integer, got 1.5"),
         ((4, -1.0, 0.0), "exceed -1"),
         ((4, 0.0, -2.0), "exceed -1"),
         ((4, math.nan, 0.0), "alpha must be a finite number"),
         ((4, 0.0, math.inf), "finite"),
-        ((math.nan, 0.0, 0.0), "positive integer"),
+        ((math.nan, 0.0, 0.0), "^rule order must be an integer, got nan"),
         # each of these ended in a TypeError or a ValueError
-        (("8", 0.0, 0.0), "^rule order must be real numbers, got '8'"),
-        ((None, 0.0, 0.0), "^rule order must be real numbers, got None"),
-        (([8], 0.0, 0.0), "positive integer"),
+        (("8", 0.0, 0.0), "^rule order must be an integer, got '8'"),
+        ((None, 0.0, 0.0), "^rule order must be an integer, got None"),
+        (([8], 0.0, 0.0), "^rule order must be an integer, got "),
         ((8, "abc", 0.0), "^Jacobi exponent alpha must be a finite number, got 'abc'"),
         ((8, 0.0, 1j), "^Jacobi exponent beta must be a finite number"),
         ((8, 0.0, np.complex128(0.5)), "^Jacobi exponent beta must be a finite number"),
@@ -300,8 +300,43 @@ def test_transform_validation():
 def test_abscissae_or_an_order_that_are_no_real_numbers_are_refused(x, n):
     # the complex abscissae were cast to their real part in silence; the others ended
     # in a TypeError or a ValueError
-    with pytest.raises(UsageError, match="^(transform's x|quadrature order) must be real numbers, got "):
+    needle = "^(transform's x must be real numbers|quadrature order must be an integer), got "
+    with pytest.raises(UsageError, match=needle):
         apply_transmutation(get_case("sonin"), x, n)
+
+
+# an order is read by the count rule: each of these built a rule or ran a transform
+# (True a 1-node rule), and a numpy integer order wrapped the point budget's product
+NON_INTEGER_ORDERS = [
+    (lambda case: jacobi_rule(True, 0.0, 0.0), "rule order", "True"),
+    (lambda case: jacobi_rule(8.0, 0.0, 0.0), "rule order", "8.0"),
+    (lambda case: jacobi_rule(np.float64(8.0), 0.0, 0.0), "rule order", r"np.float64\(8.0\)"),
+    (lambda case: jacobi_rule(np.bool_(True), 0.0, 0.0), "rule order", r"np.True_"),
+    (lambda case: apply_transmutation(case, 1.0, 64.0), "quadrature order", "64.0"),
+    (lambda case: apply_transmutation(case, 1.0, True), "quadrature order", "True"),
+    (lambda case: transform(case, case.f0_smooth, case.f0_t_exponent, 1.0, 64.0), "rule order", "64.0"),
+    (lambda case: identity_rows(case, [1.0], 64.0), "quadrature order", "64.0"),
+    (lambda case: identity_error(case, n=math.inf), "quadrature order", "inf"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("run,what,got", NON_INTEGER_ORDERS,
+                         ids=["rule_True", "rule_float", "rule_float64", "rule_bool_", "apply_float", "apply_True",
+                              "transform_float", "identity_rows_float", "identity_error_inf"])
+def test_an_order_that_is_no_integer_is_refused(run, what, got):
+    with pytest.raises(UsageError, match=f"^{what} must be an integer, got {got}$"):
+        run(get_case("sonin"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_numpy_integer_order_is_read_as_its_int():
+    assert np.array_equal(jacobi_rule(np.int16(8), 0.5, 0.0).nodes, jacobi_rule(8, 0.5, 0.0).nodes)
+    case = get_case("sonin")
+    assert apply_transmutation(case, 1.0, np.uint8(64)) == apply_transmutation(case, 1.0, 64)
+    # 1025 x np.int16(64) wrapped to a product inside the budget, with a numpy overflow warning
+    with pytest.raises(UsageError, match="1025 abscissae x 64 nodes exceed"):
+        transform(get_case("poisson_bessel"), Num(1.0), 0.0, np.linspace(0.1, 2.0, 1025), np.int16(64))
 
 
 @pytest.mark.filterwarnings("error")
